@@ -12,13 +12,10 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
-use sibyl_bench::{hm_config, seed, trace_len, BenchJson, TwoTermFit};
+use sibyl_bench::{seed, BenchJson, TwoTermFit};
 use sibyl_core::{Experience, ExperienceBuffer, OverheadReport, SibylConfig};
 use sibyl_nn::{Activation, Mlp};
-use sibyl_serve::{DecideCost, ServeConfig, TelemetryConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::ServeExperiment;
-use sibyl_trace::mix::Mix;
 
 /// Times `f` over batched runs and prints the median ns/iter.
 fn bench_function(name: &str, mut f: impl FnMut()) {
@@ -157,9 +154,11 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
     }
     println!("{}", table.render());
 
-    // Calibrate the ROADMAP's two-term rider from the tiled measurements:
-    // total decide µs per call = setup + per_row · batch. The fit itself
-    // is exact least squares (deterministic given the measured points).
+    // Fit the tiled measurements to setup + per_row · batch: how this
+    // host's decide cost splits into per-call and per-row work. A
+    // host-clock measurement — it is reported, never replayed into the
+    // modeled clock, whose one cost model is `nn_ns_per_mac`. The fit
+    // itself is exact least squares (deterministic given the points).
     const MACS: f64 = 1380.0;
     let points: Vec<(usize, f64)> = rows
         .iter()
@@ -172,7 +171,7 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
         .collect();
     let fit = sibyl_bench::calibrate_two_term(&points);
     println!(
-        "two-term decide model (tiled, measured): {:.3} µs setup + {:.4} µs/row",
+        "two-term decide fit (host clock, tiled kernels): {:.3} µs setup + {:.4} µs/row",
         fit.setup_us, fit.per_row_us
     );
     println!(
@@ -180,65 +179,6 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
         fit.step_us(32) * 1_000.0 / (MACS * 32.0)
     );
     (fit, table)
-}
-
-/// The calibrated fit, driven through the serving engine: the same mix2
-/// replay billed once under the flat per-MAC model and once under the
-/// measured two-term fit, with telemetry reporting the billed decide
-/// cost per batch (the `serve.decide_ns` histogram — exactly what the
-/// engine charged, not a recomputation).
-fn decide_bill_table(fit: TwoTermFit) -> Table {
-    const NS_PER_MAC: f64 = 20.0;
-    let n = trace_len(2_000);
-    let trace = Mix::Mix2.generate(n, seed());
-    println!("--- §10.3 engine decide bill (mix2, {n} requests, 2 shards x batch 16) ---");
-    let mut table = Table::new(
-        [
-            "model",
-            "batches",
-            "billed us/batch",
-            "nn busy (us)",
-            "avg lat (us)",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
-    let models: [(&str, DecideCost); 2] = [
-        ("per-MAC flat", DecideCost::PerMac),
-        ("two-term (measured)", fit.decide_cost()),
-    ];
-    for (name, decide_cost) in models {
-        let config = ServeConfig::new(hm_config())
-            .with_shards(2)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_nn_ns_per_mac(NS_PER_MAC)
-            .with_decide_cost(decide_cost)
-            .with_telemetry(TelemetryConfig::full());
-        let outcome = ServeExperiment::new(config, trace.clone())
-            .run()
-            .expect("non-empty trace");
-        let merged = outcome
-            .report
-            .telemetry
-            .as_ref()
-            .expect("telemetry enabled")
-            .merged_registry();
-        let batches = merged.counter("serve.batches");
-        let billed_us = merged
-            .histogram("serve.decide_ns")
-            .map_or(0.0, |h| h.mean() / 1_000.0);
-        let nn_us: f64 = outcome.report.shards.iter().map(|s| s.nn_busy_us).sum();
-        table.add_row(vec![
-            name.to_string(),
-            batches.to_string(),
-            format!("{billed_us:.3}"),
-            format!("{nn_us:.1}"),
-            format!("{:.1}", outcome.aggregate.avg_latency_us),
-        ]);
-    }
-    println!("{}", table.render());
-    table
 }
 
 fn buffer_benchmark() {
@@ -282,12 +222,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     training_benchmark();
     let train = training_step_table();
     buffer_benchmark();
-    let bill = decide_bill_table(fit);
 
-    let mut json = BenchJson::new("sec10_overhead", trace_len(2_000), seed());
+    // No trace is served here: the request count is 0.
+    let mut json = BenchJson::new("sec10_overhead", 0, seed());
     json.table("infer_kernels", &kernels);
     json.table("train_step", &train);
-    json.table("decide_bill", &bill);
     json.note("two_term_setup_us", format!("{:.3}", fit.setup_us));
     json.note("two_term_per_row_us", format!("{:.4}", fit.per_row_us));
     if let Some(path) = json.write()? {

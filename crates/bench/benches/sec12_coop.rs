@@ -15,33 +15,14 @@
 //! the latency columns include the decision cost cooperation has to
 //! amortize.
 
-use sibyl_bench::{banner, hm_config, seed, skewed_coop_trace, trace_len, BenchJson};
-use sibyl_core::SibylConfig;
-use sibyl_serve::{CoopConfig, CoopMode, ServeConfig};
+use sibyl_bench::{banner, coop_config, seed, skewed_coop_trace, trace_len, BenchJson};
+use sibyl_serve::CoopMode;
 use sibyl_sim::report::Table;
-use sibyl_sim::CoopExperiment;
+use sibyl_sim::{ServeExperiment, ServeOutcome};
 
-fn base_config(shards: usize) -> ServeConfig {
-    // Shorter train interval than the paper's 1000 so every shard still
-    // trains a useful number of steps on its partition of the trace; the
-    // coop knobs (sync every 8 batches, publish half the experiences)
-    // are shared by all cooperative modes.
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-    ServeConfig::new(hm_config())
-        .with_shards(shards)
-        .with_max_batch(16)
-        .with_time_scale(40.0)
-        .with_nn_ns_per_mac(20.0)
-        .with_curve_every(8)
-        .with_coop(
-            CoopConfig::default()
-                .with_sync_period(8)
-                .with_share_fraction(0.5),
-        )
-        .with_sibyl(sibyl)
+fn shared_experiences(outcome: &ServeOutcome) -> u64 {
+    let shards = &outcome.report.shards;
+    shards.iter().map(|s| s.agent.shared_absorbed).sum()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,17 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    // The 4-shard sweep report doubles as the foreign-weight ablation's
-    // baseline and weight-1.0 row (the default weight *is* 1.0), saving
-    // two full serve runs.
     let mut json = BenchJson::new("sec12_coop", n, seed());
-    let mut four_shard: Option<sibyl_sim::CoopReport> = None;
     for shards in [1usize, 2, 4, 8] {
-        let exp = CoopExperiment::new(base_config(shards), trace.clone());
-        let report = exp.run_all()?;
-        if shards == 4 {
-            four_shard = Some(report.clone());
-        }
+        let sweep = ServeExperiment::sweep(
+            &trace,
+            CoopMode::ALL.map(|mode| (mode, coop_config(shards, mode))),
+        )?;
+        let norm_lat = |mode| sweep.normalized_latency(mode).expect("mode was swept");
+        let hit_gain = |mode| sweep.hit_rate_gain(mode).expect("mode was swept");
         let mut table = Table::new(
             [
                 "mode",
@@ -81,32 +59,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(String::from)
             .to_vec(),
         );
-        for outcome in &report.outcomes {
+        for (mode, outcome) in &sweep.runs {
             let syncs: u64 = outcome.report.shards.iter().map(|s| s.coop_syncs).sum();
-            let shared: u64 = outcome
-                .report
-                .shards
-                .iter()
-                .map(|s| s.agent.shared_absorbed)
-                .sum();
             table.add_row(vec![
-                outcome.mode.to_string(),
+                mode.to_string(),
                 format!("{:.1}", outcome.aggregate.avg_latency_us),
-                format!("{:.3}", report.normalized_latency(outcome.mode)),
+                format!("{:.3}", norm_lat(mode)),
                 format!("{:.3}", outcome.aggregate.fast_placement_fraction),
-                format!("{:+.3}", report.hit_rate_gain(outcome.mode)),
+                format!("{:+.3}", hit_gain(mode)),
                 syncs.to_string(),
-                shared.to_string(),
+                shared_experiences(outcome).to_string(),
             ]);
         }
         println!("{shards} shard(s)");
         println!("{}", table.render());
         json.table(&format!("shards{shards}"), &table);
-        let best = report.best_cooperative_mode();
+        let best = sweep.best_challenger().expect("cooperative modes ran");
         println!(
             "best cooperative mode: {best} (norm lat {:.3}, hit gain {:+.3})\n",
-            report.normalized_latency(best),
-            report.hit_rate_gain(best),
+            norm_lat(best),
+            hit_gain(best),
         );
         json.note(&format!("best_coop_shards{shards}"), best);
 
@@ -114,10 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // the baseline vs the best cooperative mode at the widest sweep
         // point.
         if shards == 8 {
-            let indep = report
-                .outcome(CoopMode::Independent)
-                .expect("run_all covers every mode");
-            let coop = report.outcome(best).expect("run_all covers every mode");
+            let indep = sweep.baseline().expect("baseline ran");
+            let coop = sweep.get(best).expect("best mode ran");
             let mut curve = Table::new(
                 [
                     "requests",
@@ -129,7 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(String::from)
                 .to_vec(),
             );
-            for (a, b) in indep.curve.iter().zip(&coop.curve) {
+            let (indep, coop) = (
+                indep.report.aggregate_curve(),
+                coop.report.aggregate_curve(),
+            );
+            for (a, b) in indep.iter().zip(&coop) {
                 curve.add_row(vec![
                     a.requests.to_string(),
                     format!("{:.1}", a.avg_latency_us),
@@ -149,50 +123,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // foreign_weight 1.0 (bit-identical to the pre-knob engine); 0.5
     // halves their loss/gradient contribution, damping stale
     // off-partition transitions without changing what is shared or how
-    // sampling draws.
+    // sampling draws. The same sweep, labelled by weight, with the
+    // independent engine as its baseline.
     println!("foreign-weight ablation (shared replay, 4 shards)");
+    let weighted = |weight: f64| {
+        let mut cfg = coop_config(4, CoopMode::SharedReplay);
+        cfg.coop = cfg.coop.with_foreign_weight(weight);
+        (Some(weight), cfg)
+    };
+    let sweep = ServeExperiment::sweep(
+        &trace,
+        [
+            (None, coop_config(4, CoopMode::Independent)),
+            weighted(1.0),
+            weighted(0.5),
+        ],
+    )?;
     let mut ablation = Table::new(
         ["foreign weight", "avg lat (us)", "norm lat", "shared exps"]
             .map(String::from)
             .to_vec(),
     );
-    // Only SharedReplay depends on the weight, and the sweep above
-    // already ran the 4-shard Independent baseline and the
-    // default-weight (1.0) SharedReplay point — reuse both and run only
-    // the 0.5 point fresh.
-    let four_shard = four_shard.expect("4-shard sweep ran");
-    let baseline = four_shard
-        .outcome(CoopMode::Independent)
-        .expect("run_all covers every mode")
-        .aggregate
-        .avg_latency_us;
-    let mut row = |weight: f64, outcome: &sibyl_sim::CoopOutcome| {
-        let shared: u64 = outcome
-            .report
-            .shards
-            .iter()
-            .map(|s| s.agent.shared_absorbed)
-            .sum();
+    for (label, outcome) in &sweep.runs {
+        let Some(weight) = label else { continue };
         ablation.add_row(vec![
             format!("{weight:.1}"),
             format!("{:.1}", outcome.aggregate.avg_latency_us),
             format!(
                 "{:.3}",
-                outcome.aggregate.avg_latency_us / baseline.max(1e-9)
+                sweep.normalized_latency(label).expect("weight was swept")
             ),
-            shared.to_string(),
+            shared_experiences(outcome).to_string(),
         ]);
-    };
-    row(
-        1.0,
-        four_shard
-            .outcome(CoopMode::SharedReplay)
-            .expect("run_all covers every mode"),
-    );
-    let mut cfg = base_config(4);
-    cfg.coop = cfg.coop.with_foreign_weight(0.5);
-    let halved = CoopExperiment::new(cfg, trace.clone()).run_mode(CoopMode::SharedReplay)?;
-    row(0.5, &halved);
+    }
     println!("{}", ablation.render());
     json.table("foreign_weight_ablation", &ablation);
     if let Some(path) = json.write()? {

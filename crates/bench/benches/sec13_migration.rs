@@ -14,8 +14,9 @@
 //! foreground requests queue on, so the win is net of its own cost).
 
 use sibyl_bench::{banner, migration_config, seed, trace_len, BenchJson};
+use sibyl_serve::MigratePolicyKind;
 use sibyl_sim::report::Table;
-use sibyl_sim::MigrationExperiment;
+use sibyl_sim::ServeExperiment;
 use sibyl_trace::synth;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,8 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         phases
     );
 
-    let exp = MigrationExperiment::new(migration_config(), trace);
-    let report = exp.run_all()?;
+    let policies = MigratePolicyKind::ALL.map(|p| (p, migration_config(p)));
+    let sweep = ServeExperiment::sweep(&trace, policies)?;
+    let norm_lat = |policy| sweep.normalized_latency(policy).expect("policy was swept");
     let mut table = Table::new(
         [
             "policy",
@@ -50,11 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(String::from)
         .to_vec(),
     );
-    for run in &report.runs {
+    for (policy, run) in &sweep.runs {
+        let shards = &run.report.shards;
+        let promoted: u64 = shards.iter().map(|s| s.stats.bg_promoted_pages).sum();
+        let demoted: u64 = shards.iter().map(|s| s.stats.bg_demoted_pages).sum();
+        let busy_us: f64 = shards.iter().map(|s| s.migration_busy_us).sum();
         table.add_row(vec![
-            run.policy.to_string(),
+            policy.to_string(),
             format!("{:.1}", run.aggregate.avg_latency_us),
-            format!("{:.3}", report.normalized_latency(run.policy)),
+            format!("{:.3}", norm_lat(policy)),
             format!(
                 "{:.0}",
                 run.shard_metrics
@@ -63,18 +69,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .fold(0.0, f64::max)
             ),
             format!("{:.3}", run.aggregate.fast_placement_fraction),
-            run.promoted_pages.to_string(),
-            run.demoted_pages.to_string(),
-            format!("{:.1}", run.migration_busy_us / 1_000.0),
+            promoted.to_string(),
+            demoted.to_string(),
+            format!("{:.1}", busy_us / 1_000.0),
             run.aggregate.evicted_pages.to_string(),
         ]);
     }
     println!("{}", table.render());
-    let best = report.best_active_policy();
+    let best = sweep.best_challenger().expect("active policies ran");
     println!(
         "best active policy: {best} (norm lat {:.3}, hit gain {:+.3})",
-        report.normalized_latency(best),
-        report.hit_rate_gain(best),
+        norm_lat(best),
+        sweep.hit_rate_gain(best).expect("policy was swept"),
     );
 
     let mut json = BenchJson::new("sec13_migration", n, seed());

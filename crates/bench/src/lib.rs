@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use sibyl_core::{Categorical, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig};
 use sibyl_nn::{Activation, Mlp, Sgd};
-use sibyl_serve::{MigrateConfig, ServeConfig};
+use sibyl_serve::{CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig};
 use sibyl_sim::report::Table;
 use sibyl_sim::SuiteResult;
 use sibyl_trace::msrc::Workload;
@@ -132,20 +132,45 @@ pub fn skewed_coop_trace(n: usize, seed: u64) -> Trace {
     Trace::from_requests("skewed-coop", reqs)
 }
 
-/// The serving configuration `sec13_migration` sweeps the migration
-/// policies under (shared with the bench-crate regression test so the
-/// pinned numbers and the printed table cannot drift apart): the
-/// cost-oriented H&L pair — where every avoided slow access is worth
-/// milliseconds, the regime Harmonia targets — 2 shards, moderately
-/// accelerated replay, the §10 NN cost charged, and a migration tick
-/// every 4 batches promoting pages re-read at least 3 times. The policy
-/// itself is what the sweep varies.
-pub fn migration_config() -> ServeConfig {
+/// The serving configuration `sec12_coop` sweeps the cooperation modes
+/// under (shared with the bench-crate regression test so the pinned
+/// numbers and the printed table cannot drift apart): the H&M pair,
+/// accelerated replay, the §10 NN cost charged, curve sampling, a sync
+/// round every 8 batches publishing half the experiences — and a
+/// shorter train interval than the paper's 1000, so every shard still
+/// trains a useful number of steps on its partition of the trace.
+pub fn coop_config(shards: usize, mode: CoopMode) -> ServeConfig {
     let sibyl = SibylConfig {
         train_interval: 250,
         ..Default::default()
     };
-    let mut migrate = MigrateConfig::default()
+    ServeConfig::new(hm_config())
+        .with_shards(shards)
+        .with_max_batch(16)
+        .with_time_scale(40.0)
+        .with_nn_ns_per_mac(20.0)
+        .with_curve_every(8)
+        .with_coop(
+            CoopConfig::new(mode)
+                .with_sync_period(8)
+                .with_share_fraction(0.5),
+        )
+        .with_sibyl(sibyl)
+}
+
+/// The serving configuration `sec13_migration` sweeps the migration
+/// policies under (shared with the bench-crate regression test, like
+/// [`coop_config`]): the cost-oriented H&L pair — where every avoided
+/// slow access is worth milliseconds, the regime Harmonia targets — 2
+/// shards, moderately accelerated replay, the §10 NN cost charged, and a
+/// migration tick every 4 batches promoting pages re-read at least 3
+/// times.
+pub fn migration_config(policy: MigratePolicyKind) -> ServeConfig {
+    let sibyl = SibylConfig {
+        train_interval: 250,
+        ..Default::default()
+    };
+    let mut migrate = MigrateConfig::new(policy)
         .with_scan_period(4)
         .with_max_moves(32)
         .with_promote_min_heat(3);
@@ -387,11 +412,11 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
     rows
 }
 
-/// The two-term decide-cost model the ROADMAP carries as a rider on the
-/// §10 single-rate model: one batched decide costs
-/// `setup_us + per_row_us · batch`, splitting the per-call fixed work
-/// (dispatch, bias setup, cache warm-up) from the per-sample streaming
-/// work the single `nn_ns_per_mac` rate folds together.
+/// A two-term fit of *measured* decide time: one batched decide costs
+/// `setup_us + per_row_us · batch` on this host, splitting the per-call
+/// fixed work (dispatch, bias setup, cache warm-up) from the per-sample
+/// streaming work. A host-clock quantity `sec10_overhead` reports; the
+/// modeled clock is billed by `ServeConfig::nn_ns_per_mac` alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoTermFit {
     /// Fixed µs per batched decide call (the model's intercept).
@@ -404,19 +429,6 @@ impl TwoTermFit {
     /// The modeled µs for one decide call over `batch` samples.
     pub fn step_us(&self, batch: usize) -> f64 {
         self.setup_us + self.per_row_us * batch as f64
-    }
-
-    /// Lowers the fit into the serving engine's decide-cost model
-    /// ([`sibyl_serve::DecideCost::TwoTerm`]), so `sec10_overhead`'s
-    /// calibration can drive the engine's per-batch bill directly. Exact
-    /// least squares on noisy timings can produce a slightly negative
-    /// intercept or slope; those are clamped to zero so the result
-    /// always passes [`sibyl_serve::ServeConfig::validate`].
-    pub fn decide_cost(&self) -> sibyl_serve::DecideCost {
-        sibyl_serve::DecideCost::TwoTerm {
-            setup_us: self.setup_us.max(0.0),
-            per_row_us: self.per_row_us.max(0.0),
-        }
     }
 }
 
@@ -746,32 +758,25 @@ mod tests {
     /// fraction no longer proxies benefit — latency is the metric.)
     #[test]
     fn cooperation_beats_independent_on_skewed_partition() {
-        use sibyl_serve::{CoopConfig, CoopMode, ServeConfig};
-        use sibyl_sim::CoopExperiment;
+        use sibyl_sim::ServeExperiment;
 
         let trace = skewed_coop_trace(6_000, 42);
-        let sibyl = sibyl_core::SibylConfig {
-            train_interval: 250,
-            ..Default::default()
-        };
-        let base = ServeConfig::new(hm_config())
-            .with_shards(4)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_nn_ns_per_mac(20.0)
-            .with_coop(
-                CoopConfig::default()
-                    .with_sync_period(8)
-                    .with_share_fraction(0.5),
-            )
-            .with_sibyl(sibyl);
-        let report = CoopExperiment::new(base, trace).run_all().unwrap();
-        let norm = report.normalized_latency(CoopMode::WeightAverage);
+        let modes = [
+            CoopMode::Independent,
+            CoopMode::WeightAverage,
+            CoopMode::SharedReplay,
+        ];
+        let sweep = ServeExperiment::sweep(&trace, modes.map(|m| (m, coop_config(4, m)))).unwrap();
+        let norm = sweep
+            .normalized_latency(&CoopMode::WeightAverage)
+            .expect("swept");
         assert!(
             norm < 1.0,
             "weight averaging should serve the skewed mix faster: norm lat {norm:.3}"
         );
-        let shared = report.normalized_latency(CoopMode::SharedReplay);
+        let shared = sweep
+            .normalized_latency(&CoopMode::SharedReplay)
+            .expect("swept");
         assert!(
             shared < 1.0,
             "shared replay should serve the skewed mix faster: norm lat {shared:.3}"
@@ -781,22 +786,25 @@ mod tests {
     /// The sec13_migration acceptance pin: on the phase-shifting diurnal
     /// trace over the H&L pair, *both* active migration policies beat
     /// the no-migration baseline on normalized latency — the RL second
-    /// agent strictly, the heuristic with a clear margin — and the
-    /// baseline itself is bit-identical to an engine whose config never
-    /// mentions migration (the subsystem's do-no-harm contract; also
-    /// pinned at the engine and sim layers). Settings mirror the bench
-    /// target at a test-sized request count.
+    /// agent strictly, the heuristic with a clear margin. (That the
+    /// baseline equals an engine whose config never mentions migration is
+    /// the `MigratePolicyKind::None` row of the serve crate's
+    /// `neutral_knobs.rs`.) Settings are the bench target's, at a
+    /// test-sized request count.
     #[test]
     fn migration_beats_no_migration_on_phased_trace() {
-        use sibyl_serve::MigratePolicyKind;
-        use sibyl_sim::MigrationExperiment;
+        use sibyl_sim::ServeExperiment;
         use sibyl_trace::synth;
 
         let trace = synth::diurnal(8_000, 5, 42);
-        let exp = MigrationExperiment::new(migration_config(), trace.clone());
-        let report = exp.run_all().unwrap();
-        let rl = report.normalized_latency(MigratePolicyKind::Rl);
-        let hc = report.normalized_latency(MigratePolicyKind::HotCold);
+        let policies = MigratePolicyKind::ALL.map(|p| (p, migration_config(p)));
+        let sweep = ServeExperiment::sweep(&trace, policies).unwrap();
+        let rl = sweep
+            .normalized_latency(&MigratePolicyKind::Rl)
+            .expect("swept");
+        let hc = sweep
+            .normalized_latency(&MigratePolicyKind::HotCold)
+            .expect("swept");
         assert!(
             rl < 0.995,
             "RL migration should beat NoMigration on the phased trace: norm lat {rl:.3}"
@@ -805,19 +813,17 @@ mod tests {
             hc < 0.95,
             "hot-cold migration should beat NoMigration clearly: norm lat {hc:.3}"
         );
-        let rl_run = report
-            .run(MigratePolicyKind::Rl)
-            .expect("run_all covers every policy");
+        let rl_run = sweep.get(&MigratePolicyKind::Rl).expect("swept");
+        let promoted: u64 = rl_run
+            .report
+            .shards
+            .iter()
+            .map(|s| s.stats.bg_promoted_pages)
+            .sum();
         assert!(
-            rl_run.promoted_pages > 0,
+            promoted > 0,
             "the RL agent must actually migrate to earn its win"
         );
-        // Do-no-harm: the swept baseline equals a migration-free engine.
-        let plain = sibyl_serve::serve_trace(&migration_config(), &trace).unwrap();
-        let none_run = report
-            .run(MigratePolicyKind::None)
-            .expect("run_all covers every policy");
-        assert_eq!(none_run.report, plain);
     }
 
     /// The sec10_overhead training-latency pins: the batched training
@@ -967,45 +973,23 @@ mod tests {
         let _ = calibrate_two_term(&[(4, 1.0), (4, 2.0)]);
     }
 
-    /// `TwoTermFit::decide_cost` lowers the fit into the engine's
-    /// decide-cost model, clamping negative least-squares artifacts so
-    /// the result always passes config validation.
+    /// The sec15_telemetry and sec16_xray acceptance pins: on the mix2
+    /// reference workload at 4 shards × batch 16, fully-enabled telemetry
+    /// and 1/64-sampled span tracing each change zero placement decisions
+    /// (always asserted, every profile) and — under release codegen, where
+    /// the benches' measured numbers are produced — cost at most 3% and 5%
+    /// of measured serving throughput. The bound is certified
+    /// compositionally, because a 3% end-to-end A/B wall-clock delta is
+    /// smaller than ambient load drift on a shared runner (median, paired
+    /// order-alternating ratios and best-of-N were all tried): the engine's
+    /// own `ShardObserver` is fed one `request` per iteration and one
+    /// `batch_decided` per 16 in a tight loop — the very code the shard
+    /// loop runs, with an eviction charged on every request though real
+    /// traffic evicts only sometimes — and its per-request cost is held
+    /// against the engine's measured per-request serving cost.
     #[test]
-    fn two_term_fit_lowers_to_a_valid_decide_cost() {
-        let fit = TwoTermFit {
-            setup_us: -0.001,
-            per_row_us: 0.4,
-        };
-        let cost = fit.decide_cost();
-        assert!(cost.is_valid());
-        assert_eq!(
-            cost,
-            sibyl_serve::DecideCost::TwoTerm {
-                setup_us: 0.0,
-                per_row_us: 0.4
-            }
-        );
-        // Where the fit is already non-negative, the engine bills exactly
-        // the fit's step cost — macs and ns/MAC are ignored by TwoTerm.
-        let fit = TwoTermFit {
-            setup_us: 3.5,
-            per_row_us: 0.4,
-        };
-        let billed = fit.decide_cost().batch_us(None, 0.0, 16);
-        assert!((billed - fit.step_us(16)).abs() < 1e-12);
-    }
-
-    /// The sec15_telemetry acceptance pin: on the mix2 reference workload
-    /// at 4 shards × batch 16, fully-enabled telemetry changes zero
-    /// placement decisions (always asserted, every profile) and — under
-    /// release codegen, where the bench's measured numbers are produced —
-    /// costs at most 3% of measured serving throughput. The throughput
-    /// bound is certified compositionally (per-request telemetry work vs
-    /// per-request serving work) because a 3% end-to-end A/B wall-clock
-    /// delta is smaller than ambient load drift on a shared runner.
-    #[test]
-    fn telemetry_overhead_is_bounded_and_non_perturbing() {
-        use sibyl_serve::{serve_trace, ServeConfig, TelemetryConfig};
+    fn observer_overhead_is_bounded_and_non_perturbing() {
+        use sibyl_serve::{serve_trace, ServeConfig, TelemetryConfig, XrayConfig};
         use sibyl_trace::mix::Mix;
 
         let trace = Mix::Mix2.generate(6_000, 42);
@@ -1020,76 +1004,37 @@ mod tests {
             .with_nn_ns_per_mac(20.0)
             .with_curve_every(8)
             .with_sibyl(sibyl);
-        let full = base.clone().with_telemetry(TelemetryConfig::full());
+        let observers = [
+            ("telemetry", TelemetryConfig::full(), XrayConfig::Off, 0.03),
+            ("xray", TelemetryConfig::off(), XrayConfig::Sampled(6), 0.05),
+        ];
         let off_report = serve_trace(&base, &trace).unwrap();
-        let full_report = serve_trace(&full, &trace).unwrap();
-        assert_eq!(
-            full_report.shards, off_report.shards,
-            "enabled telemetry must change zero placement decisions"
-        );
-        assert!(full_report.telemetry.is_some());
-        assert!(off_report.telemetry.is_none());
+        assert!(off_report.telemetry.is_none() && off_report.xray.is_none());
+        for (name, telemetry, xray, _) in observers {
+            let on = base.clone().with_telemetry(telemetry).with_xray(xray);
+            let on_report = serve_trace(&on, &trace).unwrap();
+            assert_eq!(
+                on_report.shards, off_report.shards,
+                "{name} must observe, never decide"
+            );
+            assert_eq!(on_report.telemetry.is_some(), telemetry.enabled());
+            assert_eq!(on_report.xray.is_some(), xray.enabled());
+        }
 
-        // The wall-clock pin is scoped to release builds like the kernel
-        // pins above: debug codegen inflates the registry's relative cost
+        // The wall-clock pins are scoped to release builds like the kernel
+        // pins above: debug codegen inflates the observers' relative cost
         // past anything the benches report, and debug timing noise on a
         // loaded runner could flake the gate.
         #[cfg(not(debug_assertions))]
         {
-            use sibyl_telemetry::{Log2Histogram, TelemetrySink, TraceEvent};
+            use sibyl_serve::ShardObserver;
+            use sibyl_xray::RequestObservation;
             use std::time::Instant;
 
-            // An end-to-end A/B comparison cannot certify a 3% bound
-            // here: ambient load on a shared runner drifts two ~400 ms
-            // arms apart by more than 3% regardless of estimator
-            // (median, paired order-alternating ratios, and best-of-N
-            // were all tried). The bound is certified compositionally
-            // instead: the telemetry work the engine performs per
-            // request at Full — the RequestServed ring event, the local
-            // latency-histogram sample, the Eviction event (charged
-            // every iteration here, though real traffic only evicts
-            // sometimes), and the per-batch registry updates amortized
-            // over a full batch of 16 — is timed in a tight loop and
-            // compared against the engine's measured per-request
-            // serving cost. Per-request telemetry work ≤ 3% of
-            // per-request serving work bounds the throughput loss of
-            // enabling telemetry at 3%.
-            const ITERS: u64 = 200_000;
-            let mut sink = TelemetrySink::new(&TelemetryConfig::full()).expect("full sink");
-            let mut latency_hist = Log2Histogram::new();
-            let t = Instant::now();
-            for i in 0..ITERS {
-                sink.event(TraceEvent::RequestServed {
-                    lpn: i,
-                    device: (i % 2) as usize,
-                    latency_us: 80.0,
-                });
-                sink.event(TraceEvent::Eviction {
-                    lpn: i,
-                    pages: 1 + i % 4,
-                });
-                latency_hist.record(80 + i % 64);
-                if i % 16 == 0 {
-                    sink.event(TraceEvent::BatchDecided {
-                        batch: i / 16,
-                        requests: 16,
-                        decide_us: 27.6,
-                    });
-                    let registry = sink.registry_mut();
-                    registry.counter_add("serve.requests", 16);
-                    registry.counter_add("serve.batches", 1);
-                    registry.histogram_record("serve.batch_fill", 16);
-                    registry.histogram_record("serve.decide_ns", 27_600);
-                }
-            }
-            let telemetry_ns = t.elapsed().as_nanos() as f64 / ITERS as f64;
-            std::hint::black_box(sink.finish(0));
-            std::hint::black_box(&latency_hist);
-
             // The engine's per-request cost, best-of-3 at 1 shard: the
-            // telemetry work being bounded is identical per shard loop,
-            // and the single-worker run avoids the thread-scheduling
-            // spread of multi-shard wall-clock.
+            // observer work being bounded is identical per shard loop, and
+            // the single-worker run avoids the thread-scheduling spread of
+            // multi-shard wall-clock. Measured once for both bounds.
             let base_1 = base.clone().with_shards(1);
             let mut engine_s = f64::INFINITY;
             for _ in 0..3 {
@@ -1098,12 +1043,40 @@ mod tests {
                 engine_s = engine_s.min(t.elapsed().as_secs_f64());
             }
             let request_ns = engine_s * 1e9 / trace.len() as f64;
-            assert!(
-                telemetry_ns <= request_ns * 0.03,
-                "telemetry overhead exceeds 3%: {telemetry_ns:.0} ns of telemetry work per \
-                 request vs {request_ns:.0} ns of serving work per request ({:.2}%)",
-                100.0 * telemetry_ns / request_ns
-            );
+
+            const ITERS: u64 = 200_000;
+            for (name, telemetry, xray, bound) in observers {
+                let mut observer = ShardObserver::new(&telemetry, &xray, 0, 42);
+                let t = Instant::now();
+                for i in 0..ITERS {
+                    if i % 16 == 0 {
+                        observer.batch_decided(i / 16, 16, 27.6);
+                    }
+                    observer.request(&RequestObservation {
+                        lba: i * 64,
+                        timestamp_us: i as f64 * 10.0,
+                        arrival_us: i as f64 * 10.0 + 1.0,
+                        latency_us: 80.0 + (i % 64) as f64,
+                        decide_us: 2.0,
+                        train_us: 0.4,
+                        queue_us: 3.0,
+                        batch: 16,
+                        device: (i % 2) as usize,
+                        target: 0,
+                        promoted: 0,
+                        evicted: 1 + i % 4,
+                    });
+                }
+                let observer_ns = t.elapsed().as_nanos() as f64 / ITERS as f64;
+                std::hint::black_box(&observer);
+                assert!(
+                    observer_ns <= request_ns * bound,
+                    "{name} overhead exceeds {:.0}%: {observer_ns:.0} ns of observer work per \
+                     request vs {request_ns:.0} ns of serving work per request ({:.2}%)",
+                    100.0 * bound,
+                    100.0 * observer_ns / request_ns
+                );
+            }
         }
     }
 
@@ -1196,96 +1169,6 @@ mod tests {
         let read = std::fs::read_to_string(path).expect("just written");
         assert_eq!(read, j.render());
         let _ = std::fs::remove_file(path);
-    }
-
-    /// The sec16_xray acceptance pin: on the mix2 reference workload at
-    /// 4 shards × batch 16, 1/64-sampled span tracing changes zero
-    /// placement decisions (always asserted, every profile) and — under
-    /// release codegen, where the bench's measured numbers are produced —
-    /// costs at most 5% of measured serving throughput. Like the
-    /// telemetry pin above, the throughput bound is certified
-    /// compositionally (per-request tracing work vs per-request serving
-    /// work) because a 5% end-to-end A/B wall-clock delta is smaller
-    /// than ambient load drift on a shared runner.
-    #[test]
-    fn xray_overhead_is_bounded_and_non_perturbing() {
-        use sibyl_serve::{serve_trace, ServeConfig, XrayConfig};
-        use sibyl_trace::mix::Mix;
-
-        let trace = Mix::Mix2.generate(6_000, 42);
-        let sibyl = sibyl_core::SibylConfig {
-            train_interval: 250,
-            ..Default::default()
-        };
-        let base = ServeConfig::new(hm_config())
-            .with_shards(4)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_nn_ns_per_mac(20.0)
-            .with_sibyl(sibyl);
-        let traced = base.clone().with_xray(XrayConfig::Sampled(6));
-        let off_report = serve_trace(&base, &trace).unwrap();
-        let on_report = serve_trace(&traced, &trace).unwrap();
-        assert_eq!(
-            on_report.shards, off_report.shards,
-            "span tracing must observe, never decide"
-        );
-        assert!(on_report.xray.is_some());
-        assert!(off_report.xray.is_none());
-
-        // The wall-clock pin is scoped to release builds like the
-        // telemetry pin: debug codegen inflates the tracer's relative
-        // cost, and debug timing noise on a loaded runner could flake
-        // the gate. The per-request tracing work at Sampled(6) — one
-        // sampling hash per request plus, for the ~1/64 sampled, the
-        // span build, critical-path fold, and tail-ring insert — is
-        // timed in a tight loop and compared against the engine's
-        // measured per-request serving cost.
-        #[cfg(not(debug_assertions))]
-        {
-            use sibyl_xray::{RequestObservation, XrayTracer};
-            use std::time::Instant;
-
-            const ITERS: u64 = 200_000;
-            let mut tracer =
-                XrayTracer::new(&XrayConfig::Sampled(6), 0, 42).expect("sampled tracer");
-            let t = Instant::now();
-            for i in 0..ITERS {
-                std::hint::black_box(tracer.observe_request(&RequestObservation {
-                    lba: i * 64,
-                    timestamp_us: i as f64 * 10.0,
-                    arrival_us: i as f64 * 10.0 + 1.0,
-                    latency_us: 80.0 + (i % 64) as f64,
-                    decide_us: 2.0,
-                    train_us: 0.4,
-                    queue_us: 3.0,
-                    batch: 16,
-                    device: (i % 2) as usize,
-                    target: 0,
-                    promoted: 0,
-                    evicted: 0,
-                }));
-            }
-            let xray_ns = t.elapsed().as_nanos() as f64 / ITERS as f64;
-            std::hint::black_box(tracer.finish());
-
-            // The engine's per-request cost, best-of-3 at 1 shard, as in
-            // the telemetry pin above.
-            let base_1 = base.clone().with_shards(1);
-            let mut engine_s = f64::INFINITY;
-            for _ in 0..3 {
-                let t = Instant::now();
-                std::hint::black_box(serve_trace(&base_1, &trace).unwrap());
-                engine_s = engine_s.min(t.elapsed().as_secs_f64());
-            }
-            let request_ns = engine_s * 1e9 / trace.len() as f64;
-            assert!(
-                xray_ns <= request_ns * 0.05,
-                "xray overhead exceeds 5%: {xray_ns:.0} ns of tracing work per request vs \
-                 {request_ns:.0} ns of serving work per request ({:.2}%)",
-                100.0 * xray_ns / request_ns
-            );
-        }
     }
 
     #[test]

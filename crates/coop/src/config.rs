@@ -143,8 +143,8 @@ impl CoopConfig {
         }
     }
 
-    /// Replaces the mode, keeping period and fraction (how `CoopExperiment`
-    /// sweeps modes under otherwise identical settings).
+    /// Replaces the mode, keeping period and fraction (how a sweep varies
+    /// the mode under otherwise identical settings).
     pub fn with_mode(mut self, mode: CoopMode) -> Self {
         self.mode = mode;
         self

@@ -56,5 +56,5 @@ pub use manager::{
     StorageManager,
 };
 pub use policy::{PlacementContext, PlacementPolicy};
-pub use stats::{HssStats, LatencyHistogram};
+pub use stats::HssStats;
 pub use victim::{LruVictim, NextUseIndex, OracleVictim, VictimPolicy};

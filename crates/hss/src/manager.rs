@@ -744,7 +744,7 @@ impl StorageManager {
         self.stats.sum_latency_us += latency;
         self.stats.max_latency_us = self.stats.max_latency_us.max(latency);
         self.stats.last_completion_us = self.stats.last_completion_us.max(completion);
-        self.stats.histogram.record(latency);
+        self.stats.histogram.record(latency as u64);
         if evicted_pages > 0 {
             self.stats.eviction_events += 1;
             self.stats.evicted_pages += evicted_pages;

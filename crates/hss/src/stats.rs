@@ -1,105 +1,7 @@
 //! System-level statistics collected by the storage manager.
 
 use serde::{Deserialize, Serialize};
-
-/// A fixed log-scale latency histogram (µs).
-///
-/// Sampling and estimation mirror [`sibyl_telemetry::Log2Histogram`]
-/// exactly: samples are truncated to whole microseconds, bucket `k ≥ 1`
-/// counts values with bit length `k` (i.e. `[2^(k-1), 2^k)`), bucket 0
-/// holds exact zeros, and percentiles are estimated by linear
-/// interpolation within the covering bucket, clamped to the observed
-/// min/max. The two estimators therefore agree bit-for-bit on identical
-/// samples — the serving layer's `serve.latency_us` telemetry and this
-/// histogram report the *same* p99, pinned by a cross-crate test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// Bucket 0 counts exact zeros; bucket `k ≥ 1` counts samples in
-    /// `[2^(k-1), 2^k)` µs.
-    buckets: Vec<u64>,
-    count: u64,
-    /// Smallest quantized sample (µs); `u64::MAX` while empty.
-    min_us: u64,
-    /// Largest quantized sample (µs).
-    max_us: u64,
-}
-
-/// One bucket per possible bit length, plus one for zero — the same
-/// layout as [`sibyl_telemetry::Log2Histogram`].
-const LATENCY_BUCKETS: usize = 65;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; LATENCY_BUCKETS],
-            count: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one latency sample in microseconds. Negative and
-    /// sub-microsecond samples quantize to whole µs (truncation — the
-    /// same `as u64` cast the serving engine feeds its telemetry
-    /// histogram).
-    pub fn record(&mut self, latency_us: f64) {
-        let us = latency_us.max(0.0) as u64;
-        let idx = if us == 0 {
-            0
-        } else {
-            (64 - us.leading_zeros()) as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Latency percentile (0..100) in microseconds, estimated by linear
-    /// interpolation within the covering log2 bucket and clamped to the
-    /// observed min/max — the same estimator as
-    /// [`sibyl_telemetry::Log2Histogram::percentile`] (the previous
-    /// upper-edge rule overestimated by up to 2×). Returns 0 for an
-    /// empty histogram.
-    pub fn percentile_us(&self, pct: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let p = pct.clamp(0.0, 100.0) / 100.0;
-        // Rank of the sample we want, in [0, count - 1].
-        let rank = p * (self.count - 1) as f64;
-        let mut below = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let upper = below + c;
-            if rank < upper as f64 {
-                let within = (rank - below as f64) / c as f64;
-                let lo = match k {
-                    0 => 0u64,
-                    _ => 1u64 << (k - 1),
-                } as f64;
-                let hi = match k {
-                    0 => 1u64,
-                    64 => u64::MAX,
-                    _ => 1u64 << k,
-                } as f64;
-                let est = lo + within * (hi - lo);
-                return est.clamp(self.min_us as f64, self.max_us as f64);
-            }
-            below = upper;
-        }
-        self.max_us as f64
-    }
-}
+use sibyl_telemetry::Log2Histogram;
 
 /// Aggregate statistics for one simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -141,8 +43,11 @@ pub struct HssStats {
     /// Per-device count of requests the policy targeted at that device
     /// (numerators of the paper's Fig. 17 fast-placement preference).
     pub placements: Vec<u64>,
-    /// Latency distribution.
-    pub histogram: LatencyHistogram,
+    /// Latency distribution, in whole microseconds (samples truncate).
+    /// The serving engine merges this very histogram into its
+    /// `serve.latency_us` telemetry, so the two can never disagree.
+    #[serde(skip)]
+    pub histogram: Log2Histogram,
 }
 
 impl HssStats {
@@ -257,87 +162,5 @@ mod tests {
         assert!((s.placement_fraction(0) - 0.75).abs() < 1e-9);
         assert!((s.placement_fraction(1) - 0.25).abs() < 1e-9);
         assert_eq!(s.placement_fraction(7), 0.0);
-    }
-
-    #[test]
-    fn histogram_percentiles_are_ordered() {
-        let mut h = LatencyHistogram::default();
-        for i in 1..=1000u64 {
-            h.record(i as f64);
-        }
-        let p50 = h.percentile_us(50.0);
-        let p99 = h.percentile_us(99.0);
-        assert!(p50 <= p99);
-        assert!(p99 <= 1000.0, "interpolated p99 cannot exceed max: {p99}");
-        assert!(
-            p99 >= 512.0,
-            "p99 of 1..=1000 lies in the top bucket: {p99}"
-        );
-        assert_eq!(h.count(), 1000);
-    }
-
-    #[test]
-    fn histogram_empty_is_zero() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.percentile_us(99.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_no_longer_overestimates_uniform_samples() {
-        // 1000 samples at exactly 100 µs: the old upper-edge rule
-        // reported 128 µs for every percentile; interpolation clamps to
-        // the observed value.
-        let mut h = LatencyHistogram::default();
-        for _ in 0..1000 {
-            h.record(100.0);
-        }
-        for pct in [50.0, 90.0, 99.0, 99.9] {
-            assert_eq!(h.percentile_us(pct), 100.0, "p{pct}");
-        }
-    }
-
-    #[test]
-    fn percentiles_agree_with_telemetry_estimator_exactly() {
-        // The unification contract: identical samples through hss's
-        // LatencyHistogram and telemetry's Log2Histogram produce
-        // bit-identical percentile estimates at every rank.
-        let mut rng_state = 0x5157u64;
-        let mut hss = LatencyHistogram::default();
-        let mut tel = sibyl_telemetry::Log2Histogram::new();
-        for _ in 0..5_000 {
-            // Deterministic xorshift sample spanning 0..~1e6 µs.
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            let v = rng_state % 1_000_000;
-            hss.record(v as f64);
-            tel.record(v);
-        }
-        for pct in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            let ours = hss.percentile_us(pct);
-            let theirs = tel.percentile(pct / 100.0);
-            assert_eq!(
-                ours.to_bits(),
-                theirs.to_bits(),
-                "p{pct}: hss {ours} vs telemetry {theirs}"
-            );
-        }
-    }
-
-    #[test]
-    fn fractional_samples_quantize_like_the_engine_cast() {
-        // The serving engine feeds telemetry `latency_us as u64`; the hss
-        // histogram must quantize identically so the two p99s agree on
-        // the same run.
-        let mut hss = LatencyHistogram::default();
-        let mut tel = sibyl_telemetry::Log2Histogram::new();
-        for v in [0.2, 0.9, 1.7, 3.99, 1000.5, 123456.78] {
-            hss.record(v);
-            tel.record(v as u64);
-        }
-        assert_eq!(
-            hss.percentile_us(99.0).to_bits(),
-            tel.percentile(0.99).to_bits()
-        );
     }
 }

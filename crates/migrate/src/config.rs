@@ -234,8 +234,8 @@ impl MigrateConfig {
         }
     }
 
-    /// Replaces the policy, keeping every knob (how `MigrationExperiment`
-    /// sweeps policies under otherwise identical settings).
+    /// Replaces the policy, keeping every knob (how a sweep varies the
+    /// policy under otherwise identical settings).
     pub fn with_policy(mut self, policy: MigratePolicyKind) -> Self {
         self.policy = policy;
         self

@@ -9,81 +9,6 @@ use sibyl_xray::XrayConfig;
 
 use crate::engine::ServeError;
 
-/// How each batch's placement-decision compute is billed by the §10
-/// overhead model.
-///
-/// The default, [`DecideCost::PerMac`], is the original analytic model:
-/// one forward pass of `inference_macs ×
-/// [`nn_ns_per_mac`](ServeConfig::nn_ns_per_mac)` per batch, amortized
-/// over the batch's requests (free when `nn_ns_per_mac` is 0 — exactly
-/// the pre-fit engine, bit for bit).
-///
-/// [`DecideCost::TwoTerm`] instead bills the *measured* shape of the
-/// batched decide path: `sibyl-bench`'s `sec10_overhead` sweep times
-/// `place_batch` across batch sizes and fits `setup_us + per_row_us ×
-/// rows` to the medians, and this variant replays that fit inside the
-/// simulation — so the modeled bill carries the real kernels' fixed
-/// per-batch setup (feature encoding, dispatch) on top of the per-row
-/// stream, rather than assuming pure MAC proportionality. The fit is in
-/// microseconds and does not scale with `nn_ns_per_mac`; training is
-/// still billed through the MAC rate (the fit only measures inference).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DecideCost {
-    /// MAC-proportional forward pass per batch (the default; exactly the
-    /// model the engine used before the calibrated fit existed).
-    #[default]
-    PerMac,
-    /// A calibrated two-term fit: each batch of `n` requests is billed
-    /// `setup_us + per_row_us × n` microseconds, amortized over the
-    /// batch. Produce one with `sibyl-bench`'s `TwoTermFit::decide_cost`.
-    TwoTerm {
-        /// Fixed per-batch setup cost in microseconds.
-        setup_us: f64,
-        /// Marginal cost per batched request in microseconds.
-        per_row_us: f64,
-    },
-}
-
-impl DecideCost {
-    /// The modeled decide bill for one batch of `rows` requests, in
-    /// microseconds. `macs` and `ns_per_mac` feed the [`PerMac`]
-    /// (analytic) variant only.
-    ///
-    /// [`PerMac`]: DecideCost::PerMac
-    pub fn batch_us(&self, macs: Option<usize>, ns_per_mac: f64, rows: usize) -> f64 {
-        match *self {
-            DecideCost::PerMac => {
-                if ns_per_mac > 0.0 {
-                    macs.map_or(0.0, |macs| macs as f64 * ns_per_mac / 1_000.0)
-                } else {
-                    0.0
-                }
-            }
-            DecideCost::TwoTerm {
-                setup_us,
-                per_row_us,
-            } => setup_us + per_row_us * rows as f64,
-        }
-    }
-
-    /// True when the fit's terms are finite and non-negative (trivially
-    /// true for [`DecideCost::PerMac`]).
-    pub fn is_valid(&self) -> bool {
-        match *self {
-            DecideCost::PerMac => true,
-            DecideCost::TwoTerm {
-                setup_us,
-                per_row_us,
-            } => {
-                setup_us.is_finite()
-                    && setup_us >= 0.0
-                    && per_row_us.is_finite()
-                    && per_row_us >= 0.0
-            }
-        }
-    }
-}
-
 /// Configuration of a sharded serving run: how many worker shards to
 /// spawn, how deep each shard's inference batches may grow, how (and
 /// whether) shard agents cooperate, and the per-shard storage and agent
@@ -146,11 +71,6 @@ pub struct ServeConfig {
     /// Default: 0.0 (NN compute is free, as before the overhead model
     /// was coupled in).
     pub nn_ns_per_mac: f64,
-    /// Which model prices the per-batch decide bill: the analytic
-    /// MAC-proportional default, or a [`DecideCost::TwoTerm`] fit
-    /// calibrated from measured kernel timings (see [`DecideCost`]).
-    /// Training cost always goes through [`ServeConfig::nn_ns_per_mac`].
-    pub decide_cost: DecideCost,
     /// When positive, every shard samples a learning-curve point
     /// (cumulative average latency, fast-placement fraction) every
     /// `curve_every` batches into [`crate::ShardReport::curve`].
@@ -223,7 +143,6 @@ impl ServeConfig {
             queue_capacity: 1024,
             time_scale: 1.0,
             nn_ns_per_mac: 0.0,
-            decide_cost: DecideCost::PerMac,
             curve_every: 0,
             coop: CoopConfig::default(),
             migrate: MigrateConfig::default(),
@@ -262,12 +181,6 @@ impl ServeConfig {
     /// Sets the simulated NN-inference cost (ns per MAC; 0 disables).
     pub fn with_nn_ns_per_mac(mut self, ns_per_mac: f64) -> Self {
         self.nn_ns_per_mac = ns_per_mac;
-        self
-    }
-
-    /// Replaces the decide-cost model (see [`DecideCost`]).
-    pub fn with_decide_cost(mut self, decide_cost: DecideCost) -> Self {
-        self.decide_cost = decide_cost;
         self
     }
 
@@ -359,9 +272,6 @@ impl ServeConfig {
         if !(self.nn_ns_per_mac.is_finite() && self.nn_ns_per_mac >= 0.0) {
             return Err(ServeError::InvalidNnCost);
         }
-        if !self.decide_cost.is_valid() {
-            return Err(ServeError::InvalidDecideCost);
-        }
         self.telemetry.validate().map_err(ServeError::Telemetry)?;
         self.xray.validate().map_err(ServeError::Xray)?;
         self.coop.validate().map_err(ServeError::Coop)?;
@@ -391,7 +301,6 @@ mod tests {
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.max_batch, 32);
         assert_eq!(cfg.nn_ns_per_mac, 0.0);
-        assert_eq!(cfg.decide_cost, DecideCost::PerMac);
         assert_eq!(cfg.coop.mode, CoopMode::Independent);
         assert!(!cfg.telemetry.enabled());
         cfg.validate().unwrap();
@@ -408,20 +317,9 @@ mod tests {
             .with_curve_every(16)
             .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(4))
             .with_quant(QuantMode::F16)
-            .with_decide_cost(DecideCost::TwoTerm {
-                setup_us: 3.0,
-                per_row_us: 0.5,
-            })
             .with_telemetry(TelemetryConfig::events());
         assert_eq!(cfg.shards, 8);
         assert_eq!(cfg.quant, QuantMode::F16);
-        assert_eq!(
-            cfg.decide_cost,
-            DecideCost::TwoTerm {
-                setup_us: 3.0,
-                per_row_us: 0.5,
-            }
-        );
         assert_eq!(cfg.telemetry, TelemetryConfig::events());
         assert_eq!(cfg.max_batch, 4);
         assert_eq!(cfg.queue_capacity, 64);
@@ -480,39 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn decide_cost_models_price_batches() {
-        assert_eq!(DecideCost::PerMac.batch_us(Some(1_380), 10.0, 32), 13.8);
-        assert_eq!(DecideCost::PerMac.batch_us(Some(1_380), 0.0, 32), 0.0);
-        assert_eq!(DecideCost::PerMac.batch_us(None, 10.0, 32), 0.0);
-        let fit = DecideCost::TwoTerm {
-            setup_us: 2.0,
-            per_row_us: 0.25,
-        };
-        // The fit is measured, so it ignores the MAC rate entirely.
-        assert_eq!(fit.batch_us(Some(1_380), 0.0, 8), 4.0);
-        assert_eq!(fit.batch_us(None, 99.0, 8), 4.0);
-    }
-
-    #[test]
-    fn degenerate_decide_cost_and_telemetry_are_errors() {
-        assert_eq!(
-            ServeConfig::new(hss())
-                .with_decide_cost(DecideCost::TwoTerm {
-                    setup_us: -1.0,
-                    per_row_us: 0.1,
-                })
-                .validate(),
-            Err(ServeError::InvalidDecideCost)
-        );
-        assert_eq!(
-            ServeConfig::new(hss())
-                .with_decide_cost(DecideCost::TwoTerm {
-                    setup_us: 1.0,
-                    per_row_us: f64::NAN,
-                })
-                .validate(),
-            Err(ServeError::InvalidDecideCost)
-        );
+    fn degenerate_telemetry_is_an_error() {
         let mut telemetry = TelemetryConfig::events();
         telemetry.event_capacity = 0;
         assert!(matches!(

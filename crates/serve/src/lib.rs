@@ -29,9 +29,18 @@
 //! discipline ([`ServeConfig::migrate`]): each shard ticks a private
 //! migrator every `scan_period` of its own batches, and migration I/O
 //! is charged against the shard's device clocks.
-//! When [`ServeConfig::nn_ns_per_mac`] is set, the §10 overhead model
-//! charges each batch one amortized NN forward pass, so the batching win
-//! shows up in latency, not just IOPS.
+//! When [`ServeConfig::nn_ns_per_mac`] is set, the §10 overhead model —
+//! the engine's one NN cost model — charges each batch one amortized
+//! forward pass and each train step its weight streams, so the batching
+//! win shows up in latency, not just IOPS.
+//!
+//! Each shard's loop runs five stages per batch — fill → decide → serve
+//! → learn → maintain (migration tick, curve sample, coop sync) — and
+//! reports what each did to one [`ShardObserver`], the only place that
+//! knows how a run is observed: the telemetry event taxonomy and
+//! registry names, the x-ray tracer, and the teardown fold. With
+//! [`ServeConfig::telemetry`] and [`ServeConfig::xray`] off it holds
+//! nothing and every call returns at once.
 //!
 //! Determinism survives sharding — in the default
 //! `TrainingMode::Synchronous`: batch boundaries are fixed chunks of
@@ -77,10 +86,12 @@
 
 mod config;
 mod engine;
+mod observe;
 mod report;
 
-pub use config::{DecideCost, ServeConfig};
+pub use config::ServeConfig;
 pub use engine::{serve_stream, serve_trace, shard_of, ServeError, REGION_BITS};
+pub use observe::ShardObserver;
 pub use report::{Aggregate, CurvePoint, ServeReport, ShardReport};
 
 // Re-exported so engine users can configure cooperation, background

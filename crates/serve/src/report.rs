@@ -207,6 +207,36 @@ impl ServeReport {
             },
         }
     }
+
+    /// Combines the per-shard cumulative learning curves into one:
+    /// sample `k` is the request-weighted mean of every shard's `k`-th
+    /// sample. Truncated to the *shortest* shard curve so every sample
+    /// combines the same shard set — otherwise shards dropping out of
+    /// the tail would make the aggregate non-monotonic in requests.
+    /// Empty unless [`ServeConfig::curve_every`](crate::ServeConfig) is
+    /// set.
+    pub fn aggregate_curve(&self) -> Vec<CurvePoint> {
+        let samples = self.shards.iter().map(|s| s.curve.len()).min().unwrap_or(0);
+        (0..samples)
+            .map(|k| {
+                let mut requests = 0u64;
+                let mut latency_sum = 0.0;
+                let mut fast_sum = 0.0;
+                for shard in &self.shards {
+                    let p = &shard.curve[k];
+                    requests += p.requests;
+                    latency_sum += p.avg_latency_us * p.requests as f64;
+                    fast_sum += p.fast_placement_fraction * p.requests as f64;
+                }
+                let denom = requests.max(1) as f64;
+                CurvePoint {
+                    requests,
+                    avg_latency_us: latency_sum / denom,
+                    fast_placement_fraction: fast_sum / denom,
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +287,25 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_curve_weights_by_requests_and_truncates_to_the_shortest() {
+        let point = |requests, avg_latency_us, fast_placement_fraction| CurvePoint {
+            requests,
+            avg_latency_us,
+            fast_placement_fraction,
+        };
+        let mut a = shard(0, 100, 1_000.0, (0.0, 1e6));
+        a.curve = vec![point(10, 10.0, 0.0), point(20, 10.0, 0.5)];
+        let mut b = shard(1, 300, 9_000.0, (0.0, 2e6));
+        b.curve = vec![point(30, 50.0, 1.0)];
+        let report = ServeReport {
+            shards: vec![a, b],
+            telemetry: None,
+            xray: None,
+        };
+        assert_eq!(report.aggregate_curve(), vec![point(40, 40.0, 0.75)]);
+    }
+
+    #[test]
     fn empty_report_is_safe() {
         let report = ServeReport {
             shards: vec![],
@@ -267,6 +316,7 @@ mod tests {
         assert_eq!(agg.total_requests, 0);
         assert_eq!(agg.iops, 0.0);
         assert_eq!(agg.avg_latency_us, 0.0);
+        assert!(report.aggregate_curve().is_empty());
     }
 
     #[test]

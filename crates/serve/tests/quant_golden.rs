@@ -10,76 +10,32 @@
 //! hit rates, latencies, learning curves, everything — so these tests
 //! assert full-report equality, the strongest available form of the pin.
 
-use sibyl_core::SibylConfig;
-use sibyl_hss::{DeviceSpec, HssConfig};
-use sibyl_serve::{serve_trace, QuantMode, ServeConfig};
-use sibyl_trace::mix;
+mod common;
 
-fn fast_sibyl() -> SibylConfig {
-    SibylConfig {
-        buffer_capacity: 256,
-        train_interval: 128,
-        batch_size: 32,
-        batches_per_step: 2,
-        n_atoms: 11,
-        exploration: 0.05,
-        exploration_initial: 0.3,
-        exploration_decay_requests: 500,
-        ..Default::default()
-    }
-}
-
-fn config(shards: usize, max_batch: usize) -> ServeConfig {
-    let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
-    ServeConfig::new(hss)
-        .with_shards(shards)
-        .with_max_batch(max_batch)
-        .with_nn_ns_per_mac(20.0)
-        .with_sibyl(fast_sibyl())
-}
-
-fn mixed_trace(n_per_component: usize) -> sibyl_trace::Trace {
-    mix::Mix::Mix2.generate(n_per_component, 7)
-}
+use common::{mixed_trace, GEOMETRIES};
+use sibyl_serve::{serve_trace, QuantMode};
 
 /// The golden pin: serving the fixed-seed reference trace with
 /// `QuantMode::F16` produces the identical placement sequence — and
 /// therefore the identical full report (per-shard hit rates, latency
 /// aggregates, training counters) — as full-f32 serving. Binary16 weight
 /// rounding perturbs Q-values by ~2⁻¹¹ relative; this pins that no greedy
-/// decision on the trace sat close enough to a tie to flip.
+/// decision on the trace sat close enough to a tie to flip — at every
+/// reference geometry, single-shard deep batches included.
 #[test]
 fn f16_serving_changes_zero_placement_decisions() {
-    let trace = mixed_trace(1_000);
-    let f32_report = serve_trace(&config(4, 16), &trace).unwrap();
-    let f16_report = serve_trace(&config(4, 16).with_quant(QuantMode::F16), &trace).unwrap();
-    assert_eq!(f16_report, f32_report);
-    // The run must have exercised the learning path, not degenerated into
-    // a no-op comparison.
-    assert!(f32_report.aggregate().total_requests >= 2_000);
-    let trained: u64 = f32_report.shards.iter().map(|s| s.agent.train_steps).sum();
-    assert!(trained > 0, "golden trace never trained");
-}
-
-/// `QuantMode::Off` takes the exact pre-quantization code path: a config
-/// that sets it explicitly is bit-identical to one that never mentions
-/// the knob — the same shape of pin the cooperation and migration
-/// subsystems carry for their own "disabled" modes.
-#[test]
-fn quant_off_is_bit_identical_to_default_config() {
-    let trace = mixed_trace(800);
-    let baseline = serve_trace(&config(2, 8), &trace).unwrap();
-    let explicit = serve_trace(&config(2, 8).with_quant(QuantMode::Off), &trace).unwrap();
-    assert_eq!(explicit, baseline);
-}
-
-/// The pin holds across engine shapes, not just the reference geometry:
-/// single-shard serving with deep batches is also decision-identical
-/// under f16.
-#[test]
-fn f16_pin_holds_single_shard_deep_batches() {
-    let trace = mixed_trace(600);
-    let f32_report = serve_trace(&config(1, 32), &trace).unwrap();
-    let f16_report = serve_trace(&config(1, 32).with_quant(QuantMode::F16), &trace).unwrap();
-    assert_eq!(f16_report, f32_report);
+    for (shards, max_batch, n) in GEOMETRIES {
+        let trace = mixed_trace(n);
+        let config = common::config(shards, max_batch).with_nn_ns_per_mac(20.0);
+        let f32_report = serve_trace(&config, &trace).unwrap();
+        let f16_report = serve_trace(&config.with_quant(QuantMode::F16), &trace).unwrap();
+        assert_eq!(f16_report, f32_report, "{shards}x{max_batch}");
+        // The run must have exercised the learning path, not degenerated
+        // into a no-op comparison.
+        let trained: u64 = f32_report.shards.iter().map(|s| s.agent.train_steps).sum();
+        assert!(
+            trained > 0,
+            "{shards}x{max_batch}: golden trace never trained"
+        );
+    }
 }

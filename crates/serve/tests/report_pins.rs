@@ -92,6 +92,7 @@ fn engine_outputs_match_the_committed_digests() {
     for (shards, max_batch, n) in GEOMETRIES {
         let trace = mixed_trace(n);
         let report = serve_trace(&everything_on(shards, max_batch), &trace).unwrap();
+        assert_eq!(report.xray.as_ref().unwrap().clamps(), 0);
         on.push((
             fnv1a(&shards_debug(&report)),
             fnv1a(&report.telemetry.as_ref().unwrap().export_jsonl()),

@@ -1,71 +1,30 @@
 //! End-to-end golden pins for the telemetry subsystem's determinism
 //! contract.
 //!
-//! Two claims, pinned across the same shard geometries the quantization
-//! goldens cover (4×16, 2×8, 1×32 on the Mix2 reference trace):
-//!
-//! 1. **Disabled ⇒ invisible.** `TelemetryConfig::off()` allocates no
-//!    sink and produces a [`ServeReport`] bit-identical to a config that
-//!    never mentions telemetry.
-//! 2. **Enabled ⇒ reproducible and non-perturbing.** Two enabled runs
-//!    export *byte-identical* JSONL (everything deterministic lives on
-//!    logical time; wall-clock totals are confined to the `measured.*`
-//!    namespace, which the export excludes), and enabling telemetry
-//!    changes zero placement decisions — the per-shard reports match the
-//!    disabled run's exactly.
+//! **Enabled ⇒ reproducible and non-perturbing**, pinned across the same
+//! shard geometries the quantization goldens cover (4×16, 2×8, 1×32 on
+//! the Mix2 reference trace): two enabled runs export *byte-identical*
+//! JSONL (everything deterministic lives on logical time; wall-clock
+//! totals are confined to the `measured.*` namespace, which the export
+//! excludes), and enabling telemetry changes zero placement decisions —
+//! the per-shard reports match the disabled run's exactly. (Disabled ⇒
+//! invisible is the `TelemetryConfig::off` row of `neutral_knobs.rs`.)
 
-use sibyl_core::SibylConfig;
-use sibyl_hss::{DeviceSpec, HssConfig};
+mod common;
+
+use common::{mixed_trace, GEOMETRIES};
 use sibyl_serve::{serve_trace, ServeConfig, TelemetryConfig};
-use sibyl_trace::mix;
-
-fn fast_sibyl() -> SibylConfig {
-    SibylConfig {
-        buffer_capacity: 256,
-        train_interval: 128,
-        batch_size: 32,
-        batches_per_step: 2,
-        n_atoms: 11,
-        exploration: 0.05,
-        exploration_initial: 0.3,
-        exploration_decay_requests: 500,
-        ..Default::default()
-    }
-}
 
 fn config(shards: usize, max_batch: usize) -> ServeConfig {
-    let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
-    ServeConfig::new(hss)
-        .with_shards(shards)
-        .with_max_batch(max_batch)
+    common::config(shards, max_batch)
         .with_nn_ns_per_mac(20.0)
         .with_curve_every(8)
-        .with_sibyl(fast_sibyl())
-}
-
-/// The reference geometries: (shards, max_batch, requests per trace
-/// component) — matching the quantization goldens.
-const GEOMETRIES: [(usize, usize, usize); 3] = [(4, 16, 1_000), (2, 8, 800), (1, 32, 600)];
-
-#[test]
-fn telemetry_off_is_bit_identical_to_default_config() {
-    for (shards, max_batch, n) in GEOMETRIES {
-        let trace = mix::Mix::Mix2.generate(n, 7);
-        let baseline = serve_trace(&config(shards, max_batch), &trace).unwrap();
-        let explicit = serve_trace(
-            &config(shards, max_batch).with_telemetry(TelemetryConfig::off()),
-            &trace,
-        )
-        .unwrap();
-        assert_eq!(explicit, baseline, "{shards}x{max_batch}");
-        assert!(baseline.telemetry.is_none());
-    }
 }
 
 #[test]
 fn enabled_exports_are_byte_identical_across_runs() {
     for (shards, max_batch, n) in GEOMETRIES {
-        let trace = mix::Mix::Mix2.generate(n, 7);
+        let trace = mixed_trace(n);
         let cfg = config(shards, max_batch).with_telemetry(TelemetryConfig::full());
         let a = serve_trace(&cfg, &trace).unwrap();
         let b = serve_trace(&cfg, &trace).unwrap();
@@ -86,7 +45,7 @@ fn enabled_exports_are_byte_identical_across_runs() {
 #[test]
 fn enabling_telemetry_changes_zero_placement_decisions() {
     for (shards, max_batch, n) in GEOMETRIES {
-        let trace = mix::Mix::Mix2.generate(n, 7);
+        let trace = mixed_trace(n);
         let off = serve_trace(&config(shards, max_batch), &trace).unwrap();
         for telemetry in [TelemetryConfig::events(), TelemetryConfig::full()] {
             let on =

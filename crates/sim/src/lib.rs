@@ -10,12 +10,10 @@
 //! - [`Experiment`] — run one policy on one workload.
 //! - [`ServeExperiment`] — run the [`sibyl_serve`] sharded serving
 //!   engine on one workload and collect per-shard + aggregate metrics.
-//! - [`CoopExperiment`] — sweep the cooperation modes (independent /
-//!   shared replay / weight averaging / both) over one workload and
-//!   report per-mode learning curves and aggregate metrics.
-//! - [`MigrationExperiment`] — sweep the background-migration policies
-//!   (none / hot-cold heuristic / RL) over one workload and report
-//!   per-policy aggregates plus migration accounting.
+//! - [`ServeExperiment::sweep`] — serve one workload under several
+//!   labelled serving configurations (cooperation modes, migration
+//!   policies, any other knob) and compare each to the first
+//!   ([`ServeSweep`]).
 //! - [`run_suite`] — run a set of policies plus the Fast-Only baseline
 //!   and normalize (every latency figure in the paper is normalized to
 //!   Fast-Only).
@@ -43,18 +41,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod coop_experiment;
 mod experiment;
 mod metrics;
-mod migration_experiment;
 mod policy_kind;
 pub mod report;
 mod serve_experiment;
 pub mod sweeps;
 
-pub use coop_experiment::{CoopExperiment, CoopOutcome, CoopReport};
 pub use experiment::{run_suite, Experiment, Outcome, SimError, SuiteResult};
 pub use metrics::Metrics;
-pub use migration_experiment::{MigrationExperiment, MigrationReport, MigrationRun};
 pub use policy_kind::PolicyKind;
-pub use serve_experiment::{ServeExperiment, ServeOutcome};
+pub use serve_experiment::{ServeExperiment, ServeOutcome, ServeSweep};

@@ -42,8 +42,8 @@ impl Metrics {
             total_requests: stats.total_requests,
             avg_latency_us: stats.avg_latency_us(),
             max_latency_us: stats.max_latency_us,
-            p50_latency_us: stats.histogram.percentile_us(50.0),
-            p99_latency_us: stats.histogram.percentile_us(99.0),
+            p50_latency_us: stats.histogram.percentile(0.50),
+            p99_latency_us: stats.histogram.percentile(0.99),
             iops: stats.iops(),
             eviction_fraction: stats.eviction_fraction(),
             evicted_pages: stats.evicted_pages,

@@ -11,7 +11,7 @@ use crate::metrics::Metrics;
 
 /// Result of one sharded serving run: the engine's raw report plus each
 /// shard's statistics lifted into the paper's [`Metrics`] vocabulary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeOutcome {
     /// Per-shard metrics, ordered by shard index.
     pub shard_metrics: Vec<Metrics>,
@@ -131,7 +131,7 @@ impl ServeExperiment {
     ///
     /// Returns [`SimError::EmptyTrace`] for an empty trace.
     pub fn run(&self) -> Result<ServeOutcome, SimError> {
-        let report = serve_trace(&self.config, &self.trace).map_err(SimError::from)?;
+        let report = serve_trace(&self.config, &self.trace)?;
         Ok(ServeOutcome::from_report(report))
     }
 
@@ -148,118 +148,109 @@ impl ServeExperiment {
     where
         S: Iterator<Item = IoRequest> + Clone,
     {
-        let report = serve_stream(config, stream).map_err(SimError::from)?;
+        let report = serve_stream(config, stream)?;
         Ok(ServeOutcome::from_report(report))
+    }
+
+    /// Serves one workload under each labelled configuration, in input
+    /// order — the shape of every "vary one subsystem, hold the rest"
+    /// table (`sec12_coop`'s modes and foreign weights,
+    /// `sec13_migration`'s policies). The first entry is the baseline the
+    /// others are normalized to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing configuration's error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sibyl_hss::{DeviceSpec, HssConfig};
+    /// use sibyl_serve::{CoopMode, ServeConfig};
+    /// use sibyl_sim::ServeExperiment;
+    /// use sibyl_trace::msrc;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let trace = msrc::generate(msrc::Workload::Hm1, 2_000, 42);
+    /// let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
+    /// let base = ServeConfig::new(hss).with_shards(2);
+    /// let sweep = ServeExperiment::sweep(
+    ///     &trace,
+    ///     [CoopMode::Independent, CoopMode::WeightAverage].map(|mode| {
+    ///         let mut config = base.clone();
+    ///         config.coop = config.coop.with_mode(mode);
+    ///         (mode, config)
+    ///     }),
+    /// )?;
+    /// assert_eq!(sweep.normalized_latency(&CoopMode::Independent), Some(1.0));
+    /// assert!(sweep.normalized_latency(&CoopMode::Both).is_none(), "not swept");
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn sweep<L>(
+        trace: &Trace,
+        configs: impl IntoIterator<Item = (L, ServeConfig)>,
+    ) -> Result<ServeSweep<L>, SimError> {
+        let runs = configs
+            .into_iter()
+            .map(|(label, config)| {
+                let report = serve_trace(&config, trace)?;
+                Ok((label, ServeOutcome::from_report(report)))
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        Ok(ServeSweep { runs })
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sibyl_core::SibylConfig;
-    use sibyl_hss::{DeviceSpec, HssConfig};
-    use sibyl_trace::msrc;
+/// One workload's outcomes under several labelled serving
+/// configurations ([`ServeExperiment::sweep`]). The first run is the
+/// baseline. Lookups answer `None` for a label that was not swept (or a
+/// degenerate baseline) — never a number a table could print as a
+/// result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeSweep<L> {
+    /// `(label, outcome)` per configuration, in input order.
+    pub runs: Vec<(L, ServeOutcome)>,
+}
 
-    fn config(shards: usize) -> ServeConfig {
-        let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
-        ServeConfig::new(hss)
-            .with_shards(shards)
-            .with_sibyl(SibylConfig {
-                buffer_capacity: 256,
-                train_interval: 128,
-                batch_size: 32,
-                batches_per_step: 2,
-                n_atoms: 11,
-                ..Default::default()
+impl<L: PartialEq> ServeSweep<L> {
+    /// The outcome of one labelled run.
+    pub fn get(&self, label: &L) -> Option<&ServeOutcome> {
+        self.runs.iter().find(|(l, _)| l == label).map(|(_, o)| o)
+    }
+
+    /// The first run's outcome.
+    pub fn baseline(&self) -> Option<&ServeOutcome> {
+        self.runs.first().map(|(_, o)| o)
+    }
+
+    /// A run's aggregate average latency normalized to the baseline's —
+    /// below 1.0 means it served the same workload faster. `None` when
+    /// the label is absent or the baseline latency is not positive.
+    pub fn normalized_latency(&self, label: &L) -> Option<f64> {
+        let base = self.baseline()?.aggregate.avg_latency_us;
+        let run = self.get(label)?.aggregate.avg_latency_us;
+        (base > 0.0).then(|| run / base)
+    }
+
+    /// A run's aggregate fast-placement fraction minus the baseline's.
+    /// `None` when the label is absent.
+    pub fn hit_rate_gain(&self, label: &L) -> Option<f64> {
+        let base = self.baseline()?.aggregate.fast_placement_fraction;
+        Some(self.get(label)?.aggregate.fast_placement_fraction - base)
+    }
+
+    /// The non-baseline run with the lowest aggregate latency (the first
+    /// such on ties), or `None` when only the baseline was swept.
+    pub fn best_challenger(&self) -> Option<&L> {
+        self.runs
+            .iter()
+            .skip(1)
+            .min_by(|(_, a), (_, b)| {
+                a.aggregate
+                    .avg_latency_us
+                    .total_cmp(&b.aggregate.avg_latency_us)
             })
-    }
-
-    #[test]
-    fn outcome_covers_every_shard_and_request() {
-        let trace = msrc::generate(msrc::Workload::Prxy1, 2_000, 5);
-        let exp = ServeExperiment::new(config(4), trace);
-        let out = exp.run().unwrap();
-        assert_eq!(out.shard_metrics.len(), 4);
-        assert_eq!(out.aggregate.total_requests, 2_000);
-        let per_shard: u64 = out.shard_metrics.iter().map(|m| m.total_requests).sum();
-        assert_eq!(per_shard, 2_000);
-        assert_eq!(exp.config().shards, 4);
-        assert_eq!(exp.trace().len(), 2_000);
-    }
-
-    #[test]
-    fn telemetry_dump_is_deterministic_and_optional() {
-        let trace = msrc::generate(msrc::Workload::Prxy1, 1_200, 5);
-        let off = ServeExperiment::new(config(2), trace.clone())
-            .run()
-            .unwrap();
-        assert!(off.telemetry_jsonl().is_none());
-        assert!(off.telemetry_top().is_none());
-        let cfg = config(2)
-            .with_curve_every(4)
-            .with_telemetry(sibyl_serve::TelemetryConfig::full());
-        let exp = ServeExperiment::new(cfg, trace);
-        let a = exp.run().unwrap();
-        let b = exp.run().unwrap();
-        let jsonl = a.telemetry_jsonl().unwrap();
-        assert_eq!(
-            jsonl,
-            b.telemetry_jsonl().unwrap(),
-            "export must be byte-identical"
-        );
-        assert!(jsonl.lines().count() > 10);
-        assert!(!jsonl.contains("measured."));
-        let top = a.telemetry_top().unwrap();
-        assert!(top.contains("sibyl-top"));
-        assert!(top.contains("serve.requests"));
-    }
-
-    #[test]
-    fn xray_report_is_deterministic_and_optional() {
-        let trace = msrc::generate(msrc::Workload::Prxy1, 1_200, 5);
-        let off = ServeExperiment::new(config(2), trace.clone())
-            .run()
-            .unwrap();
-        assert!(off.xray_report().is_none());
-        assert!(off.xray_folded().is_none());
-        let cfg = config(2).with_xray(sibyl_serve::XrayConfig::Sampled(0));
-        let exp = ServeExperiment::new(cfg, trace);
-        let a = exp.run().unwrap();
-        let b = exp.run().unwrap();
-        let folded = a.xray_folded().unwrap();
-        assert_eq!(
-            folded,
-            b.xray_folded().unwrap(),
-            "folded export must be byte-identical"
-        );
-        assert!(folded.contains("request;hss.access;device.transfer"));
-        let report = a.xray_report().unwrap();
-        assert_eq!(report.requests_seen(), 1_200);
-        assert_eq!(report.sampled(), 1_200, "1/2^0 sampling traces everything");
-        assert!(report.breakdown_table().contains("merged"));
-    }
-
-    #[test]
-    fn empty_trace_maps_to_sim_error() {
-        let exp = ServeExperiment::new(config(2), Trace::from_requests("e", vec![]));
-        assert!(matches!(exp.run(), Err(SimError::EmptyTrace)));
-        assert!(matches!(
-            ServeExperiment::run_stream(&config(2), std::iter::empty()),
-            Err(SimError::EmptyTrace)
-        ));
-    }
-
-    #[test]
-    fn streamed_experiment_matches_materialized_run() {
-        let cfg = config(2);
-        let n = 900;
-        let seed = 11;
-        let trace = msrc::generate(msrc::Workload::Prxy1, n, seed);
-        let vec_fed = ServeExperiment::new(cfg.clone(), trace).run().unwrap();
-        let streamed =
-            ServeExperiment::run_stream(&cfg, msrc::stream(msrc::Workload::Prxy1, n, seed).take(n))
-                .unwrap();
-        assert_eq!(vec_fed.report, streamed.report);
-        assert_eq!(vec_fed.aggregate, streamed.aggregate);
+            .map(|(label, _)| label)
     }
 }

@@ -31,6 +31,12 @@ impl XrayReport {
         self.shards.iter().map(|s| s.totals.sampled).sum()
     }
 
+    /// Containment clamps across shards (see [`ShardXray::clamps`]); 0
+    /// when the tracer and the engine agree on every sampled request.
+    pub fn clamps(&self) -> u64 {
+        self.shards.iter().map(|s| s.clamps).sum()
+    }
+
     /// Cross-shard merged component totals (exact integer sums).
     pub fn merged_totals(&self) -> ComponentTotals {
         let mut merged = ComponentTotals::default();

@@ -86,6 +86,11 @@ pub struct ShardXray {
     /// Cooperative sync rounds observed (logical barriers: no simulated
     /// duration, counted for attribution).
     pub coop_syncs: u64,
+    /// Times a sampled request's decide, train or device-queue share had
+    /// to be clamped into its parent span. The engine's own arithmetic
+    /// should make every child fit, so anything but 0 is the tracer
+    /// papering over a disagreement with the engine.
+    pub clamps: u64,
     /// The shard's K slowest sampled requests, slowest first (ties
     /// broken by sequence number, so the ring is deterministic).
     pub tail: Vec<RequestTrace>,
@@ -99,17 +104,9 @@ pub struct ShardXray {
 /// fires — the bit-identity golden the serve crate pins.
 #[derive(Debug, Clone)]
 pub struct XrayTracer {
-    shard: usize,
     seed: u64,
-    k: u32,
-    requests_seen: u64,
-    totals: ComponentTotals,
-    migrate_ticks: u64,
-    migrate_read_ns: u64,
-    migrate_write_ns: u64,
-    migrate_moved_pages: u64,
-    coop_syncs: u64,
-    tail: Vec<RequestTrace>,
+    /// The results so far; [`XrayTracer::finish`] hands them over.
+    out: ShardXray,
 }
 
 impl XrayTracer {
@@ -117,25 +114,28 @@ impl XrayTracer {
     /// `seed` is the run's base seed (not the shard-perturbed one), so a
     /// request's sampling decision depends only on `(seed, lba, seq)`.
     pub fn new(config: &XrayConfig, shard: usize, seed: u64) -> Option<XrayTracer> {
-        let k = config.sample_exponent()?;
+        let sample_exponent = config.sample_exponent()?;
         Some(XrayTracer {
-            shard,
             seed,
-            k,
-            requests_seen: 0,
-            totals: ComponentTotals::default(),
-            migrate_ticks: 0,
-            migrate_read_ns: 0,
-            migrate_write_ns: 0,
-            migrate_moved_pages: 0,
-            coop_syncs: 0,
-            tail: Vec::with_capacity(TAIL_K + 1),
+            out: ShardXray {
+                shard,
+                sample_exponent,
+                requests_seen: 0,
+                totals: ComponentTotals::default(),
+                migrate_ticks: 0,
+                migrate_read_ns: 0,
+                migrate_write_ns: 0,
+                migrate_moved_pages: 0,
+                coop_syncs: 0,
+                clamps: 0,
+                tail: Vec::with_capacity(TAIL_K + 1),
+            },
         })
     }
 
     /// The shard this tracer observes.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.out.shard
     }
 
     /// Observes one served request. Advances the shard-local sequence
@@ -144,28 +144,35 @@ impl XrayTracer {
     /// tree, folds its critical path into the streaming totals, offers
     /// it to the tail ring, and returns the quantized summary.
     pub fn observe_request(&mut self, obs: &RequestObservation) -> Option<SampleSummary> {
-        self.requests_seen += 1;
-        let seq = self.requests_seen;
-        if !is_sampled(self.seed, obs.lba, seq, self.k) {
+        let out = &mut self.out;
+        out.requests_seen += 1;
+        let seq = out.requests_seen;
+        if !is_sampled(self.seed, obs.lba, seq, out.sample_exponent) {
             return None;
         }
 
         // Quantize once; split by integer residuals so components sum to
         // the recorded latency exactly (last term of every split is the
-        // remainder).
+        // remainder). A child is clamped into the room its parent has
+        // left, and every clamp that bites is counted.
+        let mut contain = |child_us: f64, room_ns: u64| {
+            let child_ns = us_to_ns(child_us);
+            out.clamps += u64::from(child_ns > room_ns);
+            child_ns.min(room_ns)
+        };
         let ts_ns = us_to_ns(obs.timestamp_us);
         let queue_wait_ns = us_to_ns(obs.arrival_us - obs.timestamp_us);
         let latency_ns = us_to_ns(obs.latency_us);
-        let decide_ns = us_to_ns(obs.decide_us).min(latency_ns);
-        let train_ns = us_to_ns(obs.train_us).min(latency_ns - decide_ns);
+        let decide_ns = contain(obs.decide_us, latency_ns);
+        let train_ns = contain(obs.train_us, latency_ns - decide_ns);
         let hss_ns = latency_ns - decide_ns - train_ns;
-        let queue_ns = us_to_ns(obs.queue_us).min(hss_ns);
+        let queue_ns = contain(obs.queue_us, hss_ns);
         let transfer_ns = hss_ns - queue_ns;
         let arrival_ns = ts_ns + queue_wait_ns;
 
         let mut root = Span::leaf(SpanKind::Request, ts_ns, queue_wait_ns + latency_ns);
         let mut route = Span::leaf(SpanKind::RouterRoute, ts_ns, 0);
-        route.tags.push(("shard", self.shard as u64));
+        route.tags.push(("shard", out.shard as u64));
         root.children.push(route);
         if queue_wait_ns > 0 {
             root.children
@@ -207,13 +214,13 @@ impl XrayTracer {
         root.children.push(hss);
 
         let trace = RequestTrace {
-            shard: self.shard,
+            shard: out.shard,
             lba: obs.lba,
             seq,
             latency_ns,
             root,
         };
-        self.totals.add(&critical_path(&trace), queue_wait_ns);
+        out.totals.add(&critical_path(&trace), queue_wait_ns);
         self.offer_tail(trace);
         Some(SampleSummary {
             latency_ns,
@@ -229,52 +236,42 @@ impl XrayTracer {
     /// `stall.migrate` span, split into bulk reads and append writes by
     /// the storage manager's sub-span hook).
     pub fn observe_migration_tick(&mut self, read_us: f64, write_us: f64, moved_pages: u64) {
-        self.migrate_ticks += 1;
-        self.migrate_read_ns += us_to_ns(read_us);
-        self.migrate_write_ns += us_to_ns(write_us);
-        self.migrate_moved_pages += moved_pages;
+        self.out.migrate_ticks += 1;
+        self.out.migrate_read_ns += us_to_ns(read_us);
+        self.out.migrate_write_ns += us_to_ns(write_us);
+        self.out.migrate_moved_pages += moved_pages;
     }
 
     /// Observes one cooperative sync round (a logical barrier — no
     /// simulated duration, counted for attribution).
     pub fn observe_coop_sync(&mut self) {
-        self.coop_syncs += 1;
+        self.out.coop_syncs += 1;
     }
 
     /// Keeps the K slowest sampled requests, slowest first;
     /// deterministic tie-break on (shard, seq).
     fn offer_tail(&mut self, trace: RequestTrace) {
-        if self.tail.len() == TAIL_K {
-            if let Some(floor) = self.tail.last() {
+        let tail = &mut self.out.tail;
+        if tail.len() == TAIL_K {
+            if let Some(floor) = tail.last() {
                 if trace.latency_ns <= floor.latency_ns {
                     return;
                 }
             }
         }
-        self.tail.push(trace);
-        self.tail.sort_by(|a, b| {
+        tail.push(trace);
+        tail.sort_by(|a, b| {
             b.latency_ns
                 .cmp(&a.latency_ns)
                 .then(a.shard.cmp(&b.shard))
                 .then(a.seq.cmp(&b.seq))
         });
-        self.tail.truncate(TAIL_K);
+        tail.truncate(TAIL_K);
     }
 
     /// Finishes the shard, yielding its tracing results.
     pub fn finish(self) -> ShardXray {
-        ShardXray {
-            shard: self.shard,
-            sample_exponent: self.k,
-            requests_seen: self.requests_seen,
-            totals: self.totals,
-            migrate_ticks: self.migrate_ticks,
-            migrate_read_ns: self.migrate_read_ns,
-            migrate_write_ns: self.migrate_write_ns,
-            migrate_moved_pages: self.migrate_moved_pages,
-            coop_syncs: self.coop_syncs,
-            tail: self.tail,
-        }
+        self.out
     }
 }
 
@@ -315,6 +312,7 @@ mod tests {
             assert_eq!(sum, s.latency_ns, "components must sum to latency");
         }
         let shard = t.finish();
+        assert_eq!(shard.clamps, 0, "every child fit its parent");
         assert_eq!(shard.requests_seen, 50);
         assert_eq!(shard.totals.sampled, 50);
         assert_eq!(shard.shard, 3);
@@ -326,6 +324,18 @@ mod tests {
             assert!(w[0].latency_ns >= w[1].latency_ns);
         }
         assert_eq!(shard.tail[0].latency_ns, us_to_ns(69.0));
+    }
+
+    #[test]
+    fn oversized_children_are_contained_and_counted() {
+        // 2.25 µs of decide and 1 µs of train cannot fit a 1 µs request:
+        // decide takes the whole latency, train and queue get nothing,
+        // and each of the three clamps that bit is counted.
+        let mut t = XrayTracer::new(&XrayConfig::Sampled(0), 0, 42).unwrap();
+        let s = t.observe_request(&obs(0, 1.0)).unwrap();
+        assert_eq!(s.decide_ns, s.latency_ns);
+        assert_eq!((s.train_ns, s.queue_ns, s.transfer_ns), (0, 0, 0));
+        assert_eq!(t.finish().clamps, 3);
     }
 
     #[test]
