@@ -39,6 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut json = BenchJson::new("sec12_coop", n, seed());
+    let mut four_shard = None;
     for shards in [1usize, 2, 4, 8] {
         let sweep = ServeExperiment::sweep(
             &trace,
@@ -116,6 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("{}", curve.render());
             json.table("curves_shards8", &curve);
         }
+        if shards == 4 {
+            four_shard = Some(sweep);
+        }
     }
 
     // Shared-replay importance weighting (ROADMAP item): absorbed foreign
@@ -123,36 +127,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // foreign_weight 1.0 (bit-identical to the pre-knob engine); 0.5
     // halves their loss/gradient contribution, damping stale
     // off-partition transitions without changing what is shared or how
-    // sampling draws. The same sweep, labelled by weight, with the
-    // independent engine as its baseline.
+    // sampling draws. Only SharedReplay depends on the weight, and the
+    // 4-shard sweep above already served the Independent baseline and the
+    // default-weight (1.0) point — reuse both and serve only 0.5 fresh.
     println!("foreign-weight ablation (shared replay, 4 shards)");
-    let weighted = |weight: f64| {
-        let mut cfg = coop_config(4, CoopMode::SharedReplay);
-        cfg.coop = cfg.coop.with_foreign_weight(weight);
-        (Some(weight), cfg)
-    };
-    let sweep = ServeExperiment::sweep(
-        &trace,
-        [
-            (None, coop_config(4, CoopMode::Independent)),
-            weighted(1.0),
-            weighted(0.5),
-        ],
-    )?;
+    let sweep = four_shard.expect("4-shard sweep ran");
+    let baseline = sweep.baseline().expect("baseline ran");
+    let mut cfg = coop_config(4, CoopMode::SharedReplay);
+    cfg.coop = cfg.coop.with_foreign_weight(0.5);
+    let halved = ServeExperiment::new(cfg, trace.clone()).run()?;
     let mut ablation = Table::new(
         ["foreign weight", "avg lat (us)", "norm lat", "shared exps"]
             .map(String::from)
             .to_vec(),
     );
-    for (label, outcome) in &sweep.runs {
-        let Some(weight) = label else { continue };
+    let default_weight = sweep.get(&CoopMode::SharedReplay).expect("mode was swept");
+    for (weight, outcome) in [(1.0, default_weight), (0.5, &halved)] {
+        let latency = outcome.aggregate.avg_latency_us;
         ablation.add_row(vec![
             format!("{weight:.1}"),
-            format!("{:.1}", outcome.aggregate.avg_latency_us),
-            format!(
-                "{:.3}",
-                sweep.normalized_latency(label).expect("weight was swept")
-            ),
+            format!("{latency:.1}"),
+            format!("{:.3}", latency / baseline.aggregate.avg_latency_us),
             shared_experiences(outcome).to_string(),
         ]);
     }

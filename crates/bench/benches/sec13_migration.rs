@@ -57,17 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let promoted: u64 = shards.iter().map(|s| s.stats.bg_promoted_pages).sum();
         let demoted: u64 = shards.iter().map(|s| s.stats.bg_demoted_pages).sum();
         let busy_us: f64 = shards.iter().map(|s| s.migration_busy_us).sum();
+        let p99s = run.shard_metrics.iter().map(|m| m.p99_latency_us);
         table.add_row(vec![
             policy.to_string(),
             format!("{:.1}", run.aggregate.avg_latency_us),
             format!("{:.3}", norm_lat(policy)),
-            format!(
-                "{:.0}",
-                run.shard_metrics
-                    .iter()
-                    .map(|m| m.p99_latency_us)
-                    .fold(0.0, f64::max)
-            ),
+            format!("{:.0}", p99s.fold(0.0, f64::max)),
             format!("{:.3}", run.aggregate.fast_placement_fraction),
             promoted.to_string(),
             demoted.to_string(),

@@ -1,10 +1,11 @@
 //! System-level statistics collected by the storage manager.
 
-use serde::{Deserialize, Serialize};
 use sibyl_telemetry::Log2Histogram;
 
-/// Aggregate statistics for one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Aggregate statistics for one simulation run. Deliberately not serde:
+/// the dependency-free telemetry histogram could only be skipped, and a
+/// round trip that silently lost the latency distribution would be worse.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HssStats {
     /// Requests served.
     pub total_requests: u64,
@@ -46,7 +47,6 @@ pub struct HssStats {
     /// Latency distribution, in whole microseconds (samples truncate).
     /// The serving engine merges this very histogram into its
     /// `serve.latency_us` telemetry, so the two can never disagree.
-    #[serde(skip)]
     pub histogram: Log2Histogram,
 }
 

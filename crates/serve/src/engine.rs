@@ -303,16 +303,14 @@ where
             coop: coordinator.clone(),
             migrate,
         };
-        // The observers are built on the shard's own thread (the wall
-        // clock they start is the shard's), from the *base* seed: an
-        // x-ray sampling decision depends only on (seed, lba, seq).
+        // The observers are built on the shard's own thread, once its
+        // manager and agent exist (the wall clock they start is the
+        // shard's serving time), from the *base* seed: an x-ray sampling
+        // decision depends only on (seed, lba, seq).
         let (telemetry, xray, seed) = (config.telemetry, config.xray, config.sibyl.seed);
         let spawned = std::thread::Builder::new()
             .name(format!("sibyl-shard-{shard}"))
-            .spawn(move || {
-                let observer = ShardObserver::new(&telemetry, &xray, shard, seed);
-                run_shard(task, observer)
-            });
+            .spawn(move || run_shard(task, || ShardObserver::new(&telemetry, &xray, shard, seed)));
         match spawned {
             Ok(handle) => workers.push(handle),
             Err(_) => {
@@ -481,9 +479,10 @@ type Observed = (Option<ShardTelemetry>, Option<ShardXray>);
 /// [`ShardObserver`]; nothing here knows how a run is observed. The
 /// shard leaves the coordinator through a drop guard, so a panicking
 /// shard releases its peers instead of wedging the barrier.
-fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Observed) {
+fn run_shard(task: ShardTask, observe: impl FnOnce() -> ShardObserver) -> (ShardReport, Observed) {
     let mut manager = StorageManager::new(&task.resolved);
     let mut agent = SibylAgent::new(task.sibyl);
+    let mut observer = observe();
     let _leave_guard = task.coop.as_ref().map(|coord| LeaveGuard {
         coord: Arc::clone(coord),
         member: task.shard,
@@ -511,8 +510,6 @@ fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Obse
     let mut coop_syncs = 0u64;
     let mut nn_busy_us = 0.0f64;
     let mut train_busy_us = 0.0f64;
-    let mut migrations = 0u64;
-    let mut migration_busy_us = 0.0f64;
     // Training time billed but not yet charged to any request: a train
     // step runs after a batch's outcomes are fed back, so its cost lands
     // on the *next* batch's dispatch.
@@ -543,21 +540,23 @@ fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Obse
         for (req, &target) in batch.iter().zip(&targets) {
             nn_busy_us += per_req_nn_us;
             let outcome = manager.access_after(req, target, per_req_delay_us);
-            let detail = manager.last_access_detail();
-            observer.request(&RequestObservation {
-                lba: req.lpn,
-                timestamp_us: req.timestamp_us as f64,
-                arrival_us: outcome.arrival_us,
-                latency_us: outcome.latency_us,
-                decide_us: per_req_nn_us,
-                train_us: per_req_delay_us - per_req_nn_us,
-                queue_us: detail.queue_us,
-                batch: batch.len(),
-                device: detail.device,
-                target: outcome.target.0,
-                promoted: outcome.migrated_pages,
-                evicted: outcome.evicted_pages,
-            });
+            if observer.wants_requests() {
+                let detail = manager.last_access_detail();
+                observer.request(&RequestObservation {
+                    lba: req.lpn,
+                    timestamp_us: req.timestamp_us as f64,
+                    arrival_us: outcome.arrival_us,
+                    latency_us: outcome.latency_us,
+                    decide_us: per_req_nn_us,
+                    train_us: per_req_delay_us - per_req_nn_us,
+                    queue_us: detail.queue_us,
+                    batch: batch.len(),
+                    device: detail.device,
+                    target: outcome.target.0,
+                    promoted: outcome.migrated_pages,
+                    evicted: outcome.evicted_pages,
+                });
+            }
             outcomes.push(outcome);
         }
 
@@ -583,8 +582,6 @@ fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Obse
         if let Some(m) = &mut migrator {
             if batches.is_multiple_of(m.config().scan_period) {
                 let tick = m.tick(&mut manager);
-                migrations += tick.moved_pages;
-                migration_busy_us += tick.busy_us;
                 observer.migration_tick(batches / m.config().scan_period, &tick);
             }
         }
@@ -607,6 +604,8 @@ fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Obse
         migrator.as_ref(),
         task.coop.as_deref().map(Coordinator::config),
     );
+    // The migrator's own totals are the per-tick sums, in tick order.
+    let migrated = migrator.map(|m| *m.stats()).unwrap_or_default();
     let report = ShardReport {
         shard: task.shard,
         requests,
@@ -616,8 +615,8 @@ fn run_shard(task: ShardTask, mut observer: ShardObserver) -> (ShardReport, Obse
         coop_syncs,
         nn_busy_us,
         train_busy_us,
-        migrations,
-        migration_busy_us,
+        migrations: migrated.moved_pages(),
+        migration_busy_us: migrated.busy_us,
         curve,
         stats: manager.stats().clone(),
         agent: agent.stats().clone(),

@@ -72,6 +72,12 @@ impl ShardObserver {
         }
     }
 
+    /// Whether [`ShardObserver::request`] would record anything, so the
+    /// serve stage of an unobserved run can skip assembling its argument.
+    pub fn wants_requests(&self) -> bool {
+        self.sink.is_some() || self.xray.is_some()
+    }
+
     /// Serve stage: one request completed in the storage model.
     ///
     /// The latency *sample* is not recorded here: the storage manager's

@@ -511,6 +511,28 @@ fn xray_sampled_runs_reproduce_identical_folded_exports() {
 }
 
 #[test]
+fn xray_spans_feed_telemetry_histograms() {
+    let trace = mixed_trace(800);
+    let cfg = config(2, 8)
+        .with_nn_ns_per_mac(10.0)
+        .with_telemetry(TelemetryConfig::full())
+        .with_xray(XrayConfig::Sampled(0));
+    let report = serve_trace(&cfg, &trace).unwrap();
+    let xray = report.xray.as_ref().expect("xray section");
+    let telemetry = report.telemetry.as_ref().expect("telemetry section");
+    for (ts, xs) in telemetry.shards.iter().zip(&xray.shards) {
+        let lat = ts.registry.histogram("xray.latency_ns").expect("histogram");
+        assert_eq!(lat.count(), xs.totals.sampled);
+        for name in ["xray.decide_ns", "xray.queue_wait_ns", "xray.transfer_ns"] {
+            assert_eq!(
+                ts.registry.histogram(name).expect(name).count(),
+                xs.totals.sampled
+            );
+        }
+    }
+}
+
+#[test]
 fn degenerate_xray_config_is_an_error_not_a_panic() {
     let trace = mixed_trace(10);
     let cfg = config(2, 8).with_xray(XrayConfig::Sampled(64));

@@ -154,9 +154,8 @@ impl ServeExperiment {
 
     /// Serves one workload under each labelled configuration, in input
     /// order — the shape of every "vary one subsystem, hold the rest"
-    /// table (`sec12_coop`'s modes and foreign weights,
-    /// `sec13_migration`'s policies). The first entry is the baseline the
-    /// others are normalized to.
+    /// table (`sec12_coop`'s modes, `sec13_migration`'s policies). The
+    /// first entry is the baseline the others are normalized to.
     ///
     /// # Errors
     ///

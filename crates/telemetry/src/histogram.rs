@@ -41,6 +41,7 @@ impl Default for Log2Histogram {
 }
 
 /// Index of the bucket covering `v`.
+#[inline]
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
@@ -79,6 +80,7 @@ impl Log2Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_of(v)] += 1;
         self.total += 1;

@@ -65,7 +65,7 @@ pub struct SampleSummary {
 /// One shard's finished tracing results: streaming component totals,
 /// background-stall accounting, and the K slowest sampled requests'
 /// full span trees.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardXray {
     /// The shard index.
     pub shard: usize,
@@ -120,22 +120,10 @@ impl XrayTracer {
             out: ShardXray {
                 shard,
                 sample_exponent,
-                requests_seen: 0,
-                totals: ComponentTotals::default(),
-                migrate_ticks: 0,
-                migrate_read_ns: 0,
-                migrate_write_ns: 0,
-                migrate_moved_pages: 0,
-                coop_syncs: 0,
-                clamps: 0,
                 tail: Vec::with_capacity(TAIL_K + 1),
+                ..Default::default()
             },
         })
-    }
-
-    /// The shard this tracer observes.
-    pub fn shard(&self) -> usize {
-        self.out.shard
     }
 
     /// Observes one served request. Advances the shard-local sequence
