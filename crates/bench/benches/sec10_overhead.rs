@@ -87,15 +87,16 @@ fn training_benchmark() {
     });
 }
 
-/// §10's training-step cost, swept over replay-batch sizes: the modeled
-/// per-sample latency (deterministic — two weight streams per replay
-/// batch, amortized over the batch) next to measured wall-clock numbers
-/// for the per-sample reference loop and the batched path that replaced
-/// it. The per-sample columns drop monotonically from batch 1 → 32: the
-/// batched kernels stream each weight matrix once per batch.
+/// §10's training-step cost, swept over replay-batch sizes on the
+/// default serving network (6-20-30-102): the modeled per-sample latency
+/// (deterministic — two weight streams per replay batch, amortized over
+/// the batch) next to measured wall-clock numbers for the per-sample
+/// reference loop, the batched step that replaced it, and that step's
+/// four kernel phases. The batch-128 row is the in-situ shape: read its
+/// `batched ns/sample` against the benchmark's `nn.train_us_per_sample`.
 fn training_step_table() -> Table {
     const NS_PER_MAC: f64 = 20.0;
-    println!("--- §10.1 training-step latency (C51 net, {NS_PER_MAC} ns/MAC model) ---");
+    println!("--- §10.1 training-step latency (default C51 net, {NS_PER_MAC} ns/MAC model) ---");
     let mut table = Table::new(
         [
             "batch",
@@ -103,18 +104,24 @@ fn training_step_table() -> Table {
             "model/sample (us)",
             "seq ns/sample",
             "batched ns/sample",
+            "target infer",
+            "forward",
+            "head",
+            "backward",
         ]
         .map(String::from)
         .to_vec(),
     );
-    for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32], NS_PER_MAC) {
-        table.add_row(vec![
+    for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32, 128], NS_PER_MAC) {
+        let mut cells = vec![
             row.batch.to_string(),
             format!("{:.2}", row.modeled_step_us),
             format!("{:.3}", row.modeled_per_sample_us),
             format!("{:.1}", row.seq_ns_per_sample),
             format!("{:.1}", row.batched_ns_per_sample),
-        ]);
+        ];
+        cells.extend(row.phase_ns_per_sample.map(|ns| format!("{ns:.1}")));
+        table.add_row(cells);
     }
     println!("{}", table.render());
     table

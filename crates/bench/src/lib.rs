@@ -35,7 +35,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sibyl_core::{Categorical, SibylConfig};
+use sibyl_core::{Categorical, HeadScratch, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig};
 use sibyl_nn::{Activation, Mlp, Sgd};
 use sibyl_serve::{CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig};
@@ -202,11 +202,21 @@ pub struct TrainStepRow {
     /// the batch grows. Deterministic.
     pub modeled_per_sample_us: f64,
     /// Measured wall-clock ns per sample through the pre-refactor
-    /// per-sample loop (one `forward`/`backward` pass per transition).
+    /// per-sample loop (batched target inference, then one
+    /// `forward`/`backward` pass and one head pipeline per transition).
     pub seq_ns_per_sample: f64,
-    /// Measured wall-clock ns per sample through the batched path
-    /// (`forward_batch` + `Categorical::batch_grad` + `backward_batch`).
+    /// Measured wall-clock ns per sample through the batched path in the
+    /// order `Learner::train_step` runs it: target `infer_batch`,
+    /// `forward_batch`, `Categorical::batch_grad`, `backward_batch`,
+    /// optimizer. At batch 128 this is the figure to read against the
+    /// benchmark's in-situ `nn.train_us_per_sample` (which adds replay
+    /// sampling and Adam's moments).
     pub batched_ns_per_sample: f64,
+    /// The four kernel phases of that step, each timed on its own over
+    /// the same reused buffers: `[target infer_batch, forward_batch,
+    /// Categorical::batch_grad, zero_grad + backward_batch]`, ns per
+    /// sample.
+    pub phase_ns_per_sample: [f64; 4],
 }
 
 /// Times `step` (one whole replay batch of `batch` samples) and returns
@@ -232,39 +242,49 @@ fn time_per_sample(batch: usize, mut step: impl FnMut()) -> f64 {
 }
 
 /// Builds `sec10_overhead`'s training-step latency table: one
-/// [`TrainStepRow`] per requested replay-batch size, on the default C51
-/// network (6-20-30-22, 1380 MACs) with the paper's two-network layout.
+/// [`TrainStepRow`] per requested replay-batch size, on the network and
+/// head [`SibylConfig::default`] serves with (6-20-30-102: two actions ×
+/// 51 atoms, 3780 MACs) and the paper's two-network layout.
 ///
 /// The modeled columns are pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the real
-/// sequential and batched training kernels over identical seeded data,
+/// sequential and batched training paths over identical seeded data,
 /// which is what the bench-crate regression test uses to pin that the
 /// batched path is no slower than the per-sample loop it replaced.
 pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainStepRow> {
+    const N_ACTIONS: usize = 2;
+    const OBS_LEN: usize = 6;
+    let config = SibylConfig::default();
     // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the latency table must measure identical weights every run
     let mut rng = StdRng::seed_from_u64(0x5EC1_0000);
-    let head = Categorical::new(2, 11, 0.0, 10.0);
-    let dims = [6, 20, 30, head.n_outputs()];
+    let head = Categorical::new(N_ACTIONS, config.n_atoms, config.v_min, config.v_max);
+    let [h1, h2] = config.hidden_dims;
+    let dims = [OBS_LEN, h1, h2, head.n_outputs()];
     let proto = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
     let target = proto.clone();
     let macs = proto.mac_count() as f64;
     let out_dim = proto.out_dim();
-    let gamma = 0.9f32;
+    let gamma = config.discount;
 
     let mut rows = Vec::with_capacity(batches.len());
     for &batch in batches {
         assert!(batch > 0, "train_step_latency_rows: zero batch");
-        let obs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-        let next_obs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-        let actions: Vec<usize> = (0..batch).map(|i| i % 2).collect();
+        let mut obs_matrix = || -> Vec<f32> {
+            (0..batch * OBS_LEN)
+                .map(|_| rng.gen_range(0.0f32..1.0))
+                .collect()
+        };
+        let (obs, next_obs) = (obs_matrix(), obs_matrix());
+        let actions: Vec<usize> = (0..batch).map(|i| i % N_ACTIONS).collect();
         let rewards: Vec<f32> = (0..batch).map(|i| (i % 5) as f32 * 0.25).collect();
-        let next_logits = target.infer_batch(&next_obs, batch);
 
-        // Per-sample reference: the pre-refactor loop shape — one
-        // forward/backward per transition, per-sample head pipeline.
+        // Per-sample reference: the pre-refactor loop shape — batched
+        // target inference, then one forward/backward per transition and
+        // the per-sample head pipeline.
         let mut seq_net = proto.clone();
         let mut seq_opt = Sgd::new(0.001);
         let seq_ns = time_per_sample(batch, || {
+            let next_logits = target.infer_batch(&next_obs, batch);
             seq_net.zero_grad();
             let mut grad = Vec::new();
             for i in 0..batch {
@@ -272,33 +292,65 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
                 let next_best = head.best_action(next_row);
                 let next_probs = head.action_distribution(next_row, next_best);
                 let proj = head.project(rewards[i], gamma, &next_probs);
-                let logits = seq_net.forward(&obs[i * 6..(i + 1) * 6]);
+                let logits = seq_net.forward(&obs[i * OBS_LEN..(i + 1) * OBS_LEN]);
                 let _ = head.loss_grad(&logits, actions[i], &proj, &mut grad);
                 std::hint::black_box(seq_net.backward(&grad));
             }
             seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
         });
 
-        // Batched path: one forward_batch, one batch_grad, one
-        // backward_batch for the whole replay batch.
-        let mut bat_net = proto.clone();
-        let mut bat_opt = Sgd::new(0.001);
-        let mut grads = Vec::new();
-        let mut losses = Vec::new();
-        let batched_ns = time_per_sample(batch, || {
-            bat_net.zero_grad();
-            let logits = bat_net.forward_batch(&obs, batch);
+        // Batched path, phase by phase over one set of reused buffers
+        // (as the learner holds them), then the same four calls as one
+        // step with the optimizer.
+        let mut net = proto.clone();
+        let mut opt = Sgd::new(0.001);
+        let (mut pingpong, mut next_logits, mut logits) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut grads, mut losses, mut dx) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scratch = HeadScratch::default();
+        let mut phases = [0.0; 4];
+        phases[0] = time_per_sample(batch, || {
+            target.infer_batch_into(&next_obs, batch, &mut pingpong, &mut next_logits);
+            std::hint::black_box(&next_logits);
+        });
+        phases[1] = time_per_sample(batch, || {
+            net.forward_batch_into(&obs, batch, &mut pingpong, &mut logits);
+            std::hint::black_box(&logits);
+        });
+        phases[2] = time_per_sample(batch, || {
             head.batch_grad(
                 &logits,
                 &actions,
                 &rewards,
                 &next_logits,
                 gamma,
+                &mut scratch,
                 &mut grads,
                 &mut losses,
             );
-            std::hint::black_box(bat_net.backward_batch(&grads, batch));
-            bat_net.apply_grads(&mut bat_opt, 1.0 / batch as f32);
+            std::hint::black_box((&grads, &losses));
+        });
+        phases[3] = time_per_sample(batch, || {
+            net.zero_grad();
+            net.backward_batch_into(&grads, batch, &mut pingpong, &mut dx);
+            std::hint::black_box(&dx);
+        });
+        let batched_ns = time_per_sample(batch, || {
+            target.infer_batch_into(&next_obs, batch, &mut pingpong, &mut next_logits);
+            net.zero_grad();
+            net.forward_batch_into(&obs, batch, &mut pingpong, &mut logits);
+            head.batch_grad(
+                &logits,
+                &actions,
+                &rewards,
+                &next_logits,
+                gamma,
+                &mut scratch,
+                &mut grads,
+                &mut losses,
+            );
+            net.backward_batch_into(&grads, batch, &mut pingpong, &mut dx);
+            std::hint::black_box(&dx);
+            net.apply_grads(&mut opt, 1.0 / batch as f32);
         });
 
         let modeled_step_us = 2.0 * macs * ns_per_mac / 1_000.0;
@@ -308,6 +360,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             modeled_per_sample_us: modeled_step_us / batch as f64,
             seq_ns_per_sample: seq_ns,
             batched_ns_per_sample: batched_ns,
+            phase_ns_per_sample: phases,
         });
     }
     rows

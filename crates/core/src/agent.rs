@@ -423,35 +423,35 @@ impl SibylAgent {
                 QuantMode::F16 => rt.inference_net.infer_batch_f16(&flat, greedy.len()),
             };
             let out_dim = rt.inference_net.out_dim();
-            for (k, &i) in greedy.iter().enumerate() {
-                actions[i] = rt.head.best_action(&logits[k * out_dim..(k + 1) * out_dim]);
-            }
             // Full-level introspection: Q-value decisiveness of the
-            // greedy rows. Reading the already-computed logits consumes
-            // no RNG and changes no decision — the Off path skips this
-            // entirely.
-            if self.config.telemetry.histograms() {
-                if let Some(intro) = self.introspect.as_deref_mut() {
-                    let mut spread_sum = 0.0f64;
-                    for k in 0..greedy.len() {
-                        let q = rt.head.q_values(&logits[k * out_dim..(k + 1) * out_dim]);
-                        let mut best = f64::NEG_INFINITY;
-                        let mut second = f64::NEG_INFINITY;
-                        for &v in &q {
-                            let v = f64::from(v);
-                            if v > best {
-                                second = best;
-                                best = v;
-                            } else if v > second {
-                                second = v;
-                            }
-                        }
-                        if second.is_finite() {
-                            spread_sum += best - second;
+            // greedy rows, read off the same Q-values the argmax ranks.
+            // It consumes no RNG and changes no decision — the Off path
+            // skips it entirely.
+            let mut spread_sum = self.config.telemetry.histograms().then_some(0.0f64);
+            let (mut probs, mut q) = (Vec::new(), Vec::new());
+            for (row, &i) in logits.chunks_exact(out_dim).zip(&greedy) {
+                rt.head.q_values_into(row, &mut probs, &mut q);
+                // sibyl-lint: allow(unwrap-in-lib) -- invariant: q_values_into yields n_actions > 0 entries
+                actions[i] = sibyl_nn::argmax(&q).expect("at least one action");
+                if let Some(sum) = spread_sum.as_mut() {
+                    let mut best = f64::NEG_INFINITY;
+                    let mut second = f64::NEG_INFINITY;
+                    for &v in &q {
+                        let v = f64::from(v);
+                        if v > best {
+                            second = best;
+                            best = v;
+                        } else if v > second {
+                            second = v;
                         }
                     }
-                    intro.last_q_spread = spread_sum / greedy.len() as f64;
+                    if second.is_finite() {
+                        *sum += best - second;
+                    }
                 }
+            }
+            if let (Some(sum), Some(intro)) = (spread_sum, self.introspect.as_deref_mut()) {
+                intro.last_q_spread = sum / greedy.len() as f64;
             }
         }
         if self.config.telemetry.histograms() {

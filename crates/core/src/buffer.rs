@@ -212,12 +212,23 @@ impl ExperienceBuffer {
     /// [`ExperienceBuffer::sample`], so switching between the two never
     /// perturbs the sampling sequence.
     pub fn sample_indices<R: Rng + ?Sized>(&self, batch_size: usize, rng: &mut R) -> Vec<usize> {
-        if self.entries.is_empty() {
-            return Vec::new();
+        let mut out = Vec::new();
+        self.sample_indices_into(batch_size, rng, &mut out);
+        out
+    }
+
+    /// [`ExperienceBuffer::sample_indices`] refilling a caller-owned
+    /// `out` (left empty for an empty buffer).
+    pub fn sample_indices_into<R: Rng + ?Sized>(
+        &self,
+        batch_size: usize,
+        rng: &mut R,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        if !self.entries.is_empty() {
+            out.extend((0..batch_size).map(|_| rng.gen_range(0..self.entries.len())));
         }
-        (0..batch_size)
-            .map(|_| rng.gen_range(0..self.entries.len()))
-            .collect()
     }
 
     /// The experience stored in slot `idx` (as returned by

@@ -88,12 +88,35 @@ impl Categorical {
     /// Panics if `logits.len() != n_outputs()` or `action` is out of
     /// range.
     pub fn action_distribution(&self, logits: &[f32], action: usize) -> Vec<f32> {
+        let mut p = Vec::new();
+        self.block_probs(logits, action, &mut p);
+        p
+    }
+
+    /// [`Categorical::action_distribution`] refilling a caller-owned
+    /// `probs` — the one place a logit block is soft-maxed.
+    fn block_probs(&self, logits: &[f32], action: usize, probs: &mut Vec<f32>) {
         assert_eq!(logits.len(), self.n_outputs(), "logit length mismatch");
         assert!(action < self.n_actions, "action out of range");
-        let block = &logits[action * self.n_atoms..(action + 1) * self.n_atoms];
-        let mut p = Vec::new();
-        softmax(block, &mut p);
-        p
+        softmax(
+            &logits[action * self.n_atoms..(action + 1) * self.n_atoms],
+            probs,
+        );
+    }
+
+    /// Soft-maxes one action's logit block into `probs` and returns its
+    /// expected value `Q(s, a) = Σ zᵢ pᵢ` — the building block shared by
+    /// the decide path ([`Categorical::q_values`]) and the training head
+    /// ([`Categorical::batch_grad`]). Allocates nothing once `probs` has
+    /// grown to `n_atoms`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits.len() != n_outputs()` or `action` is out of
+    /// range.
+    pub fn action_value(&self, logits: &[f32], action: usize, probs: &mut Vec<f32>) -> f32 {
+        self.block_probs(logits, action, probs);
+        probs.iter().zip(&self.support).map(|(p, z)| p * z).sum()
     }
 
     /// Expected value per action: `Q(s, a) = Σ zᵢ pᵢ`.
@@ -102,15 +125,20 @@ impl Categorical {
     ///
     /// Panics if `logits.len() != n_outputs()`.
     pub fn q_values(&self, logits: &[f32]) -> Vec<f32> {
-        assert_eq!(logits.len(), self.n_outputs(), "logit length mismatch");
-        let mut scratch = Vec::new();
-        (0..self.n_actions)
-            .map(|a| {
-                let block = &logits[a * self.n_atoms..(a + 1) * self.n_atoms];
-                softmax(block, &mut scratch);
-                scratch.iter().zip(&self.support).map(|(p, z)| p * z).sum()
-            })
-            .collect()
+        let (mut probs, mut q) = (Vec::new(), Vec::new());
+        self.q_values_into(logits, &mut probs, &mut q);
+        q
+    }
+
+    /// [`Categorical::q_values`] into caller-owned buffers: `q` is
+    /// refilled with one value per action, `probs` is softmax workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logits.len() != n_outputs()`.
+    pub fn q_values_into(&self, logits: &[f32], probs: &mut Vec<f32>, q: &mut Vec<f32>) {
+        q.clear();
+        q.extend((0..self.n_actions).map(|a| self.action_value(logits, a, probs)));
     }
 
     /// The greedy action under the current logits.
@@ -131,12 +159,20 @@ impl Categorical {
     ///
     /// Panics if `next_probs.len() != n_atoms`.
     pub fn project(&self, reward: f32, gamma: f32, next_probs: &[f32]) -> Vec<f32> {
+        let mut m = Vec::new();
+        self.project_into(reward, gamma, next_probs, &mut m);
+        m
+    }
+
+    /// [`Categorical::project`] refilling a caller-owned `m`.
+    fn project_into(&self, reward: f32, gamma: f32, next_probs: &[f32], m: &mut Vec<f32>) {
         assert_eq!(
             next_probs.len(),
             self.n_atoms,
             "next distribution length mismatch"
         );
-        let mut m = vec![0.0f32; self.n_atoms];
+        m.clear();
+        m.resize(self.n_atoms, 0.0);
         for (j, &p) in next_probs.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -154,7 +190,6 @@ impl Categorical {
                 m[ui] += p * (b - l);
             }
         }
-        m
     }
 
     /// Cross-entropy loss and logit gradient for one sample: the target
@@ -188,16 +223,25 @@ impl Categorical {
     /// the full row-major `(batch × n_outputs)` `dL/dlogits` matrix in
     /// `grads` and one cross-entropy loss per sample in `losses`.
     ///
-    /// Row `i` combines the whole per-sample pipeline — greedy next
-    /// action from `next_logits` row `i`, C51 projection of
-    /// `rewards[i] + γ·z`, and [`Categorical::loss_grad`] against
-    /// `logits` row `i` — with arithmetic identical to the sequential
-    /// calls, so a batched backward pass fed from this matrix is
-    /// bit-exact against the per-sample training loop.
+    /// Row `i` is the whole per-sample pipeline — greedy next action from
+    /// `next_logits` row `i`, C51 projection of `rewards[i] + γ·z`, and
+    /// [`Categorical::loss_grad`] against `logits` row `i` — fused so each
+    /// softmax is evaluated once: one per next-state action block (the
+    /// greedy block's probabilities are kept for the projection instead
+    /// of being recomputed) plus one for the taken action's block, which
+    /// feeds both the gradient `p − target` and the loss
+    /// `−Σ target·ln p`. That is `n_actions + 1` softmaxes per sample
+    /// where the sequential calls spend `n_actions + 3`, with every value
+    /// produced by the same expression on the same inputs, so a batched
+    /// backward pass fed from this matrix stays bit-exact against the
+    /// per-sample training loop. Every block other than the taken one is
+    /// left at exactly `+0.0` — the sparsity the backward kernels skip.
     ///
     /// `logits` are the *training* network's outputs for the sampled
     /// observations; `next_logits` the *target* network's outputs for the
-    /// next observations (both row-major, `batch` rows).
+    /// next observations (both row-major, `batch` rows). `scratch` is
+    /// per-row workspace; with `scratch`, `grads` and `losses` reused
+    /// across calls nothing is allocated after the first.
     ///
     /// # Panics
     ///
@@ -211,6 +255,7 @@ impl Categorical {
         rewards: &[f32],
         next_logits: &[f32],
         gamma: f32,
+        scratch: &mut HeadScratch,
         grads: &mut Vec<f32>,
         losses: &mut Vec<f32>,
     ) {
@@ -226,18 +271,53 @@ impl Categorical {
         grads.clear();
         grads.resize(batch * width, 0.0);
         losses.clear();
-        let mut row_grad = Vec::new();
+        let HeadScratch {
+            row: probs,
+            next_probs,
+            target,
+        } = scratch;
         for i in 0..batch {
-            let row = &logits[i * width..(i + 1) * width];
             let next_row = &next_logits[i * width..(i + 1) * width];
-            let next_best = self.best_action(next_row);
-            let next_probs = self.action_distribution(next_row, next_best);
-            let target = self.project(rewards[i], gamma, &next_probs);
-            let loss = self.loss_grad(row, actions[i], &target, &mut row_grad);
-            grads[i * width..(i + 1) * width].copy_from_slice(&row_grad);
+            // Greedy next action, first-wins on ties exactly like
+            // `sibyl_nn::argmax`; the winner's distribution stays in
+            // `next_probs`.
+            let mut best_q = 0.0f32;
+            for a in 0..self.n_actions {
+                let q = self.action_value(next_row, a, probs);
+                let incumbent_stays = a > 0 && q <= best_q;
+                if !incumbent_stays {
+                    best_q = q;
+                    std::mem::swap(probs, next_probs);
+                }
+            }
+            self.project_into(rewards[i], gamma, next_probs, target);
+
+            let action = actions[i];
+            self.block_probs(&logits[i * width..(i + 1) * width], action, probs);
+            let mut loss = 0.0f32;
+            let block = &mut grads[i * width + action * self.n_atoms..][..self.n_atoms];
+            for ((g, &p), &t) in block.iter_mut().zip(probs.iter()).zip(target.iter()) {
+                *g = p - t;
+                if t > 0.0 {
+                    loss -= t * p.max(1e-12).ln();
+                }
+            }
             losses.push(loss);
         }
     }
+}
+
+/// Reusable per-row workspace of the batched training head
+/// ([`Categorical::batch_grad`]); contents between calls are unspecified.
+#[derive(Debug, Clone, Default)]
+pub struct HeadScratch {
+    /// The block being soft-maxed (C51) or the per-sample gradient row
+    /// (DQN).
+    pub(crate) row: Vec<f32>,
+    /// The greedy next-state action's distribution.
+    next_probs: Vec<f32>,
+    /// The projected target distribution.
+    target: Vec<f32>,
 }
 
 #[cfg(test)]
@@ -346,6 +426,7 @@ mod tests {
             &rewards,
             &next_logits,
             0.9,
+            &mut HeadScratch::default(),
             &mut grads,
             &mut losses,
         );
@@ -383,6 +464,7 @@ mod tests {
             &[0.0, 0.0],
             &[0.0; 44],
             0.9,
+            &mut HeadScratch::default(),
             &mut grads,
             &mut losses,
         );

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use sibyl_nn::{Activation, Adam, Mlp, Optimizer, Sgd};
 
 use crate::buffer::{Experience, ExperienceBuffer};
-use crate::c51::Categorical;
+use crate::c51::{Categorical, HeadScratch};
 use crate::config::{AgentKind, OptimizerKind, SibylConfig};
 
 /// The value-learning head: distributional (C51) or expectation (DQN).
@@ -39,12 +39,24 @@ impl ValueHead {
         }
     }
 
+    /// Per-action Q-values from raw network outputs, refilling `q`;
+    /// `probs` is softmax workspace. Allocation-free once both have
+    /// grown, which is what the batched decide path relies on.
+    pub(crate) fn q_values_into(&self, logits: &[f32], probs: &mut Vec<f32>, q: &mut Vec<f32>) {
+        match self {
+            ValueHead::C51(c) => c.q_values_into(logits, probs, q),
+            ValueHead::Dqn { .. } => {
+                q.clear();
+                q.extend_from_slice(logits);
+            }
+        }
+    }
+
     /// Per-action Q-values from raw network outputs.
     pub(crate) fn q_values(&self, logits: &[f32]) -> Vec<f32> {
-        match self {
-            ValueHead::C51(c) => c.q_values(logits),
-            ValueHead::Dqn { .. } => logits.to_vec(),
-        }
+        let (mut probs, mut q) = (Vec::new(), Vec::new());
+        self.q_values_into(logits, &mut probs, &mut q);
+        q
     }
 
     /// Greedy action.
@@ -106,12 +118,22 @@ impl ValueHead {
         rewards: &[f32],
         next_logits: &[f32],
         gamma: f32,
+        scratch: &mut HeadScratch,
         grads: &mut Vec<f32>,
         losses: &mut Vec<f32>,
     ) {
         match self {
             ValueHead::C51(c) => {
-                c.batch_grad(logits, actions, rewards, next_logits, gamma, grads, losses);
+                c.batch_grad(
+                    logits,
+                    actions,
+                    rewards,
+                    next_logits,
+                    gamma,
+                    scratch,
+                    grads,
+                    losses,
+                );
             }
             ValueHead::Dqn { n_actions } => {
                 let batch = actions.len();
@@ -124,9 +146,7 @@ impl ValueHead {
                 );
                 assert_eq!(rewards.len(), batch, "reward count mismatch");
                 grads.clear();
-                grads.resize(batch * width, 0.0);
                 losses.clear();
-                let mut row_grad = Vec::new();
                 for i in 0..batch {
                     let loss = self.sample_grad(
                         &logits[i * width..(i + 1) * width],
@@ -134,14 +154,37 @@ impl ValueHead {
                         rewards[i],
                         &next_logits[i * width..(i + 1) * width],
                         gamma,
-                        &mut row_grad,
+                        &mut scratch.row,
                     );
-                    grads[i * width..(i + 1) * width].copy_from_slice(&row_grad);
+                    grads.extend_from_slice(&scratch.row);
                     losses.push(loss);
                 }
             }
         }
     }
+}
+
+/// The per-replay-batch buffers of [`Learner::train_step`], kept across
+/// batches and steps so a step allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    indices: Vec<usize>,
+    obs: Vec<f32>,
+    next_obs: Vec<f32>,
+    actions: Vec<usize>,
+    rewards: Vec<f32>,
+    /// Target-network outputs for `next_obs`.
+    next_logits: Vec<f32>,
+    /// Training-network outputs for `obs`.
+    logits: Vec<f32>,
+    /// `dL/dlogits`, one row per sample.
+    grads: Vec<f32>,
+    losses: Vec<f32>,
+    /// `dL/dobs` — computed by the backward pass, read by nobody.
+    dx: Vec<f32>,
+    /// Intermediate activations/deltas of the three network passes.
+    pingpong: Vec<f32>,
+    head: HeadScratch,
 }
 
 /// Owns the training network, the bootstrap target network, the replay
@@ -163,6 +206,7 @@ pub struct Learner {
     target_net: Mlp,
     opt: Box<dyn Optimizer + Send>,
     pub(crate) buffer: ExperienceBuffer,
+    scratch: TrainScratch,
     rng: StdRng,
     discount: f32,
     batch_size: usize,
@@ -211,6 +255,7 @@ impl Learner {
             target_net,
             opt,
             buffer: ExperienceBuffer::new(config.buffer_capacity),
+            scratch: TrainScratch::default(),
             rng: StdRng::seed_from_u64(config.seed ^ 0x5A3B),
             discount: config.discount,
             batch_size: config.batch_size,
@@ -287,61 +332,60 @@ impl Learner {
         let started = std::time::Instant::now();
         let mut total_loss = 0.0f32;
         let mut total_samples = 0usize;
-        let mut grads = Vec::new();
-        let mut losses = Vec::new();
-        let mut actions = Vec::new();
-        let mut rewards = Vec::new();
-        let mut obs_flat = Vec::new();
-        let mut next_obs_flat = Vec::new();
+        let s = &mut self.scratch;
         for _ in 0..self.batches_per_step {
-            let indices = self.buffer.sample_indices(self.batch_size, &mut self.rng);
-            let n = indices.len();
-            obs_flat.clear();
-            next_obs_flat.clear();
-            actions.clear();
-            rewards.clear();
-            for &idx in &indices {
+            self.buffer
+                .sample_indices_into(self.batch_size, &mut self.rng, &mut s.indices);
+            let n = s.indices.len();
+            s.obs.clear();
+            s.next_obs.clear();
+            s.actions.clear();
+            s.rewards.clear();
+            for &idx in &s.indices {
                 let exp = self.buffer.get(idx);
-                obs_flat.extend_from_slice(&exp.obs);
-                next_obs_flat.extend_from_slice(&exp.next_obs);
-                actions.push(exp.action);
-                rewards.push(exp.reward);
+                s.obs.extend_from_slice(&exp.obs);
+                s.next_obs.extend_from_slice(&exp.next_obs);
+                s.actions.push(exp.action);
+                s.rewards.push(exp.reward);
             }
-            let next_logits_all = self.target_net.infer_batch(&next_obs_flat, n);
+            self.target_net
+                .infer_batch_into(&s.next_obs, n, &mut s.pingpong, &mut s.next_logits);
             self.train_net.zero_grad();
-            let logits_all = self.train_net.forward_batch(&obs_flat, n);
+            self.train_net
+                .forward_batch_into(&s.obs, n, &mut s.pingpong, &mut s.logits);
             self.head.batch_grad(
-                &logits_all,
-                &actions,
-                &rewards,
-                &next_logits_all,
+                &s.logits,
+                &s.actions,
+                &s.rewards,
+                &s.next_logits,
                 self.discount,
-                &mut grads,
-                &mut losses,
+                &mut s.head,
+                &mut s.grads,
+                &mut s.losses,
             );
             // Importance weighting: scale each down-weighted sample's
             // gradient row and loss. Weight-1.0 rows are left untouched
             // (not multiplied), preserving bit-identity for buffers that
             // hold only local experiences.
-            let width = grads.len() / n.max(1);
-            for (row, &idx) in indices.iter().enumerate() {
+            let width = s.grads.len() / n;
+            for (row, &idx) in s.indices.iter().enumerate() {
                 let w = self.buffer.weight(idx);
                 if w != 1.0 {
-                    for g in &mut grads[row * width..(row + 1) * width] {
+                    for g in &mut s.grads[row * width..(row + 1) * width] {
                         *g *= w;
                     }
-                    losses[row] *= w;
+                    s.losses[row] *= w;
                 }
             }
             // Sum per-sample losses in sample order so the running total
             // accumulates exactly like the per-sample loop did.
-            for &loss in &losses {
+            for &loss in &s.losses {
                 total_loss += loss;
                 total_samples += 1;
             }
-            self.train_net.backward_batch(&grads, n);
             self.train_net
-                .apply_grads(&mut *self.opt, 1.0 / n.max(1) as f32);
+                .backward_batch_into(&s.grads, n, &mut s.pingpong, &mut s.dx);
+            self.train_net.apply_grads(&mut *self.opt, 1.0 / n as f32);
         }
         // Refresh the bootstrap target to the just-trained weights; the
         // agent copies the same weights into its inference network

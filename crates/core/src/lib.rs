@@ -63,7 +63,7 @@ mod trainer;
 
 pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
-pub use c51::Categorical;
+pub use c51::{Categorical, HeadScratch};
 pub use config::{AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, TrainingMode};
 pub use features::{FeatureMask, Observation, StateEncoder};
 pub use learner::Learner;

@@ -39,38 +39,38 @@ impl Activation {
     /// Applies the activation to a single pre-activation value.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Swish => x * sigmoid(x),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => sigmoid(x),
-        }
+        self.apply_with_derivative(x).0
     }
 
     /// Derivative `df/dx` expressed in terms of the pre-activation `x`.
     #[inline]
     pub fn derivative(self, x: f32) -> f32 {
+        self.apply_with_derivative(x).1
+    }
+
+    /// `(f(x), df/dx)` from one evaluation of the transcendental the two
+    /// share (swish and sigmoid: one `exp`; tanh: one `tanh`). This is the
+    /// single definition of every activation — [`Activation::apply`] and
+    /// [`Activation::derivative`] are its two projections — so a training
+    /// forward pass that caches the derivative hands the backward pass
+    /// exactly the bits a separate `derivative` call would compute.
+    #[inline]
+    pub fn apply_with_derivative(self, x: f32) -> (f32, f32) {
         match self {
-            Activation::Linear => 1.0,
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            Activation::Linear => (x, 1.0),
+            Activation::Relu => (x.max(0.0), if x > 0.0 { 1.0 } else { 0.0 }),
             Activation::Swish => {
                 let s = sigmoid(x);
-                s + x * s * (1.0 - s)
+                let y = x * s;
+                (y, s + y * (1.0 - s))
             }
             Activation::Tanh => {
                 let t = x.tanh();
-                1.0 - t * t
+                (t, 1.0 - t * t)
             }
             Activation::Sigmoid => {
                 let s = sigmoid(x);
-                s * (1.0 - s)
+                (s, s * (1.0 - s))
             }
         }
     }

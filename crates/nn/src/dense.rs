@@ -11,9 +11,10 @@ use crate::linalg;
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
 /// Weights are stored row-major as `(out_dim × in_dim)`. The layer caches
-/// its last input and pre-activation during [`Dense::forward`] so
-/// [`Dense::backward`] can compute exact gradients; use
-/// [`Dense::infer`] for cache-free inference (the paper's inference
+/// its last input and the activation derivative at every pre-activation
+/// during [`Dense::forward`] / [`Dense::forward_batch`] so the backward
+/// pass computes exact gradients without re-evaluating the activation;
+/// use [`Dense::infer`] for cache-free inference (the paper's inference
 /// network is never trained directly, §6.2.2).
 ///
 /// # Examples
@@ -40,12 +41,17 @@ pub struct Dense {
     db: Vec<f32>,
     #[serde(skip)]
     cache_x: Vec<f32>,
+    /// `act'(z)` for every pre-activation of the cached forward pass —
+    /// `out_dim` values after [`Dense::forward`], `batch × out_dim` after
+    /// [`Dense::forward_batch`], empty when nothing is cached. Filled by
+    /// the same [`Activation::apply_with_derivative`] call that produces
+    /// the layer's output, so the activation's `exp`/`tanh` runs once per
+    /// element per training pass, not once forward and once backward.
     #[serde(skip)]
-    cache_z: Vec<f32>,
-    /// Rows in the cached forward state: 1 after [`Dense::forward`],
-    /// `batch` after [`Dense::forward_batch`], 0 when nothing is cached.
+    cache_dact: Vec<f32>,
+    /// `dL/dz` scratch of the batched backward pass, reused across calls.
     #[serde(skip)]
-    cache_batch: usize,
+    dz: Vec<f32>,
     /// Binary16 shadow of `w`, kept in sync by [`Dense::refresh_f16`]
     /// while the f16 inference fast path is enabled; empty otherwise.
     /// Runtime-only state (like the caches): a deserialized layer starts
@@ -84,8 +90,8 @@ impl Dense {
             dw: vec![0.0; in_dim * out_dim],
             db: vec![0.0; out_dim],
             cache_x: Vec::new(),
-            cache_z: Vec::new(),
-            cache_batch: 0,
+            cache_dact: Vec::new(),
+            dz: Vec::new(),
             f16_w: Vec::new(),
             f16_b: Vec::new(),
         }
@@ -117,7 +123,7 @@ impl Dense {
         self.in_dim * self.out_dim
     }
 
-    /// Forward pass that caches `x` and the pre-activation for
+    /// Forward pass that caches `x` and the activation derivative for
     /// [`Dense::backward`].
     ///
     /// # Panics
@@ -131,29 +137,39 @@ impl Dense {
         );
         self.cache_x.clear();
         self.cache_x.extend_from_slice(x);
-        let mut z = Vec::new();
-        linalg::matvec_bias(&self.w, &self.b, x, self.out_dim, self.in_dim, &mut z);
-        self.cache_z.clear();
-        self.cache_z.extend_from_slice(&z);
-        self.cache_batch = 1;
-        self.act.apply_slice(&mut z);
-        z
+        let mut y = Vec::new();
+        linalg::matvec_bias(&self.w, &self.b, x, self.out_dim, self.in_dim, &mut y);
+        self.activate_and_cache(&mut y);
+        y
+    }
+
+    /// Turns freshly computed pre-activations into activations in place
+    /// and caches `act'(z)` per element for the backward pass.
+    fn activate_and_cache(&mut self, z: &mut [f32]) {
+        let act = self.act;
+        self.cache_dact.clear();
+        self.cache_dact.extend(z.iter_mut().map(|v| {
+            let (y, d) = act.apply_with_derivative(*v);
+            *v = y;
+            d
+        }));
     }
 
     /// Forward pass over a whole batch that caches the inputs and
-    /// pre-activations for [`Dense::backward_batch`] — the training twin
-    /// of [`Dense::infer_batch`], just as [`Dense::forward`] is the
+    /// activation derivatives for [`Dense::backward_batch`] — the training
+    /// twin of [`Dense::infer_batch`], just as [`Dense::forward`] is the
     /// training twin of [`Dense::infer`].
     ///
-    /// `xs` is row-major `(batch × in_dim)`; the result is row-major
+    /// `xs` is row-major `(batch × in_dim)`; `out` is refilled row-major
     /// `(batch × out_dim)`, and each output row is bit-identical to
     /// [`Dense::forward`] on the corresponding input (the batched kernel
-    /// keeps every dot product's accumulation order unchanged).
+    /// keeps every dot product's accumulation order unchanged). Allocates
+    /// nothing once `out` and the layer's caches have reached their size.
     ///
     /// # Panics
     ///
     /// Panics if `batch == 0` or `xs.len() != batch * in_dim`.
-    pub fn forward_batch(&mut self, xs: &[f32], batch: usize) -> Vec<f32> {
+    pub fn forward_batch_into(&mut self, xs: &[f32], batch: usize, out: &mut Vec<f32>) {
         assert!(batch > 0, "Dense::forward_batch: empty batch");
         assert_eq!(
             xs.len(),
@@ -162,21 +178,19 @@ impl Dense {
         );
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
-        let mut z = Vec::new();
-        linalg::matmul_bias(
-            &self.w,
-            &self.b,
-            xs,
-            self.out_dim,
-            self.in_dim,
-            batch,
-            &mut z,
-        );
-        self.cache_z.clear();
-        self.cache_z.extend_from_slice(&z);
-        self.cache_batch = batch;
-        self.act.apply_slice(&mut z);
-        z
+        linalg::matmul_bias(&self.w, &self.b, xs, self.out_dim, self.in_dim, batch, out);
+        self.activate_and_cache(out);
+    }
+
+    /// [`Dense::forward_batch_into`] returning a fresh output vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0` or `xs.len() != batch * in_dim`.
+    pub fn forward_batch(&mut self, xs: &[f32], batch: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.forward_batch_into(xs, batch, &mut out);
+        out
     }
 
     /// Cache-free forward pass for inference. Writes activations into `out`.
@@ -303,16 +317,16 @@ impl Dense {
             self.out_dim,
             "Dense::backward: delta length mismatch"
         );
-        assert_eq!(
-            self.cache_x.len(),
-            self.in_dim,
+        assert!(
+            self.cache_x.len() == self.in_dim && self.cache_dact.len() == self.out_dim,
             "Dense::backward called without a cached forward pass"
         );
         // dz = dy ⊙ act'(z)
-        let mut dz = Vec::with_capacity(self.out_dim);
-        for (i, &d) in dy.iter().enumerate() {
-            dz.push(d * self.act.derivative(self.cache_z[i]));
-        }
+        let dz: Vec<f32> = dy
+            .iter()
+            .zip(&self.cache_dact)
+            .map(|(d, a)| d * a)
+            .collect();
         linalg::outer_acc(&mut self.dw, &dz, &self.cache_x);
         linalg::add_assign(&mut self.db, &dz);
         let mut dx = Vec::new();
@@ -322,8 +336,8 @@ impl Dense {
 
     /// Batched backward pass: given the row-major `(batch × out_dim)`
     /// upstream gradient `dy`, accumulates the whole batch's `dL/dW` and
-    /// `dL/db` into the layer's gradient buffers and returns the
-    /// row-major `(batch × in_dim)` gradient `dL/dx`.
+    /// `dL/db` into the layer's gradient buffers and refills `dx` with
+    /// the row-major `(batch × in_dim)` gradient `dL/dx`.
     ///
     /// Must be preceded by a [`Dense::forward_batch`] call with the same
     /// `batch`. The accumulation order per gradient element is kept
@@ -331,39 +345,54 @@ impl Dense {
     /// [`Dense::backward`] calls in sample order — per weight row, each
     /// sample's contribution lands in ascending sample order — so the
     /// batched training path is bit-exact against the per-sample loop
-    /// (pinned by the `train_batch_parity` property suite).
+    /// (pinned by the `train_batch_parity` property suite). The kernels
+    /// skip the exactly-zero margins of each delta row (see
+    /// [`linalg::matmul_at_b_acc`] for why that is bit-neutral), which
+    /// relies on the gradient buffers never holding `-0.0`:
+    /// [`Dense::zero_grad`] writes `+0.0` and accumulation cannot produce
+    /// `-0.0` from there. Allocates nothing once `dx` and the layer's
+    /// scratch have reached their size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy.len() != batch * out_dim` or the cached forward
+    /// state does not match `batch`.
+    pub fn backward_batch_into(&mut self, dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
+        assert_eq!(
+            dy.len(),
+            batch * self.out_dim,
+            "Dense::backward_batch: delta shape mismatch"
+        );
+        assert!(
+            self.cache_x.len() == batch * self.in_dim && self.cache_dact.len() == dy.len(),
+            "Dense::backward_batch called without a matching forward_batch"
+        );
+        // dz = dy ⊙ act'(z), element-wise over the whole batch — the same
+        // product per element as the per-sample path.
+        self.dz.clear();
+        self.dz
+            .extend(dy.iter().zip(&self.cache_dact).map(|(d, a)| d * a));
+        linalg::matmul_at_b_acc(
+            &mut self.dw,
+            &self.dz,
+            &self.cache_x,
+            self.out_dim,
+            self.in_dim,
+            batch,
+        );
+        linalg::col_sum_acc(&mut self.db, &self.dz, batch);
+        linalg::matmul_transpose(&self.w, &self.dz, self.out_dim, self.in_dim, batch, dx);
+    }
+
+    /// [`Dense::backward_batch_into`] returning a fresh `dL/dx` vector.
     ///
     /// # Panics
     ///
     /// Panics if `dy.len() != batch * out_dim` or the cached forward
     /// state does not match `batch`.
     pub fn backward_batch(&mut self, dy: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(
-            dy.len(),
-            batch * self.out_dim,
-            "Dense::backward_batch: delta shape mismatch"
-        );
-        assert_eq!(
-            self.cache_batch, batch,
-            "Dense::backward_batch called without a matching forward_batch"
-        );
-        // dz = dy ⊙ act'(z), element-wise over the whole batch — the same
-        // scalar derivative per element as the per-sample path.
-        let mut dz = Vec::with_capacity(dy.len());
-        for (i, &d) in dy.iter().enumerate() {
-            dz.push(d * self.act.derivative(self.cache_z[i]));
-        }
-        linalg::matmul_at_b_acc(
-            &mut self.dw,
-            &dz,
-            &self.cache_x,
-            self.out_dim,
-            self.in_dim,
-            batch,
-        );
-        linalg::col_sum_acc(&mut self.db, &dz, batch);
         let mut dx = Vec::new();
-        linalg::matmul_transpose(&self.w, &dz, self.out_dim, self.in_dim, batch, &mut dx);
+        self.backward_batch_into(dy, batch, &mut dx);
         dx
     }
 

@@ -216,36 +216,36 @@ pub fn matmul_bias(
     assert_eq!(w.len(), rows * cols, "matmul_bias: weight shape mismatch");
     assert_eq!(xs.len(), batch * cols, "matmul_bias: input shape mismatch");
     assert_eq!(b.len(), rows, "matmul_bias: bias length mismatch");
-    out.clear();
-    out.resize(batch * rows, 0.0);
     let full = batch / BATCH_TILE * BATCH_TILE;
-    if full > 0 {
-        // Lane-interleaved pack buffer, reused across the tiles of one
-        // call: packing costs O(cols · TILE) once per tile and is repaid
-        // across all `rows` weight rows.
-        let mut xt = vec![0.0f32; cols * BATCH_TILE];
-        for s0 in (0..full).step_by(BATCH_TILE) {
-            let tile = &xs[s0 * cols..(s0 + BATCH_TILE) * cols];
-            for (j, x) in tile.chunks_exact(cols).enumerate() {
-                for (k, &xv) in x.iter().enumerate() {
-                    xt[k * BATCH_TILE + j] = xv;
+    // Lane-interleaved pack buffer, reused across the tiles of one call:
+    // packing costs O(cols · TILE) once per tile and is repaid across all
+    // `rows` weight rows. It rides in `out`'s tail (truncated away below)
+    // so a caller that reuses `out` makes the whole call allocation-free.
+    let pack = if full > 0 { cols * BATCH_TILE } else { 0 };
+    out.clear();
+    out.resize(batch * rows + pack, 0.0);
+    let (res, xt) = out.split_at_mut(batch * rows);
+    for s0 in (0..full).step_by(BATCH_TILE) {
+        let tile = &xs[s0 * cols..(s0 + BATCH_TILE) * cols];
+        for (j, x) in tile.chunks_exact(cols).enumerate() {
+            for (k, &xv) in x.iter().enumerate() {
+                xt[k * BATCH_TILE + j] = xv;
+            }
+        }
+        for r in 0..rows {
+            let row = &w[r * cols..(r + 1) * cols];
+            // One accumulator lane per sample; `chunks_exact` keeps the
+            // inner loop free of bounds checks so it compiles to a
+            // broadcast-multiply + vector add per feature.
+            let mut acc = [0.0f32; BATCH_TILE];
+            for (lanes, &wv) in xt.chunks_exact(BATCH_TILE).zip(row) {
+                for (a, &xv) in acc.iter_mut().zip(lanes) {
+                    *a += wv * xv;
                 }
             }
-            for r in 0..rows {
-                let row = &w[r * cols..(r + 1) * cols];
-                // One accumulator lane per sample; `chunks_exact` keeps
-                // the inner loop free of bounds checks so it compiles to
-                // a broadcast-multiply + vector add per feature.
-                let mut acc = [0.0f32; BATCH_TILE];
-                for (lanes, &wv) in xt.chunks_exact(BATCH_TILE).zip(row) {
-                    for (a, &xv) in acc.iter_mut().zip(lanes) {
-                        *a += wv * xv;
-                    }
-                }
-                let br = b[r];
-                for (j, &a) in acc.iter().enumerate() {
-                    out[(s0 + j) * rows + r] = a + br;
-                }
+            let br = b[r];
+            for (j, &a) in acc.iter().enumerate() {
+                res[(s0 + j) * rows + r] = a + br;
             }
         }
     }
@@ -253,9 +253,21 @@ pub fn matmul_bias(
         let x = &xs[s * cols..(s + 1) * cols];
         for r in 0..rows {
             let row = &w[r * cols..(r + 1) * cols];
-            out[s * rows + r] = dot(row, x) + b[r];
+            res[s * rows + r] = dot(row, x) + b[r];
         }
     }
+    out.truncate(batch * rows);
+}
+
+/// The span of one delta row outside which every entry is exactly zero
+/// (`+0.0` or `-0.0`): from its first to one past its last non-zero
+/// entry, empty for an all-zero row. NaN compares unequal to zero, so a
+/// non-finite delta is always inside the span.
+fn live_span(drow: &[f32]) -> std::ops::Range<usize> {
+    let live = |v: &f32| *v != 0.0;
+    let start = drow.iter().position(live).unwrap_or(drow.len());
+    let end = drow.iter().rposition(live).map_or(start, |last| last + 1);
+    start..end
 }
 
 /// Computes `out = D·W` for a batch of backpropagated deltas: `d` is
@@ -264,14 +276,23 @@ pub fn matmul_bias(
 /// a [`matvec_transpose`] result for the corresponding delta.
 ///
 /// This is the batched input-gradient pass of training. The nest runs
-/// sample-outer so each sample's output row stays hot while every weight
-/// row is streamed over it; the innermost loop is a bounds-check-free
+/// sample-outer so each sample's output row stays hot while the weight
+/// rows are streamed over it; the innermost loop is a bounds-check-free
 /// broadcast-multiply-accumulate over the contiguous output row, which
-/// rustc autovectorizes. Each output element still accumulates its `rows`
-/// terms in ascending-`r` order — exactly the [`scalar::matmul_transpose`]
-/// and [`matvec_transpose`] chain — so the batched backward pass is
+/// rustc autovectorizes. Each output element still accumulates its terms
+/// in ascending-`r` order — exactly the [`scalar::matmul_transpose`] and
+/// [`matvec_transpose`] chain — so the batched backward pass is
 /// bit-identical to the per-sample one, which the training parity
 /// property tests pin down.
+///
+/// **Zero-skip.** Only the weight rows inside each delta row's
+/// `live_span` are streamed: a C51 head leaves every action block but
+/// the taken one at exactly `0.0`, so half (two actions) or two thirds
+/// (three) of the last layer's rows contribute `w · ±0.0 = ±0.0` terms.
+/// Dropping such a term is bit-neutral under the contract spelled out at
+/// [`matmul_at_b_acc`]; here the accumulators are this function's own
+/// `+0.0`-initialised `out`, so only the "finite `w`" half of the
+/// contract is the caller's.
 ///
 /// # Panics
 ///
@@ -300,7 +321,9 @@ pub fn matmul_transpose(
         return;
     }
     for (drow, orow) in d.chunks_exact(rows).zip(out.chunks_exact_mut(cols)) {
-        for (wrow, &dr) in w.chunks_exact(cols).zip(drow) {
+        let live = live_span(drow);
+        let wlive = &w[live.start * cols..live.end * cols];
+        for (wrow, &dr) in wlive.chunks_exact(cols).zip(&drow[live]) {
             for (o, &wv) in orow.iter_mut().zip(wrow) {
                 *o += wv * dr;
             }
@@ -318,11 +341,26 @@ pub fn matmul_transpose(
 /// contributions are added in ascending sample order onto the existing
 /// value, exactly the floating-point accumulation sequence the sequential
 /// per-sample training loop (and the retained [`scalar::matmul_at_b_acc`]
-/// reference) produces. Gradient rows are blocked [`ROW_TILE`] at a time
-/// so each input row loaded from `xs` is reused across the whole block
-/// before it leaves cache; within the block the innermost loop is a
-/// bounds-check-free broadcast-multiply-accumulate over the contiguous
+/// reference) produces. The nest runs sample-outer; the innermost loop is
+/// a bounds-check-free broadcast-multiply-accumulate over one contiguous
 /// gradient row, which rustc autovectorizes.
+///
+/// **Zero-skip contract.** Per sample, only the gradient rows inside the
+/// delta row's `live_span` are touched. A skipped term is `±0.0 · x`,
+/// which for finite `x` is `±0.0`, and `g + ±0.0` is `g` bit for bit for
+/// every `g` except `g = -0.0` (where `-0.0 + +0.0 = +0.0`). So the skip
+/// is bit-neutral exactly when
+///
+/// 1. the operands (`xs` here, `w` in [`matmul_transpose`]) are finite —
+///    a `0.0 · ∞` or `0.0 · NaN` term the reference would propagate as
+///    NaN is dropped; and
+/// 2. no accumulator in `dw` is `-0.0` on entry. Accumulation itself can
+///    never create one: under round-to-nearest `a + b` is `-0.0` only
+///    when both addends are, so a buffer that starts at `+0.0` (what
+///    `Dense::zero_grad` writes) stays free of `-0.0` through any number
+///    of calls. A caller that scales or otherwise rewrites gradients in
+///    place (a negative value can underflow to `-0.0`) must zero them
+///    before accumulating again.
 ///
 /// # Panics
 ///
@@ -354,14 +392,12 @@ pub fn matmul_at_b_acc(
     if rows == 0 || cols == 0 {
         return;
     }
-    for r0 in (0..rows).step_by(ROW_TILE) {
-        let r1 = (r0 + ROW_TILE).min(rows);
-        let block = &mut dw[r0 * cols..r1 * cols];
-        for (x, dsrow) in xs.chunks_exact(cols).zip(d.chunks_exact(rows)) {
-            for (grow, &dr) in block.chunks_exact_mut(cols).zip(&dsrow[r0..r1]) {
-                for (g, &xv) in grow.iter_mut().zip(x) {
-                    *g += dr * xv;
-                }
+    for (x, drow) in xs.chunks_exact(cols).zip(d.chunks_exact(rows)) {
+        let live = live_span(drow);
+        let glive = &mut dw[live.start * cols..live.end * cols];
+        for (grow, &dr) in glive.chunks_exact_mut(cols).zip(&drow[live]) {
+            for (g, &xv) in grow.iter_mut().zip(x) {
+                *g += dr * xv;
             }
         }
     }

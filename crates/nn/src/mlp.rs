@@ -132,19 +132,35 @@ impl Mlp {
     ///
     /// Panics if `batch == 0` or `xs.len() != batch * self.in_dim()`.
     pub fn infer_batch(&self, xs: &[f32], batch: usize) -> Vec<f32> {
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        self.infer_batch_into(xs, batch, &mut scratch, &mut out);
+        out
+    }
+
+    /// [`Mlp::infer_batch`] into caller-owned buffers: `out` is refilled
+    /// with the result and `scratch` holds the intermediate activations,
+    /// so a caller that keeps both across calls (the training step's
+    /// target-network pass) allocates nothing after the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0` or `xs.len() != batch * self.in_dim()`.
+    pub fn infer_batch_into(
+        &self,
+        xs: &[f32],
+        batch: usize,
+        scratch: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) {
         assert!(batch > 0, "Mlp::infer_batch: empty batch");
         assert_eq!(
             xs.len(),
             batch * self.in_dim(),
             "Mlp::infer_batch: input shape mismatch"
         );
-        let mut cur = xs.to_vec();
-        let mut next = Vec::new();
-        for layer in &self.layers {
-            layer.infer_batch(&cur, batch, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        chain(self.layers.iter(), xs, scratch, out, |layer, x, y| {
+            layer.infer_batch(x, batch, y);
+        });
     }
 
     /// Enables the f16 inference fast path on every layer: allocates
@@ -196,9 +212,9 @@ impl Mlp {
     }
 
     /// Batched forward pass that caches every layer's inputs and
-    /// pre-activations for [`Mlp::backward_batch`] — the training twin of
-    /// [`Mlp::infer_batch`], just as [`Mlp::forward`] is the training
-    /// twin of [`Mlp::infer`].
+    /// activation derivatives for [`Mlp::backward_batch`] — the training
+    /// twin of [`Mlp::infer_batch`], just as [`Mlp::forward`] is the
+    /// training twin of [`Mlp::infer`].
     ///
     /// `xs` holds `batch` inputs row-major; row `i` of the result is
     /// bit-identical to `self.forward(&xs[i*in_dim..(i+1)*in_dim])`.
@@ -207,17 +223,34 @@ impl Mlp {
     ///
     /// Panics if `batch == 0` or `xs.len() != batch * self.in_dim()`.
     pub fn forward_batch(&mut self, xs: &[f32], batch: usize) -> Vec<f32> {
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        self.forward_batch_into(xs, batch, &mut scratch, &mut out);
+        out
+    }
+
+    /// [`Mlp::forward_batch`] into caller-owned buffers (`out` the
+    /// result, `scratch` the intermediate activations): allocates nothing
+    /// once the buffers and the layers' caches have reached their size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0` or `xs.len() != batch * self.in_dim()`.
+    pub fn forward_batch_into(
+        &mut self,
+        xs: &[f32],
+        batch: usize,
+        scratch: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) {
         assert!(batch > 0, "Mlp::forward_batch: empty batch");
         assert_eq!(
             xs.len(),
             batch * self.in_dim(),
             "Mlp::forward_batch: input shape mismatch"
         );
-        let mut cur = xs.to_vec();
-        for layer in &mut self.layers {
-            cur = layer.forward_batch(&cur, batch);
-        }
-        cur
+        chain(self.layers.iter_mut(), xs, scratch, out, |layer, x, y| {
+            layer.forward_batch_into(x, batch, y);
+        });
     }
 
     /// Backward pass from `dL/dy`; accumulates gradients in every layer and
@@ -254,11 +287,33 @@ impl Mlp {
     /// Panics if `dy.len() != batch * self.out_dim()` or the cached
     /// forward state does not match.
     pub fn backward_batch(&mut self, dy: &[f32], batch: usize) -> Vec<f32> {
-        let mut d = dy.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            d = layer.backward_batch(&d, batch);
-        }
-        d
+        let (mut scratch, mut dx) = (Vec::new(), Vec::new());
+        self.backward_batch_into(dy, batch, &mut scratch, &mut dx);
+        dx
+    }
+
+    /// [`Mlp::backward_batch`] into caller-owned buffers (`dx` the
+    /// result, `scratch` the intermediate deltas): allocates nothing once
+    /// the buffers and the layers' scratch have reached their size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy.len() != batch * self.out_dim()` or the cached
+    /// forward state does not match.
+    pub fn backward_batch_into(
+        &mut self,
+        dy: &[f32],
+        batch: usize,
+        scratch: &mut Vec<f32>,
+        dx: &mut Vec<f32>,
+    ) {
+        chain(
+            self.layers.iter_mut().rev(),
+            dy,
+            scratch,
+            dx,
+            |layer, d, dx| layer.backward_batch_into(d, batch, dx),
+        );
     }
 
     /// Clears accumulated gradients in all layers.
@@ -352,6 +407,27 @@ impl Mlp {
     pub fn ensure_buffers(&mut self) {
         for layer in &mut self.layers {
             layer.ensure_buffers();
+        }
+    }
+}
+
+/// Threads `input` through `layers` with `step(layer, x, y)` writing each
+/// layer's output `y` from its input `x`, ping-ponging between the two
+/// caller-owned buffers so no pass allocates once they have grown; the
+/// last layer's output lands in `out`.
+fn chain<L>(
+    layers: impl Iterator<Item = L>,
+    input: &[f32],
+    scratch: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+    mut step: impl FnMut(L, &[f32], &mut Vec<f32>),
+) {
+    for (i, layer) in layers.enumerate() {
+        if i == 0 {
+            step(layer, input, out);
+        } else {
+            std::mem::swap(scratch, out);
+            step(layer, scratch, out);
         }
     }
 }
