@@ -16,9 +16,28 @@
 /// output accumulator lane per sample, sized to a 256-bit f32 vector.
 pub const BATCH_TILE: usize = 8;
 
-/// Weight/gradient rows processed per tile by [`matmul_at_b_acc`], so
-/// each streamed input row is reused across several gradient rows.
+/// Weight/gradient rows processed per register tile by
+/// [`matmul_at_b_acc`] and [`matmul_transpose`]: within one sample's live
+/// span the rows go four at a time, so one load of the input row feeds
+/// four gradient rows, and one load/store of the output row absorbs four
+/// weight rows.
 pub const ROW_TILE: usize = 4;
+
+/// Splits a `ROW_TILE × cols` block into its rows.
+fn tile_rows(block: &[f32], cols: usize) -> [&[f32]; ROW_TILE] {
+    let (r0, rest) = block.split_at(cols);
+    let (r1, rest) = rest.split_at(cols);
+    let (r2, r3) = rest.split_at(cols);
+    [r0, r1, r2, r3]
+}
+
+/// Mutable twin of [`tile_rows`].
+fn tile_rows_mut(block: &mut [f32], cols: usize) -> [&mut [f32]; ROW_TILE] {
+    let (r0, rest) = block.split_at_mut(cols);
+    let (r1, rest) = rest.split_at_mut(cols);
+    let (r2, r3) = rest.split_at_mut(cols);
+    [r0, r1, r2, r3]
+}
 
 /// The pre-tiling scalar reference kernels, retained verbatim.
 ///
@@ -322,8 +341,21 @@ pub fn matmul_transpose(
     }
     for (drow, orow) in d.chunks_exact(rows).zip(out.chunks_exact_mut(cols)) {
         let live = live_span(drow);
-        let wlive = &w[live.start * cols..live.end * cols];
-        for (wrow, &dr) in wlive.chunks_exact(cols).zip(&drow[live]) {
+        let mut wtiles = w[live.start * cols..live.end * cols].chunks_exact(ROW_TILE * cols);
+        let mut dtiles = drow[live].chunks_exact(ROW_TILE);
+        for (wtile, dt) in (&mut wtiles).zip(&mut dtiles) {
+            // Four weight rows per pass over the output row; the adds
+            // stay left-to-right, i.e. in ascending-`r` order.
+            let [w0, w1, w2, w3] = tile_rows(wtile, cols);
+            for ((((o, &a), &b), &c), &e) in orow.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
+                *o = (((*o + a * dt[0]) + b * dt[1]) + c * dt[2]) + e * dt[3];
+            }
+        }
+        for (wrow, &dr) in wtiles
+            .remainder()
+            .chunks_exact(cols)
+            .zip(dtiles.remainder())
+        {
             for (o, &wv) in orow.iter_mut().zip(wrow) {
                 *o += wv * dr;
             }
@@ -394,8 +426,20 @@ pub fn matmul_at_b_acc(
     }
     for (x, drow) in xs.chunks_exact(cols).zip(d.chunks_exact(rows)) {
         let live = live_span(drow);
-        let glive = &mut dw[live.start * cols..live.end * cols];
-        for (grow, &dr) in glive.chunks_exact_mut(cols).zip(&drow[live]) {
+        let mut gtiles = dw[live.start * cols..live.end * cols].chunks_exact_mut(ROW_TILE * cols);
+        let mut dtiles = drow[live].chunks_exact(ROW_TILE);
+        for (gtile, dt) in (&mut gtiles).zip(&mut dtiles) {
+            // One pass over the input row feeds four gradient rows.
+            let [g0, g1, g2, g3] = tile_rows_mut(gtile, cols);
+            for ((((a, b), c), e), &xv) in g0.iter_mut().zip(g1).zip(g2).zip(g3).zip(x) {
+                *a += dt[0] * xv;
+                *b += dt[1] * xv;
+                *c += dt[2] * xv;
+                *e += dt[3] * xv;
+            }
+        }
+        let grest = gtiles.into_remainder();
+        for (grow, &dr) in grest.chunks_exact_mut(cols).zip(dtiles.remainder()) {
             for (g, &xv) in grow.iter_mut().zip(x) {
                 *g += dr * xv;
             }
