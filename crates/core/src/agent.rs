@@ -310,8 +310,7 @@ impl SibylAgent {
                 learner.push(exp);
                 if due {
                     if let Some(loss) = learner.train_step() {
-                        rt.inference_net
-                            .copy_weights_from(&learner.weights_snapshot());
+                        rt.inference_net.copy_weights_from(learner.weights());
                         self.stats.train_steps = learner.train_steps;
                         self.stats.train_ns = learner.train_ns;
                         self.stats.weight_syncs += 1;

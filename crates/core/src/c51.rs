@@ -159,20 +159,19 @@ impl Categorical {
     ///
     /// Panics if `next_probs.len() != n_atoms`.
     pub fn project(&self, reward: f32, gamma: f32, next_probs: &[f32]) -> Vec<f32> {
-        let mut m = Vec::new();
-        self.project_into(reward, gamma, next_probs, &mut m);
+        let mut m = vec![0.0f32; self.n_atoms];
+        self.project_onto(reward, gamma, next_probs, &mut m);
         m
     }
 
-    /// [`Categorical::project`] refilling a caller-owned `m`.
-    fn project_into(&self, reward: f32, gamma: f32, next_probs: &[f32], m: &mut Vec<f32>) {
+    /// [`Categorical::project`] accumulating onto a caller-owned, zeroed
+    /// `m` of `n_atoms` entries.
+    fn project_onto(&self, reward: f32, gamma: f32, next_probs: &[f32], m: &mut [f32]) {
         assert_eq!(
             next_probs.len(),
             self.n_atoms,
             "next distribution length mismatch"
         );
-        m.clear();
-        m.resize(self.n_atoms, 0.0);
         for (j, &p) in next_probs.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -219,29 +218,129 @@ impl Categorical {
         sibyl_nn::loss::cross_entropy_logits(block, target)
     }
 
-    /// Batched training gradient: one pass over a replay batch producing
-    /// the full row-major `(batch × n_outputs)` `dL/dlogits` matrix in
-    /// `grads` and one cross-entropy loss per sample in `losses`.
+    /// Batched Bellman targets: appends one `n_atoms`-wide row per reward
+    /// to `targets`, row `i` being the C51 projection of
+    /// `rewards[i] + γ·z` under the greedy next-state action's
+    /// distribution from `next_logits` row `i` — the target-network half
+    /// of the per-sample pipeline, with one softmax per next-state action
+    /// block (the greedy block's probabilities are kept for the
+    /// projection instead of being recomputed).
     ///
-    /// Row `i` is the whole per-sample pipeline — greedy next action from
-    /// `next_logits` row `i`, C51 projection of `rewards[i] + γ·z`, and
-    /// [`Categorical::loss_grad`] against `logits` row `i` — fused so each
-    /// softmax is evaluated once: one per next-state action block (the
-    /// greedy block's probabilities are kept for the projection instead
-    /// of being recomputed) plus one for the taken action's block, which
-    /// feeds both the gradient `p − target` and the loss
-    /// `−Σ target·ln p`. That is `n_actions + 1` softmaxes per sample
+    /// A row depends only on its own `next_logits` row and reward, so a
+    /// caller may compute it once per distinct transition and reuse it for
+    /// as long as the target network stands still.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next_logits` does not hold one `n_outputs()`-wide row
+    /// per reward.
+    pub fn batch_targets(
+        &self,
+        next_logits: &[f32],
+        rewards: &[f32],
+        gamma: f32,
+        scratch: &mut HeadScratch,
+        targets: &mut Vec<f32>,
+    ) {
+        let width = self.n_outputs();
+        assert_eq!(
+            next_logits.len(),
+            rewards.len() * width,
+            "next-logit matrix shape mismatch"
+        );
+        let filled = targets.len();
+        targets.resize(filled + rewards.len() * self.n_atoms, 0.0);
+        let HeadScratch {
+            row: probs,
+            next_probs,
+            ..
+        } = scratch;
+        let rows = next_logits.chunks_exact(width).zip(rewards);
+        let appended = targets[filled..].chunks_exact_mut(self.n_atoms);
+        for ((next_row, &reward), target) in rows.zip(appended) {
+            // Greedy next action, first-wins on ties exactly like
+            // `sibyl_nn::argmax`; the winner's distribution stays in
+            // `next_probs`.
+            let mut best_q = 0.0f32;
+            for a in 0..self.n_actions {
+                let q = self.action_value(next_row, a, probs);
+                let incumbent_stays = a > 0 && q <= best_q;
+                if !incumbent_stays {
+                    best_q = q;
+                    std::mem::swap(probs, next_probs);
+                }
+            }
+            self.project_onto(reward, gamma, next_probs, target);
+        }
+    }
+
+    /// Batched cross-entropy against precomputed `targets` (one
+    /// `n_atoms`-wide row per sample, as [`Categorical::batch_targets`]
+    /// lays them out): fills the row-major `(batch × n_outputs)`
+    /// `dL/dlogits` matrix and one loss per sample — the
+    /// training-network half of the pipeline, [`Categorical::loss_grad`]
+    /// per row with one softmax of the taken action's block feeding both
+    /// the gradient `p − target` and the loss `−Σ target·ln p`. Every
+    /// other block is left at exactly `+0.0` — the sparsity the backward
+    /// kernels skip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts of `logits`, `actions` and `targets`
+    /// disagree, or any action is out of range.
+    pub fn batch_loss_grad(
+        &self,
+        logits: &[f32],
+        actions: &[usize],
+        targets: &[f32],
+        scratch: &mut HeadScratch,
+        grads: &mut Vec<f32>,
+        losses: &mut Vec<f32>,
+    ) {
+        let batch = actions.len();
+        let width = self.n_outputs();
+        assert_eq!(logits.len(), batch * width, "logit matrix shape mismatch");
+        assert_eq!(
+            targets.len(),
+            batch * self.n_atoms,
+            "target matrix shape mismatch"
+        );
+        grads.clear();
+        grads.resize(batch * width, 0.0);
+        losses.clear();
+        let probs = &mut scratch.row;
+        let rows = logits
+            .chunks_exact(width)
+            .zip(grads.chunks_exact_mut(width));
+        for (((row, grad_row), &action), target) in
+            rows.zip(actions).zip(targets.chunks_exact(self.n_atoms))
+        {
+            self.block_probs(row, action, probs);
+            let block = &mut grad_row[action * self.n_atoms..][..self.n_atoms];
+            let mut loss = 0.0f32;
+            for ((g, &p), &t) in block.iter_mut().zip(probs.iter()).zip(target) {
+                *g = p - t;
+                if t > 0.0 {
+                    loss -= t * p.max(1e-12).ln();
+                }
+            }
+            losses.push(loss);
+        }
+    }
+
+    /// Batched training gradient: [`Categorical::batch_targets`] from the
+    /// *target* network's `next_logits`, then
+    /// [`Categorical::batch_loss_grad`] against the *training* network's
+    /// `logits` (both row-major, `batch` rows).
+    ///
+    /// Row `i` is the whole per-sample pipeline — greedy next action,
+    /// C51 projection of `rewards[i] + γ·z`, [`Categorical::loss_grad`] —
+    /// fused so each softmax is evaluated once: `n_actions + 1` per sample
     /// where the sequential calls spend `n_actions + 3`, with every value
     /// produced by the same expression on the same inputs, so a batched
     /// backward pass fed from this matrix stays bit-exact against the
-    /// per-sample training loop. Every block other than the taken one is
-    /// left at exactly `+0.0` — the sparsity the backward kernels skip.
-    ///
-    /// `logits` are the *training* network's outputs for the sampled
-    /// observations; `next_logits` the *target* network's outputs for the
-    /// next observations (both row-major, `batch` rows). `scratch` is
-    /// per-row workspace; with `scratch`, `grads` and `losses` reused
-    /// across calls nothing is allocated after the first.
+    /// per-sample training loop. With `scratch`, `grads` and `losses`
+    /// reused across calls nothing is allocated after the first.
     ///
     /// # Panics
     ///
@@ -259,65 +358,26 @@ impl Categorical {
         grads: &mut Vec<f32>,
         losses: &mut Vec<f32>,
     ) {
-        let batch = actions.len();
-        let width = self.n_outputs();
-        assert_eq!(logits.len(), batch * width, "logit matrix shape mismatch");
-        assert_eq!(
-            next_logits.len(),
-            batch * width,
-            "next-logit matrix shape mismatch"
-        );
-        assert_eq!(rewards.len(), batch, "reward count mismatch");
-        grads.clear();
-        grads.resize(batch * width, 0.0);
-        losses.clear();
-        let HeadScratch {
-            row: probs,
-            next_probs,
-            target,
-        } = scratch;
-        for i in 0..batch {
-            let next_row = &next_logits[i * width..(i + 1) * width];
-            // Greedy next action, first-wins on ties exactly like
-            // `sibyl_nn::argmax`; the winner's distribution stays in
-            // `next_probs`.
-            let mut best_q = 0.0f32;
-            for a in 0..self.n_actions {
-                let q = self.action_value(next_row, a, probs);
-                let incumbent_stays = a > 0 && q <= best_q;
-                if !incumbent_stays {
-                    best_q = q;
-                    std::mem::swap(probs, next_probs);
-                }
-            }
-            self.project_into(rewards[i], gamma, next_probs, target);
-
-            let action = actions[i];
-            self.block_probs(&logits[i * width..(i + 1) * width], action, probs);
-            let mut loss = 0.0f32;
-            let block = &mut grads[i * width + action * self.n_atoms..][..self.n_atoms];
-            for ((g, &p), &t) in block.iter_mut().zip(probs.iter()).zip(target.iter()) {
-                *g = p - t;
-                if t > 0.0 {
-                    loss -= t * p.max(1e-12).ln();
-                }
-            }
-            losses.push(loss);
-        }
+        assert_eq!(rewards.len(), actions.len(), "reward count mismatch");
+        let mut targets = std::mem::take(&mut scratch.targets);
+        targets.clear();
+        self.batch_targets(next_logits, rewards, gamma, scratch, &mut targets);
+        self.batch_loss_grad(logits, actions, &targets, scratch, grads, losses);
+        scratch.targets = targets;
     }
 }
 
-/// Reusable per-row workspace of the batched training head
-/// ([`Categorical::batch_grad`]); contents between calls are unspecified.
+/// Reusable workspace of the batched training head; contents between
+/// calls are unspecified.
 #[derive(Debug, Clone, Default)]
 pub struct HeadScratch {
-    /// The block being soft-maxed (C51) or the per-sample gradient row
-    /// (DQN).
-    pub(crate) row: Vec<f32>,
+    /// The block being soft-maxed.
+    row: Vec<f32>,
     /// The greedy next-state action's distribution.
     next_probs: Vec<f32>,
-    /// The projected target distribution.
-    target: Vec<f32>,
+    /// The target matrix between the two halves of
+    /// [`Categorical::batch_grad`].
+    targets: Vec<f32>,
 }
 
 #[cfg(test)]

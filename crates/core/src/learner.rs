@@ -65,11 +65,14 @@ impl ValueHead {
         sibyl_nn::argmax(&self.q_values(logits)).expect("at least one action")
     }
 
-    /// Loss and output-gradient for one replayed transition.
+    /// Loss and output-gradient for one replayed transition — the
+    /// per-sample oracle [`Learner::train_step_reference`] runs and the
+    /// batched halves below are pinned against.
     ///
     /// `logits` are the training network's outputs for `obs`;
     /// `next_logits` the *target* (inference) network's outputs for
     /// `next_obs`.
+    #[cfg(test)]
     pub(crate) fn sample_grad(
         &self,
         logits: &[f32],
@@ -101,68 +104,86 @@ impl ValueHead {
         }
     }
 
-    /// Batched loss and output-gradient: fills the row-major
-    /// `(batch × n_outputs)` `dL/dlogits` matrix and one loss per sample,
-    /// with per-row arithmetic identical to [`ValueHead::sample_grad`] —
-    /// the head-side half of the batched training step's bit-identity
-    /// contract.
-    ///
-    /// `logits` are the training network's outputs for the sampled
-    /// observations, `next_logits` the target network's outputs for the
-    /// next observations (both row-major, one row per sample).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn batch_grad(
+    /// Floats per row of [`ValueHead::batch_targets`]: a projected
+    /// distribution for C51, the scalar Bellman value for DQN.
+    fn target_width(&self) -> usize {
+        match self {
+            ValueHead::C51(c) => c.n_atoms(),
+            ValueHead::Dqn { .. } => 1,
+        }
+    }
+
+    /// The target-network half of [`ValueHead::sample_grad`] for a batch:
+    /// appends one [`ValueHead::target_width`]-wide Bellman target per row
+    /// of `next_logits` to `targets`, each a function of that row and its
+    /// reward alone.
+    fn batch_targets(
+        &self,
+        next_logits: &[f32],
+        rewards: &[f32],
+        gamma: f32,
+        scratch: &mut HeadScratch,
+        targets: &mut Vec<f32>,
+    ) {
+        match self {
+            ValueHead::C51(c) => c.batch_targets(next_logits, rewards, gamma, scratch, targets),
+            ValueHead::Dqn { n_actions } => {
+                assert_eq!(
+                    next_logits.len(),
+                    rewards.len() * n_actions,
+                    "next-logit matrix shape mismatch"
+                );
+                targets.extend(next_logits.chunks_exact(*n_actions).zip(rewards).map(
+                    |(next_row, &reward)| {
+                        let max_next = next_row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                        reward + gamma * max_next
+                    },
+                ));
+            }
+        }
+    }
+
+    /// The training-network half of [`ValueHead::sample_grad`] for a
+    /// batch: fills the row-major `(batch × n_outputs)` `dL/dlogits`
+    /// matrix and one loss per sample against `targets`, with per-row
+    /// arithmetic identical to the per-sample call — the head-side half
+    /// of the batched training step's bit-identity contract.
+    fn batch_loss_grad(
         &self,
         logits: &[f32],
         actions: &[usize],
-        rewards: &[f32],
-        next_logits: &[f32],
-        gamma: f32,
+        targets: &[f32],
         scratch: &mut HeadScratch,
         grads: &mut Vec<f32>,
         losses: &mut Vec<f32>,
     ) {
         match self {
             ValueHead::C51(c) => {
-                c.batch_grad(
-                    logits,
-                    actions,
-                    rewards,
-                    next_logits,
-                    gamma,
-                    scratch,
-                    grads,
-                    losses,
-                );
+                c.batch_loss_grad(logits, actions, targets, scratch, grads, losses)
             }
             ValueHead::Dqn { n_actions } => {
                 let batch = actions.len();
-                let width = *n_actions;
-                assert_eq!(logits.len(), batch * width, "logit matrix shape mismatch");
                 assert_eq!(
-                    next_logits.len(),
-                    batch * width,
-                    "next-logit matrix shape mismatch"
+                    logits.len(),
+                    batch * n_actions,
+                    "logit matrix shape mismatch"
                 );
-                assert_eq!(rewards.len(), batch, "reward count mismatch");
+                assert_eq!(targets.len(), batch, "target count mismatch");
                 grads.clear();
+                grads.resize(batch * n_actions, 0.0);
                 losses.clear();
-                for i in 0..batch {
-                    let loss = self.sample_grad(
-                        &logits[i * width..(i + 1) * width],
-                        actions[i],
-                        rewards[i],
-                        &next_logits[i * width..(i + 1) * width],
-                        gamma,
-                        &mut scratch.row,
-                    );
-                    grads.extend_from_slice(&scratch.row);
-                    losses.push(loss);
+                for (i, (&action, &y)) in actions.iter().zip(targets).enumerate() {
+                    let err = logits[i * n_actions + action] - y;
+                    grads[i * n_actions + action] = 2.0 * err;
+                    losses.push(err * err);
                 }
             }
         }
     }
 }
+
+/// [`TrainScratch::memo_row`] of a slot the running step has not drawn.
+const UNSEEN: u32 = u32::MAX;
 
 /// The per-replay-batch buffers of [`Learner::train_step`], kept across
 /// batches and steps so a step allocates nothing once they have grown.
@@ -170,11 +191,20 @@ impl ValueHead {
 struct TrainScratch {
     indices: Vec<usize>,
     obs: Vec<f32>,
-    next_obs: Vec<f32>,
     actions: Vec<usize>,
-    rewards: Vec<f32>,
-    /// Target-network outputs for `next_obs`.
+    /// Next observations and rewards of the sampled slots whose Bellman
+    /// target is not yet in `memo` this step.
+    fresh_next_obs: Vec<f32>,
+    fresh_rewards: Vec<f32>,
+    /// Target-network outputs for `fresh_next_obs`.
     next_logits: Vec<f32>,
+    /// This step's Bellman targets, one row per distinct slot drawn so
+    /// far, in first-drawn order.
+    memo: Vec<f32>,
+    /// Per buffer slot, its row in `memo` ([`UNSEEN`] until drawn).
+    memo_row: Vec<u32>,
+    /// The batch's targets, gathered from `memo` in sample order.
+    targets: Vec<f32>,
     /// Training-network outputs for `obs`.
     logits: Vec<f32>,
     /// `dL/dlogits`, one row per sample.
@@ -302,17 +332,23 @@ impl Learner {
     /// refresh. Returns the mean loss, or `None` when the buffer is
     /// empty.
     ///
-    /// The step is batched end to end: per replay batch, sampling
-    /// borrows the selected experiences by index (no clones), target-net
-    /// inference runs through one [`Mlp::infer_batch`] pass, the head
-    /// produces the whole `dL/dlogits` matrix with one
-    /// `ValueHead::batch_grad` call, and the training network does one
-    /// [`Mlp::forward_batch`] + one [`Mlp::backward_batch`] — every
+    /// The step is batched end to end and does each piece of work once.
+    /// Per replay batch, sampling borrows the selected experiences by
+    /// index (no clones); the Bellman target of every slot the step has
+    /// not drawn before comes from one [`Mlp::infer_batch_into`] pass of
+    /// the target network plus `ValueHead::batch_targets`, and is kept
+    /// for the slot's later draws — the target network stands still for
+    /// the whole step; the training network does one
+    /// [`Mlp::forward_batch_into`], `ValueHead::batch_loss_grad` produces
+    /// the whole `dL/dlogits` matrix, and one
+    /// [`Mlp::backward_batch_into`] accumulates the gradients — every
     /// weight matrix streams once per *batch* instead of once per
-    /// *sample*. The results are bit-identical to the per-sample loop
-    /// this replaced (kept as `train_step_reference` under `cfg(test)`
-    /// and pinned by golden tests): RNG draws, per-element gradient
-    /// accumulation order, and the loss-sum order are all unchanged.
+    /// *sample*. All buffers live in the learner, so a step allocates
+    /// nothing once they have grown. The results are bit-identical to the
+    /// per-sample loop this replaced (kept as `train_step_reference`
+    /// under `cfg(test)` and pinned by golden tests): RNG draws, every
+    /// target and gradient row, per-element gradient accumulation order,
+    /// and the loss-sum order are all unchanged.
     ///
     /// Sampled transitions carrying an importance weight below 1.0
     /// ([`Learner::push_weighted`]) have their loss and output-gradient
@@ -333,32 +369,62 @@ impl Learner {
         let mut total_loss = 0.0f32;
         let mut total_samples = 0usize;
         let s = &mut self.scratch;
+        // The target network stands still for the whole step and a target
+        // is a function of one buffer slot, so each slot's target is
+        // computed the first time the step draws it and reused for every
+        // later draw: at a full 1000-entry buffer the step's 8 × 128
+        // draws hit ~640 distinct slots.
+        let tw = self.head.target_width();
+        s.memo.clear();
+        s.memo_row.clear();
+        s.memo_row.resize(self.buffer.len(), UNSEEN);
         for _ in 0..self.batches_per_step {
             self.buffer
                 .sample_indices_into(self.batch_size, &mut self.rng, &mut s.indices);
             let n = s.indices.len();
             s.obs.clear();
-            s.next_obs.clear();
             s.actions.clear();
-            s.rewards.clear();
+            s.fresh_next_obs.clear();
+            s.fresh_rewards.clear();
+            let memo_rows = s.memo.len() / tw;
             for &idx in &s.indices {
                 let exp = self.buffer.get(idx);
                 s.obs.extend_from_slice(&exp.obs);
-                s.next_obs.extend_from_slice(&exp.next_obs);
                 s.actions.push(exp.action);
-                s.rewards.push(exp.reward);
+                if s.memo_row[idx] == UNSEEN {
+                    s.memo_row[idx] = (memo_rows + s.fresh_rewards.len()) as u32;
+                    s.fresh_next_obs.extend_from_slice(&exp.next_obs);
+                    s.fresh_rewards.push(exp.reward);
+                }
             }
-            self.target_net
-                .infer_batch_into(&s.next_obs, n, &mut s.pingpong, &mut s.next_logits);
+            if !s.fresh_rewards.is_empty() {
+                self.target_net.infer_batch_into(
+                    &s.fresh_next_obs,
+                    s.fresh_rewards.len(),
+                    &mut s.pingpong,
+                    &mut s.next_logits,
+                );
+                self.head.batch_targets(
+                    &s.next_logits,
+                    &s.fresh_rewards,
+                    self.discount,
+                    &mut s.head,
+                    &mut s.memo,
+                );
+            }
+            s.targets.clear();
+            for &idx in &s.indices {
+                let row = s.memo_row[idx] as usize;
+                s.targets
+                    .extend_from_slice(&s.memo[row * tw..(row + 1) * tw]);
+            }
             self.train_net.zero_grad();
             self.train_net
                 .forward_batch_into(&s.obs, n, &mut s.pingpong, &mut s.logits);
-            self.head.batch_grad(
+            self.head.batch_loss_grad(
                 &s.logits,
                 &s.actions,
-                &s.rewards,
-                &s.next_logits,
-                self.discount,
+                &s.targets,
                 &mut s.head,
                 &mut s.grads,
                 &mut s.losses,
@@ -449,8 +515,15 @@ impl Learner {
         Some(total_loss / total_samples.max(1) as f32)
     }
 
-    /// A snapshot of the current training weights for publication to the
-    /// inference network.
+    /// The training network, for copying its current weights into an
+    /// inference network ([`Mlp::copy_weights_from`]) after a step.
+    pub fn weights(&self) -> &Mlp {
+        &self.train_net
+    }
+
+    /// An owned snapshot of the current training weights — a clone of
+    /// [`Learner::weights`], forward-pass caches included; prefer
+    /// borrowing when the destination network already exists.
     pub fn weights_snapshot(&self) -> Mlp {
         self.train_net.clone()
     }

@@ -73,7 +73,7 @@ impl BackgroundTrainer {
                                 next_train_at += train_interval;
                                 if learner.train_step().is_some() {
                                     let mut p = published_thread.lock();
-                                    p.weights.copy_weights_from(&learner.weights_snapshot());
+                                    p.weights.copy_weights_from(learner.weights());
                                     p.generation += 1;
                                     p.train_steps = learner.train_steps;
                                     p.train_ns = learner.train_ns;

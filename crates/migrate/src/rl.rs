@@ -197,7 +197,7 @@ impl MigrationPolicy for RlMigration {
             && self.stats.decisions.is_multiple_of(self.train_ticks)
             && self.learner.train_step().is_some()
         {
-            self.inference = self.learner.weights_snapshot();
+            self.inference.copy_weights_from(self.learner.weights());
             self.stats.train_steps = self.learner.train_steps();
         }
         // ε-greedy action selection.

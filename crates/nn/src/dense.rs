@@ -144,10 +144,15 @@ impl Dense {
     }
 
     /// Turns freshly computed pre-activations into activations in place
-    /// and caches `act'(z)` per element for the backward pass.
+    /// and caches `act'(z)` per element for the backward pass. A linear
+    /// layer (the C51 logit layer) has nothing to apply and a derivative
+    /// of one everywhere, so it caches nothing.
     fn activate_and_cache(&mut self, z: &mut [f32]) {
         let act = self.act;
         self.cache_dact.clear();
+        if act == Activation::Linear {
+            return;
+        }
         self.cache_dact.extend(z.iter_mut().map(|v| {
             let (y, d) = act.apply_with_derivative(*v);
             *v = y;
@@ -317,20 +322,17 @@ impl Dense {
             self.out_dim,
             "Dense::backward: delta length mismatch"
         );
-        assert!(
-            self.cache_x.len() == self.in_dim && self.cache_dact.len() == self.out_dim,
+        assert_eq!(
+            self.cache_x.len(),
+            self.in_dim,
             "Dense::backward called without a cached forward pass"
         );
-        // dz = dy ⊙ act'(z)
-        let dz: Vec<f32> = dy
-            .iter()
-            .zip(&self.cache_dact)
-            .map(|(d, a)| d * a)
-            .collect();
-        linalg::outer_acc(&mut self.dw, &dz, &self.cache_x);
-        linalg::add_assign(&mut self.db, &dz);
+        let mut dz = Vec::new();
+        let dz = pre_activation_delta(self.act, &self.cache_dact, dy, &mut dz);
+        linalg::outer_acc(&mut self.dw, dz, &self.cache_x);
+        linalg::add_assign(&mut self.db, dz);
         let mut dx = Vec::new();
-        linalg::matvec_transpose(&self.w, &dz, self.out_dim, self.in_dim, &mut dx);
+        linalg::matvec_transpose(&self.w, dz, self.out_dim, self.in_dim, &mut dx);
         dx
     }
 
@@ -363,25 +365,22 @@ impl Dense {
             batch * self.out_dim,
             "Dense::backward_batch: delta shape mismatch"
         );
-        assert!(
-            self.cache_x.len() == batch * self.in_dim && self.cache_dact.len() == dy.len(),
+        assert_eq!(
+            self.cache_x.len(),
+            batch * self.in_dim,
             "Dense::backward_batch called without a matching forward_batch"
         );
-        // dz = dy ⊙ act'(z), element-wise over the whole batch — the same
-        // product per element as the per-sample path.
-        self.dz.clear();
-        self.dz
-            .extend(dy.iter().zip(&self.cache_dact).map(|(d, a)| d * a));
+        let dz = pre_activation_delta(self.act, &self.cache_dact, dy, &mut self.dz);
         linalg::matmul_at_b_acc(
             &mut self.dw,
-            &self.dz,
+            dz,
             &self.cache_x,
             self.out_dim,
             self.in_dim,
             batch,
         );
-        linalg::col_sum_acc(&mut self.db, &self.dz, batch);
-        linalg::matmul_transpose(&self.w, &self.dz, self.out_dim, self.in_dim, batch, dx);
+        linalg::col_sum_acc(&mut self.db, dz, batch);
+        linalg::matmul_transpose(&self.w, dz, self.out_dim, self.in_dim, batch, dx);
     }
 
     /// [`Dense::backward_batch_into`] returning a fresh `dL/dx` vector.
@@ -451,6 +450,33 @@ impl Dense {
             self.db = vec![0.0; self.b.len()];
         }
     }
+}
+
+/// `dL/dz = dy ⊙ act'(z)` from the derivatives the forward pass cached,
+/// element-wise — the same product per element on the per-sample and the
+/// batched path. A linear layer's delta *is* `dy` (`d · 1.0` is `d` bit
+/// for bit), so it is passed through and `dz` stays untouched.
+///
+/// # Panics
+///
+/// Panics if a non-linear layer's cache does not match `dy`.
+fn pre_activation_delta<'a>(
+    act: Activation,
+    cache_dact: &[f32],
+    dy: &'a [f32],
+    dz: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    if act == Activation::Linear {
+        return dy;
+    }
+    assert_eq!(
+        cache_dact.len(),
+        dy.len(),
+        "Dense: backward pass without a matching forward pass"
+    );
+    dz.clear();
+    dz.extend(dy.iter().zip(cache_dact).map(|(d, a)| d * a));
+    dz
 }
 
 #[cfg(test)]
