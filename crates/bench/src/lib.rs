@@ -241,6 +241,84 @@ fn time_per_sample(batch: usize, mut step: impl FnMut()) -> f64 {
     per_sample[RUNS / 2]
 }
 
+/// One replay batch of the batched training step, in the calls
+/// `Learner::train_step` makes and over buffers reused across calls the
+/// way the learner holds them.
+struct BatchedStep<'a> {
+    head: &'a Categorical,
+    target: &'a Mlp,
+    net: Mlp,
+    gamma: f32,
+    batch: usize,
+    obs: &'a [f32],
+    next_obs: &'a [f32],
+    actions: &'a [usize],
+    rewards: &'a [f32],
+    bufs: StepBuffers,
+}
+
+#[derive(Default)]
+struct StepBuffers {
+    pingpong: Vec<f32>,
+    next_logits: Vec<f32>,
+    logits: Vec<f32>,
+    grads: Vec<f32>,
+    losses: Vec<f32>,
+    dx: Vec<f32>,
+    head: HeadScratch,
+}
+
+impl BatchedStep<'_> {
+    /// Target inference, forward, head, backward — in step order.
+    const PHASES: [fn(&mut Self); 4] = [
+        Self::target_infer,
+        Self::forward,
+        Self::head_grad,
+        Self::backward,
+    ];
+
+    fn target_infer(&mut self) {
+        let b = &mut self.bufs;
+        self.target.infer_batch_into(
+            self.next_obs,
+            self.batch,
+            &mut b.pingpong,
+            &mut b.next_logits,
+        );
+        std::hint::black_box(&b.next_logits);
+    }
+
+    fn forward(&mut self) {
+        let b = &mut self.bufs;
+        self.net
+            .forward_batch_into(self.obs, self.batch, &mut b.pingpong, &mut b.logits);
+        std::hint::black_box(&b.logits);
+    }
+
+    fn head_grad(&mut self) {
+        let b = &mut self.bufs;
+        self.head.batch_grad(
+            &b.logits,
+            self.actions,
+            self.rewards,
+            &b.next_logits,
+            self.gamma,
+            &mut b.head,
+            &mut b.grads,
+            &mut b.losses,
+        );
+        std::hint::black_box((&b.grads, &b.losses));
+    }
+
+    fn backward(&mut self) {
+        let b = &mut self.bufs;
+        self.net.zero_grad();
+        self.net
+            .backward_batch_into(&b.grads, self.batch, &mut b.pingpong, &mut b.dx);
+        std::hint::black_box(&b.dx);
+    }
+}
+
 /// Builds `sec10_overhead`'s training-step latency table: one
 /// [`TrainStepRow`] per requested replay-batch size, on the network and
 /// head [`SibylConfig::default`] serves with (6-20-30-102: two actions ×
@@ -299,58 +377,27 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
         });
 
-        // Batched path, phase by phase over one set of reused buffers
-        // (as the learner holds them), then the same four calls as one
-        // step with the optimizer.
-        let mut net = proto.clone();
+        // Batched path: each phase on its own, then the four as one step
+        // with the optimizer.
+        let mut step = BatchedStep {
+            head: &head,
+            target: &target,
+            net: proto.clone(),
+            gamma,
+            batch,
+            obs: &obs,
+            next_obs: &next_obs,
+            actions: &actions,
+            rewards: &rewards,
+            bufs: Default::default(),
+        };
+        let phases = BatchedStep::PHASES.map(|phase| time_per_sample(batch, || phase(&mut step)));
         let mut opt = Sgd::new(0.001);
-        let (mut pingpong, mut next_logits, mut logits) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut grads, mut losses, mut dx) = (Vec::new(), Vec::new(), Vec::new());
-        let mut scratch = HeadScratch::default();
-        let mut phases = [0.0; 4];
-        phases[0] = time_per_sample(batch, || {
-            target.infer_batch_into(&next_obs, batch, &mut pingpong, &mut next_logits);
-            std::hint::black_box(&next_logits);
-        });
-        phases[1] = time_per_sample(batch, || {
-            net.forward_batch_into(&obs, batch, &mut pingpong, &mut logits);
-            std::hint::black_box(&logits);
-        });
-        phases[2] = time_per_sample(batch, || {
-            head.batch_grad(
-                &logits,
-                &actions,
-                &rewards,
-                &next_logits,
-                gamma,
-                &mut scratch,
-                &mut grads,
-                &mut losses,
-            );
-            std::hint::black_box((&grads, &losses));
-        });
-        phases[3] = time_per_sample(batch, || {
-            net.zero_grad();
-            net.backward_batch_into(&grads, batch, &mut pingpong, &mut dx);
-            std::hint::black_box(&dx);
-        });
         let batched_ns = time_per_sample(batch, || {
-            target.infer_batch_into(&next_obs, batch, &mut pingpong, &mut next_logits);
-            net.zero_grad();
-            net.forward_batch_into(&obs, batch, &mut pingpong, &mut logits);
-            head.batch_grad(
-                &logits,
-                &actions,
-                &rewards,
-                &next_logits,
-                gamma,
-                &mut scratch,
-                &mut grads,
-                &mut losses,
-            );
-            net.backward_batch_into(&grads, batch, &mut pingpong, &mut dx);
-            std::hint::black_box(&dx);
-            net.apply_grads(&mut opt, 1.0 / batch as f32);
+            BatchedStep::PHASES
+                .iter()
+                .for_each(|phase| phase(&mut step));
+            step.net.apply_grads(&mut opt, 1.0 / batch as f32);
         });
 
         let modeled_step_us = 2.0 * macs * ns_per_mac / 1_000.0;

@@ -219,7 +219,7 @@ impl ExperienceBuffer {
 
     /// [`ExperienceBuffer::sample_indices`] refilling a caller-owned
     /// `out` (left empty for an empty buffer).
-    pub fn sample_indices_into<R: Rng + ?Sized>(
+    pub(crate) fn sample_indices_into<R: Rng + ?Sized>(
         &self,
         batch_size: usize,
         rng: &mut R,

@@ -114,7 +114,7 @@ impl Categorical {
     ///
     /// Panics if `logits.len() != n_outputs()` or `action` is out of
     /// range.
-    pub fn action_value(&self, logits: &[f32], action: usize, probs: &mut Vec<f32>) -> f32 {
+    fn action_value(&self, logits: &[f32], action: usize, probs: &mut Vec<f32>) -> f32 {
         self.block_probs(logits, action, probs);
         probs.iter().zip(&self.support).map(|(p, z)| p * z).sum()
     }
@@ -136,7 +136,7 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics if `logits.len() != n_outputs()`.
-    pub fn q_values_into(&self, logits: &[f32], probs: &mut Vec<f32>, q: &mut Vec<f32>) {
+    pub(crate) fn q_values_into(&self, logits: &[f32], probs: &mut Vec<f32>, q: &mut Vec<f32>) {
         q.clear();
         q.extend((0..self.n_actions).map(|a| self.action_value(logits, a, probs)));
     }

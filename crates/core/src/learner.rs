@@ -462,11 +462,15 @@ impl Learner {
         Some(total_loss / total_samples.max(1) as f32)
     }
 
-    /// The pre-refactor per-sample training step, kept verbatim as the
-    /// golden reference the batched [`Learner::train_step`] is pinned
-    /// against: one `forward`/`backward` pass per sampled transition,
-    /// experiences cloned out of the buffer. Living behind `cfg(test)`
-    /// keeps it compiled (it cannot rot) without shipping the slow path.
+    /// The per-sample training step, kept as the golden reference the
+    /// batched [`Learner::train_step`] is pinned against: per sampled
+    /// transition one target-network `infer`, one `forward`/`backward`
+    /// pass and one `ValueHead::sample_grad`, experiences cloned out of
+    /// the buffer, nothing shared between samples. Importance weights
+    /// scale a down-weighted sample's gradient and loss exactly as the
+    /// batched step does (weight 1.0 is not multiplied). Living behind
+    /// `cfg(test)` keeps it compiled (it cannot rot) without shipping the
+    /// slow path.
     #[cfg(test)]
     pub(crate) fn train_step_reference(&mut self) -> Option<f32> {
         if self.buffer.is_empty() {
@@ -475,34 +479,31 @@ impl Learner {
         let mut total_loss = 0.0f32;
         let mut total_samples = 0usize;
         let mut grad = Vec::new();
-        let mut next_obs_flat = Vec::new();
         for _ in 0..self.batches_per_step {
             // Collect owned samples so the buffer borrow ends before the
             // mutable network passes.
-            let samples: Vec<Experience> = self
+            let samples: Vec<(Experience, f32)> = self
                 .buffer
-                .sample(self.batch_size, &mut self.rng)
+                .sample_indices(self.batch_size, &mut self.rng)
                 .into_iter()
-                .cloned()
+                .map(|idx| (self.buffer.get(idx).clone(), self.buffer.weight(idx)))
                 .collect();
-            next_obs_flat.clear();
-            for exp in &samples {
-                next_obs_flat.extend_from_slice(&exp.next_obs);
-            }
-            let out_dim = self.target_net.out_dim();
-            let next_logits_all = self.target_net.infer_batch(&next_obs_flat, samples.len());
             self.train_net.zero_grad();
-            for (i, exp) in samples.iter().enumerate() {
-                let next_logits = &next_logits_all[i * out_dim..(i + 1) * out_dim];
+            for (exp, weight) in &samples {
+                let next_logits = self.target_net.infer(&exp.next_obs);
                 let logits = self.train_net.forward(&exp.obs);
-                let loss = self.head.sample_grad(
+                let mut loss = self.head.sample_grad(
                     &logits,
                     exp.action,
                     exp.reward,
-                    next_logits,
+                    &next_logits,
                     self.discount,
                     &mut grad,
                 );
+                if *weight != 1.0 {
+                    grad.iter_mut().for_each(|g| *g *= weight);
+                    loss *= weight;
+                }
                 total_loss += loss;
                 total_samples += 1;
                 self.train_net.backward(&grad);
@@ -686,6 +687,71 @@ mod tests {
                 .collect();
             assert_eq!(wa, wb, "{kind:?}: weights diverged");
         }
+    }
+
+    /// The same pin at the in-situ shape, where every fast path of the
+    /// batched step engages: three actions × 51 atoms (two dead blocks
+    /// per gradient row), replay batches of 128 from a buffer small
+    /// enough that most draws repeat a slot (the per-step target memo),
+    /// and a mix of weight-1.0 and weight-0.5 samples.
+    #[test]
+    fn in_situ_shape_trains_bit_identically_to_reference() {
+        let cfg = SibylConfig {
+            buffer_capacity: 300,
+            ..Default::default()
+        };
+        assert_eq!((cfg.n_atoms, cfg.batch_size), (51, 128));
+        let mut batched = Learner::new(&cfg, 3, 6);
+        let mut reference = Learner::new(&cfg, 3, 6);
+        reference.use_reference_train = true;
+        for i in 0..300 {
+            let e = Experience {
+                obs: (0..6).map(|k| ((i * 7 + k) % 11) as f32 * 0.09).collect(),
+                action: i % 3,
+                reward: (i % 5) as f32 * 0.6 - 0.4,
+                next_obs: (0..6).map(|k| ((i * 5 + k) % 13) as f32 * 0.07).collect(),
+            };
+            let weight = if i % 4 == 0 { 0.5 } else { 1.0 };
+            batched.push_weighted(e.clone(), weight);
+            reference.push_weighted(e, weight);
+        }
+        for step in 0..20 {
+            let a = batched.train_step().expect("buffer non-empty");
+            let b = reference.train_step().expect("buffer non-empty");
+            assert_eq!(a.to_bits(), b.to_bits(), "loss diverged at step {step}");
+        }
+        let bits = |l: &Learner| {
+            l.flat_params()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&batched), bits(&reference), "weights diverged");
+    }
+
+    /// The step's batch-sized buffers are allocated once: the same heap
+    /// blocks serve every later batch and step. (The fresh-target buffers
+    /// and the memo are sized by how many distinct slots a step happens to
+    /// draw, so they are left out; a counting allocator shows them
+    /// settling within the first few steps.)
+    #[test]
+    fn train_step_reuses_its_batch_buffers() {
+        let mut l = Learner::new(&config(), 2, 6);
+        for i in 0..64 {
+            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
+        }
+        let blocks = |l: &Learner| {
+            let s = &l.scratch;
+            [&s.obs, &s.targets, &s.logits, &s.grads, &s.losses, &s.dx]
+                .map(|v| (v.as_ptr(), v.capacity()))
+        };
+        l.train_step().expect("buffer non-empty");
+        let after_first = blocks(&l);
+        assert!(after_first.iter().all(|&(_, capacity)| capacity > 0));
+        for _ in 0..5 {
+            l.train_step().expect("buffer non-empty");
+        }
+        assert_eq!(blocks(&l), after_first);
     }
 
     /// The foreign-weight satellite's core pin: weight 1.0 is

@@ -120,6 +120,38 @@ mod tests {
         assert!((v[2] - 2.5f32.tanh()).abs() < 1e-6);
     }
 
+    /// `apply_with_derivative` is the single definition `apply` and
+    /// `derivative` project from, so pin it against the textbook
+    /// expressions written out independently — bit for bit, because the
+    /// training path's bit-identity rests on these exact operations in
+    /// this exact order.
+    #[test]
+    fn fused_pair_matches_the_written_out_formulas() {
+        for i in -80..=80 {
+            let x = i as f32 * 0.11;
+            let s = 1.0 / (1.0 + (-x).exp());
+            let t = x.tanh();
+            let expected = [
+                (Activation::Linear, x, 1.0),
+                (
+                    Activation::Relu,
+                    x.max(0.0),
+                    if x > 0.0 { 1.0 } else { 0.0 },
+                ),
+                (Activation::Swish, x * s, s + x * s * (1.0 - s)),
+                (Activation::Tanh, t, 1.0 - t * t),
+                (Activation::Sigmoid, s, s * (1.0 - s)),
+            ];
+            for (act, y, dy) in expected {
+                let (fy, fdy) = act.apply_with_derivative(x);
+                assert_eq!(fy.to_bits(), y.to_bits(), "{act:?}({x})");
+                assert_eq!(fdy.to_bits(), dy.to_bits(), "{act:?}'({x})");
+                assert_eq!(act.apply(x).to_bits(), y.to_bits());
+                assert_eq!(act.derivative(x).to_bits(), dy.to_bits());
+            }
+        }
+    }
+
     proptest! {
         /// Every activation's analytic derivative matches a central finite
         /// difference (away from the ReLU kink).

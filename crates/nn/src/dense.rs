@@ -165,16 +165,24 @@ impl Dense {
     /// twin of [`Dense::infer_batch`], just as [`Dense::forward`] is the
     /// training twin of [`Dense::infer`].
     ///
-    /// `xs` is row-major `(batch × in_dim)`; `out` is refilled row-major
+    /// `xs` is row-major `(batch × in_dim)`; the result is row-major
     /// `(batch × out_dim)`, and each output row is bit-identical to
     /// [`Dense::forward`] on the corresponding input (the batched kernel
-    /// keeps every dot product's accumulation order unchanged). Allocates
-    /// nothing once `out` and the layer's caches have reached their size.
+    /// keeps every dot product's accumulation order unchanged).
     ///
     /// # Panics
     ///
     /// Panics if `batch == 0` or `xs.len() != batch * in_dim`.
-    pub fn forward_batch_into(&mut self, xs: &[f32], batch: usize, out: &mut Vec<f32>) {
+    pub fn forward_batch(&mut self, xs: &[f32], batch: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.forward_batch_into(xs, batch, &mut out);
+        out
+    }
+
+    /// [`Dense::forward_batch`] refilling a caller-owned `out`: allocates
+    /// nothing once `out` and the layer's caches have reached their size
+    /// (what [`crate::Mlp::forward_batch_into`] chains).
+    pub(crate) fn forward_batch_into(&mut self, xs: &[f32], batch: usize, out: &mut Vec<f32>) {
         assert!(batch > 0, "Dense::forward_batch: empty batch");
         assert_eq!(
             xs.len(),
@@ -185,17 +193,6 @@ impl Dense {
         self.cache_x.extend_from_slice(xs);
         linalg::matmul_bias(&self.w, &self.b, xs, self.out_dim, self.in_dim, batch, out);
         self.activate_and_cache(out);
-    }
-
-    /// [`Dense::forward_batch_into`] returning a fresh output vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `xs.len() != batch * in_dim`.
-    pub fn forward_batch(&mut self, xs: &[f32], batch: usize) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_batch_into(xs, batch, &mut out);
-        out
     }
 
     /// Cache-free forward pass for inference. Writes activations into `out`.
@@ -338,8 +335,8 @@ impl Dense {
 
     /// Batched backward pass: given the row-major `(batch × out_dim)`
     /// upstream gradient `dy`, accumulates the whole batch's `dL/dW` and
-    /// `dL/db` into the layer's gradient buffers and refills `dx` with
-    /// the row-major `(batch × in_dim)` gradient `dL/dx`.
+    /// `dL/db` into the layer's gradient buffers and returns the
+    /// row-major `(batch × in_dim)` gradient `dL/dx`.
     ///
     /// Must be preceded by a [`Dense::forward_batch`] call with the same
     /// `batch`. The accumulation order per gradient element is kept
@@ -352,14 +349,21 @@ impl Dense {
     /// [`linalg::matmul_at_b_acc`] for why that is bit-neutral), which
     /// relies on the gradient buffers never holding `-0.0`:
     /// [`Dense::zero_grad`] writes `+0.0` and accumulation cannot produce
-    /// `-0.0` from there. Allocates nothing once `dx` and the layer's
-    /// scratch have reached their size.
+    /// `-0.0` from there.
     ///
     /// # Panics
     ///
     /// Panics if `dy.len() != batch * out_dim` or the cached forward
     /// state does not match `batch`.
-    pub fn backward_batch_into(&mut self, dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
+    pub fn backward_batch(&mut self, dy: &[f32], batch: usize) -> Vec<f32> {
+        let mut dx = Vec::new();
+        self.backward_batch_into(dy, batch, &mut dx);
+        dx
+    }
+
+    /// [`Dense::backward_batch`] refilling a caller-owned `dx`: allocates
+    /// nothing once `dx` and the layer's scratch have reached their size.
+    pub(crate) fn backward_batch_into(&mut self, dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
         assert_eq!(
             dy.len(),
             batch * self.out_dim,
@@ -381,18 +385,6 @@ impl Dense {
         );
         linalg::col_sum_acc(&mut self.db, dz, batch);
         linalg::matmul_transpose(&self.w, dz, self.out_dim, self.in_dim, batch, dx);
-    }
-
-    /// [`Dense::backward_batch_into`] returning a fresh `dL/dx` vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dy.len() != batch * out_dim` or the cached forward
-    /// state does not match `batch`.
-    pub fn backward_batch(&mut self, dy: &[f32], batch: usize) -> Vec<f32> {
-        let mut dx = Vec::new();
-        self.backward_batch_into(dy, batch, &mut dx);
-        dx
     }
 
     /// Clears accumulated gradients.

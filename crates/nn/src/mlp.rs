@@ -201,14 +201,17 @@ impl Mlp {
             batch * self.in_dim(),
             "Mlp::infer_batch_f16: input shape mismatch"
         );
-        let mut cur = xs.to_vec();
-        let mut next = Vec::new();
-        let mut scratch = Vec::new();
-        for layer in &self.layers {
-            layer.infer_batch_f16(&cur, batch, &mut scratch, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        let (mut scratch, mut out, mut decoded) = (Vec::new(), Vec::new(), Vec::new());
+        chain(
+            self.layers.iter(),
+            xs,
+            &mut scratch,
+            &mut out,
+            |layer, x, y| {
+                layer.infer_batch_f16(x, batch, &mut decoded, y);
+            },
+        );
+        out
     }
 
     /// Batched forward pass that caches every layer's inputs and

@@ -227,3 +227,170 @@ proptest! {
         }
     }
 }
+
+/// Delta matrices that exercise the backward kernels' zero-skip: the
+/// kernels stream only each delta row's live span (first to last
+/// non-zero entry), so the shapes that matter are exact zeros — of
+/// either sign — at the margins, inside the span, and across whole rows.
+#[derive(Debug, Clone, Copy)]
+enum Sparsity {
+    /// Random values with exact `+0.0` / `-0.0` entries scattered in.
+    ScatteredZeros,
+    /// Every other row entirely zero (alternating `+0.0` and `-0.0`).
+    ZeroRows,
+    /// A random live span per row, zero margins of either sign.
+    ZeroMargins,
+    /// What a C51 head emits: one live block per row, `blocks` equal
+    /// blocks wide, everything else exactly `+0.0`.
+    OneLiveBlock { blocks: usize },
+}
+
+fn sparse_deltas(
+    r: &mut rand::rngs::StdRng,
+    batch: usize,
+    rows: usize,
+    sparsity: Sparsity,
+) -> Vec<f32> {
+    let signed_zero = |r: &mut rand::rngs::StdRng| if r.gen::<bool>() { 0.0f32 } else { -0.0 };
+    let mut d = random_vec(r, batch * rows);
+    for (s, row) in d.chunks_exact_mut(rows).enumerate() {
+        match sparsity {
+            Sparsity::ScatteredZeros => {
+                for v in row.iter_mut() {
+                    if r.gen_range(0..3) == 0 {
+                        *v = signed_zero(r);
+                    }
+                }
+            }
+            Sparsity::ZeroRows => {
+                if s % 2 == 0 {
+                    row.fill(if s % 4 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+            Sparsity::ZeroMargins => {
+                let lo = r.gen_range(0..=rows);
+                let hi = r.gen_range(lo..=rows);
+                for (i, v) in row.iter_mut().enumerate() {
+                    if !(lo..hi).contains(&i) {
+                        *v = signed_zero(r);
+                    }
+                }
+            }
+            Sparsity::OneLiveBlock { blocks } => {
+                let width = rows / blocks;
+                let live = r.gen_range(0..blocks) * width;
+                for (i, v) in row.iter_mut().enumerate() {
+                    if !(live..live + width).contains(&i) {
+                        *v = 0.0;
+                    }
+                }
+            }
+        }
+    }
+    d
+}
+
+/// Both backward kernels against their scalar references on `d`; the
+/// gradient accumulates onto `prior`.
+fn backward_kernels_match_scalar(
+    r: &mut rand::rngs::StdRng,
+    d: &[f32],
+    prior: Vec<f32>,
+    (rows, cols, batch): (usize, usize, usize),
+) -> Result<(), TestCaseError> {
+    let w = random_vec(r, rows * cols);
+    let xs = random_vec(r, batch * cols);
+    let (mut tiled, mut reference) = (Vec::new(), Vec::new());
+    linalg::matmul_transpose(&w, d, rows, cols, batch, &mut tiled);
+    scalar::matmul_transpose(&w, d, rows, cols, batch, &mut reference);
+    prop_assert_eq!(bits(&tiled), bits(&reference));
+    let (mut tiled, mut reference) = (prior.clone(), prior);
+    linalg::matmul_at_b_acc(&mut tiled, d, &xs, rows, cols, batch);
+    scalar::matmul_at_b_acc(&mut reference, d, &xs, rows, cols, batch);
+    prop_assert_eq!(bits(&tiled), bits(&reference));
+    Ok(())
+}
+
+proptest! {
+    /// Zero-skipping is bit-neutral: on deltas with exact zeros of either
+    /// sign anywhere — scattered, whole rows, margins, all but one block —
+    /// both backward kernels equal the scalar references, which multiply
+    /// through every zero. The gradient starts from `+0.0` (a zeroed
+    /// buffer) or from a non-zero prior, the two states the zero-skip
+    /// contract admits.
+    #[test]
+    fn sparse_deltas_match_scalar(
+        seed in 0u64..400,
+        ri in 0usize..DIMS.len(),
+        ci in 0usize..DIMS.len(),
+        bi in 0usize..DIMS.len(),
+        kind in 0usize..5,
+        zeroed_prior in proptest::bool::ANY,
+    ) {
+        let (rows, cols, batch) = (DIMS[ri], DIMS[ci], DIMS[bi]);
+        let sparsity = match kind {
+            0 => Sparsity::ScatteredZeros,
+            1 => Sparsity::ZeroRows,
+            2 => Sparsity::ZeroMargins,
+            // A block count that does not divide `rows` leaves a zero tail.
+            k => Sparsity::OneLiveBlock { blocks: (k - 1).min(rows) },
+        };
+        let mut r = rng(seed);
+        let d = sparse_deltas(&mut r, batch, rows, sparsity);
+        let prior = if zeroed_prior {
+            vec![0.0; rows * cols]
+        } else {
+            random_vec(&mut r, rows * cols)
+        };
+        backward_kernels_match_scalar(&mut r, &d, prior, (rows, cols, batch))?;
+    }
+}
+
+/// The in-situ shapes: the last layer's deltas under a two-action and a
+/// three-action C51 head (102×30 and 153×30, one live 51-wide block per
+/// row) at the replay batch of 128.
+#[test]
+fn c51_shaped_deltas_match_scalar_at_the_in_situ_shapes() {
+    for (seed, blocks) in [(1, 2), (2, 3)] {
+        let (rows, cols, batch) = (blocks * 51, 30, 128);
+        let mut r = rng(seed);
+        let d = sparse_deltas(&mut r, batch, rows, Sparsity::OneLiveBlock { blocks });
+        let live = d.iter().filter(|v| **v != 0.0).count();
+        assert_eq!(live, batch * 51, "one live block per row");
+        backward_kernels_match_scalar(&mut r, &d, vec![0.0; rows * cols], (rows, cols, batch))
+            .expect("bit-identical");
+    }
+}
+
+/// The edge of the zero-skip contract, from the accumulator side. A
+/// gradient entry of `-0.0` is the one value a skipped `+0.0` term would
+/// have changed (`-0.0 + +0.0 = +0.0`), so on a buffer seeded with
+/// `-0.0` the tiled kernel and the multiply-through reference may
+/// disagree — but only ever in the sign of a zero, never in a value. A
+/// caller that cannot rule `-0.0` out (gradients scaled in place can
+/// underflow to it) must zero the buffer first, as `Dense::zero_grad`
+/// does; `train_batch_parity` pins that end of the contract.
+#[test]
+fn negative_zero_accumulators_can_only_differ_in_the_sign_of_zero() {
+    let (rows, cols, batch) = (6, 5, 4);
+    let mut r = rng(9);
+    let d = sparse_deltas(&mut r, batch, rows, Sparsity::OneLiveBlock { blocks: 3 });
+    let xs = random_vec(&mut r, batch * cols);
+    let mut tiled = vec![-0.0f32; rows * cols];
+    let mut reference = tiled.clone();
+    linalg::matmul_at_b_acc(&mut tiled, &d, &xs, rows, cols, batch);
+    scalar::matmul_at_b_acc(&mut reference, &d, &xs, rows, cols, batch);
+    assert_eq!(tiled, reference, "equal as numbers");
+    for (t, s) in tiled.iter().zip(&reference) {
+        assert!(
+            t.to_bits() == s.to_bits() || (*t == 0.0 && *s == 0.0),
+            "{t} vs {s}: more than a zero's sign differs"
+        );
+    }
+    // From a zeroed buffer — the state the contract requires — the same
+    // deltas accumulate bit-identically.
+    let (mut tiled, mut reference) = (vec![0.0f32; rows * cols], vec![0.0f32; rows * cols]);
+    linalg::matmul_at_b_acc(&mut tiled, &d, &xs, rows, cols, batch);
+    scalar::matmul_at_b_acc(&mut reference, &d, &xs, rows, cols, batch);
+    assert_eq!(bits(&tiled), bits(&reference));
+}

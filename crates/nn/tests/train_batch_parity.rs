@@ -155,3 +155,86 @@ proptest! {
         prop_assert_eq!(bits(&batched.flat_params()), bits(&sequential.flat_params()));
     }
 }
+
+/// The in-situ shape, deterministically: the serving network
+/// (6-20-30-102, swish hidden layers) at the replay batch of 128, fed
+/// the deltas a two-action C51 head emits — one live 51-wide block per
+/// row, the other exactly `+0.0`. This is the configuration where the
+/// forward pass's cached swish derivatives, the skipped zero block and
+/// the four-row register tiles all engage at once; one batched round
+/// must equal 128 sequential `forward` + `backward` calls bit for bit,
+/// through the reusable-buffer entry points the learner calls.
+#[test]
+fn swish_batch_128_with_c51_deltas_is_bit_identical() {
+    const BATCH: usize = 128;
+    let dims = [6, 20, 30, 102];
+    let mut r = rng(128);
+    let mut batched = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut r);
+    let mut sequential = batched.clone();
+    let xs = random_vec(&mut r, BATCH * 6);
+    let mut dys = random_vec(&mut r, BATCH * 102);
+    for (s, row) in dys.chunks_exact_mut(102).enumerate() {
+        let dead = if s % 3 == 0 { 0..51 } else { 51..102 };
+        row[dead].fill(0.0);
+    }
+
+    batched.zero_grad();
+    sequential.zero_grad();
+    let (mut scratch, mut ys, mut dxs) = (Vec::new(), Vec::new(), Vec::new());
+    // Two rounds through the same buffers: the second runs entirely on
+    // reused allocations and must still match.
+    for round in 0..2 {
+        batched.forward_batch_into(&xs, BATCH, &mut scratch, &mut ys);
+        batched.backward_batch_into(&dys, BATCH, &mut scratch, &mut dxs);
+        for s in 0..BATCH {
+            let y = sequential.forward(&xs[s * 6..(s + 1) * 6]);
+            assert_eq!(bits(&ys[s * 102..(s + 1) * 102]), bits(&y), "round {round}");
+            let dx = sequential.backward(&dys[s * 102..(s + 1) * 102]);
+            assert_eq!(bits(&dxs[s * 6..(s + 1) * 6]), bits(&dx), "round {round}");
+        }
+        for (bl, sl) in batched.layers().zip(sequential.layers()) {
+            assert_eq!(bits(bl.grads().0), bits(sl.grads().0), "round {round}");
+            assert_eq!(bits(bl.grads().1), bits(sl.grads().1), "round {round}");
+        }
+    }
+}
+
+/// The accumulator half of the kernels' zero-skip contract, held at the
+/// only place gradients are exposed for in-place rewriting: a buffer that
+/// picked up `-0.0` entries (a scaled negative gradient can underflow to
+/// it; here they are planted through `params_and_grads_mut`) is back to
+/// `+0.0` after `zero_grad`, so the next sparse batch accumulates
+/// bit-identically to the per-sample loop. If `zero_grad` ever stopped
+/// writing `+0.0` — or a caller accumulated without it — the skipped
+/// `+0.0` terms would leave `-0.0` where the reference has `+0.0`.
+#[test]
+fn zero_grad_restores_the_zero_skip_precondition() {
+    let (in_dim, out_dim, batch) = (5, 8, 6);
+    let mut r = rng(77);
+    let mut batched = Dense::new(in_dim, out_dim, Activation::Swish, &mut r);
+    let mut sequential = batched.clone();
+    let xs = random_vec(&mut r, batch * in_dim);
+    let mut dys = random_vec(&mut r, batch * out_dim);
+    for row in dys.chunks_exact_mut(out_dim) {
+        row[..out_dim / 2].fill(0.0);
+    }
+    for layer in [&mut batched, &mut sequential] {
+        let (_, dw, _, db) = layer.params_and_grads_mut();
+        dw.fill(-0.0);
+        db.fill(-0.0);
+        layer.zero_grad();
+    }
+    let _ = batched.forward_batch(&xs, batch);
+    let _ = batched.backward_batch(&dys, batch);
+    for s in 0..batch {
+        let _ = sequential.forward(&xs[s * in_dim..(s + 1) * in_dim]);
+        let _ = sequential.backward(&dys[s * out_dim..(s + 1) * out_dim]);
+    }
+    let (bdw, bdb) = batched.grads();
+    let (sdw, sdb) = sequential.grads();
+    assert_eq!(bits(bdw), bits(sdw));
+    assert_eq!(bits(bdb), bits(sdb));
+    // The top half of every delta row was zero, so those gradient rows
+    // were never touched: they must read `+0.0`, not the planted `-0.0`.
+    assert!(bdw[..out_dim / 2 * in_dim].iter().all(|g| g.to_bits() == 0));
+}
