@@ -49,7 +49,7 @@ pub struct Dense {
     /// element per training pass, not once forward and once backward.
     #[serde(skip)]
     cache_dact: Vec<f32>,
-    /// `dL/dz` scratch of the batched backward pass, reused across calls.
+    /// `dL/dz` scratch of the backward passes, reused across calls.
     #[serde(skip)]
     dz: Vec<f32>,
     /// Binary16 shadow of `w`, kept in sync by [`Dense::refresh_f16`]
@@ -324,8 +324,7 @@ impl Dense {
             self.in_dim,
             "Dense::backward called without a cached forward pass"
         );
-        let mut dz = Vec::new();
-        let dz = pre_activation_delta(self.act, &self.cache_dact, dy, &mut dz);
+        let dz = pre_activation_delta(self.act, &self.cache_dact, dy, &mut self.dz);
         linalg::outer_acc(&mut self.dw, dz, &self.cache_x);
         linalg::add_assign(&mut self.db, dz);
         let mut dx = Vec::new();
