@@ -7,7 +7,7 @@
 //! directory. This target exercises the scale path end to end: the
 //! workload is Table 5's mix2 as a seeded *infinite stream*
 //! ([`Mix::stream`]) fed straight into [`sibyl_serve::serve_stream`]'s
-//! bounded router queues, and each shard's compact page directory
+//! bounded block queues, and each shard's compact page directory
 //! (dense entry arena + open-addressing index + intrusive LRU lists)
 //! reports its exact resident bytes.
 //!
@@ -67,6 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "dir total (KiB)",
             "B/page",
             "wall (s)",
+            "host_req_per_s",
         ]
         .map(String::from)
         .to_vec(),
@@ -92,6 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.0}", dir_bytes as f64 / 1024.0),
             format!("{bytes_per_page:.1}"),
             format!("{wall:.2}"),
+            format!("{:.0}", total as f64 / wall),
         ]);
         assert_eq!(agg.total_requests, total as u64, "every request served");
         assert!(

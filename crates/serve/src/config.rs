@@ -43,11 +43,20 @@ pub struct ServeConfig {
     /// is exhausted, so batch boundaries — and therefore results — are
     /// deterministic regardless of thread scheduling.
     pub max_batch: usize,
-    /// Capacity of each shard's bounded request channel (router
-    /// backpressure). Default: 1024. Ignored under a cooperative
-    /// [`CoopConfig::mode`]: sync barriers must never backpressure the
-    /// router (a full queue behind a barrier-parked shard would deadlock
-    /// the run), so cooperative runs use unbounded queues.
+    /// Backpressure between the router and each shard, in requests.
+    /// Default: 1024. Requests cross in blocks of
+    /// `max(1, queue_capacity / 2)`: the router fills one, one may be
+    /// queued, the shard cuts its batches out of a third, so at most
+    /// `3 * max(1, queue_capacity / 2) + max_batch` requests per shard
+    /// are in flight. It never moves a batch boundary — a partial batch
+    /// is carried from one block into the next — so reports are
+    /// identical for every value; it trades memory for how often a
+    /// parked router is woken (once per block). Ignored under a
+    /// cooperative [`CoopConfig::mode`]: sync barriers must never
+    /// backpressure the router (a full queue behind a barrier-parked
+    /// shard would deadlock the run), so cooperative runs hand blocks of
+    /// the same size over unbounded queues and can buffer the whole
+    /// stream.
     pub queue_capacity: usize,
     /// Trace-replay time compression, as in the sim crate's
     /// `Experiment::with_time_scale`: every timestamp is divided by this
@@ -166,7 +175,8 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-shard request-queue capacity.
+    /// Sets the per-shard router backpressure
+    /// ([`ServeConfig::queue_capacity`]).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self

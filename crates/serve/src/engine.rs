@@ -4,8 +4,6 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, unbounded, Receiver};
-
 use sibyl_coop::{CoopConfigError, Coordinator};
 use sibyl_core::{SibylAgent, TrainingMode};
 use sibyl_hss::{AccessOutcome, StorageManager};
@@ -15,6 +13,7 @@ use sibyl_trace::{IoRequest, Trace};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport};
 
 use crate::config::ServeConfig;
+use crate::handoff::{block_queue, BlockReceiver};
 use crate::observe::ShardObserver;
 use crate::report::{CurvePoint, ServeReport, ShardReport};
 
@@ -165,12 +164,24 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// clone computes each shard's unique-page count (so fraction-mode
 /// capacities resolve against exactly the data that shard will hold,
 /// identically to the materialized path), then the *routing pass* feeds
-/// requests one at a time into the shard queues. Peak router memory is
-/// therefore bounded by the workload's footprint (the pre-pass page
-/// sets) plus the bounded queues — never by the trace length — which is
-/// what makes 10M-request runs practical: a seeded generator stream
-/// costs O(footprint) memory where a materialized `Trace` costs 24 bytes
-/// per request.
+/// the shard queues.
+///
+/// **Memory.** The pre-pass page sets cost O(footprint) and are dropped
+/// before routing. What routing buffers depends on the mode:
+///
+/// * *Independent* runs have backpressure. Requests cross to a shard in
+///   blocks of `B = max(1, queue_capacity / 2)`; the router fills one,
+///   one may be queued, the shard cuts its batches out of a third. So at
+///   most `3 * max(1, queue_capacity / 2) + max_batch` requests per shard
+///   are in flight between the router and the serve stage, and peak
+///   memory is bounded by the footprint plus that — never by the stream
+///   length, which is what makes 10M-request runs practical: a seeded
+///   generator stream costs O(footprint) where a materialized `Trace`
+///   costs 24 bytes per request.
+/// * *Cooperative* runs have none: their queues are unbounded (below),
+///   and since the router outruns a shard by well over an order of
+///   magnitude they buffer up to the **whole stream** at 24 bytes per
+///   request.
 ///
 /// The stream must be **finite** (bound an infinite generator with
 /// `.take(n)`) and `Clone` must replay the identical sequence — true for
@@ -179,14 +190,18 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 ///
 /// The caller thread acts as the router: it walks the stream in
 /// timestamp order, compresses timestamps by [`ServeConfig::time_scale`],
-/// and sends each request over a channel to the shard selected by
-/// [`shard_of`].
+/// and appends each request to the block it is filling for the shard
+/// selected by [`shard_of`]; a full block (and, at the end of the
+/// stream, each partial one) is handed to the shard whole, so a router
+/// parked on a full queue is woken once per block rather than once per
+/// batch.
 /// Each worker shard owns a private [`StorageManager`] + [`SibylAgent`]
-/// pair and repeatedly blocks until it has accumulated
-/// [`ServeConfig::max_batch`] requests (or the trace is exhausted),
-/// decides the whole batch with one [`SibylAgent::place_batch`] call —
-/// batched C51 inference — then serves the batch and feeds the outcomes
-/// back.
+/// pair and repeatedly blocks until it has cut
+/// [`ServeConfig::max_batch`] requests out of its blocks — carrying a
+/// partial batch from one block into the next — or the trace is
+/// exhausted, decides the whole batch with one
+/// [`SibylAgent::place_batch`] call — batched C51 inference — then
+/// serves the batch and feeds the outcomes back.
 ///
 /// Under a cooperative [`CoopConfig`](sibyl_coop::CoopConfig) mode, every
 /// shard additionally arrives at a [`Coordinator`] sync round after each
@@ -199,7 +214,7 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// of thread scheduling. Cooperative runs use *unbounded* shard queues:
 /// a sync barrier must never backpressure the router (a full queue
 /// behind a barrier-parked shard would deadlock the run); independent
-/// runs keep the bounded-queue backpressure exactly as before.
+/// runs keep the bounded-queue backpressure.
 ///
 /// When [`ServeConfig::migrate`] runs an active policy, every shard
 /// additionally ticks a private [`Migrator`] after each
@@ -225,7 +240,7 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 ///
 /// Because shards fill batches by blocking on their queue rather than
 /// draining opportunistically, batch boundaries are fixed chunks of each
-/// shard's request subsequence. With the default
+/// shard's request subsequence, whatever the block size. With the default
 /// [`TrainingMode::Synchronous`](sibyl_core::TrainingMode), results are
 /// therefore bit-identical across runs for a given config and trace,
 /// regardless of thread scheduling — in every cooperation mode.
@@ -279,11 +294,7 @@ where
     let mut senders = Vec::with_capacity(config.shards);
     let mut workers = Vec::with_capacity(config.shards);
     for (shard, &footprint) in footprints.iter().enumerate() {
-        let (tx, rx) = if coordinator.is_some() {
-            unbounded::<IoRequest>()
-        } else {
-            bounded::<IoRequest>(config.queue_capacity)
-        };
+        let (tx, rx) = block_queue(config.queue_capacity, coordinator.is_none());
         senders.push(tx);
         let resolved = config.hss.resolved(footprint.max(1));
         let mut sibyl = config.sibyl.clone();
@@ -327,11 +338,12 @@ where
         }
     }
 
-    // Route. Bounded channels (independent runs) give backpressure: the
-    // router stalls when a shard's queue is full instead of buffering the
-    // whole stream. A send can only fail when the receiving worker died
-    // (dropped its receiver by panicking); stop routing and surface that
-    // as an error rather than panicking the router.
+    // Route. Bounded queues (independent runs) give backpressure: the
+    // router stalls while a shard still holds its previous block instead
+    // of buffering the whole stream. A push can only fail when the
+    // receiving worker died (dropped its receiver by panicking); stop
+    // routing and surface that as an error rather than panicking the
+    // router.
     let mut dead_shard: Option<usize> = None;
     for req in stream {
         let mut routed = req;
@@ -339,10 +351,14 @@ where
             routed.timestamp_us = (req.timestamp_us as f64 / config.time_scale) as u64;
         }
         let s = shard_of(routed.lpn, config.shards);
-        if senders[s].send(routed).is_err() {
+        if senders[s].push(routed).is_err() {
             dead_shard = Some(s);
             break;
         }
+    }
+    if dead_shard.is_none() {
+        // End of stream: hand over the partial blocks.
+        dead_shard = senders.iter_mut().position(|tx| tx.flush().is_err());
     }
     drop(senders); // end-of-stream (or abort): workers drain and exit
 
@@ -381,7 +397,7 @@ where
 /// Everything one worker shard needs, moved onto its thread.
 struct ShardTask {
     shard: usize,
-    rx: Receiver<IoRequest>,
+    rx: BlockReceiver,
     resolved: sibyl_hss::HssConfig,
     sibyl: sibyl_core::SibylConfig,
     max_batch: usize,
@@ -404,21 +420,6 @@ impl Drop for LeaveGuard {
     fn drop(&mut self) {
         self.coord.leave(self.member);
     }
-}
-
-/// Fill stage: blocks until `max_batch` requests have arrived or the
-/// router hung up, so batch boundaries are fixed chunks of the shard's
-/// subsequence whatever the thread schedule. Returns `false` once the
-/// queue is closed (the batch may still hold a final partial chunk).
-fn fill(rx: &Receiver<IoRequest>, max_batch: usize, batch: &mut Vec<IoRequest>) -> bool {
-    batch.clear();
-    while batch.len() < max_batch {
-        match rx.recv() {
-            Ok(req) => batch.push(req),
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 /// One cooperative sync round: contribute what the mode shares, adopt
@@ -479,14 +480,18 @@ type Observed = (Option<ShardTelemetry>, Option<ShardXray>);
 /// [`ShardObserver`]; nothing here knows how a run is observed. The
 /// shard leaves the coordinator through a drop guard, so a panicking
 /// shard releases its peers instead of wedging the barrier.
-fn run_shard(task: ShardTask, observe: impl FnOnce() -> ShardObserver) -> (ShardReport, Observed) {
-    let mut manager = StorageManager::new(&task.resolved);
-    let mut agent = SibylAgent::new(task.sibyl);
-    let mut observer = observe();
+fn run_shard(
+    mut task: ShardTask,
+    observe: impl FnOnce() -> ShardObserver,
+) -> (ShardReport, Observed) {
+    // First, so a constructor that panics below still leaves.
     let _leave_guard = task.coop.as_ref().map(|coord| LeaveGuard {
         coord: Arc::clone(coord),
         member: task.shard,
     });
+    let mut manager = StorageManager::new(&task.resolved);
+    let mut agent = SibylAgent::new(task.sibyl);
+    let mut observer = observe();
     if let Some(coord) = &task.coop {
         if coord.config().mode.shares_experiences() {
             agent.set_experience_tap(coord.config().share_fraction);
@@ -518,7 +523,7 @@ fn run_shard(task: ShardTask, observe: impl FnOnce() -> ShardObserver) -> (Shard
     let mut curve: Vec<CurvePoint> = Vec::new();
     let mut open = true;
     while open {
-        open = fill(&task.rx, task.max_batch, &mut batch);
+        open = task.rx.fill(task.max_batch, &mut batch);
         if batch.is_empty() {
             break;
         }
@@ -627,6 +632,55 @@ fn run_shard(task: ShardTask, observe: impl FnOnce() -> ShardObserver) -> (Shard
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watchdog::within_timeout;
+    use sibyl_coop::{CoopConfig, CoopMode};
+    use sibyl_hss::{DeviceSpec, HssConfig};
+    use sibyl_telemetry::TelemetryConfig;
+    use sibyl_trace::IoOp;
+    use sibyl_xray::XrayConfig;
+
+    #[test]
+    fn a_shard_that_dies_in_its_constructors_releases_its_peers() {
+        // Two shards share a coordinator and sync after every batch. One
+        // gets a storage configuration `StorageManager::new` rejects (a
+        // capacity-limited slowest device) and panics before its loop;
+        // the other must still finish its rounds instead of parking at
+        // the first barrier forever.
+        let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
+        let coop = CoopConfig::new(CoopMode::WeightAverage).with_sync_period(1);
+        let coordinator = Coordinator::new(coop, 2);
+        let task = |shard: usize, hss: HssConfig| {
+            let (tx, rx) = block_queue(1024, false);
+            let task = ShardTask {
+                shard,
+                rx,
+                resolved: hss.resolved(1_000),
+                sibyl: sibyl_core::SibylConfig::default(),
+                max_batch: 8,
+                nn_ns_per_mac: 0.0,
+                curve_every: 0,
+                coop: Some(Arc::clone(&coordinator)),
+                migrate: MigrateConfig::default(),
+            };
+            (tx, task)
+        };
+        let (_idle, doomed) = task(0, hss.clone().with_capacity_pages(vec![10, 10]));
+        let (mut tx, healthy) = task(1, hss);
+        for i in 0..64 {
+            tx.push(IoRequest::new(i, i, 1, IoOp::Read)).unwrap();
+        }
+        tx.flush().unwrap();
+        drop(tx);
+        let off = || ShardObserver::new(&TelemetryConfig::off(), &XrayConfig::Off, 0, 0);
+        let report = within_timeout(move || {
+            let doomed = std::thread::spawn(move || run_shard(doomed, off));
+            let healthy = std::thread::spawn(move || run_shard(healthy, off));
+            assert!(doomed.join().is_err(), "the bad configuration must panic");
+            healthy.join().expect("the surviving shard must finish").0
+        });
+        assert_eq!((report.requests, report.batches), (64, 8));
+        assert_eq!(report.coop_syncs, 8);
+    }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {

@@ -8,10 +8,11 @@
 //! [`sibyl_hss::StorageManager`] and [`sibyl_core::SibylAgent`] —
 //! modeling a scale-out deployment of independent hybrid-storage nodes —
 //! and requests are routed to shards by a hash of their starting LBA's
-//! 64-page region over bounded `crossbeam` channels ([`shard_of`];
-//! requests straddling a region boundary follow their start region, see
-//! there for the modeling consequence). Each shard drains
-//! its queue in batches of up to [`ServeConfig::max_batch`] requests and
+//! 64-page region ([`shard_of`]; requests straddling a region boundary
+//! follow their start region, see there for the modeling consequence),
+//! crossing to the shard's thread in blocks sized by
+//! [`ServeConfig::queue_capacity`]. Each shard cuts its blocks into
+//! batches of up to [`ServeConfig::max_batch`] requests and
 //! decides the whole batch with **one batched C51 inference pass**
 //! (`Mlp::infer_batch`): one matrix-matrix product per layer instead
 //! of a matrix-vector product per request, bit-identical to per-request
@@ -86,8 +87,12 @@
 
 mod config;
 mod engine;
+mod handoff;
 mod observe;
 mod report;
+#[cfg(test)]
+#[path = "../tests/common/watchdog.rs"]
+mod watchdog;
 
 pub use config::ServeConfig;
 pub use engine::{serve_stream, serve_trace, shard_of, ServeError, REGION_BITS};

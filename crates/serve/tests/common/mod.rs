@@ -4,6 +4,8 @@
 //! serve-driver tests, which include this file by path) runs on.
 #![allow(dead_code)] // each test crate uses its own subset
 
+pub mod watchdog;
+
 use sibyl_core::SibylConfig;
 use sibyl_hss::{DeviceSpec, HssConfig};
 use sibyl_serve::ServeConfig;

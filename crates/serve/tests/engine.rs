@@ -5,6 +5,7 @@
 
 mod common;
 
+use common::watchdog::within_timeout;
 use common::{config, mixed_trace};
 use sibyl_serve::{
     serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeError,
@@ -195,8 +196,9 @@ fn cooperation_survives_tiny_queues_without_deadlock() {
     let cfg = config(4, 8)
         .with_queue_capacity(1)
         .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(1));
-    let report = serve_trace(&cfg, &trace).unwrap();
-    assert_eq!(report.total_requests(), trace.len() as u64);
+    let n = trace.len() as u64;
+    let report = within_timeout(move || serve_trace(&cfg, &trace)).unwrap();
+    assert_eq!(report.total_requests(), n);
 }
 
 #[test]
@@ -247,18 +249,29 @@ fn degenerate_migration_config_is_an_error_not_a_panic() {
 fn dead_shard_surfaces_as_shard_down_error() {
     // A capacity-limited slowest device makes StorageManager::new
     // panic inside every worker thread; the router must fold that
-    // into ServeError::ShardDown instead of panicking on send/join.
-    let mut cfg = config(2, 8);
-    cfg.hss = cfg.hss.with_capacity_pages(vec![10, 10]);
-    let trace = mixed_trace(200);
-    match serve_trace(&cfg, &trace) {
-        Err(ServeError::ShardDown { shard }) => {
-            assert!(shard < 2);
-            assert!(ServeError::ShardDown { shard }
-                .to_string()
-                .contains(&format!("shard {shard}")));
+    // into ServeError::ShardDown instead of panicking on send/join —
+    // also when it is blocked on a full queue at the time (8 slots
+    // against 2 400 requests), and when the queues are a cooperative
+    // run's unbounded ones.
+    let independent = CoopConfig::new(CoopMode::Independent);
+    let cooperative = CoopConfig::new(CoopMode::Both).with_sync_period(1);
+    for (capacity, n, coop) in [
+        (1024, 200, independent),
+        (8, 1_200, independent),
+        (8, 1_200, cooperative),
+    ] {
+        let mut cfg = config(2, 8).with_queue_capacity(capacity).with_coop(coop);
+        cfg.hss = cfg.hss.with_capacity_pages(vec![10, 10]);
+        let trace = mixed_trace(n);
+        match within_timeout(move || serve_trace(&cfg, &trace)) {
+            Err(ServeError::ShardDown { shard }) => {
+                assert!(shard < 2);
+                assert!(ServeError::ShardDown { shard }
+                    .to_string()
+                    .contains(&format!("shard {shard}")));
+            }
+            other => panic!("expected ShardDown, got {other:?}"),
         }
-        other => panic!("expected ShardDown, got {other:?}"),
     }
 }
 

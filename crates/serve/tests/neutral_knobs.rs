@@ -14,8 +14,8 @@ mod common;
 
 use common::{config, mixed_trace, GEOMETRIES};
 use sibyl_serve::{
-    serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, QuantMode, ServeConfig,
-    TelemetryConfig, XrayConfig,
+    serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, QuantMode,
+    ServeConfig, TelemetryConfig, XrayConfig,
 };
 
 fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 5] {
@@ -66,6 +66,36 @@ fn neutral_knobs_are_bit_identical_to_the_default_config() {
         for (knob, variant) in neutral_variants(&base) {
             let report = serve_trace(&variant, &trace).unwrap();
             assert_eq!(report, baseline, "{knob} at {shards}x{max_batch}");
+        }
+    }
+}
+
+#[test]
+fn backpressure_is_decision_neutral() {
+    // `queue_capacity` sizes the blocks requests cross to a shard in,
+    // never the batches cut from them: whatever the capacity — below
+    // `max_batch`, not a multiple of it, a single slot — every report
+    // equals the default-capacity (1024) one and every shard's batches
+    // are fixed `max_batch`-chunks of its subsequence. 773 is prime, so
+    // the single-shard runs end on a partial batch too.
+    let trace = mixed_trace(400);
+    let stream = || trace.iter().copied().take(773);
+    for shards in [1, 2, 3] {
+        for max_batch in [1, 7, 16] {
+            let base = config(shards, max_batch).with_nn_ns_per_mac(20.0);
+            let baseline = serve_stream(&base, stream()).unwrap();
+            assert_eq!(baseline.total_requests(), 773);
+            for s in &baseline.shards {
+                assert_eq!(s.batches, s.requests.div_ceil(max_batch as u64));
+            }
+            for capacity in [1, 5, 16, 1024] {
+                let report =
+                    serve_stream(&base.clone().with_queue_capacity(capacity), stream()).unwrap();
+                assert_eq!(
+                    report, baseline,
+                    "queue_capacity {capacity} at {shards}x{max_batch}"
+                );
+            }
         }
     }
 }
