@@ -943,15 +943,19 @@ mod tests {
         drop(agent);
     }
 
-    #[test]
-    fn tri_device_action_space() {
+    fn tri_manager() -> StorageManager {
         let cfg = HssConfig::tri(
             DeviceSpec::optane_ssd(),
             DeviceSpec::tlc_ssd(),
             DeviceSpec::hdd(),
         )
         .with_capacity_pages(vec![64, 128, u64::MAX]);
-        let mut mgr = StorageManager::new(&cfg);
+        StorageManager::new(&cfg)
+    }
+
+    #[test]
+    fn tri_device_action_space() {
+        let mut mgr = tri_manager();
         let mut agent = SibylAgent::new(fast_test_config());
         let reqs = hot_cold_stream(900);
         drive(&mut agent, &mut mgr, &reqs);
@@ -1380,5 +1384,100 @@ mod tests {
         let macs = agent.inference_macs().expect("runtime built");
         // 6·20 + 20·30 + 30·(2·11) = 120 + 600 + 660
         assert_eq!(macs, 1380);
+    }
+
+    /// Absolute pins. Every other test here compares one run against
+    /// another inside one commit, so a refactor that shifts both sides
+    /// passes them all; these FNV-1a digests of (action sequence, logical
+    /// stats) hold a commit to its *parent's* decisions, for an agent
+    /// driven one request at a time — in f32 through `place`, in f16
+    /// through `place_batch` of one. Both precisions match one digest:
+    /// binary16 rounding flips no argmax on this stream, as `quant_golden`
+    /// finds on the serving traces. A digest may change only with a
+    /// behaviour change that CHANGES.md explains.
+    #[test]
+    fn sequential_decisions_match_the_committed_digests() {
+        use crate::config::{AgentKind, QuantMode};
+        const DIGESTS: [(bool, AgentKind, u64); 4] = [
+            (false, AgentKind::C51, 816_240_558_327_692_238),
+            (false, AgentKind::Dqn, 2_029_255_180_635_398_911),
+            (true, AgentKind::C51, 10_537_976_496_901_355_160),
+            (true, AgentKind::Dqn, 5_746_496_225_222_248_813),
+        ];
+        let digest = |tri: bool, agent_kind: AgentKind, quant_mode: QuantMode| {
+            let mut mgr = if tri { tri_manager() } else { manager(128) };
+            let mut agent = SibylAgent::new(SibylConfig {
+                agent_kind,
+                quant_mode,
+                ..fast_test_config()
+            });
+            let mut actions = Vec::new();
+            for (seq, req) in hot_cold_stream(700).iter().enumerate() {
+                let seq = seq as u64;
+                let target = match quant_mode {
+                    QuantMode::Off => agent.place(req, &PlacementContext { manager: &mgr, seq }),
+                    QuantMode::F16 => agent.place_batch(std::slice::from_ref(req), &mgr)[0],
+                };
+                let outcome = mgr.access(req, target);
+                match quant_mode {
+                    QuantMode::Off => {
+                        agent.feedback(req, &outcome, &PlacementContext { manager: &mgr, seq })
+                    }
+                    QuantMode::F16 => agent.feedback_batch(std::slice::from_ref(&outcome)),
+                }
+                actions.push(target.0);
+            }
+            let mut stats = agent.stats().clone();
+            stats.train_ns = 0;
+            assert!(stats.train_steps >= 5 && stats.explorations > 0);
+            format!("{actions:?}|{stats:?}")
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        for (tri, kind, pinned) in DIGESTS {
+            for quant in [QuantMode::Off, QuantMode::F16] {
+                assert_eq!(
+                    digest(tri, kind, quant),
+                    pinned,
+                    "tri {tri}, {kind:?}, {quant:?}"
+                );
+            }
+        }
+    }
+
+    /// The one thing only the sequential protocol allows: a decision whose
+    /// reward never arrives is dropped when the next one is made, where an
+    /// unanswered `place_batch` is a caller bug.
+    #[test]
+    fn an_unrewarded_place_is_dropped_by_the_next_one() {
+        let mut mgr = manager(64);
+        let mut agent = SibylAgent::new(fast_test_config());
+        let reqs = hot_cold_stream(3);
+        let place = |agent: &mut SibylAgent, mgr: &StorageManager, i: usize| {
+            agent.place(
+                &reqs[i],
+                &PlacementContext {
+                    manager: mgr,
+                    seq: i as u64,
+                },
+            )
+        };
+        let _ = place(&mut agent, &mgr, 0);
+        let target = place(&mut agent, &mgr, 1);
+        assert_eq!(agent.stats().decisions, 2);
+        assert_eq!(agent.stats().experiences, 0, "decision 0 had no reward");
+        let outcome = mgr.access(&reqs[1], target);
+        agent.feedback(
+            &reqs[1],
+            &outcome,
+            &PlacementContext {
+                manager: &mgr,
+                seq: 1,
+            },
+        );
+        let _ = place(&mut agent, &mgr, 2);
+        assert_eq!(agent.stats().experiences, 1, "decision 1 closes normally");
     }
 }

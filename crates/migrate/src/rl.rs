@@ -302,9 +302,19 @@ mod tests {
                 trail.push(agent.plan(&scan(), &w, &c));
                 prev = Some(w);
             }
-            trail
+            format!("{trail:?}|{:?}", agent.stats())
         };
-        assert_eq!(run(), run(), "seeded RL migration must be deterministic");
+        let trail = run();
+        assert_eq!(trail, run(), "seeded RL migration must be deterministic");
+        // Absolute, so a refactor that shifts every run alike still fails:
+        // FNV-1a of the plan trail and counters, nine train steps in.
+        let digest = trail.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            digest, 3_388_402_632_189_236_064,
+            "plan trail drifted: {trail}"
+        );
     }
 
     #[test]
