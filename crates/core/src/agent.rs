@@ -1,14 +1,12 @@
 //! The Sibyl agent: an online reinforcement-learning placement policy.
 //!
 //! This is the paper's contribution assembled: per-request observation of
-//! the Table 1 state features, ε-greedy action selection from an
-//! inference network, reward computed from served latency and eviction
+//! the Table 1 state features, ε-greedy action selection from the
+//! inference network (one [`DecisionCore`] behind both `place` and
+//! `place_batch`), reward computed from served latency and eviction
 //! penalty (Eq. 1), experience collection into a replay buffer, periodic
-//! training of a separate training network, and training → inference
-//! weight copies every `train_interval` requests (Algorithm 1).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! training of the separate training network, and training → inference
+//! weight adoption every `train_interval` requests (Algorithm 1).
 
 use sibyl_hss::{AccessOutcome, DeviceId, PlacementContext, PlacementPolicy, StorageManager};
 use sibyl_nn::Mlp;
@@ -16,9 +14,10 @@ use sibyl_telemetry::{Log2Histogram, Registry};
 use sibyl_trace::IoRequest;
 
 use crate::buffer::Experience;
-use crate::config::{QuantMode, SibylConfig, TrainingMode};
+use crate::config::{SibylConfig, TrainingMode};
+use crate::decision::DecisionCore;
 use crate::features::StateEncoder;
-use crate::learner::{Learner, ValueHead};
+use crate::learner::Learner;
 use crate::reward::RewardShaper;
 use crate::trainer::BackgroundTrainer;
 
@@ -120,37 +119,69 @@ pub struct RlProbe {
 struct Introspection {
     registry: Registry,
     last_loss: Option<f32>,
-    last_q_spread: f64,
     last_argmax_entropy: f64,
+    /// `AgentStats::train_ns` as of the previous
+    /// [`SibylAgent::take_telemetry`], so each drain reports its own share.
+    drained_train_ns: u64,
 }
 
 /// Where training runs (resolved from [`TrainingMode`]).
 #[derive(Debug)]
 enum Engine {
-    /// Learner runs inline on the decision path.
+    /// Learner runs inline on the decision path; decisions borrow its
+    /// inference network.
     Synchronous(Box<Learner>),
-    /// Learner runs on a background thread (Fig. 7(a)).
+    /// Learner runs on a background thread (Fig. 7(a)); decisions use the
+    /// handle's adopted copy of its inference network.
     Background(BackgroundTrainer),
 }
 
-/// A decision awaiting its reward and next observation.
-#[derive(Debug, Clone)]
-struct Pending {
-    obs: Vec<f32>,
-    action: usize,
-    reward: Option<f32>,
+impl Engine {
+    /// The network decisions are taken against.
+    fn inference(&self) -> &Mlp {
+        match self {
+            Engine::Synchronous(learner) => learner.inference(),
+            Engine::Background(trainer) => &trainer.adopted,
+        }
+    }
 }
 
 /// Lazily-built runtime state (needs the storage manager's shape).
 #[derive(Debug)]
 struct Runtime {
     encoder: StateEncoder,
-    head: ValueHead,
-    inference_net: Mlp,
+    core: DecisionCore,
     engine: Engine,
     shaper: RewardShaper,
-    n_actions: usize,
-    last_generation: u64,
+}
+
+impl Runtime {
+    fn new(config: &SibylConfig, manager: &StorageManager) -> Self {
+        let n_actions = manager.num_devices();
+        let encoder = StateEncoder::new(config.feature_mask, n_actions);
+        let obs_len = encoder.observation_len();
+        let shaper = RewardShaper::new(
+            config.reward_kind,
+            config.eviction_penalty_coeff,
+            manager.device(DeviceId(0)).spec().min_read_service_us(),
+            config.clamp_eviction_reward,
+            config.v_min as f64,
+        );
+        let engine = match config.training_mode {
+            TrainingMode::Synchronous => {
+                Engine::Synchronous(Box::new(Learner::new(config, n_actions, obs_len)))
+            }
+            TrainingMode::Background => {
+                Engine::Background(BackgroundTrainer::spawn(config, n_actions, obs_len))
+            }
+        };
+        Runtime {
+            encoder,
+            core: DecisionCore::new(config, n_actions, config.seed),
+            engine,
+            shaper,
+        }
+    }
 }
 
 /// The Sibyl reinforcement-learning data-placement agent.
@@ -167,11 +198,9 @@ struct Runtime {
 pub struct SibylAgent {
     config: SibylConfig,
     runtime: Option<Runtime>,
-    pending: Option<Pending>,
-    /// Decisions of the current [`SibylAgent::place_batch`] call, awaiting
-    /// their rewards from [`SibylAgent::feedback_batch`].
-    batch: Vec<Pending>,
-    rng: StdRng,
+    /// Decisions of the current [`SibylAgent::place_batch`] call still
+    /// owed their outcomes through [`SibylAgent::feedback_batch`].
+    outstanding: usize,
     stats: AgentStats,
     pushes_seen: u64,
     next_train_at: u64,
@@ -199,7 +228,6 @@ impl SibylAgent {
     /// (see [`SibylConfig::validate`]).
     pub fn new(config: SibylConfig) -> Self {
         config.validate();
-        let rng = StdRng::seed_from_u64(config.seed);
         let next_train_at = config.train_interval;
         let introspect = config
             .telemetry
@@ -208,9 +236,7 @@ impl SibylAgent {
         SibylAgent {
             config,
             runtime: None,
-            pending: None,
-            batch: Vec::new(),
-            rng,
+            outstanding: 0,
             stats: AgentStats::default(),
             pushes_seen: 0,
             next_train_at,
@@ -235,51 +261,7 @@ impl SibylAgent {
     /// The inference network's multiply-accumulate count per decision
     /// (§10.1), available once the agent has seen its first request.
     pub fn inference_macs(&self) -> Option<usize> {
-        self.runtime.as_ref().map(|r| r.inference_net.mac_count())
-    }
-
-    fn ensure_runtime(&mut self, manager: &StorageManager) {
-        if self.runtime.is_some() {
-            return;
-        }
-        let n_actions = manager.num_devices();
-        let encoder = StateEncoder::new(self.config.feature_mask, n_actions);
-        let obs_len = encoder.observation_len();
-        let head = ValueHead::new(&self.config, n_actions);
-        let shaper = RewardShaper::new(
-            self.config.reward_kind,
-            self.config.eviction_penalty_coeff,
-            manager.device(DeviceId(0)).spec().min_read_service_us(),
-            self.config.clamp_eviction_reward,
-            self.config.v_min as f64,
-        );
-        let (engine, mut inference_net) = match self.config.training_mode {
-            TrainingMode::Synchronous => {
-                let learner = Learner::new(&self.config, n_actions, obs_len);
-                let net = learner.weights_snapshot();
-                (Engine::Synchronous(Box::new(learner)), net)
-            }
-            TrainingMode::Background => {
-                let trainer = BackgroundTrainer::spawn(&self.config, n_actions, obs_len);
-                let net = trainer.published.lock().weights.clone();
-                (Engine::Background(trainer), net)
-            }
-        };
-        if self.config.quant_mode == QuantMode::F16 {
-            // Shadow buffers stay in sync automatically: every weight
-            // adoption below goes through Mlp::copy_weights_from or
-            // Mlp::set_flat_params, both of which re-encode them.
-            inference_net.enable_f16();
-        }
-        self.runtime = Some(Runtime {
-            encoder,
-            head,
-            inference_net,
-            engine,
-            shaper,
-            n_actions,
-            last_generation: 0,
-        });
+        Some(self.runtime.as_ref()?.engine.inference().mac_count())
     }
 
     /// Pushes a finalized experience into the learner and, in synchronous
@@ -303,14 +285,13 @@ impl SibylAgent {
         if due {
             self.next_train_at += self.config.train_interval;
         }
-        // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
+        // sibyl-lint: allow(unwrap-in-lib) -- invariant: experiences come from decisions, which build the runtime
         let rt = self.runtime.as_mut().expect("runtime initialized");
         match &mut rt.engine {
             Engine::Synchronous(learner) => {
                 learner.push(exp);
                 if due {
                     if let Some(loss) = learner.train_step() {
-                        rt.inference_net.copy_weights_from(learner.weights());
                         self.stats.train_steps = learner.train_steps;
                         self.stats.train_ns = learner.train_ns;
                         self.stats.weight_syncs += 1;
@@ -327,16 +308,10 @@ impl SibylAgent {
             }
             Engine::Background(trainer) => {
                 trainer.send(exp);
-                // Adopt any newly published weights (cheap try-lock so the
-                // decision path never blocks on the trainer).
-                if let Some(p) = trainer.published.try_lock() {
-                    if p.generation > rt.last_generation {
-                        rt.inference_net.copy_weights_from(&p.weights);
-                        rt.last_generation = p.generation;
-                        self.stats.train_steps = p.train_steps;
-                        self.stats.train_ns = p.train_ns;
-                        self.stats.weight_syncs += 1;
-                    }
+                if let Some((train_steps, train_ns)) = trainer.adopt() {
+                    self.stats.train_steps = train_steps;
+                    self.stats.train_ns = train_ns;
+                    self.stats.weight_syncs += 1;
                 }
             }
         }
@@ -346,22 +321,20 @@ impl SibylAgent {
     /// amortizing NN inference across the batch: the greedy decisions run
     /// through one [`Mlp::infer_batch`] matrix-matrix pass instead of
     /// one matrix-vector pass per request. This is the decision path of
-    /// the `sibyl-serve` sharded serving engine.
+    /// the `sibyl-serve` sharded serving engine, and — as a batch of one —
+    /// of the sequential [`PlacementPolicy::place`].
     ///
     /// Observations are encoded against the manager state *before* any
     /// request of the batch is served — the staleness-for-throughput
     /// trade batched serving makes (request *k* of a batch does not see
     /// the residency/capacity effects of requests `0..k`). RNG
-    /// consumption and ε-greedy annealing match the sequential
-    /// [`PlacementPolicy::place`] path request for request, and the
-    /// batched network outputs are bit-identical to per-request
-    /// inference.
+    /// consumption and ε-greedy annealing run request for request
+    /// whatever the batch size, and the batched network outputs are
+    /// bit-identical to per-request inference.
     ///
     /// Every `place_batch` call must be paired with a
     /// [`SibylAgent::feedback_batch`] call carrying the outcomes of the
-    /// returned placements, in order. Do not interleave with the
-    /// single-request [`PlacementPolicy::place`] path while a batch is
-    /// outstanding.
+    /// returned placements, in order.
     ///
     /// # Panics
     ///
@@ -369,112 +342,45 @@ impl SibylAgent {
     /// [`SibylAgent::feedback_batch`].
     pub fn place_batch(&mut self, reqs: &[IoRequest], manager: &StorageManager) -> Vec<DeviceId> {
         assert!(
-            self.batch.is_empty(),
+            self.outstanding == 0,
             "place_batch: previous batch still awaits feedback_batch"
         );
         if reqs.is_empty() {
             return Vec::new();
         }
-        self.ensure_runtime(manager);
-        let observations: Vec<Vec<f32>> = {
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
-            let rt = self.runtime.as_ref().expect("runtime initialized");
-            reqs.iter()
-                .map(|req| rt.encoder.observe(req, manager).vector)
-                .collect()
-        };
-
-        // Finalize the decision left over from the previous batch (or from
-        // the sequential path) now that its next-state is known.
-        self.finalize_pending(&observations[0]);
-
-        let n_actions = self
+        let rt = self
             .runtime
-            .as_ref()
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
-            .expect("runtime initialized")
-            .n_actions;
-        let mut actions = vec![0usize; reqs.len()];
-        let mut greedy = Vec::with_capacity(reqs.len());
-        for (i, action) in actions.iter_mut().enumerate() {
-            let eps = self.epsilon();
-            if self.rng.gen::<f64>() < eps {
-                self.stats.explorations += 1;
-                *action = self.rng.gen_range(0..n_actions);
-            } else {
-                greedy.push(i);
-            }
-            self.stats.decisions += 1;
+            .get_or_insert_with(|| Runtime::new(&self.config, manager));
+        let obs_len = rt.encoder.observation_len();
+        let mut rows = Vec::with_capacity(reqs.len() * obs_len);
+        for req in reqs {
+            rows.extend_from_slice(&rt.encoder.observe(req, manager).vector);
         }
-        if !greedy.is_empty() {
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
-            let rt = self.runtime.as_ref().expect("runtime initialized");
-            let obs_len = observations[0].len();
-            let mut flat = Vec::with_capacity(greedy.len() * obs_len);
-            for &i in &greedy {
-                flat.extend_from_slice(&observations[i]);
-            }
-            // The only consumer of the quantized fast path: greedy batched
-            // decisions. Exploration, the sequential `place` path, and all
-            // training stay f32 regardless of the mode.
-            let logits = match self.config.quant_mode {
-                QuantMode::Off => rt.inference_net.infer_batch(&flat, greedy.len()),
-                QuantMode::F16 => rt.inference_net.infer_batch_f16(&flat, greedy.len()),
-            };
-            let out_dim = rt.inference_net.out_dim();
-            // Full-level introspection: Q-value decisiveness of the
-            // greedy rows, read off the same Q-values the argmax ranks.
-            // It consumes no RNG and changes no decision — the Off path
-            // skips it entirely.
-            let mut spread_sum = self.config.telemetry.histograms().then_some(0.0f64);
-            let (mut probs, mut q) = (Vec::new(), Vec::new());
-            for (row, &i) in logits.chunks_exact(out_dim).zip(&greedy) {
-                rt.head.q_values_into(row, &mut probs, &mut q);
-                // sibyl-lint: allow(unwrap-in-lib) -- invariant: q_values_into yields n_actions > 0 entries
-                actions[i] = sibyl_nn::argmax(&q).expect("at least one action");
-                if let Some(sum) = spread_sum.as_mut() {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut second = f64::NEG_INFINITY;
-                    for &v in &q {
-                        let v = f64::from(v);
-                        if v > best {
-                            second = best;
-                            best = v;
-                        } else if v > second {
-                            second = v;
-                        }
-                    }
-                    if second.is_finite() {
-                        *sum += best - second;
-                    }
-                }
-            }
-            if let (Some(sum), Some(intro)) = (spread_sum, self.introspect.as_deref_mut()) {
-                intro.last_q_spread = sum / greedy.len() as f64;
-            }
+        // The previous call's last decision closes on its next state —
+        // first, as the push can train the network this batch decides on.
+        if let Some(exp) = rt.core.close(&rows[..obs_len]) {
+            self.push_experience(exp);
         }
+        // sibyl-lint: allow(unwrap-in-lib) -- invariant: the runtime was built at the top of this method
+        let rt = self.runtime.as_mut().expect("runtime initialized");
+        let actions = rt.core.act(rt.engine.inference(), rows);
         if self.config.telemetry.histograms() {
             if let Some(intro) = self.introspect.as_deref_mut() {
-                intro.last_argmax_entropy = argmax_entropy(&actions, n_actions);
+                intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
             }
         }
-        self.batch = observations
-            .into_iter()
-            .zip(&actions)
-            .map(|(obs, &action)| Pending {
-                obs,
-                action,
-                reward: None,
-            })
-            .collect();
-        actions.into_iter().map(DeviceId).collect()
+        let targets = actions.iter().map(|&action| DeviceId(action)).collect();
+        self.stats.decisions = rt.core.decisions();
+        self.stats.explorations = rt.core.explorations();
+        self.outstanding = reqs.len();
+        targets
     }
 
     /// Completes the current batch: shapes one reward per outcome, chains
     /// experiences within the batch (`⟨O_i, a_i, r_i, O_{i+1}⟩`), and
-    /// leaves the batch's last decision pending until the next batch
+    /// leaves the batch's last decision open until the next batch
     /// supplies its next-state observation. Runs due training steps and
-    /// weight syncs exactly like the sequential feedback path.
+    /// weight adoptions as the experiences are pushed.
     ///
     /// # Panics
     ///
@@ -483,40 +389,19 @@ impl SibylAgent {
     pub fn feedback_batch(&mut self, outcomes: &[AccessOutcome]) {
         assert_eq!(
             outcomes.len(),
-            self.batch.len(),
+            self.outstanding,
             "feedback_batch: one outcome per batched decision required"
         );
         // An empty round (paired with an empty place_batch) is a no-op; it
-        // must not disturb the still-pending decision of a previous batch.
-        if outcomes.is_empty() || self.runtime.is_none() {
+        // must not disturb the still-open decision of a previous batch.
+        let Some(rt) = self.runtime.as_mut().filter(|_| !outcomes.is_empty()) else {
             return;
-        }
-        let rewards: Vec<f32> = {
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: runtime.is_none() returned above
-            let rt = self.runtime.as_ref().expect("runtime initialized");
-            outcomes.iter().map(|o| rt.shaper.reward(o)).collect()
         };
-        let mut batch = std::mem::take(&mut self.batch);
-        for (pending, reward) in batch.iter_mut().zip(rewards) {
-            pending.reward = Some(reward);
+        self.outstanding = 0;
+        let rewards: Vec<f32> = outcomes.iter().map(|o| rt.shaper.reward(o)).collect();
+        for exp in rt.core.settle(&rewards) {
+            self.push_experience(exp);
         }
-        let last = batch.pop();
-        for (i, pending) in batch.iter().enumerate() {
-            let next_obs = if i + 1 < batch.len() {
-                batch[i + 1].obs.clone()
-            } else {
-                // sibyl-lint: allow(unwrap-in-lib) -- invariant: batch.pop() is Some when the loop body runs
-                last.as_ref().expect("non-empty batch").obs.clone()
-            };
-            self.push_experience(Experience {
-                obs: pending.obs.clone(),
-                action: pending.action,
-                // sibyl-lint: allow(unwrap-in-lib) -- invariant: reward assigned in the zip loop above
-                reward: pending.reward.expect("reward set above"),
-                next_obs,
-            });
-        }
-        self.pending = last;
     }
 
     /// Enables (or, with `0.0`, disables) the experience tap: the given
@@ -594,9 +479,9 @@ impl SibylAgent {
         }
     }
 
-    /// Adopts externally averaged parameters: overwrites the training,
-    /// bootstrap-target, *and* inference networks, so the next decision
-    /// and the next training step both start from the adopted weights.
+    /// Adopts externally averaged parameters: overwrites the training
+    /// and inference networks, so the next decision and the next
+    /// training step both start from the adopted weights.
     /// Returns `false` (and changes nothing) before the first decision or
     /// in [`TrainingMode::Background`].
     ///
@@ -611,7 +496,6 @@ impl SibylAgent {
         match &mut rt.engine {
             Engine::Synchronous(learner) => {
                 learner.set_flat_params(params);
-                rt.inference_net.set_flat_params(params);
                 self.stats.weight_syncs += 1;
                 true
             }
@@ -633,48 +517,6 @@ impl SibylAgent {
         }
     }
 
-    /// Changes the learning rate online (synchronous mode only; the
-    /// Sibyl_Opt configuration of §8.3 uses a lower rate from the start).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        if let Some(rt) = self.runtime.as_mut() {
-            if let Engine::Synchronous(learner) = &mut rt.engine {
-                learner.set_learning_rate(lr);
-            }
-        }
-    }
-
-    /// Finalizes the previous decision — if its reward has arrived — now
-    /// that its next-state observation is known (experience =
-    /// ⟨O_t, a_t, r_t, O_{t+1}⟩, §6 footnote 6). Shared by the sequential
-    /// and batched decision paths.
-    fn finalize_pending(&mut self, next_obs: &[f32]) {
-        if let Some(prev) = self.pending.take() {
-            if let Some(reward) = prev.reward {
-                self.push_experience(Experience {
-                    obs: prev.obs,
-                    action: prev.action,
-                    reward,
-                    next_obs: next_obs.to_vec(),
-                });
-            }
-        }
-    }
-
-    /// Current ε of the linear anneal from `exploration_initial` to the
-    /// tuned final ε, driven by decisions made so far. Shared by the
-    /// sequential and batched decision paths — the batched path's
-    /// request-for-request RNG parity depends on both using the exact
-    /// same schedule.
-    fn epsilon(&self) -> f64 {
-        let progress = if self.config.exploration_decay_requests == 0 {
-            1.0
-        } else {
-            (self.stats.decisions as f64 / self.config.exploration_decay_requests as f64).min(1.0)
-        };
-        self.config.exploration_initial
-            + (self.config.exploration - self.config.exploration_initial) * progress
-    }
-
     /// Samples the RL introspection probe: exploration position, latest
     /// loss, replay-buffer occupancy and age distribution, and the
     /// decisiveness statistics of the most recent batch. Pure — consumes
@@ -691,12 +533,12 @@ impl SibylAgent {
         };
         let intro = self.introspect.as_deref();
         RlProbe {
-            epsilon: self.epsilon(),
+            epsilon: self.config.epsilon(self.stats.decisions),
             last_loss: intro.and_then(|i| i.last_loss),
             buffer_len,
             buffer_capacity: self.config.buffer_capacity,
             buffer_age,
-            q_spread: intro.map_or(0.0, |i| i.last_q_spread),
+            q_spread: self.runtime.as_ref().map_or(0.0, |rt| rt.core.q_spread()),
             argmax_entropy: intro.map_or(0.0, |i| i.last_argmax_entropy),
             train_steps: self.stats.train_steps,
         }
@@ -705,12 +547,17 @@ impl SibylAgent {
     /// Drains the agent's internal telemetry registry (the `rl.*` loss
     /// series plus the `measured.train_ns` wall-clock total), for the
     /// serving engine to fold into its shard sink at teardown. `None`
-    /// when telemetry is off. The registry restarts empty, so calling
-    /// this mid-run partitions the series rather than duplicating it.
+    /// when telemetry is off. The registry restarts empty and the
+    /// training time counts from the previous call, so calling this
+    /// mid-run partitions both rather than duplicating them.
     pub fn take_telemetry(&mut self) -> Option<Registry> {
         let intro = self.introspect.as_deref_mut()?;
         let mut registry = std::mem::take(&mut intro.registry);
-        registry.counter_add("measured.train_ns", self.stats.train_ns);
+        registry.counter_add(
+            "measured.train_ns",
+            self.stats.train_ns - intro.drained_train_ns,
+        );
+        intro.drained_train_ns = self.stats.train_ns;
         Some(registry)
     }
 }
@@ -743,46 +590,16 @@ impl PlacementPolicy for SibylAgent {
     }
 
     fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        assert!(
-            self.batch.is_empty(),
-            "place: a place_batch call still awaits feedback_batch"
-        );
-        self.ensure_runtime(ctx.manager);
-        let obs = {
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
-            let rt = self.runtime.as_ref().expect("runtime initialized");
-            rt.encoder.observe(req, ctx.manager)
-        };
-
-        // Finalize the previous decision now that its next-state is known.
-        self.finalize_pending(&obs.vector);
-
-        let eps = self.epsilon();
-        // sibyl-lint: allow(unwrap-in-lib) -- invariant: ensure_runtime ran at the top of this method
-        let rt = self.runtime.as_mut().expect("runtime initialized");
-        let explore = self.rng.gen::<f64>() < eps;
-        let action = if explore {
-            self.stats.explorations += 1;
-            self.rng.gen_range(0..rt.n_actions)
-        } else {
-            let logits = rt.inference_net.infer(&obs.vector);
-            rt.head.best_action(&logits)
-        };
-        self.stats.decisions += 1;
-        self.pending = Some(Pending {
-            obs: obs.vector,
-            action,
-            reward: None,
-        });
-        DeviceId(action)
+        let target = self.place_batch(std::slice::from_ref(req), ctx.manager)[0];
+        // A lone decision is owed nothing: its reward arrives through
+        // `feedback`, and if none does the next decision drops it.
+        self.outstanding = 0;
+        target
     }
 
     fn feedback(&mut self, _req: &IoRequest, outcome: &AccessOutcome, _ctx: &PlacementContext<'_>) {
-        let Some(rt) = self.runtime.as_ref() else {
-            return;
-        };
-        if let Some(pending) = self.pending.as_mut() {
-            pending.reward = Some(rt.shaper.reward(outcome));
+        if let Some(rt) = self.runtime.as_mut() {
+            rt.core.set_reward(Some(rt.shaper.reward(outcome)));
         }
     }
 }
@@ -814,7 +631,8 @@ mod tests {
         }
     }
 
-    /// Drives the agent through a request stream against a real manager.
+    /// Drives the agent through a request stream against a real manager,
+    /// one `place`/`feedback` pair per request.
     fn drive(agent: &mut SibylAgent, mgr: &mut StorageManager, reqs: &[IoRequest]) {
         for (i, req) in reqs.iter().enumerate() {
             let target = {
@@ -846,16 +664,35 @@ mod tests {
             .collect()
     }
 
+    /// Every way of driving the agent: `place`/`feedback` per request,
+    /// and `place_batch`/`feedback_batch` at sizes that do and do not
+    /// divide the stream.
+    const DRIVES: [Option<usize>; 5] = [None, Some(1), Some(7), Some(16), Some(32)];
+
+    fn drive_by(
+        batch: Option<usize>,
+        agent: &mut SibylAgent,
+        mgr: &mut StorageManager,
+        reqs: &[IoRequest],
+    ) {
+        match batch {
+            None => drive(agent, mgr, reqs),
+            Some(batch) => drive_batched(agent, mgr, reqs, batch),
+        }
+    }
+
     #[test]
     fn agent_runs_and_collects_experiences() {
-        let mut mgr = manager(512);
-        let mut agent = SibylAgent::new(fast_test_config());
-        drive(&mut agent, &mut mgr, &hot_cold_stream(600));
-        let st = agent.stats();
-        assert_eq!(st.decisions, 600);
-        assert!(st.experiences >= 590, "experiences: {}", st.experiences);
-        assert!(st.train_steps >= 3, "train steps: {}", st.train_steps);
-        assert!(st.weight_syncs >= 3);
+        for batch in DRIVES {
+            let mut mgr = manager(512);
+            let mut agent = SibylAgent::new(fast_test_config());
+            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(600));
+            let st = agent.stats();
+            assert_eq!(st.decisions, 600, "{batch:?}");
+            assert!(st.experiences >= 590, "{batch:?}: {}", st.experiences);
+            assert!(st.train_steps >= 3, "{batch:?}: {}", st.train_steps);
+            assert!(st.weight_syncs >= 3, "{batch:?}");
+        }
     }
 
     #[test]
@@ -897,37 +734,43 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let run = || {
+        let run = |batch| {
             let mut mgr = manager(256);
             let mut agent = SibylAgent::new(fast_test_config());
-            drive(&mut agent, &mut mgr, &hot_cold_stream(500));
-            mgr.stats().avg_latency_us()
+            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(500));
+            (mgr.stats().avg_latency_us(), agent.stats().clone())
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "synchronous agent must be deterministic");
+        for batch in DRIVES {
+            assert_eq!(
+                run(batch),
+                run(batch),
+                "{batch:?}: synchronous agent must be deterministic"
+            );
+        }
+        // No observation is stale in a batch of one.
+        assert_eq!(run(None), run(Some(1)), "place is place_batch of one");
     }
 
     #[test]
     fn learns_to_keep_hot_pages_fast() {
         // A tiny fast device that fits the hot set but not the cold
-        // stream: after training, the agent should place hot writes fast
-        // much more often than cold streams.
-        let mut mgr = manager(64);
-        let mut agent = SibylAgent::new(fast_test_config());
-        drive(&mut agent, &mut mgr, &hot_cold_stream(4_000));
-        // Compare against Slow-Only on the same workload.
+        // stream: after training, the agent should beat Slow-Only on the
+        // same workload.
         let mut slow_mgr = manager(64);
-        for (i, req) in hot_cold_stream(4_000).iter().enumerate() {
-            let _ = i;
+        for req in hot_cold_stream(4_000).iter() {
             let _ = slow_mgr.access(req, DeviceId(1));
         }
-        let sibyl_lat = mgr.stats().avg_latency_us();
         let slow_lat = slow_mgr.stats().avg_latency_us();
-        assert!(
-            sibyl_lat < slow_lat,
-            "Sibyl ({sibyl_lat:.0} µs) should beat Slow-Only ({slow_lat:.0} µs)"
-        );
+        for batch in DRIVES {
+            let mut mgr = manager(64);
+            let mut agent = SibylAgent::new(fast_test_config());
+            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(4_000));
+            let sibyl_lat = mgr.stats().avg_latency_us();
+            assert!(
+                sibyl_lat < slow_lat,
+                "{batch:?}: Sibyl ({sibyl_lat:.0} µs) should beat Slow-Only ({slow_lat:.0} µs)"
+            );
+        }
     }
 
     #[test]
@@ -984,45 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_drive_collects_experiences_and_trains() {
-        let mut mgr = manager(512);
-        let mut agent = SibylAgent::new(fast_test_config());
-        drive_batched(&mut agent, &mut mgr, &hot_cold_stream(600), 32);
-        let st = agent.stats();
-        assert_eq!(st.decisions, 600);
-        assert!(st.experiences >= 590, "experiences: {}", st.experiences);
-        assert!(st.train_steps >= 3, "train steps: {}", st.train_steps);
-    }
-
-    #[test]
-    fn batched_drive_is_deterministic() {
-        let run = || {
-            let mut mgr = manager(256);
-            let mut agent = SibylAgent::new(fast_test_config());
-            drive_batched(&mut agent, &mut mgr, &hot_cold_stream(500), 16);
-            mgr.stats().avg_latency_us()
-        };
-        assert_eq!(run(), run(), "batched agent must be deterministic");
-    }
-
-    #[test]
-    fn batched_drive_learns_to_keep_hot_pages_fast() {
-        let mut mgr = manager(64);
-        let mut agent = SibylAgent::new(fast_test_config());
-        drive_batched(&mut agent, &mut mgr, &hot_cold_stream(4_000), 32);
-        let mut slow_mgr = manager(64);
-        for req in hot_cold_stream(4_000).iter() {
-            let _ = slow_mgr.access(req, DeviceId(1));
-        }
-        let sibyl_lat = mgr.stats().avg_latency_us();
-        let slow_lat = slow_mgr.stats().avg_latency_us();
-        assert!(
-            sibyl_lat < slow_lat,
-            "batched Sibyl ({sibyl_lat:.0} µs) should beat Slow-Only ({slow_lat:.0} µs)"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "one outcome per batched decision")]
     fn feedback_batch_rejects_mismatched_outcomes() {
         let mut mgr = manager(64);
@@ -1057,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a place_batch call still awaits")]
+    #[should_panic(expected = "still awaits feedback_batch")]
     fn sequential_place_rejects_outstanding_batch() {
         let mgr = manager(64);
         let mut agent = SibylAgent::new(fast_test_config());
@@ -1360,6 +1164,24 @@ mod tests {
         let loss_series = registry.series("rl.train_loss").expect("loss series");
         assert_eq!(loss_series.len(), probe.train_steps as usize);
         assert!(registry.counter("measured.train_ns") > 0);
+    }
+
+    #[test]
+    fn two_telemetry_drains_partition_what_one_would_report() {
+        let mut mgr = manager(256);
+        let mut cfg = fast_test_config();
+        cfg.telemetry = sibyl_telemetry::TelemetryConfig::full();
+        let mut agent = SibylAgent::new(cfg);
+        let mut drained = (0, 0);
+        for _ in 0..2 {
+            drive(&mut agent, &mut mgr, &hot_cold_stream(300));
+            let registry = agent.take_telemetry().expect("telemetry is on");
+            assert!(registry.counter("measured.train_ns") > 0);
+            drained.0 += registry.counter("measured.train_ns");
+            drained.1 += registry.series("rl.train_loss").map_or(0, <[_]>::len);
+        }
+        let stats = agent.stats();
+        assert_eq!(drained, (stats.train_ns, stats.train_steps as usize));
     }
 
     #[test]

@@ -77,8 +77,9 @@ pub enum RewardKind {
 /// this knob makes that storage real on the hot path. Training always
 /// stays f32 and bit-pinned — quantization only ever touches the
 /// inference network's *weight storage* (compute remains f32 on decoded
-/// values), and only the batched [`place_batch`] path reads it; the
-/// sequential [`place`] path and all learner state are untouched.
+/// values), and only greedy decisions read it ([`place_batch`], and
+/// [`place`] as its batch of one); exploration and all training are
+/// untouched.
 ///
 /// [`place_batch`]: crate::SibylAgent::place_batch
 /// [`place`]: sibyl_hss::PlacementPolicy::place
@@ -88,8 +89,8 @@ pub enum QuantMode {
     /// behavior (the default).
     #[default]
     Off,
-    /// Binary16 weight storage for the inference network: `place_batch`
-    /// decodes f16 shadow weights per batch and computes in f32. The
+    /// Binary16 weight storage for the inference network: a decision
+    /// pass decodes f16 shadow weights per batch and computes in f32. The
     /// serving golden test pins that this changes zero placement
     /// decisions on the reference trace.
     F16,
@@ -217,6 +218,17 @@ impl SibylConfig {
             learning_rate: 1e-5,
             ..Default::default()
         }
+    }
+
+    /// ε after `decisions` decisions — the linear anneal the exploration
+    /// fields describe, and the one schedule either agent decides against.
+    pub fn epsilon(&self, decisions: u64) -> f64 {
+        let progress = if self.exploration_decay_requests == 0 {
+            1.0
+        } else {
+            (decisions as f64 / self.exploration_decay_requests as f64).min(1.0)
+        };
+        self.exploration_initial + (self.exploration - self.exploration_initial) * progress
     }
 
     /// Validates ranges.

@@ -1,6 +1,7 @@
 //! The training-side machinery shared by synchronous and background
-//! modes: value head (C51 or plain DQN), training network, target
-//! network, and the batched update step of Algorithm 1 (lines 16–19).
+//! modes: value head (C51 or plain DQN), the paper's two networks —
+//! training and inference, the latter doubling as the bootstrap target
+//! (§6.2) — and the batched update step of Algorithm 1 (lines 16–19).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,7 +10,7 @@ use sibyl_nn::{Activation, Adam, Mlp, Optimizer, Sgd};
 
 use crate::buffer::{Experience, ExperienceBuffer};
 use crate::c51::{Categorical, HeadScratch};
-use crate::config::{AgentKind, OptimizerKind, SibylConfig};
+use crate::config::{AgentKind, OptimizerKind, QuantMode, SibylConfig};
 
 /// The value-learning head: distributional (C51) or expectation (DQN).
 #[derive(Debug, Clone)]
@@ -50,19 +51,6 @@ impl ValueHead {
                 q.extend_from_slice(logits);
             }
         }
-    }
-
-    /// Per-action Q-values from raw network outputs.
-    pub(crate) fn q_values(&self, logits: &[f32]) -> Vec<f32> {
-        let (mut probs, mut q) = (Vec::new(), Vec::new());
-        self.q_values_into(logits, &mut probs, &mut q);
-        q
-    }
-
-    /// Greedy action.
-    pub(crate) fn best_action(&self, logits: &[f32]) -> usize {
-        // sibyl-lint: allow(unwrap-in-lib) -- invariant: q_values always returns n_actions > 0 entries
-        sibyl_nn::argmax(&self.q_values(logits)).expect("at least one action")
     }
 
     /// Loss and output-gradient for one replayed transition — the
@@ -217,8 +205,8 @@ struct TrainScratch {
     head: HeadScratch,
 }
 
-/// Owns the training network, the bootstrap target network, the replay
-/// buffer, and the optimizer; executes training steps.
+/// Owns the training network, the inference network, the replay buffer,
+/// and the optimizer; executes training steps.
 ///
 /// This is the reusable half of the agent: [`SibylAgent`](crate::SibylAgent)
 /// wraps it for data placement, and `sibyl-migrate`'s second RL agent
@@ -230,9 +218,9 @@ struct TrainScratch {
 pub struct Learner {
     head: ValueHead,
     train_net: Mlp,
-    /// Bootstrap target — kept in lockstep with the published inference
-    /// weights (the paper's inference network doubles as the stable
-    /// target between syncs).
+    /// The inference network, which is also the bootstrap target: it
+    /// stands still between training steps and adopts the training
+    /// weights at the end of each (§6.2; Algorithm 1 line 19).
     target_net: Mlp,
     opt: Box<dyn Optimizer + Send>,
     pub(crate) buffer: ExperienceBuffer,
@@ -275,6 +263,10 @@ impl Learner {
         let train_net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
         let mut target_net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
         target_net.copy_weights_from(&train_net);
+        if config.quant_mode == QuantMode::F16 {
+            // Every later adoption re-encodes the shadows on its own.
+            target_net.enable_f16();
+        }
         let opt: Box<dyn Optimizer + Send> = match config.optimizer {
             OptimizerKind::Adam => Box::new(Adam::new(config.learning_rate)),
             OptimizerKind::Sgd => Box::new(Sgd::new(config.learning_rate)),
@@ -295,11 +287,6 @@ impl Learner {
             #[cfg(test)]
             use_reference_train: false,
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn head(&self) -> &ValueHead {
-        &self.head
     }
 
     /// Stores one transition.
@@ -453,8 +440,7 @@ impl Learner {
                 .backward_batch_into(&s.grads, n, &mut s.pingpong, &mut s.dx);
             self.train_net.apply_grads(&mut *self.opt, 1.0 / n as f32);
         }
-        // Refresh the bootstrap target to the just-trained weights; the
-        // agent copies the same weights into its inference network
+        // The inference network adopts the just-trained weights
         // (Algorithm 1 line 19).
         self.target_net.copy_weights_from(&self.train_net);
         self.train_steps += 1;
@@ -516,15 +502,16 @@ impl Learner {
         Some(total_loss / total_samples.max(1) as f32)
     }
 
-    /// The training network, for copying its current weights into an
-    /// inference network ([`Mlp::copy_weights_from`]) after a step.
-    pub fn weights(&self) -> &Mlp {
-        &self.train_net
+    /// The inference network a [`DecisionCore`](crate::DecisionCore)
+    /// decides against: refreshed by every [`Learner::train_step`] and
+    /// [`Learner::set_flat_params`], f16-shadowed under [`QuantMode::F16`].
+    pub fn inference(&self) -> &Mlp {
+        &self.target_net
     }
 
     /// An owned snapshot of the current training weights — a clone of
-    /// [`Learner::weights`], forward-pass caches included; prefer
-    /// borrowing when the destination network already exists.
+    /// the training network, forward-pass caches included; decide against
+    /// the borrowed [`Learner::inference`] instead where that serves.
     pub fn weights_snapshot(&self) -> Mlp {
         self.train_net.clone()
     }
@@ -535,10 +522,11 @@ impl Learner {
         self.train_net.flat_params()
     }
 
-    /// Overwrites the training network *and* the bootstrap target with
-    /// `params`, so the next training step bootstraps from the adopted
-    /// (e.g. federated-averaged) weights rather than chasing stale ones.
-    /// Optimizer state (Adam moments) is kept.
+    /// Overwrites the training network *and* the inference network with
+    /// `params`, so the next decision and the next training step's
+    /// bootstrap both start from the adopted (e.g. federated-averaged)
+    /// weights rather than chasing stale ones. Optimizer state (Adam
+    /// moments) is kept.
     ///
     /// # Panics
     ///
@@ -547,11 +535,6 @@ impl Learner {
     pub fn set_flat_params(&mut self, params: &[f32]) {
         self.train_net.set_flat_params(params);
         self.target_net.set_flat_params(params);
-    }
-
-    /// Changes the learning rate online (Sibyl_Opt retuning, §8.3).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.opt.set_learning_rate(lr);
     }
 }
 
@@ -577,6 +560,14 @@ mod tests {
             reward,
             next_obs: vec![obs; 6],
         }
+    }
+
+    /// Q-values the learner's inference network assigns to `obs`.
+    fn q_values(l: &Learner, obs: &[f32]) -> Vec<f32> {
+        let (mut probs, mut q) = (Vec::new(), Vec::new());
+        l.head
+            .q_values_into(&l.inference().infer(obs), &mut probs, &mut q);
+        q
     }
 
     #[test]
@@ -618,8 +609,7 @@ mod tests {
         for _ in 0..200 {
             l.train_step().expect("buffer non-empty");
         }
-        let logits = l.weights_snapshot().infer(&[0.5; 6]);
-        let q = l.head().q_values(&logits);
+        let q = q_values(&l, &[0.5; 6]);
         assert!(q[1] > q[0] + 0.3, "Q should prefer rewarded action: {q:?}");
     }
 
@@ -638,8 +628,7 @@ mod tests {
         for _ in 0..80 {
             l.train_step();
         }
-        let logits = l.weights_snapshot().infer(&[0.5; 6]);
-        let q = l.head().q_values(&logits);
+        let q = q_values(&l, &[0.5; 6]);
         assert!(q[1] > q[0], "DQN should prefer rewarded action: {q:?}");
     }
 

@@ -18,9 +18,14 @@
 //!   over a 6-20-30-|A| swish network, trained from a 1000-entry
 //!   deduplicated [`ExperienceBuffer`] — 8 batches of 128 every 1000
 //!   requests, with training→inference weight copies (Algorithm 1).
+//! - **Two networks, one loop** (§6.2): a [`Learner`] holds the training
+//!   network and the inference network, which doubles as the bootstrap
+//!   target; `place`, `place_batch` and `sibyl-migrate`'s tick agent all
+//!   decide through one [`DecisionCore`] ε-greedy pass against it.
 //! - **Two-thread design** ([`SibylAgent`] with
 //!   [`TrainingMode::Background`]): training runs on a background thread
-//!   and never blocks placement decisions (Fig. 7(a)).
+//!   and never blocks placement decisions (Fig. 7(a)); only there does
+//!   the decision side hold a copy of the inference network.
 //!
 //! [`SibylAgent`] implements [`sibyl_hss::PlacementPolicy`], so it drops
 //! into the same driver loop as every baseline.
@@ -55,6 +60,7 @@ mod agent;
 mod buffer;
 mod c51;
 mod config;
+mod decision;
 pub mod features;
 mod learner;
 pub mod overhead;
@@ -65,6 +71,7 @@ pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
 pub use c51::{Categorical, HeadScratch};
 pub use config::{AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, TrainingMode};
+pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};
 pub use learner::Learner;
 pub use overhead::OverheadReport;

@@ -3,10 +3,11 @@
 //!
 //! The *RL decision thread* (the agent inside the storage manager's
 //! request path) sends experiences over a channel 7 and keeps serving
-//! placements from its inference network 2 . The *RL training thread*
-//! consumes experiences 8 , runs training steps 9 , and publishes the
-//! updated weights, which the decision thread copies into the inference
-//! network 10 — so training never blocks decision-making.
+//! placements from its adopted copy of the inference network 2 . The
+//! *RL training thread* consumes experiences 8 , runs training steps 9 ,
+//! and publishes its learner's inference network, which the decision
+//! thread copies into its own 10 — so training never blocks
+//! decision-making.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,7 +39,11 @@ pub(crate) struct Published {
 #[derive(Debug)]
 pub(crate) struct BackgroundTrainer {
     tx: Option<Sender<Experience>>,
-    pub(crate) published: Arc<Mutex<Published>>,
+    published: Arc<Mutex<Published>>,
+    /// The decision side's copy of the inference network (the learner is
+    /// out of its reach), as of the published `generation` last adopted.
+    pub(crate) adopted: Mlp,
+    generation: u64,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
@@ -47,9 +52,10 @@ impl BackgroundTrainer {
     /// Spawns the training thread.
     pub(crate) fn spawn(config: &SibylConfig, n_actions: usize, obs_len: usize) -> Self {
         let mut learner = Learner::new(config, n_actions, obs_len);
+        let adopted = learner.inference().clone();
         let published = Arc::new(Mutex::new(Published {
             generation: 0,
-            weights: learner.weights_snapshot(),
+            weights: adopted.clone(),
             train_steps: 0,
             train_ns: 0,
         }));
@@ -73,7 +79,7 @@ impl BackgroundTrainer {
                                 next_train_at += train_interval;
                                 if learner.train_step().is_some() {
                                     let mut p = published_thread.lock();
-                                    p.weights.copy_weights_from(learner.weights());
+                                    p.weights.copy_weights_from(learner.inference());
                                     p.generation += 1;
                                     p.train_steps = learner.train_steps;
                                     p.train_ns = learner.train_ns;
@@ -95,6 +101,8 @@ impl BackgroundTrainer {
         BackgroundTrainer {
             tx: Some(tx),
             published,
+            adopted,
+            generation: 0,
             stop,
             handle: Some(handle),
         }
@@ -106,6 +114,17 @@ impl BackgroundTrainer {
         if let Some(tx) = &self.tx {
             let _ = tx.try_send(exp);
         }
+    }
+
+    /// Adopts newly published weights, if any, returning the trainer's
+    /// `(train_steps, train_ns)` as of them. Never blocks on the trainer.
+    pub(crate) fn adopt(&mut self) -> Option<(u64, u64)> {
+        let p = self.published.try_lock()?;
+        (p.generation > self.generation).then(|| {
+            self.adopted.copy_weights_from(&p.weights);
+            self.generation = p.generation;
+            (p.train_steps, p.train_ns)
+        })
     }
 
     /// Stops and joins the training thread.

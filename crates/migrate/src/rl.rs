@@ -10,15 +10,12 @@
 //! latency when the hot set went stale after a phase shift, but pure
 //! cost when residency already matches the workload. It reuses
 //! `sibyl-core`'s [`Learner`] (replay buffer, C51 head, two-network
-//! training) with its own feature vector and reward, exactly the
-//! "second agent, same machinery" structure Harmonia describes.
+//! training) and [`DecisionCore`] (the ε-greedy loop) with its own feature
+//! vector, reward and tick cadence, exactly the "second agent, same
+//! machinery" structure Harmonia describes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use sibyl_core::{Categorical, Experience, Learner, SibylConfig};
+use sibyl_core::{DecisionCore, Learner, SibylConfig};
 use sibyl_hss::PageMove;
-use sibyl_nn::Mlp;
 
 use crate::config::MigrateConfig;
 use crate::policy::{hot_cold_plan, CandidateScan, MigrationPolicy, TickFeedback, TickWindow};
@@ -46,19 +43,9 @@ pub struct RlMigrationStats {
 /// The tick-level RL migration policy.
 #[derive(Debug)]
 pub struct RlMigration {
-    head: Categorical,
     learner: Learner,
-    inference: Mlp,
-    rng: StdRng,
-    exploration: f64,
-    exploration_initial: f64,
-    exploration_decay_ticks: u64,
+    core: DecisionCore,
     train_ticks: u64,
-    /// The decision awaiting its reward and next observation.
-    pending: Option<(Vec<f32>, usize)>,
-    /// Reward computed by the latest [`MigrationPolicy::feedback`] call,
-    /// consumed when the next plan supplies the next observation.
-    last_reward: Option<f32>,
     /// Fast-placement fraction of the previous window (hit-rate-delta
     /// feature).
     prev_fast_fraction: f64,
@@ -94,19 +81,10 @@ impl RlMigration {
             seed: cfg.seed ^ 0x4A8A_9D2E,
             ..Default::default()
         };
-        let learner = Learner::new(&sibyl, N_ACTIONS, OBS_LEN);
-        let inference = learner.weights_snapshot();
         RlMigration {
-            head: Categorical::new(N_ACTIONS, rl.n_atoms, rl.v_min, rl.v_max),
-            learner,
-            inference,
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x31C2_A70D),
-            exploration: rl.exploration,
-            exploration_initial: rl.exploration_initial,
-            exploration_decay_ticks: rl.exploration_decay_ticks,
+            learner: Learner::new(&sibyl, N_ACTIONS, OBS_LEN),
+            core: DecisionCore::new(&sibyl, N_ACTIONS, cfg.seed ^ 0x31C2_A70D),
             train_ticks: rl.train_ticks,
-            pending: None,
-            last_reward: None,
             prev_fast_fraction: 0.0,
             stats: RlMigrationStats::default(),
         }
@@ -134,17 +112,6 @@ impl RlMigration {
             hit_delta as f32,
         ]
     }
-
-    /// Linear ε anneal over ticks, mirroring the placement agent's
-    /// schedule shape.
-    fn epsilon(&self) -> f64 {
-        let progress = if self.exploration_decay_ticks == 0 {
-            1.0
-        } else {
-            (self.stats.decisions as f64 / self.exploration_decay_ticks as f64).min(1.0)
-        };
-        self.exploration_initial + (self.exploration - self.exploration_initial) * progress
-    }
 }
 
 impl MigrationPolicy for RlMigration {
@@ -158,18 +125,18 @@ impl MigrationPolicy for RlMigration {
     /// minus a small cost proportional to how much was moved — so "move
     /// everything every tick" only wins when moving actually pays.
     fn feedback(&mut self, fb: &TickFeedback) {
+        // A window that cannot be compared earns the plan no reward.
+        self.core.set_reward(None);
         let Some(prev) = fb.prev else {
-            self.last_reward = None;
             return;
         };
         if prev.requests == 0 || fb.window.requests == 0 || prev.avg_latency_us <= 0.0 {
-            self.last_reward = None;
             return;
         }
         let improvement = ((prev.avg_latency_us - fb.window.avg_latency_us) / prev.avg_latency_us)
             .clamp(-1.0, 1.0);
         let cost = 0.05 * (fb.moved_pages as f64 / 64.0).min(1.0);
-        self.last_reward = Some((improvement - cost) as f32);
+        self.core.set_reward(Some((improvement - cost) as f32));
     }
 
     fn plan(
@@ -179,17 +146,10 @@ impl MigrationPolicy for RlMigration {
         cfg: &MigrateConfig,
     ) -> Vec<PageMove> {
         let obs = self.observe(scan, window, cfg);
-        // Finalize the previous decision now that its reward (from
+        // The previous tick's decision closes now that its reward (from
         // `feedback`) and next observation are both known.
-        if let (Some((prev_obs, action)), Some(reward)) =
-            (self.pending.take(), self.last_reward.take())
-        {
-            self.learner.push(Experience {
-                obs: prev_obs,
-                action,
-                reward,
-                next_obs: obs.clone(),
-            });
+        if let Some(exp) = self.core.close(&obs) {
+            self.learner.push(exp);
             self.stats.experiences += 1;
         }
         // Train on the tick schedule.
@@ -197,19 +157,12 @@ impl MigrationPolicy for RlMigration {
             && self.stats.decisions.is_multiple_of(self.train_ticks)
             && self.learner.train_step().is_some()
         {
-            self.inference.copy_weights_from(self.learner.weights());
             self.stats.train_steps = self.learner.train_steps();
         }
-        // ε-greedy action selection.
-        let action = if self.rng.gen::<f64>() < self.epsilon() {
-            self.stats.explorations += 1;
-            self.rng.gen_range(0..N_ACTIONS)
-        } else {
-            self.head.best_action(&self.inference.infer(&obs))
-        };
-        self.stats.decisions += 1;
+        let action = self.core.act(self.learner.inference(), obs)[0];
+        self.stats.decisions = self.core.decisions();
+        self.stats.explorations = self.core.explorations();
         self.prev_fast_fraction = window.fast_fraction;
-        self.pending = Some((obs, action));
         match action {
             0 => Vec::new(),
             1 => hot_cold_plan(scan, cfg, true, false),

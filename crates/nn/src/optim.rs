@@ -18,10 +18,6 @@ pub trait Optimizer: std::fmt::Debug {
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
-
-    /// Changes the learning rate (Sibyl_Opt in §8.3 retunes α online for
-    /// mixed workloads).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Plain stochastic gradient descent, the paper's optimizer (§6.1, line 18
@@ -66,14 +62,6 @@ impl Optimizer for Sgd {
 
     fn learning_rate(&self) -> f32 {
         self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(
-            lr.is_finite() && lr > 0.0,
-            "Sgd: learning rate must be positive"
-        );
-        self.lr = lr;
     }
 }
 
@@ -159,14 +147,6 @@ impl Optimizer for Adam {
     fn learning_rate(&self) -> f32 {
         self.lr
     }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(
-            lr.is_finite() && lr > 0.0,
-            "Adam: learning rate must be positive"
-        );
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -215,13 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_accessors_roundtrip() {
-        let mut s = Sgd::new(0.1);
-        s.set_learning_rate(0.01);
-        assert!((s.learning_rate() - 0.01).abs() < 1e-9);
-        let mut a = Adam::new(0.1);
-        a.set_learning_rate(0.02);
-        assert!((a.learning_rate() - 0.02).abs() < 1e-9);
+    fn learning_rate_accessors_report_the_constructed_rate() {
+        assert_eq!(Sgd::new(0.01).learning_rate(), 0.01);
+        assert_eq!(Adam::new(0.02).learning_rate(), 0.02);
     }
 
     #[test]
