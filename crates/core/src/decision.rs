@@ -110,8 +110,9 @@ impl DecisionCore {
             !rows.is_empty() && rows.len().is_multiple_of(obs_len),
             "DecisionCore::act: rows must be whole observations"
         );
-        self.rows = rows;
         self.actions.clear();
+        self.actions.reserve(rows.len() / obs_len);
+        self.rows = rows;
         let (mut greedy, mut greedy_rows) = (Vec::new(), Vec::new());
         for row in self.rows.chunks_exact(obs_len) {
             if self.rng.gen::<f64>() < self.config.epsilon(self.decisions) {
@@ -168,41 +169,33 @@ impl DecisionCore {
     }
 
     /// Delivers one reward per decision of the latest
-    /// [`DecisionCore::act`]: every decision but the last closes against
-    /// its successor's observation and is returned, in order; the last
-    /// takes its reward and stays open for the next
-    /// [`DecisionCore::close`].
+    /// [`DecisionCore::act`]: the last takes its reward and stays open for
+    /// the next [`DecisionCore::close`]; every earlier one closes against
+    /// its successor's observation, yielded in order by the returned
+    /// iterator (which owns what it reads, so the core stays usable).
     ///
     /// # Panics
     ///
     /// Panics if `rewards.len()` is not the number of decisions the
     /// latest `act` made, or that `act` was settled before.
-    pub fn settle(&mut self, rewards: &[f32]) -> Vec<Experience> {
+    pub fn settle<'a>(&mut self, rewards: &'a [f32]) -> impl Iterator<Item = Experience> + 'a {
         assert_eq!(
             rewards.len(),
             self.actions.len(),
             "DecisionCore::settle: one reward per decision of the latest act required"
         );
-        let Some(&last) = rewards.last() else {
-            return Vec::new();
-        };
-        let obs_len = self.rows.len() / rewards.len();
-        let closed = self
-            .rows
-            .chunks_exact(obs_len)
-            .zip(self.rows[obs_len..].chunks_exact(obs_len))
-            .zip(self.actions.iter().zip(rewards))
-            .map(|((obs, next_obs), (&action, &reward))| Experience {
-                obs: obs.to_vec(),
-                action,
-                reward,
-                next_obs: next_obs.to_vec(),
-            })
-            .collect();
-        self.set_reward(Some(last));
-        self.rows.clear();
-        self.actions.clear();
-        closed
+        if let Some(&last) = rewards.last() {
+            self.set_reward(Some(last));
+        }
+        let rows = std::mem::take(&mut self.rows);
+        let actions = std::mem::take(&mut self.actions);
+        let obs_len = rows.len() / rewards.len().max(1);
+        (1..rewards.len()).map(move |i| Experience {
+            obs: rows[(i - 1) * obs_len..i * obs_len].to_vec(),
+            action: actions[i - 1],
+            reward: rewards[i - 1],
+            next_obs: rows[i * obs_len..(i + 1) * obs_len].to_vec(),
+        })
     }
 }
 
@@ -250,14 +243,14 @@ mod tests {
         let actions = core.act(learner.inference(), rows.to_vec()).to_vec();
         assert_eq!(core.explorations(), 3, "ε = 1 explores every row");
         let rewards = [0.5, 0.6, 0.7];
-        let closed = core.settle(&rewards);
+        let closed: Vec<_> = core.settle(&rewards).collect();
         assert_eq!(closed.len(), 2);
         for (i, exp) in closed.iter().enumerate() {
             assert_eq!(exp.obs, rows[2 * i..2 * i + 2]);
             assert_eq!(exp.next_obs, rows[2 * i + 2..2 * i + 4]);
             assert_eq!((exp.action, exp.reward), (actions[i], rewards[i]));
         }
-        assert!(core.settle(&[]).is_empty(), "nothing left to settle");
+        assert_eq!(core.settle(&[]).count(), 0, "nothing left to settle");
         let last = core.close(&[3.0, 3.1]).expect("last decision rewarded");
         assert_eq!((last.obs, last.reward), (vec![2.0, 2.1], 0.7));
     }
