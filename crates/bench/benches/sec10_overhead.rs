@@ -136,7 +136,9 @@ fn training_step_table() -> Table {
 /// in release builds.
 fn inference_kernel_table() -> (TwoTermFit, Table) {
     const NS_PER_MAC: f64 = 20.0;
-    const BATCHES: [usize; 4] = [1, 8, 16, 32];
+    // Off-tile widths too: the rows a decision memo leaves for the
+    // network are rarely a multiple of the 8-lane tile.
+    const BATCHES: [usize; 10] = [1, 2, 4, 5, 7, 8, 9, 15, 16, 32];
     println!("--- §10.1 decide-path kernels (C51 net, {NS_PER_MAC} ns/MAC model) ---");
     let mut table = Table::new(
         [
@@ -188,6 +190,37 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
     (fit, table)
 }
 
+/// The decision memo on Table 5's mix2: how many greedy decisions each
+/// weight generation had already taken, and what a decision costs on the
+/// host with that many skipped passes. A short `train_interval` means
+/// short generations (and a small table), so fewer repeats.
+fn decision_memo_table() -> Table {
+    println!("--- §10.1 decision memo (mix2, batches of 16) ---");
+    let mut table = Table::new(
+        [
+            "train_interval",
+            "lookups",
+            "hits",
+            "hit rate",
+            "decide ns/req",
+        ]
+        .map(String::from)
+        .to_vec(),
+    );
+    let n = sibyl_bench::trace_len(20_000);
+    for row in sibyl_bench::decision_memo_rows(&[250, 1_000, 16_000], n, seed()) {
+        table.add_row(vec![
+            row.train_interval.to_string(),
+            row.lookups.to_string(),
+            row.hits.to_string(),
+            format!("{:.3}", row.hits as f64 / row.lookups.max(1) as f64),
+            format!("{:.1}", row.decide_ns_per_req),
+        ]);
+    }
+    println!("{}", table.render());
+    table
+}
+
 fn buffer_benchmark() {
     let mut buf = ExperienceBuffer::new(1000);
     let mut i = 0u32;
@@ -226,6 +259,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_storage_accounting();
     inference_benchmark();
     let (fit, kernels) = inference_kernel_table();
+    let memo = decision_memo_table();
     training_benchmark();
     let train = training_step_table();
     buffer_benchmark();
@@ -233,6 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // No trace is served here: the request count is 0.
     let mut json = BenchJson::new("sec10_overhead", 0, seed());
     json.table("infer_kernels", &kernels);
+    json.table("decision_memo", &memo);
     json.table("train_step", &train);
     json.note("two_term_setup_us", format!("{:.3}", fit.setup_us));
     json.note("two_term_per_row_us", format!("{:.4}", fit.per_row_us));

@@ -35,12 +35,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sibyl_core::{Categorical, HeadScratch, SibylConfig};
-use sibyl_hss::{DeviceSpec, HssConfig};
+use sibyl_core::{Categorical, HeadScratch, SibylAgent, SibylConfig};
+use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
 use sibyl_nn::{Activation, Mlp, Sgd};
 use sibyl_serve::{CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig};
 use sibyl_sim::report::Table;
 use sibyl_sim::SuiteResult;
+use sibyl_trace::mix::Mix;
 use sibyl_trace::msrc::Workload;
 use sibyl_trace::zipf::Zipf;
 use sibyl_trace::{IoOp, IoRequest, Trace};
@@ -507,6 +508,61 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
             scalar_ns_per_mac: scalar_ns,
             tiled_ns_per_mac: tiled_ns,
             f16_ns_per_mac: f16_ns,
+        });
+    }
+    rows
+}
+
+/// One row of `sec10_overhead`'s decision-memo table: a placement agent
+/// served Table 5's mix2 in batches of 16 at one `train_interval` (which
+/// bounds a weight generation's length and so the memo's capacity).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemoRow {
+    /// Requests between training steps.
+    pub train_interval: u64,
+    /// Greedy decisions looked up in the memo. Deterministic.
+    pub lookups: u64,
+    /// Lookups answered without the network. Deterministic.
+    pub hits: u64,
+    /// Measured wall-clock ns per decision inside `place_batch`
+    /// (featurization, ε-greedy, lookup, the missed rows' inference),
+    /// net of any training step that fired there.
+    pub decide_ns_per_req: f64,
+}
+
+/// Builds `sec10_overhead`'s decision-memo table: per `train_interval`, a
+/// default [`SibylAgent`] places a mix2 trace of `n` requests
+/// per component on the H&M pair, 16 requests per `place_batch` — the
+/// serving engine's decide → serve → learn round.
+pub fn decision_memo_rows(train_intervals: &[u64], n: usize, seed: u64) -> Vec<MemoRow> {
+    let trace = Mix::Mix2.generate(n, seed);
+    let hss = hm_config().resolved(trace.footprint_pages());
+    let mut rows = Vec::with_capacity(train_intervals.len());
+    for &train_interval in train_intervals {
+        let mut manager = StorageManager::new(&hss);
+        let mut agent = SibylAgent::new(SibylConfig {
+            train_interval,
+            ..Default::default()
+        });
+        let mut outcomes = Vec::with_capacity(16);
+        let mut decide = std::time::Duration::ZERO;
+        for batch in trace.requests().chunks(16) {
+            let (started, trained) = (std::time::Instant::now(), agent.stats().train_ns);
+            let targets = agent.place_batch(batch, &manager);
+            decide += started.elapsed();
+            decide -= std::time::Duration::from_nanos(agent.stats().train_ns - trained);
+            outcomes.clear();
+            for (req, &target) in batch.iter().zip(&targets) {
+                outcomes.push(manager.access(req, target));
+            }
+            agent.feedback_batch(&outcomes);
+        }
+        let (lookups, hits) = agent.decision_memo();
+        rows.push(MemoRow {
+            train_interval,
+            lookups,
+            hits,
+            decide_ns_per_req: decide.as_nanos() as f64 / trace.len() as f64,
         });
     }
     rows

@@ -9,7 +9,6 @@
 //! weight adoption every `train_interval` requests (Algorithm 1).
 
 use sibyl_hss::{AccessOutcome, DeviceId, PlacementContext, PlacementPolicy, StorageManager};
-use sibyl_nn::Mlp;
 use sibyl_telemetry::{Log2Histogram, Registry};
 use sibyl_trace::IoRequest;
 
@@ -17,7 +16,7 @@ use crate::buffer::Experience;
 use crate::config::{SibylConfig, TrainingMode};
 use crate::decision::DecisionCore;
 use crate::features::StateEncoder;
-use crate::learner::Learner;
+use crate::learner::{Inference, Learner};
 use crate::reward::RewardShaper;
 use crate::trainer::BackgroundTrainer;
 
@@ -137,11 +136,11 @@ enum Engine {
 }
 
 impl Engine {
-    /// The network decisions are taken against.
-    fn inference(&self) -> &Mlp {
+    /// The network decisions are taken against, and its generation.
+    fn inference(&self) -> Inference<'_> {
         match self {
             Engine::Synchronous(learner) => learner.inference(),
-            Engine::Background(trainer) => &trainer.adopted,
+            Engine::Background(trainer) => trainer.inference(),
         }
     }
 }
@@ -261,7 +260,16 @@ impl SibylAgent {
     /// The inference network's multiply-accumulate count per decision
     /// (§10.1), available once the agent has seen its first request.
     pub fn inference_macs(&self) -> Option<usize> {
-        Some(self.runtime.as_ref()?.engine.inference().mac_count())
+        Some(self.runtime.as_ref()?.engine.inference().net.mac_count())
+    }
+
+    /// `(lookups, hits)` of the decision memo (see [`DecisionCore`]): how
+    /// many greedy decisions were looked up and how many of them skipped
+    /// the network. Host-side counts for benches — no report carries them.
+    pub fn decision_memo(&self) -> (u64, u64) {
+        self.runtime
+            .as_ref()
+            .map_or((0, 0), |rt| (rt.core.memo_lookups(), rt.core.memo_hits()))
     }
 
     /// Pushes a finalized experience into the learner and, in synchronous
@@ -318,11 +326,12 @@ impl SibylAgent {
     }
 
     /// Makes placement decisions for a whole batch of requests at once,
-    /// amortizing NN inference across the batch: the greedy decisions run
-    /// through one [`Mlp::infer_batch`] matrix-matrix pass instead of
-    /// one matrix-vector pass per request. This is the decision path of
-    /// the `sibyl-serve` sharded serving engine, and — as a batch of one —
-    /// of the sequential [`PlacementPolicy::place`].
+    /// amortizing NN inference across the batch: the greedy decisions not
+    /// already taken under the current weights (see [`DecisionCore`]) run
+    /// through one [`sibyl_nn::Mlp::infer_batch`] matrix-matrix pass
+    /// instead of one matrix-vector pass per request. This is the
+    /// decision path of the `sibyl-serve` sharded serving engine, and — as
+    /// a batch of one — of the sequential [`PlacementPolicy::place`].
     ///
     /// Observations are encoded against the manager state *before* any
     /// request of the batch is served — the staleness-for-throughput
@@ -354,7 +363,7 @@ impl SibylAgent {
         let obs_len = rt.encoder.observation_len();
         let mut rows = Vec::with_capacity(reqs.len() * obs_len);
         for req in reqs {
-            rows.extend_from_slice(&rt.encoder.observe(req, manager).vector);
+            rt.encoder.observe_into(req, manager, &mut rows);
         }
         // The previous call's last decision closes on its next state —
         // first, as the push can train the network this batch decides on.
@@ -1267,6 +1276,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Adoption site 2 of 3, a cooperative import: an agent that has
+    /// decided (and remembers) an observation must decide on imported
+    /// weights at once. Fails if `Learner::set_flat_params` stops counting
+    /// a generation.
+    #[test]
+    fn imported_weights_are_decided_on_at_once() {
+        let mgr = manager(64);
+        let mut agent = SibylAgent::new(SibylConfig {
+            exploration: 0.0,
+            exploration_initial: 0.0,
+            ..fast_test_config()
+        });
+        // Nothing is served in between, so every `place` sees one state.
+        let req = IoRequest::new(0, 5, 1, IoOp::Read);
+        let place = |agent: &mut SibylAgent| {
+            agent.place(
+                &req,
+                &PlacementContext {
+                    manager: &mgr,
+                    seq: 0,
+                },
+            )
+        };
+        let before = place(&mut agent);
+        assert_eq!(place(&mut agent), before);
+        assert_eq!(agent.decision_memo(), (2, 1), "the repeat is a memo hit");
+        // The same network, its output biases (the last 2 × 11 parameters)
+        // shifted so the device it chose puts its mass on the lowest atom
+        // and the other device on the highest.
+        let mut params = agent.export_weights().expect("synchronous agent exports");
+        let head = params.len() - 22;
+        params[head + before.0 * 11] += 50.0;
+        params[head + (1 - before.0) * 11 + 10] += 50.0;
+        assert!(agent.import_weights(&params));
+        assert_ne!(place(&mut agent), before, "decided from a stale memo");
     }
 
     /// The one thing only the sequential protocol allows: a decision whose

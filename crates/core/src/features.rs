@@ -171,6 +171,20 @@ impl StateEncoder {
 
     /// Builds the observation for `req` against current system state.
     pub fn observe(&self, req: &IoRequest, manager: &StorageManager) -> Observation {
+        let mut vector = Vec::with_capacity(self.observation_len());
+        let packed = self.observe_into(req, manager, &mut vector);
+        Observation { vector, packed }
+    }
+
+    /// [`StateEncoder::observe`] appending the normalized feature vector
+    /// to `row` — one row of a caller-owned row-major batch — and
+    /// returning the packed Table 1 encoding.
+    pub fn observe_into(
+        &self,
+        req: &IoRequest,
+        manager: &StorageManager,
+        row: &mut Vec<f32>,
+    ) -> u64 {
         let tracker = manager.tracker();
         let size_bin = Self::size_bin(req.size_pages);
         let type_bin = u32::from(req.op.is_write());
@@ -182,58 +196,30 @@ impl StateEncoder {
             .unwrap_or_else(|| manager.slowest())
             .0 as u32;
 
-        let mut vector = Vec::with_capacity(self.observation_len());
         let m = &self.mask;
-        vector.push(if m.size {
-            norm(size_bin, bins::SIZE)
-        } else {
-            0.0
-        });
-        vector.push(if m.op_type {
-            norm(type_bin, bins::TYPE)
-        } else {
-            0.0
-        });
-        vector.push(if m.interval {
-            norm(interval_bin, bins::INTERVAL)
-        } else {
-            0.0
-        });
-        vector.push(if m.count {
-            norm(count_bin, bins::COUNT)
-        } else {
-            0.0
-        });
-        vector.push(if m.capacity {
-            norm(cap_bin, bins::CAPACITY)
-        } else {
-            0.0
-        });
-        vector.push(if m.current {
-            norm(curr_dev, self.num_devices as u32)
-        } else {
-            0.0
-        });
+        let feature = |on: bool, bin: u32, n_bins: u32| if on { norm(bin, n_bins) } else { 0.0 };
+        row.extend([
+            feature(m.size, size_bin, bins::SIZE),
+            feature(m.op_type, type_bin, bins::TYPE),
+            feature(m.interval, interval_bin, bins::INTERVAL),
+            feature(m.count, count_bin, bins::COUNT),
+            feature(m.capacity, cap_bin, bins::CAPACITY),
+            feature(m.current, curr_dev, self.num_devices as u32),
+        ]);
         // §8.7: extending to N devices adds the remaining capacity of each
         // intermediate device as a state feature.
         for d in 1..self.num_devices - 1 {
-            let frac = manager.remaining_fraction(DeviceId(d));
-            vector.push(if m.capacity {
-                norm(Self::capacity_bin(frac), bins::CAPACITY)
-            } else {
-                0.0
-            });
+            let bin = Self::capacity_bin(manager.remaining_fraction(DeviceId(d)));
+            row.push(feature(m.capacity, bin, bins::CAPACITY));
         }
 
         // Table 1 packed encoding: 8 + 4 + 8 + 8 + 8 + 4 = 40 bits.
-        let packed = (size_bin as u64) << 32
+        (size_bin as u64) << 32
             | (type_bin as u64) << 28
             | (interval_bin as u64) << 20
             | (count_bin as u64) << 12
             | (cap_bin as u64) << 4
-            | (curr_dev as u64 & 0xF);
-
-        Observation { vector, packed }
+            | (curr_dev as u64 & 0xF)
     }
 
     /// `size_t`: log₂ bins over 1..=64 pages → 0..=7.

@@ -170,6 +170,20 @@ impl ValueHead {
     }
 }
 
+/// A borrowed inference network with the generation of its weights.
+/// Whoever owns the network counts its adoptions of new weights — the
+/// end of [`Learner::train_step`], [`Learner::set_flat_params`], the
+/// background trainer's `adopt` — so between two borrows with equal
+/// generations the greedy action is a pure function of the observation,
+/// which is what [`DecisionCore`](crate::DecisionCore)'s memo rests on.
+#[derive(Debug, Clone, Copy)]
+pub struct Inference<'a> {
+    /// The network decisions are taken against.
+    pub net: &'a Mlp,
+    /// How many times `net`'s weights have been replaced.
+    pub generation: u64,
+}
+
 /// [`TrainScratch::memo_row`] of a slot the running step has not drawn.
 const UNSEEN: u32 = u32::MAX;
 
@@ -222,6 +236,8 @@ pub struct Learner {
     /// stands still between training steps and adopts the training
     /// weights at the end of each (§6.2; Algorithm 1 line 19).
     target_net: Mlp,
+    /// Adoptions of new weights into `target_net` so far.
+    generation: u64,
     opt: Box<dyn Optimizer + Send>,
     pub(crate) buffer: ExperienceBuffer,
     scratch: TrainScratch,
@@ -275,6 +291,7 @@ impl Learner {
             head,
             train_net,
             target_net,
+            generation: 0,
             opt,
             buffer: ExperienceBuffer::new(config.buffer_capacity),
             scratch: TrainScratch::default(),
@@ -440,10 +457,7 @@ impl Learner {
                 .backward_batch_into(&s.grads, n, &mut s.pingpong, &mut s.dx);
             self.train_net.apply_grads(&mut *self.opt, 1.0 / n as f32);
         }
-        // The inference network adopts the just-trained weights
-        // (Algorithm 1 line 19).
-        self.target_net.copy_weights_from(&self.train_net);
-        self.train_steps += 1;
+        self.adopt_trained();
         self.train_ns += started.elapsed().as_nanos() as u64;
         Some(total_loss / total_samples.max(1) as f32)
     }
@@ -497,16 +511,27 @@ impl Learner {
             self.train_net
                 .apply_grads(&mut *self.opt, 1.0 / samples.len().max(1) as f32);
         }
-        self.target_net.copy_weights_from(&self.train_net);
-        self.train_steps += 1;
+        self.adopt_trained();
         Some(total_loss / total_samples.max(1) as f32)
     }
 
+    /// The end of a training step: the inference network adopts the
+    /// just-trained weights (Algorithm 1 line 19), a new generation.
+    fn adopt_trained(&mut self) {
+        self.target_net.copy_weights_from(&self.train_net);
+        self.generation += 1;
+        self.train_steps += 1;
+    }
+
     /// The inference network a [`DecisionCore`](crate::DecisionCore)
-    /// decides against: refreshed by every [`Learner::train_step`] and
-    /// [`Learner::set_flat_params`], f16-shadowed under [`QuantMode::F16`].
-    pub fn inference(&self) -> &Mlp {
-        &self.target_net
+    /// decides against: refreshed, under a new generation, by every
+    /// [`Learner::train_step`] and [`Learner::set_flat_params`];
+    /// f16-shadowed under [`QuantMode::F16`].
+    pub fn inference(&self) -> Inference<'_> {
+        Inference {
+            net: &self.target_net,
+            generation: self.generation,
+        }
     }
 
     /// An owned snapshot of the current training weights — a clone of
@@ -535,6 +560,7 @@ impl Learner {
     pub fn set_flat_params(&mut self, params: &[f32]) {
         self.train_net.set_flat_params(params);
         self.target_net.set_flat_params(params);
+        self.generation += 1;
     }
 }
 
@@ -566,7 +592,7 @@ mod tests {
     fn q_values(l: &Learner, obs: &[f32]) -> Vec<f32> {
         let (mut probs, mut q) = (Vec::new(), Vec::new());
         l.head
-            .q_values_into(&l.inference().infer(obs), &mut probs, &mut q);
+            .q_values_into(&l.inference().net.infer(obs), &mut probs, &mut q);
         q
     }
 

@@ -73,7 +73,7 @@ pub use c51::{Categorical, HeadScratch};
 pub use config::{AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, TrainingMode};
 pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};
-pub use learner::Learner;
+pub use learner::{Inference, Learner};
 pub use overhead::OverheadReport;
 pub use reward::RewardShaper;
 // Convenience re-exports: `SibylConfig.telemetry` is of these types.

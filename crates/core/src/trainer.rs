@@ -21,7 +21,7 @@ use sibyl_nn::Mlp;
 
 use crate::buffer::Experience;
 use crate::config::SibylConfig;
-use crate::learner::Learner;
+use crate::learner::{Inference, Learner};
 
 /// Weights published by the trainer for the decision thread to adopt.
 #[derive(Debug)]
@@ -42,7 +42,7 @@ pub(crate) struct BackgroundTrainer {
     published: Arc<Mutex<Published>>,
     /// The decision side's copy of the inference network (the learner is
     /// out of its reach), as of the published `generation` last adopted.
-    pub(crate) adopted: Mlp,
+    adopted: Mlp,
     generation: u64,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -52,7 +52,7 @@ impl BackgroundTrainer {
     /// Spawns the training thread.
     pub(crate) fn spawn(config: &SibylConfig, n_actions: usize, obs_len: usize) -> Self {
         let mut learner = Learner::new(config, n_actions, obs_len);
-        let adopted = learner.inference().clone();
+        let adopted = learner.inference().net.clone();
         let published = Arc::new(Mutex::new(Published {
             generation: 0,
             weights: adopted.clone(),
@@ -79,7 +79,7 @@ impl BackgroundTrainer {
                                 next_train_at += train_interval;
                                 if learner.train_step().is_some() {
                                     let mut p = published_thread.lock();
-                                    p.weights.copy_weights_from(learner.inference());
+                                    p.weights.copy_weights_from(learner.inference().net);
                                     p.generation += 1;
                                     p.train_steps = learner.train_steps;
                                     p.train_ns = learner.train_ns;
@@ -113,6 +113,14 @@ impl BackgroundTrainer {
     pub(crate) fn send(&self, exp: Experience) {
         if let Some(tx) = &self.tx {
             let _ = tx.try_send(exp);
+        }
+    }
+
+    /// The adopted network under the published generation it came from.
+    pub(crate) fn inference(&self) -> Inference<'_> {
+        Inference {
+            net: &self.adopted,
+            generation: self.generation,
         }
     }
 
@@ -190,6 +198,56 @@ mod tests {
                 "trainer never published"
             );
             std::thread::sleep(Duration::from_millis(5));
+        }
+        t.shutdown();
+    }
+
+    /// Adoption site 3 of 3, the decision side's copy of published
+    /// weights: a core that has decided (and remembers) an observation must
+    /// agree with a fresh one after every adoption, the one that flips the
+    /// argmax included. Fails if `adopt` stops taking the published
+    /// generation.
+    #[test]
+    fn adopted_weights_start_a_new_generation() {
+        use crate::decision::DecisionCore;
+        let cfg = SibylConfig {
+            exploration: 0.0,
+            exploration_initial: 0.0,
+            learning_rate: 0.05,
+            ..tiny_config()
+        };
+        let mut t = BackgroundTrainer::spawn(&cfg, 2, 6);
+        let mut core = DecisionCore::new(&cfg, 2, 1);
+        let obs = vec![0.5f32; 6];
+        let before = core.act(t.inference(), obs.clone())[0];
+        // sibyl-lint: allow(wallclock-in-logic) -- test-only liveness deadline: bounds how long the test waits, never the result
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let mut sent = 0usize;
+        loop {
+            // Reward only the action the untrained network does not take.
+            for _ in 0..32 {
+                let action = sent % 2;
+                t.send(Experience {
+                    obs: vec![0.5 + (sent % 64) as f32 * 1e-4; 6],
+                    action,
+                    reward: if action == before { 0.0 } else { 1.0 },
+                    next_obs: vec![0.5; 6],
+                });
+                sent += 1;
+            }
+            if t.adopt().is_some() {
+                let fresh = DecisionCore::new(&cfg, 2, 1).act(t.inference(), obs.clone())[0];
+                assert_eq!(core.act(t.inference(), obs.clone())[0], fresh, "stale memo");
+                if fresh != before {
+                    break;
+                }
+            }
+            assert!(
+                // sibyl-lint: allow(wallclock-in-logic) -- test-only liveness deadline: bounds how long the test waits, never the result
+                std::time::Instant::now() < deadline,
+                "no adoption flipped the decision"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
         t.shutdown();
     }

@@ -8,11 +8,14 @@
 //! f32 addition is not associative, so a kernel may never vectorize
 //! *within* one dot product's chain — instead the tiled kernels
 //! vectorize *across* independent outputs (one SIMD lane per batch
-//! sample), which reorders nothing. The `kernel_parity` property suite
-//! pins bit-for-bit equality against [`scalar`] across random shapes,
-//! including every tile-remainder size.
+//! sample), which reorders nothing. Every chain — [`dot`], the [`scalar`]
+//! references and each tile accumulator — starts from `+0.0` (not the
+//! `-0.0` `Iterator::sum` starts from), so a result does not depend, even
+//! in the sign of a zero, on which kernel or which lane produced it. The
+//! `kernel_parity` property suite pins bit-for-bit equality against
+//! [`scalar`] across random shapes, including every tile-remainder size.
 
-/// Batch samples processed per register tile by [`matmul_bias`]: one
+/// Batch samples processed per full register tile by [`matmul_bias`]: one
 /// output accumulator lane per sample, sized to a 256-bit f32 vector.
 pub const BATCH_TILE: usize = 8;
 
@@ -171,7 +174,8 @@ pub mod scalar {
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices, accumulated left to right
+/// from `+0.0` — the start every tile kernel uses.
 ///
 /// # Panics
 ///
@@ -179,7 +183,7 @@ pub mod scalar {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
 
 /// Computes `out = W·x + b` where `w` is a row-major `(rows × cols)` matrix.
@@ -202,22 +206,65 @@ pub fn matvec_bias(w: &[f32], b: &[f32], x: &[f32], rows: usize, cols: usize, ou
     }
 }
 
+/// One register tile of [`matmul_bias`]: `out[j][r] = w[r]·x[j] + b[r]` for
+/// the `n ≤ LANES` samples of `xs` (row-major `n × cols`), one accumulator
+/// lane per sample, the lanes past `n` zero-padded and discarded. `xt` is
+/// the lane-interleaved pack buffer (`xt[k·LANES + j]` = feature `k` of
+/// sample `j`), at least `cols · LANES` long. Inlined so that a full
+/// tile's `n` is a constant at its call site.
+#[inline(always)]
+fn bias_tile<const LANES: usize>(
+    w: &[f32],
+    b: &[f32],
+    xs: &[f32],
+    n: usize,
+    xt: &mut [f32],
+    out: &mut [f32],
+) {
+    let (rows, cols) = (b.len(), xs.len() / n);
+    let xt = &mut xt[..cols * LANES];
+    if n < LANES {
+        xt.fill(0.0);
+    }
+    for (j, x) in xs.chunks_exact(cols).enumerate() {
+        for (k, &xv) in x.iter().enumerate() {
+            xt[k * LANES + j] = xv;
+        }
+    }
+    for (r, (row, &br)) in w.chunks_exact(cols).zip(b).enumerate() {
+        // `chunks_exact` keeps the inner loop free of bounds checks so it
+        // compiles to a broadcast-multiply + vector add per feature.
+        let mut acc = [0.0f32; LANES];
+        for (lanes, &wv) in xt.chunks_exact(LANES).zip(row) {
+            for (a, &xv) in acc.iter_mut().zip(lanes) {
+                *a += wv * xv;
+            }
+        }
+        for (j, &a) in acc[..n].iter().enumerate() {
+            out[j * rows + r] = a + br;
+        }
+    }
+}
+
 /// Computes `out = X·Wᵀ + b` for a batch of inputs: `xs` is row-major
 /// `(batch × cols)` — one input per row — and `out` is refilled row-major
 /// `(batch × rows)`, so each output row is laid out exactly like a
 /// [`matvec_bias`] result for the corresponding input.
 ///
 /// Tiled for autovectorization: the batch is processed [`BATCH_TILE`]
-/// samples at a time, their inputs packed lane-interleaved
-/// (`xt[k·TILE + j]` = feature `k` of sample `j`) so the hot loop is a
-/// broadcast weight times one contiguous 8-lane load — one SIMD lane per
-/// *sample*. Each output element still accumulates its `cols` products in
-/// ascending-`k` order from a `0.0` start, exactly the
-/// [`scalar::matmul_bias`] chain, so results are bit-identical to the
-/// reference (and to the per-request [`matvec_bias`] path the serving
-/// engine's decisions are pinned against); vectorization happens across
-/// independent outputs, never within one dot product. The `batch %
-/// BATCH_TILE` remainder takes the scalar path.
+/// samples at a time, their inputs packed lane-interleaved so the hot
+/// loop is a broadcast weight times one contiguous vector load — one SIMD
+/// lane per *sample*. The `batch % BATCH_TILE` remainder goes through the
+/// same tile, zero-padded: 8 lanes wide for 5–7 rows, 4 for 2–4, and the
+/// scalar [`dot`] only for a single row — so a row costs about the same
+/// at any batch width. Each output element accumulates its `cols`
+/// products in ascending-`k` order from `+0.0`, exactly the
+/// [`scalar::matmul_bias`] chain, whichever tile and lane it lands in:
+/// results are bit-identical to the reference and to the per-request
+/// [`matvec_bias`] path, and a row's result does not depend on where in
+/// which batch it sits (what lets the decision memo move rows between
+/// batches). Vectorization happens across independent outputs, never
+/// within one dot product.
 ///
 /// # Panics
 ///
@@ -235,45 +282,30 @@ pub fn matmul_bias(
     assert_eq!(w.len(), rows * cols, "matmul_bias: weight shape mismatch");
     assert_eq!(xs.len(), batch * cols, "matmul_bias: input shape mismatch");
     assert_eq!(b.len(), rows, "matmul_bias: bias length mismatch");
-    let full = batch / BATCH_TILE * BATCH_TILE;
+    assert!(rows > 0 && cols > 0, "matmul_bias: empty dimension");
     // Lane-interleaved pack buffer, reused across the tiles of one call:
     // packing costs O(cols · TILE) once per tile and is repaid across all
     // `rows` weight rows. It rides in `out`'s tail (truncated away below)
     // so a caller that reuses `out` makes the whole call allocation-free.
-    let pack = if full > 0 { cols * BATCH_TILE } else { 0 };
+    let pack = if batch > 1 { cols * BATCH_TILE } else { 0 };
     out.clear();
     out.resize(batch * rows + pack, 0.0);
     let (res, xt) = out.split_at_mut(batch * rows);
-    for s0 in (0..full).step_by(BATCH_TILE) {
-        let tile = &xs[s0 * cols..(s0 + BATCH_TILE) * cols];
-        for (j, x) in tile.chunks_exact(cols).enumerate() {
-            for (k, &xv) in x.iter().enumerate() {
-                xt[k * BATCH_TILE + j] = xv;
-            }
-        }
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            // One accumulator lane per sample; `chunks_exact` keeps the
-            // inner loop free of bounds checks so it compiles to a
-            // broadcast-multiply + vector add per feature.
-            let mut acc = [0.0f32; BATCH_TILE];
-            for (lanes, &wv) in xt.chunks_exact(BATCH_TILE).zip(row) {
-                for (a, &xv) in acc.iter_mut().zip(lanes) {
-                    *a += wv * xv;
-                }
-            }
-            let br = b[r];
-            for (j, &a) in acc.iter().enumerate() {
-                res[(s0 + j) * rows + r] = a + br;
-            }
-        }
+    let mut tiles = xs.chunks_exact(BATCH_TILE * cols);
+    let mut outs = res.chunks_exact_mut(BATCH_TILE * rows);
+    for (tile, o) in (&mut tiles).zip(&mut outs) {
+        bias_tile::<BATCH_TILE>(w, b, tile, BATCH_TILE, xt, o);
     }
-    for s in full..batch {
-        let x = &xs[s * cols..(s + 1) * cols];
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            res[s * rows + r] = dot(row, x) + b[r];
+    let (tile, o) = (tiles.remainder(), outs.into_remainder());
+    match tile.len() / cols {
+        0 => {}
+        1 => {
+            for ((row, &br), y) in w.chunks_exact(cols).zip(b).zip(o) {
+                *y = dot(row, tile) + br;
+            }
         }
+        n @ 2..=4 => bias_tile::<4>(w, b, tile, n, xt, o),
+        n => bias_tile::<BATCH_TILE>(w, b, tile, n, xt, o),
     }
     out.truncate(batch * rows);
 }

@@ -228,6 +228,56 @@ proptest! {
     }
 }
 
+/// A row's `matmul_bias` result does not depend on the batch it rides in:
+/// at every batch width 1..=17 (full tiles, the 8- and 4-lane remainder
+/// tiles, the single-row scalar path and every mix of them) the tiled
+/// kernel equals the scalar reference and the per-row `matvec_bias` to the
+/// bit — on random data, on all-zero rows under all-negative weights with
+/// `±0.0` biases (where a chain started at `-0.0` would keep the sign the
+/// tiles' `+0.0` start drops), and with NaNs among the inputs (equal as
+/// NaNs: their payload is the platform's business).
+#[test]
+fn matmul_bias_rows_are_independent_of_the_batch_width() {
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    let (rows, cols) = (5, 6);
+    let mut r = rng(77);
+    for batch in 1..=17usize {
+        for case in 0..3 {
+            let mut w = random_vec(&mut r, rows * cols);
+            let mut b = random_vec(&mut r, rows);
+            let mut xs = random_vec(&mut r, batch * cols);
+            match case {
+                0 => {}
+                1 => {
+                    w.iter_mut().for_each(|v| *v = -v.abs() - 0.5);
+                    b.iter_mut()
+                        .enumerate()
+                        .for_each(|(i, v)| *v = if i % 2 == 0 { 0.0 } else { -0.0 });
+                    // Every other row all-zero, the rest random.
+                    for row in xs.chunks_exact_mut(cols).step_by(2) {
+                        row.fill(0.0);
+                    }
+                }
+                _ => xs.iter_mut().step_by(5).for_each(|v| *v = f32::NAN),
+            }
+            let (mut tiled, mut reference, mut single) = (Vec::new(), Vec::new(), Vec::new());
+            linalg::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut tiled);
+            scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
+            assert_eq!(tiled.len(), batch * rows);
+            for (s, x) in xs.chunks_exact(cols).enumerate() {
+                linalg::matvec_bias(&w, &b, x, rows, cols, &mut single);
+                for (i, &v) in single.iter().enumerate() {
+                    let (t, f) = (tiled[s * rows + i], reference[s * rows + i]);
+                    assert!(
+                        same(t, v) && same(f, v),
+                        "batch {batch} case {case} row {s} out {i}: tiled {t:?} scalar {f:?} matvec {v:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Delta matrices that exercise the backward kernels' zero-skip: the
 /// kernels stream only each delta row's live span (first to last
 /// non-zero entry), so the shapes that matter are exact zeros — of
