@@ -221,6 +221,25 @@ fn decision_memo_table() -> Table {
     table
 }
 
+/// The storage model's own host cost — the floor under every policy —
+/// per page for the three shapes of access and per request for a policy
+/// that decides nothing.
+fn hss_access_table() -> Table {
+    println!("--- §10 storage-model host cost (H&M, no eviction) ---");
+    let cost = sibyl_bench::hss_access_cost(sibyl_bench::trace_len(20_000), seed());
+    let mut table = Table::new(["access", "cost", "unit"].map(String::from).to_vec());
+    for (access, cost, unit) in [
+        ("first-touch", cost.first_touch_ns_per_page, "ns/page"),
+        ("read-hit", cost.read_hit_ns_per_page, "ns/page"),
+        ("write-hit", cost.write_hit_ns_per_page, "ns/page"),
+        ("Fast-Only on hm_1", cost.fast_only_us_per_req, "us/request"),
+    ] {
+        table.add_row(vec![access.into(), format!("{cost:.3}"), unit.into()]);
+    }
+    println!("{}", table.render());
+    table
+}
+
 fn buffer_benchmark() {
     let mut buf = ExperienceBuffer::new(1000);
     let mut i = 0u32;
@@ -260,6 +279,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     inference_benchmark();
     let (fit, kernels) = inference_kernel_table();
     let memo = decision_memo_table();
+    let hss_access = hss_access_table();
     training_benchmark();
     let train = training_step_table();
     buffer_benchmark();
@@ -268,6 +288,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json = BenchJson::new("sec10_overhead", 0, seed());
     json.table("infer_kernels", &kernels);
     json.table("decision_memo", &memo);
+    json.table("hss_access", &hss_access);
     json.table("train_step", &train);
     json.note("two_term_setup_us", format!("{:.3}", fit.setup_us));
     json.note("two_term_per_row_us", format!("{:.4}", fit.per_row_us));

@@ -568,6 +568,84 @@ pub fn decision_memo_rows(train_intervals: &[u64], n: usize, seed: u64) -> Vec<M
     rows
 }
 
+/// `sec10_overhead`'s storage-model table: what [`StorageManager`]
+/// itself costs on the host — the floor under every policy, learning or
+/// not. Host-clock medians; the streams they are taken on are fixed by
+/// the seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HssAccessCost {
+    /// ns per page of writes to pages the directory has never seen
+    /// (index insert, arena growth included).
+    pub first_touch_ns_per_page: f64,
+    /// ns per page of reads whose pages stay where they are.
+    pub read_hit_ns_per_page: f64,
+    /// ns per page of writes to pages already on the target.
+    pub write_hit_ns_per_page: f64,
+    /// µs per request of `Experiment::run(FastOnly)` on `hm_1`: a policy
+    /// that decides nothing, so all of it is the storage model.
+    pub fast_only_us_per_req: f64,
+}
+
+/// Measures [`HssAccessCost`] on an H&M manager: a first-touch pass
+/// writing a `4 × n`-page footprint in 4-page requests, then `n` seeded
+/// 1–8-page reads and `n` such writes over it, every request targeting
+/// the unlimited slow device so no page moves or is evicted; and
+/// Fast-Only over `n` requests of `hm_1`. Each figure is the median of
+/// five runs from a fresh manager.
+pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
+    const RUNS: usize = 5;
+    let n = n.max(1) as u64;
+    let slow = sibyl_hss::DeviceId(1);
+    let hss = hm_config().with_unlimited_capacities();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hits = |op: IoOp| -> Vec<IoRequest> {
+        (0..n)
+            .map(|t| IoRequest::new(t, rng.gen_range(0..4 * n - 8), rng.gen_range(1..=8), op))
+            .collect()
+    };
+    let (reads, writes) = (hits(IoOp::Read), hits(IoOp::Write));
+    let fill: Vec<IoRequest> = (0..n)
+        .map(|t| IoRequest::new(t, 4 * t, 4, IoOp::Write))
+        .collect();
+    let ns_per_page = |manager: &mut StorageManager, reqs: &[IoRequest]| {
+        let pages: u64 = reqs.iter().map(|r| u64::from(r.size_pages)).sum();
+        let start = std::time::Instant::now();
+        for req in reqs {
+            std::hint::black_box(manager.access(req, slow));
+        }
+        start.elapsed().as_nanos() as f64 / pages as f64
+    };
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(|a, b| a.total_cmp(b));
+        runs[runs.len() / 2]
+    };
+    let (mut first, mut read, mut write) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..RUNS {
+        let mut manager = StorageManager::new(&hss);
+        first.push(ns_per_page(&mut manager, &fill));
+        read.push(ns_per_page(&mut manager, &reads));
+        write.push(ns_per_page(&mut manager, &writes));
+    }
+    let hm_1 = sibyl_sim::Experiment::new(
+        hm_config(),
+        sibyl_trace::msrc::generate(Workload::Hm1, n as usize, seed),
+    );
+    let fast_only = (0..RUNS)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(hm_1.run(sibyl_sim::PolicyKind::FastOnly))
+                .expect("hm_1 is not empty");
+            start.elapsed().as_nanos() as f64 / 1_000.0 / n as f64
+        })
+        .collect();
+    HssAccessCost {
+        first_touch_ns_per_page: median(first),
+        read_hit_ns_per_page: median(read),
+        write_hit_ns_per_page: median(write),
+        fast_only_us_per_req: median(fast_only),
+    }
+}
+
 /// A two-term fit of *measured* decide time: one batched decide costs
 /// `setup_us + per_row_us · batch` on this host, splitting the per-call
 /// fixed work (dispatch, bias setup, cache warm-up) from the per-sample

@@ -1280,8 +1280,11 @@ mod tests {
 
     /// Adoption site 2 of 3, a cooperative import: an agent that has
     /// decided (and remembers) an observation must decide on imported
-    /// weights at once. Fails if `Learner::set_flat_params` stops counting
-    /// a generation.
+    /// weights at once — and keeps what it remembers across an import of
+    /// the weights it already holds (a sync round in which no member
+    /// trained), which still counts as a sync. Fails if
+    /// `Learner::set_flat_params` stops counting a generation, or counts
+    /// one for nothing.
     #[test]
     fn imported_weights_are_decided_on_at_once() {
         let mgr = manager(64);
@@ -1304,15 +1307,29 @@ mod tests {
         let before = place(&mut agent);
         assert_eq!(place(&mut agent), before);
         assert_eq!(agent.decision_memo(), (2, 1), "the repeat is a memo hit");
+        let mut params = agent.export_weights().expect("synchronous agent exports");
+        assert!(agent.import_weights(&params));
+        assert_eq!(agent.stats().weight_syncs, 1);
+        assert_eq!(place(&mut agent), before);
+        assert_eq!(
+            agent.decision_memo(),
+            (3, 2),
+            "an identical import kept the memo"
+        );
         // The same network, its output biases (the last 2 × 11 parameters)
         // shifted so the device it chose puts its mass on the lowest atom
         // and the other device on the highest.
-        let mut params = agent.export_weights().expect("synchronous agent exports");
         let head = params.len() - 22;
         params[head + before.0 * 11] += 50.0;
         params[head + (1 - before.0) * 11 + 10] += 50.0;
         assert!(agent.import_weights(&params));
         assert_ne!(place(&mut agent), before, "decided from a stale memo");
+        assert_eq!(
+            agent.decision_memo(),
+            (4, 2),
+            "a differing import is a miss"
+        );
+        assert_eq!(agent.stats().weight_syncs, 2);
     }
 
     /// The one thing only the sequential protocol allows: a decision whose

@@ -185,16 +185,14 @@ impl StateEncoder {
         manager: &StorageManager,
         row: &mut Vec<f32>,
     ) -> u64 {
-        let tracker = manager.tracker();
+        // One directory probe serves count, interval and residency.
+        let page = manager.tracker().page(req.lpn);
         let size_bin = Self::size_bin(req.size_pages);
         let type_bin = u32::from(req.op.is_write());
-        let interval_bin = Self::interval_bin(tracker.access_interval(req.lpn));
-        let count_bin = Self::count_bin(tracker.access_count(req.lpn));
+        let interval_bin = Self::interval_bin(page.and_then(|p| p.access_interval));
+        let count_bin = Self::count_bin(page.map_or(0, |p| p.access_count));
         let cap_bin = Self::capacity_bin(manager.remaining_fraction(DeviceId(0)));
-        let curr_dev = manager
-            .residency(req.lpn)
-            .unwrap_or_else(|| manager.slowest())
-            .0 as u32;
+        let curr_dev = page.map_or_else(|| manager.slowest(), |p| p.device).0 as u32;
 
         let m = &self.mask;
         let feature = |on: bool, bin: u32, n_bins: u32| if on { norm(bin, n_bins) } else { 0.0 };

@@ -551,7 +551,11 @@ impl Learner {
     /// `params`, so the next decision and the next training step's
     /// bootstrap both start from the adopted (e.g. federated-averaged)
     /// weights rather than chasing stale ones. Optimizer state (Adam
-    /// moments) is kept.
+    /// moments) is kept. It is a new generation only if it changes the
+    /// inference network: the federated mean of members that have not
+    /// trained since the last round is their common vector bit for bit,
+    /// and such an import must not cost the decisions remembered under
+    /// the current generation.
     ///
     /// # Panics
     ///
@@ -559,8 +563,15 @@ impl Learner {
     /// count.
     pub fn set_flat_params(&mut self, params: &[f32]) {
         self.train_net.set_flat_params(params);
-        self.target_net.set_flat_params(params);
-        self.generation += 1;
+        let held = self.target_net.flat_params();
+        if held
+            .iter()
+            .zip(params)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            self.target_net.set_flat_params(params);
+            self.generation += 1;
+        }
     }
 }
 

@@ -45,6 +45,7 @@
 mod config;
 mod device;
 mod manager;
+mod page_set;
 mod policy;
 mod stats;
 mod victim;
@@ -53,8 +54,9 @@ pub use config::{CapacityMode, HssConfig};
 pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service};
 pub use manager::{
     AccessDetail, AccessOutcome, AccessTracker, MigrationOutcome, PageDirectory, PageMove,
-    StorageManager,
+    PageRecord, StorageManager,
 };
+pub use page_set::PageSet;
 pub use policy::{PlacementContext, PlacementPolicy};
 pub use stats::HssStats;
 pub use victim::{LruVictim, NextUseIndex, OracleVictim, VictimPolicy};

@@ -8,7 +8,7 @@
 //! reports per-request latency `L_t` and eviction time `L_e` — the two
 //! quantities Sibyl's reward is built from (Eq. 1).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::HssConfig;
 use crate::device::{Device, DeviceId, Service};
@@ -39,6 +39,14 @@ use sibyl_trace::{IoOp, IoRequest};
 /// `BTreeMap<token, lpn>` walk, which is what keeps placement decisions
 /// on the golden traces unchanged. [`PageDirectory::directory_bytes`]
 /// reports the exact heap footprint for the `sec14_scale` accounting.
+///
+/// The entry is also the page's *only* metadata record — the paper's
+/// §10.2 table (access count, access interval, current device): the
+/// access count is `heat`, and the last-access stamp sits in what used
+/// to be the struct's padding, so the features of Table 1 cost no bytes
+/// beyond the directory ([`AccessTracker`] is a view of it). The
+/// request path resolves each page to its arena index once and does
+/// everything else — device counting, moves, recency, heat — by index.
 #[derive(Debug, Default)]
 pub struct PageDirectory {
     /// Dense page metadata; an entry's index never changes.
@@ -57,8 +65,8 @@ pub struct PageDirectory {
 /// Sentinel for "no entry" in the index and the LRU links.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// One tracked page: 40 bytes, device + recency + heat, threaded into
-/// its device's LRU list through `prev`/`next`.
+/// One tracked page: 40 bytes, device + recency + heat + last access,
+/// threaded into its device's LRU list through `prev`/`next`.
 #[derive(Debug, Clone, Copy)]
 struct PageEntry {
     lpn: u64,
@@ -69,8 +77,11 @@ struct PageEntry {
     next: u32,
     /// Accesses to the page while tracked (survives moves between
     /// devices) — the residency-scoped hotness signal background
-    /// migration policies key on. Saturating at `u32::MAX` (4.3 G
-    /// accesses to one page — beyond any supported run length).
+    /// migration policies key on, and the `cnt_t` access count: a page
+    /// enters the directory in the request that first touches it and
+    /// every access bumps it once, so the two never differ. Saturating
+    /// at `u32::MAX` (4.3 G accesses to one page — beyond any supported
+    /// run length).
     heat: u32,
     /// The heat the page had when it last landed on its current device.
     /// `heat - heat_at_place` counts accesses *since arrival* — the
@@ -79,11 +90,17 @@ struct PageEntry {
     /// accesses before it can qualify for promotion again, or demotion
     /// and promotion ping-pong forever).
     heat_at_place: u32,
+    /// The manager's request clock at the page's latest access, truncated
+    /// to 32 bits (meaningful only once `heat > 0`). Lives in what was
+    /// padding after `device`, so the entry is still 40 bytes.
+    last_access: u32,
     device: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<PageEntry>() == 40);
+
 /// splitmix64 finalizer — the index's hash function.
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
@@ -144,44 +161,48 @@ impl PageDirectory {
         }
     }
 
-    /// The arena index of `lpn`'s entry, if tracked.
-    fn find(&self, lpn: u64) -> Option<u32> {
+    /// Where `lpn` sits in the index: `Ok(entry)` when tracked, else
+    /// `Err(slot)`, the free slot [`PageDirectory::insert`] would give
+    /// it (unused while the index is still unallocated).
+    fn probe(&self, lpn: u64) -> Result<u32, usize> {
         if self.index.is_empty() {
-            return None;
+            return Err(0);
         }
         let mask = self.index.len() - 1;
         let mut slot = mix64(lpn) as usize & mask;
         loop {
             match self.index[slot] {
-                NO_ENTRY => return None,
-                i if self.entries[i as usize].lpn == lpn => return Some(i),
+                NO_ENTRY => return Err(slot),
+                i if self.entries[i as usize].lpn == lpn => return Ok(i),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Links `entry` into the index, growing (and rehashing slot indices
-    /// only — entries never move) once load passes 7/8.
-    fn index_insert(&mut self, entry: u32) {
-        if self.index.is_empty() || (self.entries.len() + 1) * 8 > self.index.len() * 7 {
-            let cap = (self.index.len() * 2).max(64);
-            let mut fresh = vec![NO_ENTRY; cap];
-            let mask = cap - 1;
-            for (i, e) in self.entries.iter().enumerate() {
-                let mut slot = mix64(e.lpn) as usize & mask;
-                while fresh[slot] != NO_ENTRY {
-                    slot = (slot + 1) & mask;
-                }
-                fresh[slot] = i as u32;
+    /// The arena index of `lpn`'s entry, if tracked.
+    fn find(&self, lpn: u64) -> Option<u32> {
+        self.probe(lpn).ok()
+    }
+
+    /// Doubles the index (64 slots at first) and rehashes every entry
+    /// into it — slot indices only, entries never move.
+    fn grow_index(&mut self) {
+        let cap = (self.index.len() * 2).max(64);
+        let mut fresh = vec![NO_ENTRY; cap];
+        let mask = cap - 1;
+        for (i, e) in self.entries.iter().enumerate() {
+            let mut slot = mix64(e.lpn) as usize & mask;
+            while fresh[slot] != NO_ENTRY {
+                slot = (slot + 1) & mask;
             }
-            self.index = fresh;
+            fresh[slot] = i as u32;
         }
-        let mask = self.index.len() - 1;
-        let mut slot = mix64(self.entries[entry as usize].lpn) as usize & mask;
-        while self.index[slot] != NO_ENTRY {
-            slot = (slot + 1) & mask;
-        }
-        self.index[slot] = entry;
+        self.index = fresh;
+    }
+
+    /// The device holding entry `i`.
+    fn device_of(&self, i: u32) -> usize {
+        usize::from(self.entries[i as usize].device)
     }
 
     /// Unlinks entry `i` from device `dev`'s LRU list.
@@ -221,8 +242,7 @@ impl PageDirectory {
 
     /// The device currently holding `lpn`, if the page exists.
     pub fn residency(&self, lpn: u64) -> Option<DeviceId> {
-        self.find(lpn)
-            .map(|i| DeviceId(usize::from(self.entries[i as usize].device)))
+        self.find(lpn).map(|i| DeviceId(self.device_of(i)))
     }
 
     /// Pages resident on `device`.
@@ -297,6 +317,24 @@ impl PageDirectory {
     /// recently used first) as `(recency_token, lpn)` pairs. Reversible —
     /// migration policies scan the hot end with `.rev()`.
     pub fn iter_lru(&self, device: DeviceId) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+        self.walk(device).map(|e| (e.lru_token, e.lpn))
+    }
+
+    /// Iterates `device`'s resident pages from the most recently used
+    /// end as `(lpn, heat, heat_since_place)` — what a promotion scan
+    /// reads, straight from the entry it is standing on (the values of
+    /// [`PageDirectory::heat`] and [`PageDirectory::heat_since_place`]).
+    pub fn iter_hot(&self, device: DeviceId) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.walk(device).rev().map(|e| {
+            (
+                e.lpn,
+                u64::from(e.heat),
+                u64::from(e.heat - e.heat_at_place),
+            )
+        })
+    }
+
+    fn walk(&self, device: DeviceId) -> LruIter<'_> {
         LruIter {
             entries: &self.entries,
             front: self.heads[device.0],
@@ -305,69 +343,79 @@ impl PageDirectory {
         }
     }
 
+    /// Starts tracking the untracked `lpn` on `device` with a fresh
+    /// recency token and no heat; `slot` is what [`PageDirectory::probe`]
+    /// just returned for it. The index grows once load passes 7/8.
+    fn insert(&mut self, lpn: u64, slot: usize, device: DeviceId) -> u32 {
+        self.lru_counter += 1;
+        let i = self.entries.len() as u32;
+        self.entries.push(PageEntry {
+            lpn,
+            lru_token: self.lru_counter,
+            prev: NO_ENTRY,
+            next: NO_ENTRY,
+            heat: 0,
+            heat_at_place: 0,
+            last_access: 0,
+            device: device.0 as u8,
+        });
+        if (self.entries.len() + 1) * 8 > self.index.len() * 7 {
+            self.grow_index();
+        } else {
+            self.index[slot] = i;
+        }
+        self.list_push_tail(i, device.0);
+        self.used[device.0] += 1;
+        i
+    }
+
+    /// Moves entry `i` onto `device` (possibly the one it is on) with a
+    /// fresh recency token, restarting its since-arrival heat. Returns
+    /// the device it left.
+    fn relocate(&mut self, i: u32, device: DeviceId) -> DeviceId {
+        self.lru_counter += 1;
+        let old_dev = self.device_of(i);
+        self.list_unlink(i, old_dev);
+        self.used[old_dev] -= 1;
+        let e = &mut self.entries[i as usize];
+        e.device = device.0 as u8;
+        e.lru_token = self.lru_counter;
+        e.heat_at_place = e.heat;
+        self.list_push_tail(i, device.0);
+        self.used[device.0] += 1;
+        DeviceId(old_dev)
+    }
+
     /// Inserts or moves `lpn` onto `device`, refreshing recency. Returns
     /// the previous residency.
     fn place(&mut self, lpn: u64, device: DeviceId) -> Option<DeviceId> {
-        self.lru_counter += 1;
-        let token = self.lru_counter;
-        match self.find(lpn) {
-            Some(i) => {
-                let (old_dev, heat) = {
-                    let e = &self.entries[i as usize];
-                    (usize::from(e.device), e.heat)
-                };
-                self.list_unlink(i, old_dev);
-                self.used[old_dev] -= 1;
-                {
-                    let e = &mut self.entries[i as usize];
-                    e.device = device.0 as u8;
-                    e.lru_token = token;
-                    e.heat_at_place = heat;
-                }
-                self.list_push_tail(i, device.0);
-                self.used[device.0] += 1;
-                Some(DeviceId(old_dev))
-            }
-            None => {
-                let i = self.entries.len() as u32;
-                self.entries.push(PageEntry {
-                    lpn,
-                    lru_token: token,
-                    prev: NO_ENTRY,
-                    next: NO_ENTRY,
-                    heat: 0,
-                    heat_at_place: 0,
-                    device: device.0 as u8,
-                });
-                self.index_insert(i);
-                self.list_push_tail(i, device.0);
-                self.used[device.0] += 1;
+        match self.probe(lpn) {
+            Ok(i) => Some(self.relocate(i, device)),
+            Err(slot) => {
+                self.insert(lpn, slot, device);
                 None
             }
         }
     }
 
-    /// Refreshes recency of `lpn` without moving it. No-op for unknown
-    /// pages.
-    fn touch(&mut self, lpn: u64) {
+    /// Refreshes recency of entry `i` without moving it.
+    fn touch(&mut self, i: u32) {
         self.lru_counter += 1;
-        let token = self.lru_counter;
-        if let Some(i) = self.find(lpn) {
-            let dev = usize::from(self.entries[i as usize].device);
+        let dev = self.device_of(i);
+        if self.tails[dev] != i {
             self.list_unlink(i, dev);
-            self.entries[i as usize].lru_token = token;
             self.list_push_tail(i, dev);
         }
+        self.entries[i as usize].lru_token = self.lru_counter;
     }
 
-    /// Increments `lpn`'s heat (called once per access to the page; a
-    /// pure metadata update that never moves LRU state, so it is
-    /// invisible to eviction and latency accounting).
-    fn bump_heat(&mut self, lpn: u64) {
-        if let Some(i) = self.find(lpn) {
-            let e = &mut self.entries[i as usize];
-            e.heat = e.heat.saturating_add(1);
-        }
+    /// Counts one access to entry `i` at request-clock `stamp` — a pure
+    /// metadata update that never moves LRU state, so it is invisible to
+    /// eviction and latency accounting.
+    fn record_access(&mut self, i: u32, stamp: u32) {
+        let e = &mut self.entries[i as usize];
+        e.heat = e.heat.saturating_add(1);
+        e.last_access = stamp;
     }
 }
 
@@ -382,10 +430,10 @@ struct LruIter<'a> {
     exhausted: bool,
 }
 
-impl Iterator for LruIter<'_> {
-    type Item = (u64, u64);
+impl<'a> Iterator for LruIter<'a> {
+    type Item = &'a PageEntry;
 
-    fn next(&mut self) -> Option<(u64, u64)> {
+    fn next(&mut self) -> Option<&'a PageEntry> {
         if self.exhausted {
             return None;
         }
@@ -395,12 +443,12 @@ impl Iterator for LruIter<'_> {
         } else {
             self.front = e.next;
         }
-        Some((e.lru_token, e.lpn))
+        Some(e)
     }
 }
 
 impl DoubleEndedIterator for LruIter<'_> {
-    fn next_back(&mut self) -> Option<(u64, u64)> {
+    fn next_back(&mut self) -> Option<Self::Item> {
         if self.exhausted {
             return None;
         }
@@ -410,43 +458,66 @@ impl DoubleEndedIterator for LruIter<'_> {
         } else {
             self.back = e.prev;
         }
-        Some((e.lru_token, e.lpn))
+        Some(e)
     }
 }
 
 /// Per-page access metadata — the paper's block-layer metadata table
 /// (§10.2: 40 bits per page) backing the state features of Table 1.
-#[derive(Debug, Default)]
-pub struct AccessTracker {
-    counts: HashMap<u64, u64>,
-    last_access: HashMap<u64, u64>,
-    /// Global request counter used as the access-interval clock.
+///
+/// A borrowed view ([`StorageManager::tracker`]) of the page directory,
+/// whose entry *is* that record: nothing is stored per page beyond the
+/// directory's 40 bytes. The access count is the entry's heat, so it
+/// saturates at `u32::MAX` accesses to one page; the last access is a
+/// 32-bit stamp of the manager's request clock and the interval their
+/// wrapping difference, exact while fewer than 2³² requests separate two
+/// accesses to a page (the `intr_t` bins saturate at 2²¹).
+#[derive(Debug, Clone, Copy)]
+pub struct AccessTracker<'a> {
+    dir: &'a PageDirectory,
     requests_seen: u64,
 }
 
-impl AccessTracker {
+/// One page's metadata record, as [`AccessTracker::page`] reads it with
+/// a single directory probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageRecord {
+    /// The device holding the page (the `curr_t` feature).
+    pub device: DeviceId,
+    /// Total accesses to the page so far (the `cnt_t` feature).
+    pub access_count: u64,
+    /// Requests elapsed since the page was last accessed (the `intr_t`
+    /// feature); `None` before its first access has been recorded.
+    pub access_interval: Option<u64>,
+}
+
+impl AccessTracker<'_> {
+    /// The record of `lpn`, or `None` for a page the directory does not
+    /// track (one no request has touched).
+    pub fn page(&self, lpn: u64) -> Option<PageRecord> {
+        let e = &self.dir.entries[self.dir.find(lpn)? as usize];
+        let interval = (self.requests_seen as u32).wrapping_sub(e.last_access);
+        Some(PageRecord {
+            device: DeviceId(usize::from(e.device)),
+            access_count: u64::from(e.heat),
+            access_interval: (e.heat > 0).then_some(u64::from(interval)),
+        })
+    }
+
     /// Total accesses to `lpn` so far (the `cnt_t` feature).
     pub fn access_count(&self, lpn: u64) -> u64 {
-        self.counts.get(&lpn).copied().unwrap_or(0)
+        self.page(lpn).map_or(0, |r| r.access_count)
     }
 
     /// Requests elapsed since `lpn` was last accessed (the `intr_t`
     /// feature), or `None` if never accessed.
     pub fn access_interval(&self, lpn: u64) -> Option<u64> {
-        self.last_access.get(&lpn).map(|&t| self.requests_seen - t)
+        self.page(lpn)?.access_interval
     }
 
     /// Requests observed so far.
     pub fn requests_seen(&self) -> u64 {
         self.requests_seen
-    }
-
-    fn record(&mut self, req: &IoRequest) {
-        self.requests_seen += 1;
-        for p in req.pages() {
-            *self.counts.entry(p).or_insert(0) += 1;
-            self.last_access.insert(p, self.requests_seen);
-        }
     }
 }
 
@@ -523,14 +594,21 @@ pub struct StorageManager {
     devices: Vec<Device>,
     capacities: Vec<u64>,
     dir: PageDirectory,
-    tracker: AccessTracker,
     victim: Box<dyn VictimPolicy + Send>,
     stats: HssStats,
     completions: VecDeque<f64>,
     queue_window: usize,
+    /// The request clock: requests accepted so far (1-based inside
+    /// `access_after`). Stamps page accesses and `VictimPolicy::on_place`.
     seq: u64,
     demote_on_read: bool,
     last_detail: AccessDetail,
+    /// Arena indices of the current request's pages, in page order —
+    /// scratch kept across requests (a request may span 2²⁴ pages, so
+    /// neither a stack array nor a per-request allocation).
+    pages: Vec<u32>,
+    /// Scratch: how many of the current read's pages each device holds.
+    per_device: Vec<u64>,
 }
 
 impl StorageManager {
@@ -559,7 +637,6 @@ impl StorageManager {
             devices: config.devices.iter().cloned().map(Device::new).collect(),
             capacities,
             dir: PageDirectory::new(n),
-            tracker: AccessTracker::default(),
             victim: Box::new(LruVictim),
             stats: HssStats::new(n),
             completions: VecDeque::new(),
@@ -567,6 +644,8 @@ impl StorageManager {
             seq: 0,
             demote_on_read: false,
             last_detail: AccessDetail::default(),
+            pages: Vec::new(),
+            per_device: vec![0; n],
         }
     }
 
@@ -619,9 +698,12 @@ impl StorageManager {
         &self.dir
     }
 
-    /// The per-page access metadata table.
-    pub fn tracker(&self) -> &AccessTracker {
-        &self.tracker
+    /// The per-page access metadata table (a view of the directory).
+    pub fn tracker(&self) -> AccessTracker<'_> {
+        AccessTracker {
+            dir: &self.dir,
+            requests_seen: self.seq,
+        }
     }
 
     /// Run statistics so far.
@@ -727,13 +809,13 @@ impl StorageManager {
         // Refresh utilization for the devices' GC models.
         self.refresh_utilizations();
 
-        // Access metadata updates *after* the decision (policies observe
-        // pre-request state). Heat is the directory-resident mirror of
-        // the tracker's counts, scoped to tracked pages.
-        for p in req.pages() {
-            self.dir.bump_heat(p);
+        // Access metadata updates *after* the decision and the eviction
+        // (policies observe pre-request state, and so does a victim
+        // policy that reads heat).
+        let stamp = self.seq as u32;
+        for &i in &self.pages {
+            self.dir.record_access(i, stamp);
         }
-        self.tracker.record(req);
 
         // Stats.
         self.stats.total_requests += 1;
@@ -772,20 +854,23 @@ impl StorageManager {
     /// would cost a write for zero benefit, and demotion is the job of
     /// capacity eviction and [`StorageManager::migrate_batch`].
     fn serve_read(&mut self, req: &IoRequest, target: DeviceId, arrival: f64) -> (f64, u64) {
-        // Unknown pages materialize on the slowest device (pre-existing
-        // cold data; the paper's working set starts in slow storage).
+        // Resolve every page to its entry, once. Unknown pages
+        // materialize on the slowest device (pre-existing cold data; the
+        // paper's working set starts in slow storage).
         let slowest = self.slowest();
-        let mut per_device: Vec<u64> = vec![0; self.devices.len()];
+        self.pages.clear();
+        self.per_device.fill(0);
         for p in req.pages() {
-            let dev = match self.dir.residency(p) {
-                Some(d) => d,
-                None => {
-                    self.dir.place(p, slowest);
+            let i = match self.dir.probe(p) {
+                Ok(i) => i,
+                Err(slot) => {
+                    let i = self.dir.insert(p, slot, slowest);
                     self.victim.on_place(p, slowest, self.seq);
-                    slowest
+                    i
                 }
             };
-            per_device[dev.0] += 1;
+            self.per_device[self.dir.device_of(i)] += 1;
+            self.pages.push(i);
         }
 
         // One read command per involved device; they proceed in parallel,
@@ -795,7 +880,7 @@ impl StorageManager {
         // device-level queue/transfer split.
         let mut completion = arrival;
         let mut crit: Option<(usize, Service)> = None;
-        for (d, &count) in per_device.iter().enumerate() {
+        for (d, &count) in self.per_device.iter().enumerate() {
             if count > 0 {
                 let svc = self.devices[d].serve(arrival, IoOp::Read, req.lpn, count);
                 completion = completion.max(svc.completion_us);
@@ -817,26 +902,29 @@ impl StorageManager {
         // background write. Under `set_read_demotion(true)`,
         // slower-targeted pages move too (the Oracle's deliberate
         // cleanup).
-        let to_move: Vec<u64> = req
-            .pages()
-            .filter(|&p| {
-                self.dir
-                    .residency(p)
-                    .is_some_and(|d| d.0 > target.0 || (self.demote_on_read && d != target))
-            })
-            .collect();
-        let migrated = to_move.len() as u64;
+        let demote = self.demote_on_read;
+        let moves = |d: usize| d > target.0 || (demote && d != target.0);
+        let migrated: u64 = (0..self.per_device.len())
+            .filter(|&d| moves(d))
+            .map(|d| self.per_device[d])
+            .sum();
+        // Recency order: the moved pages in page order, then the ones
+        // that stayed put — which are those whose token the move pass
+        // did not push past `moved_after`.
+        let moved_after = self.dir.lru_counter;
         if migrated > 0 {
             let _ = self.devices[target.0].serve(completion, IoOp::Write, req.lpn, migrated);
-            for p in &to_move {
-                self.dir.place(*p, target);
-                self.victim.on_place(*p, target, self.seq);
+            for &i in &self.pages {
+                if moves(self.dir.device_of(i)) {
+                    self.dir.relocate(i, target);
+                    self.victim
+                        .on_place(self.dir.entries[i as usize].lpn, target, self.seq);
+                }
             }
         }
-        // Refresh recency of pages that stayed put.
-        for p in req.pages() {
-            if !to_move.contains(&p) {
-                self.dir.touch(p);
+        for &i in &self.pages {
+            if self.dir.entries[i as usize].lru_token <= moved_after {
+                self.dir.touch(i);
             }
         }
         (completion, migrated)
@@ -853,19 +941,26 @@ impl StorageManager {
             transfer_us: svc.service_us,
         };
         let mut migrated = 0u64;
+        self.pages.clear();
         for p in req.pages() {
-            match self.dir.residency(p) {
-                Some(d) if d == target => self.dir.touch(p),
-                Some(_) => {
-                    self.dir.place(p, target);
+            let i = match self.dir.probe(p) {
+                Ok(i) if self.dir.device_of(i) == target.0 => {
+                    self.dir.touch(i);
+                    i
+                }
+                Ok(i) => {
+                    self.dir.relocate(i, target);
                     self.victim.on_place(p, target, self.seq);
                     migrated += 1;
+                    i
                 }
-                None => {
-                    self.dir.place(p, target);
+                Err(slot) => {
+                    let i = self.dir.insert(p, slot, target);
                     self.victim.on_place(p, target, self.seq);
+                    i
                 }
-            }
+            };
+            self.pages.push(i);
         }
         (svc.completion_us, migrated)
     }
@@ -906,15 +1001,16 @@ impl StorageManager {
                 "migrate_batch: destination {} out of range",
                 mv.to
             );
-            let Some(from) = self.dir.residency(mv.lpn) else {
+            let Some(i) = self.dir.find(mv.lpn) else {
                 outcome.skipped += 1;
                 continue;
             };
+            let from = DeviceId(self.dir.device_of(i));
             if from == mv.to || self.remaining_capacity(mv.to) == 0 {
                 outcome.skipped += 1;
                 continue;
             }
-            self.dir.place(mv.lpn, mv.to);
+            self.dir.relocate(i, mv.to);
             self.victim.on_place(mv.lpn, mv.to, self.seq);
             if mv.to.0 < from.0 {
                 outcome.promoted_pages += 1;
@@ -1042,6 +1138,8 @@ impl StorageManager {
 mod tests {
     use super::*;
     use crate::device::DeviceSpec;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn dual_manager(fast_pages: u64) -> StorageManager {
         let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
@@ -1562,22 +1660,29 @@ mod tests {
         assert_eq!(m.residency(40), Some(DeviceId(0)));
     }
 
-    /// The directory the compact arena replaced, kept as a test oracle:
-    /// `HashMap<lpn, meta>` plus one `BTreeMap<token, lpn>` per device.
+    /// The layout the compact arena replaced, kept as a test oracle:
+    /// `HashMap<lpn, meta>` plus one `BTreeMap<token, lpn>` per device,
+    /// and the tracker's two `HashMap<lpn, u64>` beside them.
     #[derive(Default)]
     struct ModelDirectory {
         table: HashMap<u64, (usize, u64, u64, u64)>, // device, token, heat, heat_at_place
         lru: Vec<BTreeMap<u64, u64>>,
         counter: u64,
+        counts: HashMap<u64, u64>,
+        last_access: HashMap<u64, u64>,
+        requests_seen: u64,
     }
 
     impl ModelDirectory {
         fn new(n: usize) -> Self {
             ModelDirectory {
-                table: HashMap::new(),
                 lru: (0..n).map(|_| BTreeMap::new()).collect(),
-                counter: 0,
+                ..Default::default()
             }
+        }
+
+        fn device(&self, lpn: u64) -> Option<usize> {
+            self.table.get(&lpn).map(|m| m.0)
         }
 
         fn place(&mut self, lpn: u64, dev: usize) {
@@ -1592,19 +1697,277 @@ mod tests {
         fn touch(&mut self, lpn: u64) {
             self.counter += 1;
             let token = self.counter;
-            if let Some(m) = self.table.get_mut(&lpn) {
-                let (dev, old) = (m.0, m.1);
-                m.1 = token;
-                self.lru[dev].remove(&old);
-                self.lru[dev].insert(token, lpn);
-            }
+            let m = self.table.get_mut(&lpn).expect("touch of a tracked page");
+            let (dev, old) = (m.0, m.1);
+            m.1 = token;
+            self.lru[dev].remove(&old);
+            self.lru[dev].insert(token, lpn);
         }
 
         fn bump_heat(&mut self, lpn: u64) {
-            if let Some(m) = self.table.get_mut(&lpn) {
-                m.2 += 1;
+            self.table.get_mut(&lpn).expect("tracked page").2 += 1;
+        }
+
+        /// The storage manager's request path as it was written against
+        /// this layout: by-LPN lookups, a `to_move` list, then the
+        /// tracker's `record`. Returns `(evicted, migrated)` pages.
+        fn access(
+            &mut self,
+            req: &IoRequest,
+            target: usize,
+            caps: &[u64],
+            demote: bool,
+        ) -> (u64, u64) {
+            let slowest = self.lru.len() - 1;
+            let mut migrated = 0;
+            match req.op {
+                IoOp::Read => {
+                    for p in req.pages() {
+                        if self.device(p).is_none() {
+                            self.place(p, slowest);
+                        }
+                    }
+                    let to_move: Vec<u64> = req
+                        .pages()
+                        .filter(|&p| {
+                            let d = self.table[&p].0;
+                            d > target || (demote && d != target)
+                        })
+                        .collect();
+                    migrated = to_move.len() as u64;
+                    for &p in &to_move {
+                        self.place(p, target);
+                    }
+                    for p in req.pages().filter(|p| !to_move.contains(p)) {
+                        self.touch(p);
+                    }
+                }
+                IoOp::Write => {
+                    for p in req.pages() {
+                        match self.device(p) {
+                            Some(d) if d == target => self.touch(p),
+                            known => {
+                                migrated += u64::from(known.is_some());
+                                self.place(p, target);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut evicted = 0;
+            for (d, &cap) in caps.iter().enumerate().take(slowest) {
+                while self.lru[d].len() as u64 > cap {
+                    let victim = *self.lru[d].values().next().expect("overflowing device");
+                    self.place(victim, d + 1);
+                    evicted += 1;
+                }
+            }
+            self.requests_seen += 1;
+            for p in req.pages() {
+                self.bump_heat(p);
+                *self.counts.entry(p).or_insert(0) += 1;
+                self.last_access.insert(p, self.requests_seen);
+            }
+            (evicted, migrated)
+        }
+
+        /// `migrate_batch`'s accept/skip rule; returns `(promoted,
+        /// demoted, skipped)`.
+        fn migrate(&mut self, moves: &[PageMove], caps: &[u64]) -> (u64, u64, u64) {
+            let (mut promoted, mut demoted, mut skipped) = (0, 0, 0);
+            for mv in moves {
+                match self.device(mv.lpn) {
+                    Some(from)
+                        if from != mv.to.0 && (self.lru[mv.to.0].len() as u64) < caps[mv.to.0] =>
+                    {
+                        self.place(mv.lpn, mv.to.0);
+                        if mv.to.0 < from {
+                            promoted += 1;
+                        } else {
+                            demoted += 1;
+                        }
+                    }
+                    _ => skipped += 1,
+                }
+            }
+            (promoted, demoted, skipped)
+        }
+    }
+
+    /// Every directory and tracker observable of `m` against `model`,
+    /// over pages `0..universe` (touched or not).
+    fn assert_matches_model(m: &StorageManager, model: &ModelDirectory, universe: u64, at: &str) {
+        let dir = m.directory();
+        assert_eq!(dir.current_token(), model.counter, "token clock {at}");
+        assert_eq!(dir.len(), model.table.len(), "tracked pages {at}");
+        for d in 0..model.lru.len() {
+            let dev = DeviceId(d);
+            let theirs: Vec<(u64, u64)> = model.lru[d].iter().map(|(&t, &l)| (t, l)).collect();
+            assert_eq!(
+                dir.iter_lru(dev).collect::<Vec<_>>(),
+                theirs,
+                "LRU of {d} {at}"
+            );
+            let hot: Vec<u64> = dir.iter_hot(dev).map(|(lpn, ..)| lpn).collect();
+            let theirs_hot: Vec<u64> = theirs.iter().rev().map(|&(_, l)| l).collect();
+            assert_eq!(hot, theirs_hot, "hot walk of {d} {at}");
+            for (lpn, heat, since) in dir.iter_hot(dev) {
+                assert_eq!((heat, since), (dir.heat(lpn), dir.heat_since_place(lpn)));
+            }
+            assert_eq!(
+                dir.used_pages(dev),
+                theirs.len() as u64,
+                "used pages of {d} {at}"
+            );
+        }
+        let tracker = m.tracker();
+        assert_eq!(
+            tracker.requests_seen(),
+            model.requests_seen,
+            "request clock {at}"
+        );
+        for lpn in 0..universe {
+            let meta = model.table.get(&lpn);
+            assert_eq!(
+                dir.residency(lpn),
+                meta.map(|m| DeviceId(m.0)),
+                "residency of {lpn} {at}"
+            );
+            assert_eq!(
+                dir.recency_token(lpn),
+                meta.map(|m| m.1),
+                "token of {lpn} {at}"
+            );
+            assert_eq!(dir.heat(lpn), meta.map_or(0, |m| m.2), "heat of {lpn} {at}");
+            assert_eq!(
+                dir.heat_since_place(lpn),
+                meta.map_or(0, |m| m.2 - m.3),
+                "heat since place of {lpn} {at}"
+            );
+            assert_eq!(
+                tracker.access_count(lpn),
+                model.counts.get(&lpn).copied().unwrap_or(0),
+                "access count of {lpn} {at}"
+            );
+            assert_eq!(
+                tracker.access_interval(lpn),
+                model
+                    .last_access
+                    .get(&lpn)
+                    .map(|&t| model.requests_seen - t),
+                "access interval of {lpn} {at}"
+            );
+        }
+    }
+
+    /// One step of the lockstep property: `(kind, lpn, pages, device,
+    /// salt)`.
+    type Step = (u8, u64, u32, usize, u64);
+
+    proptest! {
+        /// The fused request path against the layout it replaced: a real
+        /// manager and [`ModelDirectory`] run the same overlapping
+        /// multi-page reads and writes, read-demotion switches and
+        /// `migrate_batch` calls on a tri-device config small enough that
+        /// evictions cascade, and agree after every step on every
+        /// directory and tracker observable, the per-call outcomes and
+        /// the counting fields of `HssStats` (its latency fields need the
+        /// device models; `report_pins.rs` holds those). The request
+        /// clock may start just below `u32::MAX`, so stamps wrap mid-run.
+        #[test]
+        fn fused_request_path_matches_the_reference_layout(
+            steps in proptest::collection::vec((0u8..10, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX), 1..60),
+            caps in (0u64..5, 0u64..7),
+            wrap in proptest::bool::ANY,
+        ) {
+            let steps: Vec<Step> = steps;
+            let caps = [caps.0, caps.1, u64::MAX];
+            let cfg = HssConfig::tri(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd(), DeviceSpec::hdd())
+                .with_capacity_pages(caps.to_vec());
+            let mut m = StorageManager::new(&cfg);
+            let mut model = ModelDirectory::new(3);
+            if wrap {
+                m.seq = u64::from(u32::MAX) - 20;
+                model.requests_seen = m.seq;
+            }
+            let mut demote = false;
+            let mut expect = HssStats::new(3);
+            for (n, &(kind, lpn, pages, device, salt)) in steps.iter().enumerate() {
+                let at = format!("after step {n} {:?}", steps[n]);
+                match kind {
+                    0..=6 => {
+                        let op = if kind < 4 { IoOp::Read } else { IoOp::Write };
+                        let req = IoRequest::new(n as u64 * 10, lpn, pages, op);
+                        let out = m.access(&req, DeviceId(device));
+                        let (evicted, migrated) = model.access(&req, device, &caps, demote);
+                        prop_assert_eq!((out.evicted_pages, out.migrated_pages), (evicted, migrated));
+                        expect.total_requests += 1;
+                        expect.reads += u64::from(op == IoOp::Read);
+                        expect.writes += u64::from(op == IoOp::Write);
+                        expect.placements[device] += 1;
+                        expect.eviction_events += u64::from(evicted > 0);
+                        expect.evicted_pages += evicted;
+                        expect.migrated_pages += migrated;
+                    }
+                    7 => {
+                        demote = !demote;
+                        m.set_read_demotion(demote);
+                    }
+                    _ => {
+                        // Up to six moves over nearby pages, destinations
+                        // from the salt: unknown pages, no-op moves and
+                        // capacity-blocked moves all occur.
+                        let moves: Vec<PageMove> = (0..u64::from(pages))
+                            .map(|k| PageMove {
+                                lpn: (lpn + k * (1 + salt % 5)) % 44,
+                                to: DeviceId(((salt >> (2 * k)) % 3) as usize),
+                            })
+                            .collect();
+                        let out = m.migrate_batch(&moves, n as f64 * 10.0);
+                        let (promoted, demoted, skipped) = model.migrate(&moves, &caps);
+                        prop_assert_eq!(
+                            (out.promoted_pages, out.demoted_pages, out.skipped),
+                            (promoted, demoted, skipped)
+                        );
+                        expect.bg_migration_events += u64::from(promoted + demoted > 0);
+                        expect.bg_promoted_pages += promoted;
+                        expect.bg_demoted_pages += demoted;
+                    }
+                }
+                assert_matches_model(&m, &model, 48, &at);
+                let st = m.stats();
+                prop_assert_eq!(
+                    (st.total_requests, st.reads, st.writes, &st.placements),
+                    (expect.total_requests, expect.reads, expect.writes, &expect.placements)
+                );
+                prop_assert_eq!(
+                    (st.eviction_events, st.evicted_pages, st.migrated_pages),
+                    (expect.eviction_events, expect.evicted_pages, expect.migrated_pages)
+                );
+                prop_assert_eq!(
+                    (st.bg_migration_events, st.bg_promoted_pages, st.bg_demoted_pages),
+                    (expect.bg_migration_events, expect.bg_promoted_pages, expect.bg_demoted_pages)
+                );
             }
         }
+    }
+
+    #[test]
+    fn access_interval_stays_exact_across_the_stamp_wrap() {
+        // The request clock starts three requests short of 2³²: page 5 is
+        // stamped below the wrap and read back above it.
+        let mut m = dual_manager(100);
+        m.seq = u64::from(u32::MAX) - 2;
+        let _ = m.access(&rd(0, 5, 1), DeviceId(1)); // clock 2³² − 2
+        assert_eq!(m.tracker().access_interval(5), Some(0));
+        for t in 1..=6u64 {
+            let _ = m.access(&rd(t, 6, 1), DeviceId(1)); // … up to 2³² + 4
+            assert_eq!(m.tracker().access_interval(5), Some(t));
+            assert_eq!(m.tracker().access_interval(6), Some(0));
+        }
+        assert!(m.tracker().requests_seen() > u64::from(u32::MAX));
+        assert_eq!(m.tracker().access_count(5), 1);
+        assert_eq!(m.tracker().page(7), None);
     }
 
     #[test]
@@ -1632,13 +1995,19 @@ mod tests {
                     );
                     model.place(lpn, dev);
                 }
+                // Touches and accesses go by arena index, as the request
+                // path issues them: only ever for a tracked page.
                 2 => {
-                    dir.touch(lpn);
-                    model.touch(lpn);
+                    if let Some(i) = dir.find(lpn) {
+                        dir.touch(i);
+                        model.touch(lpn);
+                    }
                 }
                 _ => {
-                    dir.bump_heat(lpn);
-                    model.bump_heat(lpn);
+                    if let Some(i) = dir.find(lpn) {
+                        dir.record_access(i, step as u32);
+                        model.bump_heat(lpn);
+                    }
                 }
             }
             assert_eq!(dir.current_token(), model.counter);
@@ -1695,8 +2064,9 @@ mod tests {
         // footprint) allocates nothing.
         for round in 0..5 {
             for lpn in 0..10_000u64 {
-                dir.touch(lpn);
-                dir.bump_heat(lpn);
+                let i = dir.find(lpn).expect("placed above");
+                dir.touch(i);
+                dir.record_access(i, round as u32);
                 let _ = dir.place(lpn, DeviceId(((lpn + round) % 2) as usize));
             }
         }

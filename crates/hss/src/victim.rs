@@ -5,7 +5,7 @@
 //! management layer does); the Oracle baseline plugs in a Belady
 //! farthest-future-use selector through the [`VictimPolicy`] trait.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::device::DeviceId;
@@ -39,43 +39,47 @@ impl VictimPolicy for LruVictim {
 }
 
 /// Precomputed future-knowledge index: for every page, the ordered list of
-/// request sequence numbers that touch it.
+/// request sequence numbers that touch it — kept as one sorted
+/// `(page, request)` array, so a lookup is a binary search and nothing
+/// about it depends on a hasher.
 ///
 /// Built once from the full trace; shared (immutably) between the Oracle
 /// placement policy and [`OracleVictim`].
 #[derive(Debug, Default)]
 pub struct NextUseIndex {
-    accesses: HashMap<u64, Vec<u64>>,
+    accesses: Vec<(u64, u64)>,
+    pages: usize,
 }
 
 impl NextUseIndex {
     /// Builds the index from a trace. Request `i` (0-based) touching pages
     /// `p..p+size` records sequence `i` for each page.
     pub fn build(trace: &Trace) -> Self {
-        let mut accesses: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (i, r) in trace.iter().enumerate() {
-            for p in r.pages() {
-                accesses.entry(p).or_default().push(i as u64);
-            }
-        }
-        NextUseIndex { accesses }
+        let mut accesses: Vec<(u64, u64)> = trace
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| r.pages().map(move |p| (p, i as u64)))
+            .collect();
+        accesses.sort_unstable();
+        let pages = accesses.chunk_by(|a, b| a.0 == b.0).count();
+        NextUseIndex { accesses, pages }
     }
 
     /// The sequence number of the first access to `lpn` strictly after
     /// `seq`, or `u64::MAX` if the page is never touched again.
     pub fn next_use_after(&self, lpn: u64, seq: u64) -> u64 {
-        match self.accesses.get(&lpn) {
-            None => u64::MAX,
-            Some(seqs) => {
-                let idx = seqs.partition_point(|&s| s <= seq);
-                seqs.get(idx).copied().unwrap_or(u64::MAX)
-            }
+        let idx = self
+            .accesses
+            .partition_point(|&access| access <= (lpn, seq));
+        match self.accesses.get(idx) {
+            Some(&(page, next)) if page == lpn => next,
+            _ => u64::MAX,
         }
     }
 
     /// Number of pages indexed.
     pub fn len(&self) -> usize {
-        self.accesses.len()
+        self.pages
     }
 
     /// `true` when the index is empty.

@@ -64,9 +64,9 @@ pub fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateSc
     let mut promote = Vec::new();
     for d in 1..mgr.num_devices() {
         let dev = DeviceId(d);
-        for (_, lpn) in dir.iter_lru(dev).rev().take(cfg.scan_limit) {
-            if dir.heat_since_place(lpn) >= cfg.promote_min_heat {
-                promote.push((dir.heat(lpn), lpn, dev));
+        for (lpn, heat, since_place) in dir.iter_hot(dev).take(cfg.scan_limit) {
+            if since_place >= cfg.promote_min_heat {
+                promote.push((heat, lpn, dev));
             }
         }
     }

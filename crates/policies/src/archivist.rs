@@ -98,9 +98,9 @@ impl Archivist {
     }
 
     fn features(req: &IoRequest, ctx: &PlacementContext<'_>) -> [f32; 4] {
-        let tracker = ctx.manager.tracker();
-        let count = tracker.access_count(req.lpn);
-        let interval = tracker.access_interval(req.lpn).unwrap_or(u64::MAX);
+        let page = ctx.manager.tracker().page(req.lpn);
+        let count = page.map_or(0, |p| p.access_count);
+        let interval = page.and_then(|p| p.access_interval).unwrap_or(u64::MAX);
         [
             (req.size_pages as f32 / 64.0).min(1.0),
             if req.op.is_write() { 1.0 } else { 0.0 },

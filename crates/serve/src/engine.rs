@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use sibyl_coop::{CoopConfigError, Coordinator};
 use sibyl_core::{SibylAgent, TrainingMode};
-use sibyl_hss::{AccessOutcome, StorageManager};
+use sibyl_hss::{AccessOutcome, PageSet, StorageManager};
 use sibyl_migrate::{MigrateConfig, MigrateConfigError, Migrator};
 use sibyl_telemetry::{ShardTelemetry, TelemetryConfigError, TelemetryReport};
 use sibyl_trace::{IoRequest, Trace};
@@ -132,6 +132,24 @@ pub fn shard_of(lpn: u64, shards: usize) -> usize {
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^= h >> 31;
     (h % shards as u64) as usize
+}
+
+/// The footprint pre-pass: how many distinct pages the requests routed
+/// to each shard touch, and how many requests `stream` holds.
+/// Fraction-mode capacities resolve against these — the data each shard
+/// will actually hold, the same per-shard footprints
+/// [`Trace::footprint_pages`] gives a materialized split. The page sets
+/// keep this O(unique pages), not O(total request pages): one
+/// regeneration pass buys footprint-bounded memory for the run.
+fn shard_footprints(stream: impl Iterator<Item = IoRequest>, shards: usize) -> (Vec<u64>, u64) {
+    let mut shard_pages = vec![PageSet::default(); shards];
+    let mut total_requests = 0u64;
+    for req in stream {
+        shard_pages[shard_of(req.lpn, shards)].insert(req.lpn..=req.last_lpn());
+        total_requests += 1;
+    }
+    let footprints = shard_pages.iter().map(PageSet::len).collect();
+    (footprints, total_requests)
 }
 
 /// Serves a whole materialized trace through the sharded engine.
@@ -266,24 +284,10 @@ where
 {
     config.validate()?;
 
-    // Footprint pre-pass over a clone of the stream, so fraction-mode
-    // capacities resolve against the data each shard will actually hold
-    // — the same per-shard footprints the materialized path computes.
-    // Sets keep this O(unique pages), not O(total request pages): the
-    // one regeneration pass buys footprint-bounded memory for the run.
-    let mut shard_pages: Vec<std::collections::HashSet<u64>> =
-        vec![std::collections::HashSet::new(); config.shards];
-    let mut total_requests = 0u64;
-    for req in stream.clone() {
-        let s = shard_of(req.lpn, config.shards);
-        shard_pages[s].extend(req.pages());
-        total_requests += 1;
-    }
+    let (footprints, total_requests) = shard_footprints(stream.clone(), config.shards);
     if total_requests == 0 {
         return Err(ServeError::EmptyTrace);
     }
-    let footprints: Vec<u64> = shard_pages.iter().map(|pages| pages.len() as u64).collect();
-    drop(shard_pages);
 
     let coordinator = config
         .coop
@@ -633,6 +637,7 @@ fn run_shard(
 mod tests {
     use super::*;
     use crate::watchdog::within_timeout;
+    use proptest::prelude::*;
     use sibyl_coop::{CoopConfig, CoopMode};
     use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_telemetry::TelemetryConfig;
@@ -680,6 +685,31 @@ mod tests {
         });
         assert_eq!((report.requests, report.batches), (64, 8));
         assert_eq!(report.coop_syncs, 8);
+    }
+
+    proptest! {
+        /// Fraction-mode capacities resolve from these counts, so the
+        /// pre-pass must report exactly what materializing each shard's
+        /// subsequence and asking [`Trace::footprint_pages`] would.
+        #[test]
+        fn shard_footprints_equal_each_shards_trace_footprint(
+            reqs in proptest::collection::vec((0u64..1 << 14, 1u32..65), 0..300),
+            shards in 1usize..5,
+            base in 0u64..u64::MAX - (1 << 15),
+        ) {
+            let reqs: Vec<IoRequest> = reqs
+                .iter()
+                .enumerate()
+                .map(|(t, &(lpn, pages))| IoRequest::new(t as u64, base + lpn, pages, IoOp::Read))
+                .collect();
+            let (footprints, total) = shard_footprints(reqs.iter().copied(), shards);
+            prop_assert_eq!(total, reqs.len() as u64);
+            for (shard, &footprint) in footprints.iter().enumerate() {
+                let routed = reqs.iter().copied().filter(|r| shard_of(r.lpn, shards) == shard);
+                let trace = Trace::from_requests("shard", routed.collect());
+                prop_assert_eq!(footprint, trace.footprint_pages());
+            }
+        }
     }
 
     #[test]

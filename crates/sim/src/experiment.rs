@@ -1,5 +1,7 @@
 //! The experiment driver: trace × HSS configuration × policy → metrics.
 
+use std::sync::OnceLock;
+
 use sibyl_hss::{HssConfig, PlacementContext, PlacementPolicy, StorageManager};
 use sibyl_trace::Trace;
 
@@ -72,6 +74,9 @@ pub struct Experiment {
     hss: HssConfig,
     trace: Trace,
     time_scale: f64,
+    /// `trace.footprint_pages()`, computed by the first run that needs
+    /// it and shared by every later one.
+    footprint: OnceLock<u64>,
 }
 
 impl Experiment {
@@ -82,6 +87,7 @@ impl Experiment {
             hss,
             trace,
             time_scale: 1.0,
+            footprint: OnceLock::new(),
         }
     }
 
@@ -149,7 +155,7 @@ impl Experiment {
         if self.trace.is_empty() {
             return Err(SimError::EmptyTrace);
         }
-        let footprint = self.trace.footprint_pages();
+        let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
         let resolved = config.resolved(footprint);
         let mut manager = StorageManager::new(&resolved);
         policy.prepare(manager.num_devices(), &self.trace);
