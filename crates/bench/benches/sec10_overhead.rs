@@ -128,12 +128,10 @@ fn training_step_table() -> Table {
 }
 
 /// The decide-path kernel table: measured ns/MAC through the retained
-/// scalar references (the pre-tiling "before"), the tiled f32 kernels
-/// (the autovectorized "after"), and the f16 fast path (binary16 weight
-/// storage, f32 compute), next to the deterministic modeled per-request
-/// decide cost. The scalar→tiled delta is the §10 win this PR claims;
-/// the tiled ≤ scalar pin is asserted by the bench-crate regression test
-/// in release builds.
+/// scalar references (the pre-tiling "before") and the tiled f32 kernels
+/// (the autovectorized "after"), next to the deterministic modeled
+/// per-request decide cost. The tiled ≤ scalar pin is asserted by the
+/// bench-crate regression test in release builds.
 fn inference_kernel_table() -> (TwoTermFit, Table) {
     const NS_PER_MAC: f64 = 20.0;
     // Off-tile widths too: the rows a decision memo leaves for the
@@ -141,15 +139,9 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
     const BATCHES: [usize; 10] = [1, 2, 4, 5, 7, 8, 9, 15, 16, 32];
     println!("--- §10.1 decide-path kernels (C51 net, {NS_PER_MAC} ns/MAC model) ---");
     let mut table = Table::new(
-        [
-            "batch",
-            "model/req (us)",
-            "scalar ns/MAC",
-            "tiled ns/MAC",
-            "f16 ns/MAC",
-        ]
-        .map(String::from)
-        .to_vec(),
+        ["batch", "model/req (us)", "scalar ns/MAC", "tiled ns/MAC"]
+            .map(String::from)
+            .to_vec(),
     );
     let rows = sibyl_bench::infer_kernel_rows(&BATCHES, NS_PER_MAC);
     for row in &rows {
@@ -158,7 +150,6 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
             format!("{:.3}", row.modeled_per_req_us),
             format!("{:.3}", row.scalar_ns_per_mac),
             format!("{:.3}", row.tiled_ns_per_mac),
-            format!("{:.3}", row.f16_ns_per_mac),
         ]);
     }
     println!("{}", table.render());

@@ -415,9 +415,9 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
 }
 
 /// One row of `sec10_overhead`'s inference-kernel table: the C51 decide
-/// pass at one batch size through the retained scalar reference kernels,
-/// the tiled f32 kernels, and the f16 fast path — the before/after ns/MAC
-/// evidence for the SIMD-friendly restructuring.
+/// pass at one batch size through the retained scalar reference kernels
+/// and the tiled f32 kernels — the before/after ns/MAC evidence for the
+/// SIMD-friendly restructuring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferKernelRow {
     /// Decide-batch size.
@@ -432,10 +432,6 @@ pub struct InferKernelRow {
     /// Measured wall-clock ns per MAC through the tiled f32 kernels
     /// (`Mlp::infer_batch`) — the autovectorized "after".
     pub tiled_ns_per_mac: f64,
-    /// Measured wall-clock ns per MAC through the f16 fast path
-    /// (`Mlp::infer_batch_f16`): binary16 weight storage decoded per
-    /// call, f32 tiled compute.
-    pub f16_ns_per_mac: f64,
 }
 
 /// Batched inference through the retained scalar reference kernels — the
@@ -472,8 +468,8 @@ fn scalar_infer_batch(
 ///
 /// The modeled column is pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the
-/// retained scalar references, the tiled f32 kernels, and the f16 fast
-/// path over identical seeded weights and inputs. The bench-crate
+/// retained scalar references and the tiled f32 kernels over identical
+/// seeded weights and inputs. The bench-crate
 /// regression test uses the scalar/tiled pair to pin that tiling never
 /// regresses the decide path.
 pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelRow> {
@@ -481,8 +477,7 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
     let mut rng = StdRng::seed_from_u64(0x5EC1_0001);
     let head = Categorical::new(2, 11, 0.0, 10.0);
     let dims = [6, 20, 30, head.n_outputs()];
-    let mut net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
-    net.enable_f16();
+    let net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
     let macs = net.mac_count() as f64;
 
     let mut rows = Vec::with_capacity(batches.len());
@@ -498,16 +493,12 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
         let tiled_ns = time_per_sample(batch, || {
             std::hint::black_box(net.infer_batch(&xs, batch));
         }) / macs;
-        let f16_ns = time_per_sample(batch, || {
-            std::hint::black_box(net.infer_batch_f16(&xs, batch));
-        }) / macs;
 
         rows.push(InferKernelRow {
             batch,
             modeled_per_req_us: macs * ns_per_mac / 1_000.0 / batch as f64,
             scalar_ns_per_mac: scalar_ns,
             tiled_ns_per_mac: tiled_ns,
-            f16_ns_per_mac: f16_ns,
         });
     }
     rows
@@ -1112,9 +1103,7 @@ mod tests {
     /// autovectorized loops actually exist — the tiled f32 path is no
     /// slower than the retained scalar reference per MAC once batches
     /// amortize (batch ≥ 8): the acceptance shape of the tiling
-    /// refactor. The f16 column only has to stay in the same order of
-    /// magnitude (it pays a per-call decode, bought back by halved
-    /// storage, not speed).
+    /// refactor.
     #[test]
     fn tiled_inference_is_no_slower_and_modeled_column_is_deterministic() {
         let rows_a = infer_kernel_rows(&[1, 8, 32], 20.0);
@@ -1137,7 +1126,6 @@ mod tests {
         }
         for row in &rows_a {
             assert!(row.scalar_ns_per_mac > 0.0 && row.tiled_ns_per_mac > 0.0);
-            assert!(row.f16_ns_per_mac > 0.0);
         }
         // The wall-clock pin is scoped to release builds, like the
         // batched-training pin above: debug codegen defeats the

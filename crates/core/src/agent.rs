@@ -13,12 +13,11 @@ use sibyl_telemetry::{Log2Histogram, Registry};
 use sibyl_trace::IoRequest;
 
 use crate::buffer::Experience;
-use crate::config::{SibylConfig, TrainingMode};
+use crate::config::SibylConfig;
 use crate::decision::DecisionCore;
 use crate::features::StateEncoder;
-use crate::learner::{Inference, Learner};
+use crate::learner::Learner;
 use crate::reward::RewardShaper;
-use crate::trainer::BackgroundTrainer;
 
 /// Counters describing the agent's activity during a run.
 ///
@@ -35,13 +34,11 @@ pub struct AgentStats {
     pub explorations: u64,
     /// Experiences pushed toward the learner.
     pub experiences: u64,
-    /// Training steps completed (synchronous mode) or observed
-    /// (background mode).
+    /// Training steps completed.
     pub train_steps: u64,
     /// Wall-clock nanoseconds spent inside training steps (the paper's
-    /// §10 charges this to request latency in synchronous mode; in
-    /// background mode it is the trainer thread's busy time as of the
-    /// last weight adoption). Telemetry only — excluded from equality.
+    /// §10 charges this to request latency). Telemetry only — excluded
+    /// from equality.
     pub train_ns: u64,
     /// Training→inference weight synchronizations.
     pub weight_syncs: u64,
@@ -89,16 +86,13 @@ pub struct RlProbe {
     /// Current ε of the exploration anneal.
     pub epsilon: f64,
     /// Mean loss of the most recent training step, when one has run and
-    /// telemetry is enabled (synchronous mode only — the background
-    /// trainer does not publish losses).
+    /// telemetry is enabled.
     pub last_loss: Option<f32>,
-    /// Experiences currently stored in the replay buffer (0 in
-    /// background mode: the trainer thread owns the buffer).
+    /// Experiences currently stored in the replay buffer.
     pub buffer_len: usize,
     /// Replay-buffer capacity.
     pub buffer_capacity: usize,
-    /// Age distribution of the stored experiences in push counts
-    /// (empty in background mode).
+    /// Age distribution of the stored experiences in push counts.
     pub buffer_age: Log2Histogram,
     /// Mean (best − second-best) Q-value gap over the greedy rows of the
     /// most recent decided batch — how decisively the policy is choosing
@@ -124,33 +118,14 @@ struct Introspection {
     drained_train_ns: u64,
 }
 
-/// Where training runs (resolved from [`TrainingMode`]).
-#[derive(Debug)]
-enum Engine {
-    /// Learner runs inline on the decision path; decisions borrow its
-    /// inference network.
-    Synchronous(Box<Learner>),
-    /// Learner runs on a background thread (Fig. 7(a)); decisions use the
-    /// handle's adopted copy of its inference network.
-    Background(BackgroundTrainer),
-}
-
-impl Engine {
-    /// The network decisions are taken against, and its generation.
-    fn inference(&self) -> Inference<'_> {
-        match self {
-            Engine::Synchronous(learner) => learner.inference(),
-            Engine::Background(trainer) => trainer.inference(),
-        }
-    }
-}
-
 /// Lazily-built runtime state (needs the storage manager's shape).
 #[derive(Debug)]
 struct Runtime {
     encoder: StateEncoder,
     core: DecisionCore,
-    engine: Engine,
+    /// Trains inline on the decision path; decisions borrow its inference
+    /// network.
+    learner: Box<Learner>,
     shaper: RewardShaper,
 }
 
@@ -160,24 +135,15 @@ impl Runtime {
         let encoder = StateEncoder::new(config.feature_mask, n_actions);
         let obs_len = encoder.observation_len();
         let shaper = RewardShaper::new(
-            config.reward_kind,
             config.eviction_penalty_coeff,
             manager.device(DeviceId(0)).spec().min_read_service_us(),
             config.clamp_eviction_reward,
             config.v_min as f64,
         );
-        let engine = match config.training_mode {
-            TrainingMode::Synchronous => {
-                Engine::Synchronous(Box::new(Learner::new(config, n_actions, obs_len)))
-            }
-            TrainingMode::Background => {
-                Engine::Background(BackgroundTrainer::spawn(config, n_actions, obs_len))
-            }
-        };
         Runtime {
             encoder,
             core: DecisionCore::new(config, n_actions, config.seed),
-            engine,
+            learner: Box::new(Learner::new(config, n_actions, obs_len)),
             shaper,
         }
     }
@@ -260,7 +226,7 @@ impl SibylAgent {
     /// The inference network's multiply-accumulate count per decision
     /// (§10.1), available once the agent has seen its first request.
     pub fn inference_macs(&self) -> Option<usize> {
-        Some(self.runtime.as_ref()?.engine.inference().net.mac_count())
+        Some(self.runtime.as_ref()?.learner.inference().net.mac_count())
     }
 
     /// `(lookups, hits)` of the decision memo (see [`DecisionCore`]): how
@@ -272,8 +238,8 @@ impl SibylAgent {
             .map_or((0, 0), |rt| (rt.core.memo_lookups(), rt.core.memo_hits()))
     }
 
-    /// Pushes a finalized experience into the learner and, in synchronous
-    /// mode, runs due training steps + weight syncs.
+    /// Pushes a finalized experience into the learner and runs the
+    /// training step + weight sync it makes due.
     fn push_experience(&mut self, exp: Experience) {
         self.stats.experiences += 1;
         self.pushes_seen += 1;
@@ -295,31 +261,20 @@ impl SibylAgent {
         }
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: experiences come from decisions, which build the runtime
         let rt = self.runtime.as_mut().expect("runtime initialized");
-        match &mut rt.engine {
-            Engine::Synchronous(learner) => {
-                learner.push(exp);
-                if due {
-                    if let Some(loss) = learner.train_step() {
-                        self.stats.train_steps = learner.train_steps;
-                        self.stats.train_ns = learner.train_ns;
-                        self.stats.weight_syncs += 1;
-                        if let Some(intro) = self.introspect.as_deref_mut() {
-                            intro.last_loss = Some(loss);
-                            intro.registry.series_push(
-                                "rl.train_loss",
-                                learner.train_steps,
-                                f64::from(loss),
-                            );
-                        }
-                    }
-                }
-            }
-            Engine::Background(trainer) => {
-                trainer.send(exp);
-                if let Some((train_steps, train_ns)) = trainer.adopt() {
-                    self.stats.train_steps = train_steps;
-                    self.stats.train_ns = train_ns;
-                    self.stats.weight_syncs += 1;
+        let learner = &mut rt.learner;
+        learner.push(exp);
+        if due {
+            if let Some(loss) = learner.train_step() {
+                self.stats.train_steps = learner.train_steps;
+                self.stats.train_ns = learner.train_ns;
+                self.stats.weight_syncs += 1;
+                if let Some(intro) = self.introspect.as_deref_mut() {
+                    intro.last_loss = Some(loss);
+                    intro.registry.series_push(
+                        "rl.train_loss",
+                        learner.train_steps,
+                        f64::from(loss),
+                    );
                 }
             }
         }
@@ -372,7 +327,7 @@ impl SibylAgent {
         }
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: the runtime was built at the top of this method
         let rt = self.runtime.as_mut().expect("runtime initialized");
-        let actions = rt.core.act(rt.engine.inference(), rows);
+        let actions = rt.core.act(rt.learner.inference(), rows);
         if self.config.telemetry.histograms() {
             if let Some(intro) = self.introspect.as_deref_mut() {
                 intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
@@ -444,18 +399,15 @@ impl SibylAgent {
     /// trigger training — and the buffer's deduplication applies as
     /// usual. Each absorbed transition carries the weight configured via
     /// [`SibylAgent::set_foreign_weight`], scaling its loss contribution
-    /// when sampled. No-op in [`TrainingMode::Background`] (the trainer
-    /// owns the buffer) and before the first decision (no runtime yet).
+    /// when sampled. No-op before the first decision (no runtime yet).
     pub fn absorb_experiences(&mut self, exps: &[Experience]) {
         let Some(rt) = self.runtime.as_mut() else {
             return;
         };
-        if let Engine::Synchronous(learner) = &mut rt.engine {
-            for exp in exps {
-                learner.push_weighted(exp.clone(), self.foreign_weight);
-            }
-            self.stats.shared_absorbed += exps.len() as u64;
+        for exp in exps {
+            rt.learner.push_weighted(exp.clone(), self.foreign_weight);
         }
+        self.stats.shared_absorbed += exps.len() as u64;
     }
 
     /// Sets the importance weight future
@@ -478,21 +430,15 @@ impl SibylAgent {
 
     /// The training network's flat parameters — this agent's contribution
     /// to cooperative weight averaging. `None` before the first decision
-    /// (no runtime yet) or in [`TrainingMode::Background`] (the trainer
-    /// thread owns the training network).
+    /// (no runtime yet).
     pub fn export_weights(&self) -> Option<Vec<f32>> {
-        let rt = self.runtime.as_ref()?;
-        match &rt.engine {
-            Engine::Synchronous(learner) => Some(learner.flat_params()),
-            Engine::Background(_) => None,
-        }
+        Some(self.runtime.as_ref()?.learner.flat_params())
     }
 
     /// Adopts externally averaged parameters: overwrites the training
     /// and inference networks, so the next decision and the next
     /// training step both start from the adopted weights.
-    /// Returns `false` (and changes nothing) before the first decision or
-    /// in [`TrainingMode::Background`].
+    /// Returns `false` (and changes nothing) before the first decision.
     ///
     /// # Panics
     ///
@@ -502,17 +448,12 @@ impl SibylAgent {
         let Some(rt) = self.runtime.as_mut() else {
             return false;
         };
-        match &mut rt.engine {
-            Engine::Synchronous(learner) => {
-                learner.set_flat_params(params);
-                self.stats.weight_syncs += 1;
-                true
-            }
-            Engine::Background(_) => false,
-        }
+        rt.learner.set_flat_params(params);
+        self.stats.weight_syncs += 1;
+        true
     }
 
-    /// Test hook: reroute this agent's synchronous learner through the
+    /// Test hook: reroute this agent's learner through the
     /// pre-refactor per-sample training reference so golden tests can
     /// drive the exact old path through the public machinery. Requires
     /// the runtime to exist (one request seen) and no training to have
@@ -520,9 +461,7 @@ impl SibylAgent {
     #[cfg(test)]
     fn force_reference_training(&mut self) {
         if let Some(rt) = self.runtime.as_mut() {
-            if let Engine::Synchronous(learner) = &mut rt.engine {
-                learner.use_reference_train = true;
-            }
+            rt.learner.use_reference_train = true;
         }
     }
 
@@ -530,16 +469,15 @@ impl SibylAgent {
     /// loss, replay-buffer occupancy and age distribution, and the
     /// decisiveness statistics of the most recent batch. Pure — consumes
     /// no RNG and mutates nothing, so callers may sample at any cadence
-    /// without perturbing placement. Background mode degrades gracefully:
-    /// the trainer thread owns the buffer, so occupancy reads 0 and the
-    /// age histogram is empty.
+    /// without perturbing placement.
     pub fn probe(&self) -> RlProbe {
-        let (buffer_len, buffer_age) = match self.runtime.as_ref().map(|rt| &rt.engine) {
-            Some(Engine::Synchronous(learner)) => {
-                (learner.buffer.len(), learner.buffer.age_histogram())
-            }
-            _ => (0, Log2Histogram::new()),
-        };
+        let (buffer_len, buffer_age) =
+            self.runtime
+                .as_ref()
+                .map_or((0, Log2Histogram::new()), |rt| {
+                    let buffer = &rt.learner.buffer;
+                    (buffer.len(), buffer.age_histogram())
+                });
         let intro = self.introspect.as_deref();
         RlProbe {
             epsilon: self.config.epsilon(self.stats.decisions),
@@ -753,7 +691,7 @@ mod tests {
             assert_eq!(
                 run(batch),
                 run(batch),
-                "{batch:?}: synchronous agent must be deterministic"
+                "{batch:?}: a seeded agent must be deterministic"
             );
         }
         // No observation is stale in a batch of one.
@@ -780,19 +718,6 @@ mod tests {
                 "{batch:?}: Sibyl ({sibyl_lat:.0} µs) should beat Slow-Only ({slow_lat:.0} µs)"
             );
         }
-    }
-
-    #[test]
-    fn background_mode_runs_and_shuts_down() {
-        let mut mgr = manager(256);
-        let mut cfg = fast_test_config();
-        cfg.training_mode = TrainingMode::Background;
-        let mut agent = SibylAgent::new(cfg);
-        drive(&mut agent, &mut mgr, &hot_cold_stream(2_000));
-        assert_eq!(agent.stats().decisions, 2_000);
-        // Give the trainer a moment, then drop (joins the thread).
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        drop(agent);
     }
 
     fn tri_manager() -> StorageManager {
@@ -974,7 +899,7 @@ mod tests {
             drive(&mut agent, &mut mgr, &hot_cold_stream(400));
             agent
                 .export_weights()
-                .expect("synchronous agent exports")
+                .expect("a running agent exports")
                 .iter()
                 .map(|v| v.to_bits())
                 .collect::<Vec<u32>>()
@@ -1018,8 +943,8 @@ mod tests {
         let mut b = SibylAgent::new(cfg_b);
         drive(&mut a, &mut mgr_a, &hot_cold_stream(300));
         drive(&mut b, &mut mgr_b, &hot_cold_stream(300));
-        let wa = a.export_weights().expect("synchronous agent exports");
-        let wb = b.export_weights().expect("synchronous agent exports");
+        let wa = a.export_weights().expect("a running agent exports");
+        let wb = b.export_weights().expect("a running agent exports");
         assert_ne!(wa, wb, "independently trained nets should differ");
         let syncs_before = b.stats().weight_syncs;
         assert!(b.import_weights(&wa));
@@ -1028,16 +953,10 @@ mod tests {
     }
 
     #[test]
-    fn weight_export_unavailable_before_runtime_and_in_background() {
-        let agent = SibylAgent::new(fast_test_config());
+    fn weight_export_unavailable_before_runtime() {
+        let mut agent = SibylAgent::new(fast_test_config());
         assert!(agent.export_weights().is_none());
-        let mut cfg = fast_test_config();
-        cfg.training_mode = TrainingMode::Background;
-        let mut bg = SibylAgent::new(cfg);
-        let mut mgr = manager(256);
-        drive(&mut bg, &mut mgr, &hot_cold_stream(50));
-        assert!(bg.export_weights().is_none());
-        assert!(!bg.import_weights(&[0.0; 4]));
+        assert!(!agent.import_weights(&[0.0; 4]));
     }
 
     #[test]
@@ -1083,7 +1002,7 @@ mod tests {
             }
             let weights: Vec<u32> = agent
                 .export_weights()
-                .expect("synchronous agent exports")
+                .expect("a running agent exports")
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
@@ -1221,40 +1140,37 @@ mod tests {
     /// another inside one commit, so a refactor that shifts both sides
     /// passes them all; these FNV-1a digests of (action sequence, logical
     /// stats) hold a commit to its *parent's* decisions, for an agent
-    /// driven one request at a time — in f32 through `place`, in f16
-    /// through `place_batch` of one. Both precisions match one digest:
-    /// binary16 rounding flips no argmax on this stream, as `quant_golden`
-    /// finds on the serving traces. A digest may change only with a
-    /// behaviour change that CHANGES.md explains.
+    /// driven one request at a time — through `place`, and through
+    /// `place_batch` of one. Both drivers match one digest. A digest may
+    /// change only with a behaviour change that CHANGES.md explains.
     #[test]
     fn sequential_decisions_match_the_committed_digests() {
-        use crate::config::{AgentKind, QuantMode};
+        use crate::config::AgentKind;
         const DIGESTS: [(bool, AgentKind, u64); 4] = [
             (false, AgentKind::C51, 816_240_558_327_692_238),
             (false, AgentKind::Dqn, 2_029_255_180_635_398_911),
             (true, AgentKind::C51, 10_537_976_496_901_355_160),
             (true, AgentKind::Dqn, 5_746_496_225_222_248_813),
         ];
-        let digest = |tri: bool, agent_kind: AgentKind, quant_mode: QuantMode| {
+        let digest = |tri: bool, agent_kind: AgentKind, batched: bool| {
             let mut mgr = if tri { tri_manager() } else { manager(128) };
             let mut agent = SibylAgent::new(SibylConfig {
                 agent_kind,
-                quant_mode,
                 ..fast_test_config()
             });
             let mut actions = Vec::new();
             for (seq, req) in hot_cold_stream(700).iter().enumerate() {
                 let seq = seq as u64;
-                let target = match quant_mode {
-                    QuantMode::Off => agent.place(req, &PlacementContext { manager: &mgr, seq }),
-                    QuantMode::F16 => agent.place_batch(std::slice::from_ref(req), &mgr)[0],
+                let target = if batched {
+                    agent.place_batch(std::slice::from_ref(req), &mgr)[0]
+                } else {
+                    agent.place(req, &PlacementContext { manager: &mgr, seq })
                 };
                 let outcome = mgr.access(req, target);
-                match quant_mode {
-                    QuantMode::Off => {
-                        agent.feedback(req, &outcome, &PlacementContext { manager: &mgr, seq })
-                    }
-                    QuantMode::F16 => agent.feedback_batch(std::slice::from_ref(&outcome)),
+                if batched {
+                    agent.feedback_batch(std::slice::from_ref(&outcome));
+                } else {
+                    agent.feedback(req, &outcome, &PlacementContext { manager: &mgr, seq });
                 }
                 actions.push(target.0);
             }
@@ -1268,17 +1184,17 @@ mod tests {
                 })
         };
         for (tri, kind, pinned) in DIGESTS {
-            for quant in [QuantMode::Off, QuantMode::F16] {
+            for batched in [false, true] {
                 assert_eq!(
-                    digest(tri, kind, quant),
+                    digest(tri, kind, batched),
                     pinned,
-                    "tri {tri}, {kind:?}, {quant:?}"
+                    "tri {tri}, {kind:?}, batched {batched}"
                 );
             }
         }
     }
 
-    /// Adoption site 2 of 3, a cooperative import: an agent that has
+    /// Adoption site 2 of 2, a cooperative import: an agent that has
     /// decided (and remembers) an observation must decide on imported
     /// weights at once — and keeps what it remembers across an import of
     /// the weights it already holds (a sync round in which no member
@@ -1307,7 +1223,7 @@ mod tests {
         let before = place(&mut agent);
         assert_eq!(place(&mut agent), before);
         assert_eq!(agent.decision_memo(), (2, 1), "the repeat is a memo hit");
-        let mut params = agent.export_weights().expect("synchronous agent exports");
+        let mut params = agent.export_weights().expect("a running agent exports");
         assert!(agent.import_weights(&params));
         assert_eq!(agent.stats().weight_syncs, 1);
         assert_eq!(place(&mut agent), before);

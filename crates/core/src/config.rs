@@ -23,77 +23,18 @@ pub enum AgentKind {
     Dqn,
 }
 
-/// Which gradient optimizer trains the network.
-///
-/// The paper trains with plain SGD (Algorithm 1 line 18) over week-long
-/// traces. Our synthetic runs are orders of magnitude shorter, and C51's
-/// cross-entropy gradients are too small for SGD to contract the value
-/// estimates in so few steps; Adam (the optimizer TF-Agents configures
-/// for its categorical DQN agents in practice) reaches the Bellman fixed
-/// point within the budget. SGD remains available for fidelity
-/// experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// Adam with standard betas (default).
-    #[default]
-    Adam,
-    /// Plain stochastic gradient descent (the paper's description).
-    Sgd,
-}
-
-/// How training runs relative to decision-making.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum TrainingMode {
-    /// Train inline on the decision thread every `train_interval`
-    /// requests. Deterministic; the default for tests and benches.
-    #[default]
-    Synchronous,
-    /// Mirror the paper's two-thread design (Fig. 7(a)): a background
-    /// training thread consumes experiences from a channel, trains, and
-    /// publishes weights that the decision thread copies into its
-    /// inference network. Keeps training off the decision critical path.
-    Background,
-}
-
-/// The reward structure (§5 Eq. 1 plus the §11 alternatives the paper
-/// discusses and rejects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum RewardKind {
-    /// `R = 1/L_t`, minus the eviction penalty when an eviction happened —
-    /// the paper's reward (Eq. 1).
-    #[default]
-    RequestLatency,
-    /// +1 when the request was served by the fast device, 0 otherwise —
-    /// the "hit rate" alternative §11 shows over-fills fast storage.
-    HitRate,
-    /// −1 on eviction, 0 otherwise — the "high negative reward"
-    /// alternative §11 shows under-uses fast storage.
-    EvictionOnly,
-}
-
-/// Numeric precision of the batched inference (decide) path.
-///
-/// The paper stores its weights in 16 bits to reach the §10.2 footprint;
-/// this knob makes that storage real on the hot path. Training always
-/// stays f32 and bit-pinned — quantization only ever touches the
-/// inference network's *weight storage* (compute remains f32 on decoded
-/// values), and only greedy decisions read it ([`place_batch`], and
-/// [`place`] as its batch of one); exploration and all training are
-/// untouched.
-///
-/// [`place_batch`]: crate::SibylAgent::place_batch
-/// [`place`]: sibyl_hss::PlacementPolicy::place
+/// Precision of the inference path: f32, the only one there is. The
+/// enum and the two fields of this type ([`SibylConfig::quant_mode`],
+/// `sibyl_serve::ServeConfig::quant`) exist only because the frozen
+/// `benchmark/` harness assigns one to the other
+/// (`benchmark/benches/replica.rs`); they go when that line does. The
+/// paper's 16-bit weight footprint (§10.2) is arithmetic in
+/// [`OverheadReport`](crate::OverheadReport), not a storage format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum QuantMode {
-    /// Full f32 inference — bit-identical to the pre-quantization
-    /// behavior (the default).
+    /// Full f32 inference.
     #[default]
     Off,
-    /// Binary16 weight storage for the inference network: a decision
-    /// pass decodes f16 shadow weights per batch and computes in f32. The
-    /// serving golden test pins that this changes zero placement
-    /// decisions on the reference trace.
-    F16,
 }
 
 /// Complete configuration of a Sibyl agent. Defaults are the paper's
@@ -163,13 +104,7 @@ pub struct SibylConfig {
     pub feature_mask: FeatureMask,
     /// Value-learning algorithm.
     pub agent_kind: AgentKind,
-    /// Gradient optimizer.
-    pub optimizer: OptimizerKind,
-    /// Synchronous or background training.
-    pub training_mode: TrainingMode,
-    /// Reward structure (§11 ablation).
-    pub reward_kind: RewardKind,
-    /// Precision of the batched decide path (f16 weight storage opt-in).
+    /// Read by nothing; kept for the frozen harness (see [`QuantMode`]).
     pub quant_mode: QuantMode,
     /// Telemetry recording level for the agent's RL introspection probes
     /// (loss curves, Q-value spread, replay-buffer age). `Off` by
@@ -200,9 +135,6 @@ impl Default for SibylConfig {
             clamp_eviction_reward: false,
             feature_mask: FeatureMask::ALL,
             agent_kind: AgentKind::C51,
-            optimizer: OptimizerKind::Adam,
-            training_mode: TrainingMode::Synchronous,
-            reward_kind: RewardKind::RequestLatency,
             quant_mode: QuantMode::Off,
             telemetry: TelemetryConfig::default(),
             seed: 0x51BB_1AA7,

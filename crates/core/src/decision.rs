@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::buffer::Experience;
-use crate::config::{QuantMode, SibylConfig};
+use crate::config::SibylConfig;
 use crate::learner::{Inference, ValueHead};
 
 /// The latest decision. Its transition stays open until the next
@@ -132,8 +132,8 @@ pub struct DecisionCore {
 }
 
 impl DecisionCore {
-    /// Creates the core for `n_actions` actions: value head, ε schedule
-    /// and inference precision from `config`, action RNG from `seed`.
+    /// Creates the core for `n_actions` actions: value head and ε schedule
+    /// from `config`, action RNG from `seed`.
     pub fn new(config: &SibylConfig, n_actions: usize, seed: u64) -> Self {
         DecisionCore {
             config: config.clone(),
@@ -207,8 +207,7 @@ impl DecisionCore {
     /// coin at the schedule's current ε and, on heads, one uniform action
     /// draw; every other row is looked up in the memo of
     /// `inference.generation`, and the rows it has not seen go through the
-    /// network in one batched pass (binary16 weights under
-    /// [`QuantMode::F16`]), take the argmax of their Q-values —
+    /// network in one batched pass, take the argmax of their Q-values —
     /// bit-identically to per-row inference — and are remembered. A new
     /// generation empties the memo first. The last decision becomes the
     /// open transition.
@@ -257,15 +256,7 @@ impl DecisionCore {
         }
         if !self.misses.is_empty() {
             let missed = self.misses.len();
-            match self.config.quant_mode {
-                QuantMode::Off => net.infer_batch_into(
-                    &self.miss_rows,
-                    missed,
-                    &mut self.scratch,
-                    &mut self.logits,
-                ),
-                QuantMode::F16 => self.logits = net.infer_batch_f16(&self.miss_rows, missed),
-            }
+            net.infer_batch_into(&self.miss_rows, missed, &mut self.scratch, &mut self.logits);
             let logits = self.logits.chunks_exact(net.out_dim());
             let rows = self.miss_rows.chunks_exact(obs_len);
             for ((logits, row), &i) in logits.zip(rows).zip(&self.misses) {
@@ -400,7 +391,7 @@ mod tests {
         assert_eq!((last.obs, last.reward), (vec![2.0, 2.1], 0.7));
     }
 
-    /// Adoption site 1 of 3, the end of a synchronous training step: a
+    /// Adoption site 1 of 2, the end of a training step: a
     /// core that has decided (and remembers) an observation must see the
     /// step that flips its argmax. Fails if `Learner::train_step` stops
     /// counting a generation.
@@ -457,12 +448,11 @@ mod tests {
         /// whose table holds nothing agree at every step on the actions,
         /// the counters, the RNG position, `q_spread` to the bit and the
         /// experiences `close` and `settle` yield — across weight changes,
-        /// with exploration on, in f32 and f16, at `Full` telemetry.
+        /// with exploration on, at `Full` telemetry.
         #[test]
         fn the_memo_changes_nothing_but_the_work(
             seed in 0u64..1_000,
             exploration in 0usize..3,
-            f16 in proptest::bool::ANY,
             steps in steps(),
         ) {
             let exploration = [0.0, 0.1, 0.5][exploration];
@@ -471,7 +461,6 @@ mod tests {
                 exploration_initial: exploration,
                 n_atoms: 11,
                 train_interval: 8,
-                quant_mode: if f16 { QuantMode::F16 } else { QuantMode::Off },
                 telemetry: sibyl_telemetry::TelemetryConfig::full(),
                 seed,
                 ..Default::default()

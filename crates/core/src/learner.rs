@@ -1,16 +1,16 @@
-//! The training-side machinery shared by synchronous and background
-//! modes: value head (C51 or plain DQN), the paper's two networks —
+//! The training-side machinery: value head (C51 or plain DQN), the
+//! paper's two networks —
 //! training and inference, the latter doubling as the bootstrap target
 //! (§6.2) — and the batched update step of Algorithm 1 (lines 16–19).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sibyl_nn::{Activation, Adam, Mlp, Optimizer, Sgd};
+use sibyl_nn::{Activation, Adam, Mlp};
 
 use crate::buffer::{Experience, ExperienceBuffer};
 use crate::c51::{Categorical, HeadScratch};
-use crate::config::{AgentKind, OptimizerKind, QuantMode, SibylConfig};
+use crate::config::{AgentKind, SibylConfig};
 
 /// The value-learning head: distributional (C51) or expectation (DQN).
 #[derive(Debug, Clone)]
@@ -172,10 +172,10 @@ impl ValueHead {
 
 /// A borrowed inference network with the generation of its weights.
 /// Whoever owns the network counts its adoptions of new weights — the
-/// end of [`Learner::train_step`], [`Learner::set_flat_params`], the
-/// background trainer's `adopt` — so between two borrows with equal
-/// generations the greedy action is a pure function of the observation,
-/// which is what [`DecisionCore`](crate::DecisionCore)'s memo rests on.
+/// end of [`Learner::train_step`] and [`Learner::set_flat_params`] — so
+/// between two borrows with equal generations the greedy action is a pure
+/// function of the observation, which is what
+/// [`DecisionCore`](crate::DecisionCore)'s memo rests on.
 #[derive(Debug, Clone, Copy)]
 pub struct Inference<'a> {
     /// The network decisions are taken against.
@@ -238,7 +238,7 @@ pub struct Learner {
     target_net: Mlp,
     /// Adoptions of new weights into `target_net` so far.
     generation: u64,
-    opt: Box<dyn Optimizer + Send>,
+    opt: Adam,
     pub(crate) buffer: ExperienceBuffer,
     scratch: TrainScratch,
     rng: StdRng,
@@ -279,20 +279,12 @@ impl Learner {
         let train_net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
         let mut target_net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
         target_net.copy_weights_from(&train_net);
-        if config.quant_mode == QuantMode::F16 {
-            // Every later adoption re-encodes the shadows on its own.
-            target_net.enable_f16();
-        }
-        let opt: Box<dyn Optimizer + Send> = match config.optimizer {
-            OptimizerKind::Adam => Box::new(Adam::new(config.learning_rate)),
-            OptimizerKind::Sgd => Box::new(Sgd::new(config.learning_rate)),
-        };
         Learner {
             head,
             train_net,
             target_net,
             generation: 0,
-            opt,
+            opt: Adam::new(config.learning_rate),
             buffer: ExperienceBuffer::new(config.buffer_capacity),
             scratch: TrainScratch::default(),
             rng: StdRng::seed_from_u64(config.seed ^ 0x5A3B),
@@ -455,7 +447,7 @@ impl Learner {
             }
             self.train_net
                 .backward_batch_into(&s.grads, n, &mut s.pingpong, &mut s.dx);
-            self.train_net.apply_grads(&mut *self.opt, 1.0 / n as f32);
+            self.train_net.apply_grads(&mut self.opt, 1.0 / n as f32);
         }
         self.adopt_trained();
         self.train_ns += started.elapsed().as_nanos() as u64;
@@ -509,7 +501,7 @@ impl Learner {
                 self.train_net.backward(&grad);
             }
             self.train_net
-                .apply_grads(&mut *self.opt, 1.0 / samples.len().max(1) as f32);
+                .apply_grads(&mut self.opt, 1.0 / samples.len().max(1) as f32);
         }
         self.adopt_trained();
         Some(total_loss / total_samples.max(1) as f32)
@@ -525,8 +517,7 @@ impl Learner {
 
     /// The inference network a [`DecisionCore`](crate::DecisionCore)
     /// decides against: refreshed, under a new generation, by every
-    /// [`Learner::train_step`] and [`Learner::set_flat_params`];
-    /// f16-shadowed under [`QuantMode::F16`].
+    /// [`Learner::train_step`] and [`Learner::set_flat_params`].
     pub fn inference(&self) -> Inference<'_> {
         Inference {
             net: &self.target_net,

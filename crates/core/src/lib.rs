@@ -22,10 +22,10 @@
 //!   network and the inference network, which doubles as the bootstrap
 //!   target; `place`, `place_batch` and `sibyl-migrate`'s tick agent all
 //!   decide through one [`DecisionCore`] ε-greedy pass against it.
-//! - **Two-thread design** ([`SibylAgent`] with
-//!   [`TrainingMode::Background`]): training runs on a background thread
-//!   and never blocks placement decisions (Fig. 7(a)); only there does
-//!   the decision side hold a copy of the inference network.
+//! - **One thread** ([`SibylAgent`]): training runs inline on the
+//!   decision thread at `train_interval` boundaries. The paper overlaps
+//!   it with decisions on a second thread (Fig. 7(a)); this crate does
+//!   not carry that, so that two identical runs are bit-identical.
 //!
 //! [`SibylAgent`] implements [`sibyl_hss::PlacementPolicy`], so it drops
 //! into the same driver loop as every baseline.
@@ -65,12 +65,11 @@ pub mod features;
 mod learner;
 pub mod overhead;
 mod reward;
-mod trainer;
 
 pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
 pub use c51::{Categorical, HeadScratch};
-pub use config::{AgentKind, OptimizerKind, QuantMode, RewardKind, SibylConfig, TrainingMode};
+pub use config::{AgentKind, QuantMode, SibylConfig};
 pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};
 pub use learner::{Inference, Learner};

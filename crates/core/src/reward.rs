@@ -1,4 +1,4 @@
-//! Sibyl's reward structure (Eq. 1) and the §11 alternatives.
+//! Sibyl's reward structure (Eq. 1).
 //!
 //! After each placement the agent receives
 //!
@@ -17,12 +17,9 @@ use serde::{Deserialize, Serialize};
 
 use sibyl_hss::AccessOutcome;
 
-use crate::config::RewardKind;
-
 /// Computes scaled rewards from access outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RewardShaper {
-    kind: RewardKind,
     /// Eq. 1's penalty coefficient (0.001 in the paper).
     penalty_coeff: f64,
     /// Scale factor: the fast device's minimum 1-page read service time
@@ -51,20 +48,13 @@ impl RewardShaper {
     ///
     /// Panics if `scale_us` is not positive or `penalty_coeff` is
     /// negative.
-    pub fn new(
-        kind: RewardKind,
-        penalty_coeff: f64,
-        scale_us: f64,
-        clamp: bool,
-        floor: f64,
-    ) -> Self {
+    pub fn new(penalty_coeff: f64, scale_us: f64, clamp: bool, floor: f64) -> Self {
         assert!(scale_us > 0.0, "RewardShaper: scale must be positive");
         assert!(
             penalty_coeff >= 0.0,
             "RewardShaper: penalty must be non-negative"
         );
         RewardShaper {
-            kind,
             penalty_coeff,
             scale_us,
             clamp,
@@ -72,40 +62,18 @@ impl RewardShaper {
         }
     }
 
-    /// The reward for one request outcome.
+    /// The reward for one request outcome: Eq. 1, scaled by `scale_us`
+    /// (positive scaling preserves the max(0, ·) semantics).
     pub fn reward(&self, outcome: &AccessOutcome) -> f32 {
-        match self.kind {
-            RewardKind::RequestLatency => {
-                // Eq. 1, scaled by `scale_us` (positive scaling preserves
-                // the max(0, ·) semantics).
-                let base = self.scale_us / outcome.latency_us.max(1e-3);
-                if outcome.caused_eviction() {
-                    let penalty = self.penalty_coeff * outcome.eviction_us * self.scale_us;
-                    let lower = if self.clamp { 0.0 } else { self.floor };
-                    // Capped like the no-eviction branch: a lightly
-                    // penalized ultra-fast access gets no special ceiling.
-                    (base - penalty).max(lower).min(REWARD_CAP) as f32
-                } else {
-                    base.min(REWARD_CAP) as f32
-                }
-            }
-            RewardKind::HitRate => {
-                // §11: reward fast-device hits; blind to latency asymmetry
-                // and eviction cost.
-                if outcome.target.0 == 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            RewardKind::EvictionOnly => {
-                // §11: punish evictions only; blind to service latency.
-                if outcome.caused_eviction() {
-                    -1.0
-                } else {
-                    0.0
-                }
-            }
+        let base = self.scale_us / outcome.latency_us.max(1e-3);
+        if outcome.caused_eviction() {
+            let penalty = self.penalty_coeff * outcome.eviction_us * self.scale_us;
+            let lower = if self.clamp { 0.0 } else { self.floor };
+            // Capped like the no-eviction branch: a lightly
+            // penalized ultra-fast access gets no special ceiling.
+            (base - penalty).max(lower).min(REWARD_CAP) as f32
+        } else {
+            base.min(REWARD_CAP) as f32
         }
     }
 }
@@ -128,7 +96,7 @@ mod tests {
     }
 
     fn shaper() -> RewardShaper {
-        RewardShaper::new(RewardKind::RequestLatency, 0.001, 10.0, true, -1.0)
+        RewardShaper::new(0.001, 10.0, true, -1.0)
     }
 
     #[test]
@@ -174,28 +142,14 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_kind_ignores_latency() {
-        let s = RewardShaper::new(RewardKind::HitRate, 0.001, 10.0, true, -1.0);
-        assert_eq!(s.reward(&outcome(1e6, 0.0, 0, 0)), 1.0);
-        assert_eq!(s.reward(&outcome(1.0, 0.0, 0, 1)), 0.0);
-    }
-
-    #[test]
-    fn eviction_only_kind_is_negative_on_eviction() {
-        let s = RewardShaper::new(RewardKind::EvictionOnly, 0.001, 10.0, true, -1.0);
-        assert_eq!(s.reward(&outcome(10.0, 100.0, 4, 0)), -1.0);
-        assert_eq!(s.reward(&outcome(10.0, 0.0, 0, 0)), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "scale must be positive")]
     fn rejects_bad_scale() {
-        let _ = RewardShaper::new(RewardKind::RequestLatency, 0.001, 0.0, true, -1.0);
+        let _ = RewardShaper::new(0.001, 0.0, true, -1.0);
     }
 
     #[test]
     fn unclamped_penalty_goes_negative_but_respects_floor() {
-        let s = RewardShaper::new(RewardKind::RequestLatency, 0.001, 10.0, false, -1.0);
+        let s = RewardShaper::new(0.001, 10.0, false, -1.0);
         // Penalty 0.001·500·10 = 5 ≫ base 1: unclamped lands at the floor.
         let r = s.reward(&outcome(10.0, 500.0, 8, 0));
         assert_eq!(r, -1.0);

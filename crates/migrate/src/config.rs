@@ -59,11 +59,6 @@ pub enum MigrateConfigError {
     /// `promote_min_heat == 0`: every resident page would qualify for
     /// promotion, including pages never re-accessed.
     ZeroPromoteHeat,
-    /// The RL policy's hyper-parameters are degenerate (non-positive
-    /// learning rate, discount outside `[0, 1]`, inverted exploration
-    /// anneal, fewer than two atoms, an empty value support, or a zero
-    /// buffer/batch/train cadence).
-    InvalidRl,
 }
 
 impl std::fmt::Display for MigrateConfigError {
@@ -84,84 +79,11 @@ impl std::fmt::Display for MigrateConfigError {
             MigrateConfigError::ZeroPromoteHeat => {
                 write!(f, "promote_min_heat must be positive")
             }
-            MigrateConfigError::InvalidRl => {
-                write!(f, "rl-migration hyper-parameters are degenerate")
-            }
         }
     }
 }
 
 impl std::error::Error for MigrateConfigError {}
-
-/// Hyper-parameters of the [`MigratePolicyKind::Rl`] agent. Smaller than
-/// the placement agent's everywhere — it decides once per *tick*, not
-/// once per request, so its experience stream is two to three orders of
-/// magnitude thinner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RlMigrateConfig {
-    /// Learning rate of the Adam-trained C51 head.
-    pub learning_rate: f32,
-    /// Discount factor over ticks.
-    pub discount: f32,
-    /// Final exploration rate.
-    pub exploration: f64,
-    /// Initial exploration rate, annealed linearly over
-    /// [`RlMigrateConfig::exploration_decay_ticks`].
-    pub exploration_initial: f64,
-    /// Ticks over which the exploration anneal runs.
-    pub exploration_decay_ticks: u64,
-    /// Replay-buffer capacity in tick transitions.
-    pub buffer_capacity: usize,
-    /// Transitions per training batch.
-    pub batch_size: usize,
-    /// Batches per training step.
-    pub batches_per_step: usize,
-    /// Ticks between training steps.
-    pub train_ticks: u64,
-    /// C51 support atoms.
-    pub n_atoms: usize,
-    /// Lower bound of the value support.
-    pub v_min: f32,
-    /// Upper bound of the value support.
-    pub v_max: f32,
-}
-
-impl Default for RlMigrateConfig {
-    fn default() -> Self {
-        RlMigrateConfig {
-            learning_rate: 1e-2,
-            discount: 0.8,
-            exploration: 0.02,
-            exploration_initial: 0.4,
-            exploration_decay_ticks: 150,
-            buffer_capacity: 256,
-            batch_size: 32,
-            batches_per_step: 2,
-            train_ticks: 4,
-            n_atoms: 21,
-            v_min: -2.0,
-            v_max: 2.0,
-        }
-    }
-}
-
-impl RlMigrateConfig {
-    fn is_valid(&self) -> bool {
-        self.learning_rate.is_finite()
-            && self.learning_rate > 0.0
-            && (0.0..=1.0).contains(&self.discount)
-            && (0.0..=1.0).contains(&self.exploration)
-            && (0.0..=1.0).contains(&self.exploration_initial)
-            && self.exploration_initial >= self.exploration
-            && self.buffer_capacity > 0
-            && self.batch_size > 0
-            && self.batches_per_step > 0
-            && self.train_ticks > 0
-            && self.n_atoms >= 2
-            && self.v_min < self.v_max
-            && self.v_max > 0.0
-    }
-}
 
 /// Configuration of the background-migration subsystem.
 ///
@@ -203,8 +125,6 @@ pub struct MigrateConfig {
     /// candidate (pages touched more recently are left alone). Default:
     /// 512.
     pub demote_min_idle: u64,
-    /// Hyper-parameters of the [`MigratePolicyKind::Rl`] agent.
-    pub rl: RlMigrateConfig,
     /// RNG seed for the RL agent's initialization and exploration.
     pub seed: u64,
 }
@@ -219,7 +139,6 @@ impl Default for MigrateConfig {
             promote_min_heat: 2,
             demote_watermark: 0.85,
             demote_min_idle: 512,
-            rl: RlMigrateConfig::default(),
             seed: 0x5EC1_3B17,
         }
     }
@@ -232,13 +151,6 @@ impl MigrateConfig {
             policy,
             ..Default::default()
         }
-    }
-
-    /// Replaces the policy, keeping every knob (how a sweep varies the
-    /// policy under otherwise identical settings).
-    pub fn with_policy(mut self, policy: MigratePolicyKind) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Sets the batches-between-ticks period.
@@ -291,9 +203,6 @@ impl MigrateConfig {
         if self.promote_min_heat == 0 {
             return Err(MigrateConfigError::ZeroPromoteHeat);
         }
-        if self.policy == MigratePolicyKind::Rl && !self.rl.is_valid() {
-            return Err(MigrateConfigError::InvalidRl);
-        }
         Ok(())
     }
 }
@@ -336,15 +245,5 @@ mod tests {
         bad.demote_watermark = f64::NAN;
         assert_eq!(bad.validate(), Err(MigrateConfigError::InvalidWatermark));
         active.validate().unwrap();
-    }
-
-    #[test]
-    fn rl_knobs_validated_only_for_rl() {
-        let mut cfg = MigrateConfig::new(MigratePolicyKind::Rl);
-        cfg.rl.learning_rate = 0.0;
-        assert_eq!(cfg.validate(), Err(MigrateConfigError::InvalidRl));
-        let hot_cold = cfg.clone().with_policy(MigratePolicyKind::HotCold);
-        hot_cold.validate().unwrap();
-        assert!(MigrateConfigError::InvalidRl.to_string().contains("rl"));
     }
 }

@@ -61,7 +61,7 @@ mod migrator;
 mod policy;
 mod rl;
 
-pub use config::{MigrateConfig, MigrateConfigError, MigratePolicyKind, RlMigrateConfig};
+pub use config::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
 pub use migrator::{inert_migrator, Migrator, MigratorStats, TickOutcome};
 pub use policy::{
     scan_candidates, CandidateScan, HotColdThreshold, MigrationPolicy, NoMigration, TickFeedback,

@@ -27,6 +27,9 @@ const N_ACTIONS: usize = 3;
 /// availability, hit-rate delta.
 const OBS_LEN: usize = 4;
 
+/// Ticks between training steps.
+const TRAIN_TICKS: u64 = 4;
+
 /// Counters describing the RL migration agent's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RlMigrationStats {
@@ -45,7 +48,6 @@ pub struct RlMigrationStats {
 pub struct RlMigration {
     learner: Learner,
     core: DecisionCore,
-    train_ticks: u64,
     /// Fast-placement fraction of the previous window (hit-rate-delta
     /// feature).
     prev_fast_fraction: f64,
@@ -53,38 +55,40 @@ pub struct RlMigration {
 }
 
 impl RlMigration {
-    /// Builds the agent from a migration configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the RL knobs are degenerate
-    /// (see [`MigrateConfig::validate`]).
+    /// Builds the agent, seeded from the migration configuration.
     pub fn new(cfg: &MigrateConfig) -> Self {
-        let rl = &cfg.rl;
-        // The learner is sibyl-core's, configured for the tick-level MDP:
+        // The learner is sibyl-core's, configured for the tick-level MDP.
+        // Smaller than the placement agent's everywhere — it decides once
+        // per *tick*, not once per request, so its experience stream is two
+        // to three orders of magnitude thinner; the anneal runs over ticks.
         // `train_interval` is unused (training is driven by tick count
         // here), so it is pinned to 1.
         let sibyl = SibylConfig {
-            discount: rl.discount,
-            learning_rate: rl.learning_rate,
-            exploration: rl.exploration,
-            exploration_initial: rl.exploration_initial,
-            exploration_decay_requests: rl.exploration_decay_ticks,
-            batch_size: rl.batch_size,
-            buffer_capacity: rl.buffer_capacity,
-            batches_per_step: rl.batches_per_step,
+            discount: 0.8,
+            learning_rate: 1e-2,
+            exploration: 0.02,
+            exploration_initial: 0.4,
+            exploration_decay_requests: 150,
+            batch_size: 32,
+            buffer_capacity: 256,
+            batches_per_step: 2,
             train_interval: 1,
             hidden_dims: [16, 16],
-            n_atoms: rl.n_atoms,
-            v_min: rl.v_min,
-            v_max: rl.v_max,
+            n_atoms: 21,
+            v_min: -2.0,
+            v_max: 2.0,
             seed: cfg.seed ^ 0x4A8A_9D2E,
             ..Default::default()
         };
+        Self::with_agent(&sibyl, cfg.seed)
+    }
+
+    /// [`RlMigration::new`] with the agent's hyper-parameters given, for
+    /// the tests that vary them.
+    fn with_agent(sibyl: &SibylConfig, seed: u64) -> Self {
         RlMigration {
-            learner: Learner::new(&sibyl, N_ACTIONS, OBS_LEN),
-            core: DecisionCore::new(&sibyl, N_ACTIONS, cfg.seed ^ 0x31C2_A70D),
-            train_ticks: rl.train_ticks,
+            learner: Learner::new(sibyl, N_ACTIONS, OBS_LEN),
+            core: DecisionCore::new(sibyl, N_ACTIONS, seed ^ 0x31C2_A70D),
             prev_fast_fraction: 0.0,
             stats: RlMigrationStats::default(),
         }
@@ -154,7 +158,7 @@ impl MigrationPolicy for RlMigration {
         }
         // Train on the tick schedule.
         if self.stats.decisions > 0
-            && self.stats.decisions.is_multiple_of(self.train_ticks)
+            && self.stats.decisions.is_multiple_of(TRAIN_TICKS)
             && self.learner.train_step().is_some()
         {
             self.stats.train_steps = self.learner.train_steps();
@@ -295,11 +299,14 @@ mod tests {
     #[test]
     fn actions_map_to_plan_shapes() {
         // Whatever the agent picks, the plan is one of the three shapes;
-        // over many ticks with a high-exploration config all three appear.
-        let mut c = cfg();
-        c.rl.exploration = 1.0;
-        c.rl.exploration_initial = 1.0;
-        let mut agent = RlMigration::new(&c);
+        // over many ticks with an always-exploring agent all three appear.
+        let c = cfg();
+        let always_explore = SibylConfig {
+            exploration: 1.0,
+            exploration_initial: 1.0,
+            ..Default::default()
+        };
+        let mut agent = RlMigration::with_agent(&always_explore, c.seed);
         let mut shapes = std::collections::HashSet::new();
         let mut prev: Option<TickWindow> = None;
         for _ in 0..60 {

@@ -4,7 +4,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
-use crate::half;
 use crate::init::xavier_uniform;
 use crate::linalg;
 
@@ -52,15 +51,6 @@ pub struct Dense {
     /// `dL/dz` scratch of the backward passes, reused across calls.
     #[serde(skip)]
     dz: Vec<f32>,
-    /// Binary16 shadow of `w`, kept in sync by [`Dense::refresh_f16`]
-    /// while the f16 inference fast path is enabled; empty otherwise.
-    /// Runtime-only state (like the caches): a deserialized layer starts
-    /// with the fast path disabled until [`Dense::enable_f16`] is called.
-    #[serde(skip)]
-    f16_w: Vec<u16>,
-    /// Binary16 shadow of `b`; same lifecycle as `f16_w`.
-    #[serde(skip)]
-    f16_b: Vec<u16>,
 }
 
 impl Dense {
@@ -92,8 +82,6 @@ impl Dense {
             cache_x: Vec::new(),
             cache_dact: Vec::new(),
             dz: Vec::new(),
-            f16_w: Vec::new(),
-            f16_b: Vec::new(),
         }
     }
 
@@ -225,86 +213,6 @@ impl Dense {
         self.act.apply_slice(out);
     }
 
-    /// Enables the f16 inference fast path: allocates the binary16 shadow
-    /// buffers and encodes the current weights into them. Idempotent.
-    ///
-    /// After this, [`Dense::infer_batch_f16`] may be called, and every
-    /// weight mutation through [`Dense::copy_weights_from`] re-encodes the
-    /// shadows automatically. Training state is untouched — the f32
-    /// master weights remain the source of truth.
-    pub fn enable_f16(&mut self) {
-        half::quantize_to_bits(&self.w, &mut self.f16_w);
-        half::quantize_to_bits(&self.b, &mut self.f16_b);
-    }
-
-    /// Whether the f16 shadow buffers are allocated and in sync.
-    pub fn f16_enabled(&self) -> bool {
-        !self.f16_w.is_empty()
-    }
-
-    /// Re-encodes the binary16 shadow buffers from the current f32
-    /// weights. No-op while the fast path is disabled, so the training
-    /// hot loop never pays for it.
-    pub fn refresh_f16(&mut self) {
-        if self.f16_enabled() {
-            half::quantize_to_bits(&self.w, &mut self.f16_w);
-            half::quantize_to_bits(&self.b, &mut self.f16_b);
-        }
-    }
-
-    /// Storage bytes of the binary16 shadow buffers (0 when disabled) —
-    /// the §10.2 footprint the shadow actually occupies.
-    pub fn f16_storage_bytes(&self) -> usize {
-        half::storage_bytes(self.f16_w.len() + self.f16_b.len())
-    }
-
-    /// Cache-free batched forward pass reading the binary16 shadow
-    /// weights instead of the f32 masters: the opt-in quantized inference
-    /// fast path (`QuantMode::F16` at the serving layer).
-    ///
-    /// The shadows are decoded into the caller-provided `scratch` once
-    /// per call — O(params), amortized over the whole batch — and the
-    /// decoded values then run through the same tiled f32 kernel as
-    /// [`Dense::infer_batch`]: compute stays f32, only the weight
-    /// *storage* is 16-bit. Output differs from the f32 path only by the
-    /// binary16 rounding of the weights (≤ 2⁻¹¹ relative per weight),
-    /// a bound the kernel-parity property suite pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fast path is not enabled ([`Dense::enable_f16`]) or
-    /// `xs.len() != batch * in_dim`.
-    pub fn infer_batch_f16(
-        &self,
-        xs: &[f32],
-        batch: usize,
-        scratch: &mut Vec<f32>,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(
-            self.f16_enabled(),
-            "Dense::infer_batch_f16: fast path not enabled (call enable_f16 first)"
-        );
-        assert_eq!(
-            xs.len(),
-            batch * self.in_dim,
-            "Dense::infer_batch_f16: input shape mismatch"
-        );
-        // Decode weights then biases into one scratch buffer: the weight
-        // matrix occupies the first `out_dim·in_dim` slots.
-        scratch.clear();
-        scratch.reserve(self.f16_w.len() + self.f16_b.len());
-        for &bits in &self.f16_w {
-            scratch.push(half::f16_bits_to_f32(bits));
-        }
-        for &bits in &self.f16_b {
-            scratch.push(half::f16_bits_to_f32(bits));
-        }
-        let (w, b) = scratch.split_at(self.f16_w.len());
-        linalg::matmul_bias(w, b, xs, self.out_dim, self.in_dim, batch, out);
-        self.act.apply_slice(out);
-    }
-
     /// Backward pass: given `dL/dy`, accumulates `dL/dW` and `dL/db` into
     /// the layer's gradient buffers and returns `dL/dx`.
     ///
@@ -429,7 +337,6 @@ impl Dense {
         );
         self.w.copy_from_slice(&other.w);
         self.b.copy_from_slice(&other.b);
-        self.refresh_f16();
     }
 
     /// Restores gradient/cache buffers after deserialization.
@@ -518,38 +425,6 @@ mod tests {
         a.infer(&x, &mut ya);
         b.infer(&x, &mut yb);
         assert_eq!(ya, yb);
-    }
-
-    #[test]
-    fn infer_batch_f16_close_to_f32_and_refreshes_on_copy() {
-        let mut layer = Dense::new(6, 4, Activation::Swish, &mut rng());
-        layer.enable_f16();
-        assert!(layer.f16_enabled());
-        assert_eq!(layer.f16_storage_bytes(), (6 * 4 + 4) * 2);
-        let xs: Vec<f32> = (0..12).map(|i| (i as f32) * 0.17 - 1.0).collect();
-        let mut scratch = Vec::new();
-        let (mut y16, mut y32) = (Vec::new(), Vec::new());
-        layer.infer_batch_f16(&xs, 2, &mut scratch, &mut y16);
-        layer.infer_batch(&xs, 2, &mut y32);
-        assert_eq!(y16.len(), y32.len());
-        for (a, b) in y16.iter().zip(&y32) {
-            assert!((a - b).abs() < 1e-2, "f16 {a} vs f32 {b}");
-        }
-        // copy_weights_from must re-encode the shadows.
-        let mut src_rng = rand::rngs::StdRng::seed_from_u64(99);
-        let other = Dense::new(6, 4, Activation::Swish, &mut src_rng);
-        layer.copy_weights_from(&other);
-        let mut y16b = Vec::new();
-        layer.infer_batch_f16(&xs, 2, &mut scratch, &mut y16b);
-        assert_ne!(y16, y16b, "shadow must track the new weights");
-    }
-
-    #[test]
-    #[should_panic(expected = "fast path not enabled")]
-    fn infer_batch_f16_requires_enable() {
-        let layer = Dense::new(3, 2, Activation::Linear, &mut rng());
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        layer.infer_batch_f16(&[0.0; 3], 1, &mut scratch, &mut out);
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! The paper stores network weights and rewards in half precision to reach
 //! its 124.4 KiB total overhead (§10.2: 780 16-bit weights ⇒ 12.2 KiB per
 //! network ... sic, the paper rounds generously; we reproduce the same
-//! accounting). Computation stays in `f32`: these helpers quantize values
-//! through binary16, encode/decode real 16-bit storage buffers
-//! ([`quantize_to_bits`]/[`dequantize_bits`] back the opt-in f16 inference
-//! fast path in [`Dense`](crate::Dense)), and measure the storage
-//! footprint.
+//! accounting). Computation and storage stay in `f32`: the encoder is the
+//! resolution at which the replay buffer deduplicates experiences, and the
+//! decoder is what the property suite checks it against.
 
 /// Converts an `f32` to its IEEE 754 binary16 bit pattern
 /// (round-to-nearest-even), handling subnormals, infinities, and NaN.
@@ -114,42 +112,6 @@ pub fn quantize(x: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(x))
 }
 
-/// Quantizes a slice in place through binary16.
-pub fn quantize_slice(xs: &mut [f32]) {
-    for x in xs {
-        *x = quantize(*x);
-    }
-}
-
-/// Encodes a slice of `f32` values into binary16 bit patterns, refilling
-/// `out` (cleared first). This is the storage direction of the f16
-/// inference fast path: `Dense` keeps its shadow weight buffers as
-/// `Vec<u16>` produced by this function.
-pub fn quantize_to_bits(xs: &[f32], out: &mut Vec<u16>) {
-    out.clear();
-    out.reserve(xs.len());
-    for &x in xs {
-        out.push(f32_to_f16_bits(x));
-    }
-}
-
-/// Decodes a slice of binary16 bit patterns back into `f32`, refilling
-/// `out` (cleared first). The inference fast path decodes a layer's shadow
-/// buffers once per batched call, then runs the f32 tiled kernels on the
-/// decoded values — compute stays f32, only storage is 16-bit.
-pub fn dequantize_bits(bits: &[u16], out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(bits.len());
-    for &b in bits {
-        out.push(f16_bits_to_f32(b));
-    }
-}
-
-/// Storage bytes needed to hold `n` half-precision values.
-pub const fn storage_bytes(n: usize) -> usize {
-    n * 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,21 +148,6 @@ mod tests {
         assert!(q > 0.0 && q < 1e-7);
         // Below half of the smallest subnormal underflows to zero.
         assert_eq!(quantize(1e-9), 0.0);
-    }
-
-    #[test]
-    fn storage_accounting() {
-        // The paper: 780 weights + 52 biases stored in f16.
-        assert_eq!(storage_bytes(780 + 52), 1664);
-    }
-
-    #[test]
-    fn quantize_slice_applies_elementwise() {
-        let mut v = [1.0f32, 1.0001, -0.3333];
-        quantize_slice(&mut v);
-        assert_eq!(v[0], 1.0);
-        assert!((v[1] - 1.0).abs() < 1e-3);
-        assert!((v[2] + 0.3333).abs() < 1e-3);
     }
 
     proptest! {

@@ -17,8 +17,9 @@
 //! - [`Sgd`]/[`Adam`] optimizers behind the [`Optimizer`] trait,
 //! - [`loss`] functions (MSE, softmax cross-entropy) and [`softmax`]
 //!   utilities used by the C51 categorical head,
-//! - [`half`] IEEE 754 half-precision conversion used to account for the
-//!   paper's 16-bit weight storage (§10.2).
+//! - [`half`] IEEE 754 half-precision conversion: the resolution at which
+//!   the replay buffer deduplicates (the paper's 16-bit weight storage,
+//!   §10.2, is accounted in `sibyl-core`'s overhead report, not stored).
 //!
 //! Backpropagation is verified against finite differences by property tests.
 //!

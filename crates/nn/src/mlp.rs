@@ -163,57 +163,6 @@ impl Mlp {
         });
     }
 
-    /// Enables the f16 inference fast path on every layer: allocates
-    /// binary16 shadow weight buffers and encodes the current weights.
-    /// Idempotent. [`Mlp::copy_weights_from`] and [`Mlp::set_flat_params`]
-    /// keep the shadows in sync afterwards; training state is untouched.
-    pub fn enable_f16(&mut self) {
-        for layer in &mut self.layers {
-            layer.enable_f16();
-        }
-    }
-
-    /// Whether the f16 fast path is enabled (on the first layer, which
-    /// implies all layers — [`Mlp::enable_f16`] is all-or-nothing).
-    pub fn f16_enabled(&self) -> bool {
-        self.layers.first().is_some_and(Dense::f16_enabled)
-    }
-
-    /// Batched inference through the binary16 shadow weights: the opt-in
-    /// quantized fast path (`QuantMode::F16` at the serving layer).
-    ///
-    /// Per layer, the f16 shadows are decoded once — O(params), amortized
-    /// over the batch — and the decoded f32 values run through the same
-    /// tiled kernels as [`Mlp::infer_batch`]; compute stays f32, only the
-    /// weight storage is 16-bit (§10.2's footprint made real). Outputs
-    /// differ from the f32 path only by the binary16 rounding of the
-    /// weights; the kernel-parity suite pins the error bound and the
-    /// serving golden test pins that placement decisions do not change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fast path is not enabled ([`Mlp::enable_f16`]),
-    /// `batch == 0`, or `xs.len() != batch * self.in_dim()`.
-    pub fn infer_batch_f16(&self, xs: &[f32], batch: usize) -> Vec<f32> {
-        assert!(batch > 0, "Mlp::infer_batch_f16: empty batch");
-        assert_eq!(
-            xs.len(),
-            batch * self.in_dim(),
-            "Mlp::infer_batch_f16: input shape mismatch"
-        );
-        let (mut scratch, mut out, mut decoded) = (Vec::new(), Vec::new(), Vec::new());
-        chain(
-            self.layers.iter(),
-            xs,
-            &mut scratch,
-            &mut out,
-            |layer, x, y| {
-                layer.infer_batch_f16(x, batch, &mut decoded, y);
-            },
-        );
-        out
-    }
-
     /// Batched forward pass that caches every layer's inputs and
     /// activation derivatives for [`Mlp::backward_batch`] — the training
     /// twin of [`Mlp::infer_batch`], just as [`Mlp::forward`] is the
@@ -402,7 +351,6 @@ impl Mlp {
             off += w.len();
             b.copy_from_slice(&flat[off..off + b.len()]);
             off += b.len();
-            layer.refresh_f16();
         }
     }
 
@@ -685,35 +633,6 @@ mod tests {
         );
         let x = [0.3, -0.1, 0.9, 0.0, 0.5, -0.7];
         assert_eq!(net.infer_batch(&x, 1), net.infer(&x));
-    }
-
-    #[test]
-    fn infer_batch_f16_tracks_weight_sync() {
-        let net = Mlp::new(
-            &[6, 20, 30, 4],
-            Activation::Swish,
-            Activation::Linear,
-            &mut rng(40),
-        );
-        let mut quant = Mlp::new(
-            &[6, 20, 30, 4],
-            Activation::Swish,
-            Activation::Linear,
-            &mut rng(41),
-        );
-        quant.enable_f16();
-        assert!(quant.f16_enabled());
-        let xs: Vec<f32> = (0..2 * 6).map(|i| (i as f32).cos()).collect();
-        // Both sync paths must re-encode the shadows.
-        quant.copy_weights_from(&net);
-        let via_copy = quant.infer_batch_f16(&xs, 2);
-        quant.set_flat_params(&net.flat_params());
-        let via_flat = quant.infer_batch_f16(&xs, 2);
-        assert_eq!(via_copy, via_flat);
-        // And the quantized output stays close to the f32 path.
-        for (a, b) in via_copy.iter().zip(net.infer_batch(&xs, 2)) {
-            assert!((a - b).abs() < 2e-2, "f16 {a} vs f32 {b}");
-        }
     }
 
     #[test]

@@ -1,19 +1,14 @@
 //! Property pins for `sibyl_nn::half`, the binary16 codec.
 //!
-//! This PR promotes the module from a storage-accounting helper (§10.2's
-//! 16-bit weight footprint) to a load-bearing storage format: the f16
-//! inference fast path stores real `Vec<u16>` shadow weights encoded and
-//! decoded by these functions. So the codec is pinned first: round-trip
+//! The encoder is the replay buffer's dedup resolution (two experiences
+//! equal at binary16 are one), so the codec is pinned: round-trip
 //! exactness for everything binary16 represents, correct
 //! round-to-nearest-even at ties, subnormal/Inf/NaN handling, and order
-//! preservation — the properties the parity suite's error envelope and
-//! the serving golden test implicitly build on.
+//! preservation.
 
 use proptest::prelude::*;
 
-use sibyl_nn::half::{
-    dequantize_bits, f16_bits_to_f32, f32_to_f16_bits, quantize, quantize_to_bits,
-};
+use sibyl_nn::half::{f16_bits_to_f32, f32_to_f16_bits, quantize};
 
 proptest! {
     /// Every finite binary16 value round-trips bit-exactly:
@@ -67,9 +62,8 @@ proptest! {
     }
 
     /// Encoding is monotone on finite positives: x ≤ y ⇒ bits(x) ≤
-    /// bits(y). (For positive IEEE values the bit patterns order like the
-    /// values, so an order-preserving encoder is what makes f16 argmax
-    /// agree with f32 argmax outside genuine near-ties.)
+    /// bits(y) (for positive IEEE values the bit patterns order like the
+    /// values).
     #[test]
     fn encoding_is_monotone_on_finite_positives(
         a in 0.0f32..65504.0,
@@ -77,21 +71,6 @@ proptest! {
     ) {
         let (x, y) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(f32_to_f16_bits(x) <= f32_to_f16_bits(y), "x={} y={}", x, y);
-    }
-
-    /// The slice codec is elementwise: encode-then-decode equals the
-    /// per-value quantize, positions preserved.
-    #[test]
-    fn slice_codec_is_elementwise(values in proptest::collection::vec(-70000.0f32..70000.0, 0..40)) {
-        let mut bits = Vec::new();
-        quantize_to_bits(&values, &mut bits);
-        prop_assert_eq!(bits.len(), values.len());
-        let mut decoded = Vec::new();
-        dequantize_bits(&bits, &mut decoded);
-        prop_assert_eq!(decoded.len(), values.len());
-        for (d, v) in decoded.iter().zip(&values) {
-            prop_assert_eq!(d.to_bits(), quantize(*v).to_bits());
-        }
     }
 
     /// Subnormal binary16 range: magnitudes in (2⁻²⁵, 2⁻¹⁴) quantize to a

@@ -1,4 +1,4 @@
-//! The tiled-kernel bit-identity pin and the f16 fast-path error pin.
+//! The tiled-kernel bit-identity pin.
 //!
 //! The tiled kernels in `sibyl_nn::linalg` exist purely for speed — their
 //! inner loops are bounds-check-free so rustc autovectorizes them — so
@@ -9,18 +9,11 @@
 //! palette deliberately straddling every tile boundary
 //! (`BATCH_TILE` − 1 / exact / + 1, `ROW_TILE` likewise, 1, and odd
 //! primes) so remainder paths are exercised as hard as full tiles.
-//!
-//! The f16 half of the suite pins the quantized inference fast path: its
-//! outputs stay within a fixed error envelope of the f32 path, and on
-//! random C51 heads the greedy placement decision (argmax of expected
-//! value) survives quantization whenever the f32 decision margin exceeds
-//! the quantization noise.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sibyl_nn::linalg::{self, scalar, BATCH_TILE, ROW_TILE};
-use sibyl_nn::{softmax, Activation, Mlp};
 
 /// Dimension palette straddling the tile boundaries: 1, ROW_TILE−1,
 /// ROW_TILE, ROW_TILE+1, BATCH_TILE−1, BATCH_TILE, BATCH_TILE+1, odd
@@ -130,101 +123,6 @@ proptest! {
         linalg::col_sum_acc(&mut tiled, &d, batch);
         scalar::col_sum_acc(&mut reference, &d, batch);
         prop_assert_eq!(bits(&tiled), bits(&reference));
-    }
-
-    /// The f16 fast path stays inside a pinned error envelope of the f32
-    /// path on the paper's network shape: per output,
-    /// `|y16 − y32| ≤ 1e-2 · (1 + |y32|)`. The envelope is deliberately
-    /// loose against binary16's 2⁻¹¹ per-weight rounding — it pins the
-    /// path against gross regressions (wrong shadow, stale refresh,
-    /// double quantization), not against float-level drift.
-    #[test]
-    fn f16_inference_error_is_bounded(
-        seed in 0u64..300,
-        batch in 1usize..12,
-    ) {
-        let mut r = rng(seed);
-        let mut net = Mlp::new(
-            &[6, 20, 30, 8],
-            Activation::Swish,
-            Activation::Linear,
-            &mut r,
-        );
-        net.enable_f16();
-        let xs = random_vec(&mut r, batch * 6);
-        let y32 = net.infer_batch(&xs, batch);
-        let y16 = net.infer_batch_f16(&xs, batch);
-        prop_assert_eq!(y16.len(), y32.len());
-        for (a, b) in y16.iter().zip(&y32) {
-            prop_assert!(
-                (a - b).abs() <= 1e-2 * (1.0 + b.abs()),
-                "f16 {} vs f32 {}",
-                a,
-                b
-            );
-        }
-    }
-
-    /// Greedy C51 placement decisions survive quantization: on random C51
-    /// heads (per-action softmax over atoms, expected value over the
-    /// support), the f16 argmax equals the f32 argmax whenever the f32
-    /// decision margin (top-2 Q-value gap) exceeds the quantization
-    /// noise floor. Near-ties are allowed to flip — the serving golden
-    /// test separately pins that zero flips occur on the reference trace.
-    #[test]
-    fn f16_argmax_matches_on_random_c51_heads(
-        seed in 0u64..300,
-        n_actions in 2usize..4,
-        n_atoms in 2usize..12,
-    ) {
-        let mut r = rng(seed);
-        let mut net = Mlp::new(
-            &[6, 20, 30, n_actions * n_atoms],
-            Activation::Swish,
-            Activation::Linear,
-            &mut r,
-        );
-        net.enable_f16();
-        let x = random_vec(&mut r, 6);
-        let logits32 = net.infer_batch(&x, 1);
-        let logits16 = net.infer_batch_f16(&x, 1);
-
-        // Expected value per action over the C51 support, mirroring the
-        // agent's ValueHead::best_action.
-        let (v_min, v_max) = (-1.0f32, 4.0f32);
-        let dz = (v_max - v_min) / (n_atoms - 1) as f32;
-        let q_values = |logits: &[f32]| -> Vec<f32> {
-            let mut probs = Vec::new();
-            (0..n_actions)
-                .map(|a| {
-                    softmax(&logits[a * n_atoms..(a + 1) * n_atoms], &mut probs);
-                    probs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| p * (v_min + i as f32 * dz))
-                        .sum()
-                })
-                .collect()
-        };
-        let q32 = q_values(&logits32);
-        let q16 = q_values(&logits16);
-        let best32 = sibyl_nn::argmax(&q32).expect("non-empty head");
-        let best16 = sibyl_nn::argmax(&q16).expect("non-empty head");
-
-        if best16 != best32 {
-            // A flip is only acceptable when the f32 decision was a
-            // near-tie: the runner-up sat within the quantization noise.
-            let mut sorted = q32.clone();
-            sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite Q-values"));
-            let margin = sorted[0] - sorted[1];
-            prop_assert!(
-                margin < 5e-2,
-                "argmax flipped on a clear margin: q32={:?} q16={:?} margin={}",
-                q32,
-                q16,
-                margin
-            );
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Configuration of the sharded serving engine.
 
 use sibyl_coop::CoopConfig;
-use sibyl_core::{QuantMode, SibylConfig, TrainingMode};
+use sibyl_core::{QuantMode, SibylConfig};
 use sibyl_hss::HssConfig;
 use sibyl_migrate::MigrateConfig;
 use sibyl_telemetry::TelemetryConfig;
@@ -106,14 +106,7 @@ pub struct ServeConfig {
     /// The agent configuration instantiated per shard (the seed is
     /// perturbed per shard).
     pub sibyl: SibylConfig,
-    /// Precision of every shard agent's batched decide path. Default:
-    /// [`QuantMode::Off`] — full f32, bit-identical to an engine without
-    /// the knob. [`QuantMode::F16`] switches the per-shard inference
-    /// networks to binary16 weight storage (compute stays f32); the
-    /// serving golden test pins that this changes zero placement
-    /// decisions on the reference trace. Overrides
-    /// [`SibylConfig::quant_mode`] per shard, the same way the per-shard
-    /// seed overrides [`SibylConfig::seed`].
+    /// Read by nothing; kept for the frozen harness (see [`QuantMode`]).
     pub quant: QuantMode,
     /// Telemetry recording for the run. Default:
     /// [`TelemetryConfig::off`] — no sink is allocated, no event is
@@ -231,12 +224,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the decide-path precision for every shard agent.
-    pub fn with_quant(mut self, quant: QuantMode) -> Self {
-        self.quant = quant;
-        self
-    }
-
     /// The agent seed for one shard: the base seed perturbed by the shard
     /// index so shards explore independently while staying reproducible.
     pub fn shard_seed(&self, shard: usize) -> u64 {
@@ -286,10 +273,6 @@ impl ServeConfig {
         self.xray.validate().map_err(ServeError::Xray)?;
         self.coop.validate().map_err(ServeError::Coop)?;
         self.migrate.validate().map_err(ServeError::Migrate)?;
-        if self.coop.mode.is_cooperative() && self.sibyl.training_mode != TrainingMode::Synchronous
-        {
-            return Err(ServeError::CoopRequiresSynchronousTraining);
-        }
         self.sibyl.validate();
         Ok(())
     }
@@ -326,10 +309,8 @@ mod tests {
             .with_nn_ns_per_mac(2.0)
             .with_curve_every(16)
             .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(4))
-            .with_quant(QuantMode::F16)
             .with_telemetry(TelemetryConfig::events());
         assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.quant, QuantMode::F16);
         assert_eq!(cfg.telemetry, TelemetryConfig::events());
         assert_eq!(cfg.max_batch, 4);
         assert_eq!(cfg.queue_capacity, 64);
@@ -399,19 +380,5 @@ mod tests {
             .with_telemetry(TelemetryConfig::full())
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn cooperative_modes_require_synchronous_training() {
-        let mut cfg = ServeConfig::new(hss()).with_coop(CoopConfig::new(CoopMode::WeightAverage));
-        cfg.sibyl.training_mode = sibyl_core::TrainingMode::Background;
-        assert_eq!(
-            cfg.validate(),
-            Err(ServeError::CoopRequiresSynchronousTraining)
-        );
-        // Background training stays fine without cooperation.
-        let mut indep = ServeConfig::new(hss());
-        indep.sibyl.training_mode = sibyl_core::TrainingMode::Background;
-        indep.validate().unwrap();
     }
 }

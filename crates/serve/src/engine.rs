@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use sibyl_coop::{CoopConfigError, Coordinator};
-use sibyl_core::{SibylAgent, TrainingMode};
+use sibyl_core::SibylAgent;
 use sibyl_hss::{AccessOutcome, PageSet, StorageManager};
 use sibyl_migrate::{MigrateConfig, MigrateConfigError, Migrator};
 use sibyl_telemetry::{ShardTelemetry, TelemetryConfigError, TelemetryReport};
@@ -56,12 +56,6 @@ pub enum ServeError {
         /// Index of the shard whose worker could not be spawned.
         shard: usize,
     },
-    /// A cooperative mode was combined with
-    /// [`TrainingMode::Background`](sibyl_core::TrainingMode): weight
-    /// export/import and replay absorption need the learner on the shard
-    /// thread, and background trainers would break the determinism the
-    /// sync barriers exist to preserve.
-    CoopRequiresSynchronousTraining,
 }
 
 impl std::fmt::Display for ServeError {
@@ -91,12 +85,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::SpawnFailed { shard } => {
                 write!(f, "could not spawn the worker thread for shard {shard}")
-            }
-            ServeError::CoopRequiresSynchronousTraining => {
-                write!(
-                    f,
-                    "ServeConfig: cooperative modes require synchronous training"
-                )
             }
         }
     }
@@ -252,20 +240,14 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// (the batched `train_step` streams each weight matrix once per replay
 /// batch, exactly like batched inference), and the bill delays the
 /// shard's *next* batch — the §10 overhead analysis's point that both
-/// halves of the two-network design cost request latency. Training is
-/// billed only under synchronous training; a background trainer runs
-/// concurrently off the decision path and is not charged.
+/// halves of the two-network design cost request latency.
 ///
 /// Because shards fill batches by blocking on their queue rather than
 /// draining opportunistically, batch boundaries are fixed chunks of each
-/// shard's request subsequence, whatever the block size. With the default
-/// [`TrainingMode::Synchronous`](sibyl_core::TrainingMode), results are
-/// therefore bit-identical across runs for a given config and trace,
-/// regardless of thread scheduling — in every cooperation mode.
-/// [`TrainingMode::Background`](sibyl_core::TrainingMode) keeps the
-/// trainer off the decision path instead: weight adoption then depends
-/// on trainer-thread timing, so run-to-run metric drift is expected, not
-/// a bug (and cooperative modes therefore reject it).
+/// shard's request subsequence, whatever the block size, and training
+/// runs inline on the shard thread. Results are therefore bit-identical
+/// across runs for a given config and trace, regardless of thread
+/// scheduling — in every cooperation mode.
 ///
 /// # Errors
 ///
@@ -303,7 +285,6 @@ where
         let resolved = config.hss.resolved(footprint.max(1));
         let mut sibyl = config.sibyl.clone();
         sibyl.seed = config.shard_seed(shard);
-        sibyl.quant_mode = config.quant;
         sibyl.telemetry = config.telemetry;
         let mut migrate = config.migrate.clone();
         migrate.seed = config.migrate_seed(shard);
@@ -505,13 +486,6 @@ fn run_shard(
     // `MigratePolicyKind::None` builds no migrator, so the baseline's
     // maintain stage has no migration work at all.
     let mut migrator = Migrator::new(task.migrate);
-    // Training is billed only in synchronous mode, where the learner
-    // really runs inline on the decision path; a background trainer is
-    // concurrent by design (and its weight-adoption timing depends on the
-    // thread schedule), so charging it to request latency would be both
-    // wrong and nondeterministic.
-    let bills_training =
-        task.nn_ns_per_mac > 0.0 && agent.config().training_mode == TrainingMode::Synchronous;
     let mut batch: Vec<IoRequest> = Vec::with_capacity(task.max_batch);
     let mut outcomes: Vec<AccessOutcome> = Vec::with_capacity(task.max_batch);
     let mut batches = 0u64;
@@ -575,11 +549,9 @@ fn run_shard(
         let new_steps = agent.stats().train_steps - train_steps;
         train_steps += new_steps;
         if new_steps > 0 {
-            if bills_training {
-                let billed = new_steps as f64 * train_step_bill_us(&agent, task.nn_ns_per_mac);
-                pending_train_us += billed;
-                train_busy_us += billed;
-            }
+            let billed = new_steps as f64 * train_step_bill_us(&agent, task.nn_ns_per_mac);
+            pending_train_us += billed;
+            train_busy_us += billed;
             observer.learned(&agent, new_steps);
         }
         batches += 1;

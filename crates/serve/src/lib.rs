@@ -43,16 +43,12 @@
 //! [`ServeConfig::telemetry`] and [`ServeConfig::xray`] off it holds
 //! nothing and every call returns at once.
 //!
-//! Determinism survives sharding — in the default
-//! `TrainingMode::Synchronous`: batch boundaries are fixed chunks of
+//! Determinism survives sharding: batch boundaries are fixed chunks of
 //! each shard's request subsequence (shards block until a batch fills or
-//! the trace ends), and every shard's RNG is seeded from the base seed
-//! and the shard index — so a seeded synchronous run reproduces
-//! identical per-shard and aggregate metrics regardless of thread
-//! scheduling, in every cooperation mode. `TrainingMode::Background`
-//! trades that reproducibility for an off-critical-path trainer per
-//! shard: weight adoption depends on trainer timing, so metrics drift
-//! run to run by design (cooperative modes therefore reject it).
+//! the trace ends), training runs inline on the shard thread, and every
+//! shard's RNG is seeded from the base seed and the shard index — so a
+//! seeded run reproduces identical per-shard and aggregate metrics
+//! regardless of thread scheduling, in every cooperation mode.
 //!
 //! ## Quickstart
 //!
@@ -100,11 +96,10 @@ pub use observe::ShardObserver;
 pub use report::{Aggregate, CurvePoint, ServeReport, ShardReport};
 
 // Re-exported so engine users can configure cooperation, background
-// migration, decide-path precision, telemetry, and span tracing without
-// direct `sibyl-coop`/`sibyl-migrate`/`sibyl-core`/`sibyl-telemetry`/
-// `sibyl-xray` dependencies.
+// migration, telemetry, and span tracing without direct
+// `sibyl-coop`/`sibyl-migrate`/`sibyl-telemetry`/`sibyl-xray`
+// dependencies.
 pub use sibyl_coop::{CoopConfig, CoopConfigError, CoopMode};
-pub use sibyl_core::QuantMode;
 pub use sibyl_migrate::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
 pub use sibyl_telemetry::{
     ShardTelemetry, TelemetryConfig, TelemetryConfigError, TelemetryLevel, TelemetryReport,

@@ -143,15 +143,6 @@ fn degenerate_config_is_an_error_not_a_panic() {
 }
 
 #[test]
-fn background_training_mode_serves_and_shuts_down() {
-    let mut cfg = config(2, 16);
-    cfg.sibyl.training_mode = sibyl_core::TrainingMode::Background;
-    let trace = mixed_trace(500);
-    let report = serve_trace(&cfg, &trace).unwrap();
-    assert_eq!(report.total_requests(), trace.len() as u64);
-}
-
-#[test]
 fn cooperative_modes_serve_every_request_and_sync() {
     let trace = mixed_trace(1_000);
     for mode in COOPERATIVE {
@@ -341,26 +332,6 @@ fn training_is_charged_through_the_nn_cost_model() {
             .sum::<f64>(),
         0.0,
         "an untrained run must bill no training time"
-    );
-}
-
-#[test]
-fn background_training_is_never_billed_to_latency() {
-    // A background trainer runs concurrently off the decision path,
-    // so the §10 model must not charge it (and must not let its
-    // thread-schedule-dependent step timing perturb latencies).
-    let trace = mixed_trace(800);
-    let mut cfg = config(2, 8).with_nn_ns_per_mac(10.0);
-    cfg.sibyl.training_mode = sibyl_core::TrainingMode::Background;
-    let report = serve_trace(&cfg, &trace).unwrap();
-    assert_eq!(
-        report.shards.iter().map(|s| s.train_busy_us).sum::<f64>(),
-        0.0,
-        "background training must not be billed"
-    );
-    assert!(
-        report.shards.iter().map(|s| s.nn_busy_us).sum::<f64>() > 0.0,
-        "inference is still charged"
     );
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Each optional subsystem has a setting that must take the exact code
 //! path of an engine that never heard of it — no coordinator, no
-//! migrator, no sink, no tracer, f32 weights — so its [`ServeReport`] is
+//! migrator, no sink, no tracer — so its [`ServeReport`] is
 //! bit-identical to the default configuration's, even with the
 //! subsystem's *other* knobs set to exotic values. Pinned per knob at
 //! the three reference geometries, with the §10 cost model and curve
@@ -14,11 +14,11 @@ mod common;
 
 use common::{config, mixed_trace, GEOMETRIES};
 use sibyl_serve::{
-    serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, QuantMode,
-    ServeConfig, TelemetryConfig, XrayConfig,
+    serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig,
+    TelemetryConfig, XrayConfig,
 };
 
-fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 5] {
+fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 4] {
     let mut telemetry_off = TelemetryConfig::off();
     telemetry_off.event_capacity = 7;
     [
@@ -45,7 +45,6 @@ fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 5] {
             base.clone().with_telemetry(telemetry_off),
         ),
         ("XrayConfig::Off", base.clone().with_xray(XrayConfig::Off)),
-        ("QuantMode::Off", base.clone().with_quant(QuantMode::Off)),
     ]
 }
 

@@ -143,7 +143,9 @@ impl Trace {
     /// Returns `None` on malformed input; never panics, however hostile
     /// the bytes — the header's request count is validated with checked
     /// arithmetic against the actual payload length before any
-    /// allocation is sized from it.
+    /// allocation is sized from it, and requests whose timestamps
+    /// decrease are malformed (a [`Trace`] is in timestamp order, and
+    /// [`Trace::to_bytes`] only ever writes one that is).
     pub fn from_bytes(mut data: Bytes) -> Option<Trace> {
         if data.remaining() < 4 {
             return None;
@@ -160,9 +162,15 @@ impl Trace {
         if data.remaining() < n.checked_mul(20)? {
             return None;
         }
-        let mut requests = Vec::with_capacity(n.min(data.remaining() / 20));
+        let mut requests: Vec<IoRequest> = Vec::with_capacity(n.min(data.remaining() / 20));
         for _ in 0..n {
             let timestamp_us = data.get_u64();
+            if requests
+                .last()
+                .is_some_and(|r| r.timestamp_us > timestamp_us)
+            {
+                return None;
+            }
             let lpn = data.get_u64();
             let size_pages = data.get_uint(3) as u32;
             let op = match data.get_u8() {
@@ -328,18 +336,55 @@ mod tests {
         }
 
         #[test]
-        fn mutated_encodings_never_panic(
-            flips in proptest::collection::vec((0usize..10_000, 0u8..=255), 1..8)
+        fn hostile_encodings_never_panic(
+            flips in proptest::collection::vec((0usize..10_000, 0u8..=255), 1..8),
+            raw in proptest::collection::vec(0u8..=255, 0..96),
+            stamps in proptest::collection::vec(0u64..=u64::MAX, 3),
+            near in proptest::collection::vec(0u64..12, 3),
         ) {
-            // Fuzz: arbitrary byte mutations of a valid encoding must
-            // decode to Some(valid trace) or None — never panic or abort.
+            // Fuzz: arbitrary byte mutations of a valid encoding, and
+            // arbitrary bytes, must decode to Some(valid trace) or None —
+            // never panic or abort.
             let t = sample();
             let mut bytes = t.to_bytes().to_vec();
             for (pos, val) in flips {
                 let len = bytes.len();
                 bytes[pos % len] = val;
             }
-            let _ = Trace::from_bytes(Bytes::from(bytes));
+            survives(Trace::from_bytes(Bytes::from(bytes)));
+            survives(Trace::from_bytes(Bytes::from(raw)));
+            // The same encoding with only its timestamp fields overwritten
+            // — anywhere in u64, and close together so that some orders
+            // do decode — is a trace exactly when they do not decrease.
+            for stamps in [stamps, near] {
+                let mut bytes = t.to_bytes().to_vec();
+                let first = bytes.len() - 3 * 20;
+                for (i, stamp) in stamps.iter().enumerate() {
+                    bytes[first + i * 20..first + i * 20 + 8].copy_from_slice(&stamp.to_be_bytes());
+                }
+                let decoded = Trace::from_bytes(Bytes::from(bytes));
+                prop_assert_eq!(decoded.is_some(), stamps.windows(2).all(|w| w[0] <= w[1]));
+                survives(decoded);
+            }
+        }
+    }
+
+    /// What `from_bytes` lets through is in timestamp order and can be
+    /// measured. `footprint_pages` and `TraceStats::measure` are O(pages)
+    /// by design and one 20-byte record may name 2²⁴ of them, so they run
+    /// on the decoded traces that stay under 2¹⁶.
+    fn survives(decoded: Option<Trace>) {
+        let Some(t) = decoded else { return };
+        let stamps: Vec<u64> = t.iter().map(|r| r.timestamp_us).collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+        assert_eq!(
+            t.duration_us(),
+            stamps.last().map_or(0, |last| last - stamps[0])
+        );
+        if t.iter().map(|r| u64::from(r.size_pages)).sum::<u64>() < 1 << 16 {
+            let stats = crate::stats::TraceStats::measure(&t);
+            assert_eq!(stats.unique_pages, t.footprint_pages());
+            assert_eq!(stats.duration_us, t.duration_us());
         }
     }
 }

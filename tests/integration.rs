@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: trace synthesis → HSS simulation →
 //! placement policies → metrics, exercised through the public facade.
 
-use sibyl::core::{SibylConfig, TrainingMode};
+use sibyl::core::SibylConfig;
 use sibyl::hss::{DeviceSpec, HssConfig};
 use sibyl::sim::{run_suite, Experiment, PolicyKind};
 use sibyl::trace::{filebench, mix::Mix, msrc};
@@ -84,20 +84,6 @@ fn deterministic_across_runs_with_same_seed() {
     let b = exp.run(PolicyKind::sibyl()).unwrap();
     assert_eq!(a.metrics.avg_latency_us, b.metrics.avg_latency_us);
     assert_eq!(a.metrics.placements, b.metrics.placements);
-}
-
-#[test]
-fn background_training_mode_completes_and_is_reasonable() {
-    let trace = msrc::generate(msrc::Workload::Rsrch0, 10_000, 6);
-    let cfg = SibylConfig {
-        training_mode: TrainingMode::Background,
-        ..Default::default()
-    };
-    let out = Experiment::new(hm(), trace)
-        .run(PolicyKind::sibyl_with(cfg))
-        .unwrap();
-    assert_eq!(out.metrics.total_requests, 10_000);
-    assert!(out.metrics.avg_latency_us > 0.0);
 }
 
 #[test]

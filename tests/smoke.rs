@@ -1,22 +1,13 @@
 //! Facade smoke test: the crate-level Quickstart path, pinned.
 //!
 //! Runs `msrc::generate` → `HssConfig::dual` → `Experiment::run`
-//! (`PolicyKind::sibyl()`) exactly as the `src/lib.rs` Quickstart shows,
-//! with training forced to the foreground (synchronous) mode so the run
-//! is single-threaded and bit-for-bit reproducible. Sized to finish in a
-//! few seconds.
+//! (`PolicyKind::sibyl()`) exactly as the `src/lib.rs` Quickstart shows;
+//! the run is single-threaded and bit-for-bit reproducible. Sized to
+//! finish in a few seconds.
 
-use sibyl::core::{SibylConfig, TrainingMode};
 use sibyl::hss::{DeviceSpec, HssConfig};
 use sibyl::sim::{Experiment, PolicyKind};
 use sibyl::trace::msrc;
-
-fn quickstart_policy() -> PolicyKind {
-    PolicyKind::sibyl_with(SibylConfig {
-        training_mode: TrainingMode::Synchronous,
-        ..SibylConfig::default()
-    })
-}
 
 #[test]
 fn quickstart_path_runs_and_is_deterministic() {
@@ -25,7 +16,7 @@ fn quickstart_path_runs_and_is_deterministic() {
         .with_fast_capacity_fraction(0.10);
     let exp = Experiment::new(hss, trace);
 
-    let outcome = exp.run(quickstart_policy()).expect("quickstart run");
+    let outcome = exp.run(PolicyKind::sibyl()).expect("quickstart run");
     assert_eq!(outcome.policy, "Sibyl");
     assert_eq!(outcome.metrics.total_requests, 6_000);
     assert!(outcome.metrics.avg_latency_us > 0.0);
@@ -36,7 +27,7 @@ fn quickstart_path_runs_and_is_deterministic() {
     // keeps every RNG stream (trace synthesis, exploration, replay
     // sampling, weight init) on one thread, so the tier-1 gate can rely
     // on back-to-back runs matching exactly.
-    let again = exp.run(quickstart_policy()).expect("repeat run");
+    let again = exp.run(PolicyKind::sibyl()).expect("repeat run");
     assert_eq!(outcome, again, "repeated Quickstart run diverged");
 }
 
