@@ -5,42 +5,33 @@
 //! workloads (41.1 %/32.6 % average loss in H&M/H&L), and no single
 //! policy wins everywhere.
 
-use sibyl_bench::{
-    banner, hl_config, hm_config, latency_row, motivation_workloads, seed, trace_len,
-};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    let policies = vec![
+    let mut fig = Figure::new(
+        "fig02_motivation",
+        "Figure 2",
+        "Average request latency normalized to Fast-Only (baselines vs Oracle)",
+        n,
+    );
+    let traces = Workload::MOTIVATION.map(|wl| msrc::generate(wl, n, seed()));
+    let policies = by_name(vec![
         PolicyKind::SlowOnly,
         PolicyKind::Cde,
         PolicyKind::Hps,
         PolicyKind::Archivist,
         PolicyKind::RnnHss,
         PolicyKind::Oracle,
-    ];
-    banner(
-        "Figure 2",
-        "Average request latency normalized to Fast-Only (baselines vs Oracle)",
-    );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in motivation_workloads() {
-            let trace = msrc::generate(wl, n, seed());
-            let suite = run_suite(&cfg, &trace, &policies)?;
-            let row = latency_row(&suite);
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    ]);
+    fig.grid(
+        &hm_hl_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::NormLatency,
+    )?;
+    Ok(fig.finish()?)
 }

@@ -1,23 +1,26 @@
 //! Figure 3: randomness and hotness characteristics of the fourteen
 //! MSRC workloads — average request size (KiB) vs average access count.
 
-use sibyl_bench::{all_workloads, banner, seed, trace_len};
+use sibyl_bench::{seed, trace_len, Figure};
 use sibyl_sim::report::Table;
-use sibyl_trace::{msrc, stats::TraceStats};
+use sibyl_trace::msrc::{self, Workload};
+use sibyl_trace::stats::TraceStats;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let n = trace_len(30_000);
-    banner(
+    let mut fig = Figure::new(
+        "fig03_workload_char",
         "Figure 3",
         "Hotness (avg access count) vs randomness (avg request size) per workload",
+        n,
     );
-    let mut table = Table::new(vec![
-        "workload".into(),
-        "avg access count".into(),
-        "avg request size (KiB)".into(),
-        "character".into(),
+    let mut table = Table::new([
+        "workload",
+        "avg access count",
+        "avg request size (KiB)",
+        "character",
     ]);
-    for wl in all_workloads() {
+    for wl in Workload::ALL {
         let st = TraceStats::measure(&msrc::generate(wl, n, seed()));
         let hot = if st.avg_access_count >= 10.0 {
             "hot"
@@ -36,5 +39,6 @@ fn main() {
             format!("{hot}/{seq}"),
         ]);
     }
-    println!("{}", table.render());
+    fig.table("workloads", &table);
+    fig.finish()
 }

@@ -2,15 +2,19 @@
 //! addresses and request sizes over time, showing the phase dynamics
 //! that motivate online adaptation.
 
-use sibyl_bench::{banner, seed, trace_len};
+use std::fmt::Write;
+
+use sibyl_bench::{seed, trace_len, Figure};
 use sibyl_trace::msrc;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let n = trace_len(30_000);
     let trace = msrc::generate(msrc::Workload::Rsrch0, n, seed());
-    banner(
+    let mut fig = Figure::new(
+        "fig04_timeline",
         "Figure 4",
         "rsrch_0 timeline: per-time-bucket address range and request size",
+        n,
     );
     let duration = trace.duration_us().max(1);
     const BUCKETS: usize = 24;
@@ -28,16 +32,14 @@ fn main() {
         size_sum[b] += r.size_pages as u64;
         count[b] += 1;
     }
-    println!(
+    let mut timeline = format!(
         "{:>6} {:>12} {:>12} {:>10} {:>8}",
         "bucket", "min lpn", "max lpn", "avg KiB", "reqs"
     );
-    for b in 0..BUCKETS {
-        if count[b] == 0 {
-            continue;
-        }
-        println!(
-            "{:>6} {:>12} {:>12} {:>10.1} {:>8}",
+    for b in (0..BUCKETS).filter(|&b| count[b] > 0) {
+        let _ = write!(
+            timeline,
+            "\n{:>6} {:>12} {:>12} {:>10.1} {:>8}",
             b,
             lo[b],
             hi[b],
@@ -45,7 +47,9 @@ fn main() {
             count[b]
         );
     }
+    fig.text("timeline", &timeline);
     println!(
         "\n(The shifting address window across buckets reproduces the paper's drifting hot set.)"
     );
+    fig.finish()
 }

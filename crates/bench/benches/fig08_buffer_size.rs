@@ -2,39 +2,32 @@
 //! request latency (normalized to Fast-Only) in the H&M configuration.
 //! The paper observes saturation at 1000 entries.
 
-use sibyl_bench::{banner, hm_config, seed, trace_len};
+use sibyl_bench::{hm_config, seed, trace_len, Cell, Figure};
 use sibyl_core::SibylConfig;
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    banner(
+    let mut fig = Figure::new(
+        "fig08_buffer_size",
         "Figure 8",
         "Sibyl normalized latency vs experience-buffer size (H&M)",
+        n,
     );
-    let workloads = [msrc::Workload::Rsrch0, msrc::Workload::Prxy1];
-    let sizes = [1usize, 10, 100, 1_000, 10_000];
-    let mut table = Table::new(
-        std::iter::once("buffer size".to_string())
-            .chain(workloads.iter().map(|w| w.name().to_string()))
-            .collect(),
-    );
-    for &size in &sizes {
-        let mut row = vec![size.to_string()];
-        for &wl in &workloads {
-            let trace = msrc::generate(wl, n, seed());
-            let cfg = SibylConfig {
-                buffer_capacity: size,
-                ..Default::default()
-            };
-            let suite = run_suite(&hm_config(), &trace, &[PolicyKind::sibyl_with(cfg)])?;
-            row.push(format!("{:.2}", suite.normalized_latency(0)));
-        }
-        table.add_row(row);
-    }
-    println!("{}", table.render());
+    let traces = [Workload::Rsrch0, Workload::Prxy1].map(|wl| msrc::generate(wl, n, seed()));
+    let points = [1usize, 10, 100, 1_000, 10_000].map(|buffer_capacity| {
+        let config = SibylConfig {
+            buffer_capacity,
+            ..Default::default()
+        };
+        let sibyl = vec![PolicyKind::sibyl_with(config)];
+        (buffer_capacity.to_string(), hm_config(), sibyl)
+    });
+    // One column per workload: each trace is a group of its own.
+    let headers = ["buffer size", traces[0].name(), traces[1].name()];
+    let groups = [&traces[..1], &traces[1..]];
+    fig.sweep("buffer_size", &headers, &points, &groups, Cell::NormLatency)?;
     println!("(The paper selects 1000 entries, where performance saturates.)");
-    Ok(())
+    Ok(fig.finish()?)
 }

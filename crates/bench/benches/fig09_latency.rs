@@ -6,33 +6,26 @@
 //! heuristic and supervised baselines on average, and reaches ~80 % of
 //! the Oracle.
 
-use sibyl_bench::{all_workloads, banner, hl_config, hm_config, latency_row, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    let policies = PolicyKind::standard_suite();
-    banner(
+    let mut fig = Figure::new(
+        "fig09_latency",
         "Figure 9",
         "Average request latency normalized to Fast-Only (all policies, all workloads)",
+        n,
     );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in all_workloads() {
-            let trace = msrc::generate(wl, n, seed());
-            let suite = run_suite(&cfg, &trace, &policies)?;
-            let row = latency_row(&suite);
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    let traces = Workload::ALL.map(|wl| msrc::generate(wl, n, seed()));
+    let policies = by_name(PolicyKind::standard_suite());
+    fig.grid(
+        &hm_hl_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::NormLatency,
+    )?;
+    Ok(fig.finish()?)
 }

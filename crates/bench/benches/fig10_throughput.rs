@@ -5,41 +5,26 @@
 //! with compressed think time (`Experiment::with_time_scale`), putting
 //! the system in the device-bound regime the paper measures.
 
-use sibyl_bench::{all_workloads, banner, hl_config, hm_config, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::{Experiment, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(15_000);
-    let policies = PolicyKind::standard_suite();
-    banner(
+    let mut fig = Figure::new(
+        "fig10_throughput",
         "Figure 10",
         "Request throughput (IOPS) normalized to Fast-Only under accelerated replay",
+        n,
     );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in all_workloads() {
-            let trace = msrc::generate(wl, n, seed());
-            let exp = Experiment::new(cfg.clone(), trace.clone()).with_time_scale(40.0);
-            let fast = exp.run(PolicyKind::FastOnly)?;
-            let mut row = vec![trace.name().to_string()];
-            for p in &policies {
-                let out = exp.run(p.clone())?;
-                row.push(format!(
-                    "{:.3}",
-                    out.metrics.iops / fast.metrics.iops.max(1e-9)
-                ));
-            }
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    let traces = Workload::ALL.map(|wl| msrc::generate(wl, n, seed()));
+    let policies = by_name(PolicyKind::standard_suite());
+    fig.grid(
+        &hm_hl_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::NormIops(40.0),
+    )?;
+    Ok(fig.finish()?)
 }

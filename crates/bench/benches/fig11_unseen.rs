@@ -1,41 +1,33 @@
 //! Figure 11: performance on unseen (FileBench) workloads that no policy
 //! — including Sibyl — was tuned on, under H&M and H&L.
 
-use sibyl_bench::{banner, hl_config, hm_config, latency_row, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
 use sibyl_trace::filebench::{self, Unseen};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    // The paper's Fig. 11 legend: Slow-Only, Archivist, RNN-HSS, Sibyl,
-    // Oracle.
-    let policies = vec![
+    let mut fig = Figure::new(
+        "fig11_unseen",
+        "Figure 11",
+        "Average request latency on unseen FileBench workloads (normalized to Fast-Only)",
+        n,
+    );
+    let traces = Unseen::FILEBENCH.map(|wl| filebench::generate(wl, n, seed()));
+    // The paper's Fig. 11 legend.
+    let policies = by_name(vec![
         PolicyKind::SlowOnly,
         PolicyKind::Archivist,
         PolicyKind::RnnHss,
         PolicyKind::sibyl(),
         PolicyKind::Oracle,
-    ];
-    banner(
-        "Figure 11",
-        "Average request latency on unseen FileBench workloads (normalized to Fast-Only)",
-    );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in Unseen::FILEBENCH {
-            let trace = filebench::generate(wl, n, seed());
-            let suite = run_suite(&cfg, &trace, &policies)?;
-            let row = latency_row(&suite);
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    ]);
+    fig.grid(
+        &hm_hl_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::NormLatency,
+    )?;
+    Ok(fig.finish()?)
 }

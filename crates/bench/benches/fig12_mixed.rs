@@ -1,54 +1,35 @@
 //! Figure 12: mixed workloads (Table 5's mix1–mix6) with default and
 //! mixed-optimized Sibyl hyper-parameters, under H&M and H&L.
 
-use sibyl_bench::{banner, hl_config, hm_config, latency_row, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
+use sibyl_bench::{hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
 use sibyl_trace::mix::Mix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_per_component = trace_len(10_000);
-    let mut policies = vec![
-        PolicyKind::SlowOnly,
-        PolicyKind::Cde,
-        PolicyKind::Hps,
-        PolicyKind::Archivist,
-        PolicyKind::RnnHss,
-    ];
-    policies.push(PolicyKind::sibyl()); // Sibyl_Def
-    policies.push(PolicyKind::sibyl_opt()); // Sibyl_Opt (α = 1e-5)
-    policies.push(PolicyKind::Oracle);
-    banner(
+    let mut fig = Figure::new(
+        "fig12_mixed",
         "Figure 12",
         "Average request latency on mixed workloads (normalized to Fast-Only)",
+        n_per_component,
     );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["mix".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        // Distinguish the two Sibyl columns.
-        let mut seen_sibyl = false;
-        for h in headers.iter_mut() {
-            if h == "Sibyl" {
-                *h = if seen_sibyl {
-                    "Sibyl_Opt".into()
-                } else {
-                    "Sibyl_Def".into()
-                };
-                seen_sibyl = true;
-            }
-        }
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for m in Mix::ALL {
-            let trace = m.generate(n_per_component, seed());
-            let suite = run_suite(&cfg, &trace, &policies)?;
-            let row = latency_row(&suite);
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    let traces = Mix::ALL.map(|m| m.generate(n_per_component, seed()));
+    let policies = [
+        ("Slow-Only", PolicyKind::SlowOnly),
+        ("CDE", PolicyKind::Cde),
+        ("HPS", PolicyKind::Hps),
+        ("Archivist", PolicyKind::Archivist),
+        ("RNN-HSS", PolicyKind::RnnHss),
+        ("Sibyl_Def", PolicyKind::sibyl()),
+        ("Sibyl_Opt", PolicyKind::sibyl_opt()), // α = 1e-5
+        ("Oracle", PolicyKind::Oracle),
+    ];
+    fig.grid(
+        &hm_hl_panels(),
+        "mix",
+        &traces,
+        &policies,
+        Cell::NormLatency,
+    )?;
+    Ok(fig.finish()?)
 }

@@ -2,48 +2,39 @@
 //! features on the H&L configuration (rt = request size, ft = access
 //! count, mt = access interval, pt = current placement, All = all six).
 
-use sibyl_bench::{banner, hl_config, motivation_workloads, seed, trace_len};
+use sibyl_bench::{hl_config, seed, trace_len, Cell, Figure};
 use sibyl_core::{FeatureMask, SibylConfig};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    let masks: Vec<(&str, FeatureMask)> = vec![
+    let mut fig = Figure::new(
+        "fig13_features",
+        "Figure 13",
+        "Sibyl normalized latency with different state-feature subsets (H&L)",
+        n,
+    );
+    let traces = Workload::MOTIVATION.map(|wl| msrc::generate(wl, n, seed()));
+    let masks = [
         ("rt", FeatureMask::RT),
         ("ft", FeatureMask::FT),
         ("rt+ft", FeatureMask::RT_FT),
         ("rt+ft+mt", FeatureMask::RT_FT_MT),
         ("rt+ft+pt", FeatureMask::RT_FT_PT),
         ("All", FeatureMask::ALL),
-    ];
-    banner(
-        "Figure 13",
-        "Sibyl normalized latency with different state-feature subsets (H&L)",
-    );
-    let mut headers = vec!["workload".to_string()];
-    headers.extend(masks.iter().map(|(n, _)| n.to_string()));
-    let mut table = Table::new(headers);
-    let mut rows = Vec::new();
-    for wl in motivation_workloads() {
-        let trace = msrc::generate(wl, n, seed());
-        let mut row = vec![trace.name().to_string()];
-        for (_, mask) in &masks {
-            let cfg = SibylConfig {
-                feature_mask: *mask,
-                ..Default::default()
-            };
-            let suite = run_suite(&hl_config(), &trace, &[PolicyKind::sibyl_with(cfg)])?;
-            row.push(format!("{:.2}", suite.normalized_latency(0)));
-        }
-        table.add_row(row.clone());
-        rows.push(row);
-    }
-    sibyl_bench::append_avg_row(&mut table, &rows);
-    println!("{}", table.render());
+    ]
+    .map(|(label, feature_mask)| {
+        let config = SibylConfig {
+            feature_mask,
+            ..Default::default()
+        };
+        (label, PolicyKind::sibyl_with(config))
+    });
+    let panel = [("hl", "", hl_config())];
+    fig.grid(&panel, "workload", &traces, &masks, Cell::NormLatency)?;
     println!(
         "(The paper: using all six features is consistently best — up to 43.6 % lower latency.)"
     );
-    Ok(())
+    Ok(fig.finish()?)
 }

@@ -2,14 +2,18 @@
 //! available capacity from 1 % to 90 % of the working set, under H&M and
 //! H&L.
 
-use sibyl_bench::{banner, hl_config, hm_config, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::sweeps::fast_capacity_sweep;
+use sibyl_bench::{hm_hl_panels, seed, trace_len, Cell, Figure};
 use sibyl_sim::PolicyKind;
-use sibyl_trace::msrc;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(15_000);
+    let mut fig = Figure::new(
+        "fig15_capacity",
+        "Figure 15",
+        "Normalized latency vs available fast-device capacity (fraction of working set)",
+        n,
+    );
     let policies = vec![
         PolicyKind::Cde,
         PolicyKind::Hps,
@@ -17,35 +21,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PolicyKind::sibyl(),
         PolicyKind::Oracle,
     ];
-    let fractions = [0.01, 0.05, 0.10, 0.20, 0.40, 0.90];
-    let workloads = [msrc::Workload::Rsrch0, msrc::Workload::Prxy1];
-    banner(
-        "Figure 15",
-        "Normalized latency vs available fast-device capacity (fraction of working set)",
-    );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["capacity".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        for &frac in &fractions {
-            // Average the normalized latency across workloads per point.
-            let mut sums = vec![0.0f64; policies.len()];
-            for &wl in &workloads {
-                let trace = msrc::generate(wl, n, seed());
-                let pts = fast_capacity_sweep(&cfg, &trace, &policies, &[frac])?;
-                for (i, (_, v)) in pts[0].normalized_latency.iter().enumerate() {
-                    sums[i] += v;
-                }
-            }
-            let mut row = vec![format!("{:.0}%", frac * 100.0)];
-            for s in sums {
-                row.push(format!("{:.2}", s / workloads.len() as f64));
-            }
-            table.add_row(row);
-        }
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
+    let mut headers = vec!["capacity"];
+    headers.extend(policies.iter().map(PolicyKind::name));
+    // Each point averages the normalized latency across both workloads.
+    let traces = [Workload::Rsrch0, Workload::Prxy1].map(|wl| msrc::generate(wl, n, seed()));
+    for (name, heading, hss) in hm_hl_panels() {
+        let points = [0.01, 0.05, 0.10, 0.20, 0.40, 0.90].map(|fraction| {
+            let hss = hss.clone().with_fast_capacity_fraction(fraction);
+            (format!("{:.0}%", fraction * 100.0), hss, policies.clone())
+        });
+        println!("{heading}");
+        fig.sweep(name, &headers, &points, &[&traces], Cell::NormLatency)?;
     }
     println!("(Paper: latencies approach Fast-Only as capacity grows, except Archivist.)");
-    Ok(())
+    Ok(fig.finish()?)
 }

@@ -5,38 +5,26 @@
 //! capacity of M as a state feature — both happen automatically from the
 //! device count (§8.7).
 
-use sibyl_bench::{
-    all_workloads, banner, hml_config, hml_ssd_config, latency_row, seed, trace_len,
-};
-use sibyl_sim::report::Table;
-use sibyl_sim::{run_suite, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_bench::{by_name, seed, trace_len, tri_panels, Cell, Figure};
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    let policies = vec![PolicyKind::TriHybridHeuristic, PolicyKind::sibyl()];
-    banner(
+    let mut fig = Figure::new(
+        "fig16_trihybrid",
         "Figure 16",
         "Tri-HSS average request latency normalized to Fast-Only",
+        n,
     );
-    for (name, cfg) in [
-        ("(a) H&M&L", hml_config()),
-        ("(b) H&M&Lssd", hml_ssd_config()),
-    ] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in all_workloads() {
-            let trace = msrc::generate(wl, n, seed());
-            let suite = run_suite(&cfg, &trace, &policies)?;
-            let row = latency_row(&suite);
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    let traces = Workload::ALL.map(|wl| msrc::generate(wl, n, seed()));
+    let policies = by_name(vec![PolicyKind::TriHybridHeuristic, PolicyKind::sibyl()]);
+    fig.grid(
+        &tri_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::NormLatency,
+    )?;
+    Ok(fig.finish()?)
 }

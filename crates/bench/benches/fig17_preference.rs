@@ -6,21 +6,22 @@
 //! aggressively prefers fast storage; with a small gap (H&M) it places
 //! only performance-critical pages there.
 
-use sibyl_bench::{all_workloads, banner, hl_config, hm_config, seed, trace_len};
+use sibyl_bench::{hl_config, hm_config, seed, trace_len, Figure};
 use sibyl_sim::report::Table;
 use sibyl_sim::{Experiment, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(25_000);
-    banner(
+    let mut fig = Figure::new(
+        "fig17_preference",
         "Figure 17",
         "Sibyl's preference for fast storage: #fast placements / #all placements",
+        n,
     );
-    let mut table = Table::new(vec!["workload".into(), "H&M".into(), "H&L".into()]);
+    let mut table = Table::new(["workload", "H&M", "H&L"]);
     let mut sums = [0.0f64; 2];
-    let mut count = 0usize;
-    for wl in all_workloads() {
+    for wl in Workload::ALL {
         let trace = msrc::generate(wl, n, seed());
         let mut row = vec![trace.name().to_string()];
         for (i, cfg) in [hm_config(), hl_config()].into_iter().enumerate() {
@@ -30,14 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sums[i] += pref;
             row.push(format!("{pref:.2}"));
         }
-        count += 1;
         table.add_row(row);
     }
+    let count = Workload::ALL.len() as f64;
     table.add_row(vec![
         "AVG".into(),
-        format!("{:.2}", sums[0] / count as f64),
-        format!("{:.2}", sums[1] / count as f64),
+        format!("{:.2}", sums[0] / count),
+        format!("{:.2}", sums[1] / count),
     ]);
-    println!("{}", table.render());
-    Ok(())
+    fig.table("preference", &table);
+    Ok(fig.finish()?)
 }

@@ -5,43 +5,32 @@
 //! evictions; Sibyl evicts far less in H&M but willingly evicts in H&L
 //! where fast service is worth the churn.
 
-use sibyl_bench::{all_workloads, banner, hl_config, hm_config, seed, trace_len};
-use sibyl_sim::report::Table;
-use sibyl_sim::{Experiment, PolicyKind};
-use sibyl_trace::msrc;
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_sim::PolicyKind;
+use sibyl_trace::msrc::{self, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(15_000);
-    let policies = vec![
+    let mut fig = Figure::new(
+        "fig18_evictions",
+        "Figure 18",
+        "Eviction events as a fraction of all storage requests",
+        n,
+    );
+    let traces = Workload::ALL.map(|wl| msrc::generate(wl, n, seed()));
+    let policies = by_name(vec![
         PolicyKind::Cde,
         PolicyKind::Hps,
         PolicyKind::Archivist,
         PolicyKind::RnnHss,
         PolicyKind::sibyl(),
-    ];
-    banner(
-        "Figure 18",
-        "Eviction events as a fraction of all storage requests",
-    );
-    for (name, cfg) in [("(a) H&M", hm_config()), ("(b) H&L", hl_config())] {
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(policies.iter().map(|p| p.name().to_string()));
-        let mut table = Table::new(headers);
-        let mut rows = Vec::new();
-        for wl in all_workloads() {
-            let trace = msrc::generate(wl, n, seed());
-            let exp = Experiment::new(cfg.clone(), trace.clone());
-            let mut row = vec![trace.name().to_string()];
-            for p in &policies {
-                let out = exp.run(p.clone())?;
-                row.push(format!("{:.3}", out.metrics.eviction_fraction));
-            }
-            table.add_row(row.clone());
-            rows.push(row);
-        }
-        sibyl_bench::append_avg_row(&mut table, &rows);
-        println!("{name} HSS configuration");
-        println!("{}", table.render());
-    }
-    Ok(())
+    ]);
+    fig.grid(
+        &hm_hl_panels(),
+        "workload",
+        &traces,
+        &policies,
+        Cell::EvictionFraction,
+    )?;
+    Ok(fig.finish()?)
 }

@@ -5,43 +5,26 @@
 //! desktop CPU, a training step well under the I/O latency of a fast SSD,
 //! and a 124.4 KiB total storage overhead.
 //!
-//! Measured with a self-contained timing loop (median of batched runs)
+//! Measured with the crate's own stopwatch ([`sibyl_bench::median_ns`])
 //! so the target builds offline with `harness = false` like every other
 //! figure bench.
 
-use std::time::Instant;
-
 use rand::SeedableRng;
-use sibyl_bench::{seed, BenchJson, TwoTermFit};
+use sibyl_bench::{median_ns, seed, Figure};
 use sibyl_core::{Experience, ExperienceBuffer, OverheadReport, SibylConfig};
 use sibyl_nn::{Activation, Mlp};
 use sibyl_sim::report::Table;
 
-/// Times `f` over batched runs and prints the median ns/iter.
-fn bench_function(name: &str, mut f: impl FnMut()) {
+/// Times `f` and notes the median ns/iter under `name`.
+fn bench_function(fig: &mut Figure, name: &str, f: impl FnMut()) {
     const BATCH: u32 = 10_000;
     const RUNS: usize = 31;
-    // Warm-up.
-    for _ in 0..BATCH {
-        f();
-    }
-    let mut per_iter_ns: Vec<f64> = (0..RUNS)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..BATCH {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / BATCH as f64
-        })
-        .collect();
-    per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-    println!(
-        "{name:<40} {:>10.1} ns/iter (median of {RUNS} x {BATCH})",
-        per_iter_ns[RUNS / 2]
-    );
+    let ns = format!("{:.1}", median_ns(BATCH, RUNS, f));
+    let line = format!("{name:<40} {ns:>10} ns/iter (median of {RUNS} x {BATCH})");
+    fig.note(name, ns, &line);
 }
 
-fn inference_benchmark() {
+fn inference_benchmark(fig: &mut Figure) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     // The paper's §10 network: 6-20-30-2.
     let paper_net = Mlp::new(
@@ -51,7 +34,7 @@ fn inference_benchmark() {
         &mut rng,
     );
     let obs = [0.3f32, 1.0, 0.4, 0.6, 0.9, 0.0];
-    bench_function("inference_paper_network_780_macs", || {
+    bench_function(fig, "inference_paper_network_780_macs", || {
         std::hint::black_box(paper_net.infer(std::hint::black_box(&obs)));
     });
 
@@ -62,12 +45,12 @@ fn inference_benchmark() {
         Activation::Linear,
         &mut rng,
     );
-    bench_function("inference_c51_network", || {
+    bench_function(fig, "inference_c51_network", || {
         std::hint::black_box(c51_net.infer(std::hint::black_box(&obs)));
     });
 }
 
-fn training_benchmark() {
+fn training_benchmark(fig: &mut Figure) {
     // One full training step (8 batches × 128) through the public agent
     // machinery is exercised indirectly; here we measure the raw
     // forward+backward cost the paper counts (1,597,440 MACs).
@@ -79,7 +62,7 @@ fn training_benchmark() {
         &mut rng,
     );
     let obs = [0.3f32, 1.0, 0.4, 0.6, 0.9, 0.0];
-    bench_function("train_sample_forward_backward", || {
+    bench_function(fig, "train_sample_forward_backward", || {
         let y = net.forward(std::hint::black_box(&obs));
         let grad: Vec<f32> = y.iter().map(|v| 2.0 * v).collect();
         net.zero_grad();
@@ -94,24 +77,20 @@ fn training_benchmark() {
 /// reference loop, the batched step that replaced it, and that step's
 /// four kernel phases. The batch-128 row is the in-situ shape: read its
 /// `batched ns/sample` against the benchmark's `nn.train_us_per_sample`.
-fn training_step_table() -> Table {
+fn training_step_table(fig: &mut Figure) {
     const NS_PER_MAC: f64 = 20.0;
     println!("--- §10.1 training-step latency (default C51 net, {NS_PER_MAC} ns/MAC model) ---");
-    let mut table = Table::new(
-        [
-            "batch",
-            "model step (us)",
-            "model/sample (us)",
-            "seq ns/sample",
-            "batched ns/sample",
-            "target infer",
-            "forward",
-            "head",
-            "backward",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "batch",
+        "model step (us)",
+        "model/sample (us)",
+        "seq ns/sample",
+        "batched ns/sample",
+        "target infer",
+        "forward",
+        "head",
+        "backward",
+    ]);
     for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32, 128], NS_PER_MAC) {
         let mut cells = vec![
             row.batch.to_string(),
@@ -123,8 +102,7 @@ fn training_step_table() -> Table {
         cells.extend(row.phase_ns_per_sample.map(|ns| format!("{ns:.1}")));
         table.add_row(cells);
     }
-    println!("{}", table.render());
-    table
+    fig.table("train_step", &table);
 }
 
 /// The decide-path kernel table: measured ns/MAC through the retained
@@ -132,17 +110,13 @@ fn training_step_table() -> Table {
 /// (the autovectorized "after"), next to the deterministic modeled
 /// per-request decide cost. The tiled ≤ scalar pin is asserted by the
 /// bench-crate regression test in release builds.
-fn inference_kernel_table() -> (TwoTermFit, Table) {
+fn inference_kernel_table(fig: &mut Figure) {
     const NS_PER_MAC: f64 = 20.0;
     // Off-tile widths too: the rows a decision memo leaves for the
     // network are rarely a multiple of the 8-lane tile.
     const BATCHES: [usize; 10] = [1, 2, 4, 5, 7, 8, 9, 15, 16, 32];
     println!("--- §10.1 decide-path kernels (C51 net, {NS_PER_MAC} ns/MAC model) ---");
-    let mut table = Table::new(
-        ["batch", "model/req (us)", "scalar ns/MAC", "tiled ns/MAC"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut table = Table::new(["batch", "model/req (us)", "scalar ns/MAC", "tiled ns/MAC"]);
     let rows = sibyl_bench::infer_kernel_rows(&BATCHES, NS_PER_MAC);
     for row in &rows {
         table.add_row(vec![
@@ -152,7 +126,7 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
             format!("{:.3}", row.tiled_ns_per_mac),
         ]);
     }
-    println!("{}", table.render());
+    fig.table("infer_kernels", &table);
 
     // Fit the tiled measurements to setup + per_row · batch: how this
     // host's decide cost splits into per-call and per-row work. A
@@ -170,34 +144,33 @@ fn inference_kernel_table() -> (TwoTermFit, Table) {
         })
         .collect();
     let fit = sibyl_bench::calibrate_two_term(&points);
-    println!(
-        "two-term decide fit (host clock, tiled kernels): {:.3} µs setup + {:.4} µs/row",
-        fit.setup_us, fit.per_row_us
+    let (setup, per_row) = (
+        format!("{:.3}", fit.setup_us),
+        format!("{:.4}", fit.per_row_us),
     );
+    let line = format!("two-term decide fit (host clock, tiled kernels): {setup} µs setup");
+    fig.note("two_term_setup_us", setup, &line);
+    let line = format!("  + {per_row} µs/row");
+    fig.note("two_term_per_row_us", per_row, &line);
     println!(
         "  equivalent single-rate at batch 32: {:.2} ns/MAC (model uses {NS_PER_MAC})",
         fit.step_us(32) * 1_000.0 / (MACS * 32.0)
     );
-    (fit, table)
 }
 
 /// The decision memo on Table 5's mix2: how many greedy decisions each
 /// weight generation had already taken, and what a decision costs on the
 /// host with that many skipped passes. A short `train_interval` means
 /// short generations (and a small table), so fewer repeats.
-fn decision_memo_table() -> Table {
+fn decision_memo_table(fig: &mut Figure) {
     println!("--- §10.1 decision memo (mix2, batches of 16) ---");
-    let mut table = Table::new(
-        [
-            "train_interval",
-            "lookups",
-            "hits",
-            "hit rate",
-            "decide ns/req",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "train_interval",
+        "lookups",
+        "hits",
+        "hit rate",
+        "decide ns/req",
+    ]);
     let n = sibyl_bench::trace_len(20_000);
     for row in sibyl_bench::decision_memo_rows(&[250, 1_000, 16_000], n, seed()) {
         table.add_row(vec![
@@ -208,17 +181,16 @@ fn decision_memo_table() -> Table {
             format!("{:.1}", row.decide_ns_per_req),
         ]);
     }
-    println!("{}", table.render());
-    table
+    fig.table("decision_memo", &table);
 }
 
 /// The storage model's own host cost — the floor under every policy —
 /// per page for the three shapes of access and per request for a policy
 /// that decides nothing.
-fn hss_access_table() -> Table {
+fn hss_access_table(fig: &mut Figure) {
     println!("--- §10 storage-model host cost (H&M, no eviction) ---");
     let cost = sibyl_bench::hss_access_cost(sibyl_bench::trace_len(20_000), seed());
-    let mut table = Table::new(["access", "cost", "unit"].map(String::from).to_vec());
+    let mut table = Table::new(["access", "cost", "unit"]);
     for (access, cost, unit) in [
         ("first-touch", cost.first_touch_ns_per_page, "ns/page"),
         ("read-hit", cost.read_hit_ns_per_page, "ns/page"),
@@ -227,14 +199,13 @@ fn hss_access_table() -> Table {
     ] {
         table.add_row(vec![access.into(), format!("{cost:.3}"), unit.into()]);
     }
-    println!("{}", table.render());
-    table
+    fig.table("hss_access", &table);
 }
 
-fn buffer_benchmark() {
+fn buffer_benchmark(fig: &mut Figure) {
     let mut buf = ExperienceBuffer::new(1000);
     let mut i = 0u32;
-    bench_function("experience_buffer_push", || {
+    bench_function(fig, "experience_buffer_push", || {
         i = i.wrapping_add(1);
         buf.push(Experience {
             obs: vec![i as f32 * 1e-3; 6],
@@ -265,26 +236,21 @@ fn print_storage_accounting() {
     );
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    print_storage_accounting();
-    inference_benchmark();
-    let (fit, kernels) = inference_kernel_table();
-    let memo = decision_memo_table();
-    let hss_access = hss_access_table();
-    training_benchmark();
-    let train = training_step_table();
-    buffer_benchmark();
-
+fn main() -> std::io::Result<()> {
     // No trace is served here: the request count is 0.
-    let mut json = BenchJson::new("sec10_overhead", 0, seed());
-    json.table("infer_kernels", &kernels);
-    json.table("decision_memo", &memo);
-    json.table("hss_access", &hss_access);
-    json.table("train_step", &train);
-    json.note("two_term_setup_us", format!("{:.3}", fit.setup_us));
-    json.note("two_term_per_row_us", format!("{:.4}", fit.per_row_us));
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    let mut fig = Figure::new(
+        "sec10_overhead",
+        "§10 overhead",
+        "Storage accounting, and the host cost of inference, training and the storage model",
+        0,
+    );
+    print_storage_accounting();
+    inference_benchmark(&mut fig);
+    inference_kernel_table(&mut fig);
+    decision_memo_table(&mut fig);
+    hss_access_table(&mut fig);
+    training_benchmark(&mut fig);
+    training_step_table(&mut fig);
+    buffer_benchmark(&mut fig);
+    fig.finish()
 }

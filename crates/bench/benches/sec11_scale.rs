@@ -17,9 +17,8 @@
 //! every request pays a full forward pass, at batch 32 a thirty-second
 //! of one.
 
-use sibyl_bench::{banner, hm_config, seed, trace_len, BenchJson};
-use sibyl_core::SibylConfig;
-use sibyl_serve::{ServeConfig, TelemetryConfig};
+use sibyl_bench::{seed, serving_config, trace_len, Figure};
+use sibyl_serve::TelemetryConfig;
 use sibyl_sim::report::Table;
 use sibyl_sim::ServeExperiment;
 use sibyl_trace::mix::Mix;
@@ -27,9 +26,11 @@ use sibyl_trace::mix::Mix;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(6_000);
     let trace = Mix::Mix2.generate(n, seed());
-    banner(
+    let mut fig = Figure::new(
+        "sec11_scale",
         "§11 scale-out",
         "Sharded serving engine: aggregate IOPS and latency vs shard count and batch size",
+        n,
     );
     println!(
         "workload {} ({} requests), accelerated replay\n",
@@ -37,41 +38,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    // Shorter train interval than the paper's 1000 so every shard still
-    // trains a useful number of steps on its partition of the trace.
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-
-    // 20 ns per MAC ≈ 76 µs per C51 forward pass — software inference on
-    // a busy core. Charged per batch and amortized, so the batch-size
-    // sweep shows the win in the latency column, not just IOPS.
-    const NN_NS_PER_MAC: f64 = 20.0;
-
-    let mut json = BenchJson::new("sec11_scale", n, seed());
     for batch in [1usize, 8, 32] {
-        let mut table = Table::new(
-            [
-                "shards",
-                "agg IOPS",
-                "speedup",
-                "avg lat (us)",
-                "nn us/req",
-                "fast frac",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
+        let mut table = Table::new([
+            "shards",
+            "agg IOPS",
+            "speedup",
+            "avg lat (us)",
+            "nn us/req",
+            "fast frac",
+        ]);
         let mut base_iops = 0.0f64;
         for shards in [1usize, 2, 4, 8] {
-            let config = ServeConfig::new(hm_config())
-                .with_shards(shards)
-                .with_max_batch(batch)
-                .with_time_scale(40.0)
-                .with_nn_ns_per_mac(NN_NS_PER_MAC)
-                .with_sibyl(sibyl.clone());
-            let outcome = ServeExperiment::new(config, trace.clone()).run()?;
+            let outcome =
+                ServeExperiment::new(serving_config(shards, batch), trace.clone()).run()?;
             let agg = outcome.aggregate;
             let nn_us: f64 = outcome.report.shards.iter().map(|s| s.nn_busy_us).sum();
             if shards == 1 {
@@ -87,8 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]);
         }
         println!("inference batch size {batch}");
-        println!("{}", table.render());
-        json.table(&format!("batch{batch}"), &table);
+        fig.table(&format!("batch{batch}"), &table);
     }
 
     // CI determinism gate: when SIBYL_TELEMETRY_OUT names a file, rerun
@@ -98,13 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // namespace), so two invocations must produce byte-identical files —
     // CI runs this twice and diffs the dumps with `cmp`.
     if let Ok(path) = std::env::var("SIBYL_TELEMETRY_OUT") {
-        let config = ServeConfig::new(hm_config())
-            .with_shards(4)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_nn_ns_per_mac(NN_NS_PER_MAC)
+        let config = serving_config(4, 16)
             .with_curve_every(8)
-            .with_sibyl(sibyl.clone())
             .with_telemetry(TelemetryConfig::full());
         let outcome = ServeExperiment::new(config, trace).run()?;
         let jsonl = outcome.telemetry_jsonl().expect("telemetry enabled");
@@ -114,8 +87,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             jsonl.lines().count()
         );
     }
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    Ok(fig.finish()?)
 }

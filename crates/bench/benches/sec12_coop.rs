@@ -15,7 +15,7 @@
 //! the latency columns include the decision cost cooperation has to
 //! amortize.
 
-use sibyl_bench::{banner, coop_config, seed, skewed_coop_trace, trace_len, BenchJson};
+use sibyl_bench::{coop_config, seed, skewed_coop_trace, trace_len, Figure};
 use sibyl_serve::CoopMode;
 use sibyl_sim::report::Table;
 use sibyl_sim::{ServeExperiment, ServeOutcome};
@@ -28,9 +28,11 @@ fn shared_experiences(outcome: &ServeOutcome) -> u64 {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(8_000);
     let trace = skewed_coop_trace(n, seed());
-    banner(
+    let mut fig = Figure::new(
+        "sec12_coop",
         "§12 cooperation",
         "Multi-agent cooperation across shards: modes × shard counts on a skew-partitioned mix",
+        n,
     );
     println!(
         "workload {} ({} requests), accelerated replay, NN cost charged\n",
@@ -38,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let mut json = BenchJson::new("sec12_coop", n, seed());
     let mut four_shard = None;
     for shards in [1usize, 2, 4, 8] {
         let sweep = ServeExperiment::sweep(
@@ -47,19 +48,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let norm_lat = |mode| sweep.normalized_latency(mode).expect("mode was swept");
         let hit_gain = |mode| sweep.hit_rate_gain(mode).expect("mode was swept");
-        let mut table = Table::new(
-            [
-                "mode",
-                "avg lat (us)",
-                "norm lat",
-                "fast frac",
-                "hit gain",
-                "syncs",
-                "shared exps",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
+        let mut table = Table::new([
+            "mode",
+            "avg lat (us)",
+            "norm lat",
+            "fast frac",
+            "hit gain",
+            "syncs",
+            "shared exps",
+        ]);
         for (mode, outcome) in &sweep.runs {
             let syncs: u64 = outcome.report.shards.iter().map(|s| s.coop_syncs).sum();
             table.add_row(vec![
@@ -73,15 +70,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]);
         }
         println!("{shards} shard(s)");
-        println!("{}", table.render());
-        json.table(&format!("shards{shards}"), &table);
+        fig.table(&format!("shards{shards}"), &table);
         let best = sweep.best_challenger().expect("cooperative modes ran");
-        println!(
-            "best cooperative mode: {best} (norm lat {:.3}, hit gain {:+.3})\n",
+        let line = format!(
+            "best cooperative mode: {best} (norm lat {:.3}, hit gain {:+.3})",
             norm_lat(best),
             hit_gain(best),
         );
-        json.note(&format!("best_coop_shards{shards}"), best);
+        fig.note(&format!("best_coop_shards{shards}"), best, &line);
+        println!();
 
         // Learning curves explain the win: print the aggregate curve of
         // the baseline vs the best cooperative mode at the widest sweep
@@ -89,17 +86,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if shards == 8 {
             let indep = sweep.baseline().expect("baseline ran");
             let coop = sweep.get(best).expect("best mode ran");
-            let mut curve = Table::new(
-                [
-                    "requests",
-                    "indep lat",
-                    "coop lat",
-                    "indep fast",
-                    "coop fast",
-                ]
-                .map(String::from)
-                .to_vec(),
-            );
+            let mut curve = Table::new([
+                "requests",
+                "indep lat",
+                "coop lat",
+                "indep fast",
+                "coop fast",
+            ]);
             let (indep, coop) = (
                 indep.report.aggregate_curve(),
                 coop.report.aggregate_curve(),
@@ -114,8 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ]);
             }
             println!("learning curves, {shards} shards (cumulative): independent vs {best}");
-            println!("{}", curve.render());
-            json.table("curves_shards8", &curve);
+            fig.table("curves_shards8", &curve);
         }
         if shards == 4 {
             four_shard = Some(sweep);
@@ -136,11 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = coop_config(4, CoopMode::SharedReplay);
     cfg.coop = cfg.coop.with_foreign_weight(0.5);
     let halved = ServeExperiment::new(cfg, trace.clone()).run()?;
-    let mut ablation = Table::new(
-        ["foreign weight", "avg lat (us)", "norm lat", "shared exps"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut ablation = Table::new(["foreign weight", "avg lat (us)", "norm lat", "shared exps"]);
     let default_weight = sweep.get(&CoopMode::SharedReplay).expect("mode was swept");
     for (weight, outcome) in [(1.0, default_weight), (0.5, &halved)] {
         let latency = outcome.aggregate.avg_latency_us;
@@ -151,10 +139,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shared_experiences(outcome).to_string(),
         ]);
     }
-    println!("{}", ablation.render());
-    json.table("foreign_weight_ablation", &ablation);
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    fig.table("foreign_weight_ablation", &ablation);
+    Ok(fig.finish()?)
 }

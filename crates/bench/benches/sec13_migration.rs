@@ -13,7 +13,7 @@
 //! migration I/O consumed (charged against the same device clocks the
 //! foreground requests queue on, so the win is net of its own cost).
 
-use sibyl_bench::{banner, migration_config, seed, trace_len, BenchJson};
+use sibyl_bench::{migration_config, seed, trace_len, Figure};
 use sibyl_serve::MigratePolicyKind;
 use sibyl_sim::report::Table;
 use sibyl_sim::ServeExperiment;
@@ -23,9 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(10_000);
     let phases = 5;
     let trace = synth::diurnal(n, phases, seed());
-    banner(
+    let mut fig = Figure::new(
+        "sec13_migration",
         "§13 background migration",
         "Proactive migration policies on a phase-shifting (diurnal) workload",
+        n,
     );
     println!(
         "workload {} ({} requests, {} phases), accelerated replay, NN cost charged\n",
@@ -37,21 +39,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policies = MigratePolicyKind::ALL.map(|p| (p, migration_config(p)));
     let sweep = ServeExperiment::sweep(&trace, policies)?;
     let norm_lat = |policy| sweep.normalized_latency(policy).expect("policy was swept");
-    let mut table = Table::new(
-        [
-            "policy",
-            "avg lat (us)",
-            "norm lat",
-            "p99 (us)",
-            "fast frac",
-            "promoted",
-            "demoted",
-            "migr busy (ms)",
-            "evicted",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "policy",
+        "avg lat (us)",
+        "norm lat",
+        "p99 (us)",
+        "fast frac",
+        "promoted",
+        "demoted",
+        "migr busy (ms)",
+        "evicted",
+    ]);
     for (policy, run) in &sweep.runs {
         let shards = &run.report.shards;
         let promoted: u64 = shards.iter().map(|s| s.stats.bg_promoted_pages).sum();
@@ -70,19 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             run.aggregate.evicted_pages.to_string(),
         ]);
     }
-    println!("{}", table.render());
+    fig.table("policies", &table);
     let best = sweep.best_challenger().expect("active policies ran");
-    println!(
+    let line = format!(
         "best active policy: {best} (norm lat {:.3}, hit gain {:+.3})",
         norm_lat(best),
         sweep.hit_rate_gain(best).expect("policy was swept"),
     );
-
-    let mut json = BenchJson::new("sec13_migration", n, seed());
-    json.table("policies", &table);
-    json.note("best_active_policy", best);
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    fig.note("best_active_policy", best, &line);
+    Ok(fig.finish()?)
 }

@@ -26,9 +26,7 @@
 
 use std::time::Instant;
 
-use sibyl_bench::{banner, hm_config, seed, trace_len, BenchJson};
-use sibyl_core::SibylConfig;
-use sibyl_serve::ServeConfig;
+use sibyl_bench::{seed, serving_config, trace_len, Figure};
 use sibyl_sim::report::Table;
 use sibyl_sim::ServeExperiment;
 use sibyl_trace::mix::Mix;
@@ -38,40 +36,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // point streams over. Default 50k/component → 100k-request base
     // sweep point (2 components), ×100 → 10M.
     let horizon = trace_len(50_000);
-    banner(
+    let mut fig = Figure::new(
+        "sec14_scale",
         "§14 scale",
         "Streamed serving at 1x/10x/100x the horizon: IOPS and resident directory bytes",
+        horizon,
     );
     println!(
         "workload mix2 streamed (horizon {horizon}/component, footprint fixed), \
          4 shards x batch 16, accelerated replay\n"
     );
 
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-    let config = ServeConfig::new(hm_config())
-        .with_shards(4)
-        .with_max_batch(16)
-        .with_time_scale(40.0)
-        .with_nn_ns_per_mac(20.0)
-        .with_sibyl(sibyl);
+    let config = serving_config(4, 16);
 
-    let mut table = Table::new(
-        [
-            "requests",
-            "agg IOPS",
-            "avg lat (us)",
-            "dir peak (KiB)",
-            "dir total (KiB)",
-            "B/page",
-            "wall (s)",
-            "host_req_per_s",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "requests",
+        "agg IOPS",
+        "avg lat (us)",
+        "dir peak (KiB)",
+        "dir total (KiB)",
+        "B/page",
+        "wall (s)",
+        "host_req_per_s",
+    ]);
     let mut dir_totals: Vec<u64> = Vec::new();
     let mut request_totals: Vec<u64> = Vec::new();
     for scale in [1usize, 10, 100] {
@@ -103,27 +90,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dir_totals.push(dir_bytes);
         request_totals.push(agg.total_requests);
     }
-    println!("{}", table.render());
+    fig.table("scale", &table);
 
     let (first, last) = (dir_totals[0], *dir_totals.last().unwrap());
     let growth = last as f64 / first.max(1) as f64;
     let req_growth = *request_totals.last().unwrap() as f64 / request_totals[0].max(1) as f64;
-    println!(
-        "directory growth {growth:.2}x across a {req_growth:.0}x request sweep \
-         (metadata tracks footprint, not trace length)"
-    );
+    let (dir, reqs) = (format!("{growth:.2}"), format!("{req_growth:.0}"));
+    let line = format!("directory growth {dir}x (metadata tracks footprint, not trace length)");
+    fig.note("directory_growth", dir, &line);
+    let line = format!("across a {reqs}x request sweep");
+    fig.note("request_growth", reqs, &line);
     assert!(
         growth < 4.0,
         "directory bytes must be sublinear in trace length: {first} -> {last} bytes \
          over a {req_growth:.0}x request sweep"
     );
-
-    let mut json = BenchJson::new("sec14_scale", horizon, seed());
-    json.table("scale", &table);
-    json.note("directory_growth", format!("{growth:.2}"));
-    json.note("request_growth", format!("{req_growth:.0}"));
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    Ok(fig.finish()?)
 }

@@ -19,8 +19,7 @@
 
 use std::time::Instant;
 
-use sibyl_bench::{banner, hm_config, seed, trace_len, BenchJson};
-use sibyl_core::SibylConfig;
+use sibyl_bench::{seed, serving_config, trace_len, Figure};
 use sibyl_serve::{serve_trace, ServeConfig, ServeReport, TelemetryConfig};
 use sibyl_sim::report::Table;
 use sibyl_trace::mix::Mix;
@@ -31,9 +30,11 @@ const RUNS: usize = 9;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(4_000);
     let trace = Mix::Mix2.generate(n, seed());
-    banner(
+    let mut fig = Figure::new(
+        "sec15_telemetry",
         "§15 telemetry",
         "Observability overhead by level: Off vs Events vs Full through the serving engine",
+        n,
     );
     println!(
         "workload {} ({} requests), 4 shards x batch 16, median of {RUNS} interleaved rounds\n",
@@ -41,17 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-    let base = ServeConfig::new(hm_config())
-        .with_shards(4)
-        .with_max_batch(16)
-        .with_time_scale(40.0)
-        .with_nn_ns_per_mac(20.0)
-        .with_curve_every(8)
-        .with_sibyl(sibyl);
+    let base = serving_config(4, 16).with_curve_every(8);
     let levels: [(&str, TelemetryConfig); 3] = [
         ("off", TelemetryConfig::off()),
         ("events", TelemetryConfig::events()),
@@ -88,18 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let off_median = times_ms[0][RUNS / 2];
 
-    let mut table = Table::new(
-        [
-            "level",
-            "median ms",
-            "overhead",
-            "events",
-            "dropped",
-            "jsonl lines",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "level",
+        "median ms",
+        "overhead",
+        "events",
+        "dropped",
+        "jsonl lines",
+    ]);
     for ((name, _), (times, report)) in configs.iter().zip(times_ms.iter().zip(&reports)) {
         let median = times[RUNS / 2];
         let (events, dropped, lines) = report.telemetry.as_ref().map_or((0, 0, 0), |t| {
@@ -118,20 +105,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lines.to_string(),
         ]);
     }
-    println!("{}", table.render());
+    fig.table("levels", &table);
 
     let full = reports
         .last()
         .and_then(|r| r.telemetry.as_ref())
         .expect("full level has telemetry");
     println!("--- sibyl-top (full level) ---");
-    println!("{}", full.render_top());
-
-    let mut json = BenchJson::new("sec15_telemetry", n, seed());
-    json.table("levels", &table);
-    json.text("top", &full.render_top());
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    fig.text("top", &full.render_top());
+    Ok(fig.finish()?)
 }

@@ -22,8 +22,7 @@
 //! (pinned by the serve-crate goldens and the bench-crate ≤5% overhead
 //! regression test).
 
-use sibyl_bench::{banner, hm_config, seed, trace_len, BenchJson};
-use sibyl_core::SibylConfig;
+use sibyl_bench::{seed, serving_config, trace_len, Figure};
 use sibyl_serve::{MigrateConfig, ServeConfig, XrayConfig};
 use sibyl_sim::report::Table;
 use sibyl_sim::ServeExperiment;
@@ -39,20 +38,16 @@ const SAMPLE_EXPONENT: u32 = 2;
 /// The breakdown table in structured form (the same numbers
 /// [`XrayReport::breakdown_table`] prints), for the JSON artifact.
 fn breakdown_rows(report: &XrayReport) -> Table {
-    let mut table = Table::new(
-        [
-            "shard",
-            "sampled",
-            "avg lat (us)",
-            "decide",
-            "train",
-            "queue",
-            "transfer",
-            "queue_wait (us)",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut table = Table::new([
+        "shard",
+        "sampled",
+        "avg lat (us)",
+        "decide",
+        "train",
+        "queue",
+        "transfer",
+        "queue_wait (us)",
+    ]);
     let mut row = |label: &str, t: &sibyl_xray::ComponentTotals| {
         let pct = |ns: u64| format!("{:.1}%", t.share(ns) * 100.0);
         table.add_row(vec![
@@ -78,28 +73,19 @@ fn breakdown_rows(report: &XrayReport) -> Table {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = trace_len(4_000);
-    banner(
+    let mut fig = Figure::new(
+        "sec16_xray",
         "§16 x-ray",
         "Per-request span tracing: critical-path breakdown, tail forensics, folded stacks",
+        n,
     );
     println!(
         "4 shards x batch 16, 1/2^{SAMPLE_EXPONENT} deterministic sampling, \
          {n} requests per workload\n"
     );
 
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-    let base = ServeConfig::new(hm_config())
-        .with_shards(4)
-        .with_max_batch(16)
-        .with_time_scale(40.0)
-        .with_nn_ns_per_mac(20.0)
-        .with_sibyl(sibyl)
-        .with_xray(XrayConfig::Sampled(SAMPLE_EXPONENT));
+    let base = serving_config(4, 16).with_xray(XrayConfig::Sampled(SAMPLE_EXPONENT));
 
-    let mut json = BenchJson::new("sec16_xray", n, seed());
     let runs: [(&str, Trace, ServeConfig); 2] = [
         ("mix2", Mix::Mix2.generate(n, seed()), base.clone()),
         (
@@ -121,13 +107,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.sampled(),
             report.requests_seen()
         );
+        // x-ray prints its own layout of the breakdown; the artifact
+        // carries the same numbers as a table.
         println!("{}", report.breakdown_table());
+        fig.record_table(&format!("{name}_breakdown"), &breakdown_rows(report));
         println!("--- {name}: top-5 tail span trees ---");
-        println!("{}", report.render_tail(5));
-        json.table(&format!("{name}_breakdown"), &breakdown_rows(report));
-        json.text(&format!("{name}_tail"), &report.render_tail(5));
+        fig.text(&format!("{name}_tail"), &report.render_tail(5));
         let folded = outcome.xray_folded().expect("xray enabled");
-        json.text(&format!("{name}_folded"), &folded);
+        fig.record_text(&format!("{name}_folded"), &folded);
         if name == "mix2" {
             mix2_folded = Some(folded);
         }
@@ -143,8 +130,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             folded.lines().count()
         );
     }
-    if let Some(path) = json.write()? {
-        println!("bench JSON written to {path}");
-    }
-    Ok(())
+    Ok(fig.finish()?)
 }

@@ -2,27 +2,30 @@
 //! measured from the synthesized traces, side by side with the paper's
 //! published targets.
 
-use sibyl_bench::{all_workloads, banner, seed, trace_len};
+use sibyl_bench::{seed, trace_len, Figure};
 use sibyl_sim::report::Table;
-use sibyl_trace::{msrc, stats::TraceStats};
+use sibyl_trace::msrc::{self, Workload};
+use sibyl_trace::stats::TraceStats;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let n = trace_len(30_000);
-    banner(
+    let mut fig = Figure::new(
+        "tab04_workloads",
         "Table 4",
         "Measured workload characteristics vs the paper's published values",
+        n,
     );
-    let mut table = Table::new(vec![
-        "workload".into(),
-        "write% (paper)".into(),
-        "write% (ours)".into(),
-        "KiB (paper)".into(),
-        "KiB (ours)".into(),
-        "count (paper)".into(),
-        "count (ours)".into(),
-        "uniq reqs (ours)".into(),
+    let mut table = Table::new([
+        "workload",
+        "write% (paper)",
+        "write% (ours)",
+        "KiB (paper)",
+        "KiB (ours)",
+        "count (paper)",
+        "count (ours)",
+        "uniq reqs (ours)",
     ]);
-    for wl in all_workloads() {
+    for wl in Workload::ALL {
         let spec = wl.spec();
         let st = TraceStats::measure(&msrc::generate(wl, n, seed()));
         table.add_row(vec![
@@ -36,8 +39,9 @@ fn main() {
             format!("{}", st.unique_requests),
         ]);
     }
-    println!("{}", table.render());
+    fig.table("workloads", &table);
     println!(
         "(Access counts scale with trace length; the paper's values are for full-week traces.)"
     );
+    fig.finish()
 }

@@ -1,9 +1,18 @@
 //! # sibyl-bench
 //!
-//! Shared scaffolding for the per-figure benchmark targets. Every table
-//! and figure in the Sibyl paper's motivation/evaluation sections has a
-//! `benches/figNN_*.rs` target that regenerates its rows/series; this
-//! crate holds the pieces they share.
+//! The figure harness. Every table and figure in the Sibyl paper's
+//! motivation/evaluation sections has a `benches/figNN_*.rs` target that
+//! regenerates its rows/series; this crate holds what they share:
+//!
+//! - [`Figure`] — a target's output. Everything handed to it is printed
+//!   *and* recorded in one call, and [`Figure::finish`] writes the record
+//!   as a JSON artifact when **`SIBYL_BENCH_JSON`** names a path — so all
+//!   22 targets emit an artifact and none can print a table its artifact
+//!   lacks.
+//! - [`Figure::grid`] / [`Figure::sweep`] — the two table shapes the
+//!   paper's figures have (HSS configurations × traces × policies, and
+//!   swept parameter × policies). A figure is one `grid`/`sweep` call.
+//! - [`median_ns`] — the one stopwatch behind every host-clock number.
 //!
 //! Run a single figure with
 //! `cargo bench -p sibyl-bench --bench fig09_latency`, or everything with
@@ -17,13 +26,16 @@
 //! - **`SIBYL_REQS`** — requests per workload. Each target passes its own
 //!   laptop-friendly default to [`trace_len`]; setting `SIBYL_REQS`
 //!   overrides all of them at once, which is how CI and spot checks run
-//!   the slow sweeps (`fig10`, `fig15`) in seconds. Unparsable values
-//!   fall back to the default rather than failing the run.
+//!   the slow sweeps (`fig10`, `fig15`) in seconds.
 //! - **`SIBYL_SEED`** — the workload seed (default 42). Trace synthesis,
 //!   weight init, exploration, and replay sampling are all derived from
 //!   explicit seeds, so two runs with identical `SIBYL_REQS`/`SIBYL_SEED`
 //!   print byte-identical tables; changing `SIBYL_SEED` re-rolls the
 //!   workloads for robustness checks.
+//!
+//! A value that does not parse (`SIBYL_REQS=1e4`) stops the target with a
+//! message naming the variable: a measuring tool must not quietly run,
+//! and label, a size nobody asked for.
 //!
 //! ```sh
 //! SIBYL_REQS=2000 SIBYL_SEED=7 cargo bench -p sibyl-bench --bench fig09_latency
@@ -31,6 +43,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::io::Write;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +54,7 @@ use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
 use sibyl_nn::{Activation, Mlp, Sgd};
 use sibyl_serve::{CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::SuiteResult;
+use sibyl_sim::{Experiment, PolicyKind, SimError};
 use sibyl_trace::mix::Mix;
 use sibyl_trace::msrc::Workload;
 use sibyl_trace::zipf::Zipf;
@@ -48,18 +62,31 @@ use sibyl_trace::{IoOp, IoRequest, Trace};
 
 /// Requests per workload, overridable with `SIBYL_REQS`.
 pub fn trace_len(default: usize) -> usize {
-    std::env::var("SIBYL_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_or("SIBYL_REQS", default)
 }
 
 /// Workload seed, overridable with `SIBYL_SEED`.
 pub fn seed() -> u64 {
-    std::env::var("SIBYL_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    env_or("SIBYL_SEED", 42)
+}
+
+/// The environment's value for `var`, `default` when it is unset; a value
+/// that does not parse ends the process with [`setting`]'s message.
+fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
+    let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    setting(var, raw.as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses the raw value of the environment variable `var`: `default` when
+/// unset, otherwise the parsed value or a message naming both.
+fn setting<T: std::str::FromStr>(var: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    let Some(raw) = raw else { return Ok(default) };
+    raw.parse().map_err(|_| {
+        format!("{var}={raw:?} is not a non-negative integer; unset it for the default")
+    })
 }
 
 /// The paper's performance-oriented H&M configuration (Optane + TLC SSD).
@@ -72,22 +99,45 @@ pub fn hl_config() -> HssConfig {
     HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
 }
 
-/// The paper's H&M&L tri-hybrid configuration.
-pub fn hml_config() -> HssConfig {
-    HssConfig::tri(
-        DeviceSpec::optane_ssd(),
-        DeviceSpec::tlc_ssd(),
-        DeviceSpec::hdd(),
-    )
+/// The paper's two dual-HSS configurations as [`Figure::grid`] panels.
+pub fn hm_hl_panels() -> [(&'static str, &'static str, HssConfig); 2] {
+    [
+        ("hm", "(a) H&M HSS configuration", hm_config()),
+        ("hl", "(b) H&L HSS configuration", hl_config()),
+    ]
 }
 
-/// The paper's H&M&Lssd tri-hybrid configuration.
-pub fn hml_ssd_config() -> HssConfig {
-    HssConfig::tri(
-        DeviceSpec::optane_ssd(),
-        DeviceSpec::tlc_ssd(),
-        DeviceSpec::cheap_ssd(),
-    )
+/// The paper's two tri-hybrid configurations, H&M&L and H&M&Lssd, as
+/// [`Figure::grid`] panels.
+pub fn tri_panels() -> [(&'static str, &'static str, HssConfig); 2] {
+    let (h, m) = (DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
+    let hml = HssConfig::tri(h.clone(), m.clone(), DeviceSpec::hdd());
+    let hml_ssd = HssConfig::tri(h, m, DeviceSpec::cheap_ssd());
+    [
+        ("hml", "(a) H&M&L configuration", hml),
+        ("hml_ssd", "(b) H&M&Lssd configuration", hml_ssd),
+    ]
+}
+
+/// The serving engine's reference point — what `sec11_scale` sweeps and
+/// `sec14`–`sec16`, `sec12_coop` and their regression tests hold fixed, so
+/// the pinned numbers and the printed tables cannot drift apart: the H&M
+/// pair, accelerated replay, the §10 NN cost charged at 20 ns per MAC
+/// (≈ 76 µs per C51 forward pass — software inference on a busy core —
+/// per batch, so a larger batch shows as lower latency, not just higher
+/// IOPS), and a shorter train interval than the paper's 1000, so every
+/// shard still trains a useful number of steps on its partition.
+pub fn serving_config(shards: usize, max_batch: usize) -> ServeConfig {
+    let sibyl = SibylConfig {
+        train_interval: 250,
+        ..Default::default()
+    };
+    ServeConfig::new(hm_config())
+        .with_shards(shards)
+        .with_max_batch(max_batch)
+        .with_time_scale(40.0)
+        .with_nn_ns_per_mac(20.0)
+        .with_sibyl(sibyl)
 }
 
 /// A skew-partitioned hot/cold workload for the cooperation sweep
@@ -134,29 +184,16 @@ pub fn skewed_coop_trace(n: usize, seed: u64) -> Trace {
 }
 
 /// The serving configuration `sec12_coop` sweeps the cooperation modes
-/// under (shared with the bench-crate regression test so the pinned
-/// numbers and the printed table cannot drift apart): the H&M pair,
-/// accelerated replay, the §10 NN cost charged, curve sampling, a sync
-/// round every 8 batches publishing half the experiences — and a
-/// shorter train interval than the paper's 1000, so every shard still
-/// trains a useful number of steps on its partition of the trace.
+/// under (shared with the bench-crate regression test): the reference
+/// [`serving_config`] at batch 16 with curve sampling and a sync round
+/// every 8 batches publishing half the experiences.
 pub fn coop_config(shards: usize, mode: CoopMode) -> ServeConfig {
-    let sibyl = SibylConfig {
-        train_interval: 250,
-        ..Default::default()
-    };
-    ServeConfig::new(hm_config())
-        .with_shards(shards)
-        .with_max_batch(16)
-        .with_time_scale(40.0)
-        .with_nn_ns_per_mac(20.0)
+    let coop = CoopConfig::new(mode)
+        .with_sync_period(8)
+        .with_share_fraction(0.5);
+    serving_config(shards, 16)
         .with_curve_every(8)
-        .with_coop(
-            CoopConfig::new(mode)
-                .with_sync_period(8)
-                .with_share_fraction(0.5),
-        )
-        .with_sibyl(sibyl)
+        .with_coop(coop)
 }
 
 /// The serving configuration `sec13_migration` sweeps the migration
@@ -220,26 +257,27 @@ pub struct TrainStepRow {
     pub phase_ns_per_sample: [f64; 4],
 }
 
-/// Times `step` (one whole replay batch of `batch` samples) and returns
-/// the median ns per *sample* over several timed runs.
-fn time_per_sample(batch: usize, mut step: impl FnMut()) -> f64 {
-    let reps = (2048 / batch).max(8) as u32;
-    const RUNS: usize = 9;
-    // Warm-up.
-    for _ in 0..reps {
-        step();
-    }
-    let mut per_sample: Vec<f64> = (0..RUNS)
+/// The crate's one stopwatch: calls `f` `reps` times untimed to warm up,
+/// then times `runs` rounds of `reps` calls each and returns the median
+/// round's nanoseconds per call (the upper middle when `runs` is even).
+pub fn median_ns(reps: u32, runs: usize, mut f: impl FnMut()) -> f64 {
+    let mut round = || (0..reps).for_each(|_| f());
+    round();
+    let mut per_call: Vec<f64> = (0..runs)
         .map(|_| {
             let start = std::time::Instant::now();
-            for _ in 0..reps {
-                step();
-            }
-            start.elapsed().as_nanos() as f64 / (reps as f64 * batch as f64)
+            round();
+            start.elapsed().as_nanos() as f64 / f64::from(reps)
         })
         .collect();
-    per_sample.sort_by(|a, b| a.total_cmp(b));
-    per_sample[RUNS / 2]
+    per_call.sort_by(f64::total_cmp);
+    per_call[runs / 2]
+}
+
+/// Times `step` (one whole replay batch of `batch` samples) and returns
+/// the median ns per *sample* over nine timed rounds.
+fn time_per_sample(batch: usize, step: impl FnMut()) -> f64 {
+    median_ns((2048 / batch).max(8) as u32, 9, step) / batch as f64
 }
 
 /// One replay batch of the batched training step, in the calls
@@ -582,7 +620,9 @@ pub struct HssAccessCost {
 /// 1–8-page reads and `n` such writes over it, every request targeting
 /// the unlimited slow device so no page moves or is evicted; and
 /// Fast-Only over `n` requests of `hm_1`. Each figure is the median of
-/// five runs from a fresh manager.
+/// five passes — a fresh manager per first-touch pass (its construction
+/// and drop, microseconds, are inside the timed pass), one filled manager
+/// under the hit passes.
 pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
     const RUNS: usize = 5;
     let n = n.max(1) as u64;
@@ -598,42 +638,31 @@ pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
     let fill: Vec<IoRequest> = (0..n)
         .map(|t| IoRequest::new(t, 4 * t, 4, IoOp::Write))
         .collect();
-    let ns_per_page = |manager: &mut StorageManager, reqs: &[IoRequest]| {
-        let pages: u64 = reqs.iter().map(|r| u64::from(r.size_pages)).sum();
-        let start = std::time::Instant::now();
+    let serve = |manager: &mut StorageManager, reqs: &[IoRequest]| {
         for req in reqs {
             std::hint::black_box(manager.access(req, slow));
         }
-        start.elapsed().as_nanos() as f64 / pages as f64
     };
-    let median = |mut runs: Vec<f64>| {
-        runs.sort_by(|a, b| a.total_cmp(b));
-        runs[runs.len() / 2]
+    let per_page = |pass_ns: f64, reqs: &[IoRequest]| {
+        pass_ns / reqs.iter().map(|r| f64::from(r.size_pages)).sum::<f64>()
     };
-    let (mut first, mut read, mut write) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..RUNS {
-        let mut manager = StorageManager::new(&hss);
-        first.push(ns_per_page(&mut manager, &fill));
-        read.push(ns_per_page(&mut manager, &reads));
-        write.push(ns_per_page(&mut manager, &writes));
-    }
-    let hm_1 = sibyl_sim::Experiment::new(
+    let first = median_ns(1, RUNS, || serve(&mut StorageManager::new(&hss), &fill));
+    let mut manager = StorageManager::new(&hss);
+    serve(&mut manager, &fill);
+    let read = median_ns(1, RUNS, || serve(&mut manager, &reads));
+    let write = median_ns(1, RUNS, || serve(&mut manager, &writes));
+    let hm_1 = Experiment::new(
         hm_config(),
         sibyl_trace::msrc::generate(Workload::Hm1, n as usize, seed),
     );
-    let fast_only = (0..RUNS)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            std::hint::black_box(hm_1.run(sibyl_sim::PolicyKind::FastOnly))
-                .expect("hm_1 is not empty");
-            start.elapsed().as_nanos() as f64 / 1_000.0 / n as f64
-        })
-        .collect();
+    let fast_only = median_ns(1, RUNS, || {
+        std::hint::black_box(hm_1.run(PolicyKind::FastOnly)).expect("hm_1 is not empty");
+    });
     HssAccessCost {
-        first_touch_ns_per_page: median(first),
-        read_hit_ns_per_page: median(read),
-        write_hit_ns_per_page: median(write),
-        fast_only_us_per_req: median(fast_only),
+        first_touch_ns_per_page: per_page(first, &fill),
+        read_hit_ns_per_page: per_page(read, &reads),
+        write_hit_ns_per_page: per_page(write, &writes),
+        fast_only_us_per_req: fast_only / 1_000.0 / n as f64,
     }
 }
 
@@ -689,9 +718,10 @@ pub fn calibrate_two_term(points: &[(usize, f64)]) -> TwoTermFit {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// `s` as a JSON string literal, quoted and escaped.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -705,16 +735,22 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
-/// A machine-readable artifact writer for the bench targets: every
-/// `sec*` target assembles the tables it prints into one of these and
-/// calls [`BenchJson::write`] before exiting, which is a no-op unless
-/// the **`SIBYL_BENCH_JSON`** environment variable names an output path.
-/// CI sets it per target and uploads the files as run artifacts, so the
-/// printed numbers can be tracked across commits without scraping
-/// stdout.
+/// Already-rendered JSON values as a JSON array.
+fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
+/// A bench target's output, printed and recorded in one place: the
+/// banner, then every table, note and text the target hands over goes to
+/// stdout *and* into a machine-readable artifact that [`Figure::finish`]
+/// writes when the **`SIBYL_BENCH_JSON`** environment variable names an
+/// output path. CI sets it per target and uploads the files as run
+/// artifacts, so the printed numbers can be tracked across commits
+/// without scraping stdout.
 ///
 /// The schema is stable (consumers may pin it): one JSON object per
 /// file, terminated by a newline —
@@ -732,219 +768,326 @@ fn json_escape(s: &str) -> String {
 /// artifact across identically-seeded runs. Cells are kept as the
 /// strings the tables print — the artifact mirrors the human-readable
 /// output rather than re-deriving it.
-#[derive(Debug, Clone)]
-pub struct BenchJson {
+#[derive(Debug)]
+pub struct Figure<W: Write = std::io::Stdout> {
+    out: W,
     target: String,
     requests: usize,
     seed: u64,
     notes: Vec<(String, String)>,
-    tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
+    tables: Vec<(String, Table)>,
     texts: Vec<(String, String)>,
+    /// Policy runs [`Figure::grid`] and [`Figure::sweep`] have made; the
+    /// harness tests pin Fast-Only at one per (configuration, trace).
+    policy_runs: usize,
 }
 
-impl BenchJson {
-    /// Starts an artifact for `target` (the bench's cargo target name),
-    /// recording the request count and seed the run used.
-    pub fn new(target: &str, requests: usize, seed: u64) -> Self {
-        BenchJson {
+impl Figure {
+    /// Starts `target` (the bench's cargo target name) on stdout: prints
+    /// the `title`/`caption` banner and records the request count and
+    /// [`seed`] the run uses.
+    pub fn new(target: &str, title: &str, caption: &str, requests: usize) -> Self {
+        Figure::to(std::io::stdout(), target, title, caption, requests, seed())
+    }
+}
+
+impl<W: Write> Figure<W> {
+    /// [`Figure::new`] printing to `out`, with an explicit seed.
+    fn to(out: W, target: &str, title: &str, caption: &str, requests: usize, seed: u64) -> Self {
+        let mut figure = Figure {
+            out,
             target: target.to_string(),
             requests,
             seed,
             notes: Vec::new(),
             tables: Vec::new(),
             texts: Vec::new(),
-        }
+            policy_runs: 0,
+        };
+        figure.emit(format_args!("\n=== {title} ===\n{caption}\n\n"));
+        figure
     }
 
-    /// Records a named key/value note (summary scalars, best-mode
-    /// verdicts — anything the target prints outside a table).
-    pub fn note(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.notes.push((key.to_string(), value.to_string()));
+    fn emit(&mut self, text: std::fmt::Arguments<'_>) {
+        self.out
+            .write_fmt(text)
+            .expect("the figure's output is writable");
     }
 
-    /// Records a named table, cell-for-cell as the target printed it.
+    /// Prints `table` (followed by a blank line) and records it under
+    /// `name`, cell for cell.
     pub fn table(&mut self, name: &str, table: &Table) {
-        self.tables.push((
-            name.to_string(),
-            table.headers().to_vec(),
-            table.rows().to_vec(),
-        ));
+        self.emit(format_args!("{}\n", table.render()));
+        self.record_table(name, table);
     }
 
-    /// Records a named multi-line text artifact (folded stacks, span
-    /// dumps) verbatim.
+    /// Prints `line` — the sentence the target shows, which must contain
+    /// `value` — and records `value` under `key` (summary scalars,
+    /// best-mode verdicts: anything stated outside a table).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `line` does not contain `value`: the record would not
+    /// be what was printed.
+    pub fn note(&mut self, key: &str, value: impl std::fmt::Display, line: &str) {
+        let value = value.to_string();
+        assert!(
+            line.contains(&value),
+            "note {key}: {line:?} lacks {value:?}"
+        );
+        self.emit(format_args!("{line}\n"));
+        self.notes.push((key.to_string(), value));
+    }
+
+    /// Prints a multi-line `text` (span trees, a rendered dashboard) and
+    /// records it verbatim under `name`.
     pub fn text(&mut self, name: &str, text: &str) {
+        self.emit(format_args!("{text}\n"));
+        self.record_text(name, text);
+    }
+
+    /// Records `table` without printing it: the structured form of
+    /// something the target prints in another layout. The artifact may
+    /// hold more than stdout, never less.
+    pub fn record_table(&mut self, name: &str, table: &Table) {
+        self.tables.push((name.to_string(), table.clone()));
+    }
+
+    /// Records `text` without printing it (exports too long to read on a
+    /// terminal, such as folded stacks).
+    pub fn record_text(&mut self, name: &str, text: &str) {
         self.texts.push((name.to_string(), text.to_string()));
     }
 
-    /// Renders the artifact as its single-object JSON document.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":1,\"target\":\"{}\",\"requests\":{},\"seed\":{}",
-            json_escape(&self.target),
+    /// Renders the record as its single-object JSON document.
+    fn render(&self) -> String {
+        let strings = |cells: &[String]| json_array(cells.iter().map(|c| json_str(c)));
+        let pair = |a: &str, first: &str, b: &str, second: &str| {
+            format!(
+                "{{\"{a}\":{},\"{b}\":{}}}",
+                json_str(first),
+                json_str(second)
+            )
+        };
+        let notes = self.notes.iter().map(|(k, v)| pair("key", k, "value", v));
+        let tables = self.tables.iter().map(|(name, table)| {
+            format!(
+                "{{\"name\":{},\"headers\":{},\"rows\":{}}}",
+                json_str(name),
+                strings(table.headers()),
+                json_array(table.rows().iter().map(|row| strings(row)))
+            )
+        });
+        let texts = self.texts.iter().map(|(n, t)| pair("name", n, "text", t));
+        format!(
+            "{{\"schema\":1,\"target\":{},\"requests\":{},\"seed\":{},\
+             \"notes\":{},\"tables\":{},\"texts\":{}}}\n",
+            json_str(&self.target),
             self.requests,
-            self.seed
-        );
-        out.push_str(",\"notes\":[");
-        for (i, (key, value)) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"key\":\"{}\",\"value\":\"{}\"}}",
-                json_escape(key),
-                json_escape(value)
-            );
-        }
-        out.push_str("],\"tables\":[");
-        for (i, (name, headers, rows)) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"headers\":[", json_escape(name));
-            for (j, h) in headers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", json_escape(h));
-            }
-            out.push_str("],\"rows\":[");
-            for (j, row) in rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, cell) in row.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\"", json_escape(cell));
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"texts\":[");
-        for (i, (name, text)) in self.texts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"text\":\"{}\"}}",
-                json_escape(name),
-                json_escape(text)
-            );
-        }
-        out.push_str("]}\n");
-        out
+            self.seed,
+            json_array(notes),
+            json_array(tables),
+            json_array(texts)
+        )
     }
 
-    /// Writes the artifact to `path`.
+    /// Ends the target: writes the artifact to the path `SIBYL_BENCH_JSON`
+    /// names and says so, or does nothing when the variable is unset or
+    /// empty (the default local run).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_to(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.render())
-    }
-
-    /// Writes the artifact to the path named by `SIBYL_BENCH_JSON`,
-    /// returning that path — or does nothing and returns `None` when the
-    /// variable is unset or empty (the default local run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error when the variable is
-    /// set but the path cannot be written.
-    pub fn write(&self) -> std::io::Result<Option<String>> {
+    /// Propagates the filesystem error when the path cannot be written.
+    pub fn finish(mut self) -> std::io::Result<()> {
         match std::env::var("SIBYL_BENCH_JSON") {
             Ok(path) if !path.is_empty() => {
-                self.write_to(&path)?;
-                Ok(Some(path))
+                std::fs::write(&path, self.render())?;
+                self.emit(format_args!("bench JSON written to {path}\n"));
             }
-            _ => Ok(None),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// One row of cell values: each of `policies` on `trace` under `hss`,
+    /// Fast-Only run once and reused for a Fast-Only column.
+    fn cells<'a>(
+        &mut self,
+        hss: &HssConfig,
+        trace: &Trace,
+        policies: impl IntoIterator<Item = &'a PolicyKind>,
+        cell: Cell,
+    ) -> Result<Vec<f64>, SimError> {
+        let time_scale = match cell {
+            Cell::NormIops(scale) => scale,
+            _ => 1.0,
+        };
+        let exp = Experiment::new(hss.clone(), trace.clone()).with_time_scale(time_scale);
+        let mut run = |kind: &PolicyKind| {
+            self.policy_runs += 1;
+            exp.run(kind.clone()).map(|outcome| outcome.metrics)
+        };
+        let fast = run(&PolicyKind::FastOnly)?;
+        let mut values = Vec::new();
+        for policy in policies {
+            let metrics = match policy {
+                PolicyKind::FastOnly => fast.clone(),
+                other => run(other)?,
+            };
+            values.push(match cell {
+                Cell::NormLatency => metrics.normalized_latency(&fast),
+                Cell::NormIops(_) => metrics.normalized_iops(&fast),
+                Cell::EvictionFraction => metrics.eviction_fraction,
+            });
+        }
+        Ok(values)
+    }
+
+    /// The table shape of Figs. 2, 9–13, 16 and 18: per HSS configuration
+    /// in `panels` — `(artifact table name, heading line printed above the
+    /// table unless empty, configuration)` — one table whose rows are
+    /// `traces`, whose columns are the labelled policies and whose last
+    /// row, `AVG`, is each column's [`Cell`] mean over the unrounded
+    /// values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EmptyTrace`] for an empty trace.
+    pub fn grid(
+        &mut self,
+        panels: &[(&str, &str, HssConfig)],
+        row_header: &str,
+        traces: &[Trace],
+        columns: &[(&str, PolicyKind)],
+        cell: Cell,
+    ) -> Result<(), SimError> {
+        let labels = columns.iter().map(|(label, _)| *label);
+        for (name, heading, hss) in panels {
+            let mut table = Table::new(std::iter::once(row_header).chain(labels.clone()));
+            let mut values = Vec::with_capacity(traces.len());
+            for trace in traces {
+                let row = self.cells(hss, trace, columns.iter().map(|(_, p)| p), cell)?;
+                table.add_row(cell.row(trace.name(), &row));
+                values.push(row);
+            }
+            let avg: Vec<f64> = (0..columns.len())
+                .map(|c| cell.mean(&values.iter().map(|row| row[c]).collect::<Vec<_>>()))
+                .collect();
+            table.add_row(cell.row("AVG", &avg));
+            if !heading.is_empty() {
+                self.emit(format_args!("{heading}\n"));
+            }
+            self.table(name, &table);
+        }
+        Ok(())
+    }
+
+    /// The table shape of Figs. 8, 14 and 15: one row per swept point
+    /// `(row label, configuration, policies)`; each group of traces in
+    /// `groups` contributes one cell per policy, the arithmetic mean of
+    /// that policy's [`Cell`] value over the group.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EmptyTrace`] for an empty trace.
+    pub fn sweep(
+        &mut self,
+        name: &str,
+        headers: &[&str],
+        points: &[(String, HssConfig, Vec<PolicyKind>)],
+        groups: &[&[Trace]],
+        cell: Cell,
+    ) -> Result<(), SimError> {
+        let mut table = Table::new(headers.iter().copied());
+        for (label, hss, policies) in points {
+            let mut means = Vec::new();
+            for group in groups {
+                let mut sums = vec![0.0f64; policies.len()];
+                for trace in *group {
+                    let values = self.cells(hss, trace, policies, cell)?;
+                    sums.iter_mut().zip(values).for_each(|(s, v)| *s += v);
+                }
+                means.extend(sums.iter().map(|s| s / group.len() as f64));
+            }
+            table.add_row(cell.row(label, &means));
+        }
+        self.table(name, &table);
+        Ok(())
+    }
+}
+
+/// What a [`Figure::grid`] or [`Figure::sweep`] cell measures — which
+/// also fixes the precision it prints at and the mean its `AVG` row takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    /// Average request latency over Fast-Only's. Two decimals; a ratio,
+    /// so `AVG` is the geometric mean.
+    NormLatency,
+    /// IOPS over Fast-Only's, both replayed with think time compressed by
+    /// this factor so device capacity, not arrival rate, bounds them.
+    /// Three decimals; geometric mean.
+    NormIops(f64),
+    /// Eviction events per request. Three decimals; `AVG` is the
+    /// arithmetic mean — fractions are often exactly 0, where a geometric
+    /// mean collapses to 0 whatever the other rows say.
+    EvictionFraction,
+}
+
+impl Cell {
+    fn mean(self, values: &[f64]) -> f64 {
+        let n = values.len() as f64;
+        match self {
+            Cell::EvictionFraction => values.iter().sum::<f64>() / n,
+            _ => (values.iter().map(|v| v.ln()).sum::<f64>() / n).exp(),
         }
     }
-}
 
-/// A 6-workload subset used where running all 14 would make a sweep
-/// bench unreasonably slow (the motivation figure's subset).
-pub fn motivation_workloads() -> Vec<Workload> {
-    Workload::MOTIVATION.to_vec()
-}
-
-/// All 14 Table 4 workloads.
-pub fn all_workloads() -> Vec<Workload> {
-    Workload::ALL.to_vec()
-}
-
-/// Prints a figure banner.
-pub fn banner(figure: &str, caption: &str) {
-    println!("\n=== {figure} ===");
-    println!("{caption}\n");
-}
-
-/// Builds a normalized-latency table row for one workload's suite result.
-pub fn latency_row(suite: &SuiteResult) -> Vec<String> {
-    let mut row = vec![suite.workload.clone()];
-    for i in 0..suite.outcomes.len() {
-        row.push(format!("{:.2}", suite.normalized_latency(i)));
+    /// A table row: `label`, then each value at this cell's precision.
+    fn row(self, label: &str, values: &[f64]) -> Vec<String> {
+        let digits = if self == Cell::NormLatency { 2 } else { 3 };
+        std::iter::once(label.to_string())
+            .chain(values.iter().map(|v| format!("{v:.digits$}")))
+            .collect()
     }
-    row
 }
 
-/// Builds a normalized-IOPS table row for one workload's suite result.
-pub fn iops_row(suite: &SuiteResult) -> Vec<String> {
-    let mut row = vec![suite.workload.clone()];
-    for i in 0..suite.outcomes.len() {
-        row.push(format!("{:.3}", suite.normalized_iops(i)));
-    }
-    row
-}
-
-/// Appends a geometric-mean row across previously added numeric rows.
-pub fn append_avg_row(table: &mut Table, rows: &[Vec<String>]) {
-    if rows.is_empty() {
-        return;
-    }
-    let cols = rows[0].len();
-    let mut avg = vec!["AVG".to_string()];
-    for c in 1..cols {
-        let vals: Vec<f64> = rows
-            .iter()
-            .filter_map(|r| r.get(c).and_then(|v| v.parse::<f64>().ok()))
-            .collect();
-        if vals.is_empty() {
-            avg.push(String::new());
-        } else {
-            let gm =
-                (vals.iter().map(|v| v.max(1e-12).ln()).sum::<f64>() / vals.len() as f64).exp();
-            avg.push(format!("{gm:.2}"));
-        }
-    }
-    table.add_row(avg);
+/// Labels each policy with its display name, as [`Figure::grid`] columns.
+pub fn by_name(policies: Vec<PolicyKind>) -> Vec<(&'static str, PolicyKind)> {
+    policies.into_iter().map(|p| (p.name(), p)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Both variables: unset means the default, and a value that does not
+    /// parse is an error naming the variable and the value — never the
+    /// default under the requested label.
     #[test]
-    fn env_defaults_apply() {
-        assert!(trace_len(1234) >= 1);
-        let _ = seed();
+    fn settings_default_when_unset_and_reject_what_does_not_parse() {
+        assert_eq!(setting("SIBYL_REQS", None, 1234usize), Ok(1234));
+        assert_eq!(setting("SIBYL_SEED", None, 42u64), Ok(42));
+        assert_eq!(setting("SIBYL_REQS", Some("800"), 1234usize), Ok(800));
+        assert_eq!(setting("SIBYL_SEED", Some("7"), 42u64), Ok(7));
+        for (var, raw) in [
+            ("SIBYL_REQS", "1e4"),
+            ("SIBYL_SEED", "-3"),
+            ("SIBYL_REQS", ""),
+        ] {
+            let message = setting(var, Some(raw), 0u64).unwrap_err();
+            assert!(
+                message.contains(var) && message.contains(&format!("{raw:?}")),
+                "{message}"
+            );
+        }
     }
 
     #[test]
     fn configs_have_expected_shapes() {
         assert_eq!(hm_config().num_devices(), 2);
-        assert_eq!(hml_config().num_devices(), 3);
-        assert_eq!(hml_ssd_config().num_devices(), 3);
+        assert!(tri_panels()
+            .iter()
+            .all(|(_, _, hss)| hss.num_devices() == 3));
     }
 
     #[test]
@@ -1211,21 +1354,11 @@ mod tests {
     /// against the engine's measured per-request serving cost.
     #[test]
     fn observer_overhead_is_bounded_and_non_perturbing() {
-        use sibyl_serve::{serve_trace, ServeConfig, TelemetryConfig, XrayConfig};
+        use sibyl_serve::{serve_trace, TelemetryConfig, XrayConfig};
         use sibyl_trace::mix::Mix;
 
         let trace = Mix::Mix2.generate(6_000, 42);
-        let sibyl = sibyl_core::SibylConfig {
-            train_interval: 250,
-            ..Default::default()
-        };
-        let base = ServeConfig::new(hm_config())
-            .with_shards(4)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_nn_ns_per_mac(20.0)
-            .with_curve_every(8)
-            .with_sibyl(sibyl);
+        let base = serving_config(4, 16).with_curve_every(8);
         let observers = [
             ("telemetry", TelemetryConfig::full(), XrayConfig::Off, 0.03),
             ("xray", TelemetryConfig::off(), XrayConfig::Sampled(6), 0.05),
@@ -1251,26 +1384,21 @@ mod tests {
         {
             use sibyl_serve::ShardObserver;
             use sibyl_xray::RequestObservation;
-            use std::time::Instant;
 
-            // The engine's per-request cost, best-of-3 at 1 shard: the
+            // The engine's per-request cost, median of 3 at 1 shard: the
             // observer work being bounded is identical per shard loop, and
             // the single-worker run avoids the thread-scheduling spread of
             // multi-shard wall-clock. Measured once for both bounds.
             let base_1 = base.clone().with_shards(1);
-            let mut engine_s = f64::INFINITY;
-            for _ in 0..3 {
-                let t = Instant::now();
+            let serve_ns = median_ns(1, 3, || {
                 std::hint::black_box(serve_trace(&base_1, &trace).unwrap());
-                engine_s = engine_s.min(t.elapsed().as_secs_f64());
-            }
-            let request_ns = engine_s * 1e9 / trace.len() as f64;
+            });
+            let request_ns = serve_ns / trace.len() as f64;
 
-            const ITERS: u64 = 200_000;
             for (name, telemetry, xray, bound) in observers {
                 let mut observer = ShardObserver::new(&telemetry, &xray, 0, 42);
-                let t = Instant::now();
-                for i in 0..ITERS {
+                let mut i = 0u64;
+                let observer_ns = median_ns(200_000, 1, || {
                     if i % 16 == 0 {
                         observer.batch_decided(i / 16, 16, 27.6);
                     }
@@ -1288,8 +1416,8 @@ mod tests {
                         promoted: 0,
                         evicted: 1 + i % 4,
                     });
-                }
-                let observer_ns = t.elapsed().as_nanos() as f64 / ITERS as f64;
+                    i += 1;
+                });
                 std::hint::black_box(&observer);
                 assert!(
                     observer_ns <= request_ns * bound,
@@ -1310,19 +1438,12 @@ mod tests {
     /// longer. Settings mirror the bench target at a test-sized horizon.
     #[test]
     fn streamed_scale_run_keeps_directory_footprint_bounded() {
-        use sibyl_serve::{serve_stream, serve_trace, ServeConfig};
+        use sibyl_serve::{serve_stream, serve_trace};
         use sibyl_sim::ServeExperiment;
         use sibyl_trace::mix::Mix;
 
         let horizon = 800;
-        let config = ServeConfig::new(hm_config())
-            .with_shards(4)
-            .with_max_batch(16)
-            .with_time_scale(40.0)
-            .with_sibyl(sibyl_core::SibylConfig {
-                train_interval: 250,
-                ..Default::default()
-            });
+        let config = serving_config(4, 16);
 
         // Streamed == materialized on the bench's own workload and config.
         let trace = Mix::Mix2.generate(horizon, 42);
@@ -1354,16 +1475,21 @@ mod tests {
         );
     }
 
-    /// The BenchJson schema pin: field order, escaping, and the
+    /// A figure printing into memory, for the harness tests.
+    fn captured(target: &str, requests: usize, seed: u64) -> Figure<Vec<u8>> {
+        Figure::to(Vec::new(), target, "Figure 99", "caption", requests, seed)
+    }
+
+    /// The artifact schema pin: field order, escaping, and the
     /// newline-terminated single-object layout are all byte-stable —
     /// consumers parse these artifacts across commits, so the exact
     /// rendering is part of the crate's contract.
     #[test]
     fn bench_json_schema_is_stable_and_escaped() {
-        let mut t = Table::new(vec!["a".into(), "b\"q".into()]);
+        let mut t = Table::new(["a", "b\"q"]);
         t.add_row(vec!["x\n".into(), "1".into()]);
-        let mut j = BenchJson::new("sec99_test", 100, 7);
-        j.note("best", "mode \"x\"");
+        let mut j = captured("sec99_test", 100, 7);
+        j.note("best", "mode \"x\"", "best: mode \"x\"");
         j.table("rows", &t);
         j.text("folded", "a;b 1\n");
         assert_eq!(
@@ -1376,34 +1502,144 @@ mod tests {
         );
         // An empty artifact still carries every section, so consumers
         // never have to probe for missing keys.
-        let empty = BenchJson::new("t", 0, 0).render();
+        let empty = captured("t", 0, 0).render();
         assert!(empty.contains("\"notes\":[]"));
         assert!(empty.contains("\"tables\":[]"));
         assert!(empty.contains("\"texts\":[]"));
     }
 
+    /// Print ≡ record: the banner, then everything handed to `table`,
+    /// `note` and `text` is on the terminal verbatim and in the artifact;
+    /// what is only recorded is in the artifact alone.
     #[test]
-    fn bench_json_writes_its_rendering() {
-        let j = BenchJson::new("sec99_roundtrip", 10, 3);
-        let path = std::env::temp_dir().join("sibyl_bench_json_roundtrip.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        j.write_to(path).expect("temp dir writable");
-        let read = std::fs::read_to_string(path).expect("just written");
-        assert_eq!(read, j.render());
-        let _ = std::fs::remove_file(path);
+    fn figure_prints_what_it_records() {
+        let mut t = Table::new(["workload", "Sibyl"]);
+        t.add_row(vec!["hm_1".into(), "1.23".into()]);
+        let mut fig = captured("fig99_test", 300, 7);
+        fig.table("hm", &t);
+        fig.note("best", "hot-cold", "best policy: hot-cold (norm lat 0.9)");
+        fig.text("tail", "#1 shard 0\n  request 1.0 us");
+        fig.record_text("folded", "a;b 1\n");
+        let printed = String::from_utf8(fig.out.clone()).expect("utf-8");
+        assert_eq!(
+            printed,
+            format!(
+                "\n=== Figure 99 ===\ncaption\n\n{}\nbest policy: hot-cold (norm lat 0.9)\n\
+                 #1 shard 0\n  request 1.0 us\n",
+                t.render()
+            )
+        );
+        let json = fig.render();
+        for recorded in [
+            r#"{"name":"hm","headers":["workload","Sibyl"],"rows":[["hm_1","1.23"]]}"#,
+            r#"{"key":"best","value":"hot-cold"}"#,
+            r##"{"name":"tail","text":"#1 shard 0\n  request 1.0 us"}"##,
+            r#"{"name":"folded","text":"a;b 1\n"}"#,
+        ] {
+            assert!(json.contains(recorded), "{recorded} not recorded:\n{json}");
+        }
     }
 
     #[test]
-    fn avg_row_is_geometric_mean() {
-        let mut t = Table::new(vec!["w".into(), "x".into()]);
-        let rows = vec![
-            vec!["a".to_string(), "1.00".to_string()],
-            vec!["b".to_string(), "4.00".to_string()],
-        ];
-        for r in &rows {
-            t.add_row(r.clone());
+    #[should_panic(expected = "lacks")]
+    fn a_note_must_print_the_value_it_records() {
+        captured("t", 0, 0).note("best", "hot-cold", "best active policy: rl");
+    }
+
+    /// Two 300-request traces for the grid and sweep tests.
+    fn short_traces() -> [Trace; 2] {
+        [Workload::Hm1, Workload::Prxy1].map(|w| sibyl_trace::msrc::generate(w, 300, 7))
+    }
+
+    /// Column `c` of the `t`-th recorded table, parsed.
+    fn column(fig: &Figure<Vec<u8>>, t: usize, c: usize) -> Vec<f64> {
+        let rows = fig.tables[t].1.rows().iter();
+        rows.map(|r| r[c].parse().expect("numeric cell")).collect()
+    }
+
+    /// `grid` on 300-request traces: a Fast-Only column is exactly 1.00 in
+    /// every row and in AVG, Fast-Only runs once per (configuration,
+    /// trace) even when a column asks for it again, and the eviction AVG
+    /// is the arithmetic mean of its column.
+    #[test]
+    fn grid_normalizes_to_one_fast_only_run_and_averages_its_columns() {
+        let (traces, mut fig) = (short_traces(), captured("fig99_grid", 300, 7));
+        let columns = by_name(vec![PolicyKind::FastOnly, PolicyKind::Cde]);
+        let latency = Cell::NormLatency;
+        fig.grid(&hm_hl_panels(), "workload", &traces, &columns, latency)
+            .unwrap();
+        assert_eq!(fig.policy_runs, 2 * 2 * 2, "Fast-Only + CDE per cell row");
+        for (name, table) in &fig.tables {
+            let labels: Vec<&str> = table.rows().iter().map(|r| r[0].as_str()).collect();
+            assert_eq!(labels, ["hm_1", "prxy_1", "AVG"], "{name}");
+            assert!(table.rows().iter().all(|r| r[1] == "1.00"), "{table:?}");
         }
-        append_avg_row(&mut t, &rows);
-        assert!(t.render().contains("2.00"), "{}", t.render());
+        let printed = String::from_utf8(fig.out.clone()).expect("utf-8");
+        assert!(printed.contains("(b) H&L HSS configuration\nworkload  Fast-Only"));
+
+        let (panel, evictions) = ([("hm", "", hm_config())], Cell::EvictionFraction);
+        fig.grid(&panel, "workload", &traces, &columns[1..], evictions)
+            .unwrap();
+        let cde = column(&fig, 2, 1);
+        assert!((cde[2] - (cde[0] + cde[1]) / 2.0).abs() <= 0.001, "{cde:?}");
+    }
+
+    /// The AVG regression: the mean is taken over the values, with the
+    /// mean the figure names. The parent re-parsed the printed cells and
+    /// took a geometric mean with zeros clamped to 1e-12, which printed
+    /// Fig. 18's CDE column as 0.00 over cells like these.
+    #[test]
+    fn avg_is_arithmetic_for_fractions_and_geometric_for_ratios() {
+        for (cell, values, avg) in [
+            (Cell::EvictionFraction, [0.0, 0.5, 0.6], "0.367"),
+            (Cell::NormLatency, [1.0, 2.0, 4.0], "2.00"),
+            (Cell::NormIops(40.0), [0.25, 0.5, 1.0], "0.500"),
+        ] {
+            assert_eq!(cell.row("AVG", &[cell.mean(&values)]), ["AVG", avg]);
+        }
+    }
+
+    /// `sweep` means each trace group into one cell per policy: the
+    /// two-trace group's Slow-Only cell is the mean of the one-trace
+    /// groups' cells.
+    #[test]
+    fn sweep_means_each_trace_group() {
+        let (traces, mut fig) = (short_traces(), captured("fig99_sweep", 300, 7));
+        let policies = vec![PolicyKind::FastOnly, PolicyKind::SlowOnly];
+        let points = [("x".to_string(), hm_config(), policies)];
+        let (one, two) = (["p", "fast", "slow"], ["p", "fast", "slow", "fast", "slow"]);
+        let latency = Cell::NormLatency;
+        fig.sweep("both", &one, &points, &[&traces], latency)
+            .unwrap();
+        fig.sweep(
+            "each",
+            &two,
+            &points,
+            &[&traces[..1], &traces[1..]],
+            latency,
+        )
+        .unwrap();
+        assert_eq!(fig.tables[1].1.rows()[0][..2], ["x", "1.00"]);
+        let (both, each) = (
+            column(&fig, 0, 2)[0],
+            [column(&fig, 1, 2)[0], column(&fig, 1, 4)[0]],
+        );
+        assert!(
+            (both - (each[0] + each[1]) / 2.0).abs() <= 0.01,
+            "{both} vs {each:?}"
+        );
+    }
+
+    /// The stopwatch reports the middle round, not the mean or an
+    /// extreme: after the warm-up call, rounds of 2, 60 and 20 ms.
+    #[test]
+    fn median_ns_is_the_middle_of_an_odd_run_count() {
+        let mut naps = [0, 2, 60, 20]
+            .map(std::time::Duration::from_millis)
+            .into_iter();
+        let ns = median_ns(1, 3, || {
+            std::thread::sleep(naps.next().expect("four calls"))
+        });
+        assert!((20e6..60e6).contains(&ns), "2/60/20 ms rounds: {ns} ns");
     }
 }

@@ -17,8 +17,9 @@
 //! - [`run_suite`] — run a set of policies plus the Fast-Only baseline
 //!   and normalize (every latency figure in the paper is normalized to
 //!   Fast-Only).
-//! - [`sweeps`] — capacity and hyper-parameter sweeps (Figs. 8, 14, 15).
-//! - [`report`] — aligned table / CSV rendering for the bench targets.
+//! - [`report`] — aligned table rendering for the bench targets (which
+//!   own the figures' table shapes and parameter sweeps: `sibyl-bench`'s
+//!   `Figure::grid` / `Figure::sweep`).
 //!
 //! ## Example
 //!
@@ -46,7 +47,6 @@ mod metrics;
 mod policy_kind;
 pub mod report;
 mod serve_experiment;
-pub mod sweeps;
 
 pub use experiment::{run_suite, Experiment, Outcome, SimError, SuiteResult};
 pub use metrics::Metrics;

@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for experiment results.
+//! Plain-text table rendering for experiment results.
 
 /// A simple aligned text table, used by the bench targets to print the
 /// paper's rows/series.
@@ -7,7 +7,7 @@
 ///
 /// ```
 /// use sibyl_sim::report::Table;
-/// let mut t = Table::new(vec!["workload".into(), "Sibyl".into()]);
+/// let mut t = Table::new(["workload", "Sibyl"]);
 /// t.add_row(vec!["hm_1".into(), "1.23".into()]);
 /// let s = t.render();
 /// assert!(s.contains("hm_1"));
@@ -20,9 +20,9 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(headers: Vec<String>) -> Self {
+    pub fn new<H: Into<String>>(headers: impl IntoIterator<Item = H>) -> Self {
         Table {
-            headers,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -92,29 +92,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (no quoting; cells must not contain commas).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a normalized value the way the paper's figures label bars.
-pub fn fmt_norm(v: f64) -> String {
-    if v >= 100.0 {
-        format!("{v:.0}")
-    } else if v >= 10.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.2}")
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +100,7 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut t = Table::new(vec!["a".into(), "value".into()]);
+        let mut t = Table::new(["a", "value"]);
         t.add_row(vec!["workload-with-long-name".into(), "1".into()]);
         t.add_row(vec!["x".into(), "123.45".into()]);
         let s = t.render();
@@ -134,22 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_joins_with_commas() {
-        let mut t = Table::new(vec!["h1".into(), "h2".into()]);
-        t.add_row(vec!["a".into(), "b".into()]);
-        assert_eq!(t.to_csv(), "h1,h2\na,b\n");
-    }
-
-    #[test]
-    fn fmt_norm_scales_precision() {
-        assert_eq!(fmt_norm(1.234), "1.23");
-        assert_eq!(fmt_norm(12.34), "12.3");
-        assert_eq!(fmt_norm(123.4), "123");
-    }
-
-    #[test]
     fn empty_table_renders_headers_only() {
-        let t = Table::new(vec!["only".into()]);
+        let t = Table::new(["only"]);
         assert!(t.is_empty());
         assert!(t.render().contains("only"));
     }

@@ -18,14 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hm = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
     let hl = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd());
 
-    let mut table = Table::new(vec![
-        "workload".into(),
-        "hotness".into(),
-        "size KiB".into(),
-        "pref H&M".into(),
-        "pref H&L".into(),
-        "evict H&M".into(),
-        "evict H&L".into(),
+    let mut table = Table::new([
+        "workload",
+        "hotness",
+        "size KiB",
+        "pref H&M",
+        "pref H&L",
+        "evict H&M",
+        "evict H&L",
     ]);
     for wl in [
         msrc::Workload::Prxy1,

@@ -28,13 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let suite = run_suite(&hss, &trace, &PolicyKind::standard_suite())?;
 
-    let mut table = Table::new(vec![
-        "policy".into(),
-        "avg latency (us)".into(),
-        "norm. latency".into(),
-        "norm. IOPS".into(),
-        "evict frac".into(),
-        "fast pref".into(),
+    let mut table = Table::new([
+        "policy",
+        "avg latency (us)",
+        "norm. latency",
+        "norm. IOPS",
+        "evict frac",
+        "fast pref",
     ]);
     for (i, o) in suite.outcomes.iter().enumerate() {
         table.add_row(vec![

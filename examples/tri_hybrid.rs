@@ -35,13 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[PolicyKind::TriHybridHeuristic, PolicyKind::sibyl()],
     )?;
 
-    let mut table = Table::new(vec![
-        "policy".into(),
-        "norm. latency".into(),
-        "H picks".into(),
-        "M picks".into(),
-        "L picks".into(),
-    ]);
+    let mut table = Table::new(["policy", "norm. latency", "H picks", "M picks", "L picks"]);
     for (i, o) in suite.outcomes.iter().enumerate() {
         table.add_row(vec![
             o.policy.clone(),

@@ -17,7 +17,7 @@
 //! - [`trace`] — block-I/O trace model and synthetic workload generators.
 //! - [`policies`] — baseline placement policies (CDE, HPS, Archivist,
 //!   RNN-HSS, Oracle, Slow-Only, Fast-Only, tri-hybrid heuristic).
-//! - [`sim`] — the experiment runner, metrics, and parameter sweeps.
+//! - [`sim`] — the experiment runner, metrics, and report tables.
 //! - [`serve`] — the sharded placement-serving engine: LBA-hash routing
 //!   across worker shards, each deciding request batches with one
 //!   batched C51 inference pass.
