@@ -20,8 +20,9 @@ fn bench_function(fig: &mut Figure, name: &str, f: impl FnMut()) {
     const BATCH: u32 = 10_000;
     const RUNS: usize = 31;
     let ns = format!("{:.1}", median_ns(BATCH, RUNS, f));
-    let line = format!("{name:<40} {ns:>10} ns/iter (median of {RUNS} x {BATCH})");
-    fig.note(name, ns, &line);
+    print!("{name:<40} {:>1$}", "", 10usize.saturating_sub(ns.len()));
+    fig.note(name, ns);
+    println!(" ns/iter (median of {RUNS} x {BATCH})");
 }
 
 fn inference_benchmark(fig: &mut Figure) {
@@ -144,16 +145,12 @@ fn inference_kernel_table(fig: &mut Figure) {
         })
         .collect();
     let fit = sibyl_bench::calibrate_two_term(&points);
-    let (setup, per_row) = (
-        format!("{:.3}", fit.setup_us),
-        format!("{:.4}", fit.per_row_us),
-    );
-    let line = format!("two-term decide fit (host clock, tiled kernels): {setup} µs setup");
-    fig.note("two_term_setup_us", setup, &line);
-    let line = format!("  + {per_row} µs/row");
-    fig.note("two_term_per_row_us", per_row, &line);
+    print!("two-term decide fit (host clock, tiled kernels): ");
+    fig.note("two_term_setup_us", format_args!("{:.3}", fit.setup_us));
+    print!(" µs setup + ");
+    fig.note("two_term_per_row_us", format_args!("{:.4}", fit.per_row_us));
     println!(
-        "  equivalent single-rate at batch 32: {:.2} ns/MAC (model uses {NS_PER_MAC})",
+        " µs/row\n  equivalent single-rate at batch 32: {:.2} ns/MAC (model uses {NS_PER_MAC})",
         fit.step_us(32) * 1_000.0 / (MACS * 32.0)
     );
 }

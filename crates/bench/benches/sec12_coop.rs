@@ -72,13 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{shards} shard(s)");
         fig.table(&format!("shards{shards}"), &table);
         let best = sweep.best_challenger().expect("cooperative modes ran");
-        let line = format!(
-            "best cooperative mode: {best} (norm lat {:.3}, hit gain {:+.3})",
+        print!("best cooperative mode: ");
+        fig.note(&format!("best_coop_shards{shards}"), best);
+        println!(
+            " (norm lat {:.3}, hit gain {:+.3})\n",
             norm_lat(best),
             hit_gain(best),
         );
-        fig.note(&format!("best_coop_shards{shards}"), best, &line);
-        println!();
 
         // Learning curves explain the win: print the aggregate curve of
         // the baseline vs the best cooperative mode at the widest sweep

@@ -70,11 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     fig.table("policies", &table);
     let best = sweep.best_challenger().expect("active policies ran");
-    let line = format!(
-        "best active policy: {best} (norm lat {:.3}, hit gain {:+.3})",
+    print!("best active policy: ");
+    fig.note("best_active_policy", best);
+    println!(
+        " (norm lat {:.3}, hit gain {:+.3})",
         norm_lat(best),
         sweep.hit_rate_gain(best).expect("policy was swept"),
     );
-    fig.note("best_active_policy", best, &line);
     Ok(fig.finish()?)
 }

@@ -95,11 +95,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (first, last) = (dir_totals[0], *dir_totals.last().unwrap());
     let growth = last as f64 / first.max(1) as f64;
     let req_growth = *request_totals.last().unwrap() as f64 / request_totals[0].max(1) as f64;
-    let (dir, reqs) = (format!("{growth:.2}"), format!("{req_growth:.0}"));
-    let line = format!("directory growth {dir}x (metadata tracks footprint, not trace length)");
-    fig.note("directory_growth", dir, &line);
-    let line = format!("across a {reqs}x request sweep");
-    fig.note("request_growth", reqs, &line);
+    print!("directory growth ");
+    fig.note("directory_growth", format_args!("{growth:.2}"));
+    print!("x across a ");
+    fig.note("request_growth", format_args!("{req_growth:.0}"));
+    println!("x request sweep (metadata tracks footprint, not trace length)");
     assert!(
         growth < 4.0,
         "directory bytes must be sublinear in trace length: {first} -> {last} bytes \

@@ -620,9 +620,9 @@ pub struct HssAccessCost {
 /// 1–8-page reads and `n` such writes over it, every request targeting
 /// the unlimited slow device so no page moves or is evicted; and
 /// Fast-Only over `n` requests of `hm_1`. Each figure is the median of
-/// five passes — a fresh manager per first-touch pass (its construction
-/// and drop, microseconds, are inside the timed pass), one filled manager
-/// under the hit passes.
+/// five passes, each pass on a manager of its own — built before the clock
+/// starts, then filled, read and written in that order, so only `access`
+/// calls are timed and every hit pass is the first over its manager.
 pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
     const RUNS: usize = 5;
     let n = n.max(1) as u64;
@@ -646,11 +646,15 @@ pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
     let per_page = |pass_ns: f64, reqs: &[IoRequest]| {
         pass_ns / reqs.iter().map(|r| f64::from(r.size_pages)).sum::<f64>()
     };
-    let first = median_ns(1, RUNS, || serve(&mut StorageManager::new(&hss), &fill));
-    let mut manager = StorageManager::new(&hss);
-    serve(&mut manager, &fill);
-    let read = median_ns(1, RUNS, || serve(&mut manager, &reads));
-    let write = median_ns(1, RUNS, || serve(&mut manager, &writes));
+    // One manager per round of the stopwatch, its warm-up round included.
+    let mut managers: Vec<StorageManager> = (0..=RUNS).map(|_| StorageManager::new(&hss)).collect();
+    let mut pass = |reqs: &[IoRequest]| {
+        let mut round = managers.iter_mut();
+        median_ns(1, RUNS, || {
+            serve(round.next().expect("RUNS + 1 rounds"), reqs)
+        })
+    };
+    let (first, read, write) = (pass(&fill), pass(&reads), pass(&writes));
     let hm_1 = Experiment::new(
         hm_config(),
         sibyl_trace::msrc::generate(Workload::Hm1, n as usize, seed),
@@ -777,9 +781,6 @@ pub struct Figure<W: Write = std::io::Stdout> {
     notes: Vec<(String, String)>,
     tables: Vec<(String, Table)>,
     texts: Vec<(String, String)>,
-    /// Policy runs [`Figure::grid`] and [`Figure::sweep`] have made; the
-    /// harness tests pin Fast-Only at one per (configuration, trace).
-    policy_runs: usize,
 }
 
 impl Figure {
@@ -802,7 +803,6 @@ impl<W: Write> Figure<W> {
             notes: Vec::new(),
             tables: Vec::new(),
             texts: Vec::new(),
-            policy_runs: 0,
         };
         figure.emit(format_args!("\n=== {title} ===\n{caption}\n\n"));
         figure
@@ -821,21 +821,13 @@ impl<W: Write> Figure<W> {
         self.record_table(name, table);
     }
 
-    /// Prints `line` — the sentence the target shows, which must contain
-    /// `value` — and records `value` under `key` (summary scalars,
-    /// best-mode verdicts: anything stated outside a table).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `line` does not contain `value`: the record would not
-    /// be what was printed.
-    pub fn note(&mut self, key: &str, value: impl std::fmt::Display, line: &str) {
+    /// Prints `value` where the line the target is printing has got to —
+    /// no newline; the target `print!`s the words around it — and records
+    /// it under `key` (summary scalars, best-mode verdicts: anything stated
+    /// outside a table, several to a sentence if need be).
+    pub fn note(&mut self, key: &str, value: impl std::fmt::Display) {
         let value = value.to_string();
-        assert!(
-            line.contains(&value),
-            "note {key}: {line:?} lacks {value:?}"
-        );
-        self.emit(format_args!("{line}\n"));
+        self.emit(format_args!("{value}"));
         self.notes.push((key.to_string(), value));
     }
 
@@ -899,48 +891,16 @@ impl<W: Write> Figure<W> {
     ///
     /// Propagates the filesystem error when the path cannot be written.
     pub fn finish(mut self) -> std::io::Result<()> {
-        match std::env::var("SIBYL_BENCH_JSON") {
-            Ok(path) if !path.is_empty() => {
-                std::fs::write(&path, self.render())?;
-                self.emit(format_args!("bench JSON written to {path}\n"));
-            }
-            _ => {}
-        }
-        Ok(())
+        self.finish_to(&std::env::var("SIBYL_BENCH_JSON").unwrap_or_default())
     }
 
-    /// One row of cell values: each of `policies` on `trace` under `hss`,
-    /// Fast-Only run once and reused for a Fast-Only column.
-    fn cells<'a>(
-        &mut self,
-        hss: &HssConfig,
-        trace: &Trace,
-        policies: impl IntoIterator<Item = &'a PolicyKind>,
-        cell: Cell,
-    ) -> Result<Vec<f64>, SimError> {
-        let time_scale = match cell {
-            Cell::NormIops(scale) => scale,
-            _ => 1.0,
-        };
-        let exp = Experiment::new(hss.clone(), trace.clone()).with_time_scale(time_scale);
-        let mut run = |kind: &PolicyKind| {
-            self.policy_runs += 1;
-            exp.run(kind.clone()).map(|outcome| outcome.metrics)
-        };
-        let fast = run(&PolicyKind::FastOnly)?;
-        let mut values = Vec::new();
-        for policy in policies {
-            let metrics = match policy {
-                PolicyKind::FastOnly => fast.clone(),
-                other => run(other)?,
-            };
-            values.push(match cell {
-                Cell::NormLatency => metrics.normalized_latency(&fast),
-                Cell::NormIops(_) => metrics.normalized_iops(&fast),
-                Cell::EvictionFraction => metrics.eviction_fraction,
-            });
+    /// [`Figure::finish`] with the variable's value passed in.
+    fn finish_to(&mut self, path: &str) -> std::io::Result<()> {
+        if !path.is_empty() {
+            std::fs::write(path, self.render())?;
+            self.emit(format_args!("bench JSON written to {path}\n"));
         }
-        Ok(values)
+        Ok(())
     }
 
     /// The table shape of Figs. 2, 9–13, 16 and 18: per HSS configuration
@@ -962,11 +922,12 @@ impl<W: Write> Figure<W> {
         cell: Cell,
     ) -> Result<(), SimError> {
         let labels = columns.iter().map(|(label, _)| *label);
+        let policies: Vec<PolicyKind> = columns.iter().map(|(_, p)| p.clone()).collect();
         for (name, heading, hss) in panels {
             let mut table = Table::new(std::iter::once(row_header).chain(labels.clone()));
             let mut values = Vec::with_capacity(traces.len());
             for trace in traces {
-                let row = self.cells(hss, trace, columns.iter().map(|(_, p)| p), cell)?;
+                let row = cell.values(hss, trace, &policies)?;
                 table.add_row(cell.row(trace.name(), &row));
                 values.push(row);
             }
@@ -1004,7 +965,7 @@ impl<W: Write> Figure<W> {
             for group in groups {
                 let mut sums = vec![0.0f64; policies.len()];
                 for trace in *group {
-                    let values = self.cells(hss, trace, policies, cell)?;
+                    let values = cell.values(hss, trace, policies)?;
                     sums.iter_mut().zip(values).for_each(|(s, v)| *s += v);
                 }
                 means.extend(sums.iter().map(|s| s / group.len() as f64));
@@ -1034,6 +995,36 @@ pub enum Cell {
 }
 
 impl Cell {
+    /// One value per policy on `trace` under `hss`. The normalized cells
+    /// are [`Experiment::suite`]'s (Fast-Only run once, reused for a
+    /// Fast-Only column); eviction fractions need no baseline and run none.
+    fn values(
+        self,
+        hss: &HssConfig,
+        trace: &Trace,
+        policies: &[PolicyKind],
+    ) -> Result<Vec<f64>, SimError> {
+        let exp = Experiment::new(hss.clone(), trace.clone());
+        let each = 0..policies.len();
+        Ok(match self {
+            Cell::NormLatency => {
+                let suite = exp.suite(policies)?;
+                each.map(|i| suite.normalized_latency(i)).collect()
+            }
+            Cell::NormIops(time_scale) => {
+                let suite = exp.with_time_scale(time_scale).suite(policies)?;
+                each.map(|i| suite.normalized_iops(i)).collect()
+            }
+            Cell::EvictionFraction => {
+                let mut fractions = Vec::with_capacity(policies.len());
+                for policy in policies {
+                    fractions.push(exp.run(policy.clone())?.metrics.eviction_fraction);
+                }
+                fractions
+            }
+        })
+    }
+
     fn mean(self, values: &[f64]) -> f64 {
         let n = values.len() as f64;
         match self {
@@ -1385,40 +1376,48 @@ mod tests {
             use sibyl_serve::ShardObserver;
             use sibyl_xray::RequestObservation;
 
-            // The engine's per-request cost, median of 3 at 1 shard: the
+            // The engine's per-request cost, the fastest of 3 runs at 1
+            // shard — the smallest denominator, so the strictest bound: the
             // observer work being bounded is identical per shard loop, and
             // the single-worker run avoids the thread-scheduling spread of
             // multi-shard wall-clock. Measured once for both bounds.
             let base_1 = base.clone().with_shards(1);
-            let serve_ns = median_ns(1, 3, || {
+            let serve = || {
                 std::hint::black_box(serve_trace(&base_1, &trace).unwrap());
-            });
+            };
+            let serve_ns = (0..3)
+                .map(|_| median_ns(1, 1, serve))
+                .fold(f64::INFINITY, f64::min);
             let request_ns = serve_ns / trace.len() as f64;
 
+            // Each round feeds a fresh observer, so the stopwatch's warm-up
+            // round warms the code, not the buffers the timed round grows.
+            const ITERS: u64 = 200_000;
             for (name, telemetry, xray, bound) in observers {
-                let mut observer = ShardObserver::new(&telemetry, &xray, 0, 42);
-                let mut i = 0u64;
-                let observer_ns = median_ns(200_000, 1, || {
-                    if i % 16 == 0 {
-                        observer.batch_decided(i / 16, 16, 27.6);
+                let round_ns = median_ns(1, 1, || {
+                    let mut observer = ShardObserver::new(&telemetry, &xray, 0, 42);
+                    for i in 0..ITERS {
+                        if i % 16 == 0 {
+                            observer.batch_decided(i / 16, 16, 27.6);
+                        }
+                        observer.request(&RequestObservation {
+                            lba: i * 64,
+                            timestamp_us: i as f64 * 10.0,
+                            arrival_us: i as f64 * 10.0 + 1.0,
+                            latency_us: 80.0 + (i % 64) as f64,
+                            decide_us: 2.0,
+                            train_us: 0.4,
+                            queue_us: 3.0,
+                            batch: 16,
+                            device: (i % 2) as usize,
+                            target: 0,
+                            promoted: 0,
+                            evicted: 1 + i % 4,
+                        });
                     }
-                    observer.request(&RequestObservation {
-                        lba: i * 64,
-                        timestamp_us: i as f64 * 10.0,
-                        arrival_us: i as f64 * 10.0 + 1.0,
-                        latency_us: 80.0 + (i % 64) as f64,
-                        decide_us: 2.0,
-                        train_us: 0.4,
-                        queue_us: 3.0,
-                        batch: 16,
-                        device: (i % 2) as usize,
-                        target: 0,
-                        promoted: 0,
-                        evicted: 1 + i % 4,
-                    });
-                    i += 1;
+                    std::hint::black_box(&observer);
                 });
-                std::hint::black_box(&observer);
+                let observer_ns = round_ns / ITERS as f64;
                 assert!(
                     observer_ns <= request_ns * bound,
                     "{name} overhead exceeds {:.0}%: {observer_ns:.0} ns of observer work per \
@@ -1489,7 +1488,7 @@ mod tests {
         let mut t = Table::new(["a", "b\"q"]);
         t.add_row(vec!["x\n".into(), "1".into()]);
         let mut j = captured("sec99_test", 100, 7);
-        j.note("best", "mode \"x\"", "best: mode \"x\"");
+        j.note("best", "mode \"x\"");
         j.table("rows", &t);
         j.text("folded", "a;b 1\n");
         assert_eq!(
@@ -1517,14 +1516,15 @@ mod tests {
         t.add_row(vec!["hm_1".into(), "1.23".into()]);
         let mut fig = captured("fig99_test", 300, 7);
         fig.table("hm", &t);
-        fig.note("best", "hot-cold", "best policy: hot-cold (norm lat 0.9)");
+        fig.note("best", "hot-cold");
+        fig.note("norm_lat", format_args!("{:.1}", 0.94));
         fig.text("tail", "#1 shard 0\n  request 1.0 us");
         fig.record_text("folded", "a;b 1\n");
         let printed = String::from_utf8(fig.out.clone()).expect("utf-8");
         assert_eq!(
             printed,
             format!(
-                "\n=== Figure 99 ===\ncaption\n\n{}\nbest policy: hot-cold (norm lat 0.9)\n\
+                "\n=== Figure 99 ===\ncaption\n\n{}\nhot-cold0.9\
                  #1 shard 0\n  request 1.0 us\n",
                 t.render()
             )
@@ -1532,7 +1532,7 @@ mod tests {
         let json = fig.render();
         for recorded in [
             r#"{"name":"hm","headers":["workload","Sibyl"],"rows":[["hm_1","1.23"]]}"#,
-            r#"{"key":"best","value":"hot-cold"}"#,
+            r#"[{"key":"best","value":"hot-cold"},{"key":"norm_lat","value":"0.9"}]"#,
             r##"{"name":"tail","text":"#1 shard 0\n  request 1.0 us"}"##,
             r#"{"name":"folded","text":"a;b 1\n"}"#,
         ] {
@@ -1540,10 +1540,23 @@ mod tests {
         }
     }
 
+    /// `finish` writes exactly the rendering to the path it is given and
+    /// says so on the terminal; given no path it writes and says nothing.
     #[test]
-    #[should_panic(expected = "lacks")]
-    fn a_note_must_print_the_value_it_records() {
-        captured("t", 0, 0).note("best", "hot-cold", "best active policy: rl");
+    fn bench_json_writes_its_rendering() {
+        let mut fig = captured("sec99_roundtrip", 10, 3);
+        let banner = fig.out.len();
+        fig.finish_to("").expect("nothing to write");
+        assert_eq!(fig.out.len(), banner, "no path, no line");
+
+        let path = std::env::temp_dir().join("sibyl_bench_json_roundtrip.json");
+        let path = path.to_str().expect("utf-8 temp path");
+        fig.finish_to(path).expect("temp dir writable");
+        let read = std::fs::read_to_string(path).expect("just written");
+        assert_eq!(read, fig.render());
+        let said = format!("bench JSON written to {path}\n");
+        assert_eq!(fig.out[banner..], *said.as_bytes());
+        let _ = std::fs::remove_file(path);
     }
 
     /// Two 300-request traces for the grid and sweep tests.
@@ -1558,17 +1571,15 @@ mod tests {
     }
 
     /// `grid` on 300-request traces: a Fast-Only column is exactly 1.00 in
-    /// every row and in AVG, Fast-Only runs once per (configuration,
-    /// trace) even when a column asks for it again, and the eviction AVG
-    /// is the arithmetic mean of its column.
+    /// every row and in AVG (it is the baseline run itself; that there is
+    /// one per (configuration, trace) is pinned beside the loop, in
+    /// `sibyl_sim`), and the eviction AVG is its column's arithmetic mean.
     #[test]
-    fn grid_normalizes_to_one_fast_only_run_and_averages_its_columns() {
+    fn grid_normalizes_to_fast_only_and_averages_its_columns() -> Result<(), SimError> {
         let (traces, mut fig) = (short_traces(), captured("fig99_grid", 300, 7));
         let columns = by_name(vec![PolicyKind::FastOnly, PolicyKind::Cde]);
-        let latency = Cell::NormLatency;
-        fig.grid(&hm_hl_panels(), "workload", &traces, &columns, latency)
-            .unwrap();
-        assert_eq!(fig.policy_runs, 2 * 2 * 2, "Fast-Only + CDE per cell row");
+        let (latency, evictions) = (Cell::NormLatency, Cell::EvictionFraction);
+        fig.grid(&hm_hl_panels(), "workload", &traces, &columns, latency)?;
         for (name, table) in &fig.tables {
             let labels: Vec<&str> = table.rows().iter().map(|r| r[0].as_str()).collect();
             assert_eq!(labels, ["hm_1", "prxy_1", "AVG"], "{name}");
@@ -1577,11 +1588,11 @@ mod tests {
         let printed = String::from_utf8(fig.out.clone()).expect("utf-8");
         assert!(printed.contains("(b) H&L HSS configuration\nworkload  Fast-Only"));
 
-        let (panel, evictions) = ([("hm", "", hm_config())], Cell::EvictionFraction);
-        fig.grid(&panel, "workload", &traces, &columns[1..], evictions)
-            .unwrap();
+        let panel = [("hm", "", hm_config())];
+        fig.grid(&panel, "workload", &traces, &columns[1..], evictions)?;
         let cde = column(&fig, 2, 1);
         assert!((cde[2] - (cde[0] + cde[1]) / 2.0).abs() <= 0.001, "{cde:?}");
+        Ok(())
     }
 
     /// The AVG regression: the mean is taken over the values, with the
@@ -1603,31 +1614,23 @@ mod tests {
     /// two-trace group's Slow-Only cell is the mean of the one-trace
     /// groups' cells.
     #[test]
-    fn sweep_means_each_trace_group() {
+    fn sweep_means_each_trace_group() -> Result<(), SimError> {
         let (traces, mut fig) = (short_traces(), captured("fig99_sweep", 300, 7));
         let policies = vec![PolicyKind::FastOnly, PolicyKind::SlowOnly];
         let points = [("x".to_string(), hm_config(), policies)];
         let (one, two) = (["p", "fast", "slow"], ["p", "fast", "slow", "fast", "slow"]);
-        let latency = Cell::NormLatency;
-        fig.sweep("both", &one, &points, &[&traces], latency)
-            .unwrap();
-        fig.sweep(
-            "each",
-            &two,
-            &points,
-            &[&traces[..1], &traces[1..]],
-            latency,
-        )
-        .unwrap();
+        let (both, each): ([&[Trace]; 1], [&[Trace]; 2]) =
+            ([&traces], [&traces[..1], &traces[1..]]);
+        fig.sweep("both", &one, &points, &both, Cell::NormLatency)?;
+        fig.sweep("each", &two, &points, &each, Cell::NormLatency)?;
         assert_eq!(fig.tables[1].1.rows()[0][..2], ["x", "1.00"]);
-        let (both, each) = (
-            column(&fig, 0, 2)[0],
-            [column(&fig, 1, 2)[0], column(&fig, 1, 4)[0]],
-        );
+        let both = column(&fig, 0, 2)[0];
+        let each = [column(&fig, 1, 2)[0], column(&fig, 1, 4)[0]];
         assert!(
             (both - (each[0] + each[1]) / 2.0).abs() <= 0.01,
             "{both} vs {each:?}"
         );
+        Ok(())
     }
 
     /// The stopwatch reports the middle round, not the mean or an

@@ -77,6 +77,9 @@ pub struct Experiment {
     /// `trace.footprint_pages()`, computed by the first run that needs
     /// it and shared by every later one.
     footprint: OnceLock<u64>,
+    /// Policy runs made, for the test that `suite` runs its baseline once.
+    #[cfg(test)]
+    runs: std::cell::Cell<usize>,
 }
 
 impl Experiment {
@@ -88,6 +91,8 @@ impl Experiment {
             trace,
             time_scale: 1.0,
             footprint: OnceLock::new(),
+            #[cfg(test)]
+            runs: Default::default(),
         }
     }
 
@@ -147,6 +152,29 @@ impl Experiment {
         self.run_boxed(policy, &config)
     }
 
+    /// Runs the Fast-Only baseline once, then each of `policies`; a
+    /// Fast-Only entry among them is that baseline run, not a second one
+    /// (runs are deterministic, so the outcome is the same either way).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::EmptyTrace`] for an empty trace.
+    pub fn suite(&self, policies: &[PolicyKind]) -> Result<SuiteResult, SimError> {
+        let fast_only = self.run(PolicyKind::FastOnly)?;
+        let mut outcomes = Vec::with_capacity(policies.len());
+        for policy in policies {
+            outcomes.push(match policy {
+                PolicyKind::FastOnly => fast_only.clone(),
+                other => self.run(other.clone())?,
+            });
+        }
+        Ok(SuiteResult {
+            workload: self.trace.name().to_string(),
+            fast_only,
+            outcomes,
+        })
+    }
+
     fn run_boxed(
         &self,
         policy: &mut dyn PlacementPolicy,
@@ -155,6 +183,8 @@ impl Experiment {
         if self.trace.is_empty() {
             return Err(SimError::EmptyTrace);
         }
+        #[cfg(test)]
+        self.runs.set(self.runs.get() + 1);
         let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
         let resolved = config.resolved(footprint);
         let mut manager = StorageManager::new(&resolved);
@@ -233,17 +263,7 @@ pub fn run_suite(
     trace: &Trace,
     policies: &[PolicyKind],
 ) -> Result<SuiteResult, SimError> {
-    let exp = Experiment::new(hss.clone(), trace.clone());
-    let fast_only = exp.run(PolicyKind::FastOnly)?;
-    let mut outcomes = Vec::with_capacity(policies.len());
-    for p in policies {
-        outcomes.push(exp.run(p.clone())?);
-    }
-    Ok(SuiteResult {
-        workload: trace.name().to_string(),
-        fast_only,
-        outcomes,
-    })
+    Experiment::new(hss.clone(), trace.clone()).suite(policies)
 }
 
 #[cfg(test)]
@@ -292,10 +312,13 @@ mod tests {
         // Regression: the Fast-Only baseline lives in `fast_only`, never
         // in `outcomes`, so `normalized_latency(i)` must line up with the
         // caller's policy list — including when the caller asks for
-        // Fast-Only itself, which then normalizes to exactly 1.
+        // Fast-Only itself, which is the baseline run again (not a second
+        // run) and so normalizes to exactly 1.
         let trace = msrc::generate(msrc::Workload::Rsrch0, 2_000, 5);
         let policies = [PolicyKind::SlowOnly, PolicyKind::FastOnly, PolicyKind::Cde];
-        let suite = run_suite(&hm(), &trace, &policies).unwrap();
+        let exp = Experiment::new(hm(), trace);
+        let suite = exp.suite(&policies).unwrap();
+        assert_eq!(exp.runs.get(), 3, "Fast-Only runs once per suite");
         assert_eq!(suite.outcomes.len(), policies.len());
         assert_eq!(suite.fast_only.policy, "Fast-Only");
         for (i, p) in policies.iter().enumerate() {

@@ -14,9 +14,9 @@
 //!   labelled serving configurations (cooperation modes, migration
 //!   policies, any other knob) and compare each to the first
 //!   ([`ServeSweep`]).
-//! - [`run_suite`] — run a set of policies plus the Fast-Only baseline
-//!   and normalize (every latency figure in the paper is normalized to
-//!   Fast-Only).
+//! - [`run_suite`] / [`Experiment::suite`] — run a set of policies plus
+//!   the Fast-Only baseline (once) and normalize: every latency figure in
+//!   the paper is normalized to Fast-Only.
 //! - [`report`] — aligned table rendering for the bench targets (which
 //!   own the figures' table shapes and parameter sweeps: `sibyl-bench`'s
 //!   `Figure::grid` / `Figure::sweep`).
