@@ -298,12 +298,11 @@ struct BatchedStep<'a> {
 
 #[derive(Default)]
 struct StepBuffers {
-    pingpong: Vec<f32>,
+    pingpong: [Vec<f32>; 2],
     next_logits: Vec<f32>,
     logits: Vec<f32>,
     grads: Vec<f32>,
     losses: Vec<f32>,
-    dx: Vec<f32>,
     head: HeadScratch,
 }
 
@@ -321,7 +320,7 @@ impl BatchedStep<'_> {
         self.target.infer_batch_into(
             self.next_obs,
             self.batch,
-            &mut b.pingpong,
+            &mut b.pingpong[0],
             &mut b.next_logits,
         );
         std::hint::black_box(&b.next_logits);
@@ -330,7 +329,7 @@ impl BatchedStep<'_> {
     fn forward(&mut self) {
         let b = &mut self.bufs;
         self.net
-            .forward_batch_into(self.obs, self.batch, &mut b.pingpong, &mut b.logits);
+            .forward_batch_into(self.obs, self.batch, &mut b.pingpong[0], &mut b.logits);
         std::hint::black_box(&b.logits);
     }
 
@@ -353,8 +352,8 @@ impl BatchedStep<'_> {
         let b = &mut self.bufs;
         self.net.zero_grad();
         self.net
-            .backward_batch_into(&b.grads, self.batch, &mut b.pingpong, &mut b.dx);
-        std::hint::black_box(&b.dx);
+            .accumulate_grads_batch(&b.grads, self.batch, &mut b.pingpong);
+        std::hint::black_box(&self.net);
     }
 }
 

@@ -213,17 +213,108 @@ impl SibylConfig {
 mod tests {
     use super::*;
 
+    /// What the tree records of the paper's value for one default.
+    enum Paper {
+        /// The default is the paper's value; where the tree says so.
+        Is(&'static str),
+        /// The default knowingly departs from the paper's value.
+        Departs {
+            paper: &'static str,
+            recorded: &'static str,
+        },
+        /// The tree records no paper value — not a guess either way.
+        Unverified,
+        /// Not a quantity of the paper's: a knob of this implementation.
+        Ours,
+    }
+
+    /// ROADMAP 1(d): every `SibylConfig` default beside the paper value
+    /// the tree records for it. Changing a default fails here until its
+    /// row is edited, so a departure is a visible line, not a default.
     #[test]
-    fn defaults_match_table2() {
-        let c = SibylConfig::default();
-        assert_eq!(c.discount, 0.9);
-        assert_eq!(c.exploration, 0.001);
-        assert_eq!(c.batch_size, 128);
-        assert_eq!(c.buffer_capacity, 1000);
-        assert_eq!(c.batches_per_step, 8);
-        assert_eq!(c.train_interval, 1000);
-        assert_eq!(c.hidden_dims, [20, 30]);
-        c.validate();
+    fn every_default_is_audited_against_the_paper() {
+        use Paper::*;
+        fn show(v: &dyn std::fmt::Debug) -> String {
+            format!("{v:?}")
+        }
+        // No `..`: a new field does not compile until it has a row.
+        let SibylConfig {
+            discount,
+            learning_rate,
+            exploration,
+            exploration_initial,
+            exploration_decay_requests,
+            batch_size,
+            buffer_capacity,
+            batches_per_step,
+            train_interval,
+            hidden_dims,
+            n_atoms,
+            v_min,
+            v_max,
+            eviction_penalty_coeff,
+            clamp_eviction_reward,
+            feature_mask,
+            agent_kind,
+            quant_mode,
+            telemetry,
+            seed,
+        } = SibylConfig::default();
+        let lr_departure = Departs {
+            paper: "0.0001",
+            recorded:
+                "Table 2, tuned on week-long traces; Fig. 14(b) puts 1e-3 within a few percent",
+        };
+        let clamp_departure = Departs {
+            paper: "true",
+            recorded:
+                "Eq. 1: max(0, 1/L_t - R_p); unclamped so an evicting fast placement can lose",
+        };
+        macro_rules! row {
+            ($field:ident, $pinned:expr, $paper:expr) => {
+                (stringify!($field), show(&$field), $pinned, $paper)
+            };
+        }
+        let (all_features, telemetry_off) =
+            (show(&FeatureMask::ALL), show(&TelemetryConfig::off()));
+        let rows = [
+            row!(discount, "0.9", Is("Table 2")),
+            row!(learning_rate, "0.001", lr_departure),
+            row!(exploration, "0.001", Is("Table 2")),
+            row!(exploration_initial, "0.3", Unverified),
+            row!(exploration_decay_requests, "4000", Unverified),
+            row!(batch_size, "128", Is("Table 2")),
+            row!(buffer_capacity, "1000", Is("Table 2")),
+            row!(batches_per_step, "8", Is("§6.2.2")),
+            row!(train_interval, "1000", Is("§6.2.2")),
+            row!(hidden_dims, "[20, 30]", Is("§6.2.2")),
+            row!(n_atoms, "51", Unverified),
+            row!(v_min, "-1.0", Unverified),
+            row!(v_max, "4.0", Unverified),
+            row!(eviction_penalty_coeff, "0.001", Is("§5 / Eq. 1")),
+            row!(clamp_eviction_reward, "false", clamp_departure),
+            row!(feature_mask, all_features.as_str(), Is("Table 1")),
+            row!(agent_kind, "C51", Is("§6.2.1")),
+            row!(quant_mode, "Off", Ours),
+            row!(telemetry, telemetry_off.as_str(), Ours),
+            row!(seed, "1371216551", Ours),
+        ];
+        for (field, default, pinned, paper) in &rows {
+            let provenance = match paper {
+                Is(recorded) => format!("the paper's value ({recorded})"),
+                Departs { paper, recorded } => {
+                    assert_ne!(paper, pinned, "{field}: no longer a departure");
+                    format!("departs from the paper's {paper} ({recorded})")
+                }
+                Unverified => "unverified: the tree records no paper value".to_string(),
+                Ours => "not a quantity of the paper's".to_string(),
+            };
+            assert_eq!(
+                default, pinned,
+                "{field} ({provenance}): the default moved — edit its row"
+            );
+        }
+        SibylConfig::default().validate();
     }
 
     #[test]

@@ -212,10 +212,9 @@ struct TrainScratch {
     /// `dL/dlogits`, one row per sample.
     grads: Vec<f32>,
     losses: Vec<f32>,
-    /// `dL/dobs` — computed by the backward pass, read by nobody.
-    dx: Vec<f32>,
-    /// Intermediate activations/deltas of the three network passes.
-    pingpong: Vec<f32>,
+    /// Intermediate activations/deltas of the three network passes (the
+    /// forward passes need one buffer, the backward pass both).
+    pingpong: [Vec<f32>; 2],
     head: HeadScratch,
 }
 
@@ -337,7 +336,7 @@ impl Learner {
     /// the whole step; the training network does one
     /// [`Mlp::forward_batch_into`], `ValueHead::batch_loss_grad` produces
     /// the whole `dL/dlogits` matrix, and one
-    /// [`Mlp::backward_batch_into`] accumulates the gradients — every
+    /// [`Mlp::accumulate_grads_batch`] accumulates the gradients — every
     /// weight matrix streams once per *batch* instead of once per
     /// *sample*. All buffers live in the learner, so a step allocates
     /// nothing once they have grown. The results are bit-identical to the
@@ -397,7 +396,7 @@ impl Learner {
                 self.target_net.infer_batch_into(
                     &s.fresh_next_obs,
                     s.fresh_rewards.len(),
-                    &mut s.pingpong,
+                    &mut s.pingpong[0],
                     &mut s.next_logits,
                 );
                 self.head.batch_targets(
@@ -416,7 +415,7 @@ impl Learner {
             }
             self.train_net.zero_grad();
             self.train_net
-                .forward_batch_into(&s.obs, n, &mut s.pingpong, &mut s.logits);
+                .forward_batch_into(&s.obs, n, &mut s.pingpong[0], &mut s.logits);
             self.head.batch_loss_grad(
                 &s.logits,
                 &s.actions,
@@ -446,7 +445,7 @@ impl Learner {
                 total_samples += 1;
             }
             self.train_net
-                .backward_batch_into(&s.grads, n, &mut s.pingpong, &mut s.dx);
+                .accumulate_grads_batch(&s.grads, n, &mut s.pingpong);
             self.train_net.apply_grads(&mut self.opt, 1.0 / n as f32);
         }
         self.adopt_trained();
@@ -759,8 +758,11 @@ mod tests {
         }
         let blocks = |l: &Learner| {
             let s = &l.scratch;
-            [&s.obs, &s.targets, &s.logits, &s.grads, &s.losses, &s.dx]
-                .map(|v| (v.as_ptr(), v.capacity()))
+            let [ping, pong] = &s.pingpong;
+            [
+                &s.obs, &s.targets, &s.logits, &s.grads, &s.losses, ping, pong,
+            ]
+            .map(|v| (v.as_ptr(), v.capacity()))
         };
         l.train_step().expect("buffer non-empty");
         let after_first = blocks(&l);

@@ -264,13 +264,20 @@ impl Dense {
     /// state does not match `batch`.
     pub fn backward_batch(&mut self, dy: &[f32], batch: usize) -> Vec<f32> {
         let mut dx = Vec::new();
-        self.backward_batch_into(dy, batch, &mut dx);
+        self.backward_batch_into(dy, batch, Some(&mut dx));
         dx
     }
 
     /// [`Dense::backward_batch`] refilling a caller-owned `dx`: allocates
     /// nothing once `dx` and the layer's scratch have reached their size.
-    pub(crate) fn backward_batch_into(&mut self, dy: &[f32], batch: usize, dx: &mut Vec<f32>) {
+    /// With `None` it stops at the parameter gradients — what a network's
+    /// first layer needs when nobody reads `dL/dx`.
+    pub(crate) fn backward_batch_into(
+        &mut self,
+        dy: &[f32],
+        batch: usize,
+        dx: Option<&mut Vec<f32>>,
+    ) {
         assert_eq!(
             dy.len(),
             batch * self.out_dim,
@@ -291,7 +298,9 @@ impl Dense {
             batch,
         );
         linalg::col_sum_acc(&mut self.db, dz, batch);
-        linalg::matmul_transpose(&self.w, dz, self.out_dim, self.in_dim, batch, dx);
+        if let Some(dx) = dx {
+            linalg::matmul_transpose(&self.w, dz, self.out_dim, self.in_dim, batch, dx);
+        }
     }
 
     /// Clears accumulated gradients.

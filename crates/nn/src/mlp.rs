@@ -264,7 +264,32 @@ impl Mlp {
             dy,
             scratch,
             dx,
-            |layer, d, dx| layer.backward_batch_into(d, batch, dx),
+            |layer, d, dx| layer.backward_batch_into(d, batch, Some(dx)),
+        );
+    }
+
+    /// [`Mlp::backward_batch_into`] for a caller that only steps the
+    /// optimizer: accumulates every layer's gradients exactly as it does
+    /// and stops there — the first layer's `dL/dx` is never computed.
+    /// `scratch` holds the intermediate deltas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy.len() != batch * self.out_dim()` or the cached
+    /// forward state does not match.
+    pub fn accumulate_grads_batch(
+        &mut self,
+        dy: &[f32],
+        batch: usize,
+        scratch: &mut [Vec<f32>; 2],
+    ) {
+        let [scratch, out] = scratch;
+        chain(
+            self.layers.iter_mut().enumerate().rev(),
+            dy,
+            scratch,
+            out,
+            |(i, layer), d, dx| layer.backward_batch_into(d, batch, (i > 0).then_some(dx)),
         );
     }
 

@@ -163,7 +163,8 @@ proptest! {
 /// forward pass's cached swish derivatives, the skipped zero block and
 /// the four-row register tiles all engage at once; one batched round
 /// must equal 128 sequential `forward` + `backward` calls bit for bit,
-/// through the reusable-buffer entry points the learner calls.
+/// through the reusable-buffer entry points — and so must the
+/// gradients-only backward pass the learner calls.
 #[test]
 fn swish_batch_128_with_c51_deltas_is_bit_identical() {
     const BATCH: usize = 128;
@@ -171,6 +172,7 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
     let mut r = rng(128);
     let mut batched = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut r);
     let mut sequential = batched.clone();
+    let mut grads_only = batched.clone();
     let xs = random_vec(&mut r, BATCH * 6);
     let mut dys = random_vec(&mut r, BATCH * 102);
     for (s, row) in dys.chunks_exact_mut(102).enumerate() {
@@ -180,7 +182,9 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
 
     batched.zero_grad();
     sequential.zero_grad();
+    grads_only.zero_grad();
     let (mut scratch, mut ys, mut dxs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut deltas = [Vec::new(), Vec::new()];
     // Two rounds through the same buffers: the second runs entirely on
     // reused allocations and must still match.
     for round in 0..2 {
@@ -192,9 +196,19 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
             let dx = sequential.backward(&dys[s * 102..(s + 1) * 102]);
             assert_eq!(bits(&dxs[s * 6..(s + 1) * 6]), bits(&dx), "round {round}");
         }
-        for (bl, sl) in batched.layers().zip(sequential.layers()) {
+        // The learner's pass, which never computes `dxs`, accumulates
+        // the same gradients.
+        grads_only.forward_batch_into(&xs, BATCH, &mut scratch, &mut ys);
+        grads_only.accumulate_grads_batch(&dys, BATCH, &mut deltas);
+        for ((bl, sl), gl) in batched
+            .layers()
+            .zip(sequential.layers())
+            .zip(grads_only.layers())
+        {
             assert_eq!(bits(bl.grads().0), bits(sl.grads().0), "round {round}");
             assert_eq!(bits(bl.grads().1), bits(sl.grads().1), "round {round}");
+            assert_eq!(bits(gl.grads().0), bits(sl.grads().0), "round {round}");
+            assert_eq!(bits(gl.grads().1), bits(sl.grads().1), "round {round}");
         }
     }
 }

@@ -51,11 +51,12 @@ pub struct ServeConfig {
     /// are in flight. It never moves a batch boundary — a partial batch
     /// is carried from one block into the next — so reports are
     /// identical for every value; it trades memory for how often a
-    /// parked router is woken (once per block). Ignored under a
-    /// cooperative [`CoopConfig::mode`]: sync barriers must never
-    /// backpressure the router (a full queue behind a barrier-parked
-    /// shard would deadlock the run), so cooperative runs hand blocks of
-    /// the same size over unbounded queues and can buffer the whole
+    /// parked router is woken (once per block). A cooperative
+    /// [`CoopConfig::mode`] keeps the bound except while a shard is
+    /// starved (blocked on an empty queue): a full queue may sit behind a
+    /// barrier-parked shard whose round needs that starved peer, so the
+    /// router then queues past the capacity until the peer is fed — the
+    /// excess is the routing imbalance between the shards, not the
     /// stream.
     pub queue_capacity: usize,
     /// Trace-replay time compression, as in the sim crate's

@@ -13,7 +13,7 @@ use sibyl_trace::{IoRequest, Trace};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport};
 
 use crate::config::ServeConfig;
-use crate::handoff::{block_queue, BlockReceiver};
+use crate::handoff::{block_queues, BlockReceiver};
 use crate::observe::ShardObserver;
 use crate::report::{CurvePoint, ServeReport, ShardReport};
 
@@ -173,21 +173,21 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// the shard queues.
 ///
 /// **Memory.** The pre-pass page sets cost O(footprint) and are dropped
-/// before routing. What routing buffers depends on the mode:
-///
-/// * *Independent* runs have backpressure. Requests cross to a shard in
-///   blocks of `B = max(1, queue_capacity / 2)`; the router fills one,
-///   one may be queued, the shard cuts its batches out of a third. So at
-///   most `3 * max(1, queue_capacity / 2) + max_batch` requests per shard
-///   are in flight between the router and the serve stage, and peak
-///   memory is bounded by the footprint plus that — never by the stream
-///   length, which is what makes 10M-request runs practical: a seeded
-///   generator stream costs O(footprint) where a materialized `Trace`
-///   costs 24 bytes per request.
-/// * *Cooperative* runs have none: their queues are unbounded (below),
-///   and since the router outruns a shard by well over an order of
-///   magnitude they buffer up to the **whole stream** at 24 bytes per
-///   request.
+/// before routing. Routing has backpressure: requests cross to a shard in
+/// blocks of `B = max(1, queue_capacity / 2)`; the router fills one, one
+/// may be queued, the shard cuts its batches out of a third. So at most
+/// `3 * max(1, queue_capacity / 2) + max_batch` requests per shard are in
+/// flight between the router and the serve stage, and peak memory is
+/// bounded by the footprint plus that — never by the stream length,
+/// which is what makes 10M-request runs practical: a seeded generator
+/// stream costs O(footprint) where a materialized `Trace` costs 24 bytes
+/// per request. A *cooperative* run adds one term: while a shard is
+/// starved (blocked on an empty queue) the router queues past a full
+/// peer's capacity instead of waiting, so a lane can also hold the
+/// routing imbalance that accumulated while a peer starved — under
+/// lock-step sync rounds the difference between the shards' shares of
+/// the stream (a few percent of it for a hash-balanced workload, all of
+/// it only when every request routes to one shard).
 ///
 /// The stream must be **finite** (bound an infinite generator with
 /// `.take(n)`) and `Clone` must replay the identical sequence — true for
@@ -217,10 +217,11 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// mean. Sync rounds sit at logical (batch-count) boundaries, and a
 /// shard whose subsequence is exhausted leaves the coordinator, so the
 /// contributor set of every round — hence every result — is independent
-/// of thread scheduling. Cooperative runs use *unbounded* shard queues:
-/// a sync barrier must never backpressure the router (a full queue
-/// behind a barrier-parked shard would deadlock the run); independent
-/// runs keep the bounded-queue backpressure.
+/// of thread scheduling. A full queue behind a barrier-parked shard must
+/// not stall the router while the barrier waits on a peer the router has
+/// yet to feed, so a cooperative run's router waits on a full queue only
+/// while no shard is starved; a starved shard makes it queue past the
+/// capacity until that shard is fed.
 ///
 /// When [`ServeConfig::migrate`] runs an active policy, every shard
 /// additionally ticks a private [`Migrator`] after each
@@ -277,10 +278,10 @@ where
         .is_cooperative()
         .then(|| Coordinator::new(config.coop, config.shards));
 
+    let queues = block_queues(config.queue_capacity, config.shards, coordinator.is_some());
     let mut senders = Vec::with_capacity(config.shards);
     let mut workers = Vec::with_capacity(config.shards);
-    for (shard, &footprint) in footprints.iter().enumerate() {
-        let (tx, rx) = block_queue(config.queue_capacity, coordinator.is_none());
+    for ((shard, &footprint), (tx, rx)) in footprints.iter().enumerate().zip(queues) {
         senders.push(tx);
         let resolved = config.hss.resolved(footprint.max(1));
         let mut sibyl = config.sibyl.clone();
@@ -323,12 +324,12 @@ where
         }
     }
 
-    // Route. Bounded queues (independent runs) give backpressure: the
-    // router stalls while a shard still holds its previous block instead
-    // of buffering the whole stream. A push can only fail when the
-    // receiving worker died (dropped its receiver by panicking); stop
-    // routing and surface that as an error rather than panicking the
-    // router.
+    // Route. A full lane gives backpressure: the router stalls while a
+    // shard still holds its previous block instead of buffering the
+    // whole stream (a cooperative run's router stalls only while no peer
+    // is starved). A push can only fail when the receiving worker died
+    // (dropped its receiver by panicking); stop routing and surface that
+    // as an error rather than panicking the router.
     let mut dead_shard: Option<usize> = None;
     for req in stream {
         let mut routed = req;
@@ -626,8 +627,9 @@ mod tests {
         let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
         let coop = CoopConfig::new(CoopMode::WeightAverage).with_sync_period(1);
         let coordinator = Coordinator::new(coop, 2);
-        let task = |shard: usize, hss: HssConfig| {
-            let (tx, rx) = block_queue(1024, false);
+        let mut queues = block_queues(1024, 2, true).into_iter();
+        let mut task = |shard: usize, hss: HssConfig| {
+            let (tx, rx) = queues.next().unwrap();
             let task = ShardTask {
                 shard,
                 rx,

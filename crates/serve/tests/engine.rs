@@ -8,8 +8,8 @@ mod common;
 use common::watchdog::within_timeout;
 use common::{config, mixed_trace};
 use sibyl_serve::{
-    serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeError,
-    TelemetryConfig, XrayConfig,
+    serve_stream, serve_trace, shard_of, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind,
+    ServeError, TelemetryConfig, XrayConfig,
 };
 use sibyl_trace::{mix, msrc};
 
@@ -180,9 +180,9 @@ fn cooperative_runs_are_deterministic() {
 
 #[test]
 fn cooperation_survives_tiny_queues_without_deadlock() {
-    // A barrier-parked shard must not wedge the router: cooperative
-    // runs switch to unbounded queues, so even a 1-slot capacity and
-    // a short sync period finish.
+    // A barrier-parked shard must not wedge the router: it waits on a
+    // full queue only while no peer is starved, so even a 1-slot
+    // capacity and a short sync period finish.
     let trace = mixed_trace(600);
     let cfg = config(4, 8)
         .with_queue_capacity(1)
@@ -190,6 +190,34 @@ fn cooperation_survives_tiny_queues_without_deadlock() {
     let n = trace.len() as u64;
     let report = within_timeout(move || serve_trace(&cfg, &trace)).unwrap();
     assert_eq!(report.total_requests(), n);
+}
+
+#[test]
+fn a_totally_skewed_cooperative_run_finishes() {
+    // Every request routes to one shard of four. That shard parks at its
+    // first barrier until its three empty peers leave — which they do
+    // only at the end of the stream — so the router has to get the whole
+    // stream past a 1-slot queue: a hard cap here is a hang, which is
+    // why a full queue yields to a starved peer instead.
+    let trace = mixed_trace(600);
+    let busy = shard_of(trace.requests()[0].lpn, 4);
+    let skewed: Vec<_> = trace
+        .iter()
+        .copied()
+        .filter(|r| shard_of(r.lpn, 4) == busy)
+        .collect();
+    assert!(skewed.len() > 100);
+    let cfg = config(4, 8)
+        .with_queue_capacity(1)
+        .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(1));
+    let n = skewed.len() as u64;
+    let report = within_timeout(move || serve_stream(&cfg, skewed.iter().copied())).unwrap();
+    for s in &report.shards {
+        let expected = if s.shard == busy { n } else { 0 };
+        assert_eq!(s.requests, expected, "shard {}", s.shard);
+    }
+    assert_eq!(report.shards[busy].batches, n.div_ceil(8));
+    assert_eq!(report.shards[busy].coop_syncs, n.div_ceil(8));
 }
 
 #[test]
@@ -242,8 +270,8 @@ fn dead_shard_surfaces_as_shard_down_error() {
     // panic inside every worker thread; the router must fold that
     // into ServeError::ShardDown instead of panicking on send/join —
     // also when it is blocked on a full queue at the time (8 slots
-    // against 2 400 requests), and when the queues are a cooperative
-    // run's unbounded ones.
+    // against 2 400 requests), in an independent run and in a
+    // cooperative one.
     let independent = CoopConfig::new(CoopMode::Independent);
     let cooperative = CoopConfig::new(CoopMode::Both).with_sync_period(1);
     for (capacity, n, coop) in [
