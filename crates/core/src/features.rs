@@ -347,6 +347,85 @@ mod tests {
         }
     }
 
+    /// ROADMAP 1(d): every feature of Table 1 beside what the tree
+    /// records of it — its bin count, its bit width in the packed
+    /// encoding and the binning function's edge values, each with where
+    /// the paper's value is recorded, or `unverified` where the tree
+    /// records none. A changed bin count, width, field order or bin edge
+    /// fails here until its row is edited.
+    #[test]
+    fn every_feature_is_audited_against_table_1() {
+        /// Where the tree records the paper's bin counts and bit widths.
+        const BINS: &str = "Table 1 (`features::bins`)";
+        const BITS: &str = "Table 1: 8+4+8+8+8+4 (`overhead::STATE_BITS`)";
+        /// The tree records no binning function of the paper's.
+        const EDGES: &str = "unverified";
+        let size = StateEncoder::size_bin;
+        let interval = |i: u64| StateEncoder::interval_bin(Some(i));
+        let count = StateEncoder::count_bin;
+        let capacity = StateEncoder::capacity_bin;
+        let op = |op: IoOp| u32::from(op.is_write());
+        /// One feature, in packed order (most significant first): name,
+        /// `(bins, pinned)`, bits, then `(input, bin, pinned)` edges.
+        type Row = (&'static str, (u32, u32), u32, Vec<(&'static str, u32, u32)>);
+        #[rustfmt::skip]
+        let rows: [Row; 6] = [
+            ("size_t", (bins::SIZE, 8), 8, vec![
+                ("1 page", size(1), 0), ("2", size(2), 1), ("3", size(3), 1), ("4", size(4), 2),
+                ("64", size(64), 6), ("127", size(127), 6), ("128", size(128), 7),
+                ("2^24", size(1 << 24), 7),
+            ]),
+            ("type_t", (bins::TYPE, 2), 4, vec![
+                ("read", op(IoOp::Read), 0), ("write", op(IoOp::Write), 1),
+            ]),
+            ("intr_t", (bins::INTERVAL, 64), 8, vec![
+                ("never", StateEncoder::interval_bin(None), 63),
+                ("0", interval(0), 0), ("1", interval(1), 3), ("3", interval(3), 6),
+                ("2^21-2", interval((1 << 21) - 2), 62), ("2^21-1", interval((1 << 21) - 1), 63),
+                ("2^63", interval(1 << 63), 63),
+            ]),
+            ("cnt_t", (bins::COUNT, 64), 8, vec![
+                ("0", count(0), 0), ("1", count(1), 6), ("3", count(3), 12),
+                ("1447", count(1447), 62), ("1448", count(1448), 63), ("2^63", count(1 << 63), 63),
+            ]),
+            ("cap_t", (bins::CAPACITY, 8), 8, vec![
+                ("0.0", capacity(0.0), 0), ("0.124", capacity(0.124), 0),
+                ("0.125", capacity(0.125), 1), ("0.874", capacity(0.874), 6),
+                ("0.875", capacity(0.875), 7), ("1.0", capacity(1.0), 7),
+            ]),
+            // The bin is the device index itself; an untracked page reads
+            // as the slowest device (pinned through `packed` below).
+            ("curr_t", (bins::CURRENT, 2), 4, vec![]),
+        ];
+        for (feature, (n_bins, pinned), bits, edges) in &rows {
+            assert_eq!(n_bins, pinned, "{feature}: bin count moved ({BINS})");
+            assert!(
+                n_bins - 1 < 1 << bits,
+                "{feature}: {n_bins} bins overflow its {bits} bits ({BITS})"
+            );
+            for (input, bin, pinned) in edges {
+                assert_eq!(bin, pinned, "{feature}: bin of {input} moved ({EDGES})");
+            }
+        }
+        let total_bits: u32 = rows.iter().map(|row| row.2).sum();
+        assert_eq!(total_bits as usize, crate::overhead::STATE_BITS, "{BITS}");
+
+        // The packed encoding lays the fields out in that order at those
+        // widths: a 64-page write to an untouched page of an empty dual
+        // HSS decodes field by field.
+        let obs = StateEncoder::new(FeatureMask::ALL, 2)
+            .observe(&IoRequest::new(0, 5, 64, IoOp::Write), &manager());
+        let mut shift = total_bits;
+        for ((feature, _, bits, _), bin) in rows.iter().zip([6, 1, 63, 0, 7, 1]) {
+            shift -= bits;
+            let field = (obs.packed >> shift) & ((1 << bits) - 1);
+            assert_eq!(
+                field, bin,
+                "{feature} at bit {shift} of the packed state ({BITS})"
+            );
+        }
+    }
+
     #[test]
     fn mask_presets_match_fig13() {
         assert_eq!(FeatureMask::ALL.active_count(), 6);

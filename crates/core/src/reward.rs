@@ -10,8 +10,10 @@
 //! where `L_t` is the served request latency and `L_e` the time spent
 //! evicting. The reward is scaled by the fast device's minimum service
 //! time so the best achievable per-step reward is ≈ 1 regardless of the
-//! device configuration, which pins the C51 value support to a stable
-//! range (`[0, v_max]` with `v_max = 1/(1−γ)` at γ = 0.9).
+//! device configuration, which lets one C51 value support serve every
+//! configuration: `[v_min, v_max]`, `[−1, 4]` by default
+//! (`SibylConfig`), with [`REWARD_CAP`] keeping a single step inside it
+//! and `v_min` flooring the unclamped eviction penalty.
 
 use serde::{Deserialize, Serialize};
 
@@ -139,6 +141,75 @@ mod tests {
         let plain = shaper().reward(&outcome(0.1, 0.0, 0, 0));
         assert_eq!(evicting, REWARD_CAP as f32);
         assert_eq!(plain, REWARD_CAP as f32);
+    }
+
+    /// ROADMAP 1(d): each term of Eq. 1 against [`RewardShaper::reward`],
+    /// beside where the tree records the paper's value for it — or
+    /// `unverified` where it records none. `paper` is Eq. 1 as the module
+    /// doc states it; `ours` is what `SibylConfig::default()` builds
+    /// (`clamp_eviction_reward = false`, floor `v_min = −1`).
+    #[test]
+    fn every_term_of_eq1_is_audited_against_the_paper() {
+        const SCALE: f64 = 10.0;
+        let paper = RewardShaper::new(0.001, SCALE, true, -1.0);
+        let ours = RewardShaper::new(0.001, SCALE, false, -1.0);
+        // (term, shaper, L_t, L_e, evicted pages, reward, provenance)
+        let rows = [
+            (
+                "1/L_t",
+                paper,
+                (40.0, 0.0, 0),
+                SCALE / 40.0,
+                "Eq. 1; the × scale_us is ours (the fast device's minimum service time)",
+            ),
+            (
+                "R_p only if the placement forced an eviction",
+                paper,
+                (40.0, 500.0, 0),
+                SCALE / 40.0,
+                "Eq. 1",
+            ),
+            (
+                "1/L_t − R_p, R_p = 0.001 · L_e",
+                paper,
+                (20.0, 20.0, 1),
+                SCALE / 20.0 - 0.001 * 20.0 * SCALE,
+                "§5 / Eq. 1 (`SibylConfig::eviction_penalty_coeff`)",
+            ),
+            ("max(0, ·)", paper, (20.0, 120.0, 1), 0.0, "Eq. 1"),
+            (
+                "no max(0, ·) under clamp_eviction_reward = false",
+                ours,
+                (20.0, 120.0, 1),
+                SCALE / 20.0 - 0.001 * 120.0 * SCALE,
+                "departs from Eq. 1 (`config.rs`: so an evicting fast placement can lose)",
+            ),
+            (
+                "the unclamped penalty floors at v_min",
+                ours,
+                (20.0, 1_000.0, 1),
+                -1.0,
+                "unverified: the floor is the C51 support's, and the tree records no paper support",
+            ),
+            (
+                "REWARD_CAP",
+                paper,
+                (1.0, 0.0, 0),
+                REWARD_CAP,
+                "unverified: the tree records no cap of the paper's",
+            ),
+            (
+                "REWARD_CAP on the eviction branch",
+                ours,
+                (1.0, 1.0, 1),
+                REWARD_CAP,
+                "unverified, as above",
+            ),
+        ];
+        for (term, shaper, (latency_us, eviction_us, evicted), reward, provenance) in rows {
+            let got = shaper.reward(&outcome(latency_us, eviction_us, evicted, 0));
+            assert_eq!(got, reward as f32, "{term} ({provenance})");
+        }
     }
 
     #[test]

@@ -82,26 +82,29 @@ pub struct DeviceSpec {
     pub seek_us: f64,
     /// Track-to-track (minimum) seek time in microseconds (HDD only).
     pub seek_min_us: f64,
-    /// Effective rotational latency in microseconds (HDD only; modeled
-    /// below the half-revolution worst case because NCQ reorders queued
-    /// commands).
+    /// Rotational latency in microseconds, charged to every
+    /// non-sequential command whatever is queued (HDD only).
     pub rotational_us: f64,
     /// Addressable span in pages used by the seek-distance curve (HDD
     /// only).
     pub span_pages: u64,
 }
 
+/// The presets: a constant marked *T3* restates what this tree attributes
+/// to the paper's Table 3 (device, interface, bandwidths, the 21 K
+/// random-write IOPS); every other one is *illustrative* — a plausible
+/// value of the right order, not a measurement of that device.
 impl DeviceSpec {
     /// Intel Optane SSD P4800X — the paper's high-end device **H**
-    /// (375 GB, PCIe NVMe, R/W 2.4/2.0 GB/s, ~550K/500K IOPS).
+    /// (T3: 375 GB, PCIe NVMe, R/W 2.4/2.0 GB/s, ~550K/500K IOPS).
     pub fn optane_ssd() -> Self {
         DeviceSpec {
             name: "optane-p4800x".to_string(),
             kind: DeviceKind::NvmSsd,
-            read_base_us: 8.0,
-            write_base_us: 10.0,
-            read_bw_mbps: 2400.0,
-            write_bw_mbps: 2000.0,
+            read_base_us: 8.0,     // illustrative (per-command latency)
+            write_base_us: 10.0,   // illustrative
+            read_bw_mbps: 2400.0,  // T3
+            write_bw_mbps: 2000.0, // T3
             write_buffer_pages: 0,
             buffered_write_us: 0.0,
             buffer_drain_mbps: 0.0,
@@ -116,19 +119,19 @@ impl DeviceSpec {
     }
 
     /// Intel SSD D3-S4510 — the paper's middle-end device **M**
-    /// (1.92 TB SATA TLC, R/W 550/510 MB/s, random write 21K IOPS).
+    /// (T3: 1.92 TB SATA TLC, R/W 550/510 MB/s, random write 21K IOPS).
     pub fn tlc_ssd() -> Self {
         DeviceSpec {
             name: "tlc-s4510".to_string(),
             kind: DeviceKind::FlashSsd,
-            read_base_us: 36.0,
-            write_base_us: 48.0, // 1/21K IOPS sustained random writes
-            read_bw_mbps: 550.0,
-            write_bw_mbps: 510.0,
-            write_buffer_pages: 2048,
-            buffered_write_us: 20.0,
-            buffer_drain_mbps: 90.0, // ~21K random-write IOPS × 4 KiB
-            gc_threshold: 0.70,
+            read_base_us: 36.0,       // illustrative
+            write_base_us: 48.0,      // T3: 1/21K IOPS sustained random writes
+            read_bw_mbps: 550.0,      // T3
+            write_bw_mbps: 510.0,     // T3
+            write_buffer_pages: 2048, // illustrative
+            buffered_write_us: 20.0,  // illustrative
+            buffer_drain_mbps: 90.0,  // T3: ~21K random-write IOPS × 4 KiB
+            gc_threshold: 0.70,       // illustrative, as the pause and its period
             gc_pause_us: 2_000.0,
             gc_pages_per_pause: 512,
             seek_us: 0.0,
@@ -139,44 +142,46 @@ impl DeviceSpec {
     }
 
     /// Seagate ST1000DM010 — the paper's low-end device **L**
-    /// (1 TB 7200 RPM SATA, 210 MB/s sustained).
+    /// (T3: 1 TB 7200 RPM SATA, 210 MB/s sustained).
     pub fn hdd() -> Self {
         DeviceSpec {
             name: "hdd-st1000".to_string(),
             kind: DeviceKind::Hdd,
-            read_base_us: 50.0,
-            write_base_us: 50.0,
-            read_bw_mbps: 210.0,
-            write_bw_mbps: 210.0,
+            read_base_us: 50.0,   // illustrative
+            write_base_us: 50.0,  // illustrative
+            read_bw_mbps: 210.0,  // T3
+            write_bw_mbps: 210.0, // T3
             write_buffer_pages: 0,
             buffered_write_us: 0.0,
             buffer_drain_mbps: 0.0,
             gc_threshold: 1.1,
             gc_pause_us: 0.0,
             gc_pages_per_pause: u64::MAX,
-            seek_us: 8_000.0,
-            seek_min_us: 500.0,
-            // Half a revolution at 7200 RPM is 4.17 ms; NCQ reordering
-            // roughly halves the effective rotational delay under load.
+            seek_us: 8_000.0,   // illustrative seek curve: full stroke …
+            seek_min_us: 500.0, // … and track-to-track
+            // Illustrative: a constant 2 ms whatever is queued (half a
+            // revolution at T3's 7200 RPM would be 4.17 ms). Whether it
+            // should depend on queue depth is ROADMAP item 2's call.
             rotational_us: 2_000.0,
-            span_pages: 244_000_000, // 1 TB / 4 KiB
+            span_pages: 244_000_000, // T3: 1 TB / 4 KiB
         }
     }
 
     /// ADATA SU630 — the paper's low-end SSD **Lssd**
-    /// (960 GB SATA TLC, DRAM-less: 520/450 MB/s peak, heavy GC).
+    /// (T3: 960 GB SATA TLC, DRAM-less, 520/450 MB/s peak; "heavy GC" is
+    /// this model's reading of DRAM-less, not a Table 3 figure).
     pub fn cheap_ssd() -> Self {
         DeviceSpec {
             name: "cheap-su630".to_string(),
             kind: DeviceKind::FlashSsd,
-            read_base_us: 80.0,
-            write_base_us: 140.0,
-            read_bw_mbps: 520.0,
-            write_bw_mbps: 450.0,
-            write_buffer_pages: 512,
-            buffered_write_us: 60.0,
-            buffer_drain_mbps: 45.0, // DRAM-less controller, slow folding
-            gc_threshold: 0.50,
+            read_base_us: 80.0,      // illustrative
+            write_base_us: 140.0,    // illustrative
+            read_bw_mbps: 520.0,     // T3
+            write_bw_mbps: 450.0,    // T3
+            write_buffer_pages: 512, // illustrative
+            buffered_write_us: 60.0, // illustrative
+            buffer_drain_mbps: 45.0, // illustrative: DRAM-less controller, slow folding
+            gc_threshold: 0.50,      // illustrative, as the pause and its period
             gc_pause_us: 6_000.0,
             gc_pages_per_pause: 256,
             seek_us: 0.0,
@@ -385,8 +390,8 @@ impl Device {
 
     /// Head-positioning cost for an HDD command at `lpn`: a square-root
     /// seek-distance curve between track-to-track and full-stroke seek
-    /// times, plus the (NCQ-effective) rotational delay. Zero for
-    /// non-rotating devices.
+    /// times, plus the constant rotational delay. Zero for non-rotating
+    /// devices.
     fn positioning_us(&self, lpn: u64) -> f64 {
         if self.spec.kind != DeviceKind::Hdd || self.spec.span_pages == 0 {
             return 0.0;

@@ -8,16 +8,18 @@
 //! Linux block driver exposing one flat logical address space (Fig. 1).
 //! This crate reproduces that stack in simulation:
 //!
-//! - [`DeviceSpec`]/[`Device`] — calibrated device latency models
+//! - [`DeviceSpec`]/[`Device`] — device latency models
 //!   (read/write asymmetry, bandwidth, write buffering, garbage
 //!   collection, seek/rotation, FIFO queueing) with presets for the
 //!   paper's Table 3 devices.
 //! - [`HssConfig`] — dual- and tri-device configurations with the paper's
 //!   capacity policy (fast device capped at a fraction of the working
 //!   set).
-//! - [`StorageManager`] — the storage management layer: page-granular
-//!   residency, promotion/eviction/migration, per-request latency `L_t`
-//!   and eviction time `L_e` (the ingredients of Sibyl's reward, Eq. 1).
+//! - [`StorageManager`] — the storage management layer, in two halves:
+//!   a clock-free [`PageDirectory`] whose transitions decide which pages
+//!   a request moves (promotion/eviction/migration), and the timing layer
+//!   that prices them into per-request latency `L_t` and eviction time
+//!   `L_e` (the ingredients of Sibyl's reward, Eq. 1).
 //! - [`PlacementPolicy`] — the interface every placement mechanism
 //!   implements (baselines in `sibyl-policies`, the RL agent in
 //!   `sibyl-core`).
@@ -44,6 +46,7 @@
 
 mod config;
 mod device;
+mod directory;
 mod manager;
 mod page_set;
 mod policy;
@@ -52,10 +55,8 @@ mod victim;
 
 pub use config::{CapacityMode, HssConfig};
 pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service};
-pub use manager::{
-    AccessDetail, AccessOutcome, AccessTracker, MigrationOutcome, PageDirectory, PageMove,
-    PageRecord, StorageManager,
-};
+pub use directory::{AccessTracker, PageDirectory, PageMove, PageRecord};
+pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager};
 pub use page_set::PageSet;
 pub use policy::{PlacementContext, PlacementPolicy};
 pub use stats::HssStats;

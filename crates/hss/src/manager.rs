@@ -7,114 +7,20 @@
 //! decision, migrates data between devices (promotion/eviction), and
 //! reports per-request latency `L_t` and eviction time `L_e` — the two
 //! quantities Sibyl's reward is built from (Eq. 1).
+//!
+//! This file is the *timing* half — device clocks, the closed-loop replay
+//! window, the latency statistics: it runs a residency transition
+//! (`directory.rs`, which decides clock-free which pages move) and then
+//! prices what the transition returned.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::config::HssConfig;
 use crate::device::{Device, DeviceId, Service};
+use crate::directory::{AccessTracker, PageDirectory, PageMove, Residency, Transfer};
 use crate::stats::HssStats;
-use crate::victim::{LruVictim, VictimPolicy};
+use crate::victim::VictimPolicy;
 use sibyl_trace::{IoOp, IoRequest};
-
-/// Where every logical page lives, with per-device LRU orderings.
-///
-/// Kept separate from [`StorageManager`] so [`VictimPolicy`]
-/// implementations can inspect residency while the manager mutates other
-/// state.
-///
-/// # Layout (the scale path)
-///
-/// Production-sized runs track millions of pages, so the directory is a
-/// compact arena rather than the obvious `HashMap<u64, PageMeta>` plus
-/// one `BTreeMap` LRU per device (~130+ bytes/page across three
-/// allocations): per-page metadata lives in one dense, append-only
-/// `PageEntry` arena (40 bytes/page, indices stable forever — pages
-/// move between devices but are never forgotten), an open-addressing
-/// index maps `lpn → entry` (4 bytes/slot, splitmix64 hashing, linear
-/// probing, insert-only so no tombstones), and each device's LRU order
-/// is an intrusive doubly-linked list threaded through the arena via
-/// `prev`/`next` (no separate tree nodes). Entries always link in at
-/// the tail with a freshly incremented token, so list order **is**
-/// token order — iteration is bit-identical to the old per-device
-/// `BTreeMap<token, lpn>` walk, which is what keeps placement decisions
-/// on the golden traces unchanged. [`PageDirectory::directory_bytes`]
-/// reports the exact heap footprint for the `sec14_scale` accounting.
-///
-/// The entry is also the page's *only* metadata record — the paper's
-/// §10.2 table (access count, access interval, current device): the
-/// access count is `heat`, and the last-access stamp sits in what used
-/// to be the struct's padding, so the features of Table 1 cost no bytes
-/// beyond the directory ([`AccessTracker`] is a view of it). The
-/// request path resolves each page to its arena index once and does
-/// everything else — device counting, moves, recency, heat — by index.
-#[derive(Debug, Default)]
-pub struct PageDirectory {
-    /// Dense page metadata; an entry's index never changes.
-    entries: Vec<PageEntry>,
-    /// Open-addressing `lpn → entry index` map (`INDEX_EMPTY` = free),
-    /// power-of-two capacity, grown at 7/8 load.
-    index: Vec<u32>,
-    /// Head (least recent) of each device's intrusive LRU list.
-    heads: Vec<u32>,
-    /// Tail (most recent) of each device's intrusive LRU list.
-    tails: Vec<u32>,
-    used: Vec<u64>,
-    lru_counter: u64,
-}
-
-/// Sentinel for "no entry" in the index and the LRU links.
-const NO_ENTRY: u32 = u32::MAX;
-
-/// One tracked page: 40 bytes, device + recency + heat + last access,
-/// threaded into its device's LRU list through `prev`/`next`.
-#[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    lpn: u64,
-    lru_token: u64,
-    /// Previous (older) entry in this device's LRU list.
-    prev: u32,
-    /// Next (newer) entry in this device's LRU list.
-    next: u32,
-    /// Accesses to the page while tracked (survives moves between
-    /// devices) — the residency-scoped hotness signal background
-    /// migration policies key on, and the `cnt_t` access count: a page
-    /// enters the directory in the request that first touches it and
-    /// every access bumps it once, so the two never differ. Saturating
-    /// at `u32::MAX` (4.3 G accesses to one page — beyond any supported
-    /// run length).
-    heat: u32,
-    /// The heat the page had when it last landed on its current device.
-    /// `heat - heat_at_place` counts accesses *since arrival* — the
-    /// signal that distinguishes a genuinely re-hot page from one that
-    /// was just moved (a freshly demoted high-heat page must earn new
-    /// accesses before it can qualify for promotion again, or demotion
-    /// and promotion ping-pong forever).
-    heat_at_place: u32,
-    /// The manager's request clock at the page's latest access, truncated
-    /// to 32 bits (meaningful only once `heat > 0`). Lives in what was
-    /// padding after `device`, so the entry is still 40 bytes.
-    last_access: u32,
-    device: u8,
-}
-
-const _: () = assert!(std::mem::size_of::<PageEntry>() == 40);
-
-/// splitmix64 finalizer — the index's hash function.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One background page move requested by a migration policy: relocate
-/// `lpn` onto `to`. Executed in bulk by [`StorageManager::migrate_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageMove {
-    /// The logical page to move.
-    pub lpn: u64,
-    /// The destination device.
-    pub to: DeviceId,
-}
 
 /// Accounting for one [`StorageManager::migrate_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -145,391 +51,15 @@ impl MigrationOutcome {
     }
 }
 
-impl PageDirectory {
-    fn new(n_devices: usize) -> Self {
-        assert!(
-            n_devices < usize::from(u8::MAX),
-            "PageDirectory: at most 254 devices"
-        );
-        PageDirectory {
-            entries: Vec::new(),
-            index: Vec::new(),
-            heads: vec![NO_ENTRY; n_devices],
-            tails: vec![NO_ENTRY; n_devices],
-            used: vec![0; n_devices],
-            lru_counter: 0,
-        }
-    }
-
-    /// Where `lpn` sits in the index: `Ok(entry)` when tracked, else
-    /// `Err(slot)`, the free slot [`PageDirectory::insert`] would give
-    /// it (unused while the index is still unallocated).
-    fn probe(&self, lpn: u64) -> Result<u32, usize> {
-        if self.index.is_empty() {
-            return Err(0);
-        }
-        let mask = self.index.len() - 1;
-        let mut slot = mix64(lpn) as usize & mask;
-        loop {
-            match self.index[slot] {
-                NO_ENTRY => return Err(slot),
-                i if self.entries[i as usize].lpn == lpn => return Ok(i),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// The arena index of `lpn`'s entry, if tracked.
-    fn find(&self, lpn: u64) -> Option<u32> {
-        self.probe(lpn).ok()
-    }
-
-    /// Doubles the index (64 slots at first) and rehashes every entry
-    /// into it — slot indices only, entries never move.
-    fn grow_index(&mut self) {
-        let cap = (self.index.len() * 2).max(64);
-        let mut fresh = vec![NO_ENTRY; cap];
-        let mask = cap - 1;
-        for (i, e) in self.entries.iter().enumerate() {
-            let mut slot = mix64(e.lpn) as usize & mask;
-            while fresh[slot] != NO_ENTRY {
-                slot = (slot + 1) & mask;
-            }
-            fresh[slot] = i as u32;
-        }
-        self.index = fresh;
-    }
-
-    /// The device holding entry `i`.
-    fn device_of(&self, i: u32) -> usize {
-        usize::from(self.entries[i as usize].device)
-    }
-
-    /// Unlinks entry `i` from device `dev`'s LRU list.
-    fn list_unlink(&mut self, i: u32, dev: usize) {
-        let (prev, next) = {
-            let e = &self.entries[i as usize];
-            (e.prev, e.next)
-        };
-        if prev == NO_ENTRY {
-            self.heads[dev] = next;
-        } else {
-            self.entries[prev as usize].next = next;
-        }
-        if next == NO_ENTRY {
-            self.tails[dev] = prev;
-        } else {
-            self.entries[next as usize].prev = prev;
-        }
-    }
-
-    /// Links entry `i` at the tail (most recent end) of device `dev`'s
-    /// LRU list.
-    fn list_push_tail(&mut self, i: u32, dev: usize) {
-        let tail = self.tails[dev];
-        {
-            let e = &mut self.entries[i as usize];
-            e.prev = tail;
-            e.next = NO_ENTRY;
-        }
-        if tail == NO_ENTRY {
-            self.heads[dev] = i;
-        } else {
-            self.entries[tail as usize].next = i;
-        }
-        self.tails[dev] = i;
-    }
-
-    /// The device currently holding `lpn`, if the page exists.
-    pub fn residency(&self, lpn: u64) -> Option<DeviceId> {
-        self.find(lpn).map(|i| DeviceId(self.device_of(i)))
-    }
-
-    /// Pages resident on `device`.
-    pub fn used_pages(&self, device: DeviceId) -> u64 {
-        self.used[device.0]
-    }
-
-    /// The least-recently-used page on `device`.
-    pub fn lru_first(&self, device: DeviceId) -> Option<u64> {
-        match self.heads[device.0] {
-            NO_ENTRY => None,
-            i => Some(self.entries[i as usize].lpn),
-        }
-    }
-
-    /// Number of tracked pages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Exact heap footprint of the directory in bytes: the entry arena,
-    /// the open-addressing index, and the per-device list/usage vectors.
-    /// Grows with the number of *distinct pages touched* (the workload
-    /// footprint), never with trace length — the bound `sec14_scale` and
-    /// the CI gate assert.
-    pub fn directory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<PageEntry>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
-            + (self.heads.capacity() + self.tails.capacity()) * std::mem::size_of::<u32>()
-            + self.used.capacity() * std::mem::size_of::<u64>()
-            + std::mem::size_of::<Self>()
-    }
-
-    /// Accesses to `lpn` while tracked (0 for unknown pages). Heat
-    /// survives moves between devices, so a page promoted by a migration
-    /// policy keeps the history that made it a candidate.
-    pub fn heat(&self, lpn: u64) -> u64 {
-        self.find(lpn)
-            .map_or(0, |i| u64::from(self.entries[i as usize].heat))
-    }
-
-    /// Accesses to `lpn` since it last landed on its current device
-    /// (0 for unknown pages). Migration policies gate promotion on this
-    /// rather than total heat: a page that was just demoted or evicted
-    /// carries its old heat but has not been touched since the move, and
-    /// promoting it back would be pure churn.
-    pub fn heat_since_place(&self, lpn: u64) -> u64 {
-        self.find(lpn).map_or(0, |i| {
-            let e = &self.entries[i as usize];
-            u64::from(e.heat - e.heat_at_place)
-        })
-    }
-
-    /// The recency token of `lpn` — larger means more recently placed or
-    /// touched. `None` for unknown pages.
-    pub fn recency_token(&self, lpn: u64) -> Option<u64> {
-        self.find(lpn).map(|i| self.entries[i as usize].lru_token)
-    }
-
-    /// The current value of the global recency counter; the age of a page
-    /// is `current_token() - recency_token(lpn)`.
-    pub fn current_token(&self) -> u64 {
-        self.lru_counter
-    }
-
-    /// Iterates `device`'s resident pages in recency order (least
-    /// recently used first) as `(recency_token, lpn)` pairs. Reversible —
-    /// migration policies scan the hot end with `.rev()`.
-    pub fn iter_lru(&self, device: DeviceId) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
-        self.walk(device).map(|e| (e.lru_token, e.lpn))
-    }
-
-    /// Iterates `device`'s resident pages from the most recently used
-    /// end as `(lpn, heat, heat_since_place)` — what a promotion scan
-    /// reads, straight from the entry it is standing on (the values of
-    /// [`PageDirectory::heat`] and [`PageDirectory::heat_since_place`]).
-    pub fn iter_hot(&self, device: DeviceId) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.walk(device).rev().map(|e| {
-            (
-                e.lpn,
-                u64::from(e.heat),
-                u64::from(e.heat - e.heat_at_place),
-            )
-        })
-    }
-
-    fn walk(&self, device: DeviceId) -> LruIter<'_> {
-        LruIter {
-            entries: &self.entries,
-            front: self.heads[device.0],
-            back: self.tails[device.0],
-            exhausted: self.heads[device.0] == NO_ENTRY,
-        }
-    }
-
-    /// Starts tracking the untracked `lpn` on `device` with a fresh
-    /// recency token and no heat; `slot` is what [`PageDirectory::probe`]
-    /// just returned for it. The index grows once load passes 7/8.
-    fn insert(&mut self, lpn: u64, slot: usize, device: DeviceId) -> u32 {
-        self.lru_counter += 1;
-        let i = self.entries.len() as u32;
-        self.entries.push(PageEntry {
-            lpn,
-            lru_token: self.lru_counter,
-            prev: NO_ENTRY,
-            next: NO_ENTRY,
-            heat: 0,
-            heat_at_place: 0,
-            last_access: 0,
-            device: device.0 as u8,
-        });
-        if (self.entries.len() + 1) * 8 > self.index.len() * 7 {
-            self.grow_index();
-        } else {
-            self.index[slot] = i;
-        }
-        self.list_push_tail(i, device.0);
-        self.used[device.0] += 1;
-        i
-    }
-
-    /// Moves entry `i` onto `device` (possibly the one it is on) with a
-    /// fresh recency token, restarting its since-arrival heat. Returns
-    /// the device it left.
-    fn relocate(&mut self, i: u32, device: DeviceId) -> DeviceId {
-        self.lru_counter += 1;
-        let old_dev = self.device_of(i);
-        self.list_unlink(i, old_dev);
-        self.used[old_dev] -= 1;
-        let e = &mut self.entries[i as usize];
-        e.device = device.0 as u8;
-        e.lru_token = self.lru_counter;
-        e.heat_at_place = e.heat;
-        self.list_push_tail(i, device.0);
-        self.used[device.0] += 1;
-        DeviceId(old_dev)
-    }
-
-    /// Inserts or moves `lpn` onto `device`, refreshing recency. Returns
-    /// the previous residency.
-    fn place(&mut self, lpn: u64, device: DeviceId) -> Option<DeviceId> {
-        match self.probe(lpn) {
-            Ok(i) => Some(self.relocate(i, device)),
-            Err(slot) => {
-                self.insert(lpn, slot, device);
-                None
-            }
-        }
-    }
-
-    /// Refreshes recency of entry `i` without moving it.
-    fn touch(&mut self, i: u32) {
-        self.lru_counter += 1;
-        let dev = self.device_of(i);
-        if self.tails[dev] != i {
-            self.list_unlink(i, dev);
-            self.list_push_tail(i, dev);
-        }
-        self.entries[i as usize].lru_token = self.lru_counter;
-    }
-
-    /// Counts one access to entry `i` at request-clock `stamp` — a pure
-    /// metadata update that never moves LRU state, so it is invisible to
-    /// eviction and latency accounting.
-    fn record_access(&mut self, i: u32, stamp: u32) {
-        let e = &mut self.entries[i as usize];
-        e.heat = e.heat.saturating_add(1);
-        e.last_access = stamp;
-    }
-}
-
-/// Double-ended walk of one device's intrusive LRU list, oldest first.
-/// Tokens ascend front-to-back (entries only ever link in at the tail
-/// with a fresh token), matching the old `BTreeMap<token, lpn>` order.
-#[derive(Debug)]
-struct LruIter<'a> {
-    entries: &'a [PageEntry],
-    front: u32,
-    back: u32,
-    exhausted: bool,
-}
-
-impl<'a> Iterator for LruIter<'a> {
-    type Item = &'a PageEntry;
-
-    fn next(&mut self) -> Option<&'a PageEntry> {
-        if self.exhausted {
-            return None;
-        }
-        let e = &self.entries[self.front as usize];
-        if self.front == self.back {
-            self.exhausted = true;
-        } else {
-            self.front = e.next;
-        }
-        Some(e)
-    }
-}
-
-impl DoubleEndedIterator for LruIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        if self.exhausted {
-            return None;
-        }
-        let e = &self.entries[self.back as usize];
-        if self.front == self.back {
-            self.exhausted = true;
-        } else {
-            self.back = e.prev;
-        }
-        Some(e)
-    }
-}
-
-/// Per-page access metadata — the paper's block-layer metadata table
-/// (§10.2: 40 bits per page) backing the state features of Table 1.
-///
-/// A borrowed view ([`StorageManager::tracker`]) of the page directory,
-/// whose entry *is* that record: nothing is stored per page beyond the
-/// directory's 40 bytes. The access count is the entry's heat, so it
-/// saturates at `u32::MAX` accesses to one page; the last access is a
-/// 32-bit stamp of the manager's request clock and the interval their
-/// wrapping difference, exact while fewer than 2³² requests separate two
-/// accesses to a page (the `intr_t` bins saturate at 2²¹).
-#[derive(Debug, Clone, Copy)]
-pub struct AccessTracker<'a> {
-    dir: &'a PageDirectory,
-    requests_seen: u64,
-}
-
-/// One page's metadata record, as [`AccessTracker::page`] reads it with
-/// a single directory probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageRecord {
-    /// The device holding the page (the `curr_t` feature).
-    pub device: DeviceId,
-    /// Total accesses to the page so far (the `cnt_t` feature).
-    pub access_count: u64,
-    /// Requests elapsed since the page was last accessed (the `intr_t`
-    /// feature); `None` before its first access has been recorded.
-    pub access_interval: Option<u64>,
-}
-
-impl AccessTracker<'_> {
-    /// The record of `lpn`, or `None` for a page the directory does not
-    /// track (one no request has touched).
-    pub fn page(&self, lpn: u64) -> Option<PageRecord> {
-        let e = &self.dir.entries[self.dir.find(lpn)? as usize];
-        let interval = (self.requests_seen as u32).wrapping_sub(e.last_access);
-        Some(PageRecord {
-            device: DeviceId(usize::from(e.device)),
-            access_count: u64::from(e.heat),
-            access_interval: (e.heat > 0).then_some(u64::from(interval)),
-        })
-    }
-
-    /// Total accesses to `lpn` so far (the `cnt_t` feature).
-    pub fn access_count(&self, lpn: u64) -> u64 {
-        self.page(lpn).map_or(0, |r| r.access_count)
-    }
-
-    /// Requests elapsed since `lpn` was last accessed (the `intr_t`
-    /// feature), or `None` if never accessed.
-    pub fn access_interval(&self, lpn: u64) -> Option<u64> {
-        self.page(lpn)?.access_interval
-    }
-
-    /// Requests observed so far.
-    pub fn requests_seen(&self) -> u64 {
-        self.requests_seen
-    }
-}
-
 /// Device-level timing detail of the most recent foreground access —
 /// the sub-span hook the xray tracer reads after
 /// [`StorageManager::access_after`]. The *critical device* is the one
-/// whose completion determined the request's latency (reads fan out across
-/// every device holding pages; the slowest arm wins). Splitting its
-/// time into
-/// queue wait and service lets a trace attribute storage-phase latency
-/// to contention vs transfer without changing the access path: the
-/// detail is recorded from quantities the serve path already computes.
+/// whose completion determined the request's latency (reads fan out
+/// across every device holding pages; the slowest arm wins). Splitting
+/// its time into queue wait and service lets a trace attribute
+/// storage-phase latency to contention vs transfer without changing the
+/// access path: the detail is recorded from quantities the serve path
+/// already computes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccessDetail {
     /// The critical device's index.
@@ -592,23 +122,14 @@ impl AccessOutcome {
 #[derive(Debug)]
 pub struct StorageManager {
     devices: Vec<Device>,
-    capacities: Vec<u64>,
-    dir: PageDirectory,
-    victim: Box<dyn VictimPolicy + Send>,
+    res: Residency,
     stats: HssStats,
     completions: VecDeque<f64>,
     queue_window: usize,
     /// The request clock: requests accepted so far (1-based inside
     /// `access_after`). Stamps page accesses and `VictimPolicy::on_place`.
-    seq: u64,
-    demote_on_read: bool,
+    pub(crate) seq: u64,
     last_detail: AccessDetail,
-    /// Arena indices of the current request's pages, in page order —
-    /// scratch kept across requests (a request may span 2²⁴ pages, so
-    /// neither a stack array nor a per-request allocation).
-    pages: Vec<u32>,
-    /// Scratch: how many of the current read's pages each device holds.
-    per_device: Vec<u64>,
 }
 
 impl StorageManager {
@@ -627,25 +148,18 @@ impl StorageManager {
             "StorageManager: need at least two devices"
         );
         assert_eq!(
-            // sibyl-lint: allow(unwrap-in-lib) -- invariant: the devices.len() >= 2 assert above guarantees a last element
-            *capacities.last().expect("non-empty"),
-            u64::MAX,
+            capacities.last(),
+            Some(&u64::MAX),
             "StorageManager: the slowest device must be unlimited"
         );
-        let n = config.devices.len();
         StorageManager {
             devices: config.devices.iter().cloned().map(Device::new).collect(),
-            capacities,
-            dir: PageDirectory::new(n),
-            victim: Box::new(LruVictim),
-            stats: HssStats::new(n),
+            stats: HssStats::new(capacities.len()),
+            res: Residency::new(capacities),
             completions: VecDeque::new(),
             queue_window: config.queue_window,
             seq: 0,
-            demote_on_read: false,
             last_detail: AccessDetail::default(),
-            pages: Vec::new(),
-            per_device: vec![0; n],
         }
     }
 
@@ -660,13 +174,13 @@ impl StorageManager {
     /// demotion that fights promotion — the ping-pong background
     /// migration exists to avoid.
     pub fn set_read_demotion(&mut self, enabled: bool) {
-        self.demote_on_read = enabled;
+        self.res.demote_on_read = enabled;
     }
 
     /// Replaces the eviction-victim policy (the Oracle baseline installs
     /// Belady selection here).
     pub fn set_victim_policy(&mut self, victim: Box<dyn VictimPolicy + Send>) {
-        self.victim = victim;
+        self.res.victim = victim;
     }
 
     /// Number of devices.
@@ -695,13 +209,13 @@ impl StorageManager {
 
     /// The page directory (residency and LRU state).
     pub fn directory(&self) -> &PageDirectory {
-        &self.dir
+        &self.res.dir
     }
 
     /// The per-page access metadata table (a view of the directory).
     pub fn tracker(&self) -> AccessTracker<'_> {
         AccessTracker {
-            dir: &self.dir,
+            dir: &self.res.dir,
             requests_seen: self.seq,
         }
     }
@@ -721,33 +235,28 @@ impl StorageManager {
 
     /// Configured capacity of `device` in pages.
     pub fn capacity(&self, device: DeviceId) -> u64 {
-        self.capacities[device.0]
+        self.res.capacities[device.0]
     }
 
     /// Remaining free pages on `device` (the `cap_t` feature tracks this
     /// for the fast device).
     pub fn remaining_capacity(&self, device: DeviceId) -> u64 {
-        self.capacities[device.0].saturating_sub(self.dir.used_pages(device))
+        self.res.capacities[device.0].saturating_sub(self.res.dir.used_pages(device))
     }
 
     /// Remaining capacity as a fraction of the device's configured
     /// capacity (1.0 when unlimited).
     pub fn remaining_fraction(&self, device: DeviceId) -> f64 {
-        let cap = self.capacities[device.0];
-        if cap == u64::MAX || cap == 0 {
-            if cap == 0 {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            self.remaining_capacity(device) as f64 / cap as f64
+        match self.res.capacities[device.0] {
+            0 => 0.0,
+            u64::MAX => 1.0,
+            cap => self.remaining_capacity(device) as f64 / cap as f64,
         }
     }
 
     /// Current residency of `lpn` (`curr_t` feature), if tracked.
     pub fn residency(&self, lpn: u64) -> Option<DeviceId> {
-        self.dir.residency(lpn)
+        self.res.dir.residency(lpn)
     }
 
     /// Serves `req`, placing its pages on `target` per the policy's
@@ -795,29 +304,64 @@ impl StorageManager {
         }
         self.stats.placements[target.0] += 1;
 
+        // Residency first, then the foreground commands it calls for. A
+        // write is one command on its target. A read is served from
+        // wherever its pages live, one command per device, in parallel: it
+        // completes with the slowest, the critical arm (latest completion;
+        // lowest device index on ties, since the loop keeps the first
+        // maximum), which defines the device-level queue/transfer split.
         let dispatch = arrival + delay_us.max(0.0);
-        let (completion, migrated) = match req.op {
-            IoOp::Read => self.serve_read(req, target, dispatch),
-            IoOp::Write => self.serve_write(req, target, dispatch),
+        let mut critical: Option<(usize, Service)> = None;
+        let migrated = match req.op {
+            IoOp::Write => {
+                let migrated = self.res.write(req, target, self.seq);
+                let pages = u64::from(req.size_pages);
+                let svc = self.devices[target.0].serve(dispatch, IoOp::Write, req.lpn, pages);
+                critical = Some((target.0, svc));
+                migrated
+            }
+            IoOp::Read => {
+                let migrated = self.res.read(req, target, self.seq);
+                for (d, &pages) in self.res.foreground.iter().enumerate() {
+                    if pages > 0 {
+                        let svc = self.devices[d].serve(dispatch, IoOp::Read, req.lpn, pages);
+                        if critical.is_none_or(|(_, c)| svc.completion_us > c.completion_us) {
+                            critical = Some((d, svc));
+                        }
+                    }
+                }
+                migrated
+            }
         };
+        let mut completion = dispatch;
+        if let Some((device, svc)) = critical {
+            completion = svc.completion_us;
+            self.last_detail = AccessDetail {
+                device,
+                queue_us: (svc.start_us - dispatch).max(0.0),
+                transfer_us: svc.service_us,
+            };
+        }
+        // Pages a read moved are already in host memory, so the move
+        // costs one background write (a write's moves are the write).
+        if req.op == IoOp::Read && migrated > 0 {
+            let _ = self.devices[target.0].serve(completion, IoOp::Write, req.lpn, migrated);
+        }
         let latency = completion - arrival;
 
         // Background eviction wherever capacity overflowed (cascades from
-        // fastest to slowest).
-        let (eviction_us, evicted_pages) = self.enforce_capacities(completion);
-
-        // Refresh utilization for the devices' GC models.
-        self.refresh_utilizations();
-
-        // Access metadata updates *after* the decision and the eviction
-        // (policies observe pre-request state, and so does a victim
-        // policy that reads heat).
-        let stamp = self.seq as u32;
-        for &i in &self.pages {
-            self.dir.record_access(i, stamp);
+        // fastest to slowest), as bulk transfers behind the request.
+        self.res.evict_overflow(self.seq);
+        let evicted_pages = self.res.transfers.len() as u64;
+        let mut eviction_us = 0.0f64;
+        for route in self.res.routes() {
+            let (read_us, write_us) = background_transfer(&mut self.devices, route, completion);
+            eviction_us += read_us + write_us;
         }
 
-        // Stats.
+        self.refresh_utilizations();
+        self.res.record_access(self.seq);
+
         self.stats.total_requests += 1;
         match req.op {
             IoOp::Read => self.stats.reads += 1,
@@ -827,11 +371,9 @@ impl StorageManager {
         self.stats.max_latency_us = self.stats.max_latency_us.max(latency);
         self.stats.last_completion_us = self.stats.last_completion_us.max(completion);
         self.stats.histogram.record(latency as u64);
-        if evicted_pages > 0 {
-            self.stats.eviction_events += 1;
-            self.stats.evicted_pages += evicted_pages;
-            self.stats.eviction_time_us += eviction_us;
-        }
+        self.stats.eviction_events += u64::from(evicted_pages > 0);
+        self.stats.evicted_pages += evicted_pages;
+        self.stats.eviction_time_us += eviction_us;
         self.stats.migrated_pages += migrated;
         self.completions.push_back(completion);
 
@@ -844,125 +386,6 @@ impl StorageManager {
             evicted_pages,
             migrated_pages: migrated,
         }
-    }
-
-    /// Serves a read: data comes from wherever the pages live; pages
-    /// resident on a *slower* device than `target` are then promoted in
-    /// the background (the data is already in host memory, so promotion
-    /// costs one background write). Pages on `target` or faster stay
-    /// put — a read never demotes: moving read data to a slower device
-    /// would cost a write for zero benefit, and demotion is the job of
-    /// capacity eviction and [`StorageManager::migrate_batch`].
-    fn serve_read(&mut self, req: &IoRequest, target: DeviceId, arrival: f64) -> (f64, u64) {
-        // Resolve every page to its entry, once. Unknown pages
-        // materialize on the slowest device (pre-existing cold data; the
-        // paper's working set starts in slow storage).
-        let slowest = self.slowest();
-        self.pages.clear();
-        self.per_device.fill(0);
-        for p in req.pages() {
-            let i = match self.dir.probe(p) {
-                Ok(i) => i,
-                Err(slot) => {
-                    let i = self.dir.insert(p, slot, slowest);
-                    self.victim.on_place(p, slowest, self.seq);
-                    i
-                }
-            };
-            self.per_device[self.dir.device_of(i)] += 1;
-            self.pages.push(i);
-        }
-
-        // One read command per involved device; they proceed in parallel,
-        // so the request completes at the slowest one's completion. The
-        // critical arm (latest completion; lowest device index on ties,
-        // since the loop keeps the first maximum) defines the request's
-        // device-level queue/transfer split.
-        let mut completion = arrival;
-        let mut crit: Option<(usize, Service)> = None;
-        for (d, &count) in self.per_device.iter().enumerate() {
-            if count > 0 {
-                let svc = self.devices[d].serve(arrival, IoOp::Read, req.lpn, count);
-                completion = completion.max(svc.completion_us);
-                if crit.is_none_or(|(_, c)| svc.completion_us > c.completion_us) {
-                    crit = Some((d, svc));
-                }
-            }
-        }
-        if let Some((device, svc)) = crit {
-            self.last_detail = AccessDetail {
-                device,
-                queue_us: (svc.start_us - arrival).max(0.0),
-                transfer_us: svc.service_us,
-            };
-        }
-
-        // Promote pages the policy wants on a faster device; the data is
-        // already in host memory from the read, so the cost is one
-        // background write. Under `set_read_demotion(true)`,
-        // slower-targeted pages move too (the Oracle's deliberate
-        // cleanup).
-        let demote = self.demote_on_read;
-        let moves = |d: usize| d > target.0 || (demote && d != target.0);
-        let migrated: u64 = (0..self.per_device.len())
-            .filter(|&d| moves(d))
-            .map(|d| self.per_device[d])
-            .sum();
-        // Recency order: the moved pages in page order, then the ones
-        // that stayed put — which are those whose token the move pass
-        // did not push past `moved_after`.
-        let moved_after = self.dir.lru_counter;
-        if migrated > 0 {
-            let _ = self.devices[target.0].serve(completion, IoOp::Write, req.lpn, migrated);
-            for &i in &self.pages {
-                if moves(self.dir.device_of(i)) {
-                    self.dir.relocate(i, target);
-                    self.victim
-                        .on_place(self.dir.entries[i as usize].lpn, target, self.seq);
-                }
-            }
-        }
-        for &i in &self.pages {
-            if self.dir.entries[i as usize].lru_token <= moved_after {
-                self.dir.touch(i);
-            }
-        }
-        (completion, migrated)
-    }
-
-    /// Serves a write: all pages go directly to `target`; stale copies on
-    /// other devices are invalidated by the placement.
-    fn serve_write(&mut self, req: &IoRequest, target: DeviceId, arrival: f64) -> (f64, u64) {
-        let svc =
-            self.devices[target.0].serve(arrival, IoOp::Write, req.lpn, req.size_pages as u64);
-        self.last_detail = AccessDetail {
-            device: target.0,
-            queue_us: (svc.start_us - arrival).max(0.0),
-            transfer_us: svc.service_us,
-        };
-        let mut migrated = 0u64;
-        self.pages.clear();
-        for p in req.pages() {
-            let i = match self.dir.probe(p) {
-                Ok(i) if self.dir.device_of(i) == target.0 => {
-                    self.dir.touch(i);
-                    i
-                }
-                Ok(i) => {
-                    self.dir.relocate(i, target);
-                    self.victim.on_place(p, target, self.seq);
-                    migrated += 1;
-                    i
-                }
-                Err(slot) => {
-                    let i = self.dir.insert(p, slot, target);
-                    self.victim.on_place(p, target, self.seq);
-                    i
-                }
-            };
-            self.pages.push(i);
-        }
-        (svc.completion_us, migrated)
     }
 
     /// Executes a batch of background page moves — the migration
@@ -988,44 +411,16 @@ impl StorageManager {
     /// Panics if any destination device id is out of range.
     pub fn migrate_batch(&mut self, moves: &[PageMove], not_before_us: f64) -> MigrationOutcome {
         let mut outcome = MigrationOutcome::default();
-        if moves.is_empty() {
-            return outcome;
-        }
-        // Accept moves in caller order, relocating directory state
-        // immediately so capacity checks see in-batch effects; group the
-        // accepted moves by (source, destination) for bulk I/O accounting.
-        let mut groups: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
-        for mv in moves {
-            assert!(
-                mv.to.0 < self.devices.len(),
-                "migrate_batch: destination {} out of range",
-                mv.to
-            );
-            let Some(i) = self.dir.find(mv.lpn) else {
-                outcome.skipped += 1;
-                continue;
-            };
-            let from = DeviceId(self.dir.device_of(i));
-            if from == mv.to || self.remaining_capacity(mv.to) == 0 {
-                outcome.skipped += 1;
-                continue;
-            }
-            self.dir.relocate(i, mv.to);
-            self.victim.on_place(mv.lpn, mv.to, self.seq);
-            if mv.to.0 < from.0 {
-                outcome.promoted_pages += 1;
-            } else {
-                outcome.demoted_pages += 1;
-            }
-            groups.entry((from.0, mv.to.0)).or_default().push(mv.lpn);
-        }
-        for ((from, to), mut lpns) in groups {
-            lpns.sort_unstable();
-            let (read_us, reads_done) = self.bulk_read_runs(from, &lpns, not_before_us);
-            let wr = self.devices[to].serve_append(reads_done, IoOp::Write, lpns.len() as u64);
-            outcome.busy_us += read_us + wr.service_us;
+        (
+            outcome.promoted_pages,
+            outcome.demoted_pages,
+            outcome.skipped,
+        ) = self.res.migrate(moves, self.seq);
+        for route in self.res.routes() {
+            let (read_us, write_us) = background_transfer(&mut self.devices, route, not_before_us);
+            outcome.busy_us += read_us + write_us;
             outcome.read_us += read_us;
-            outcome.write_us += wr.service_us;
+            outcome.write_us += write_us;
         }
         if outcome.moved_pages() > 0 {
             self.stats.bg_migration_events += 1;
@@ -1040,1087 +435,37 @@ impl StorageManager {
     /// Refreshes every device's utilization (resident/capacity) for the
     /// GC debt models.
     fn refresh_utilizations(&mut self) {
-        for d in 0..self.devices.len() {
-            let cap = self.capacities[d];
-            let util = if cap == u64::MAX || cap == 0 {
-                0.0
-            } else {
-                self.dir.used_pages(DeviceId(d)) as f64 / cap as f64
-            };
-            self.devices[d].set_utilization(util);
+        for (d, device) in self.devices.iter_mut().enumerate() {
+            let used = self.res.dir.used_pages(DeviceId(d)) as f64;
+            device.set_utilization(match self.res.capacities[d] {
+                0 | u64::MAX => 0.0,
+                cap => used / cap as f64,
+            });
         }
     }
+}
 
-    /// Issues one background read command per contiguous run of `pages`
-    /// (sorted ascending) on device `from`, each arriving at
-    /// `not_before_us`. Returns the total read service time and the
-    /// completion time of the last read — the earliest instant the
-    /// destination write may start.
-    fn bulk_read_runs(&mut self, from: usize, pages: &[u64], not_before_us: f64) -> (f64, f64) {
-        let mut read_us = 0.0f64;
-        let mut reads_done = not_before_us;
-        let mut run_start = pages[0];
-        let mut run_len = 1u64;
-        for &p in &pages[1..] {
-            if p == run_start + run_len {
-                run_len += 1;
-            } else {
-                let rd = self.devices[from].serve(not_before_us, IoOp::Read, run_start, run_len);
-                reads_done = reads_done.max(rd.completion_us);
-                read_us += rd.service_us;
-                run_start = p;
-                run_len = 1;
-            }
-        }
-        let rd = self.devices[from].serve(not_before_us, IoOp::Read, run_start, run_len);
+/// Prices one background bulk move — an eviction's victims or one
+/// `migrate_batch` group: `route` is the pages leaving one device for
+/// another, ascending. The pages are usually scattered across the source
+/// device, so it serves one read command per contiguous run, each
+/// arriving at `not_before` (µs); the destination write is a single
+/// log-structured append once the last read is done (the management layer
+/// owns the mapping, so moved data lands wherever the device's write head
+/// is — sequential even on an HDD). Returns the source's total read
+/// service time and the destination's write service time (µs).
+fn background_transfer(devices: &mut [Device], route: &[Transfer], not_before: f64) -> (f64, f64) {
+    let (from, to, _) = route[0];
+    let mut read_us = 0.0f64;
+    let mut reads_done = not_before;
+    for run in route.chunk_by(|a, b| b.2 == a.2 + 1) {
+        let rd = devices[from].serve(not_before, IoOp::Read, run[0].2, run.len() as u64);
         reads_done = reads_done.max(rd.completion_us);
         read_us += rd.service_us;
-        (read_us, reads_done)
     }
-
-    /// Evicts overflow pages from every limited device to the next slower
-    /// one, charging both devices and returning total eviction time and
-    /// page count.
-    fn enforce_capacities(&mut self, not_before_us: f64) -> (f64, u64) {
-        let mut total_us = 0.0f64;
-        let mut total_pages = 0u64;
-        for d in 0..self.devices.len() - 1 {
-            let dev = DeviceId(d);
-            let dst = DeviceId(d + 1);
-            let cap = self.capacities[d];
-            if cap == u64::MAX {
-                continue;
-            }
-            let overflow = self.dir.used_pages(dev).saturating_sub(cap);
-            if overflow == 0 {
-                continue;
-            }
-            // Select victims one by one (policy may be Belady), then issue
-            // one batched read+write pair — evictions are background bulk
-            // transfers.
-            let mut victims = Vec::with_capacity(overflow as usize);
-            for _ in 0..overflow {
-                let v = self
-                    .victim
-                    .select_victim(dev, &self.dir)
-                    .or_else(|| self.dir.lru_first(dev));
-                match v {
-                    Some(lpn) => victims.push(lpn),
-                    None => break,
-                }
-                // Move immediately so repeated selection sees the update.
-                if let Some(&lpn) = victims.last() {
-                    self.dir.place(lpn, dst);
-                    self.victim.on_place(lpn, dst, self.seq);
-                }
-            }
-            if victims.is_empty() {
-                continue;
-            }
-            // Victims picked by LRU/Belady are usually scattered across
-            // the source device, so eviction *reads* issue one command per
-            // contiguous victim run; the destination *write* is a single
-            // log-structured append (the management layer owns the
-            // mapping, so migrated data lands wherever the device's write
-            // head is — sequential even on an HDD).
-            let n = victims.len() as u64;
-            victims.sort_unstable();
-            let (read_us, reads_done) = self.bulk_read_runs(d, &victims, not_before_us);
-            let wr = self.devices[d + 1].serve_append(reads_done, IoOp::Write, n);
-            total_us += read_us + wr.service_us;
-            total_pages += n;
-        }
-        (total_us, total_pages)
-    }
+    let wr = devices[to].serve_append(reads_done, IoOp::Write, route.len() as u64);
+    (read_us, wr.service_us)
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::device::DeviceSpec;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    fn dual_manager(fast_pages: u64) -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![fast_pages, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
-
-    fn wr(ts: u64, lpn: u64, pages: u32) -> IoRequest {
-        IoRequest::new(ts, lpn, pages, IoOp::Write)
-    }
-
-    fn rd(ts: u64, lpn: u64, pages: u32) -> IoRequest {
-        IoRequest::new(ts, lpn, pages, IoOp::Read)
-    }
-
-    #[test]
-    fn write_places_pages_on_target() {
-        let mut m = dual_manager(100);
-        let out = m.access(&wr(0, 10, 4), DeviceId(0));
-        assert_eq!(out.target, DeviceId(0));
-        assert!(!out.caused_eviction());
-        for p in 10..14 {
-            assert_eq!(m.residency(p), Some(DeviceId(0)));
-        }
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 4);
-    }
-
-    #[test]
-    fn read_of_unknown_page_lands_on_slowest() {
-        let mut m = dual_manager(100);
-        // Policy wants it kept on slow: no migration.
-        let out = m.access(&rd(0, 77, 1), DeviceId(1));
-        assert_eq!(out.migrated_pages, 0);
-        assert_eq!(m.residency(77), Some(DeviceId(1)));
-    }
-
-    #[test]
-    fn read_with_fast_target_promotes() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&rd(0, 50, 2), DeviceId(1)); // stays slow
-        let out = m.access(&rd(1, 50, 2), DeviceId(0)); // promote
-        assert_eq!(out.migrated_pages, 2);
-        assert_eq!(m.residency(50), Some(DeviceId(0)));
-        assert_eq!(m.residency(51), Some(DeviceId(0)));
-    }
-
-    #[test]
-    fn slow_reads_cost_more_than_fast_reads() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&wr(0, 0, 1), DeviceId(0));
-        let _ = m.access(&wr(0, 100, 1), DeviceId(1));
-        let f = m.access(&rd(1_000_000, 0, 1), DeviceId(0));
-        let s = m.access(&rd(2_000_000, 100, 1), DeviceId(1));
-        assert!(
-            s.latency_us > 10.0 * f.latency_us,
-            "slow {} vs fast {}",
-            s.latency_us,
-            f.latency_us
-        );
-    }
-
-    #[test]
-    fn overflow_evicts_lru_to_slow() {
-        let mut m = dual_manager(2);
-        let _ = m.access(&wr(0, 1, 1), DeviceId(0));
-        let _ = m.access(&wr(1, 2, 1), DeviceId(0));
-        let out = m.access(&wr(2, 3, 1), DeviceId(0));
-        assert!(out.caused_eviction());
-        assert_eq!(out.evicted_pages, 1);
-        assert!(out.eviction_us > 0.0);
-        // LRU victim is page 1.
-        assert_eq!(m.residency(1), Some(DeviceId(1)));
-        assert_eq!(m.residency(2), Some(DeviceId(0)));
-        assert_eq!(m.residency(3), Some(DeviceId(0)));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 2);
-    }
-
-    #[test]
-    fn eviction_cascades_in_tri_hss() {
-        let cfg = HssConfig::tri(
-            DeviceSpec::optane_ssd(),
-            DeviceSpec::tlc_ssd(),
-            DeviceSpec::hdd(),
-        )
-        .with_capacity_pages(vec![1, 1, u64::MAX]);
-        let mut m = StorageManager::new(&cfg);
-        let _ = m.access(&wr(0, 1, 1), DeviceId(0));
-        let _ = m.access(&wr(1, 2, 1), DeviceId(0)); // evicts 1 -> M
-        let _ = m.access(&wr(2, 3, 1), DeviceId(0)); // evicts 2 -> M, 1 -> L
-        assert_eq!(m.residency(3), Some(DeviceId(0)));
-        assert_eq!(m.residency(2), Some(DeviceId(1)));
-        assert_eq!(m.residency(1), Some(DeviceId(2)));
-    }
-
-    #[test]
-    fn capacity_accounting_is_conserved() {
-        let mut m = dual_manager(8);
-        for i in 0..50u64 {
-            let _ = m.access(&wr(i, i * 2, 2), DeviceId(0));
-        }
-        let fast_used = m.directory().used_pages(DeviceId(0));
-        let slow_used = m.directory().used_pages(DeviceId(1));
-        assert!(fast_used <= 8, "fast overflowed: {fast_used}");
-        assert_eq!(fast_used + slow_used, 100, "pages lost or duplicated");
-    }
-
-    #[test]
-    fn tracker_reports_counts_and_intervals() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&rd(0, 5, 1), DeviceId(1));
-        let _ = m.access(&rd(1, 6, 1), DeviceId(1));
-        let _ = m.access(&rd(2, 5, 1), DeviceId(1));
-        assert_eq!(m.tracker().access_count(5), 2);
-        assert_eq!(m.tracker().access_count(6), 1);
-        assert_eq!(m.tracker().access_count(999), 0);
-        // Page 6 was last touched at request 2 of 3.
-        assert_eq!(m.tracker().access_interval(6), Some(1));
-        assert_eq!(m.tracker().access_interval(999), None);
-    }
-
-    #[test]
-    fn closed_loop_window_bounds_queueing() {
-        // All requests arrive at t=0 targeting the HDD: without the
-        // window, latency would grow linearly without bound.
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![10, u64::MAX])
-            .with_queue_window(4);
-        let mut m = StorageManager::new(&cfg);
-        let mut latencies = Vec::new();
-        for i in 0..200u64 {
-            let out = m.access(&rd(0, i * 100, 1), DeviceId(1));
-            latencies.push(out.latency_us);
-        }
-        let tail_avg: f64 = latencies[100..].iter().sum::<f64>() / 100.0;
-        let hdd_random = 5_000.0; // seek curve + rotation + base, roughly
-        assert!(
-            tail_avg < 6.0 * hdd_random,
-            "queueing unbounded: tail avg {tail_avg} µs"
-        );
-    }
-
-    #[test]
-    fn access_after_charges_decision_delay_into_latency() {
-        let mut a = dual_manager(100);
-        let mut b = dual_manager(100);
-        let req = rd(1_000, 5, 1);
-        let plain = a.access(&req, DeviceId(1));
-        let delayed = b.access_after(&req, DeviceId(1), 25.0);
-        assert!(
-            (delayed.latency_us - plain.latency_us - 25.0).abs() < 1e-9,
-            "decision delay must appear in latency: {} vs {}",
-            delayed.latency_us,
-            plain.latency_us
-        );
-        assert_eq!(delayed.arrival_us, plain.arrival_us);
-        assert!((delayed.completion_us - plain.completion_us - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn access_after_zero_delay_matches_access() {
-        let mut a = dual_manager(8);
-        let mut b = dual_manager(8);
-        for i in 0..50u64 {
-            let req = wr(i * 10, i * 3, 2);
-            assert_eq!(
-                a.access(&req, DeviceId(0)),
-                b.access_after(&req, DeviceId(0), 0.0)
-            );
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn stats_track_placements_per_device() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&wr(0, 0, 1), DeviceId(0));
-        let _ = m.access(&wr(1, 1, 1), DeviceId(1));
-        let _ = m.access(&wr(2, 2, 1), DeviceId(1));
-        assert_eq!(m.stats().placements, vec![1, 2]);
-        assert!((m.stats().placement_fraction(0) - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn write_to_slow_invalidates_fast_copy() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&wr(0, 9, 1), DeviceId(0));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 1);
-        let _ = m.access(&wr(1, 9, 1), DeviceId(1));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 0);
-        assert_eq!(m.residency(9), Some(DeviceId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "the slowest device must be unlimited")]
-    fn limited_slow_device_rejected() {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![10, 10]);
-        let _ = StorageManager::new(&cfg);
-    }
-
-    #[test]
-    fn zero_fast_capacity_degenerates_gracefully() {
-        let mut m = dual_manager(0);
-        // Placing on fast immediately evicts; system stays consistent.
-        let out = m.access(&wr(0, 1, 2), DeviceId(0));
-        assert_eq!(out.evicted_pages, 2);
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 0);
-        assert_eq!(m.residency(1), Some(DeviceId(1)));
-    }
-
-    #[test]
-    fn reads_never_demote_by_default() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&wr(0, 9, 1), DeviceId(0));
-        // A slow-targeted read leaves the fast-resident page alone.
-        let out = m.access(&rd(1, 9, 1), DeviceId(1));
-        assert_eq!(out.migrated_pages, 0);
-        assert_eq!(m.residency(9), Some(DeviceId(0)));
-        // Promotion still works.
-        let _ = m.access(&rd(2, 200, 1), DeviceId(1));
-        let out = m.access(&rd(3, 200, 1), DeviceId(0));
-        assert_eq!(out.migrated_pages, 1);
-        assert_eq!(m.residency(200), Some(DeviceId(0)));
-    }
-
-    #[test]
-    fn read_demotion_opt_in_restores_target_following() {
-        let mut m = dual_manager(100);
-        m.set_read_demotion(true);
-        let _ = m.access(&wr(0, 9, 1), DeviceId(0));
-        let out = m.access(&rd(1, 9, 1), DeviceId(1));
-        assert_eq!(out.migrated_pages, 1, "opt-in read must demote");
-        assert_eq!(m.residency(9), Some(DeviceId(1)));
-    }
-
-    #[test]
-    fn heat_counts_accesses_and_survives_moves() {
-        let mut m = dual_manager(100);
-        assert_eq!(m.directory().heat(5), 0, "unknown page has no heat");
-        let _ = m.access(&rd(0, 5, 1), DeviceId(1));
-        let _ = m.access(&rd(1, 5, 1), DeviceId(1));
-        assert_eq!(m.directory().heat(5), 2);
-        // Promotion through migrate_batch preserves the heat history.
-        let out = m.migrate_batch(
-            &[PageMove {
-                lpn: 5,
-                to: DeviceId(0),
-            }],
-            1_000.0,
-        );
-        assert_eq!(out.promoted_pages, 1);
-        assert_eq!(m.directory().heat(5), 2, "heat survives the move");
-        let _ = m.access(&rd(2, 5, 1), DeviceId(0));
-        assert_eq!(m.directory().heat(5), 3);
-    }
-
-    #[test]
-    fn heat_since_place_resets_on_moves_and_earns_on_access() {
-        let mut m = dual_manager(100);
-        for t in 0..3u64 {
-            let _ = m.access(&rd(t, 5, 1), DeviceId(1));
-        }
-        assert_eq!(m.directory().heat(5), 3);
-        assert_eq!(m.directory().heat_since_place(5), 3);
-        // A move carries total heat but zeroes the since-arrival count.
-        let _ = m.migrate_batch(
-            &[PageMove {
-                lpn: 5,
-                to: DeviceId(0),
-            }],
-            1_000.0,
-        );
-        assert_eq!(m.directory().heat(5), 3);
-        assert_eq!(m.directory().heat_since_place(5), 0);
-        let _ = m.access(&rd(3, 5, 1), DeviceId(0));
-        assert_eq!(m.directory().heat_since_place(5), 1);
-        assert_eq!(m.directory().heat_since_place(999), 0);
-    }
-
-    #[test]
-    fn migrate_batch_moves_pages_and_accounts_time() {
-        let mut m = dual_manager(100);
-        // Two slow-resident pages, one fast-resident page.
-        let _ = m.access(&rd(0, 10, 2), DeviceId(1));
-        let _ = m.access(&wr(1, 50, 1), DeviceId(0));
-        let out = m.migrate_batch(
-            &[
-                PageMove {
-                    lpn: 50,
-                    to: DeviceId(1), // demotion first frees fast room
-                },
-                PageMove {
-                    lpn: 10,
-                    to: DeviceId(0),
-                },
-                PageMove {
-                    lpn: 11,
-                    to: DeviceId(0),
-                },
-            ],
-            10_000.0,
-        );
-        assert_eq!(out.promoted_pages, 2);
-        assert_eq!(out.demoted_pages, 1);
-        assert_eq!(out.skipped, 0);
-        assert!(out.busy_us > 0.0, "migration I/O must cost device time");
-        assert_eq!(m.residency(10), Some(DeviceId(0)));
-        assert_eq!(m.residency(11), Some(DeviceId(0)));
-        assert_eq!(m.residency(50), Some(DeviceId(1)));
-        let st = m.stats();
-        assert_eq!(st.bg_migration_events, 1);
-        assert_eq!(st.bg_promoted_pages, 2);
-        assert_eq!(st.bg_demoted_pages, 1);
-        assert!((st.bg_migration_us - out.busy_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn access_detail_tracks_the_critical_device() {
-        let mut m = dual_manager(100);
-        // A write goes to exactly the targeted device.
-        let out = m.access(&wr(0, 9, 1), DeviceId(0));
-        let d = m.last_access_detail();
-        assert_eq!(d.device, 0);
-        assert!(d.transfer_us > 0.0);
-        assert!(
-            d.queue_us + d.transfer_us <= out.completion_us - out.arrival_us + 1e-9,
-            "detail must fit inside the storage phase"
-        );
-        // A read of a slow-resident page is served by the slow device.
-        let _ = m.access(&rd(1, 500, 1), DeviceId(1));
-        assert_eq!(m.last_access_detail().device, 1);
-        // A straddling read (one page fast, one slow) is dominated by the
-        // slow arm.
-        let _ = m.access(&wr(2, 500, 1), DeviceId(0));
-        let _ = m.access(&rd(3, 600, 1), DeviceId(1));
-        let _ = m.access(&rd(10_000, 500, 2), DeviceId(1));
-        assert_eq!(m.last_access_detail().device, 1, "slow arm is critical");
-    }
-
-    #[test]
-    fn access_detail_queue_reflects_device_contention() {
-        let mut m = dual_manager(100);
-        // Back-to-back same-instant writes: the second queues behind the
-        // first on the same device.
-        let _ = m.access(&wr(0, 1, 8), DeviceId(1));
-        let first = m.last_access_detail();
-        assert_eq!(first.queue_us, 0.0, "idle device serves immediately");
-        let _ = m.access(&wr(0, 100, 8), DeviceId(1));
-        let second = m.last_access_detail();
-        assert!(
-            second.queue_us >= first.transfer_us - 1e-9,
-            "second request must wait out the first: {} vs {}",
-            second.queue_us,
-            first.transfer_us
-        );
-    }
-
-    #[test]
-    fn migration_outcome_splits_read_and_write_time() {
-        let mut m = dual_manager(100);
-        let _ = m.access(&rd(0, 10, 4), DeviceId(1));
-        let out = m.migrate_batch(
-            &[
-                PageMove {
-                    lpn: 10,
-                    to: DeviceId(0),
-                },
-                PageMove {
-                    lpn: 11,
-                    to: DeviceId(0),
-                },
-            ],
-            5_000.0,
-        );
-        assert!(out.read_us > 0.0, "bulk read must cost time");
-        assert!(out.write_us > 0.0, "append write must cost time");
-        assert!(
-            (out.read_us + out.write_us - out.busy_us).abs() < 1e-9,
-            "split must account for all busy time"
-        );
-    }
-
-    #[test]
-    fn migrate_batch_skips_invalid_and_capacity_blocked_moves() {
-        let mut m = dual_manager(1);
-        let _ = m.access(&wr(0, 1, 1), DeviceId(0)); // fast is now full
-        let _ = m.access(&rd(1, 7, 1), DeviceId(1));
-        let _ = m.access(&rd(2, 8, 1), DeviceId(1));
-        let out = m.migrate_batch(
-            &[
-                PageMove {
-                    lpn: 999, // unknown
-                    to: DeviceId(0),
-                },
-                PageMove {
-                    lpn: 1, // already on destination
-                    to: DeviceId(0),
-                },
-                PageMove {
-                    lpn: 7, // no fast capacity left
-                    to: DeviceId(0),
-                },
-            ],
-            0.0,
-        );
-        assert_eq!(out.moved_pages(), 0);
-        assert_eq!(out.skipped, 3);
-        assert_eq!(out.busy_us, 0.0);
-        assert_eq!(m.stats().bg_migration_events, 0, "no-op batch not counted");
-        // Demoting the resident page frees the slot within the same batch.
-        let out = m.migrate_batch(
-            &[
-                PageMove {
-                    lpn: 1,
-                    to: DeviceId(1),
-                },
-                PageMove {
-                    lpn: 7,
-                    to: DeviceId(0),
-                },
-            ],
-            0.0,
-        );
-        assert_eq!(out.promoted_pages, 1);
-        assert_eq!(out.demoted_pages, 1);
-        assert_eq!(m.residency(7), Some(DeviceId(0)));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 1);
-    }
-
-    #[test]
-    fn migration_io_delays_foreground_requests() {
-        // Bandwidth accounting: a foreground request issued right after a
-        // migration batch must queue behind the migration I/O on the same
-        // device.
-        let mut quiet = dual_manager(100);
-        let mut busy = dual_manager(100);
-        for m in [&mut quiet, &mut busy] {
-            for p in 0..64u64 {
-                let _ = m.access(&rd(0, 1_000 + p * 2, 1), DeviceId(1));
-            }
-        }
-        let moves: Vec<PageMove> = (0..64u64)
-            .map(|p| PageMove {
-                lpn: 1_000 + p * 2,
-                to: DeviceId(0),
-            })
-            .collect();
-        let out = busy.migrate_batch(&moves, 1_000_000.0);
-        assert_eq!(out.promoted_pages, 64);
-        // Both managers serve the same foreground read at the instant the
-        // migration started; the migrating manager's slow device is busy
-        // with 64 scattered migration reads.
-        let req = rd(1_000_000, 5_000, 1);
-        let l_quiet = quiet.access(&req, DeviceId(1)).latency_us;
-        let l_busy = busy.access(&req, DeviceId(1)).latency_us;
-        assert!(
-            l_busy > l_quiet + out.busy_us / 4.0,
-            "foreground must observe contention: quiet {l_quiet:.0} vs busy {l_busy:.0} µs \
-             (migration busy {:.0} µs)",
-            out.busy_us
-        );
-    }
-
-    #[test]
-    fn empty_device_edges_are_safe() {
-        let mut m = dual_manager(10);
-        let dir = m.directory();
-        assert_eq!(dir.lru_first(DeviceId(0)), None);
-        assert_eq!(dir.iter_lru(DeviceId(0)).count(), 0);
-        assert_eq!(dir.used_pages(DeviceId(0)), 0);
-        assert!(dir.is_empty());
-        let mut lru = LruVictim;
-        assert_eq!(lru.select_victim(DeviceId(0), m.directory()), None);
-        // Migrating nothing (and migrating unknown pages) is a no-op.
-        assert_eq!(m.migrate_batch(&[], 0.0), MigrationOutcome::default());
-        let out = m.migrate_batch(
-            &[PageMove {
-                lpn: 1,
-                to: DeviceId(0),
-            }],
-            0.0,
-        );
-        assert_eq!(out.skipped, 1);
-    }
-
-    #[test]
-    fn single_page_device_evicts_and_stays_consistent() {
-        let mut m = dual_manager(1);
-        let _ = m.access(&wr(0, 1, 1), DeviceId(0));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 1);
-        let out = m.access(&wr(1, 2, 1), DeviceId(0));
-        assert_eq!(out.evicted_pages, 1);
-        assert_eq!(m.residency(1), Some(DeviceId(1)));
-        assert_eq!(m.residency(2), Some(DeviceId(0)));
-        assert_eq!(m.directory().used_pages(DeviceId(0)), 1);
-        // The single resident page is both LRU-first and the only entry.
-        assert_eq!(m.directory().lru_first(DeviceId(0)), Some(2));
-        assert_eq!(m.directory().iter_lru(DeviceId(0)).count(), 1);
-    }
-
-    #[test]
-    fn eviction_when_every_fast_page_was_touched_this_tick() {
-        // All resident fast pages were just touched; eviction must still
-        // find a victim — the least recent of the *touched* pages.
-        let mut m = dual_manager(3);
-        for (i, lpn) in [10u64, 20, 30].iter().enumerate() {
-            let _ = m.access(&wr(i as u64, *lpn, 1), DeviceId(0));
-        }
-        // Touch all three in order 20, 30, 10 — LRU is now 20.
-        for (i, lpn) in [20u64, 30, 10].iter().enumerate() {
-            let _ = m.access(&rd(10 + i as u64, *lpn, 1), DeviceId(0));
-        }
-        let out = m.access(&wr(20, 40, 1), DeviceId(0));
-        assert!(out.caused_eviction());
-        assert_eq!(m.residency(20), Some(DeviceId(1)), "oldest touch evicts");
-        assert_eq!(m.residency(30), Some(DeviceId(0)));
-        assert_eq!(m.residency(10), Some(DeviceId(0)));
-        assert_eq!(m.residency(40), Some(DeviceId(0)));
-    }
-
-    /// The layout the compact arena replaced, kept as a test oracle:
-    /// `HashMap<lpn, meta>` plus one `BTreeMap<token, lpn>` per device,
-    /// and the tracker's two `HashMap<lpn, u64>` beside them.
-    #[derive(Default)]
-    struct ModelDirectory {
-        table: HashMap<u64, (usize, u64, u64, u64)>, // device, token, heat, heat_at_place
-        lru: Vec<BTreeMap<u64, u64>>,
-        counter: u64,
-        counts: HashMap<u64, u64>,
-        last_access: HashMap<u64, u64>,
-        requests_seen: u64,
-    }
-
-    impl ModelDirectory {
-        fn new(n: usize) -> Self {
-            ModelDirectory {
-                lru: (0..n).map(|_| BTreeMap::new()).collect(),
-                ..Default::default()
-            }
-        }
-
-        fn device(&self, lpn: u64) -> Option<usize> {
-            self.table.get(&lpn).map(|m| m.0)
-        }
-
-        fn place(&mut self, lpn: u64, dev: usize) {
-            self.counter += 1;
-            let heat = self.table.get(&lpn).map_or(0, |m| m.2);
-            if let Some(old) = self.table.insert(lpn, (dev, self.counter, heat, heat)) {
-                self.lru[old.0].remove(&old.1);
-            }
-            self.lru[dev].insert(self.counter, lpn);
-        }
-
-        fn touch(&mut self, lpn: u64) {
-            self.counter += 1;
-            let token = self.counter;
-            let m = self.table.get_mut(&lpn).expect("touch of a tracked page");
-            let (dev, old) = (m.0, m.1);
-            m.1 = token;
-            self.lru[dev].remove(&old);
-            self.lru[dev].insert(token, lpn);
-        }
-
-        fn bump_heat(&mut self, lpn: u64) {
-            self.table.get_mut(&lpn).expect("tracked page").2 += 1;
-        }
-
-        /// The storage manager's request path as it was written against
-        /// this layout: by-LPN lookups, a `to_move` list, then the
-        /// tracker's `record`. Returns `(evicted, migrated)` pages.
-        fn access(
-            &mut self,
-            req: &IoRequest,
-            target: usize,
-            caps: &[u64],
-            demote: bool,
-        ) -> (u64, u64) {
-            let slowest = self.lru.len() - 1;
-            let mut migrated = 0;
-            match req.op {
-                IoOp::Read => {
-                    for p in req.pages() {
-                        if self.device(p).is_none() {
-                            self.place(p, slowest);
-                        }
-                    }
-                    let to_move: Vec<u64> = req
-                        .pages()
-                        .filter(|&p| {
-                            let d = self.table[&p].0;
-                            d > target || (demote && d != target)
-                        })
-                        .collect();
-                    migrated = to_move.len() as u64;
-                    for &p in &to_move {
-                        self.place(p, target);
-                    }
-                    for p in req.pages().filter(|p| !to_move.contains(p)) {
-                        self.touch(p);
-                    }
-                }
-                IoOp::Write => {
-                    for p in req.pages() {
-                        match self.device(p) {
-                            Some(d) if d == target => self.touch(p),
-                            known => {
-                                migrated += u64::from(known.is_some());
-                                self.place(p, target);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut evicted = 0;
-            for (d, &cap) in caps.iter().enumerate().take(slowest) {
-                while self.lru[d].len() as u64 > cap {
-                    let victim = *self.lru[d].values().next().expect("overflowing device");
-                    self.place(victim, d + 1);
-                    evicted += 1;
-                }
-            }
-            self.requests_seen += 1;
-            for p in req.pages() {
-                self.bump_heat(p);
-                *self.counts.entry(p).or_insert(0) += 1;
-                self.last_access.insert(p, self.requests_seen);
-            }
-            (evicted, migrated)
-        }
-
-        /// `migrate_batch`'s accept/skip rule; returns `(promoted,
-        /// demoted, skipped)`.
-        fn migrate(&mut self, moves: &[PageMove], caps: &[u64]) -> (u64, u64, u64) {
-            let (mut promoted, mut demoted, mut skipped) = (0, 0, 0);
-            for mv in moves {
-                match self.device(mv.lpn) {
-                    Some(from)
-                        if from != mv.to.0 && (self.lru[mv.to.0].len() as u64) < caps[mv.to.0] =>
-                    {
-                        self.place(mv.lpn, mv.to.0);
-                        if mv.to.0 < from {
-                            promoted += 1;
-                        } else {
-                            demoted += 1;
-                        }
-                    }
-                    _ => skipped += 1,
-                }
-            }
-            (promoted, demoted, skipped)
-        }
-    }
-
-    /// Every directory and tracker observable of `m` against `model`,
-    /// over pages `0..universe` (touched or not).
-    fn assert_matches_model(m: &StorageManager, model: &ModelDirectory, universe: u64, at: &str) {
-        let dir = m.directory();
-        assert_eq!(dir.current_token(), model.counter, "token clock {at}");
-        assert_eq!(dir.len(), model.table.len(), "tracked pages {at}");
-        for d in 0..model.lru.len() {
-            let dev = DeviceId(d);
-            let theirs: Vec<(u64, u64)> = model.lru[d].iter().map(|(&t, &l)| (t, l)).collect();
-            assert_eq!(
-                dir.iter_lru(dev).collect::<Vec<_>>(),
-                theirs,
-                "LRU of {d} {at}"
-            );
-            let hot: Vec<u64> = dir.iter_hot(dev).map(|(lpn, ..)| lpn).collect();
-            let theirs_hot: Vec<u64> = theirs.iter().rev().map(|&(_, l)| l).collect();
-            assert_eq!(hot, theirs_hot, "hot walk of {d} {at}");
-            for (lpn, heat, since) in dir.iter_hot(dev) {
-                assert_eq!((heat, since), (dir.heat(lpn), dir.heat_since_place(lpn)));
-            }
-            assert_eq!(
-                dir.used_pages(dev),
-                theirs.len() as u64,
-                "used pages of {d} {at}"
-            );
-        }
-        let tracker = m.tracker();
-        assert_eq!(
-            tracker.requests_seen(),
-            model.requests_seen,
-            "request clock {at}"
-        );
-        for lpn in 0..universe {
-            let meta = model.table.get(&lpn);
-            assert_eq!(
-                dir.residency(lpn),
-                meta.map(|m| DeviceId(m.0)),
-                "residency of {lpn} {at}"
-            );
-            assert_eq!(
-                dir.recency_token(lpn),
-                meta.map(|m| m.1),
-                "token of {lpn} {at}"
-            );
-            assert_eq!(dir.heat(lpn), meta.map_or(0, |m| m.2), "heat of {lpn} {at}");
-            assert_eq!(
-                dir.heat_since_place(lpn),
-                meta.map_or(0, |m| m.2 - m.3),
-                "heat since place of {lpn} {at}"
-            );
-            assert_eq!(
-                tracker.access_count(lpn),
-                model.counts.get(&lpn).copied().unwrap_or(0),
-                "access count of {lpn} {at}"
-            );
-            assert_eq!(
-                tracker.access_interval(lpn),
-                model
-                    .last_access
-                    .get(&lpn)
-                    .map(|&t| model.requests_seen - t),
-                "access interval of {lpn} {at}"
-            );
-        }
-    }
-
-    /// One step of the lockstep property: `(kind, lpn, pages, device,
-    /// salt)`.
-    type Step = (u8, u64, u32, usize, u64);
-
-    proptest! {
-        /// The fused request path against the layout it replaced: a real
-        /// manager and [`ModelDirectory`] run the same overlapping
-        /// multi-page reads and writes, read-demotion switches and
-        /// `migrate_batch` calls on a tri-device config small enough that
-        /// evictions cascade, and agree after every step on every
-        /// directory and tracker observable, the per-call outcomes and
-        /// the counting fields of `HssStats` (its latency fields need the
-        /// device models; `report_pins.rs` holds those). The request
-        /// clock may start just below `u32::MAX`, so stamps wrap mid-run.
-        #[test]
-        fn fused_request_path_matches_the_reference_layout(
-            steps in proptest::collection::vec((0u8..10, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX), 1..60),
-            caps in (0u64..5, 0u64..7),
-            wrap in proptest::bool::ANY,
-        ) {
-            let steps: Vec<Step> = steps;
-            let caps = [caps.0, caps.1, u64::MAX];
-            let cfg = HssConfig::tri(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd(), DeviceSpec::hdd())
-                .with_capacity_pages(caps.to_vec());
-            let mut m = StorageManager::new(&cfg);
-            let mut model = ModelDirectory::new(3);
-            if wrap {
-                m.seq = u64::from(u32::MAX) - 20;
-                model.requests_seen = m.seq;
-            }
-            let mut demote = false;
-            let mut expect = HssStats::new(3);
-            for (n, &(kind, lpn, pages, device, salt)) in steps.iter().enumerate() {
-                let at = format!("after step {n} {:?}", steps[n]);
-                match kind {
-                    0..=6 => {
-                        let op = if kind < 4 { IoOp::Read } else { IoOp::Write };
-                        let req = IoRequest::new(n as u64 * 10, lpn, pages, op);
-                        let out = m.access(&req, DeviceId(device));
-                        let (evicted, migrated) = model.access(&req, device, &caps, demote);
-                        prop_assert_eq!((out.evicted_pages, out.migrated_pages), (evicted, migrated));
-                        expect.total_requests += 1;
-                        expect.reads += u64::from(op == IoOp::Read);
-                        expect.writes += u64::from(op == IoOp::Write);
-                        expect.placements[device] += 1;
-                        expect.eviction_events += u64::from(evicted > 0);
-                        expect.evicted_pages += evicted;
-                        expect.migrated_pages += migrated;
-                    }
-                    7 => {
-                        demote = !demote;
-                        m.set_read_demotion(demote);
-                    }
-                    _ => {
-                        // Up to six moves over nearby pages, destinations
-                        // from the salt: unknown pages, no-op moves and
-                        // capacity-blocked moves all occur.
-                        let moves: Vec<PageMove> = (0..u64::from(pages))
-                            .map(|k| PageMove {
-                                lpn: (lpn + k * (1 + salt % 5)) % 44,
-                                to: DeviceId(((salt >> (2 * k)) % 3) as usize),
-                            })
-                            .collect();
-                        let out = m.migrate_batch(&moves, n as f64 * 10.0);
-                        let (promoted, demoted, skipped) = model.migrate(&moves, &caps);
-                        prop_assert_eq!(
-                            (out.promoted_pages, out.demoted_pages, out.skipped),
-                            (promoted, demoted, skipped)
-                        );
-                        expect.bg_migration_events += u64::from(promoted + demoted > 0);
-                        expect.bg_promoted_pages += promoted;
-                        expect.bg_demoted_pages += demoted;
-                    }
-                }
-                assert_matches_model(&m, &model, 48, &at);
-                let st = m.stats();
-                prop_assert_eq!(
-                    (st.total_requests, st.reads, st.writes, &st.placements),
-                    (expect.total_requests, expect.reads, expect.writes, &expect.placements)
-                );
-                prop_assert_eq!(
-                    (st.eviction_events, st.evicted_pages, st.migrated_pages),
-                    (expect.eviction_events, expect.evicted_pages, expect.migrated_pages)
-                );
-                prop_assert_eq!(
-                    (st.bg_migration_events, st.bg_promoted_pages, st.bg_demoted_pages),
-                    (expect.bg_migration_events, expect.bg_promoted_pages, expect.bg_demoted_pages)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn access_interval_stays_exact_across_the_stamp_wrap() {
-        // The request clock starts three requests short of 2³²: page 5 is
-        // stamped below the wrap and read back above it.
-        let mut m = dual_manager(100);
-        m.seq = u64::from(u32::MAX) - 2;
-        let _ = m.access(&rd(0, 5, 1), DeviceId(1)); // clock 2³² − 2
-        assert_eq!(m.tracker().access_interval(5), Some(0));
-        for t in 1..=6u64 {
-            let _ = m.access(&rd(t, 6, 1), DeviceId(1)); // … up to 2³² + 4
-            assert_eq!(m.tracker().access_interval(5), Some(t));
-            assert_eq!(m.tracker().access_interval(6), Some(0));
-        }
-        assert!(m.tracker().requests_seen() > u64::from(u32::MAX));
-        assert_eq!(m.tracker().access_count(5), 1);
-        assert_eq!(m.tracker().page(7), None);
-    }
-
-    #[test]
-    fn compact_directory_matches_reference_model_exactly() {
-        // Drive the arena directory and the old-layout model through an
-        // identical deterministic op mix, comparing every observable
-        // after every step — the bit-identity contract the golden serve
-        // tests rely on.
-        let n_dev = 3;
-        let mut dir = PageDirectory::new(n_dev);
-        let mut model = ModelDirectory::new(n_dev);
-        let mut state = 0x0D1E_u64;
-        for step in 0..20_000u64 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let lpn = (state >> 8) % 512; // heavy reuse: moves + touches
-            match state % 4 {
-                0 | 1 => {
-                    let dev = (state >> 32) as usize % n_dev;
-                    assert_eq!(
-                        dir.place(lpn, DeviceId(dev)),
-                        model.table.get(&lpn).map(|m| DeviceId(m.0)),
-                        "place return at step {step}"
-                    );
-                    model.place(lpn, dev);
-                }
-                // Touches and accesses go by arena index, as the request
-                // path issues them: only ever for a tracked page.
-                2 => {
-                    if let Some(i) = dir.find(lpn) {
-                        dir.touch(i);
-                        model.touch(lpn);
-                    }
-                }
-                _ => {
-                    if let Some(i) = dir.find(lpn) {
-                        dir.record_access(i, step as u32);
-                        model.bump_heat(lpn);
-                    }
-                }
-            }
-            assert_eq!(dir.current_token(), model.counter);
-            assert_eq!(
-                dir.residency(lpn),
-                model.table.get(&lpn).map(|m| DeviceId(m.0))
-            );
-            assert_eq!(dir.heat(lpn), model.table.get(&lpn).map_or(0, |m| m.2));
-            assert_eq!(
-                dir.heat_since_place(lpn),
-                model.table.get(&lpn).map_or(0, |m| m.2 - m.3)
-            );
-            assert_eq!(dir.recency_token(lpn), model.table.get(&lpn).map(|m| m.1));
-        }
-        assert_eq!(dir.len(), model.table.len());
-        for d in 0..n_dev {
-            let dev = DeviceId(d);
-            assert_eq!(dir.used_pages(dev), model.lru[d].len() as u64);
-            assert_eq!(dir.lru_first(dev), model.lru[d].values().next().copied());
-            let ours: Vec<(u64, u64)> = dir.iter_lru(dev).collect();
-            let theirs: Vec<(u64, u64)> = model.lru[d].iter().map(|(&t, &l)| (t, l)).collect();
-            assert_eq!(ours, theirs, "forward LRU walk, device {d}");
-            let ours_rev: Vec<(u64, u64)> = dir.iter_lru(dev).rev().collect();
-            let theirs_rev: Vec<(u64, u64)> =
-                model.lru[d].iter().rev().map(|(&t, &l)| (t, l)).collect();
-            assert_eq!(ours_rev, theirs_rev, "reverse LRU walk, device {d}");
-        }
-    }
-
-    #[test]
-    fn lru_iter_is_double_ended_and_meets_in_the_middle() {
-        let mut dir = PageDirectory::new(2);
-        for lpn in 0..5u64 {
-            let _ = dir.place(lpn, DeviceId(0));
-        }
-        let mut it = dir.iter_lru(DeviceId(0));
-        assert_eq!(it.next().map(|(_, l)| l), Some(0));
-        assert_eq!(it.next_back().map(|(_, l)| l), Some(4));
-        assert_eq!(it.next().map(|(_, l)| l), Some(1));
-        assert_eq!(it.next_back().map(|(_, l)| l), Some(3));
-        assert_eq!(it.next().map(|(_, l)| l), Some(2));
-        assert_eq!(it.next(), None);
-        assert_eq!(it.next_back(), None);
-    }
-
-    #[test]
-    fn directory_bytes_tracks_footprint_not_traffic() {
-        let mut dir = PageDirectory::new(2);
-        for lpn in 0..10_000u64 {
-            let _ = dir.place(lpn, DeviceId((lpn % 2) as usize));
-        }
-        let at_10k = dir.directory_bytes();
-        // Re-touching the same pages (any amount of traffic over the same
-        // footprint) allocates nothing.
-        for round in 0..5 {
-            for lpn in 0..10_000u64 {
-                let i = dir.find(lpn).expect("placed above");
-                dir.touch(i);
-                dir.record_access(i, round as u32);
-                let _ = dir.place(lpn, DeviceId(((lpn + round) % 2) as usize));
-            }
-        }
-        assert_eq!(
-            dir.directory_bytes(),
-            at_10k,
-            "traffic over a fixed footprint must not grow the directory"
-        );
-        // The compact layout stays under 80 bytes/page even with the
-        // open-addressing index's load-factor headroom and Vec doubling
-        // slack (40-byte entries × up-to-2× capacity) — the old
-        // HashMap + BTreeMap-per-page layout was 130+ before allocator
-        // overhead.
-        assert!(
-            at_10k < 10_000 * 80,
-            "directory too fat: {} bytes for 10k pages",
-            at_10k
-        );
-    }
-
-    #[test]
-    fn lru_tokens_stay_monotone_under_interleaved_promote_demote() {
-        let mut m = dual_manager(8);
-        let mut last_token = 0u64;
-        for i in 0..40u64 {
-            let lpn = i % 10;
-            let _ = m.access(&rd(i * 10, lpn, 1), DeviceId((i % 2) as usize));
-            if i % 3 == 0 {
-                // Interleave background promotions and demotions.
-                let to = DeviceId(((i / 3) % 2) as usize);
-                let _ = m.migrate_batch(&[PageMove { lpn, to }], i as f64 * 10.0);
-            }
-            let dir = m.directory();
-            let now = dir.current_token();
-            assert!(now > last_token, "global token must advance");
-            last_token = now;
-            let tok = dir.recency_token(lpn).expect("page tracked");
-            assert!(tok <= now, "page token cannot outrun the clock");
-            // Every device's LRU index is internally ordered and every
-            // token maps back to a page resident on that device.
-            for d in 0..2 {
-                let dev = DeviceId(d);
-                let tokens: Vec<u64> = dir.iter_lru(dev).map(|(t, _)| t).collect();
-                assert!(tokens.windows(2).all(|w| w[0] < w[1]), "LRU order broken");
-                for (_, p) in dir.iter_lru(dev) {
-                    assert_eq!(dir.residency(p), Some(dev), "stale LRU entry");
-                }
-            }
-        }
-        // Conservation: 10 distinct pages tracked, split across devices.
-        let dir = m.directory();
-        assert_eq!(
-            dir.used_pages(DeviceId(0)) + dir.used_pages(DeviceId(1)),
-            10
-        );
-    }
-}
+pub(crate) mod tests;

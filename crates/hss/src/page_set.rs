@@ -2,7 +2,7 @@
 
 use std::ops::RangeInclusive;
 
-use crate::manager::mix64;
+use crate::directory::mix64;
 
 /// Pages per region: one bitmap word.
 const REGION_BITS: u32 = 6;

@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::device::DeviceId;
-use crate::manager::PageDirectory;
+use crate::directory::PageDirectory;
 use sibyl_trace::Trace;
 
 /// Chooses eviction victims for the storage manager.
