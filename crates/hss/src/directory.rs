@@ -124,8 +124,6 @@ pub(crate) struct Residency {
     /// Each device's capacity in pages (`u64::MAX` = unlimited).
     pub(crate) capacities: Vec<u64>,
     pub(crate) victim: Box<dyn VictimPolicy + Send>,
-    /// Whether a read targeted *slower* than a page's residency moves it.
-    pub(crate) demote_on_read: bool,
     /// Arena indices of the current request's pages, in page order.
     pages: Vec<u32>,
     /// How many pages of the latest read each device held (before any
@@ -394,14 +392,13 @@ impl PageDirectory {
 
 impl Residency {
     /// An empty directory over devices of `capacities` pages each, LRU
-    /// eviction, reads that only promote.
+    /// eviction.
     pub(crate) fn new(capacities: Vec<u64>) -> Self {
         Residency {
             dir: PageDirectory::new(capacities.len()),
             foreground: vec![0; capacities.len()],
             capacities,
             victim: Box::new(LruVictim),
-            demote_on_read: false,
             pages: Vec::new(),
             transfers: Vec::new(),
         }
@@ -412,12 +409,11 @@ impl Residency {
     /// (pre-existing cold data; the paper's working set starts in slow
     /// storage) — and counts into `foreground` how many each device
     /// holds. Pages on a *slower* device than `target` then move to it;
-    /// pages on `target` or faster stay put unless `demote_on_read`.
+    /// pages on `target` or faster stay put (a read never demotes).
     /// Returns the number of pages moved.
     pub(crate) fn read(&mut self, req: &IoRequest, target: DeviceId, seq: u64) -> u64 {
         let slowest = DeviceId(self.capacities.len() - 1);
-        let demote = self.demote_on_read;
-        let moves = |d: usize| d > target.0 || (demote && d != target.0);
+        let moves = |d: usize| d > target.0;
         self.pages.clear();
         self.foreground.fill(0);
         for p in req.pages() {

@@ -80,13 +80,7 @@ impl ModelDirectory {
     /// The storage manager's request path as it was written against
     /// this layout: by-LPN lookups, a `to_move` list, then the
     /// tracker's `record`. Returns `(evicted, migrated)` pages.
-    pub(crate) fn access(
-        &mut self,
-        req: &IoRequest,
-        target: usize,
-        caps: &[u64],
-        demote: bool,
-    ) -> (u64, u64) {
+    pub(crate) fn access(&mut self, req: &IoRequest, target: usize, caps: &[u64]) -> (u64, u64) {
         let slowest = self.lru.len() - 1;
         let mut migrated = 0;
         match req.op {
@@ -96,13 +90,8 @@ impl ModelDirectory {
                         self.place(p, slowest);
                     }
                 }
-                let to_move: Vec<u64> = req
-                    .pages()
-                    .filter(|&p| {
-                        let d = self.table[&p].0;
-                        d > target || (demote && d != target)
-                    })
-                    .collect();
+                let to_move: Vec<u64> =
+                    req.pages().filter(|&p| self.table[&p].0 > target).collect();
                 migrated = to_move.len() as u64;
                 for &p in &to_move {
                     self.place(p, target);
@@ -240,16 +229,16 @@ type Step = (u8, u64, u32, usize, u64);
 proptest! {
     /// The fused request path against the layout it replaced: a real
     /// manager and [`ModelDirectory`] run the same overlapping
-    /// multi-page reads and writes, read-demotion switches and
-    /// `migrate_batch` calls on a tri-device config small enough that
-    /// evictions cascade, and agree after every step on every
-    /// directory and tracker observable, the per-call outcomes and
-    /// the counting fields of `HssStats` (its latency fields are the
-    /// timing reference's, `manager/tests/timing.rs`). The request
-    /// clock may start just below `u32::MAX`, so stamps wrap mid-run.
+    /// multi-page reads and writes and `migrate_batch` calls on a
+    /// tri-device config small enough that evictions cascade, and agree
+    /// after every step on every directory and tracker observable, the
+    /// per-call outcomes and the counting fields of `HssStats` (its
+    /// latency fields are the timing reference's,
+    /// `manager/tests/timing.rs`). The request clock may start just below
+    /// `u32::MAX`, so stamps wrap mid-run.
     #[test]
     fn fused_request_path_matches_the_reference_layout(
-        steps in proptest::collection::vec((0u8..10, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX), 1..60),
+        steps in proptest::collection::vec((0u8..9, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX), 1..60),
         caps in (0u64..5, 0u64..7),
         wrap in proptest::bool::ANY,
     ) {
@@ -263,7 +252,6 @@ proptest! {
             m.seq = u64::from(u32::MAX) - 20;
             model.requests_seen = m.seq;
         }
-        let mut demote = false;
         let mut expect = HssStats::new(3);
         for (n, &(kind, lpn, pages, device, salt)) in steps.iter().enumerate() {
             let at = format!("after step {n} {:?}", steps[n]);
@@ -272,7 +260,7 @@ proptest! {
                     let op = if kind < 4 { IoOp::Read } else { IoOp::Write };
                     let req = IoRequest::new(n as u64 * 10, lpn, pages, op);
                     let out = m.access(&req, DeviceId(device));
-                    let (evicted, migrated) = model.access(&req, device, &caps, demote);
+                    let (evicted, migrated) = model.access(&req, device, &caps);
                     prop_assert_eq!((out.evicted_pages, out.migrated_pages), (evicted, migrated));
                     expect.total_requests += 1;
                     expect.reads += u64::from(op == IoOp::Read);
@@ -281,10 +269,6 @@ proptest! {
                     expect.eviction_events += u64::from(evicted > 0);
                     expect.evicted_pages += evicted;
                     expect.migrated_pages += migrated;
-                }
-                7 => {
-                    demote = !demote;
-                    m.set_read_demotion(demote);
                 }
                 _ => {
                     // Up to six moves over nearby pages, destinations

@@ -22,9 +22,11 @@
 //!   `L_e` (the ingredients of Sibyl's reward, Eq. 1).
 //! - [`PlacementPolicy`] — the interface every placement mechanism
 //!   implements (baselines in `sibyl-policies`, the RL agent in
-//!   `sibyl-core`).
-//! - [`VictimPolicy`] — pluggable eviction-victim selection (LRU default,
-//!   Belady for the Oracle).
+//!   `sibyl-core`); its one offline hook,
+//!   [`PlacementPolicy::victim_policy`], sees the whole trace.
+//! - [`VictimPolicy`] — pluggable eviction-victim selection (LRU default;
+//!   [`OracleVictim`], Belady over the [`NextUseIndex`] it owns, for the
+//!   Oracle).
 //!
 //! ## Example
 //!

@@ -163,20 +163,6 @@ impl StorageManager {
         }
     }
 
-    /// Selects whether a read whose policy target is *slower* than the
-    /// page's residency actively moves the page there (`true`), or
-    /// leaves residency alone (`false`, the default — reads only ever
-    /// promote; demotion belongs to capacity eviction and
-    /// [`StorageManager::migrate_batch`]). Future-knowledge policies
-    /// (the Oracle baseline) opt in: for them a slow-targeted read is a
-    /// deliberate, free cleanup of the fast device, whereas for learning
-    /// policies it turns every under-trained decision into a paid
-    /// demotion that fights promotion — the ping-pong background
-    /// migration exists to avoid.
-    pub fn set_read_demotion(&mut self, enabled: bool) {
-        self.res.demote_on_read = enabled;
-    }
-
     /// Replaces the eviction-victim policy (the Oracle baseline installs
     /// Belady selection here).
     pub fn set_victim_policy(&mut self, victim: Box<dyn VictimPolicy + Send>) {

@@ -216,7 +216,7 @@ fn zero_fast_capacity_degenerates_gracefully() {
 }
 
 #[test]
-fn reads_never_demote_by_default() {
+fn reads_never_demote() {
     let mut m = dual_manager(100);
     let _ = m.access(&wr(0, 9, 1), DeviceId(0));
     // A slow-targeted read leaves the fast-resident page alone.
@@ -228,16 +228,6 @@ fn reads_never_demote_by_default() {
     let out = m.access(&rd(3, 200, 1), DeviceId(0));
     assert_eq!(out.migrated_pages, 1);
     assert_eq!(m.residency(200), Some(DeviceId(0)));
-}
-
-#[test]
-fn read_demotion_opt_in_restores_target_following() {
-    let mut m = dual_manager(100);
-    m.set_read_demotion(true);
-    let _ = m.access(&wr(0, 9, 1), DeviceId(0));
-    let out = m.access(&rd(1, 9, 1), DeviceId(1));
-    assert_eq!(out.migrated_pages, 1, "opt-in read must demote");
-    assert_eq!(m.residency(9), Some(DeviceId(1)));
 }
 
 #[test]

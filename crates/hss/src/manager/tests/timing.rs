@@ -16,15 +16,14 @@ use sibyl_trace::PAGE_SIZE_BYTES;
 use std::collections::BTreeMap;
 
 /// One step of the properties, as in the directory's lockstep test:
-/// `(kind, lpn, pages, device, salt)` — kinds 0..=3 read, 4..=6 write, 7
-/// toggles read demotion, 8..=9 run a `migrate_batch` built by
-/// [`step_moves`].
+/// `(kind, lpn, pages, device, salt)` — kinds 0..=3 read, 4..=6 write,
+/// 7..=8 run a `migrate_batch` built by [`step_moves`].
 type Step = (u8, u64, u32, usize, u64);
 
 /// The directory lockstep test's step generator.
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..10, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX),
+        (0u8..9, 0u64..40, 1u32..7, 0usize..3, 0u64..u64::MAX),
         1..60,
     )
 }
@@ -178,7 +177,6 @@ proptest! {
         let mut m = StorageManager::new(&cfg);
         let mut model = ModelDirectory::new(3);
         let mut queue = QueueModel::new(depth);
-        let mut demote = false;
         let mut expect = HssStats::new(3);
         for (n, &(kind, lpn, pages, device, salt)) in steps.iter().enumerate() {
             let at = format!("after step {n} {:?}", steps[n]);
@@ -194,7 +192,7 @@ proptest! {
                         foreground[d] += 1;
                     }
                     let out = m.access_after(&req, DeviceId(device), delay);
-                    let (evicted, migrated) = model.access(&req, device, &caps, demote);
+                    let (evicted, migrated) = model.access(&req, device, &caps);
 
                     let arrival = queue.arrive(req.timestamp_us);
                     let dispatch = arrival + delay;
@@ -238,10 +236,6 @@ proptest! {
                     // difference could land in another bucket: bin the
                     // latency just checked against the model's.
                     expect.histogram.record(out.latency_us as u64);
-                }
-                7 => {
-                    demote = !demote;
-                    m.set_read_demotion(demote);
                 }
                 _ => {
                     let moves = step_moves(lpn, pages, salt);
@@ -291,7 +285,6 @@ proptest! {
             .with_capacity_pages(caps.to_vec())
             .with_queue_window(depth);
         let mut m = StorageManager::new(&cfg);
-        let mut demote = false;
         let mut clocks = [0.0f64; 3];
         let mut completions: Vec<f64> = Vec::new();
         let (mut sum_latency, mut sum_eviction) = (0.0f64, 0.0f64);
@@ -328,10 +321,6 @@ proptest! {
                     }
                     pages_read += out.evicted_pages;
                     pages_written += out.evicted_pages;
-                }
-                7 => {
-                    demote = !demote;
-                    m.set_read_demotion(demote);
                 }
                 _ => {
                     let out = m.migrate_batch(&step_moves(lpn, pages, salt), n as f64 * 10.0);

@@ -17,7 +17,7 @@
 
 use crate::device::DeviceId;
 use crate::manager::{AccessOutcome, StorageManager};
-use sibyl_trace::IoRequest;
+use sibyl_trace::{IoRequest, Trace};
 
 /// Read-only view of the system a policy may consult when deciding a
 /// placement (residency, capacities, access metadata — the inputs behind
@@ -45,28 +45,17 @@ pub trait PlacementPolicy: std::fmt::Debug {
         let _ = (req, outcome, ctx);
     }
 
-    /// Called once before the run starts with the number of devices and
-    /// (for offline/Oracle-style policies) the full trace. Default: no-op.
-    fn prepare(&mut self, num_devices: usize, trace: &sibyl_trace::Trace) {
+    /// The policy's one offline hook: called once before the run with the
+    /// number of devices and the full trace, it returns an eviction-victim
+    /// policy to install into the storage manager, or `None` to keep the
+    /// default LRU. The Oracle baseline returns its Belady selector here.
+    fn victim_policy(
+        &self,
+        num_devices: usize,
+        trace: &Trace,
+    ) -> Option<Box<dyn crate::VictimPolicy + Send>> {
         let _ = (num_devices, trace);
-    }
-
-    /// An eviction-victim policy to install into the storage manager, or
-    /// `None` to keep the default LRU. Called after
-    /// [`PlacementPolicy::prepare`]. The Oracle baseline returns its
-    /// Belady selector here.
-    fn victim_policy(&self) -> Option<Box<dyn crate::VictimPolicy + Send>> {
         None
-    }
-
-    /// Whether a read targeted at a *slower* device than the page's
-    /// residency should actively demote the page there
-    /// (see [`StorageManager::set_read_demotion`]). Default: `false` —
-    /// reads only promote. The Oracle baseline opts in: with complete
-    /// future knowledge, a slow-targeted read is a deliberate, free
-    /// cleanup of the fast device rather than an under-trained guess.
-    fn wants_read_demotion(&self) -> bool {
-        false
     }
 }
 
@@ -75,7 +64,7 @@ mod tests {
     use super::*;
     use crate::config::HssConfig;
     use crate::device::DeviceSpec;
-    use sibyl_trace::{IoOp, Trace};
+    use sibyl_trace::IoOp;
 
     /// A minimal policy for exercising the trait's default methods.
     #[derive(Debug)]
@@ -98,7 +87,7 @@ mod tests {
         let mut mgr = StorageManager::new(&cfg);
         let mut p = AlwaysFast;
         let trace = Trace::from_requests("t", vec![IoRequest::new(0, 0, 1, IoOp::Write)]);
-        p.prepare(2, &trace);
+        assert!(p.victim_policy(2, &trace).is_none());
         let req = trace.requests()[0];
         let target = {
             let ctx = PlacementContext {

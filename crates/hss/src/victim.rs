@@ -6,7 +6,6 @@
 //! farthest-future-use selector through the [`VictimPolicy`] trait.
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::device::DeviceId;
 use crate::directory::PageDirectory;
@@ -43,8 +42,7 @@ impl VictimPolicy for LruVictim {
 /// `(page, request)` array, so a lookup is a binary search and nothing
 /// about it depends on a hasher.
 ///
-/// Built once from the full trace; shared (immutably) between the Oracle
-/// placement policy and [`OracleVictim`].
+/// Built once from the full trace; [`OracleVictim`] owns it.
 #[derive(Debug, Default)]
 pub struct NextUseIndex {
     accesses: Vec<(u64, u64)>,
@@ -93,24 +91,25 @@ impl NextUseIndex {
 /// patterns ... to select victim data blocks for eviction from the fast
 /// device").
 ///
-/// Maintains a lazy max-heap per device keyed by each resident page's next
-/// future use; stale entries (pages that moved or were re-placed) are
-/// skipped during selection by re-validating against the [`PageDirectory`]
-/// and the index.
+/// Maintains a lazy max-heap per capacity-limited device keyed by each
+/// resident page's next future use; stale entries (pages that moved or
+/// were re-placed) are skipped during selection by re-validating against
+/// the [`PageDirectory`]. The slowest device never evicts, so it has no
+/// heap and placements onto it are not recorded.
 #[derive(Debug)]
 pub struct OracleVictim {
-    future: Arc<NextUseIndex>,
-    /// Lazy max-heaps per device: (next_use_seq, lpn).
+    future: NextUseIndex,
+    /// Lazy max-heaps of devices `0..n_devices - 1`: (next_use_seq, lpn).
     heaps: Vec<BinaryHeap<(u64, u64)>>,
 }
 
 impl OracleVictim {
-    /// Creates a selector for `n_devices` devices sharing the trace's
+    /// Creates a selector for `n_devices` devices over the trace's
     /// future-knowledge index.
-    pub fn new(n_devices: usize, future: Arc<NextUseIndex>) -> Self {
+    pub fn new(n_devices: usize, future: NextUseIndex) -> Self {
         OracleVictim {
             future,
-            heaps: (0..n_devices).map(|_| BinaryHeap::new()).collect(),
+            heaps: (1..n_devices).map(|_| BinaryHeap::new()).collect(),
         }
     }
 }
@@ -194,8 +193,7 @@ mod tests {
         for (i, r) in trace.iter().enumerate() {
             full.push((i as u64, r.lpn));
         }
-        let idx = Arc::new(NextUseIndex::build(&trace));
-        let mut oracle = OracleVictim::new(2, Arc::clone(&idx));
+        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
         let mut mgr = manager_with_fast_capacity(100);
         let fast = DeviceId(0);
         for (seq, (_, lpn)) in full.iter().take(3).enumerate() {
@@ -211,8 +209,7 @@ mod tests {
     #[test]
     fn oracle_skips_stale_entries() {
         let trace = trace_of(&[(0, 7), (1, 7)]);
-        let idx = Arc::new(NextUseIndex::build(&trace));
-        let mut oracle = OracleVictim::new(2, idx);
+        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
         let mut mgr = manager_with_fast_capacity(100);
         let fast = DeviceId(0);
         let slow = DeviceId(1);
@@ -224,9 +221,20 @@ mod tests {
     }
 
     #[test]
+    fn oracle_keeps_no_heap_for_the_slowest_device() {
+        let trace = trace_of(&[(0, 7), (1, 7)]);
+        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
+        let mut mgr = manager_with_fast_capacity(100);
+        let slow = DeviceId(1);
+        let _ = mgr.access(&IoRequest::new(0, 7, 1, IoOp::Read), slow);
+        oracle.on_place(7, slow, 1);
+        assert_eq!(oracle.heaps.len(), 1, "one heap per evicting device");
+        assert_eq!(oracle.select_victim(slow, mgr.directory()), None);
+    }
+
+    #[test]
     fn oracle_empty_returns_none() {
-        let idx = Arc::new(NextUseIndex::default());
-        let mut oracle = OracleVictim::new(2, idx);
+        let mut oracle = OracleVictim::new(2, NextUseIndex::default());
         let mgr = manager_with_fast_capacity(10);
         assert_eq!(oracle.select_victim(DeviceId(0), mgr.directory()), None);
     }

@@ -14,8 +14,9 @@
 //!   promotion or eviction of its own.
 //! - [`RnnHss`] — an RNN hotness predictor adapted from Kleio (Doudali et
 //!   al.): offline profiling phase, then per-page hot/cold classification.
-//! - [`Oracle`] — complete future knowledge (placement by next-use
-//!   distance, Belady eviction).
+//! - [`Oracle`] — complete future knowledge, spent on eviction: writes go
+//!   to the fastest device, reads are served where they live, and the
+//!   victim is the resident whose next use is farthest (Belady).
 //! - [`TriHybridHeuristic`] — the hot/cold/frozen three-device heuristic
 //!   (Matsui et al. \[76\]) used as the tri-HSS baseline in §8.7.
 //!
@@ -38,6 +39,6 @@ pub use archivist::{Archivist, ArchivistConfig};
 pub use cde::{Cde, CdeConfig};
 pub use extremes::{FastOnly, SlowOnly};
 pub use hps::{Hps, HpsConfig};
-pub use oracle::{Oracle, OracleConfig};
+pub use oracle::Oracle;
 pub use rnn_hss::{RnnHss, RnnHssConfig};
 pub use tri_hybrid::{TriHybridConfig, TriHybridHeuristic};

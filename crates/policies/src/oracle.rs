@@ -3,136 +3,58 @@
 //! placement and to select victim data blocks for eviction from the fast
 //! device."
 //!
-//! Placement is Belady-style: a request's pages go to the fastest device
-//! whose *reuse horizon* covers the page's next future access; pages that
-//! will not be reused soon go straight to slower storage. Eviction uses
-//! the farthest-next-use selector ([`sibyl_hss::OracleVictim`]). The
-//! paper uses the Oracle as the ceiling every policy is measured against
-//! (Sibyl reaches ~80 % of it, §8.1).
-
-use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
+//! In this storage model future knowledge pays only in the second half of
+//! that sentence. The fast device is write-back and an eviction costs one
+//! bulk read plus one sequential append behind the request, so a write is
+//! served fast even when it displaces a page; a read that moves data pays
+//! a slow read, a background write and possibly an eviction for hits it
+//! may never get. So placement needs no future: a write targets the
+//! fastest device, and a read targets the device that already holds its
+//! first page (the slowest for a page never seen), so it moves no data
+//! unless its pages straddle devices. What the future decides is *what
+//! stays* fast: eviction is the farthest-next-use selector
+//! ([`sibyl_hss::OracleVictim`]). The paper uses the Oracle as the ceiling
+//! every policy is measured against (Sibyl reaches ~80 % of it, §8.1).
 
 use sibyl_hss::{
     DeviceId, NextUseIndex, OracleVictim, PlacementContext, PlacementPolicy, VictimPolicy,
 };
 use sibyl_trace::{IoRequest, Trace};
 
-/// Tuning for [`Oracle`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OracleConfig {
-    /// Scales the reuse horizon for *read* requests: a read's pages are
-    /// promoted to device `d` only when the next use arrives within
-    /// `horizon_scale × capacity(d) / avg_request_pages` future requests
-    /// (promotion has no immediate benefit, only future hits).
-    pub horizon_scale: f64,
-    /// Scales the horizon for *write* requests. Writes benefit from fast
-    /// placement immediately (the write itself is served faster), so the
-    /// Oracle is more aggressive with them.
-    pub write_horizon_scale: f64,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            horizon_scale: 4.0,
-            write_horizon_scale: 24.0,
-        }
-    }
-}
-
-/// The future-knowledge Oracle baseline.
+/// The future-knowledge Oracle baseline: writes land fast, reads stay
+/// where they are, Belady picks the victim.
 ///
 /// # Examples
 ///
 /// ```
 /// use sibyl_policies::Oracle;
 /// use sibyl_hss::PlacementPolicy;
-/// assert_eq!(Oracle::default().name(), "Oracle");
+/// assert_eq!(Oracle.name(), "Oracle");
 /// ```
-#[derive(Debug, Default)]
-pub struct Oracle {
-    config: OracleConfig,
-    future: Option<Arc<NextUseIndex>>,
-    num_devices: usize,
-    /// Average request size (pages) over the trace, used to convert
-    /// page-denominated capacities into request-denominated horizons.
-    avg_request_pages: f64,
-}
-
-impl Oracle {
-    /// Creates an Oracle with explicit horizon scaling.
-    pub fn new(config: OracleConfig) -> Self {
-        Oracle {
-            config,
-            future: None,
-            num_devices: 0,
-            avg_request_pages: 1.0,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Oracle;
 
 impl PlacementPolicy for Oracle {
     fn name(&self) -> &str {
         "Oracle"
     }
 
-    fn prepare(&mut self, num_devices: usize, trace: &Trace) {
-        self.future = Some(Arc::new(NextUseIndex::build(trace)));
-        self.num_devices = num_devices;
-        let total_pages: u64 = trace.iter().map(|r| r.size_pages as u64).sum();
-        self.avg_request_pages = (total_pages as f64 / trace.len().max(1) as f64).max(1.0);
-    }
-
-    fn victim_policy(&self) -> Option<Box<dyn VictimPolicy + Send>> {
-        let future = self.future.as_ref()?;
+    fn victim_policy(
+        &self,
+        num_devices: usize,
+        trace: &Trace,
+    ) -> Option<Box<dyn VictimPolicy + Send>> {
         Some(Box::new(OracleVictim::new(
-            self.num_devices.max(2),
-            Arc::clone(future),
+            num_devices,
+            NextUseIndex::build(trace),
         )))
     }
 
-    /// The Oracle *knows* a slow-targeted read's page will not be reused
-    /// within the fast device's horizon, so moving it out is a free,
-    /// deliberate cleanup — not an under-trained guess.
-    fn wants_read_demotion(&self) -> bool {
-        true
-    }
-
     fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        let future = self
-            .future
-            .as_ref()
-            // sibyl-lint: allow(unwrap-in-lib) -- documented precondition: prepare() must run before place(); policy-harness bug otherwise
-            .expect("Oracle::place called before prepare()");
-        let next = future.next_use_after(req.lpn, ctx.seq);
-        if next == u64::MAX {
-            // Never used again: nothing to gain from fast placement.
-            return ctx.manager.slowest();
+        if req.op.is_write() {
+            return ctx.manager.fastest();
         }
-        let distance = next - ctx.seq;
-        let scale = if req.op.is_write() {
-            self.config.write_horizon_scale
-        } else {
-            self.config.horizon_scale
-        };
-        // Fastest device whose horizon covers the reuse distance. A
-        // device holding `cap` pages retains a page for roughly
-        // `cap / avg_request_pages` requests before LRU pressure evicts
-        // it — the Belady-style cache-worthiness test.
-        let n = ctx.manager.num_devices();
-        for d in 0..n - 1 {
-            let cap = ctx.manager.capacity(DeviceId(d));
-            if cap == u64::MAX {
-                return DeviceId(d);
-            }
-            let horizon = (cap as f64 / self.avg_request_pages * scale) as u64;
-            if distance <= horizon {
-                return DeviceId(d);
-            }
-        }
-        ctx.manager.slowest()
+        (ctx.manager.residency(req.lpn)).unwrap_or_else(|| ctx.manager.slowest())
     }
 }
 
@@ -148,86 +70,47 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    fn trace(lpns: &[u64]) -> Trace {
-        Trace::from_requests(
-            "o",
-            lpns.iter()
-                .enumerate()
-                .map(|(i, &l)| IoRequest::new(i as u64, l, 1, IoOp::Read))
-                .collect(),
-        )
+    /// Places `req` with the Oracle at sequence `seq` and serves it.
+    fn serve(mgr: &mut StorageManager, req: IoRequest, seq: u64) -> (DeviceId, u64) {
+        let target = Oracle.place(&req, &PlacementContext { manager: mgr, seq });
+        (target, mgr.access(&req, target).migrated_pages)
     }
 
     #[test]
-    fn soon_reused_pages_go_fast() {
-        // Page 5 reused immediately; page 9 never again.
-        let t = trace(&[5, 5, 9]);
-        let mut o = Oracle::default();
-        o.prepare(2, &t);
-        let mgr = manager(100);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        assert_eq!(o.place(&t.requests()[0], &ctx), DeviceId(0));
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 2,
-        };
-        assert_eq!(o.place(&t.requests()[2], &ctx), DeviceId(1));
+    fn a_write_never_used_again_still_goes_fast() {
+        // Page 9 is written once and never touched again.
+        let mut mgr = manager(10);
+        let (target, _) = serve(&mut mgr, IoRequest::new(0, 9, 1, IoOp::Write), 0);
+        assert_eq!(target, DeviceId(0));
+        assert_eq!(mgr.residency(9), Some(DeviceId(0)));
     }
 
     #[test]
-    fn horizon_respects_fast_capacity() {
-        // Page 5's next reuse is 50 requests away; fast capacity is 10
-        // pages, so the reuse distance exceeds the horizon.
-        let mut lpns = vec![5u64];
-        lpns.extend(1_000..1_049);
-        lpns.push(5);
-        let t = trace(&lpns);
-        let mut o = Oracle::default();
-        o.prepare(2, &t);
-        let mgr = manager(10);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        assert_eq!(o.place(&t.requests()[0], &ctx), DeviceId(1));
-        // With a generous horizon it flips to fast.
-        let mut o2 = Oracle::new(OracleConfig {
-            horizon_scale: 10.0,
-            write_horizon_scale: 10.0,
-        });
-        o2.prepare(2, &t);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        assert_eq!(o2.place(&t.requests()[0], &ctx), DeviceId(0));
-    }
-
-    #[test]
-    fn provides_belady_victim_policy_after_prepare() {
-        let t = trace(&[1, 2, 1]);
-        let mut o = Oracle::default();
-        assert!(
-            o.victim_policy().is_none(),
-            "no victim policy before prepare"
+    fn a_read_stays_on_the_device_holding_its_first_page() {
+        let mut mgr = manager(10);
+        let _ = serve(&mut mgr, IoRequest::new(0, 5, 1, IoOp::Write), 0);
+        // Fast-resident: read in place on the fast device.
+        assert_eq!(
+            serve(&mut mgr, IoRequest::new(1, 5, 1, IoOp::Read), 1),
+            (DeviceId(0), 0)
         );
-        o.prepare(2, &t);
-        assert!(o.victim_policy().is_some());
+        // Unknown: read in place on the slowest device, no promotion.
+        assert_eq!(
+            serve(&mut mgr, IoRequest::new(2, 7, 1, IoOp::Read), 2),
+            (DeviceId(1), 0)
+        );
+        assert_eq!(mgr.residency(5), Some(DeviceId(0)));
+        assert_eq!(mgr.residency(7), Some(DeviceId(1)));
     }
 
     #[test]
-    #[should_panic(expected = "before prepare")]
-    fn place_without_prepare_panics() {
-        let mut o = Oracle::default();
-        let mgr = manager(10);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        let req = IoRequest::new(0, 0, 1, IoOp::Read);
-        let _ = o.place(&req, &ctx);
+    fn provides_a_belady_victim_policy() {
+        let t = Trace::from_requests(
+            "o",
+            (0..3)
+                .map(|i| IoRequest::new(i, [1, 2, 1][i as usize], 1, IoOp::Read))
+                .collect(),
+        );
+        assert!(Oracle.victim_policy(2, &t).is_some());
     }
 }

@@ -188,11 +188,9 @@ impl Experiment {
         let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
         let resolved = config.resolved(footprint);
         let mut manager = StorageManager::new(&resolved);
-        policy.prepare(manager.num_devices(), &self.trace);
-        if let Some(victim) = policy.victim_policy() {
+        if let Some(victim) = policy.victim_policy(manager.num_devices(), &self.trace) {
             manager.set_victim_policy(victim);
         }
-        manager.set_read_demotion(policy.wants_read_demotion());
         for (seq, orig) in self.trace.iter().enumerate() {
             let mut req = *orig;
             if self.time_scale != 1.0 {
@@ -339,6 +337,32 @@ mod tests {
         let oracle = exp.run(PolicyKind::Oracle).unwrap();
         assert_eq!(oracle.policy, "Oracle");
         assert!(oracle.metrics.total_requests == 2_000);
+    }
+
+    #[test]
+    fn oracle_evicts_the_resident_used_farthest_in_the_future() {
+        // Pages 1, 2, 3 are written to a two-page fast device; the third
+        // write evicts one. Next uses: page 1 at request 3, page 3 at 4,
+        // page 2 never — so Belady evicts 2 where LRU would evict 1. The
+        // Oracle reads a page where it lives, so each read's target is
+        // the page's residency at that request.
+        use sibyl_trace::{IoOp, IoRequest};
+        let (w, r) = (IoOp::Write, IoOp::Read);
+        let requests = [(1, w), (2, w), (3, w), (1, r), (3, r)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(lpn, op))| IoRequest::new(i as u64 * 1_000, lpn, 1, op))
+            .collect();
+        let hss = hm().with_capacity_pages(vec![2, u64::MAX]);
+        let exp = Experiment::new(hss, Trace::from_requests("belady", requests));
+        let oracle = exp.run(PolicyKind::Oracle).unwrap().metrics;
+        assert_eq!(oracle.evicted_pages, 1);
+        assert_eq!(oracle.migrated_pages, 0);
+        assert_eq!(
+            oracle.placements,
+            vec![5, 0],
+            "pages 1 and 3 must still be fast-resident when read"
+        );
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl PolicyKind {
             PolicyKind::Hps => Box::new(Hps::default()),
             PolicyKind::Archivist => Box::new(Archivist::default()),
             PolicyKind::RnnHss => Box::new(RnnHss::default()),
-            PolicyKind::Oracle => Box::new(Oracle::default()),
+            PolicyKind::Oracle => Box::new(Oracle),
             PolicyKind::TriHybridHeuristic => Box::new(TriHybridHeuristic::default()),
             PolicyKind::Sibyl(cfg) => Box::new(SibylAgent::new((**cfg).clone())),
         }
