@@ -4,9 +4,10 @@
 //!
 //! Headline claims being reproduced in shape: Sibyl outperforms the
 //! heuristic and supervised baselines on average, and reaches ~80 % of
-//! the Oracle.
+//! the Oracle. The `vs_paper` table sets this run's averages beside §8's
+//! published numbers.
 
-use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, Cell, Figure};
+use sibyl_bench::{by_name, hm_hl_panels, seed, trace_len, vs_paper, Cell, Figure};
 use sibyl_sim::PolicyKind;
 use sibyl_trace::msrc::{self, Workload};
 
@@ -20,12 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let traces = Workload::ALL.map(|wl| msrc::generate(wl, n, seed()));
     let policies = by_name(PolicyKind::standard_suite());
-    fig.grid(
+    let averages = fig.grid(
         &hm_hl_panels(),
         "workload",
         &traces,
         &policies,
         Cell::NormLatency,
     )?;
+    println!("Sibyl's average against the paper's (§8)");
+    fig.table("vs_paper", &vs_paper(&policies, &averages));
     Ok(fig.finish()?)
 }

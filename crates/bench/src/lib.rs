@@ -907,7 +907,7 @@ impl<W: Write> Figure<W> {
     /// table unless empty, configuration)` — one table whose rows are
     /// `traces`, whose columns are the labelled policies and whose last
     /// row, `AVG`, is each column's [`Cell`] mean over the unrounded
-    /// values.
+    /// values. Returns those unrounded `AVG` rows, one per panel.
     ///
     /// # Errors
     ///
@@ -919,9 +919,10 @@ impl<W: Write> Figure<W> {
         traces: &[Trace],
         columns: &[(&str, PolicyKind)],
         cell: Cell,
-    ) -> Result<(), SimError> {
+    ) -> Result<Vec<Vec<f64>>, SimError> {
         let labels = columns.iter().map(|(label, _)| *label);
         let policies: Vec<PolicyKind> = columns.iter().map(|(_, p)| p.clone()).collect();
+        let mut averages = Vec::with_capacity(panels.len());
         for (name, heading, hss) in panels {
             let mut table = Table::new(std::iter::once(row_header).chain(labels.clone()));
             let mut values = Vec::with_capacity(traces.len());
@@ -938,8 +939,9 @@ impl<W: Write> Figure<W> {
                 self.emit(format_args!("{heading}\n"));
             }
             self.table(name, &table);
+            averages.push(avg);
         }
-        Ok(())
+        Ok(averages)
     }
 
     /// The table shape of Figs. 8, 14 and 15: one row per swept point
@@ -1041,6 +1043,68 @@ impl Cell {
     }
 }
 
+/// §8: Sibyl's average latency gain over the best baseline on H&M.
+pub const PAPER_GAIN_VS_BEST_HM: f64 = 0.216;
+/// §8: Sibyl's average latency gain over the best baseline on H&L.
+pub const PAPER_GAIN_VS_BEST_HL: f64 = 0.199;
+/// §8: the share of the Oracle's performance Sibyl reaches ("~80 %").
+pub const PAPER_SHARE_OF_ORACLE: f64 = 0.80;
+
+/// Fig. 9's average against §8's published numbers: given the
+/// [`Figure::grid`] `columns` and the unrounded `AVG` rows it returned for
+/// [`hm_hl_panels`], one row per panel and claim with this repo's value,
+/// the paper's and the difference (this repo − paper).
+///
+/// The gain is `1 − Sibyl / best baseline`, the best baseline being the
+/// lowest average among the policies that are neither Sibyl nor the
+/// Oracle; the Oracle share is `Oracle / Sibyl` (latency, so performance
+/// inverted).
+///
+/// # Panics
+///
+/// Panics unless `columns` hold Sibyl, the Oracle and a baseline, and
+/// `averages` one row per H&M/H&L panel.
+pub fn vs_paper(columns: &[(&str, PolicyKind)], averages: &[Vec<f64>]) -> Table {
+    let column = |wanted: fn(&PolicyKind) -> bool| {
+        columns
+            .iter()
+            .position(|(_, p)| wanted(p))
+            .expect("the columns hold Sibyl and the Oracle")
+    };
+    let sibyl = column(|p| matches!(p, PolicyKind::Sibyl(_)));
+    let oracle = column(|p| matches!(p, PolicyKind::Oracle));
+    let [hm, hl] = averages else {
+        panic!("one AVG row per H&M/H&L panel");
+    };
+    let mut table = Table::new(["claim", "this repo", "paper", "difference"]);
+    for (panel, avg, paper_gain) in [
+        ("H&M", hm, PAPER_GAIN_VS_BEST_HM),
+        ("H&L", hl, PAPER_GAIN_VS_BEST_HL),
+    ] {
+        let best = (0..avg.len())
+            .filter(|&c| c != sibyl && c != oracle)
+            .map(|c| avg[c])
+            .reduce(f64::min)
+            .expect("the columns hold a baseline");
+        for (claim, ours, paper) in [
+            ("gain vs best baseline", 1.0 - avg[sibyl] / best, paper_gain),
+            (
+                "share of Oracle",
+                avg[oracle] / avg[sibyl],
+                PAPER_SHARE_OF_ORACLE,
+            ),
+        ] {
+            table.add_row(vec![
+                format!("{panel} {claim}"),
+                format!("{ours:.3}"),
+                format!("{paper:.3}"),
+                format!("{:.3}", ours - paper),
+            ]);
+        }
+    }
+    table
+}
+
 /// Labels each policy with its display name, as [`Figure::grid`] columns.
 pub fn by_name(policies: Vec<PolicyKind>) -> Vec<(&'static str, PolicyKind)> {
     policies.into_iter().map(|p| (p.name(), p)).collect()
@@ -1049,6 +1113,43 @@ pub fn by_name(policies: Vec<PolicyKind>) -> Vec<(&'static str, PolicyKind)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The comparison finds Sibyl and the Oracle by policy and takes the
+    /// best of the rest, on hand-checkable averages.
+    #[test]
+    fn vs_paper_compares_sibyl_with_the_best_baseline_and_the_oracle() {
+        let columns = by_name(PolicyKind::standard_suite());
+        let labels: Vec<&str> = columns.iter().map(|(label, _)| *label).collect();
+        assert_eq!(
+            labels,
+            [
+                "Slow-Only",
+                "CDE",
+                "HPS",
+                "Archivist",
+                "RNN-HSS",
+                "Sibyl",
+                "Oracle"
+            ]
+        );
+        let hm = vec![4.0, 2.5, 4.5, 3.0, 3.0, 2.0, 1.6];
+        let hl = vec![27.0, 9.0, 23.0, 20.0, 21.0, 27.0, 7.0];
+        let table = vs_paper(&columns, &[hm, hl]);
+        let cells: Vec<Vec<&str>> = table
+            .rows()
+            .iter()
+            .map(|row| row.iter().map(String::as_str).collect())
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ["H&M gain vs best baseline", "0.200", "0.216", "-0.016"],
+                ["H&M share of Oracle", "0.800", "0.800", "0.000"],
+                ["H&L gain vs best baseline", "-2.000", "0.199", "-2.199"],
+                ["H&L share of Oracle", "0.259", "0.800", "-0.541"],
+            ]
+        );
+    }
 
     /// Both variables: unset means the default, and a value that does not
     /// parse is an error naming the variable and the value — never the

@@ -8,7 +8,7 @@
 //! training of the separate training network, and training → inference
 //! weight adoption every `train_interval` requests (Algorithm 1).
 
-use sibyl_hss::{AccessOutcome, DeviceId, PlacementContext, PlacementPolicy, StorageManager};
+use sibyl_hss::{AccessOutcome, DeviceId, PlacementPolicy, StorageManager};
 use sibyl_telemetry::{Log2Histogram, Registry};
 use sibyl_trace::IoRequest;
 
@@ -536,15 +536,15 @@ impl PlacementPolicy for SibylAgent {
         "Sibyl"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        let target = self.place_batch(std::slice::from_ref(req), ctx.manager)[0];
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
+        let target = self.place_batch(std::slice::from_ref(req), manager)[0];
         // A lone decision is owed nothing: its reward arrives through
         // `feedback`, and if none does the next decision drops it.
         self.outstanding = 0;
         target
     }
 
-    fn feedback(&mut self, _req: &IoRequest, outcome: &AccessOutcome, _ctx: &PlacementContext<'_>) {
+    fn feedback(&mut self, outcome: &AccessOutcome) {
         if let Some(rt) = self.runtime.as_mut() {
             rt.core.set_reward(Some(rt.shaper.reward(outcome)));
         }
@@ -581,20 +581,10 @@ mod tests {
     /// Drives the agent through a request stream against a real manager,
     /// one `place`/`feedback` pair per request.
     fn drive(agent: &mut SibylAgent, mgr: &mut StorageManager, reqs: &[IoRequest]) {
-        for (i, req) in reqs.iter().enumerate() {
-            let target = {
-                let ctx = PlacementContext {
-                    manager: mgr,
-                    seq: i as u64,
-                };
-                agent.place(req, &ctx)
-            };
+        for req in reqs {
+            let target = agent.place(req, mgr);
             let outcome = mgr.access(req, target);
-            let ctx = PlacementContext {
-                manager: mgr,
-                seq: i as u64,
-            };
-            agent.feedback(req, &outcome, &ctx);
+            agent.feedback(&outcome);
         }
     }
 
@@ -801,11 +791,7 @@ mod tests {
         let mut agent = SibylAgent::new(fast_test_config());
         let reqs = hot_cold_stream(4);
         let _ = agent.place_batch(&reqs, &mgr);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        let _ = agent.place(&reqs[0], &ctx);
+        let _ = agent.place(&reqs[0], &mgr);
     }
 
     #[test]
@@ -979,13 +965,7 @@ mod tests {
             let mut agent = SibylAgent::new(fast_test_config());
             let mut decisions = Vec::with_capacity(reqs.len());
             for (i, req) in reqs.iter().enumerate() {
-                let target = {
-                    let ctx = PlacementContext {
-                        manager: &mgr,
-                        seq: i as u64,
-                    };
-                    agent.place(req, &ctx)
-                };
+                let target = agent.place(req, &mgr);
                 if i == 0 && reference {
                     // The runtime exists now and no training has run yet
                     // (train_interval > 1), so the whole training history
@@ -994,11 +974,7 @@ mod tests {
                 }
                 decisions.push(target);
                 let outcome = mgr.access(req, target);
-                let ctx = PlacementContext {
-                    manager: &mgr,
-                    seq: i as u64,
-                };
-                agent.feedback(req, &outcome, &ctx);
+                agent.feedback(&outcome);
             }
             let weights: Vec<u32> = agent
                 .export_weights()
@@ -1145,32 +1121,25 @@ mod tests {
     /// change only with a behaviour change that CHANGES.md explains.
     #[test]
     fn sequential_decisions_match_the_committed_digests() {
-        use crate::config::AgentKind;
-        const DIGESTS: [(bool, AgentKind, u64); 4] = [
-            (false, AgentKind::C51, 816_240_558_327_692_238),
-            (false, AgentKind::Dqn, 2_029_255_180_635_398_911),
-            (true, AgentKind::C51, 10_537_976_496_901_355_160),
-            (true, AgentKind::Dqn, 5_746_496_225_222_248_813),
+        const DIGESTS: [(bool, u64); 2] = [
+            (false, 816_240_558_327_692_238),
+            (true, 10_537_976_496_901_355_160),
         ];
-        let digest = |tri: bool, agent_kind: AgentKind, batched: bool| {
+        let digest = |tri: bool, batched: bool| {
             let mut mgr = if tri { tri_manager() } else { manager(128) };
-            let mut agent = SibylAgent::new(SibylConfig {
-                agent_kind,
-                ..fast_test_config()
-            });
+            let mut agent = SibylAgent::new(fast_test_config());
             let mut actions = Vec::new();
-            for (seq, req) in hot_cold_stream(700).iter().enumerate() {
-                let seq = seq as u64;
+            for req in &hot_cold_stream(700) {
                 let target = if batched {
                     agent.place_batch(std::slice::from_ref(req), &mgr)[0]
                 } else {
-                    agent.place(req, &PlacementContext { manager: &mgr, seq })
+                    agent.place(req, &mgr)
                 };
                 let outcome = mgr.access(req, target);
                 if batched {
                     agent.feedback_batch(std::slice::from_ref(&outcome));
                 } else {
-                    agent.feedback(req, &outcome, &PlacementContext { manager: &mgr, seq });
+                    agent.feedback(&outcome);
                 }
                 actions.push(target.0);
             }
@@ -1183,13 +1152,9 @@ mod tests {
                     (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
                 })
         };
-        for (tri, kind, pinned) in DIGESTS {
+        for (tri, pinned) in DIGESTS {
             for batched in [false, true] {
-                assert_eq!(
-                    digest(tri, kind, batched),
-                    pinned,
-                    "tri {tri}, {kind:?}, batched {batched}"
-                );
+                assert_eq!(digest(tri, batched), pinned, "tri {tri}, batched {batched}");
             }
         }
     }
@@ -1211,15 +1176,7 @@ mod tests {
         });
         // Nothing is served in between, so every `place` sees one state.
         let req = IoRequest::new(0, 5, 1, IoOp::Read);
-        let place = |agent: &mut SibylAgent| {
-            agent.place(
-                &req,
-                &PlacementContext {
-                    manager: &mgr,
-                    seq: 0,
-                },
-            )
-        };
+        let place = |agent: &mut SibylAgent| agent.place(&req, &mgr);
         let before = place(&mut agent);
         assert_eq!(place(&mut agent), before);
         assert_eq!(agent.decision_memo(), (2, 1), "the repeat is a memo hit");
@@ -1256,28 +1213,14 @@ mod tests {
         let mut mgr = manager(64);
         let mut agent = SibylAgent::new(fast_test_config());
         let reqs = hot_cold_stream(3);
-        let place = |agent: &mut SibylAgent, mgr: &StorageManager, i: usize| {
-            agent.place(
-                &reqs[i],
-                &PlacementContext {
-                    manager: mgr,
-                    seq: i as u64,
-                },
-            )
-        };
+        let place =
+            |agent: &mut SibylAgent, mgr: &StorageManager, i: usize| agent.place(&reqs[i], mgr);
         let _ = place(&mut agent, &mgr, 0);
         let target = place(&mut agent, &mgr, 1);
         assert_eq!(agent.stats().decisions, 2);
         assert_eq!(agent.stats().experiences, 0, "decision 0 had no reward");
         let outcome = mgr.access(&reqs[1], target);
-        agent.feedback(
-            &reqs[1],
-            &outcome,
-            &PlacementContext {
-                manager: &mgr,
-                seq: 1,
-            },
-        );
+        agent.feedback(&outcome);
         let _ = place(&mut agent, &mgr, 2);
         assert_eq!(agent.stats().experiences, 1, "decision 1 closes normally");
     }

@@ -5,24 +5,6 @@ use sibyl_telemetry::TelemetryConfig;
 
 use crate::features::FeatureMask;
 
-/// Which value-learning algorithm the agent uses.
-///
-/// The paper uses a Categorical Deep Q-Network (C51, Bellemare et al.)
-/// because learning the *distribution* of returns captures more of the
-/// environment than a single expected value (§6.2.1). The plain DQN
-/// variant is provided as an ablation of that design choice — it also
-/// reproduces the exact 6-20-30-|A| network shape of the paper's overhead
-/// analysis (§10.1 counts 780 weights, i.e. one output neuron per
-/// action).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum AgentKind {
-    /// Categorical distributional DQN (the paper's choice).
-    #[default]
-    C51,
-    /// Classic DQN with mean-squared Bellman error (ablation).
-    Dqn,
-}
-
 /// Precision of the inference path: f32, the only one there is. The
 /// enum and the two fields of this type ([`SibylConfig::quant_mode`],
 /// `sibyl_serve::ServeConfig::quant`) exist only because the frozen
@@ -82,7 +64,9 @@ pub struct SibylConfig {
     pub train_interval: u64,
     /// Hidden-layer widths (§6.2.2: 20 and 30 neurons).
     pub hidden_dims: [usize; 2],
-    /// Number of C51 support atoms (ignored by [`AgentKind::Dqn`]).
+    /// Number of C51 support atoms. The value head is C51 (§6.2.1): the
+    /// distribution of returns captures more of the environment than a
+    /// single expected value.
     pub n_atoms: usize,
     /// Lower bound of the C51 value support. Negative so that unclamped
     /// eviction penalties are representable.
@@ -102,8 +86,6 @@ pub struct SibylConfig {
     pub clamp_eviction_reward: bool,
     /// Which features the agent observes (Fig. 13 ablation).
     pub feature_mask: FeatureMask,
-    /// Value-learning algorithm.
-    pub agent_kind: AgentKind,
     /// Read by nothing; kept for the frozen harness (see [`QuantMode`]).
     pub quant_mode: QuantMode,
     /// Telemetry recording level for the agent's RL introspection probes
@@ -134,7 +116,6 @@ impl Default for SibylConfig {
             eviction_penalty_coeff: 0.001,
             clamp_eviction_reward: false,
             feature_mask: FeatureMask::ALL,
-            agent_kind: AgentKind::C51,
             quant_mode: QuantMode::Off,
             telemetry: TelemetryConfig::default(),
             seed: 0x51BB_1AA7,
@@ -203,9 +184,6 @@ impl SibylConfig {
             self.eviction_penalty_coeff >= 0.0,
             "eviction_penalty_coeff must be non-negative"
         );
-        if let Err(e) = self.telemetry.validate() {
-            panic!("telemetry: {e}");
-        }
     }
 }
 
@@ -255,7 +233,6 @@ mod tests {
             eviction_penalty_coeff,
             clamp_eviction_reward,
             feature_mask,
-            agent_kind,
             quant_mode,
             telemetry,
             seed,
@@ -294,7 +271,6 @@ mod tests {
             row!(eviction_penalty_coeff, "0.001", Is("§5 / Eq. 1")),
             row!(clamp_eviction_reward, "false", clamp_departure),
             row!(feature_mask, all_features.as_str(), Is("Table 1")),
-            row!(agent_kind, "C51", Is("§6.2.1")),
             row!(quant_mode, "Off", Ours),
             row!(telemetry, telemetry_off.as_str(), Ours),
             row!(seed, "1371216551", Ours),

@@ -14,8 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::buffer::Experience;
+use crate::c51::Categorical;
 use crate::config::SibylConfig;
-use crate::learner::{Inference, ValueHead};
+use crate::learner::{value_head, Inference};
 
 /// The latest decision. Its transition stays open until the next
 /// observation arrives, and becomes an experience only if a reward
@@ -107,7 +108,7 @@ impl Memo {
 #[derive(Debug)]
 pub struct DecisionCore {
     config: SibylConfig,
-    head: ValueHead,
+    head: Categorical,
     n_actions: usize,
     rng: StdRng,
     decisions: u64,
@@ -137,7 +138,7 @@ impl DecisionCore {
     pub fn new(config: &SibylConfig, n_actions: usize, seed: u64) -> Self {
         DecisionCore {
             config: config.clone(),
-            head: ValueHead::new(config, n_actions),
+            head: value_head(config, n_actions),
             n_actions,
             rng: StdRng::seed_from_u64(seed),
             decisions: 0,

@@ -1,4 +1,4 @@
-//! The training-side machinery: value head (C51 or plain DQN), the
+//! The training-side machinery: the C51 value head (§6.2.1), the
 //! paper's two networks —
 //! training and inference, the latter doubling as the bootstrap target
 //! (§6.2) — and the batched update step of Algorithm 1 (lines 16–19).
@@ -10,164 +10,11 @@ use sibyl_nn::{Activation, Adam, Mlp};
 
 use crate::buffer::{Experience, ExperienceBuffer};
 use crate::c51::{Categorical, HeadScratch};
-use crate::config::{AgentKind, SibylConfig};
+use crate::config::SibylConfig;
 
-/// The value-learning head: distributional (C51) or expectation (DQN).
-#[derive(Debug, Clone)]
-pub(crate) enum ValueHead {
-    C51(Categorical),
-    Dqn { n_actions: usize },
-}
-
-impl ValueHead {
-    pub(crate) fn new(config: &SibylConfig, n_actions: usize) -> Self {
-        match config.agent_kind {
-            AgentKind::C51 => ValueHead::C51(Categorical::new(
-                n_actions,
-                config.n_atoms,
-                config.v_min,
-                config.v_max,
-            )),
-            AgentKind::Dqn => ValueHead::Dqn { n_actions },
-        }
-    }
-
-    /// Network outputs this head requires.
-    pub(crate) fn n_outputs(&self) -> usize {
-        match self {
-            ValueHead::C51(c) => c.n_outputs(),
-            ValueHead::Dqn { n_actions } => *n_actions,
-        }
-    }
-
-    /// Per-action Q-values from raw network outputs, refilling `q`;
-    /// `probs` is softmax workspace. Allocation-free once both have
-    /// grown, which is what the batched decide path relies on.
-    pub(crate) fn q_values_into(&self, logits: &[f32], probs: &mut Vec<f32>, q: &mut Vec<f32>) {
-        match self {
-            ValueHead::C51(c) => c.q_values_into(logits, probs, q),
-            ValueHead::Dqn { .. } => {
-                q.clear();
-                q.extend_from_slice(logits);
-            }
-        }
-    }
-
-    /// Loss and output-gradient for one replayed transition — the
-    /// per-sample oracle [`Learner::train_step_reference`] runs and the
-    /// batched halves below are pinned against.
-    ///
-    /// `logits` are the training network's outputs for `obs`;
-    /// `next_logits` the *target* (inference) network's outputs for
-    /// `next_obs`.
-    #[cfg(test)]
-    pub(crate) fn sample_grad(
-        &self,
-        logits: &[f32],
-        action: usize,
-        reward: f32,
-        next_logits: &[f32],
-        gamma: f32,
-        grad: &mut Vec<f32>,
-    ) -> f32 {
-        match self {
-            ValueHead::C51(c) => {
-                let next_best = c.best_action(next_logits);
-                let next_probs = c.action_distribution(next_logits, next_best);
-                let target = c.project(reward, gamma, &next_probs);
-                c.loss_grad(logits, action, &target, grad)
-            }
-            ValueHead::Dqn { n_actions } => {
-                let max_next = next_logits
-                    .iter()
-                    .copied()
-                    .fold(f32::NEG_INFINITY, f32::max);
-                let y = reward + gamma * max_next;
-                grad.clear();
-                grad.resize(*n_actions, 0.0);
-                let err = logits[action] - y;
-                grad[action] = 2.0 * err;
-                err * err
-            }
-        }
-    }
-
-    /// Floats per row of [`ValueHead::batch_targets`]: a projected
-    /// distribution for C51, the scalar Bellman value for DQN.
-    fn target_width(&self) -> usize {
-        match self {
-            ValueHead::C51(c) => c.n_atoms(),
-            ValueHead::Dqn { .. } => 1,
-        }
-    }
-
-    /// The target-network half of [`ValueHead::sample_grad`] for a batch:
-    /// appends one [`ValueHead::target_width`]-wide Bellman target per row
-    /// of `next_logits` to `targets`, each a function of that row and its
-    /// reward alone.
-    fn batch_targets(
-        &self,
-        next_logits: &[f32],
-        rewards: &[f32],
-        gamma: f32,
-        scratch: &mut HeadScratch,
-        targets: &mut Vec<f32>,
-    ) {
-        match self {
-            ValueHead::C51(c) => c.batch_targets(next_logits, rewards, gamma, scratch, targets),
-            ValueHead::Dqn { n_actions } => {
-                assert_eq!(
-                    next_logits.len(),
-                    rewards.len() * n_actions,
-                    "next-logit matrix shape mismatch"
-                );
-                targets.extend(next_logits.chunks_exact(*n_actions).zip(rewards).map(
-                    |(next_row, &reward)| {
-                        let max_next = next_row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                        reward + gamma * max_next
-                    },
-                ));
-            }
-        }
-    }
-
-    /// The training-network half of [`ValueHead::sample_grad`] for a
-    /// batch: fills the row-major `(batch × n_outputs)` `dL/dlogits`
-    /// matrix and one loss per sample against `targets`, with per-row
-    /// arithmetic identical to the per-sample call — the head-side half
-    /// of the batched training step's bit-identity contract.
-    fn batch_loss_grad(
-        &self,
-        logits: &[f32],
-        actions: &[usize],
-        targets: &[f32],
-        scratch: &mut HeadScratch,
-        grads: &mut Vec<f32>,
-        losses: &mut Vec<f32>,
-    ) {
-        match self {
-            ValueHead::C51(c) => {
-                c.batch_loss_grad(logits, actions, targets, scratch, grads, losses)
-            }
-            ValueHead::Dqn { n_actions } => {
-                let batch = actions.len();
-                assert_eq!(
-                    logits.len(),
-                    batch * n_actions,
-                    "logit matrix shape mismatch"
-                );
-                assert_eq!(targets.len(), batch, "target count mismatch");
-                grads.clear();
-                grads.resize(batch * n_actions, 0.0);
-                losses.clear();
-                for (i, (&action, &y)) in actions.iter().zip(targets).enumerate() {
-                    let err = logits[i * n_actions + action] - y;
-                    grads[i * n_actions + action] = 2.0 * err;
-                    losses.push(err * err);
-                }
-            }
-        }
-    }
+/// The C51 value head `config` describes for `n_actions` actions.
+pub(crate) fn value_head(config: &SibylConfig, n_actions: usize) -> Categorical {
+    Categorical::new(n_actions, config.n_atoms, config.v_min, config.v_max)
 }
 
 /// A borrowed inference network with the generation of its weights.
@@ -229,7 +76,7 @@ struct TrainScratch {
 /// and any `n_actions`/`obs_len`.
 #[derive(Debug)]
 pub struct Learner {
-    head: ValueHead,
+    head: Categorical,
     train_net: Mlp,
     /// The inference network, which is also the bootstrap target: it
     /// stands still between training steps and adopts the training
@@ -267,7 +114,7 @@ impl Learner {
     /// (see [`SibylConfig::validate`]).
     pub fn new(config: &SibylConfig, n_actions: usize, obs_len: usize) -> Self {
         config.validate();
-        let head = ValueHead::new(config, n_actions);
+        let head = value_head(config, n_actions);
         let dims = [
             obs_len,
             config.hidden_dims[0],
@@ -331,10 +178,10 @@ impl Learner {
     /// Per replay batch, sampling borrows the selected experiences by
     /// index (no clones); the Bellman target of every slot the step has
     /// not drawn before comes from one [`Mlp::infer_batch_into`] pass of
-    /// the target network plus `ValueHead::batch_targets`, and is kept
+    /// the target network plus `Categorical::batch_targets`, and is kept
     /// for the slot's later draws — the target network stands still for
     /// the whole step; the training network does one
-    /// [`Mlp::forward_batch_into`], `ValueHead::batch_loss_grad` produces
+    /// [`Mlp::forward_batch_into`], `Categorical::batch_loss_grad` produces
     /// the whole `dL/dlogits` matrix, and one
     /// [`Mlp::accumulate_grads_batch`] accumulates the gradients — every
     /// weight matrix streams once per *batch* instead of once per
@@ -369,7 +216,7 @@ impl Learner {
         // computed the first time the step draws it and reused for every
         // later draw: at a full 1000-entry buffer the step's 8 × 128
         // draws hit ~640 distinct slots.
-        let tw = self.head.target_width();
+        let tw = self.head.n_atoms();
         s.memo.clear();
         s.memo_row.clear();
         s.memo_row.resize(self.buffer.len(), UNSEEN);
@@ -456,8 +303,8 @@ impl Learner {
     /// The per-sample training step, kept as the golden reference the
     /// batched [`Learner::train_step`] is pinned against: per sampled
     /// transition one target-network `infer`, one `forward`/`backward`
-    /// pass and one `ValueHead::sample_grad`, experiences cloned out of
-    /// the buffer, nothing shared between samples. Importance weights
+    /// pass and one C51 projection and loss gradient, experiences cloned
+    /// out of the buffer, nothing shared between samples. Importance weights
     /// scale a down-weighted sample's gradient and loss exactly as the
     /// batched step does (weight 1.0 is not multiplied). Living behind
     /// `cfg(test)` keeps it compiled (it cannot rot) without shipping the
@@ -483,14 +330,10 @@ impl Learner {
             for (exp, weight) in &samples {
                 let next_logits = self.target_net.infer(&exp.next_obs);
                 let logits = self.train_net.forward(&exp.obs);
-                let mut loss = self.head.sample_grad(
-                    &logits,
-                    exp.action,
-                    exp.reward,
-                    &next_logits,
-                    self.discount,
-                    &mut grad,
-                );
+                let next_best = self.head.best_action(&next_logits);
+                let next_probs = self.head.action_distribution(&next_logits, next_best);
+                let target = self.head.project(exp.reward, self.discount, &next_probs);
+                let mut loss = self.head.loss_grad(&logits, exp.action, &target, &mut grad);
                 if *weight != 1.0 {
                     grad.iter_mut().for_each(|g| *g *= weight);
                     loss *= weight;
@@ -599,25 +442,8 @@ mod tests {
 
     #[test]
     fn head_output_counts() {
-        let c = config();
-        assert_eq!(ValueHead::new(&c, 2).n_outputs(), 22);
-        let d = SibylConfig {
-            agent_kind: AgentKind::Dqn,
-            ..config()
-        };
-        assert_eq!(ValueHead::new(&d, 2).n_outputs(), 2);
-        assert_eq!(ValueHead::new(&d, 3).n_outputs(), 3);
-    }
-
-    #[test]
-    fn dqn_grad_targets_bellman_value() {
-        let head = ValueHead::Dqn { n_actions: 2 };
-        let mut grad = Vec::new();
-        // Q(s, a0) = 1.0; best next Q = 2.0; r = 0.5; γ = 0.5 → y = 1.5.
-        let loss = head.sample_grad(&[1.0, 0.0], 0, 0.5, &[2.0, 1.0], 0.5, &mut grad);
-        assert!((loss - 0.25).abs() < 1e-6); // (1.0 - 1.5)²
-        assert!((grad[0] + 1.0).abs() < 1e-6); // 2(q - y) = -1
-        assert_eq!(grad[1], 0.0);
+        assert_eq!(value_head(&config(), 2).n_outputs(), 22);
+        assert_eq!(value_head(&config(), 3).n_outputs(), 33);
     }
 
     #[test]
@@ -641,25 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn dqn_training_learns_action_preference() {
-        let cfg = SibylConfig {
-            agent_kind: AgentKind::Dqn,
-            learning_rate: 0.005,
-            ..config()
-        };
-        let mut l = Learner::new(&cfg, 2, 6);
-        for i in 0..64 {
-            let a = i % 2;
-            l.push(exp(0.5 + (i as f32) * 1e-4, a, a as f32));
-        }
-        for _ in 0..80 {
-            l.train_step();
-        }
-        let q = q_values(&l, &[0.5; 6]);
-        assert!(q[1] > q[0], "DQN should prefer rewarded action: {q:?}");
-    }
-
-    #[test]
     fn empty_buffer_skips_training() {
         let mut l = Learner::new(&config(), 2, 6);
         assert!(l.train_step().is_none());
@@ -669,40 +476,34 @@ mod tests {
 
     /// The tentpole pin at the learner level: the batched training step
     /// is bit-identical to the pre-refactor per-sample reference — same
-    /// losses every step, same weights after many steps — for both head
-    /// kinds.
+    /// losses every step, same weights after many steps.
     #[test]
     fn batched_train_step_is_bit_identical_to_reference() {
-        for kind in [AgentKind::C51, AgentKind::Dqn] {
-            let cfg = SibylConfig {
-                agent_kind: kind,
-                ..config()
-            };
-            let mut batched = Learner::new(&cfg, 2, 6);
-            let mut reference = Learner::new(&cfg, 2, 6);
-            reference.use_reference_train = true;
-            for i in 0..64 {
-                let e = exp(0.1 + i as f32 * 3e-3, i % 2, (i % 3) as f32 * 0.4);
-                batched.push(e.clone());
-                reference.push(e);
-            }
-            for step in 0..30 {
-                let a = batched.train_step().expect("buffer non-empty");
-                let b = reference.train_step().expect("buffer non-empty");
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{kind:?}: loss diverged at step {step}: {a} vs {b}"
-                );
-            }
-            let wa: Vec<u32> = batched.flat_params().iter().map(|v| v.to_bits()).collect();
-            let wb: Vec<u32> = reference
-                .flat_params()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(wa, wb, "{kind:?}: weights diverged");
+        let cfg = config();
+        let mut batched = Learner::new(&cfg, 2, 6);
+        let mut reference = Learner::new(&cfg, 2, 6);
+        reference.use_reference_train = true;
+        for i in 0..64 {
+            let e = exp(0.1 + i as f32 * 3e-3, i % 2, (i % 3) as f32 * 0.4);
+            batched.push(e.clone());
+            reference.push(e);
         }
+        for step in 0..30 {
+            let a = batched.train_step().expect("buffer non-empty");
+            let b = reference.train_step().expect("buffer non-empty");
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "loss diverged at step {step}: {a} vs {b}"
+            );
+        }
+        let wa: Vec<u32> = batched.flat_params().iter().map(|v| v.to_bits()).collect();
+        let wb: Vec<u32> = reference
+            .flat_params()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(wa, wb, "weights diverged");
     }
 
     /// The same pin at the in-situ shape, where every fast path of the

@@ -34,7 +34,7 @@
 //!
 //! ```rust
 //! use sibyl_core::{SibylAgent, SibylConfig};
-//! use sibyl_hss::{DeviceSpec, HssConfig, PlacementContext, PlacementPolicy, StorageManager};
+//! use sibyl_hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
 //! use sibyl_trace::{IoOp, IoRequest};
 //!
 //! let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
@@ -43,13 +43,9 @@
 //! let mut sibyl = SibylAgent::new(SibylConfig::default());
 //!
 //! let req = IoRequest::new(0, 42, 4, IoOp::Write);
-//! let target = {
-//!     let ctx = PlacementContext { manager: &hss, seq: 0 };
-//!     sibyl.place(&req, &ctx)
-//! };
+//! let target = sibyl.place(&req, &hss);
 //! let outcome = hss.access(&req, target);
-//! let ctx = PlacementContext { manager: &hss, seq: 0 };
-//! sibyl.feedback(&req, &outcome, &ctx);
+//! sibyl.feedback(&outcome);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,11 +65,11 @@ mod reward;
 pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
 pub use c51::{Categorical, HeadScratch};
-pub use config::{AgentKind, QuantMode, SibylConfig};
+pub use config::{QuantMode, SibylConfig};
 pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};
 pub use learner::{Inference, Learner};
 pub use overhead::OverheadReport;
 pub use reward::RewardShaper;
-// Convenience re-exports: `SibylConfig.telemetry` is of these types.
-pub use sibyl_telemetry::{TelemetryConfig, TelemetryLevel};
+// Convenience re-export: `SibylConfig.telemetry` is of this type.
+pub use sibyl_telemetry::TelemetryConfig;

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{AgentKind, SibylConfig};
+use crate::config::SibylConfig;
 
 /// Bits per stored state entry (Table 1: 8+4+8+8+8+4).
 pub const STATE_BITS: usize = 40;
@@ -48,12 +48,15 @@ pub struct OverheadReport {
 
 impl OverheadReport {
     /// Builds the report for a configuration with `n_actions` devices and
-    /// `obs_len` observation features.
+    /// `obs_len` observation features: the C51 head's `n_actions × n_atoms`
+    /// outputs.
     pub fn for_config(config: &SibylConfig, n_actions: usize, obs_len: usize) -> Self {
-        let outputs = match config.agent_kind {
-            AgentKind::C51 => n_actions * config.n_atoms,
-            AgentKind::Dqn => n_actions,
-        };
+        Self::for_shape(config, obs_len, n_actions * config.n_atoms)
+    }
+
+    /// The report for `config`'s hidden layers between `obs_len` inputs
+    /// and `outputs` output neurons.
+    fn for_shape(config: &SibylConfig, obs_len: usize, outputs: usize) -> Self {
         let dims = [
             obs_len,
             config.hidden_dims[0],
@@ -79,15 +82,12 @@ impl OverheadReport {
         }
     }
 
-    /// The paper's §10 network shape: a DQN-style head with one output
+    /// The paper's §10 network shape: six features in, one output
     /// neuron per action (6-20-30-2 for a dual HSS), which yields the
-    /// published numbers exactly.
+    /// published numbers exactly. It is a shape count: the agent itself
+    /// carries the C51 head's `n_actions × n_atoms` outputs.
     pub fn paper_network(n_actions: usize) -> Self {
-        let config = SibylConfig {
-            agent_kind: AgentKind::Dqn,
-            ..Default::default()
-        };
-        Self::for_config(&config, n_actions, 6)
+        Self::for_shape(&SibylConfig::default(), 6, n_actions)
     }
 
     /// Reproduces the paper's published "KiB" figures (which are
@@ -139,11 +139,7 @@ mod tests {
 
     #[test]
     fn tri_hss_adds_one_output_and_feature() {
-        let config = SibylConfig {
-            agent_kind: AgentKind::Dqn,
-            ..Default::default()
-        };
-        let r = OverheadReport::for_config(&config, 3, 7);
+        let r = OverheadReport::for_shape(&SibylConfig::default(), 7, 3);
         // 7·20 + 20·30 + 30·3 = 140 + 600 + 90
         assert_eq!(r.weights, 830);
     }
@@ -157,10 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn c51_head_is_larger_than_dqn_head() {
+    fn c51_head_is_larger_than_the_paper_shape() {
         let c51 = OverheadReport::for_config(&SibylConfig::default(), 2, 6);
-        let dqn = OverheadReport::paper_network(2);
-        assert!(c51.weights > dqn.weights);
+        let paper = OverheadReport::paper_network(2);
+        assert!(c51.weights > paper.weights);
         assert!(c51.total_bytes > 0);
     }
 }

@@ -60,6 +60,6 @@ pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service}
 pub use directory::{AccessTracker, PageDirectory, PageMove, PageRecord};
 pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager};
 pub use page_set::PageSet;
-pub use policy::{PlacementContext, PlacementPolicy};
+pub use policy::PlacementPolicy;
 pub use stats::HssStats;
 pub use victim::{LruVictim, NextUseIndex, OracleVictim, VictimPolicy};

@@ -7,42 +7,35 @@
 //!
 //! ```text
 //! for each request:
-//!     target  = policy.place(request, context)      // decision
+//!     target  = policy.place(request, &manager)     // decision
 //!     outcome = manager.access(request, target)     // execution
-//!     policy.feedback(request, outcome)             // system feedback
+//!     policy.feedback(&outcome)                     // system feedback
 //! ```
 //!
-//! The feedback hook carries the served latency and eviction penalty —
-//! for Sibyl this is the reward channel (Eq. 1); heuristics ignore it.
+//! `place` may consult the manager's observable state (residency,
+//! capacities, access metadata — the inputs behind the paper's Table 1
+//! state features). The feedback hook carries the served latency and
+//! eviction penalty — for Sibyl this is the reward channel (Eq. 1);
+//! heuristics ignore it.
 
 use crate::device::DeviceId;
 use crate::manager::{AccessOutcome, StorageManager};
 use sibyl_trace::{IoRequest, Trace};
-
-/// Read-only view of the system a policy may consult when deciding a
-/// placement (residency, capacities, access metadata — the inputs behind
-/// the paper's Table 1 state features).
-#[derive(Debug)]
-pub struct PlacementContext<'a> {
-    /// The storage manager's observable state.
-    pub manager: &'a StorageManager,
-    /// Zero-based request sequence number within the run.
-    pub seq: u64,
-}
 
 /// A data-placement policy.
 pub trait PlacementPolicy: std::fmt::Debug {
     /// A short display name (used in result tables).
     fn name(&self) -> &str;
 
-    /// Chooses the device for this request's pages.
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId;
+    /// Chooses the device for this request's pages, reading whatever of
+    /// `manager`'s observable state it needs.
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId;
 
     /// Receives the outcome of the placement (served latency `L_t`,
     /// eviction time `L_e`, migration counts). Called exactly once per
     /// request, after [`PlacementPolicy::place`]. Default: ignore.
-    fn feedback(&mut self, req: &IoRequest, outcome: &AccessOutcome, ctx: &PlacementContext<'_>) {
-        let _ = (req, outcome, ctx);
+    fn feedback(&mut self, outcome: &AccessOutcome) {
+        let _ = outcome;
     }
 
     /// The policy's one offline hook: called once before the run with the
@@ -75,7 +68,7 @@ mod tests {
             "always-fast"
         }
 
-        fn place(&mut self, _req: &IoRequest, _ctx: &PlacementContext<'_>) -> DeviceId {
+        fn place(&mut self, _req: &IoRequest, _manager: &StorageManager) -> DeviceId {
             DeviceId(0)
         }
     }
@@ -89,20 +82,10 @@ mod tests {
         let trace = Trace::from_requests("t", vec![IoRequest::new(0, 0, 1, IoOp::Write)]);
         assert!(p.victim_policy(2, &trace).is_none());
         let req = trace.requests()[0];
-        let target = {
-            let ctx = PlacementContext {
-                manager: &mgr,
-                seq: 0,
-            };
-            p.place(&req, &ctx)
-        };
+        let target = p.place(&req, &mgr);
         assert_eq!(target, DeviceId(0));
         let out = mgr.access(&req, target);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        p.feedback(&req, &out, &ctx);
+        p.feedback(&out);
         assert_eq!(p.name(), "always-fast");
     }
 }

@@ -52,8 +52,6 @@ pub enum MigrateConfigError {
     ZeroScanPeriod,
     /// `max_moves_per_tick == 0`: ticks could never move anything.
     ZeroMoves,
-    /// `scan_limit == 0`: the candidate scan could never see a page.
-    ZeroScanLimit,
     /// `demote_watermark` is not a finite fraction in `[0, 1]`.
     InvalidWatermark,
     /// `promote_min_heat == 0`: every resident page would qualify for
@@ -69,9 +67,6 @@ impl std::fmt::Display for MigrateConfigError {
             }
             MigrateConfigError::ZeroMoves => {
                 write!(f, "active migration requires max_moves_per_tick > 0")
-            }
-            MigrateConfigError::ZeroScanLimit => {
-                write!(f, "active migration requires scan_limit > 0")
             }
             MigrateConfigError::InvalidWatermark => {
                 write!(f, "demote_watermark must be a finite fraction in [0, 1]")
@@ -109,9 +104,6 @@ pub struct MigrateConfig {
     pub scan_period: u64,
     /// Upper bound on pages moved per tick. Default: 64.
     pub max_moves_per_tick: usize,
-    /// LRU entries examined per device per tick when scanning for
-    /// candidates (bounds tick cost on huge directories). Default: 2048.
-    pub scan_limit: usize,
     /// Minimum accesses *since the page landed on its current device*
     /// for a slower-device page to become a promotion candidate
     /// (`PageDirectory::heat_since_place`) — so a freshly demoted or
@@ -135,7 +127,6 @@ impl Default for MigrateConfig {
             policy: MigratePolicyKind::None,
             scan_period: 4,
             max_moves_per_tick: 64,
-            scan_limit: 2048,
             promote_min_heat: 2,
             demote_watermark: 0.85,
             demote_min_idle: 512,
@@ -194,9 +185,6 @@ impl MigrateConfig {
         if self.max_moves_per_tick == 0 {
             return Err(MigrateConfigError::ZeroMoves);
         }
-        if self.scan_limit == 0 {
-            return Err(MigrateConfigError::ZeroScanLimit);
-        }
         if !(self.demote_watermark.is_finite() && (0.0..=1.0).contains(&self.demote_watermark)) {
             return Err(MigrateConfigError::InvalidWatermark);
         }
@@ -238,9 +226,6 @@ mod tests {
             active.clone().with_promote_min_heat(0).validate(),
             Err(MigrateConfigError::ZeroPromoteHeat)
         );
-        let mut bad = active.clone();
-        bad.scan_limit = 0;
-        assert_eq!(bad.validate(), Err(MigrateConfigError::ZeroScanLimit));
         let mut bad = active.clone();
         bad.demote_watermark = f64::NAN;
         assert_eq!(bad.validate(), Err(MigrateConfigError::InvalidWatermark));

@@ -43,10 +43,14 @@ impl Default for CandidateScan {
     }
 }
 
+/// LRU entries examined per device per tick when scanning for candidates
+/// (bounds tick cost on huge directories).
+pub(crate) const SCAN_DEPTH: usize = 2048;
+
 /// Scans the manager's page directory for migration candidates.
 ///
 /// Promotion candidates come from each slower device's *recent* LRU end
-/// (up to [`MigrateConfig::scan_limit`] entries per device — hot pages
+/// (up to `SCAN_DEPTH` entries per device — hot pages
 /// are by definition recently touched, so the cold tail can be skipped
 /// on huge directories) with at least
 /// [`MigrateConfig::promote_min_heat`] accesses *since the page landed
@@ -64,7 +68,7 @@ pub fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateSc
     let mut promote = Vec::new();
     for d in 1..mgr.num_devices() {
         let dev = DeviceId(d);
-        for (lpn, heat, since_place) in dir.iter_hot(dev).take(cfg.scan_limit) {
+        for (lpn, heat, since_place) in dir.iter_hot(dev).take(SCAN_DEPTH) {
             if since_place >= cfg.promote_min_heat {
                 promote.push((heat, lpn, dev));
             }
@@ -74,7 +78,7 @@ pub fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateSc
     promote.truncate(cfg.max_moves_per_tick);
 
     let mut demote = Vec::new();
-    for (token, lpn) in dir.iter_lru(fast).take(cfg.scan_limit) {
+    for (token, lpn) in dir.iter_lru(fast).take(SCAN_DEPTH) {
         let age = now - token;
         if age < cfg.demote_min_idle || demote.len() >= cfg.max_moves_per_tick {
             // Oldest-first iteration: every later entry is younger still.

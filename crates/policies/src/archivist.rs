@@ -13,36 +13,10 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_nn::{Activation, Mlp, Sgd};
 use sibyl_trace::IoRequest;
-
-/// Static tuning knobs for [`Archivist`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ArchivistConfig {
-    /// Requests per epoch.
-    pub epoch_requests: u64,
-    /// Training passes over the previous epoch's examples at each
-    /// boundary.
-    pub train_epochs: usize,
-    /// Classifier learning rate.
-    pub learning_rate: f32,
-    /// RNG seed for network initialization and example shuffling.
-    pub seed: u64,
-}
-
-impl Default for ArchivistConfig {
-    fn default() -> Self {
-        ArchivistConfig {
-            epoch_requests: 2_000,
-            train_epochs: 3,
-            learning_rate: 0.05,
-            seed: 0xA2C1,
-        }
-    }
-}
 
 /// Per-page example collected during an epoch.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +36,6 @@ struct Example {
 /// ```
 #[derive(Debug)]
 pub struct Archivist {
-    config: ArchivistConfig,
     classifier: Mlp,
     rng: StdRng,
     /// Pinned per-page targets for the current epoch.
@@ -76,17 +49,9 @@ pub struct Archivist {
 
 impl Default for Archivist {
     fn default() -> Self {
-        Archivist::new(ArchivistConfig::default())
-    }
-}
-
-impl Archivist {
-    /// Creates Archivist with explicit configuration.
-    pub fn new(config: ArchivistConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(Self::SEED);
         let classifier = Mlp::new(&[4, 16, 2], Activation::Relu, Activation::Linear, &mut rng);
         Archivist {
-            config,
             classifier,
             rng,
             epoch_targets: HashMap::new(),
@@ -96,9 +61,21 @@ impl Archivist {
             trained: false,
         }
     }
+}
 
-    fn features(req: &IoRequest, ctx: &PlacementContext<'_>) -> [f32; 4] {
-        let page = ctx.manager.tracker().page(req.lpn);
+impl Archivist {
+    /// Requests per epoch.
+    pub const EPOCH_REQUESTS: u64 = 2_000;
+    /// Training passes over the previous epoch's examples at each
+    /// boundary.
+    pub const TRAIN_EPOCHS: usize = 3;
+    /// Classifier learning rate.
+    pub const LEARNING_RATE: f32 = 0.05;
+    /// RNG seed for network initialization and example shuffling.
+    pub const SEED: u64 = 0xA2C1;
+
+    fn features(req: &IoRequest, manager: &StorageManager) -> [f32; 4] {
+        let page = manager.tracker().page(req.lpn);
         let count = page.map_or(0, |p| p.access_count);
         let interval = page.and_then(|p| p.access_interval).unwrap_or(u64::MAX);
         [
@@ -137,8 +114,8 @@ impl Archivist {
                     hot: self.epoch_counts.get(&lpn).copied().unwrap_or(0) >= median,
                 })
                 .collect();
-            let mut opt = Sgd::new(self.config.learning_rate);
-            for _ in 0..self.config.train_epochs {
+            let mut opt = Sgd::new(Self::LEARNING_RATE);
+            for _ in 0..Self::TRAIN_EPOCHS {
                 examples.shuffle(&mut self.rng);
                 for ex in &examples {
                     let logits = self.classifier.forward(&ex.features);
@@ -164,8 +141,8 @@ impl PlacementPolicy for Archivist {
         "Archivist"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        if self.requests_in_epoch >= self.config.epoch_requests {
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
+        if self.requests_in_epoch >= Self::EPOCH_REQUESTS {
             self.roll_epoch();
         }
         self.requests_in_epoch += 1;
@@ -176,18 +153,18 @@ impl PlacementPolicy for Archivist {
         if let Some(&pinned) = self.epoch_targets.get(&req.lpn) {
             return pinned;
         }
-        let features = Self::features(req, ctx);
+        let features = Self::features(req, manager);
         self.epoch_features.entry(req.lpn).or_insert(features);
         let target = if self.trained {
             let logits = self.classifier.infer(&features);
             if logits[0] >= logits[1] {
-                ctx.manager.fastest()
+                manager.fastest()
             } else {
-                ctx.manager.slowest()
+                manager.slowest()
             }
         } else {
             // Before the first boundary there is nothing to train on.
-            ctx.manager.slowest()
+            manager.slowest()
         };
         self.epoch_targets.insert(req.lpn, target);
         target
@@ -197,7 +174,7 @@ impl PlacementPolicy for Archivist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager() -> StorageManager {
@@ -207,13 +184,7 @@ mod tests {
     }
 
     fn run_one(p: &mut Archivist, mgr: &mut StorageManager, req: IoRequest) -> DeviceId {
-        let target = {
-            let ctx = PlacementContext {
-                manager: mgr,
-                seq: 0,
-            };
-            p.place(&req, &ctx)
-        };
+        let target = p.place(&req, mgr);
         let _ = mgr.access(&req, target);
         target
     }
@@ -229,12 +200,9 @@ mod tests {
     #[test]
     fn target_is_pinned_within_epoch() {
         let mut mgr = manager();
-        let mut p = Archivist::new(ArchivistConfig {
-            epoch_requests: 1_000,
-            ..Default::default()
-        });
+        let mut p = Archivist::default();
         let first = run_one(&mut p, &mut mgr, IoRequest::new(0, 42, 1, IoOp::Read));
-        for i in 1..50u64 {
+        for i in 1..Archivist::EPOCH_REQUESTS {
             let again = run_one(&mut p, &mut mgr, IoRequest::new(i, 42, 1, IoOp::Write));
             assert_eq!(again, first, "placement changed mid-epoch at {i}");
         }
@@ -243,16 +211,12 @@ mod tests {
     #[test]
     fn learns_to_separate_hot_from_cold_after_epochs() {
         let mut mgr = manager();
-        let mut p = Archivist::new(ArchivistConfig {
-            epoch_requests: 400,
-            train_epochs: 5,
-            ..Default::default()
-        });
+        let mut p = Archivist::default();
         // Two epochs of strongly bimodal traffic: pages 0..4 hammered with
         // small writes, pages 1000+ streamed once with large reads.
         let mut ts = 0u64;
         for _ in 0..2 {
-            for i in 0..400u64 {
+            for i in 0..Archivist::EPOCH_REQUESTS {
                 let req = if i % 2 == 0 {
                     IoRequest::new(ts, i % 4, 1, IoOp::Write)
                 } else {

@@ -8,29 +8,8 @@
 //! what counts as *random* — are exactly the statically-tuned parameters
 //! whose rigidity the paper criticizes (§3 (1b)).
 
-use serde::{Deserialize, Serialize};
-
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_trace::IoRequest;
-
-/// Static tuning knobs for [`Cde`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CdeConfig {
-    /// A page with at least this many prior accesses is *hot*.
-    pub hot_access_count: u64,
-    /// A request with at most this many pages is *random* (the paper
-    /// quantifies randomness by request size, §3).
-    pub random_max_pages: u32,
-}
-
-impl Default for CdeConfig {
-    fn default() -> Self {
-        CdeConfig {
-            hot_access_count: 4,
-            random_max_pages: 4, // ≤ 16 KiB counts as random
-        }
-    }
-}
 
 /// The CDE heuristic baseline.
 ///
@@ -39,18 +18,17 @@ impl Default for CdeConfig {
 /// ```
 /// use sibyl_policies::Cde;
 /// use sibyl_hss::PlacementPolicy;
-/// assert_eq!(Cde::default().name(), "CDE");
+/// assert_eq!(Cde.name(), "CDE");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Cde {
-    config: CdeConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Cde;
 
 impl Cde {
-    /// Creates CDE with explicit thresholds.
-    pub fn new(config: CdeConfig) -> Self {
-        Cde { config }
-    }
+    /// A page with at least this many prior accesses is *hot*.
+    pub const HOT_ACCESS_COUNT: u64 = 4;
+    /// A write of at most this many pages (≤ 16 KiB) is *random*: the
+    /// paper quantifies randomness by request size (§3).
+    pub const RANDOM_MAX_PAGES: u32 = 4;
 }
 
 impl PlacementPolicy for Cde {
@@ -58,11 +36,10 @@ impl PlacementPolicy for Cde {
         "CDE"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        let mgr = ctx.manager;
+    fn place(&mut self, req: &IoRequest, mgr: &StorageManager) -> DeviceId {
         if req.op.is_write() {
-            let hot = mgr.tracker().access_count(req.lpn) >= self.config.hot_access_count;
-            let random = req.size_pages <= self.config.random_max_pages;
+            let hot = mgr.tracker().access_count(req.lpn) >= Self::HOT_ACCESS_COUNT;
+            let random = req.size_pages <= Self::RANDOM_MAX_PAGES;
             if hot || random {
                 mgr.fastest()
             } else {
@@ -78,7 +55,7 @@ impl PlacementPolicy for Cde {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager() -> StorageManager {
@@ -87,62 +64,63 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    fn place(p: &mut Cde, mgr: &StorageManager, req: &IoRequest) -> DeviceId {
-        let ctx = PlacementContext {
-            manager: mgr,
-            seq: 0,
-        };
-        p.place(req, &ctx)
-    }
-
     #[test]
     fn small_random_write_goes_fast() {
         let mgr = manager();
-        let mut p = Cde::default();
+        let mut p = Cde;
         let req = IoRequest::new(0, 100, 1, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(0));
+        assert_eq!(p.place(&req, &mgr), DeviceId(0));
     }
 
     #[test]
     fn large_cold_write_goes_slow() {
         let mgr = manager();
-        let mut p = Cde::default();
+        let mut p = Cde;
         let req = IoRequest::new(0, 100, 32, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
     }
 
     #[test]
     fn hot_large_write_goes_fast() {
         let mut mgr = manager();
-        let mut p = Cde::default();
+        let mut p = Cde;
         // Touch page 100 enough times to cross the hot threshold.
-        for i in 0..4u64 {
+        for i in 0..Cde::HOT_ACCESS_COUNT {
             let _ = mgr.access(&IoRequest::new(i, 100, 1, IoOp::Read), DeviceId(1));
         }
         let req = IoRequest::new(10, 100, 32, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(0));
+        assert_eq!(p.place(&req, &mgr), DeviceId(0));
     }
 
     #[test]
     fn reads_are_served_in_place() {
         let mut mgr = manager();
-        let mut p = Cde::default();
+        let mut p = Cde;
         let _ = mgr.access(&IoRequest::new(0, 7, 1, IoOp::Write), DeviceId(0));
         let read = IoRequest::new(1, 7, 1, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &read), DeviceId(0));
+        assert_eq!(p.place(&read, &mgr), DeviceId(0));
         let unknown = IoRequest::new(2, 999, 1, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &unknown), DeviceId(1));
+        assert_eq!(p.place(&unknown, &mgr), DeviceId(1));
     }
 
     #[test]
-    fn thresholds_are_configurable() {
-        let mgr = manager();
-        let mut p = Cde::new(CdeConfig {
-            hot_access_count: 1,
-            random_max_pages: 0, // nothing is "random"
-        });
-        // Cold (never accessed) non-random write -> slow.
-        let req = IoRequest::new(0, 5, 1, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+    fn thresholds_are_inclusive() {
+        let mut mgr = manager();
+        let mut p = Cde;
+        let size = Cde::RANDOM_MAX_PAGES;
+        assert_eq!(
+            p.place(&IoRequest::new(0, 5, size, IoOp::Write), &mgr),
+            DeviceId(0)
+        );
+        assert_eq!(
+            p.place(&IoRequest::new(0, 5, size + 1, IoOp::Write), &mgr),
+            DeviceId(1)
+        );
+        // One access short of hot: a large write still goes slow.
+        for i in 1..Cde::HOT_ACCESS_COUNT {
+            let _ = mgr.access(&IoRequest::new(i, 100, 1, IoOp::Read), DeviceId(1));
+        }
+        let req = IoRequest::new(10, 100, 32, IoOp::Write);
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
     }
 }

@@ -1,6 +1,6 @@
 //! The Slow-Only and Fast-Only extreme baselines (§3, §7).
 
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_trace::IoRequest;
 
 /// Places every request on the slowest device — the "no fast storage"
@@ -22,8 +22,8 @@ impl PlacementPolicy for SlowOnly {
         "Slow-Only"
     }
 
-    fn place(&mut self, _req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        ctx.manager.slowest()
+    fn place(&mut self, _req: &IoRequest, manager: &StorageManager) -> DeviceId {
+        manager.slowest()
     }
 }
 
@@ -39,15 +39,15 @@ impl PlacementPolicy for FastOnly {
         "Fast-Only"
     }
 
-    fn place(&mut self, _req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        ctx.manager.fastest()
+    fn place(&mut self, _req: &IoRequest, manager: &StorageManager) -> DeviceId {
+        manager.fastest()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn ctx_manager() -> StorageManager {
@@ -61,11 +61,7 @@ mod tests {
         let mgr = ctx_manager();
         let mut p = SlowOnly;
         let req = IoRequest::new(0, 0, 1, IoOp::Write);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        assert_eq!(p.place(&req, &ctx), DeviceId(1));
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
     }
 
     #[test]
@@ -73,10 +69,6 @@ mod tests {
         let mgr = ctx_manager();
         let mut p = FastOnly;
         let req = IoRequest::new(0, 0, 1, IoOp::Read);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: 0,
-        };
-        assert_eq!(p.place(&req, &ctx), DeviceId(0));
+        assert_eq!(p.place(&req, &mgr), DeviceId(0));
     }
 }

@@ -11,29 +11,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_trace::IoRequest;
-
-/// Static tuning knobs for [`Hps`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HpsConfig {
-    /// Requests per epoch.
-    pub epoch_requests: u64,
-    /// Accesses within one epoch for a page to join the next epoch's hot
-    /// set.
-    pub hot_threshold: u64,
-}
-
-impl Default for HpsConfig {
-    fn default() -> Self {
-        HpsConfig {
-            epoch_requests: 2_000,
-            hot_threshold: 2,
-        }
-    }
-}
 
 /// The HPS heuristic baseline.
 ///
@@ -46,7 +25,6 @@ impl Default for HpsConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Hps {
-    config: HpsConfig,
     /// Access counts accumulated in the current epoch.
     epoch_counts: HashMap<u64, u64>,
     /// Hot set computed at the last epoch boundary.
@@ -55,13 +33,11 @@ pub struct Hps {
 }
 
 impl Hps {
-    /// Creates HPS with explicit epoch length and hot threshold.
-    pub fn new(config: HpsConfig) -> Self {
-        Hps {
-            config,
-            ..Default::default()
-        }
-    }
+    /// Requests per epoch.
+    pub const EPOCH_REQUESTS: u64 = 2_000;
+    /// Accesses within one epoch for a page to join the next epoch's hot
+    /// set.
+    pub const HOT_THRESHOLD: u64 = 2;
 
     /// The number of pages currently considered hot.
     pub fn hot_set_len(&self) -> usize {
@@ -73,7 +49,7 @@ impl Hps {
             // sibyl-lint: allow(unordered-map-iteration) -- drains into a HashSet: membership is order-insensitive, no ordered output is produced
             .epoch_counts
             .drain()
-            .filter(|&(_, c)| c >= self.config.hot_threshold)
+            .filter(|&(_, c)| c >= Self::HOT_THRESHOLD)
             .map(|(p, _)| p)
             .collect();
         self.requests_in_epoch = 0;
@@ -85,8 +61,8 @@ impl PlacementPolicy for Hps {
         "HPS"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        if self.requests_in_epoch >= self.config.epoch_requests {
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
+        if self.requests_in_epoch >= Self::EPOCH_REQUESTS {
             self.roll_epoch();
         }
         self.requests_in_epoch += 1;
@@ -94,9 +70,9 @@ impl PlacementPolicy for Hps {
             *self.epoch_counts.entry(p).or_insert(0) += 1;
         }
         if self.hot_set.contains(&req.lpn) {
-            ctx.manager.fastest()
+            manager.fastest()
         } else {
-            ctx.manager.slowest()
+            manager.slowest()
         }
     }
 }
@@ -104,7 +80,7 @@ impl PlacementPolicy for Hps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager() -> StorageManager {
@@ -113,61 +89,54 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    fn place(p: &mut Hps, mgr: &StorageManager, req: &IoRequest) -> DeviceId {
-        let ctx = PlacementContext {
-            manager: mgr,
-            seq: 0,
-        };
-        p.place(req, &ctx)
+    /// Places one single-page read of `lpn` at time `ts`.
+    fn place(p: &mut Hps, mgr: &StorageManager, ts: u64, lpn: u64) -> DeviceId {
+        p.place(&IoRequest::new(ts, lpn, 1, IoOp::Read), mgr)
     }
 
     #[test]
     fn first_epoch_places_everything_slow() {
         let mgr = manager();
         let mut p = Hps::default();
-        for i in 0..100u64 {
-            let req = IoRequest::new(i, 5, 1, IoOp::Read);
-            assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+        for i in 0..Hps::EPOCH_REQUESTS {
+            assert_eq!(place(&mut p, &mgr, i, 5), DeviceId(1));
         }
     }
 
     #[test]
     fn hot_pages_promote_after_epoch_boundary() {
         let mgr = manager();
-        let mut p = Hps::new(HpsConfig {
-            epoch_requests: 10,
-            hot_threshold: 3,
-        });
-        // Epoch 1: page 7 accessed 5 times, page 8 once.
-        for i in 0..10u64 {
-            let lpn = if i < 5 { 7 } else { 8 + i };
-            let _ = place(&mut p, &mgr, &IoRequest::new(i, lpn, 1, IoOp::Read));
+        let mut p = Hps::default();
+        // Epoch 1: page 7 reaches the threshold, every other page is
+        // touched once.
+        for i in 0..Hps::EPOCH_REQUESTS {
+            let lpn = if i < Hps::HOT_THRESHOLD { 7 } else { 100 + i };
+            let _ = place(&mut p, &mgr, i, lpn);
         }
-        // Epoch 2: page 7 is hot, page 8 is not.
-        let hot = place(&mut p, &mgr, &IoRequest::new(20, 7, 1, IoOp::Read));
-        assert_eq!(hot, DeviceId(0));
-        let cold = place(&mut p, &mgr, &IoRequest::new(21, 8, 1, IoOp::Read));
-        assert_eq!(cold, DeviceId(1));
+        // Epoch 2: page 7 is hot, page 101 is not.
+        let ts = Hps::EPOCH_REQUESTS;
+        assert_eq!(place(&mut p, &mgr, ts, 7), DeviceId(0));
+        assert_eq!(
+            place(&mut p, &mgr, ts + 1, 100 + Hps::EPOCH_REQUESTS - 1),
+            DeviceId(1)
+        );
         assert_eq!(p.hot_set_len(), 1);
     }
 
     #[test]
     fn hot_set_expires_when_page_cools() {
         let mgr = manager();
-        let mut p = Hps::new(HpsConfig {
-            epoch_requests: 4,
-            hot_threshold: 2,
-        });
+        let mut p = Hps::default();
+        let epoch = Hps::EPOCH_REQUESTS;
         // Epoch 1: page 7 hot.
-        for i in 0..4u64 {
-            let _ = place(&mut p, &mgr, &IoRequest::new(i, 7, 1, IoOp::Read));
+        for i in 0..epoch {
+            let _ = place(&mut p, &mgr, i, 7);
         }
         // Epoch 2: page 7 untouched; other pages dominate.
-        for i in 4..8u64 {
-            let _ = place(&mut p, &mgr, &IoRequest::new(i, 100 + i, 1, IoOp::Read));
+        for i in epoch..2 * epoch {
+            let _ = place(&mut p, &mgr, i, 100 + i);
         }
         // Epoch 3: page 7 no longer hot.
-        let d = place(&mut p, &mgr, &IoRequest::new(9, 7, 1, IoOp::Read));
-        assert_eq!(d, DeviceId(1));
+        assert_eq!(place(&mut p, &mgr, 2 * epoch, 7), DeviceId(1));
     }
 }

@@ -35,10 +35,62 @@ mod oracle;
 mod rnn_hss;
 mod tri_hybrid;
 
-pub use archivist::{Archivist, ArchivistConfig};
-pub use cde::{Cde, CdeConfig};
+pub use archivist::Archivist;
+pub use cde::Cde;
 pub use extremes::{FastOnly, SlowOnly};
-pub use hps::{Hps, HpsConfig};
+pub use hps::Hps;
 pub use oracle::Oracle;
-pub use rnn_hss::{RnnHss, RnnHssConfig};
-pub use tri_hybrid::{TriHybridConfig, TriHybridHeuristic};
+pub use rnn_hss::RnnHss;
+pub use tri_hybrid::TriHybridHeuristic;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Where a baseline's fixed value comes from, as the tree records it.
+    const ILLUSTRATIVE: &str = "illustrative: the tree records no source";
+
+    /// Every design-time constant of the baselines beside its source: a
+    /// paper section, the cited work, or *illustrative* where the tree
+    /// records none. Changing a constant fails here until its row is
+    /// edited, so a retuned baseline is a visible line.
+    #[test]
+    fn every_default_is_audited_against_the_paper() {
+        fn show(v: &dyn std::fmt::Debug) -> String {
+            format!("{v:?}")
+        }
+        macro_rules! row {
+            ($constant:expr, $pinned:expr, $source:expr) => {
+                (stringify!($constant), show(&$constant), $pinned, $source)
+            };
+        }
+        let rows = [
+            row!(Cde::HOT_ACCESS_COUNT, "4", ILLUSTRATIVE),
+            row!(Cde::RANDOM_MAX_PAGES, "4", ILLUSTRATIVE),
+            row!(Hps::EPOCH_REQUESTS, "2000", ILLUSTRATIVE),
+            row!(Hps::HOT_THRESHOLD, "2", ILLUSTRATIVE),
+            row!(Archivist::EPOCH_REQUESTS, "2000", ILLUSTRATIVE),
+            row!(Archivist::TRAIN_EPOCHS, "3", ILLUSTRATIVE),
+            row!(Archivist::LEARNING_RATE, "0.05", ILLUSTRATIVE),
+            row!(Archivist::SEED, "41665", ILLUSTRATIVE),
+            row!(RnnHss::PROFILE_REQUESTS, "4000", ILLUSTRATIVE),
+            row!(RnnHss::WINDOW_REQUESTS, "250", ILLUSTRATIVE),
+            row!(RnnHss::HISTORY_WINDOWS, "6", ILLUSTRATIVE),
+            row!(RnnHss::HOT_THRESHOLD, "2", ILLUSTRATIVE),
+            row!(RnnHss::HIDDEN_DIM, "10", ILLUSTRATIVE),
+            row!(RnnHss::TRAIN_EPOCHS, "4", ILLUSTRATIVE),
+            row!(RnnHss::MAX_EXAMPLES, "2000", ILLUSTRATIVE),
+            row!(RnnHss::LEARNING_RATE, "0.05", ILLUSTRATIVE),
+            row!(RnnHss::SEED, "4846", ILLUSTRATIVE),
+            row!(TriHybridHeuristic::HOT_ACCESS_COUNT, "8", ILLUSTRATIVE),
+            row!(TriHybridHeuristic::COLD_ACCESS_COUNT, "2", ILLUSTRATIVE),
+            row!(TriHybridHeuristic::RANDOM_MAX_PAGES, "2", ILLUSTRATIVE),
+        ];
+        for (constant, value, pinned, source) in &rows {
+            assert_eq!(
+                value, pinned,
+                "{constant} ({source}): the constant moved — edit its row"
+            );
+        }
+    }
+}

@@ -17,7 +17,7 @@
 //! every policy is measured against (Sibyl reaches ~80 % of it, §8.1).
 
 use sibyl_hss::{
-    DeviceId, NextUseIndex, OracleVictim, PlacementContext, PlacementPolicy, VictimPolicy,
+    DeviceId, NextUseIndex, OracleVictim, PlacementPolicy, StorageManager, VictimPolicy,
 };
 use sibyl_trace::{IoRequest, Trace};
 
@@ -50,18 +50,18 @@ impl PlacementPolicy for Oracle {
         )))
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
         if req.op.is_write() {
-            return ctx.manager.fastest();
+            return manager.fastest();
         }
-        (ctx.manager.residency(req.lpn)).unwrap_or_else(|| ctx.manager.slowest())
+        (manager.residency(req.lpn)).unwrap_or_else(|| manager.slowest())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager(fast_pages: u64) -> StorageManager {
@@ -70,9 +70,9 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    /// Places `req` with the Oracle at sequence `seq` and serves it.
-    fn serve(mgr: &mut StorageManager, req: IoRequest, seq: u64) -> (DeviceId, u64) {
-        let target = Oracle.place(&req, &PlacementContext { manager: mgr, seq });
+    /// Places `req` with the Oracle and serves it.
+    fn serve(mgr: &mut StorageManager, req: IoRequest) -> (DeviceId, u64) {
+        let target = Oracle.place(&req, mgr);
         (target, mgr.access(&req, target).migrated_pages)
     }
 
@@ -80,7 +80,7 @@ mod tests {
     fn a_write_never_used_again_still_goes_fast() {
         // Page 9 is written once and never touched again.
         let mut mgr = manager(10);
-        let (target, _) = serve(&mut mgr, IoRequest::new(0, 9, 1, IoOp::Write), 0);
+        let (target, _) = serve(&mut mgr, IoRequest::new(0, 9, 1, IoOp::Write));
         assert_eq!(target, DeviceId(0));
         assert_eq!(mgr.residency(9), Some(DeviceId(0)));
     }
@@ -88,15 +88,15 @@ mod tests {
     #[test]
     fn a_read_stays_on_the_device_holding_its_first_page() {
         let mut mgr = manager(10);
-        let _ = serve(&mut mgr, IoRequest::new(0, 5, 1, IoOp::Write), 0);
+        let _ = serve(&mut mgr, IoRequest::new(0, 5, 1, IoOp::Write));
         // Fast-resident: read in place on the fast device.
         assert_eq!(
-            serve(&mut mgr, IoRequest::new(1, 5, 1, IoOp::Read), 1),
+            serve(&mut mgr, IoRequest::new(1, 5, 1, IoOp::Read)),
             (DeviceId(0), 0)
         );
         // Unknown: read in place on the slowest device, no promotion.
         assert_eq!(
-            serve(&mut mgr, IoRequest::new(2, 7, 1, IoOp::Read), 2),
+            serve(&mut mgr, IoRequest::new(2, 7, 1, IoOp::Read)),
             (DeviceId(1), 0)
         );
         assert_eq!(mgr.residency(5), Some(DeviceId(0)));

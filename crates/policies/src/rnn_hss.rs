@@ -16,50 +16,10 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_nn::Rnn;
 use sibyl_trace::IoRequest;
-
-/// Static tuning knobs for [`RnnHss`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RnnHssConfig {
-    /// Requests in the offline profiling phase.
-    pub profile_requests: u64,
-    /// Requests per history window.
-    pub window_requests: u64,
-    /// History windows fed to the RNN per prediction.
-    pub history_windows: usize,
-    /// Per-window access count for a page to be labeled hot.
-    pub hot_threshold: u64,
-    /// Hidden-state width of the RNN.
-    pub hidden_dim: usize,
-    /// Training passes over the profile.
-    pub train_epochs: usize,
-    /// Training examples sampled from the profile (caps training cost).
-    pub max_examples: usize,
-    /// Learning rate for BPTT.
-    pub learning_rate: f32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RnnHssConfig {
-    fn default() -> Self {
-        RnnHssConfig {
-            profile_requests: 4_000,
-            window_requests: 250,
-            history_windows: 6,
-            hot_threshold: 2,
-            hidden_dim: 10,
-            train_epochs: 4,
-            max_examples: 2_000,
-            learning_rate: 0.05,
-            seed: 0x12EE,
-        }
-    }
-}
 
 /// Sparse per-page window history: (window index, access count) pairs for
 /// the most recent touched windows.
@@ -121,7 +81,6 @@ impl PageHistory {
 /// ```
 #[derive(Debug)]
 pub struct RnnHss {
-    config: RnnHssConfig,
     rnn: Rnn,
     rng: StdRng,
     histories: HashMap<u64, PageHistory>,
@@ -131,25 +90,9 @@ pub struct RnnHss {
 
 impl Default for RnnHss {
     fn default() -> Self {
-        RnnHss::new(RnnHssConfig::default())
-    }
-}
-
-impl RnnHss {
-    /// Creates RNN-HSS with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history_windows` is zero.
-    pub fn new(config: RnnHssConfig) -> Self {
-        assert!(
-            config.history_windows > 0,
-            "RnnHss: history_windows must be >= 1"
-        );
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let rnn = Rnn::new(2, config.hidden_dim, 2, &mut rng);
+        let mut rng = StdRng::seed_from_u64(Self::SEED);
+        let rnn = Rnn::new(2, Self::HIDDEN_DIM, 2, &mut rng);
         RnnHss {
-            config,
             rnn,
             rng,
             histories: HashMap::new(),
@@ -157,6 +100,27 @@ impl RnnHss {
             trained: false,
         }
     }
+}
+
+impl RnnHss {
+    /// Requests in the offline profiling phase.
+    pub const PROFILE_REQUESTS: u64 = 4_000;
+    /// Requests per history window.
+    pub const WINDOW_REQUESTS: u64 = 250;
+    /// History windows fed to the RNN per prediction.
+    pub const HISTORY_WINDOWS: usize = 6;
+    /// Per-window access count for a page to be labeled hot.
+    pub const HOT_THRESHOLD: u32 = 2;
+    /// Hidden-state width of the RNN.
+    pub const HIDDEN_DIM: usize = 10;
+    /// Training passes over the profile.
+    pub const TRAIN_EPOCHS: usize = 4;
+    /// Training examples sampled from the profile (caps training cost).
+    pub const MAX_EXAMPLES: usize = 2_000;
+    /// Learning rate for BPTT.
+    pub const LEARNING_RATE: f32 = 0.05;
+    /// RNG seed for network initialization and example shuffling.
+    pub const SEED: u64 = 0x12EE;
 
     /// `true` once the offline profiling phase has finished and the RNN
     /// was trained.
@@ -165,12 +129,12 @@ impl RnnHss {
     }
 
     fn current_window(&self) -> u64 {
-        self.requests_seen / self.config.window_requests
+        self.requests_seen / Self::WINDOW_REQUESTS
     }
 
     /// One-shot offline training on the collected profile.
     fn train_offline(&mut self) {
-        let k = self.config.history_windows;
+        let k = Self::HISTORY_WINDOWS;
         let label_window = self.current_window().saturating_sub(1);
         let mut examples: Vec<(Vec<Vec<f32>>, bool)> = Vec::new();
         // Build examples in LPN order: `histories` is a HashMap, and its
@@ -186,7 +150,7 @@ impl RnnHss {
                 continue;
             }
             let seq = hist.sequence(label_window, k);
-            let hot = hist.count_in(label_window) >= self.config.hot_threshold as u32;
+            let hot = hist.count_in(label_window) >= Self::HOT_THRESHOLD;
             examples.push((seq, hot));
         }
         // Balance classes so the (typically dominant) cold class does not
@@ -197,7 +161,7 @@ impl RnnHss {
             return;
         }
         examples.shuffle(&mut self.rng);
-        examples.truncate(self.config.max_examples);
+        examples.truncate(Self::MAX_EXAMPLES);
         let (hot, cold): (Vec<_>, Vec<_>) = examples.iter().cloned().partition(|(_, h)| *h);
         let (minority, majority) = if hot.len() < cold.len() {
             (hot, cold)
@@ -210,11 +174,11 @@ impl RnnHss {
                 examples.push(minority[i % minority.len()].clone());
             }
         }
-        for _ in 0..self.config.train_epochs {
+        for _ in 0..Self::TRAIN_EPOCHS {
             examples.shuffle(&mut self.rng);
             for (seq, hot) in &examples {
                 let target = if *hot { [1.0f32, 0.0] } else { [0.0f32, 1.0] };
-                let _ = self.rnn.train_step(seq, &target, self.config.learning_rate);
+                let _ = self.rnn.train_step(seq, &target, Self::LEARNING_RATE);
             }
         }
         self.trained = true;
@@ -226,33 +190,33 @@ impl PlacementPolicy for RnnHss {
         "RNN-HSS"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
+    fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
         let window = self.current_window();
         self.requests_seen += 1;
-        let keep = self.config.history_windows + 2;
+        let keep = Self::HISTORY_WINDOWS + 2;
         self.histories
             .entry(req.lpn)
             .or_default()
             .touch(window, keep);
 
         if !self.trained {
-            if self.requests_seen >= self.config.profile_requests {
+            if self.requests_seen >= Self::PROFILE_REQUESTS {
                 self.train_offline();
             }
             // During profiling everything stays in slow storage (Kleio
             // profiles the application offline before placement).
-            return ctx.manager.slowest();
+            return manager.slowest();
         }
 
         let seq = self
             .histories
             .get(&req.lpn)
-            .map(|h| h.sequence(window + 1, self.config.history_windows))
-            .unwrap_or_else(|| vec![vec![0.0, 0.0]; self.config.history_windows]);
+            .map(|h| h.sequence(window + 1, Self::HISTORY_WINDOWS))
+            .unwrap_or_else(|| vec![vec![0.0, 0.0]; Self::HISTORY_WINDOWS]);
         if self.rnn.classify(&seq) == 0 {
-            ctx.manager.fastest()
+            manager.fastest()
         } else {
-            ctx.manager.slowest()
+            manager.slowest()
         }
     }
 }
@@ -260,7 +224,7 @@ impl PlacementPolicy for RnnHss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager() -> StorageManager {
@@ -269,25 +233,8 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    fn small_config() -> RnnHssConfig {
-        RnnHssConfig {
-            profile_requests: 600,
-            window_requests: 100,
-            history_windows: 4,
-            hot_threshold: 2,
-            train_epochs: 6,
-            ..Default::default()
-        }
-    }
-
     fn run_one(p: &mut RnnHss, mgr: &mut StorageManager, req: IoRequest) -> DeviceId {
-        let target = {
-            let ctx = PlacementContext {
-                manager: mgr,
-                seq: 0,
-            };
-            p.place(&req, &ctx)
-        };
+        let target = p.place(&req, mgr);
         let _ = mgr.access(&req, target);
         target
     }
@@ -295,8 +242,8 @@ mod tests {
     #[test]
     fn profiling_phase_places_slow() {
         let mut mgr = manager();
-        let mut p = RnnHss::new(small_config());
-        for i in 0..100u64 {
+        let mut p = RnnHss::default();
+        for i in 0..RnnHss::PROFILE_REQUESTS - 1 {
             let d = run_one(&mut p, &mut mgr, IoRequest::new(i, i % 3, 1, IoOp::Read));
             assert_eq!(d, DeviceId(1));
         }
@@ -306,10 +253,10 @@ mod tests {
     #[test]
     fn trains_after_profile_and_separates_hot_cold() {
         let mut mgr = manager();
-        let mut p = RnnHss::new(small_config());
+        let mut p = RnnHss::default();
         // Profile: pages 0..3 hot every window; pages 1000+ touched once.
         let mut ts = 0u64;
-        for i in 0..600u64 {
+        for i in 0..RnnHss::PROFILE_REQUESTS {
             let req = if i % 2 == 0 {
                 IoRequest::new(ts, i % 3, 1, IoOp::Write)
             } else {
@@ -320,7 +267,7 @@ mod tests {
         }
         assert!(p.is_trained());
         // Keep the hot pages hot for a couple more windows, then check.
-        for i in 0..300u64 {
+        for i in 0..2 * RnnHss::WINDOW_REQUESTS {
             let req = if i % 2 == 0 {
                 IoRequest::new(ts, i % 3, 1, IoOp::Write)
             } else {
@@ -352,15 +299,5 @@ mod tests {
         assert_eq!(seq[1][1], 0.0);
         assert_eq!(seq[2][1], 0.0);
         assert!(seq[3][1] > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "history_windows must be >= 1")]
-    fn rejects_zero_windows() {
-        let cfg = RnnHssConfig {
-            history_windows: 0,
-            ..Default::default()
-        };
-        let _ = RnnHss::new(cfg);
     }
 }

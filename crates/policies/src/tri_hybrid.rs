@@ -8,33 +8,8 @@
 //! commitment the paper criticizes: they cannot react to device or
 //! workload changes, which is why Sibyl beats this policy by 23.9–48.2 %.
 
-use serde::{Deserialize, Serialize};
-
-use sibyl_hss::{DeviceId, PlacementContext, PlacementPolicy};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
 use sibyl_trace::IoRequest;
-
-/// Static hotness thresholds for [`TriHybridHeuristic`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TriHybridConfig {
-    /// Access count at or above which a page is *hot* → H (device 0).
-    pub hot_access_count: u64,
-    /// Access count at or above which a page is *cold* (but not frozen)
-    /// → M (device 1). Below this the page is *frozen* → L.
-    pub cold_access_count: u64,
-    /// Writes of at most this many pages count as random and are bumped
-    /// one tier up (CDE lineage: the policy is "based on the CDE policy").
-    pub random_max_pages: u32,
-}
-
-impl Default for TriHybridConfig {
-    fn default() -> Self {
-        TriHybridConfig {
-            hot_access_count: 8,
-            cold_access_count: 2,
-            random_max_pages: 2,
-        }
-    }
-}
 
 /// The hot/cold/frozen three-device heuristic.
 ///
@@ -43,18 +18,20 @@ impl Default for TriHybridConfig {
 /// ```
 /// use sibyl_policies::TriHybridHeuristic;
 /// use sibyl_hss::PlacementPolicy;
-/// assert_eq!(TriHybridHeuristic::default().name(), "Heuristic-Tri-Hybrid");
+/// assert_eq!(TriHybridHeuristic.name(), "Heuristic-Tri-Hybrid");
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct TriHybridHeuristic {
-    config: TriHybridConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TriHybridHeuristic;
 
 impl TriHybridHeuristic {
-    /// Creates the heuristic with explicit thresholds.
-    pub fn new(config: TriHybridConfig) -> Self {
-        TriHybridHeuristic { config }
-    }
+    /// Access count at or above which a page is *hot* → H (device 0).
+    pub const HOT_ACCESS_COUNT: u64 = 8;
+    /// Access count at or above which a page is *cold* (but not frozen)
+    /// → M (device 1). Below this the page is *frozen* → L.
+    pub const COLD_ACCESS_COUNT: u64 = 2;
+    /// Writes of at most this many pages count as random and are bumped
+    /// one tier up (CDE lineage: the policy is "based on the CDE policy").
+    pub const RANDOM_MAX_PAGES: u32 = 2;
 }
 
 impl PlacementPolicy for TriHybridHeuristic {
@@ -62,20 +39,19 @@ impl PlacementPolicy for TriHybridHeuristic {
         "Heuristic-Tri-Hybrid"
     }
 
-    fn place(&mut self, req: &IoRequest, ctx: &PlacementContext<'_>) -> DeviceId {
-        let mgr = ctx.manager;
+    fn place(&mut self, req: &IoRequest, mgr: &StorageManager) -> DeviceId {
         let n = mgr.num_devices();
         let count = mgr.tracker().access_count(req.lpn);
         // Tier by hotness: 0 = hot, 1 = cold, 2 = frozen.
-        let mut tier = if count >= self.config.hot_access_count {
+        let mut tier = if count >= Self::HOT_ACCESS_COUNT {
             0usize
-        } else if count >= self.config.cold_access_count {
+        } else if count >= Self::COLD_ACCESS_COUNT {
             1
         } else {
             2
         };
         // Random writes are bumped one tier up (CDE heritage).
-        if req.op.is_write() && req.size_pages <= self.config.random_max_pages && tier > 0 {
+        if req.op.is_write() && req.size_pages <= Self::RANDOM_MAX_PAGES && tier > 0 {
             tier -= 1;
         }
         DeviceId(tier.min(n - 1))
@@ -85,7 +61,7 @@ impl PlacementPolicy for TriHybridHeuristic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+    use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn tri_manager() -> StorageManager {
@@ -98,50 +74,42 @@ mod tests {
         StorageManager::new(&cfg)
     }
 
-    fn place(p: &mut TriHybridHeuristic, mgr: &StorageManager, req: &IoRequest) -> DeviceId {
-        let ctx = PlacementContext {
-            manager: mgr,
-            seq: 0,
-        };
-        p.place(req, &ctx)
-    }
-
     #[test]
     fn frozen_pages_go_to_l() {
         let mgr = tri_manager();
-        let mut p = TriHybridHeuristic::default();
+        let mut p = TriHybridHeuristic;
         let req = IoRequest::new(0, 500, 8, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(2));
+        assert_eq!(p.place(&req, &mgr), DeviceId(2));
     }
 
     #[test]
     fn warm_pages_go_to_m_hot_pages_to_h() {
         let mut mgr = tri_manager();
-        let mut p = TriHybridHeuristic::default();
+        let mut p = TriHybridHeuristic;
         // 3 accesses -> cold tier (M).
         for i in 0..3u64 {
             let _ = mgr.access(&IoRequest::new(i, 9, 1, IoOp::Read), DeviceId(2));
         }
         let req = IoRequest::new(10, 9, 8, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
         // 8+ accesses -> hot tier (H).
         for i in 3..9u64 {
             let _ = mgr.access(&IoRequest::new(i, 9, 1, IoOp::Read), DeviceId(2));
         }
         let req = IoRequest::new(20, 9, 8, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(0));
+        assert_eq!(p.place(&req, &mgr), DeviceId(0));
     }
 
     #[test]
     fn random_write_bumps_one_tier() {
         let mgr = tri_manager();
-        let mut p = TriHybridHeuristic::default();
+        let mut p = TriHybridHeuristic;
         // Frozen page, but a small random write -> M instead of L.
         let req = IoRequest::new(0, 77, 1, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
         // Large write stays frozen.
         let req = IoRequest::new(1, 88, 16, IoOp::Write);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(2));
+        assert_eq!(p.place(&req, &mgr), DeviceId(2));
     }
 
     #[test]
@@ -150,8 +118,8 @@ mod tests {
         let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
             .with_capacity_pages(vec![64, u64::MAX]);
         let mgr = StorageManager::new(&cfg);
-        let mut p = TriHybridHeuristic::default();
+        let mut p = TriHybridHeuristic;
         let req = IoRequest::new(0, 500, 8, IoOp::Read);
-        assert_eq!(place(&mut p, &mgr, &req), DeviceId(1));
+        assert_eq!(p.place(&req, &mgr), DeviceId(1));
     }
 }

@@ -270,7 +270,6 @@ impl ServeConfig {
         if !(self.nn_ns_per_mac.is_finite() && self.nn_ns_per_mac >= 0.0) {
             return Err(ServeError::InvalidNnCost);
         }
-        self.telemetry.validate().map_err(ServeError::Telemetry)?;
         self.xray.validate().map_err(ServeError::Xray)?;
         self.coop.validate().map_err(ServeError::Coop)?;
         self.migrate.validate().map_err(ServeError::Migrate)?;
@@ -367,19 +366,5 @@ mod tests {
                 .validate(),
             Err(ServeError::Coop(CoopConfigError::InvalidShareFraction))
         );
-    }
-
-    #[test]
-    fn degenerate_telemetry_is_an_error() {
-        let mut telemetry = TelemetryConfig::events();
-        telemetry.event_capacity = 0;
-        assert!(matches!(
-            ServeConfig::new(hss()).with_telemetry(telemetry).validate(),
-            Err(ServeError::Telemetry(_))
-        ));
-        ServeConfig::new(hss())
-            .with_telemetry(TelemetryConfig::full())
-            .validate()
-            .unwrap();
     }
 }

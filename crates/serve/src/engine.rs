@@ -8,7 +8,7 @@ use sibyl_coop::{CoopConfigError, Coordinator};
 use sibyl_core::SibylAgent;
 use sibyl_hss::{AccessOutcome, PageSet, StorageManager};
 use sibyl_migrate::{MigrateConfig, MigrateConfigError, Migrator};
-use sibyl_telemetry::{ShardTelemetry, TelemetryConfigError, TelemetryReport};
+use sibyl_telemetry::{ShardTelemetry, TelemetryReport};
 use sibyl_trace::{IoRequest, Trace};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport};
 
@@ -33,8 +33,6 @@ pub enum ServeError {
     InvalidTimeScale,
     /// `nn_ns_per_mac` is negative or not finite.
     InvalidNnCost,
-    /// The telemetry configuration is degenerate.
-    Telemetry(TelemetryConfigError),
     /// The xray span-tracing configuration is degenerate.
     Xray(XrayConfigError),
     /// The cooperation configuration is degenerate.
@@ -76,7 +74,6 @@ impl std::fmt::Display for ServeError {
                     "ServeConfig: nn_ns_per_mac must be non-negative and finite"
                 )
             }
-            ServeError::Telemetry(e) => write!(f, "ServeConfig: {e}"),
             ServeError::Xray(e) => write!(f, "ServeConfig: {e}"),
             ServeError::Coop(e) => write!(f, "ServeConfig: {e}"),
             ServeError::Migrate(e) => write!(f, "ServeConfig: {e}"),

@@ -101,8 +101,5 @@ pub use report::{Aggregate, CurvePoint, ServeReport, ShardReport};
 // dependencies.
 pub use sibyl_coop::{CoopConfig, CoopConfigError, CoopMode};
 pub use sibyl_migrate::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
-pub use sibyl_telemetry::{
-    ShardTelemetry, TelemetryConfig, TelemetryConfigError, TelemetryLevel, TelemetryReport,
-    TraceEvent,
-};
+pub use sibyl_telemetry::{ShardTelemetry, TelemetryConfig, TelemetryReport, TraceEvent};
 pub use sibyl_xray::{ShardXray, XrayConfig, XrayConfigError, XrayReport};

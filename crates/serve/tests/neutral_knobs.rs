@@ -20,8 +20,6 @@ use sibyl_serve::{
 };
 
 fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 4] {
-    let mut telemetry_off = TelemetryConfig::off();
-    telemetry_off.event_capacity = 7;
     [
         (
             "CoopMode::Independent",
@@ -43,7 +41,7 @@ fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 4] {
         ),
         (
             "TelemetryConfig::off",
-            base.clone().with_telemetry(telemetry_off),
+            base.clone().with_telemetry(TelemetryConfig::off()),
         ),
         ("XrayConfig::Off", base.clone().with_xray(XrayConfig::Off)),
     ]

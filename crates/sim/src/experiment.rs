@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use sibyl_hss::{HssConfig, PlacementContext, PlacementPolicy, StorageManager};
+use sibyl_hss::{HssConfig, PlacementPolicy, StorageManager};
 use sibyl_trace::Trace;
 
 use crate::metrics::Metrics;
@@ -191,24 +191,14 @@ impl Experiment {
         if let Some(victim) = policy.victim_policy(manager.num_devices(), &self.trace) {
             manager.set_victim_policy(victim);
         }
-        for (seq, orig) in self.trace.iter().enumerate() {
+        for orig in self.trace.iter() {
             let mut req = *orig;
             if self.time_scale != 1.0 {
                 req.timestamp_us = (orig.timestamp_us as f64 / self.time_scale) as u64;
             }
-            let target = {
-                let ctx = PlacementContext {
-                    manager: &manager,
-                    seq: seq as u64,
-                };
-                policy.place(&req, &ctx)
-            };
+            let target = policy.place(&req, &manager);
             let outcome = manager.access(&req, target);
-            let ctx = PlacementContext {
-                manager: &manager,
-                seq: seq as u64,
-            };
-            policy.feedback(&req, &outcome, &ctx);
+            policy.feedback(&outcome);
         }
         Ok(Outcome {
             policy: policy.name().to_string(),

@@ -71,12 +71,12 @@ impl PolicyKind {
         match self {
             PolicyKind::SlowOnly => Box::new(SlowOnly),
             PolicyKind::FastOnly => Box::new(FastOnly),
-            PolicyKind::Cde => Box::new(Cde::default()),
+            PolicyKind::Cde => Box::new(Cde),
             PolicyKind::Hps => Box::new(Hps::default()),
             PolicyKind::Archivist => Box::new(Archivist::default()),
             PolicyKind::RnnHss => Box::new(RnnHss::default()),
             PolicyKind::Oracle => Box::new(Oracle),
-            PolicyKind::TriHybridHeuristic => Box::new(TriHybridHeuristic::default()),
+            PolicyKind::TriHybridHeuristic => Box::new(TriHybridHeuristic),
             PolicyKind::Sibyl(cfg) => Box::new(SibylAgent::new((**cfg).clone())),
         }
     }

@@ -1,23 +1,11 @@
 //! Telemetry configuration: how much the stack records.
 
-/// How much telemetry the stack records.
+/// How much telemetry the stack records, carried by `SibylConfig` and
+/// `ServeConfig`.
 ///
 /// Levels are strictly ordered: each adds to the previous. The default is
-/// [`TelemetryLevel::Off`], which is zero-cost — no sink is allocated and
+/// [`TelemetryConfig::Off`], which is zero-cost — no sink is allocated and
 /// serving output is pinned bit-identical to a build without telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TelemetryLevel {
-    /// Record nothing (the default). Sinks are `None`; no allocation.
-    #[default]
-    Off,
-    /// Record the bounded event trace and counters/gauges/series, but
-    /// skip per-request histogram updates.
-    Events,
-    /// Everything: events plus per-request histograms and RL probes.
-    Full,
-}
-
-/// Telemetry knobs carried by `SibylConfig` and `ServeConfig`.
 ///
 /// # Examples
 ///
@@ -28,101 +16,55 @@ pub enum TelemetryLevel {
 /// let full = TelemetryConfig::full();
 /// assert!(full.enabled() && full.histograms());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TelemetryConfig {
-    /// Recording level.
-    pub level: TelemetryLevel,
-    /// Capacity of the per-shard event ring. When it fills, the oldest
-    /// events are dropped (and counted) — the trace is a bounded tail.
-    pub event_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            level: TelemetryLevel::Off,
-            event_capacity: 4096,
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TelemetryConfig {
+    /// Record nothing (the default). Sinks are `None`; no allocation.
+    #[default]
+    Off,
+    /// Record the bounded event trace and counters/gauges/series, but
+    /// skip per-request histogram updates.
+    Events,
+    /// Everything: events plus per-request histograms and RL probes.
+    Full,
 }
 
 impl TelemetryConfig {
     /// Telemetry disabled (the default).
     pub fn off() -> Self {
-        TelemetryConfig::default()
+        TelemetryConfig::Off
     }
 
     /// Event trace and scalar metrics, no histograms.
     pub fn events() -> Self {
-        TelemetryConfig {
-            level: TelemetryLevel::Events,
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig::Events
     }
 
     /// Everything, including histograms and RL probes.
     pub fn full() -> Self {
-        TelemetryConfig {
-            level: TelemetryLevel::Full,
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig::Full
     }
 
     /// True when any recording happens at all.
     pub fn enabled(&self) -> bool {
-        self.level != TelemetryLevel::Off
+        *self != TelemetryConfig::Off
     }
 
     /// True when per-request histograms (and RL probes) are recorded.
     pub fn histograms(&self) -> bool {
-        self.level == TelemetryLevel::Full
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when telemetry is enabled with a zero-capacity
-    /// event ring — that silently records nothing, which is always a
-    /// misconfiguration.
-    pub fn validate(&self) -> Result<(), TelemetryConfigError> {
-        if self.enabled() && self.event_capacity == 0 {
-            return Err(TelemetryConfigError::ZeroEventCapacity);
-        }
-        Ok(())
+        *self == TelemetryConfig::Full
     }
 }
-
-/// Why a [`TelemetryConfig`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryConfigError {
-    /// Telemetry enabled but `event_capacity == 0`.
-    ZeroEventCapacity,
-}
-
-impl std::fmt::Display for TelemetryConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TelemetryConfigError::ZeroEventCapacity => {
-                write!(f, "telemetry is enabled but event_capacity is 0")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TelemetryConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_is_off_and_valid() {
+    fn default_is_off() {
         let cfg = TelemetryConfig::default();
-        assert_eq!(cfg.level, TelemetryLevel::Off);
+        assert_eq!(cfg, TelemetryConfig::off());
         assert!(!cfg.enabled());
         assert!(!cfg.histograms());
-        cfg.validate().unwrap();
     }
 
     #[test]
@@ -130,14 +72,5 @@ mod tests {
         assert!(TelemetryConfig::events().enabled());
         assert!(!TelemetryConfig::events().histograms());
         assert!(TelemetryConfig::full().histograms());
-    }
-
-    #[test]
-    fn zero_capacity_rejected_only_when_enabled() {
-        let mut cfg = TelemetryConfig::off();
-        cfg.event_capacity = 0;
-        cfg.validate().unwrap();
-        cfg.level = TelemetryLevel::Events;
-        assert_eq!(cfg.validate(), Err(TelemetryConfigError::ZeroEventCapacity));
     }
 }

@@ -41,7 +41,7 @@ mod registry;
 mod report;
 mod sink;
 
-pub use config::{TelemetryConfig, TelemetryConfigError, TelemetryLevel};
+pub use config::TelemetryConfig;
 pub use event::{EventRing, SeqEvent, TraceEvent};
 pub use histogram::{Log2Histogram, BUCKETS};
 pub use registry::Registry;

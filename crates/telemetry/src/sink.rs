@@ -4,6 +4,10 @@ use crate::config::TelemetryConfig;
 use crate::event::{EventRing, SeqEvent, TraceEvent};
 use crate::registry::Registry;
 
+/// Capacity of the per-shard event ring. When it fills, the oldest
+/// events are dropped (and counted) — the trace is a bounded tail.
+pub(crate) const EVENT_CAPACITY: usize = 4096;
+
 /// Live telemetry collector owned by one shard worker.
 ///
 /// Constructed via [`TelemetrySink::new`], which returns `None` when
@@ -22,7 +26,7 @@ impl TelemetrySink {
         config.enabled().then(|| TelemetrySink {
             config: *config,
             registry: Registry::new(),
-            ring: EventRing::new(config.event_capacity),
+            ring: EventRing::new(EVENT_CAPACITY),
         })
     }
 
@@ -87,18 +91,18 @@ mod tests {
 
     #[test]
     fn finish_carries_drop_accounting() {
-        let mut cfg = TelemetryConfig::events();
-        cfg.event_capacity = 2;
-        let mut sink = TelemetrySink::new(&cfg).unwrap();
+        let mut sink = TelemetrySink::new(&TelemetryConfig::events()).unwrap();
         assert!(!sink.histograms());
-        for step in 0..5 {
+        let recorded = EVENT_CAPACITY as u64 + 3;
+        for step in 0..recorded {
             sink.event(TraceEvent::TrainStep { step, loss: 0.1 });
         }
         sink.registry_mut().counter_add("c", 1);
         let shard = sink.finish(3);
         assert_eq!(shard.shard, 3);
-        assert_eq!(shard.events.len(), 2);
-        assert_eq!(shard.recorded_events, 5);
+        assert_eq!(shard.events.len(), EVENT_CAPACITY);
+        assert_eq!(shard.events[0].seq, 3, "the oldest three were dropped");
+        assert_eq!(shard.recorded_events, recorded);
         assert_eq!(shard.dropped_events, 3);
         assert_eq!(shard.registry.counter("c"), 1);
     }

@@ -8,7 +8,7 @@
 //! ```
 
 use sibyl::core::{SibylAgent, SibylConfig};
-use sibyl::hss::{DeviceSpec, HssConfig, PlacementContext, PlacementPolicy, StorageManager};
+use sibyl::hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
 use sibyl::trace::{mix, msrc};
 
 fn main() {
@@ -44,19 +44,9 @@ fn main() {
     let mut fast = 0u64;
     let mut lat = 0.0f64;
     for (seq, req) in spliced.iter().enumerate() {
-        let target = {
-            let ctx = PlacementContext {
-                manager: &mgr,
-                seq: seq as u64,
-            };
-            agent.place(req, &ctx)
-        };
+        let target = agent.place(req, &mgr);
         let out = mgr.access(req, target);
-        let ctx = PlacementContext {
-            manager: &mgr,
-            seq: seq as u64,
-        };
-        agent.feedback(req, &out, &ctx);
+        agent.feedback(&out);
         if target.0 == 0 {
             fast += 1;
         }

@@ -3,7 +3,7 @@
 //! table, encoded so regressions in the simulator or the agent surface as
 //! test failures.
 
-use sibyl::core::{AgentKind, FeatureMask, OverheadReport, SibylConfig};
+use sibyl::core::{FeatureMask, OverheadReport, SibylConfig};
 use sibyl::hss::{DeviceSpec, HssConfig};
 use sibyl::sim::{run_suite, Experiment, PolicyKind};
 use sibyl::trace::{msrc, stats::TraceStats};
@@ -171,19 +171,6 @@ fn sibyl_exploits_hot_write_workloads() {
         suite.outcomes[1].metrics.fast_placement_fraction > 0.5,
         "hot write workload should earn high fast preference"
     );
-}
-
-#[test]
-fn dqn_variant_runs_end_to_end() {
-    let trace = msrc::generate(msrc::Workload::Rsrch0, 8_000, 5);
-    let cfg = SibylConfig {
-        agent_kind: AgentKind::Dqn,
-        ..Default::default()
-    };
-    let out = Experiment::new(hm(), trace)
-        .run(PolicyKind::sibyl_with(cfg))
-        .unwrap();
-    assert_eq!(out.metrics.total_requests, 8_000);
 }
 
 #[test]
