@@ -18,9 +18,8 @@
 //! of one.
 
 use sibyl_bench::{seed, serving_config, trace_len, Figure};
-use sibyl_serve::TelemetryConfig;
+use sibyl_serve::{serve_trace, TelemetryConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::ServeExperiment;
 use sibyl_trace::mix::Mix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,10 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
         let mut base_iops = 0.0f64;
         for shards in [1usize, 2, 4, 8] {
-            let outcome =
-                ServeExperiment::new(serving_config(shards, batch), trace.clone()).run()?;
-            let agg = outcome.aggregate;
-            let nn_us: f64 = outcome.report.shards.iter().map(|s| s.nn_busy_us).sum();
+            let report = serve_trace(&serving_config(shards, batch), &trace)?;
+            let agg = report.aggregate();
+            let nn_us: f64 = report.shards.iter().map(|s| s.nn_busy_us).sum();
             if shards == 1 {
                 base_iops = agg.iops;
             }
@@ -79,8 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = serving_config(4, 16)
             .with_curve_every(8)
             .with_telemetry(TelemetryConfig::full());
-        let outcome = ServeExperiment::new(config, trace).run()?;
-        let jsonl = outcome.telemetry_jsonl().expect("telemetry enabled");
+        let report = serve_trace(&config, &trace)?;
+        let jsonl = report.telemetry.expect("telemetry enabled").export_jsonl();
         std::fs::write(&path, &jsonl)?;
         println!(
             "telemetry JSONL ({} lines) written to {path}",

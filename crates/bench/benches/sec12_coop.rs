@@ -15,14 +15,13 @@
 //! the latency columns include the decision cost cooperation has to
 //! amortize.
 
-use sibyl_bench::{coop_config, seed, skewed_coop_trace, trace_len, Figure};
-use sibyl_serve::CoopMode;
+use sibyl_bench::{best_challenger, coop_config, seed, skewed_coop_trace, trace_len, Figure};
+use sibyl_serve::{serve_trace, CoopMode, ServeError, ServeReport};
 use sibyl_sim::report::Table;
-use sibyl_sim::{ServeExperiment, ServeOutcome};
+use sibyl_sim::Metrics;
 
-fn shared_experiences(outcome: &ServeOutcome) -> u64 {
-    let shards = &outcome.report.shards;
-    shards.iter().map(|s| s.agent.shared_absorbed).sum()
+fn shared_experiences(report: &ServeReport) -> u64 {
+    report.shards.iter().map(|s| s.agent.shared_absorbed).sum()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,12 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut four_shard = None;
     for shards in [1usize, 2, 4, 8] {
-        let sweep = ServeExperiment::sweep(
-            &trace,
-            CoopMode::ALL.map(|mode| (mode, coop_config(shards, mode))),
-        )?;
-        let norm_lat = |mode| sweep.normalized_latency(mode).expect("mode was swept");
-        let hit_gain = |mode| sweep.hit_rate_gain(mode).expect("mode was swept");
+        let runs = CoopMode::ALL
+            .into_iter()
+            .map(|mode| Ok((mode, serve_trace(&coop_config(shards, mode), &trace)?)))
+            .collect::<Result<Vec<_>, ServeError>>()?;
+        let baseline = runs[0].1.aggregate();
+        let hit_gain =
+            |agg: &Metrics| agg.fast_placement_fraction - baseline.fast_placement_fraction;
         let mut table = Table::new([
             "mode",
             "avg lat (us)",
@@ -57,35 +57,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "syncs",
             "shared exps",
         ]);
-        for (mode, outcome) in &sweep.runs {
-            let syncs: u64 = outcome.report.shards.iter().map(|s| s.coop_syncs).sum();
+        for (mode, report) in &runs {
+            let agg = report.aggregate();
+            let syncs: u64 = report.shards.iter().map(|s| s.coop_syncs).sum();
             table.add_row(vec![
                 mode.to_string(),
-                format!("{:.1}", outcome.aggregate.avg_latency_us),
-                format!("{:.3}", norm_lat(mode)),
-                format!("{:.3}", outcome.aggregate.fast_placement_fraction),
-                format!("{:+.3}", hit_gain(mode)),
+                format!("{:.1}", agg.avg_latency_us),
+                format!("{:.3}", agg.normalized_latency(&baseline)),
+                format!("{:.3}", agg.fast_placement_fraction),
+                format!("{:+.3}", hit_gain(&agg)),
                 syncs.to_string(),
-                shared_experiences(outcome).to_string(),
+                shared_experiences(report).to_string(),
             ]);
         }
         println!("{shards} shard(s)");
         fig.table(&format!("shards{shards}"), &table);
-        let best = sweep.best_challenger().expect("cooperative modes ran");
+        let (best, best_report) = best_challenger(&runs).expect("cooperative modes ran");
+        let best_agg = best_report.aggregate();
         print!("best cooperative mode: ");
         fig.note(&format!("best_coop_shards{shards}"), best);
         println!(
             " (norm lat {:.3}, hit gain {:+.3})\n",
-            norm_lat(best),
-            hit_gain(best),
+            best_agg.normalized_latency(&baseline),
+            hit_gain(&best_agg),
         );
 
         // Learning curves explain the win: print the aggregate curve of
         // the baseline vs the best cooperative mode at the widest sweep
         // point.
         if shards == 8 {
-            let indep = sweep.baseline().expect("baseline ran");
-            let coop = sweep.get(best).expect("best mode ran");
             let mut curve = Table::new([
                 "requests",
                 "indep lat",
@@ -93,10 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "indep fast",
                 "coop fast",
             ]);
-            let (indep, coop) = (
-                indep.report.aggregate_curve(),
-                coop.report.aggregate_curve(),
-            );
+            let (indep, coop) = (runs[0].1.aggregate_curve(), best_report.aggregate_curve());
             for (a, b) in indep.iter().zip(&coop) {
                 curve.add_row(vec![
                     a.requests.to_string(),
@@ -110,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fig.table("curves_shards8", &curve);
         }
         if shards == 4 {
-            four_shard = Some(sweep);
+            four_shard = Some(runs);
         }
     }
 
@@ -123,20 +120,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4-shard sweep above already served the Independent baseline and the
     // default-weight (1.0) point — reuse both and serve only 0.5 fresh.
     println!("foreign-weight ablation (shared replay, 4 shards)");
-    let sweep = four_shard.expect("4-shard sweep ran");
-    let baseline = sweep.baseline().expect("baseline ran");
+    let runs = four_shard.expect("4-shard sweep ran");
+    let baseline = runs[0].1.aggregate();
     let mut cfg = coop_config(4, CoopMode::SharedReplay);
     cfg.coop = cfg.coop.with_foreign_weight(0.5);
-    let halved = ServeExperiment::new(cfg, trace.clone()).run()?;
+    let halved = serve_trace(&cfg, &trace)?;
     let mut ablation = Table::new(["foreign weight", "avg lat (us)", "norm lat", "shared exps"]);
-    let default_weight = sweep.get(&CoopMode::SharedReplay).expect("mode was swept");
-    for (weight, outcome) in [(1.0, default_weight), (0.5, &halved)] {
-        let latency = outcome.aggregate.avg_latency_us;
+    let (_, default_weight) = runs
+        .iter()
+        .find(|(mode, _)| *mode == CoopMode::SharedReplay)
+        .expect("mode was swept");
+    for (weight, report) in [(1.0, default_weight), (0.5, &halved)] {
+        let latency = report.aggregate().avg_latency_us;
         ablation.add_row(vec![
             format!("{weight:.1}"),
             format!("{latency:.1}"),
-            format!("{:.3}", latency / baseline.aggregate.avg_latency_us),
-            shared_experiences(outcome).to_string(),
+            format!("{:.3}", latency / baseline.avg_latency_us),
+            shared_experiences(report).to_string(),
         ]);
     }
     fig.table("foreign_weight_ablation", &ablation);

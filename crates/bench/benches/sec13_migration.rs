@@ -13,10 +13,9 @@
 //! migration I/O consumed (charged against the same device clocks the
 //! foreground requests queue on, so the win is net of its own cost).
 
-use sibyl_bench::{migration_config, seed, trace_len, Figure};
-use sibyl_serve::MigratePolicyKind;
+use sibyl_bench::{best_challenger, migration_config, seed, trace_len, Figure};
+use sibyl_serve::{serve_trace, MigratePolicyKind, ServeError};
 use sibyl_sim::report::Table;
-use sibyl_sim::ServeExperiment;
 use sibyl_trace::synth;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,9 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         phases
     );
 
-    let policies = MigratePolicyKind::ALL.map(|p| (p, migration_config(p)));
-    let sweep = ServeExperiment::sweep(&trace, policies)?;
-    let norm_lat = |policy| sweep.normalized_latency(policy).expect("policy was swept");
+    let runs = MigratePolicyKind::ALL
+        .into_iter()
+        .map(|policy| Ok((policy, serve_trace(&migration_config(policy), &trace)?)))
+        .collect::<Result<Vec<_>, ServeError>>()?;
+    let baseline = runs[0].1.aggregate();
     let mut table = Table::new([
         "policy",
         "avg lat (us)",
@@ -50,32 +51,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "migr busy (ms)",
         "evicted",
     ]);
-    for (policy, run) in &sweep.runs {
-        let shards = &run.report.shards;
+    for (policy, report) in &runs {
+        let agg = report.aggregate();
+        let shards = &report.shards;
         let promoted: u64 = shards.iter().map(|s| s.stats.bg_promoted_pages).sum();
         let demoted: u64 = shards.iter().map(|s| s.stats.bg_demoted_pages).sum();
         let busy_us: f64 = shards.iter().map(|s| s.migration_busy_us).sum();
-        let p99s = run.shard_metrics.iter().map(|m| m.p99_latency_us);
+        let p99s = shards.iter().map(|s| s.stats.histogram.percentile(0.99));
         table.add_row(vec![
             policy.to_string(),
-            format!("{:.1}", run.aggregate.avg_latency_us),
-            format!("{:.3}", norm_lat(policy)),
+            format!("{:.1}", agg.avg_latency_us),
+            format!("{:.3}", agg.normalized_latency(&baseline)),
             format!("{:.0}", p99s.fold(0.0, f64::max)),
-            format!("{:.3}", run.aggregate.fast_placement_fraction),
+            format!("{:.3}", agg.fast_placement_fraction),
             promoted.to_string(),
             demoted.to_string(),
             format!("{:.1}", busy_us / 1_000.0),
-            run.aggregate.evicted_pages.to_string(),
+            agg.evicted_pages.to_string(),
         ]);
     }
     fig.table("policies", &table);
-    let best = sweep.best_challenger().expect("active policies ran");
+    let (best, best_report) = best_challenger(&runs).expect("active policies ran");
+    let best_agg = best_report.aggregate();
     print!("best active policy: ");
     fig.note("best_active_policy", best);
     println!(
         " (norm lat {:.3}, hit gain {:+.3})",
-        norm_lat(best),
-        sweep.hit_rate_gain(best).expect("policy was swept"),
+        best_agg.normalized_latency(&baseline),
+        best_agg.fast_placement_fraction - baseline.fast_placement_fraction,
     );
     Ok(fig.finish()?)
 }

@@ -43,9 +43,8 @@
 use std::time::Instant;
 
 use sibyl_bench::{seed, serving_config, trace_len, Figure};
-use sibyl_serve::{CoopConfig, CoopMode, ServeConfig};
+use sibyl_serve::{serve_stream, CoopConfig, CoopMode, ServeConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::ServeExperiment;
 use sibyl_trace::mix::Mix;
 
 /// Bytes one buffered request costs (`size_of::<IoRequest>()`).
@@ -99,13 +98,13 @@ fn sweep(
         let total = 2 * horizon * scale;
         let stream = Mix::Mix2.stream(horizon, seed()).take(total);
         let t = Instant::now();
-        let outcome = ServeExperiment::run_stream(config, stream)?;
+        let report = serve_stream(config, stream)?;
         let wall = t.elapsed().as_secs_f64();
         let peak_rss = peak_rss_bytes();
-        let agg = outcome.aggregate;
-        let peak = outcome.report.peak_directory_bytes();
-        let dir_bytes = outcome.report.total_directory_bytes();
-        let dir_pages = outcome.report.total_directory_pages();
+        let agg = report.aggregate();
+        let peak = report.peak_directory_bytes();
+        let dir_bytes = report.total_directory_bytes();
+        let dir_pages = report.total_directory_pages();
         let bytes_per_page = dir_bytes as f64 / dir_pages.max(1) as f64;
         table.add_row(vec![
             total.to_string(),
@@ -126,7 +125,7 @@ fn sweep(
         points.requests.push(agg.total_requests);
         points.dir_bytes.push(dir_bytes);
         points.peak_rss.push(peak_rss);
-        let shards = &outcome.report.shards;
+        let shards = &report.shards;
         let least = shards.iter().map(|s| s.requests).min().unwrap_or(0);
         points.imbalance = (total as u64 - shards.len() as u64 * least) as f64 / total as f64;
     }

@@ -23,9 +23,8 @@
 //! regression test).
 
 use sibyl_bench::{seed, serving_config, trace_len, Figure};
-use sibyl_serve::{MigrateConfig, ServeConfig, XrayConfig};
+use sibyl_serve::{serve_trace, MigrateConfig, ServeConfig, XrayConfig};
 use sibyl_sim::report::Table;
-use sibyl_sim::ServeExperiment;
 use sibyl_trace::mix::Mix;
 use sibyl_trace::{synth, Trace};
 use sibyl_xray::XrayReport;
@@ -100,8 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut mix2_folded: Option<String> = None;
     for (name, trace, config) in runs {
-        let outcome = ServeExperiment::new(config, trace).run()?;
-        let report = outcome.xray_report().expect("xray enabled");
+        let report = serve_trace(&config, &trace)?.xray.expect("xray enabled");
         println!(
             "--- {name}: critical-path breakdown ({} of {} requests sampled) ---",
             report.sampled(),
@@ -110,10 +108,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // x-ray prints its own layout of the breakdown; the artifact
         // carries the same numbers as a table.
         println!("{}", report.breakdown_table());
-        fig.record_table(&format!("{name}_breakdown"), &breakdown_rows(report));
+        fig.record_table(&format!("{name}_breakdown"), &breakdown_rows(&report));
         println!("--- {name}: top-5 tail span trees ---");
         fig.text(&format!("{name}_tail"), &report.render_tail(5));
-        let folded = outcome.xray_folded().expect("xray enabled");
+        let folded = report.xray_folded();
         fig.record_text(&format!("{name}_folded"), &folded);
         if name == "mix2" {
             mix2_folded = Some(folded);

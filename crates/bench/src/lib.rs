@@ -52,7 +52,9 @@ use rand::{Rng, SeedableRng};
 use sibyl_core::{Categorical, HeadScratch, SibylAgent, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
 use sibyl_nn::{Activation, Mlp, Sgd};
-use sibyl_serve::{CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig};
+use sibyl_serve::{
+    CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig, ServeReport,
+};
 use sibyl_sim::report::Table;
 use sibyl_sim::{Experiment, PolicyKind, SimError};
 use sibyl_trace::mix::Mix;
@@ -221,6 +223,18 @@ pub fn migration_config(policy: MigratePolicyKind) -> ServeConfig {
         .with_nn_ns_per_mac(20.0)
         .with_migrate(migrate)
         .with_sibyl(sibyl)
+}
+
+/// Of labelled runs of one workload, the first is the baseline the others
+/// challenge: the challenger whose aggregate latency is lowest, the first
+/// such on ties, or `None` when only the baseline ran. `sec12_coop`'s
+/// cooperation modes and `sec13_migration`'s migration policies are such
+/// runs.
+pub fn best_challenger<L>(runs: &[(L, ServeReport)]) -> Option<&(L, ServeReport)> {
+    runs.iter().skip(1).min_by(|(_, a), (_, b)| {
+        let (a, b) = (a.aggregate(), b.aggregate());
+        a.avg_latency_us.total_cmp(&b.avg_latency_us)
+    })
 }
 
 /// One row of `sec10_overhead`'s training-step latency table: the C51
@@ -1217,28 +1231,40 @@ mod tests {
     /// fraction no longer proxies benefit — latency is the metric.)
     #[test]
     fn cooperation_beats_independent_on_skewed_partition() {
-        use sibyl_sim::ServeExperiment;
+        use sibyl_serve::serve_trace;
 
         let trace = skewed_coop_trace(6_000, 42);
-        let modes = [
-            CoopMode::Independent,
-            CoopMode::WeightAverage,
-            CoopMode::SharedReplay,
-        ];
-        let sweep = ServeExperiment::sweep(&trace, modes.map(|m| (m, coop_config(4, m)))).unwrap();
-        let norm = sweep
-            .normalized_latency(&CoopMode::WeightAverage)
-            .expect("swept");
+        let serve = |mode| {
+            let report = serve_trace(&coop_config(4, mode), &trace).unwrap();
+            report.aggregate()
+        };
+        let independent = serve(CoopMode::Independent);
+        let norm = serve(CoopMode::WeightAverage).normalized_latency(&independent);
         assert!(
             norm < 1.0,
             "weight averaging should serve the skewed mix faster: norm lat {norm:.3}"
         );
-        let shared = sweep
-            .normalized_latency(&CoopMode::SharedReplay)
-            .expect("swept");
+        let shared = serve(CoopMode::SharedReplay).normalized_latency(&independent);
         assert!(
             shared < 1.0,
             "shared replay should serve the skewed mix faster: norm lat {shared:.3}"
+        );
+    }
+
+    /// The baseline never challenges, and of equally fast challengers the
+    /// first wins — sec12's and sec13's "best" notes depend on both.
+    #[test]
+    fn best_challenger_skips_the_baseline_and_keeps_the_first_tie() {
+        let idle = || ServeReport {
+            shards: Vec::new(),
+            telemetry: None,
+            xray: None,
+        };
+        assert!(best_challenger(&[("base", idle())]).is_none());
+        let runs = [("base", idle()), ("first", idle()), ("second", idle())];
+        assert_eq!(
+            best_challenger(&runs).map(|(label, _)| *label),
+            Some("first")
         );
     }
 
@@ -1252,18 +1278,17 @@ mod tests {
     /// test-sized request count.
     #[test]
     fn migration_beats_no_migration_on_phased_trace() {
-        use sibyl_sim::ServeExperiment;
+        use sibyl_serve::serve_trace;
         use sibyl_trace::synth;
 
         let trace = synth::diurnal(8_000, 5, 42);
-        let policies = MigratePolicyKind::ALL.map(|p| (p, migration_config(p)));
-        let sweep = ServeExperiment::sweep(&trace, policies).unwrap();
-        let rl = sweep
-            .normalized_latency(&MigratePolicyKind::Rl)
-            .expect("swept");
-        let hc = sweep
-            .normalized_latency(&MigratePolicyKind::HotCold)
-            .expect("swept");
+        let serve = |policy| serve_trace(&migration_config(policy), &trace).unwrap();
+        let baseline = serve(MigratePolicyKind::None).aggregate();
+        let hc = serve(MigratePolicyKind::HotCold)
+            .aggregate()
+            .normalized_latency(&baseline);
+        let rl_report = serve(MigratePolicyKind::Rl);
+        let rl = rl_report.aggregate().normalized_latency(&baseline);
         assert!(
             rl < 0.995,
             "RL migration should beat NoMigration on the phased trace: norm lat {rl:.3}"
@@ -1272,9 +1297,7 @@ mod tests {
             hc < 0.95,
             "hot-cold migration should beat NoMigration clearly: norm lat {hc:.3}"
         );
-        let rl_run = sweep.get(&MigratePolicyKind::Rl).expect("swept");
-        let promoted: u64 = rl_run
-            .report
+        let promoted: u64 = rl_report
             .shards
             .iter()
             .map(|s| s.stats.bg_promoted_pages)
@@ -1538,7 +1561,6 @@ mod tests {
     #[test]
     fn streamed_scale_run_keeps_directory_footprint_bounded() {
         use sibyl_serve::{serve_stream, serve_trace};
-        use sibyl_sim::ServeExperiment;
         use sibyl_trace::mix::Mix;
 
         let horizon = 800;
@@ -1551,14 +1573,9 @@ mod tests {
         assert_eq!(vec_fed, streamed.unwrap());
 
         // Fixed horizon, 1x vs 8x the requests: compact and sublinear.
-        let short =
-            ServeExperiment::run_stream(&config, Mix::Mix2.stream(horizon, 42).take(2 * horizon))
-                .unwrap();
-        let long =
-            ServeExperiment::run_stream(&config, Mix::Mix2.stream(horizon, 42).take(16 * horizon))
-                .unwrap();
-        for outcome in [&short, &long] {
-            let report = &outcome.report;
+        let short = serve_stream(&config, Mix::Mix2.stream(horizon, 42).take(2 * horizon)).unwrap();
+        let long = serve_stream(&config, Mix::Mix2.stream(horizon, 42).take(16 * horizon)).unwrap();
+        for report in [&short, &long] {
             let bytes_per_page = report.total_directory_bytes() as f64
                 / report.total_directory_pages().max(1) as f64;
             assert!(
@@ -1567,10 +1584,10 @@ mod tests {
             );
         }
         assert!(
-            long.report.total_directory_bytes() < 4 * short.report.total_directory_bytes(),
+            long.total_directory_bytes() < 4 * short.total_directory_bytes(),
             "directory bytes must track footprint, not trace length: {} -> {}",
-            short.report.total_directory_bytes(),
-            long.report.total_directory_bytes()
+            short.total_directory_bytes(),
+            long.total_directory_bytes()
         );
     }
 

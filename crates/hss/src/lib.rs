@@ -20,6 +20,10 @@
 //!   a request moves (promotion/eviction/migration), and the timing layer
 //!   that prices them into per-request latency `L_t` and eviction time
 //!   `L_e` (the ingredients of Sibyl's reward, Eq. 1).
+//! - [`HssStats`] / [`Metrics`] — a run's counters and the paper's
+//!   metrics read from them (average latency, IOPS, eviction fraction,
+//!   fast-device preference). A sharded run folds its shards' counters
+//!   with [`HssStats::merge`] first, so every run reports one type.
 //! - [`PlacementPolicy`] — the interface every placement mechanism
 //!   implements (baselines in `sibyl-policies`, the RL agent in
 //!   `sibyl-core`); its one offline hook,
@@ -50,6 +54,7 @@ mod config;
 mod device;
 mod directory;
 mod manager;
+mod metrics;
 mod page_set;
 mod policy;
 mod stats;
@@ -59,6 +64,7 @@ pub use config::{CapacityMode, HssConfig};
 pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service};
 pub use directory::{AccessTracker, PageDirectory, PageMove, PageRecord};
 pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager};
+pub use metrics::Metrics;
 pub use page_set::PageSet;
 pub use policy::PlacementPolicy;
 pub use stats::HssStats;

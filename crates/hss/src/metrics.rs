@@ -2,12 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use sibyl_hss::HssStats;
+use crate::HssStats;
 
-/// The measurements a single simulation run produces — the paper's two
-/// primary metrics (average request latency §8.1, request throughput
-/// Fig. 10) plus the explainability counters of §9 (fast-device
-/// preference, eviction fraction).
+/// The measurements a run produces — the paper's two primary metrics
+/// (average request latency §8.1, request throughput Fig. 10) plus the
+/// explainability counters of §9 (fast-device preference, eviction
+/// fraction). One type for every run: a single simulation reads its
+/// manager's [`HssStats`], a sharded serving run its shards' stats
+/// folded together by [`HssStats::merge`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Requests served.

@@ -2,9 +2,11 @@
 
 use sibyl_telemetry::Log2Histogram;
 
-/// Aggregate statistics for one simulation run. Deliberately not serde:
-/// the dependency-free telemetry histogram could only be skipped, and a
-/// round trip that silently lost the latency distribution would be worse.
+/// Statistics for one simulation run, or — folded together by
+/// [`HssStats::merge`] — for every shard of a sharded one. Deliberately
+/// not serde: the dependency-free telemetry histogram could only be
+/// skipped, and a round trip that silently lost the latency distribution
+/// would be worse.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HssStats {
     /// Requests served.
@@ -57,6 +59,45 @@ impl HssStats {
             placements: vec![0; n_devices],
             ..Default::default()
         }
+    }
+
+    /// Folds another run's statistics into these — how a sharded run's
+    /// shards become one [`Metrics`](crate::Metrics). Counters, latency
+    /// and busy-time sums and per-device placements add, the largest
+    /// latency is kept and the histograms merge. The busy span runs from
+    /// the earliest first arrival to the latest last completion of the
+    /// runs that served a request: an idle run never arrived, and its
+    /// zeroed span must not pull the start back to 0.
+    pub fn merge(&mut self, other: &HssStats) {
+        if other.total_requests > 0 {
+            if self.total_requests == 0 {
+                self.first_arrival_us = other.first_arrival_us;
+                self.last_completion_us = other.last_completion_us;
+            } else {
+                self.first_arrival_us = self.first_arrival_us.min(other.first_arrival_us);
+                self.last_completion_us = self.last_completion_us.max(other.last_completion_us);
+            }
+        }
+        self.total_requests += other.total_requests;
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.sum_latency_us += other.sum_latency_us;
+        self.max_latency_us = self.max_latency_us.max(other.max_latency_us);
+        self.eviction_events += other.eviction_events;
+        self.evicted_pages += other.evicted_pages;
+        self.eviction_time_us += other.eviction_time_us;
+        self.migrated_pages += other.migrated_pages;
+        self.bg_migration_events += other.bg_migration_events;
+        self.bg_promoted_pages += other.bg_promoted_pages;
+        self.bg_demoted_pages += other.bg_demoted_pages;
+        self.bg_migration_us += other.bg_migration_us;
+        if self.placements.len() < other.placements.len() {
+            self.placements.resize(other.placements.len(), 0);
+        }
+        for (mine, theirs) in self.placements.iter_mut().zip(&other.placements) {
+            *mine += theirs;
+        }
+        self.histogram.merge(&other.histogram);
     }
 
     /// Folds the run's storage accounting into a telemetry registry
@@ -162,5 +203,64 @@ mod tests {
         assert!((s.placement_fraction(0) - 0.75).abs() < 1e-9);
         assert!((s.placement_fraction(1) - 0.25).abs() < 1e-9);
         assert_eq!(s.placement_fraction(7), 0.0);
+    }
+
+    /// A shard that served `requests` between `span.0` and `span.1`, with
+    /// every field set.
+    fn serving(requests: u64, span: (f64, f64)) -> HssStats {
+        let mut s = HssStats::new(2);
+        s.total_requests = requests;
+        s.reads = requests / 4;
+        s.writes = requests - requests / 4;
+        s.sum_latency_us = 12.5 * requests as f64;
+        s.max_latency_us = 30.0 + requests as f64;
+        s.first_arrival_us = span.0;
+        s.last_completion_us = span.1;
+        s.eviction_events = requests / 10;
+        s.evicted_pages = requests / 5;
+        s.eviction_time_us = 0.75 * requests as f64;
+        s.migrated_pages = 3;
+        s.bg_migration_events = 1;
+        s.bg_promoted_pages = 2;
+        s.bg_demoted_pages = 1;
+        s.bg_migration_us = 40.0;
+        s.placements = vec![requests - requests / 3, requests / 3];
+        for v in 0..requests {
+            s.histogram.record(v % 50);
+        }
+        s
+    }
+
+    fn merged<'a>(shards: impl IntoIterator<Item = &'a HssStats>) -> HssStats {
+        let mut all = HssStats::new(2);
+        for shard in shards {
+            all.merge(shard);
+        }
+        all
+    }
+
+    #[test]
+    fn merging_one_shard_into_new_stats_is_that_shard() {
+        let shard = serving(120, (7.0, 9e5));
+        assert_eq!(merged([&shard]), shard);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_spans_only_the_serving_shards() {
+        let (a, b) = (serving(100, (5.0, 1e6)), serving(300, (2.0, 2e6)));
+        let both = merged([&a, &b]);
+        assert_eq!(both.total_requests, 400);
+        assert_eq!((both.reads, both.writes), (100, 300));
+        assert_eq!(both.sum_latency_us, 5_000.0);
+        assert_eq!(both.max_latency_us, 330.0);
+        assert_eq!((both.first_arrival_us, both.last_completion_us), (2.0, 2e6));
+        assert_eq!(both.placements, vec![267, 133]);
+        assert_eq!(both.histogram.count(), 400);
+        // An idle shard before, between or after them changes no field —
+        // its zeroed arrival time is not the span's start.
+        let idle = HssStats::new(2);
+        for order in [[&idle, &a, &b], [&a, &idle, &b], [&a, &b, &idle]] {
+            assert_eq!(merged(order), both);
+        }
     }
 }

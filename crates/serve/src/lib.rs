@@ -73,9 +73,10 @@
 //! # }
 //! ```
 //!
-//! For experiment-style results in the paper's metric vocabulary
-//! (normalized latency/IOPS per shard), use `sibyl_sim::ServeExperiment`,
-//! which wraps this engine.
+//! [`ServeReport::aggregate`] reads the run in the paper's metric
+//! vocabulary: the shards' statistics merged into one
+//! [`sibyl_hss::Metrics`], the type a single-node `sibyl_sim::Experiment`
+//! reports, so the two paths compare field by field.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,7 +94,7 @@ mod watchdog;
 pub use config::ServeConfig;
 pub use engine::{serve_stream, serve_trace, shard_of, ServeError, REGION_BITS};
 pub use observe::ShardObserver;
-pub use report::{Aggregate, CurvePoint, ServeReport, ShardReport};
+pub use report::{CurvePoint, ServeReport, ShardReport};
 
 // Re-exported so engine users can configure cooperation, background
 // migration, telemetry, and span tracing without direct

@@ -1,7 +1,7 @@
 //! Per-shard and aggregate results of a serving run.
 
 use sibyl_core::AgentStats;
-use sibyl_hss::HssStats;
+use sibyl_hss::{HssStats, Metrics};
 use sibyl_telemetry::TelemetryReport;
 use sibyl_xray::XrayReport;
 
@@ -91,29 +91,6 @@ impl ShardReport {
     }
 }
 
-/// Aggregate metrics across all shards of a serving run.
-///
-/// Shards run in parallel over the same simulated clock, so aggregate
-/// throughput uses the union of the shards' busy spans: total requests
-/// divided by `max(last completion) − min(first arrival)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Aggregate {
-    /// Requests served across all shards.
-    pub total_requests: u64,
-    /// Request-weighted mean latency in microseconds.
-    pub avg_latency_us: f64,
-    /// Largest single-request latency across shards (µs).
-    pub max_latency_us: f64,
-    /// Aggregate throughput in I/O operations per second.
-    pub iops: f64,
-    /// Pages evicted across all shards.
-    pub evicted_pages: u64,
-    /// Pages migrated toward policy targets across all shards.
-    pub migrated_pages: u64,
-    /// Fraction of requests placed on the fastest device, across shards.
-    pub fast_placement_fraction: f64,
-}
-
 /// The result of one [`crate::serve_trace`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
@@ -161,51 +138,17 @@ impl ServeReport {
         self.shards.iter().map(|s| s.directory_pages).sum()
     }
 
-    /// Folds the per-shard statistics into aggregate metrics.
-    pub fn aggregate(&self) -> Aggregate {
-        let mut total_requests = 0u64;
-        let mut sum_latency = 0.0f64;
-        let mut max_latency = 0.0f64;
-        let mut evicted = 0u64;
-        let mut migrated = 0u64;
-        let mut fast_placements = 0u64;
-        let mut first_arrival = f64::INFINITY;
-        let mut last_completion = f64::NEG_INFINITY;
-        for s in &self.shards {
-            if s.stats.total_requests == 0 {
-                continue;
-            }
-            total_requests += s.stats.total_requests;
-            sum_latency += s.stats.sum_latency_us;
-            max_latency = max_latency.max(s.stats.max_latency_us);
-            evicted += s.stats.evicted_pages;
-            migrated += s.stats.migrated_pages;
-            fast_placements += s.stats.placements.first().copied().unwrap_or(0);
-            first_arrival = first_arrival.min(s.stats.first_arrival_us);
-            last_completion = last_completion.max(s.stats.last_completion_us);
+    /// The whole run in the paper's metric vocabulary: every shard's
+    /// statistics folded together ([`HssStats::merge`]), then read as
+    /// [`Metrics`] — the type a single-node run reports. Shards run in
+    /// parallel over the same simulated clock, so throughput is over the
+    /// union of their busy spans and latency is request-weighted.
+    pub fn aggregate(&self) -> Metrics {
+        let mut merged = HssStats::default();
+        for shard in &self.shards {
+            merged.merge(&shard.stats);
         }
-        let span = last_completion - first_arrival;
-        Aggregate {
-            total_requests,
-            avg_latency_us: if total_requests == 0 {
-                0.0
-            } else {
-                sum_latency / total_requests as f64
-            },
-            max_latency_us: max_latency,
-            iops: if total_requests == 0 || span <= 0.0 {
-                0.0
-            } else {
-                total_requests as f64 / span * 1e6
-            },
-            evicted_pages: evicted,
-            migrated_pages: migrated,
-            fast_placement_fraction: if total_requests == 0 {
-                0.0
-            } else {
-                fast_placements as f64 / total_requests as f64
-            },
-        }
+        Metrics::from_stats(&merged)
     }
 
     /// Combines the per-shard cumulative learning curves into one:

@@ -1,7 +1,6 @@
 //! The one serving-test fixture: the fast-learning agent, the reference
 //! H&M configuration, the Mix2 reference trace and the three reference
-//! geometries every golden in this directory (and `sibyl-sim`'s
-//! serve-driver tests, which include this file by path) runs on.
+//! geometries every golden in this directory runs on.
 #![allow(dead_code)] // each test crate uses its own subset
 
 pub mod watchdog;

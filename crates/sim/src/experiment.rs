@@ -2,10 +2,9 @@
 
 use std::sync::OnceLock;
 
-use sibyl_hss::{HssConfig, PlacementPolicy, StorageManager};
+use sibyl_hss::{HssConfig, Metrics, StorageManager};
 use sibyl_trace::Trace;
 
-use crate::metrics::Metrics;
 use crate::policy_kind::PolicyKind;
 
 /// Errors from experiment runs.
@@ -13,32 +12,17 @@ use crate::policy_kind::PolicyKind;
 pub enum SimError {
     /// The trace contains no requests.
     EmptyTrace,
-    /// The serving engine rejected its configuration
-    /// (see [`sibyl_serve::ServeError`]).
-    Serve(sibyl_serve::ServeError),
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::EmptyTrace => write!(f, "trace contains no requests"),
-            SimError::Serve(e) => write!(f, "serving engine: {e}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-impl From<sibyl_serve::ServeError> for SimError {
-    /// An empty trace keeps its sim-level meaning; every other engine
-    /// error is carried verbatim.
-    fn from(e: sibyl_serve::ServeError) -> Self {
-        match e {
-            sibyl_serve::ServeError::EmptyTrace => SimError::EmptyTrace,
-            other => SimError::Serve(other),
-        }
-    }
-}
 
 /// Result of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,11 +102,6 @@ impl Experiment {
         &self.trace
     }
 
-    /// The HSS configuration (before footprint resolution).
-    pub fn hss_config(&self) -> &HssConfig {
-        &self.hss
-    }
-
     /// Runs one policy over the whole trace.
     ///
     /// Fast-Only automatically gets unlimited capacities (§7). Policies
@@ -132,24 +111,35 @@ impl Experiment {
     ///
     /// Returns [`SimError::EmptyTrace`] for an empty trace.
     pub fn run(&self, kind: PolicyKind) -> Result<Outcome, SimError> {
+        if self.trace.is_empty() {
+            return Err(SimError::EmptyTrace);
+        }
+        #[cfg(test)]
+        self.runs.set(self.runs.get() + 1);
         let mut policy = kind.build();
         let config = if kind.wants_unlimited_capacity() {
             self.hss.clone().with_unlimited_capacities()
         } else {
             self.hss.clone()
         };
-        self.run_boxed(&mut *policy, &config)
-    }
-
-    /// Runs an externally constructed policy (for custom configurations
-    /// and ablations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptyTrace`] for an empty trace.
-    pub fn run_policy(&self, policy: &mut dyn PlacementPolicy) -> Result<Outcome, SimError> {
-        let config = self.hss.clone();
-        self.run_boxed(policy, &config)
+        let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
+        let mut manager = StorageManager::new(&config.resolved(footprint));
+        if let Some(victim) = policy.victim_policy(manager.num_devices(), &self.trace) {
+            manager.set_victim_policy(victim);
+        }
+        for orig in self.trace.iter() {
+            let mut req = *orig;
+            if self.time_scale != 1.0 {
+                req.timestamp_us = (orig.timestamp_us as f64 / self.time_scale) as u64;
+            }
+            let target = policy.place(&req, &manager);
+            let outcome = manager.access(&req, target);
+            policy.feedback(&outcome);
+        }
+        Ok(Outcome {
+            policy: policy.name().to_string(),
+            metrics: Metrics::from_stats(manager.stats()),
+        })
     }
 
     /// Runs the Fast-Only baseline once, then each of `policies`; a
@@ -172,37 +162,6 @@ impl Experiment {
             workload: self.trace.name().to_string(),
             fast_only,
             outcomes,
-        })
-    }
-
-    fn run_boxed(
-        &self,
-        policy: &mut dyn PlacementPolicy,
-        config: &HssConfig,
-    ) -> Result<Outcome, SimError> {
-        if self.trace.is_empty() {
-            return Err(SimError::EmptyTrace);
-        }
-        #[cfg(test)]
-        self.runs.set(self.runs.get() + 1);
-        let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
-        let resolved = config.resolved(footprint);
-        let mut manager = StorageManager::new(&resolved);
-        if let Some(victim) = policy.victim_policy(manager.num_devices(), &self.trace) {
-            manager.set_victim_policy(victim);
-        }
-        for orig in self.trace.iter() {
-            let mut req = *orig;
-            if self.time_scale != 1.0 {
-                req.timestamp_us = (orig.timestamp_us as f64 / self.time_scale) as u64;
-            }
-            let target = policy.place(&req, &manager);
-            let outcome = manager.access(&req, target);
-            policy.feedback(&outcome);
-        }
-        Ok(Outcome {
-            policy: policy.name().to_string(),
-            metrics: Metrics::from_stats(manager.stats()),
         })
     }
 }

@@ -5,15 +5,10 @@
 //! ([`sibyl_hss::HssConfig`]), and a placement policy ([`PolicyKind`])
 //! into one run and reports [`Metrics`] in the paper's vocabulary
 //! (average request latency, IOPS, eviction fraction, fast-device
-//! preference).
+//! preference) — the same type a sharded `sibyl_serve` run's
+//! `ServeReport::aggregate` returns.
 //!
 //! - [`Experiment`] — run one policy on one workload.
-//! - [`ServeExperiment`] — run the [`sibyl_serve`] sharded serving
-//!   engine on one workload and collect per-shard + aggregate metrics.
-//! - [`ServeExperiment::sweep`] — serve one workload under several
-//!   labelled serving configurations (cooperation modes, migration
-//!   policies, any other knob) and compare each to the first
-//!   ([`ServeSweep`]).
 //! - [`run_suite`] / [`Experiment::suite`] — run a set of policies plus
 //!   the Fast-Only baseline (once) and normalize: every latency figure in
 //!   the paper is normalized to Fast-Only.
@@ -43,12 +38,10 @@
 #![warn(missing_debug_implementations)]
 
 mod experiment;
-mod metrics;
 mod policy_kind;
 pub mod report;
-mod serve_experiment;
 
 pub use experiment::{run_suite, Experiment, Outcome, SimError, SuiteResult};
-pub use metrics::Metrics;
 pub use policy_kind::PolicyKind;
-pub use serve_experiment::{ServeExperiment, ServeOutcome, ServeSweep};
+// `Metrics` lives in `sibyl-hss`, beside the `HssStats` it is read from.
+pub use sibyl_hss::Metrics;
