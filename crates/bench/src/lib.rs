@@ -1291,11 +1291,11 @@ mod tests {
         let rl = rl_report.aggregate().normalized_latency(&baseline);
         assert!(
             rl < 0.995,
-            "RL migration should beat NoMigration on the phased trace: norm lat {rl:.3}"
+            "RL migration should beat no-migration on the phased trace: norm lat {rl:.3}"
         );
         assert!(
             hc < 0.95,
-            "hot-cold migration should beat NoMigration clearly: norm lat {hc:.3}"
+            "hot-cold migration should beat no-migration clearly: norm lat {hc:.3}"
         );
         let promoted: u64 = rl_report
             .shards

@@ -143,13 +143,6 @@ impl CoopConfig {
         }
     }
 
-    /// Replaces the mode, keeping period and fraction (how a sweep varies
-    /// the mode under otherwise identical settings).
-    pub fn with_mode(mut self, mode: CoopMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Sets the number of inference rounds between sync rounds.
     pub fn with_sync_period(mut self, period: u64) -> Self {
         self.sync_period = period;

@@ -9,8 +9,6 @@
 //! distribution `r + γ·z` back onto the support and minimizes
 //! cross-entropy.
 
-use serde::{Deserialize, Serialize};
-
 use sibyl_nn::softmax;
 
 /// The categorical value head shared by the training and inference
@@ -28,7 +26,7 @@ use sibyl_nn::softmax;
 /// assert!((q[0] - 5.0).abs() < 1e-4);
 /// assert!((q[1] - 5.0).abs() < 1e-4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Categorical {
     n_actions: usize,
     n_atoms: usize,

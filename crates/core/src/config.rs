@@ -1,6 +1,5 @@
 //! Sibyl's hyper-parameters (the paper's Table 2) and design knobs.
 
-use serde::{Deserialize, Serialize};
 use sibyl_telemetry::TelemetryConfig;
 
 use crate::features::FeatureMask;
@@ -12,7 +11,7 @@ use crate::features::FeatureMask;
 /// (`benchmark/benches/replica.rs`); they go when that line does. The
 /// paper's 16-bit weight footprint (§10.2) is arithmetic in
 /// [`OverheadReport`](crate::OverheadReport), not a storage format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuantMode {
     /// Full f32 inference.
     #[default]
@@ -31,7 +30,7 @@ pub enum QuantMode {
 /// assert_eq!(cfg.batch_size, 128);
 /// assert_eq!(cfg.buffer_capacity, 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SibylConfig {
     /// Discount factor γ (Table 2: 0.9).
     pub discount: f32,

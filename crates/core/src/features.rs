@@ -8,15 +8,13 @@
 //! remaining-capacity feature per additional capacity-limited device —
 //! exactly the extension step §8.7 describes.
 
-use serde::{Deserialize, Serialize};
-
 use sibyl_hss::{DeviceId, StorageManager};
 use sibyl_trace::IoRequest;
 
 /// Which of the six Table 1 features the agent observes. Masked features
 /// are zeroed in the observation vector, carrying no information — the
 /// mechanism behind the paper's feature ablation (Fig. 13, §8.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureMask {
     /// `size_t` — request size (the randomness signal CDE keys on).
     pub size: bool,

@@ -11,8 +11,6 @@
 //! paper's printed numbers via [`OverheadReport::paper_accounting_kib`]
 //! and also reports strict bytes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::SibylConfig;
 
 /// Bits per stored state entry (Table 1: 8+4+8+8+8+4).
@@ -25,7 +23,7 @@ pub const REWARD_BITS: usize = 16;
 pub const EXPERIENCE_BITS: usize = 2 * STATE_BITS + ACTION_BITS + REWARD_BITS;
 
 /// Static overhead description of a Sibyl instantiation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadReport {
     /// Network weights (excluding biases, as §10.1 counts).
     pub weights: usize,

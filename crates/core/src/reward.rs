@@ -15,12 +15,10 @@
 //! (`SibylConfig`), with [`REWARD_CAP`] keeping a single step inside it
 //! and `v_min` flooring the unclamped eviction penalty.
 
-use serde::{Deserialize, Serialize};
-
 use sibyl_hss::AccessOutcome;
 
 /// Computes scaled rewards from access outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardShaper {
     /// Eq. 1's penalty coefficient (0.001 in the paper).
     penalty_coeff: f64,

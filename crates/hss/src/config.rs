@@ -1,11 +1,9 @@
 //! Hybrid-storage-system configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceSpec;
 
 /// How device capacities are specified.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CapacityMode {
     /// Per-device fraction of the workload's footprint (working-set size);
     /// `None` means unlimited. The paper restricts the fast device to 10 %
@@ -32,7 +30,7 @@ pub enum CapacityMode {
 ///     .with_fast_capacity_fraction(0.04);
 /// # let _ = hl;
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HssConfig {
     /// Devices ordered fastest → slowest.
     pub devices: Vec<DeviceSpec>,

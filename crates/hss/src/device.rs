@@ -15,14 +15,12 @@
 //!   sequential continuation,
 //! - FIFO queueing per device.
 
-use serde::{Deserialize, Serialize};
-
 use sibyl_trace::{IoOp, PAGE_SIZE_BYTES};
 
 /// Identifies one device within an HSS; `DeviceId(0)` is by convention the
 /// fastest device and higher ids are progressively slower (the paper's
 /// H, M, L ordering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub usize);
 
 impl std::fmt::Display for DeviceId {
@@ -33,7 +31,7 @@ impl std::fmt::Display for DeviceId {
 
 /// Broad device technology class, which decides which latency mechanisms
 /// apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Low-latency NVM (Optane-class): flat latency, no GC to speak of.
     NvmSsd,
@@ -49,7 +47,7 @@ pub enum DeviceKind {
 /// [`DeviceSpec::tlc_ssd`], [`DeviceSpec::hdd`], [`DeviceSpec::cheap_ssd`])
 /// for the paper's Table 3 devices, or build custom specs for sensitivity
 /// studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable device name.
     pub name: String,
@@ -205,7 +203,7 @@ impl DeviceSpec {
 }
 
 /// Statistics one device accumulates during simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceStats {
     /// Read commands served.
     pub reads: u64,

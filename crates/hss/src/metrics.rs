@@ -1,7 +1,5 @@
 //! Run metrics in the paper's vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::HssStats;
 
 /// The measurements a run produces — the paper's two primary metrics
@@ -10,7 +8,7 @@ use crate::HssStats;
 /// fraction). One type for every run: a single simulation reads its
 /// manager's [`HssStats`], a sharded serving run its shards' stats
 /// folded together by [`HssStats::merge`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Requests served.
     pub total_requests: u64,

@@ -3,10 +3,7 @@
 use sibyl_telemetry::Log2Histogram;
 
 /// Statistics for one simulation run, or — folded together by
-/// [`HssStats::merge`] — for every shard of a sharded one. Deliberately
-/// not serde: the dependency-free telemetry histogram could only be
-/// skipped, and a round trip that silently lost the latency distribution
-/// would be worse.
+/// [`HssStats::merge`] — for every shard of a sharded one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HssStats {
     /// Requests served.

@@ -17,9 +17,9 @@
 //!   often it ticks, and its move budget.
 //! - [`MigrationPolicy`] — the per-tick planning interface over a shared
 //!   deterministic candidate scan ([`scan_candidates`]).
-//! - [`NoMigration`] — the baseline; the serving engine skips the
-//!   subsystem entirely for it, staying bit-identical to a
-//!   migration-free engine.
+//! - [`MigratePolicyKind::None`] — the baseline: [`Migrator::new`]
+//!   builds no driver for it, so the serving engine skips the subsystem
+//!   entirely and stays bit-identical to a migration-free engine.
 //! - [`HotColdThreshold`] — the heuristic: promote above a heat
 //!   threshold, demote LRU-cold fast pages under capacity pressure.
 //! - [`RlMigration`] — a tick-level C51 agent reusing `sibyl-core`'s
@@ -62,9 +62,8 @@ mod policy;
 mod rl;
 
 pub use config::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
-pub use migrator::{inert_migrator, Migrator, MigratorStats, TickOutcome};
+pub use migrator::{Migrator, MigratorStats, TickOutcome};
 pub use policy::{
-    scan_candidates, CandidateScan, HotColdThreshold, MigrationPolicy, NoMigration, TickFeedback,
-    TickWindow,
+    scan_candidates, CandidateScan, HotColdThreshold, MigrationPolicy, TickFeedback, TickWindow,
 };
 pub use rl::{RlMigration, RlMigrationStats};

@@ -5,9 +5,7 @@
 use sibyl_hss::{HssStats, StorageManager};
 
 use crate::config::{MigrateConfig, MigratePolicyKind};
-use crate::policy::{
-    scan_candidates, HotColdThreshold, MigrationPolicy, NoMigration, TickFeedback, TickWindow,
-};
+use crate::policy::{scan_candidates, HotColdThreshold, MigrationPolicy, TickFeedback, TickWindow};
 use crate::rl::RlMigration;
 
 /// Cumulative counters of one migrator's run.
@@ -216,22 +214,6 @@ impl Migrator {
     }
 }
 
-/// An inert driver built around [`NoMigration`] for harnesses that must
-/// hold a `Migrator` regardless of policy (prefer `Migrator::new`
-/// returning `None` where possible — skipping the subsystem is what
-/// keeps the baseline bit-identical).
-pub fn inert_migrator(cfg: MigrateConfig) -> Migrator {
-    Migrator {
-        cfg,
-        policy: Box::new(NoMigration),
-        stats: MigratorStats::default(),
-        prev_window: None,
-        snapshot: (0, 0.0, 0, 0.0),
-        last_moved: 0,
-        last_busy: 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,19 +316,5 @@ mod tests {
         assert_eq!(a.1, b.1, "migrator stats must reproduce");
         assert_eq!(a.2, b.2, "latency must be bit-identical");
         assert_eq!(a.1.ticks, 30);
-    }
-
-    #[test]
-    fn inert_migrator_ticks_without_moving() {
-        let mut mgr = manager(16);
-        for t in 0..20u64 {
-            let _ = mgr.access(&rd(t, 100 + t % 4), DeviceId(1));
-        }
-        let mut inert = inert_migrator(MigrateConfig::default());
-        let out = inert.tick(&mut mgr);
-        assert_eq!(out, TickOutcome::default());
-        assert_eq!(inert.stats().moved_pages(), 0);
-        assert_eq!(inert.policy_name(), "no-migration");
-        assert_eq!(mgr.stats().bg_migration_events, 0);
     }
 }

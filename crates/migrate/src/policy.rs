@@ -225,28 +225,6 @@ pub(crate) fn hot_cold_plan(
     moves
 }
 
-/// The do-nothing baseline. The serving engine never constructs a
-/// migrator for [`MigratePolicyKind::None`](crate::MigratePolicyKind) at
-/// all; this implementation exists so drivers that *must* hold a policy
-/// (tests, custom loops) have an explicit inert one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoMigration;
-
-impl MigrationPolicy for NoMigration {
-    fn name(&self) -> &str {
-        "no-migration"
-    }
-
-    fn plan(
-        &mut self,
-        _scan: &CandidateScan,
-        _window: &TickWindow,
-        _cfg: &MigrateConfig,
-    ) -> Vec<PageMove> {
-        Vec::new()
-    }
-}
-
 /// The heuristic: always promote pages above the heat threshold; demote
 /// LRU-cold fast pages once the fast device fills past the watermark.
 #[derive(Debug, Clone, Copy, Default)]
@@ -411,22 +389,5 @@ mod tests {
         let pressured = policy.plan(&full, &TickWindow::default(), &cfg);
         assert!(pressured.iter().any(|m| m.to == DeviceId(1)));
         assert_eq!(policy.name(), "hot-cold");
-    }
-
-    #[test]
-    fn no_migration_plans_nothing() {
-        let mut p = NoMigration;
-        let cfg = MigrateConfig::default();
-        assert!(p
-            .plan(&CandidateScan::default(), &TickWindow::default(), &cfg)
-            .is_empty());
-        assert_eq!(p.name(), "no-migration");
-        // Default feedback is callable and inert.
-        p.feedback(&TickFeedback {
-            window: TickWindow::default(),
-            prev: None,
-            moved_pages: 0,
-            busy_us: 0.0,
-        });
     }
 }

@@ -1,7 +1,5 @@
 //! Element-wise activation functions and their derivatives.
 
-use serde::{Deserialize, Serialize};
-
 /// An element-wise activation function.
 ///
 /// The Sibyl paper uses the swish activation (`x · sigmoid(x)`,
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Activation::Relu.apply(-1.0), 0.0);
 /// assert!((Activation::Swish.apply(0.0)).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Identity: `f(x) = x`.
     #[default]

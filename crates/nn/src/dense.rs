@@ -1,7 +1,6 @@
 //! Fully-connected layer with cached forward state for backpropagation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::init::xavier_uniform;
@@ -27,18 +26,15 @@ use crate::linalg;
 /// let y = layer.forward(&[1.0, 0.0, -1.0]);
 /// assert_eq!(y.len(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
     act: Activation,
     w: Vec<f32>,
     b: Vec<f32>,
-    #[serde(skip)]
     dw: Vec<f32>,
-    #[serde(skip)]
     db: Vec<f32>,
-    #[serde(skip)]
     cache_x: Vec<f32>,
     /// `act'(z)` for every pre-activation of the cached forward pass —
     /// `out_dim` values after [`Dense::forward`], `batch × out_dim` after
@@ -46,10 +42,8 @@ pub struct Dense {
     /// the same [`Activation::apply_with_derivative`] call that produces
     /// the layer's output, so the activation's `exp`/`tanh` runs once per
     /// element per training pass, not once forward and once backward.
-    #[serde(skip)]
     cache_dact: Vec<f32>,
     /// `dL/dz` scratch of the backward passes, reused across calls.
-    #[serde(skip)]
     dz: Vec<f32>,
 }
 
@@ -434,20 +428,6 @@ mod tests {
         a.infer(&x, &mut ya);
         b.infer(&x, &mut yb);
         assert_eq!(ya, yb);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_weights() {
-        let layer = Dense::new(3, 2, Activation::Swish, &mut rng());
-        let json = serde_json_like(&layer);
-        assert!(json.contains("Swish"));
-    }
-
-    // serde_json is not a dependency; spot-check through bincode-free debug
-    // formatting that serialization derives exist by using serde's
-    // Serialize trait bound at compile time.
-    fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(t: &T) -> String {
-        format!("{t:?}")
     }
 
     /// Finite-difference gradient check: perturb each weight and compare

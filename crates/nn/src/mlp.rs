@@ -1,7 +1,6 @@
 //! Multi-layer perceptron assembled from [`Dense`] layers.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::dense::Dense;
@@ -25,7 +24,7 @@ use crate::optim::Optimizer;
 /// // 6·20 + 20·30 + 30·2 = 780 weights, exactly the paper's §10.1 count.
 /// assert_eq!(net.mac_count(), 780);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }

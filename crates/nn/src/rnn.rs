@@ -6,7 +6,6 @@
 //! "sophisticated RNN-based mechanism" (§4.2 (5), §12).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::xavier_uniform;
 use crate::linalg;
@@ -31,7 +30,7 @@ use crate::loss;
 /// let logits = rnn.forward(&seq);
 /// assert_eq!(logits.len(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rnn {
     in_dim: usize,
     hidden_dim: usize,

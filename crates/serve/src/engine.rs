@@ -188,8 +188,8 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 ///
 /// The stream must be **finite** (bound an infinite generator with
 /// `.take(n)`) and `Clone` must replay the identical sequence — true for
-/// every seeded [`sibyl_trace::stream::RequestStream`] and for slice
-/// iterators.
+/// slice and `Vec` iterators and for every seeded stream in
+/// [`sibyl_trace::stream`], whose proptests pin it.
 ///
 /// The caller thread acts as the router: it walks the stream in
 /// timestamp order, compresses timestamps by [`ServeConfig::time_scale`],

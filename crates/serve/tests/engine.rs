@@ -93,8 +93,8 @@ fn streamed_run_is_bit_identical_to_vec_fed_run() {
     let vec_fed = serve_trace(&cfg, &trace).unwrap();
     let streamed = serve_stream(&cfg, mix::Mix::Mix2.stream(n, 7).take(trace.len())).unwrap();
     assert_eq!(vec_fed, streamed);
-    // And a materialized trace adapts into the stream path unchanged.
-    let adapted = serve_stream(&cfg, trace.clone().into_stream()).unwrap();
+    // And an owned materialized trace feeds the stream path unchanged.
+    let adapted = serve_stream(&cfg, trace.requests().to_vec().into_iter()).unwrap();
     assert_eq!(vec_fed, adapted);
 }
 

@@ -97,11 +97,6 @@ impl Experiment {
         self
     }
 
-    /// The workload.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Runs one policy over the whole trace.
     ///
     /// Fast-Only automatically gets unlimited capacities (§7). Policies

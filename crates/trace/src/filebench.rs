@@ -7,13 +7,11 @@
 //! (documented per workload). These generators intentionally share no
 //! tuning with the MSRC set — they are the "unseen" workloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::synth::{generate_spec, SyntheticSpec};
 use crate::trace::Trace;
 
 /// The unseen workloads of §8.2/§8.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unseen {
     /// FileBench fileserver: balanced reads/writes over many medium files;
     /// moderately sequential, mildly skewed popularity.

@@ -17,6 +17,9 @@
 //! - [`filebench`] — fileserver/varmail/oltp_rw/ntrx_rw/YCSB-C-like
 //!   generators used as *unseen* workloads (§8.2).
 //! - [`mix`] — the mixed-workload combiner (§8.3, Table 5).
+//! - [`stream`] — seeded, infinite `Iterator<Item = IoRequest> + Clone`
+//!   streams whose prefixes equal the materialized generators, for runs
+//!   too long to hold in memory.
 //! - [`zipf`] — an exact inverse-CDF Zipf sampler used by all generators.
 //!
 //! ## Example
@@ -45,5 +48,4 @@ mod trace;
 pub mod zipf;
 
 pub use request::{IoOp, IoRequest, MAX_REQUEST_PAGES, PAGE_SIZE_BYTES};
-pub use stream::RequestStream;
 pub use trace::Trace;

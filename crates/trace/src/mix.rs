@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::filebench::{self, Unseen};
 use crate::msrc::{self, Workload};
@@ -63,7 +62,7 @@ pub fn combine(name: impl Into<String>, components: &[Trace], seed: u64) -> Trac
 }
 
 /// The six mixes of the paper's Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants are mix ids; composition documented by `components()`
 pub enum Mix {
     Mix1,
@@ -166,7 +165,7 @@ impl Mix {
             .enumerate()
             .map(|(i, c)| c.stream(n_per_component, seed.wrapping_add(i as u64 * 101)))
             .collect();
-        crate::stream::MixStream::new(self.name(), components, seed)
+        crate::stream::MixStream::new(components, seed)
     }
 }
 
@@ -177,7 +176,7 @@ impl std::fmt::Display for Mix {
 }
 
 /// One component of a mix: either an MSRC-like or an unseen workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// An MSRC Table 4 workload.
     Msrc(Workload),

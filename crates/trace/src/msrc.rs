@@ -6,13 +6,11 @@
 //! the paper's published statistics and synthesizes a trace matching them
 //! through [`crate::synth::generate_spec`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::synth::{generate_spec, SyntheticSpec};
 use crate::trace::Trace;
 
 /// The fourteen MSRC workloads of the paper's Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants are trace names, documented by `spec()`
 pub enum Workload {
     Hm1,
@@ -168,9 +166,10 @@ pub fn generate(workload: Workload, n: usize, seed: u64) -> Trace {
 /// # Examples
 ///
 /// ```
-/// use sibyl_trace::{msrc, RequestStream};
-/// let mut s = msrc::stream(msrc::Workload::Prxy0, 5_000, 1);
-/// assert_eq!(s.collect_trace(5_000), msrc::generate(msrc::Workload::Prxy0, 5_000, 1));
+/// use sibyl_trace::msrc;
+/// let s = msrc::stream(msrc::Workload::Prxy0, 5_000, 1);
+/// let t = msrc::generate(msrc::Workload::Prxy0, 5_000, 1);
+/// assert!(s.take(5_000).eq(t.iter().copied()));
 /// ```
 ///
 /// # Panics

@@ -1,19 +1,15 @@
 //! The basic storage-request model.
 
-use serde::{Deserialize, Serialize};
-
 /// Logical page size in bytes. The paper manages placement at 4 KiB
 /// granularity (§2.1, §10.2).
 pub const PAGE_SIZE_BYTES: u64 = 4096;
 
-/// Largest `size_pages` a request may carry: the trace binary codec
-/// stores the field in 3 bytes (see [`crate::Trace::to_bytes`]), so the
-/// in-memory bound matches the wire bound — 2^24 − 1 pages (64 GiB per
+/// Largest `size_pages` a request may carry: 2^24 − 1 pages (64 GiB per
 /// request), far beyond any real block request.
 pub const MAX_REQUEST_PAGES: u32 = (1 << 24) - 1;
 
 /// Direction of a storage request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// A read of previously written data.
     Read,
@@ -52,7 +48,7 @@ impl std::fmt::Display for IoOp {
 /// assert_eq!(req.size_bytes(), 16_384);
 /// assert_eq!(req.last_lpn(), 45);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IoRequest {
     /// Issue time in microseconds since trace start.
     pub timestamp_us: u64,
@@ -69,11 +65,10 @@ impl IoRequest {
     ///
     /// # Panics
     ///
-    /// Panics if `size_pages` is zero or exceeds [`MAX_REQUEST_PAGES`]
-    /// (the binary codec's 3-byte wire bound), or if the covered LBA
-    /// range `lpn ..= lpn + size_pages - 1` would wrap past `u64::MAX`
-    /// (which would make [`IoRequest::pages`] and address-space math
-    /// overflow).
+    /// Panics if `size_pages` is zero or exceeds [`MAX_REQUEST_PAGES`],
+    /// or if the covered LBA range `lpn ..= lpn + size_pages - 1` would
+    /// wrap past `u64::MAX` (which would make [`IoRequest::pages`] and
+    /// address-space math overflow).
     pub fn new(timestamp_us: u64, lpn: u64, size_pages: u32, op: IoOp) -> Self {
         match Self::checked(timestamp_us, lpn, size_pages, op) {
             Some(req) => req,
@@ -89,9 +84,8 @@ impl IoRequest {
     }
 
     /// Creates a request, returning `None` instead of panicking when the
-    /// fields violate the invariants of [`IoRequest::new`] — the
-    /// non-panicking entry point for untrusted input such as
-    /// [`crate::Trace::from_bytes`].
+    /// fields violate the invariants of [`IoRequest::new`] (which is
+    /// built on it).
     pub fn checked(timestamp_us: u64, lpn: u64, size_pages: u32, op: IoOp) -> Option<Self> {
         if size_pages == 0 || size_pages > MAX_REQUEST_PAGES {
             return None;

@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::Trace;
 
 /// Per-trace statistics in the paper's vocabulary.
@@ -30,7 +28,7 @@ use crate::trace::Trace;
 /// assert!((st.write_fraction - 0.5).abs() < 1e-9);
 /// assert!((st.avg_access_count - 2.0).abs() < 1e-9); // both pages touched twice
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Trace name.
     pub name: String,

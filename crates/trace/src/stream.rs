@@ -1,12 +1,11 @@
-//! Streaming trace API: seeded, infinite request streams whose finite
-//! prefixes are **bit-identical** to the materialized generators they
-//! replace.
+//! Seeded, infinite request streams whose finite prefixes are
+//! **bit-identical** to the materialized generators they replace.
 //!
-//! Everything in this crate used to hand the driver a fully materialized
-//! [`Trace`] (`Vec<IoRequest>`, 24 bytes per request — 240 MB for a
-//! 10M-request run). A [`RequestStream`] produces the same requests one
-//! at a time with O(1) memory per request, so production-sized runs are
-//! bounded by the workload's *footprint*, not its *length*:
+//! A materialized [`Trace`](crate::Trace) holds 24 bytes per request —
+//! 240 MB for a 10M-request run. Each stream here is a plain
+//! `Iterator<Item = IoRequest> + Clone` that produces the same requests
+//! one at a time with O(1) memory per request, so production-sized runs
+//! are bounded by the workload's *footprint*, not its *length*:
 //!
 //! - [`SpecStream`] streams any [`SyntheticSpec`] (the engine behind
 //!   [`crate::msrc`] and [`crate::filebench`]); its first `n` requests
@@ -17,12 +16,10 @@
 //!   horizon the hot set simply keeps rotating every phase.
 //! - [`MixStream`] streams [`crate::mix::combine`]-style mixes; its first
 //!   `Σ horizonᵢ` requests equal the materialized mix exactly.
-//! - [`TraceStream`] adapts an existing [`Trace`] (via
-//!   [`Trace::into_stream`]) so stream-accepting drivers serve
-//!   materialized traces unchanged.
 //!
-//! The prefix-equivalence contract is pinned by proptests in this module
-//! and relied on by the serving layer's golden bit-identity tests.
+//! The prefix-equivalence contract, and the clone-replays-the-original
+//! contract the serving layer's pre-pass relies on, are pinned by
+//! proptests in this module.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,71 +29,7 @@ use crate::synth::{
     self, OpAccess, RawGen, SyntheticSpec, DIURNAL_COLD_BASE, DIURNAL_COLD_SPAN_PAGES,
     DIURNAL_HOT_PAGES_PER_REGION, DIURNAL_HOT_REGIONS, SEGMENT_PAGES,
 };
-use crate::trace::Trace;
 use crate::zipf::Zipf;
-
-/// A (usually infinite) source of [`IoRequest`]s.
-///
-/// Implementors guarantee that [`collect_trace`](RequestStream::collect_trace)
-/// of the stream's horizon is bit-identical to the materialized generator
-/// the stream replaces — the contract that lets every existing call site
-/// switch to streaming without perturbing a single placement decision.
-pub trait RequestStream: Iterator<Item = IoRequest> {
-    /// The name materialized traces carry (e.g. `"hm_1"`, `"mix2"`).
-    fn name(&self) -> &str;
-
-    /// Materializes the next `n` requests (fewer if the stream ends) as a
-    /// [`Trace`] named after the stream.
-    fn collect_trace(&mut self, n: usize) -> Trace
-    where
-        Self: Sized,
-    {
-        let name = self.name().to_string();
-        let mut requests = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.next() {
-                Some(r) => requests.push(r),
-                None => break,
-            }
-        }
-        Trace::from_requests(name, requests)
-    }
-}
-
-/// A stream over a materialized [`Trace`]'s requests, created by
-/// [`Trace::into_stream`]. Finite: ends when the trace does.
-#[derive(Debug, Clone)]
-pub struct TraceStream {
-    name: String,
-    requests: std::vec::IntoIter<IoRequest>,
-}
-
-impl TraceStream {
-    pub(crate) fn new(name: String, requests: Vec<IoRequest>) -> Self {
-        TraceStream {
-            name,
-            requests: requests.into_iter(),
-        }
-    }
-}
-
-impl Iterator for TraceStream {
-    type Item = IoRequest;
-
-    fn next(&mut self) -> Option<IoRequest> {
-        self.requests.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.requests.size_hint()
-    }
-}
-
-impl RequestStream for TraceStream {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// Packed one-bit-per-request op store for the streaming rebalance pass:
 /// a 10M-request chunk's ops fit in 1.25 MB instead of 240 MB of
@@ -250,12 +183,6 @@ impl Iterator for SpecStream {
     }
 }
 
-impl RequestStream for SpecStream {
-    fn name(&self) -> &str {
-        self.spec.name
-    }
-}
-
 /// An infinite stream over the phase-shifting workload of
 /// [`crate::synth::diurnal`]: the first `n` requests (for the `n` passed
 /// at construction) are bit-identical to `diurnal(n, phases, seed)`, and
@@ -324,12 +251,6 @@ impl Iterator for DiurnalStream {
     }
 }
 
-impl RequestStream for DiurnalStream {
-    fn name(&self) -> &str {
-        "diurnal"
-    }
-}
-
 /// One component of a [`MixStream`]: a spec stream plus its time offset
 /// and private address region.
 #[derive(Debug, Clone)]
@@ -358,7 +279,6 @@ struct MixComponent {
 /// components' end-time spread at a generation boundary.
 #[derive(Debug, Clone)]
 pub struct MixStream {
-    name: String,
     components: Vec<MixComponent>,
 }
 
@@ -372,7 +292,7 @@ impl MixStream {
     /// # Panics
     ///
     /// Panics if `components` is empty.
-    pub fn new(name: impl Into<String>, components: Vec<SpecStream>, seed: u64) -> Self {
+    pub fn new(components: Vec<SpecStream>, seed: u64) -> Self {
         assert!(
             !components.is_empty(),
             "mix::combine: need at least one component"
@@ -420,10 +340,7 @@ impl MixStream {
             // Disjoint regions with headroom for each component's growth.
             region_base += address_space + 1024;
         }
-        MixStream {
-            name: name.into(),
-            components: comps,
-        }
+        MixStream { components: comps }
     }
 }
 
@@ -473,12 +390,6 @@ impl Iterator for MixStream {
     }
 }
 
-impl RequestStream for MixStream {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +398,7 @@ mod tests {
     use crate::msrc::{self, Workload};
     use crate::stats::TraceStats;
     use crate::synth::{diurnal, generate_spec};
+    use crate::trace::Trace;
     use proptest::prelude::*;
 
     fn spec() -> SyntheticSpec {
@@ -502,12 +414,29 @@ mod tests {
         }
     }
 
+    /// The next `n` requests of `stream`.
+    fn take(stream: impl Iterator<Item = IoRequest>, n: usize) -> Vec<IoRequest> {
+        stream.take(n).collect()
+    }
+
+    /// Advances `stream` by `k` requests, then checks that a clone taken
+    /// there yields the same next `m` requests as the original.
+    fn clone_replays(
+        mut stream: impl Iterator<Item = IoRequest> + Clone,
+        k: usize,
+        m: usize,
+    ) -> Result<(), TestCaseError> {
+        stream.by_ref().take(k).for_each(drop);
+        let replay = take(stream.clone(), m);
+        prop_assert_eq!(replay, take(stream, m));
+        Ok(())
+    }
+
     #[test]
     fn spec_stream_prefix_is_bit_identical() {
         let n = 8_000;
         let t = generate_spec(&spec(), n, 11);
-        let s = SpecStream::new(spec(), n, 11).collect_trace(n);
-        assert_eq!(t, s);
+        assert_eq!(t.requests(), take(SpecStream::new(spec(), n, 11), n));
     }
 
     #[test]
@@ -534,8 +463,7 @@ mod tests {
         let n = 6_000;
         let t = diurnal(n, 5, 42);
         let mut s = DiurnalStream::new(n, 5, 42);
-        let prefix = s.collect_trace(n);
-        assert_eq!(t, prefix);
+        assert_eq!(t.requests(), take(s.by_ref(), n));
         // Beyond the horizon the stream keeps rotating hot sets.
         let beyond = s.next_request();
         assert_eq!(beyond.timestamp_us, n as u64 * 300);
@@ -546,8 +474,7 @@ mod tests {
         for m in Mix::ALL {
             let n = 700;
             let t = m.generate(n, 42);
-            let s = m.stream(n, 42).collect_trace(t.len());
-            assert_eq!(t, s, "{m}");
+            assert_eq!(t.requests(), take(m.stream(n, 42), t.len()), "{m}");
         }
     }
 
@@ -572,23 +499,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trace_into_stream_roundtrips() {
-        let t = msrc::generate(Workload::Rsrch0, 1_500, 3);
-        let mut s = t.clone().into_stream();
-        assert_eq!(s.name(), t.name());
-        let back = s.collect_trace(t.len());
-        assert_eq!(t, back);
-        assert!(s.next().is_none(), "trace streams are finite");
-    }
-
-    #[test]
-    fn collect_trace_stops_at_stream_end() {
-        let t = msrc::generate(Workload::Hm1, 100, 1);
-        let short = t.clone().into_stream().collect_trace(1_000);
-        assert_eq!(short.len(), 100);
-    }
-
     proptest! {
         #[test]
         fn msrc_stream_prefix_matches_materialized(
@@ -598,8 +508,7 @@ mod tests {
         ) {
             let w = Workload::ALL[widx];
             let t = msrc::generate(w, n, seed);
-            let s = msrc::stream(w, n, seed).collect_trace(n);
-            prop_assert_eq!(t, s);
+            prop_assert_eq!(t.requests(), take(msrc::stream(w, n, seed), n));
         }
 
         #[test]
@@ -610,8 +519,7 @@ mod tests {
         ) {
             let w = Unseen::ALL[widx];
             let t = filebench::generate(w, n, seed);
-            let s = filebench::stream(w, n, seed).collect_trace(n);
-            prop_assert_eq!(t, s);
+            prop_assert_eq!(t.requests(), take(filebench::stream(w, n, seed), n));
         }
 
         #[test]
@@ -621,8 +529,7 @@ mod tests {
             seed in 0u64..1_000,
         ) {
             let t = diurnal(n, phases, seed);
-            let s = DiurnalStream::new(n, phases, seed).collect_trace(n);
-            prop_assert_eq!(t, s);
+            prop_assert_eq!(t.requests(), take(DiurnalStream::new(n, phases, seed), n));
         }
 
         #[test]
@@ -631,8 +538,25 @@ mod tests {
             seed in 0u64..500,
         ) {
             let t = Mix::Mix2.generate(n, seed);
-            let s = Mix::Mix2.stream(n, seed).collect_trace(t.len());
-            prop_assert_eq!(t, s);
+            prop_assert_eq!(t.requests(), take(Mix::Mix2.stream(n, seed), t.len()));
+        }
+
+        /// `serve_stream` runs its pre-pass over `stream.clone()` and then
+        /// serves the original, so a clone taken anywhere — across chunk,
+        /// phase and mix-generation boundaries — must replay the original.
+        #[test]
+        fn clones_replay_the_original(
+            horizon in 1usize..300,
+            at in 0.0f64..3.0,
+            m in 1usize..600,
+            seed in 0u64..500,
+            midx in 0usize..6,
+        ) {
+            // The clone point k spans [0, 3 × horizon).
+            let k = (at * horizon as f64) as usize;
+            clone_replays(SpecStream::new(spec(), horizon, seed), k, m)?;
+            clone_replays(DiurnalStream::new(horizon, 3, seed), k, m)?;
+            clone_replays(Mix::ALL[midx].stream(horizon, seed), k, m)?;
         }
     }
 }

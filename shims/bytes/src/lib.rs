@@ -1,8 +1,9 @@
 //! Offline shim of the [`bytes`](https://crates.io/crates/bytes) buffer
 //! surface used by the Sibyl workspace: big-endian `put_*`/`get_*`
 //! cursors over a plain `Vec<u8>`. No reference counting — `Bytes` owns
-//! its data and `copy_to_bytes` copies — which is fine for the trace
-//! codec this backs.
+//! its data and `copy_to_bytes` copies. No workspace source uses it:
+//! `sibyl-trace` still lists it until the next re-lock of
+//! `benchmark/Cargo.lock`.
 
 #![warn(missing_docs)]
 

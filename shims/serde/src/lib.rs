@@ -1,12 +1,11 @@
 //! Offline shim of the [`serde`](https://crates.io/crates/serde) API
 //! surface used by the Sibyl workspace.
 //!
-//! The workspace only uses serde as derive markers and trait bounds —
-//! nothing serializes through a real `Serializer` yet. This shim keeps
-//! the annotations compiling offline: the traits are blanket-implemented
-//! for all types and the derives (re-exported from the sibling
-//! `serde_derive` shim) expand to nothing. Swapping the path dependency
-//! for the real crate requires no source changes.
+//! No workspace source uses serde: some manifests still list it, and it
+//! leaves them with the next re-lock of `benchmark/Cargo.lock`. Until
+//! then this shim only has to build offline: the traits are
+//! blanket-implemented for all types and the derives (re-exported from
+//! the sibling `serde_derive` shim) expand to nothing.
 
 #![warn(missing_docs)]
 

@@ -25,11 +25,13 @@
 //!   federated weight averaging across shard agents at deterministic
 //!   sync rounds.
 //! - [`migrate`] — the background migration subsystem: a Harmonia-style
-//!   second RL agent (plus heuristic and baseline policies) that
-//!   proactively promotes and demotes pages between devices.
+//!   second RL agent (plus a heuristic policy) that proactively promotes
+//!   and demotes pages between devices.
 //! - [`telemetry`] — the deterministic observability substrate: metrics
 //!   registry with log2 histograms, bounded event traces, JSONL export,
 //!   and the `sibyl-top` summary renderer.
+//! - [`xray`] — deterministic per-request span tracing: sampled requests'
+//!   latency split into critical-path components, folded-stack export.
 //!
 //! ## Quickstart
 //!
@@ -61,3 +63,4 @@ pub use sibyl_serve as serve;
 pub use sibyl_sim as sim;
 pub use sibyl_telemetry as telemetry;
 pub use sibyl_trace as trace;
+pub use sibyl_xray as xray;
