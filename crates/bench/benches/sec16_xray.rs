@@ -1,5 +1,5 @@
 //! §16 x-ray tracing: where each request's latency goes, measured with
-//! the deterministic span tracer threaded through the serving engine.
+//! the deterministic request tracer threaded through the serving engine.
 //!
 //! Every target before this one reports *aggregate* latency; this one
 //! decomposes it. The same reference configuration as `sec15_telemetry`
@@ -9,8 +9,9 @@
 //! deterministic 1-in-4 subset of requests. For each run it prints the
 //! exact critical-path breakdown (per shard and merged; the component
 //! shares in every row sum to 100% of sampled latency — the
-//! decomposition leaves nothing unattributed), the top-5 tail span
-//! trees (the postmortem view of the slowest requests), and the
+//! decomposition leaves nothing unattributed) and the top-5 tail
+//! requests, each dumped as the tree its latency components form (the
+//! postmortem view of the slowest requests), and records the
 //! folded-stacks export consumed by flamegraph tooling.
 //!
 //! Sampling is a pure function of `(seed, lba, seq)`, so identically
@@ -34,8 +35,9 @@ use sibyl_xray::XrayReport;
 /// production rate regime.
 const SAMPLE_EXPONENT: u32 = 2;
 
-/// The breakdown table in structured form (the same numbers
-/// [`XrayReport::breakdown_table`] prints), for the JSON artifact.
+/// The critical-path breakdown: one row per shard plus a merged row, each
+/// component's share of that row's sampled latency (the shares in a row
+/// sum to 100%).
 fn breakdown_rows(report: &XrayReport) -> Table {
     let mut table = Table::new([
         "shard",
@@ -75,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fig = Figure::new(
         "sec16_xray",
         "§16 x-ray",
-        "Per-request span tracing: critical-path breakdown, tail forensics, folded stacks",
+        "Per-request tracing: critical-path breakdown, tail forensics, folded stacks",
         n,
     );
     println!(
@@ -89,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("mix2", Mix::Mix2.generate(n, seed()), base.clone()),
         (
             // The diurnal arm adds background migration, so the folded
-            // stacks and tail trees carry stall.migrate spans too.
+            // stacks carry stall.migrate stacks too.
             "diurnal",
             synth::diurnal(n, 5, seed()),
             base.clone()
@@ -105,11 +107,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.sampled(),
             report.requests_seen()
         );
-        // x-ray prints its own layout of the breakdown; the artifact
-        // carries the same numbers as a table.
-        println!("{}", report.breakdown_table());
-        fig.record_table(&format!("{name}_breakdown"), &breakdown_rows(&report));
-        println!("--- {name}: top-5 tail span trees ---");
+        fig.table(&format!("{name}_breakdown"), &breakdown_rows(&report));
+        println!("--- {name}: top-5 tail requests ---");
         fig.text(&format!("{name}_tail"), &report.render_tail(5));
         let folded = report.xray_folded();
         fig.record_text(&format!("{name}_folded"), &folded);

@@ -275,23 +275,41 @@ pub struct TrainStepRow {
 /// then times `runs` rounds of `reps` calls each and returns the median
 /// round's nanoseconds per call (the upper middle when `runs` is even).
 pub fn median_ns(reps: u32, runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut round = || (0..reps).for_each(|_| f());
-    round();
-    let mut per_call: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            round();
-            start.elapsed().as_nanos() as f64 / f64::from(reps)
-        })
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[runs / 2]
+    let [ns] = median_ns_each(reps, runs, [&mut f]);
+    ns
 }
 
-/// Times `step` (one whole replay batch of `batch` samples) and returns
-/// the median ns per *sample* over nine timed rounds.
-fn time_per_sample(batch: usize, step: impl FnMut()) -> f64 {
-    median_ns((2048 / batch).max(8) as u32, 9, step) / batch as f64
+/// [`median_ns`] for several closures at once, returning each one's
+/// median. Within a round the closures take turns, starting one further
+/// along each round, so a change in host load lands on all of them alike
+/// — which is what lets two paths' medians be compared.
+fn median_ns_each<const N: usize>(
+    reps: u32,
+    runs: usize,
+    mut fs: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    let round = |f: &mut dyn FnMut()| (0..reps).for_each(|_| f());
+    fs.iter_mut().for_each(|f| round(*f));
+    let mut per_call = [(); N].map(|()| Vec::with_capacity(runs));
+    for r in 0..runs {
+        for k in 0..N {
+            let i = (r + k) % N;
+            let start = std::time::Instant::now();
+            round(fs[i]);
+            per_call[i].push(start.elapsed().as_nanos() as f64 / f64::from(reps));
+        }
+    }
+    per_call.map(|mut ns| {
+        ns.sort_by(f64::total_cmp);
+        ns[runs / 2]
+    })
+}
+
+/// Times `steps` (each one whole replay batch of `batch` samples) in
+/// turns and returns each one's median ns per *sample* over nine timed
+/// rounds.
+fn time_per_sample<const N: usize>(batch: usize, steps: [&mut dyn FnMut(); N]) -> [f64; N] {
+    median_ns_each((2048 / batch).max(8) as u32, 9, steps).map(|ns| ns / batch as f64)
 }
 
 /// One replay batch of the batched training step, in the calls
@@ -378,8 +396,8 @@ impl BatchedStep<'_> {
 ///
 /// The modeled columns are pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the real
-/// sequential and batched training paths over identical seeded data,
-/// which is what the bench-crate regression test uses to pin that the
+/// sequential and batched training paths in turns over identical seeded
+/// data, which is what the bench-crate regression test uses to pin that the
 /// batched path is no slower than the per-sample loop it replaced.
 pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainStepRow> {
     const N_ACTIONS: usize = 2;
@@ -408,29 +426,9 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
         let actions: Vec<usize> = (0..batch).map(|i| i % N_ACTIONS).collect();
         let rewards: Vec<f32> = (0..batch).map(|i| (i % 5) as f32 * 0.25).collect();
 
-        // Per-sample reference: the pre-refactor loop shape — batched
-        // target inference, then one forward/backward per transition and
-        // the per-sample head pipeline.
-        let mut seq_net = proto.clone();
-        let mut seq_opt = Sgd::new(0.001);
-        let seq_ns = time_per_sample(batch, || {
-            let next_logits = target.infer_batch(&next_obs, batch);
-            seq_net.zero_grad();
-            let mut grad = Vec::new();
-            for i in 0..batch {
-                let next_row = &next_logits[i * out_dim..(i + 1) * out_dim];
-                let next_best = head.best_action(next_row);
-                let next_probs = head.action_distribution(next_row, next_best);
-                let proj = head.project(rewards[i], gamma, &next_probs);
-                let logits = seq_net.forward(&obs[i * OBS_LEN..(i + 1) * OBS_LEN]);
-                let _ = head.loss_grad(&logits, actions[i], &proj, &mut grad);
-                std::hint::black_box(seq_net.backward(&grad));
-            }
-            seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
-        });
-
         // Batched path: each phase on its own, then the four as one step
-        // with the optimizer.
+        // with the optimizer, timed in turns with the per-sample
+        // reference below.
         let mut step = BatchedStep {
             head: &head,
             target: &target,
@@ -443,14 +441,43 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             rewards: &rewards,
             bufs: Default::default(),
         };
-        let phases = BatchedStep::PHASES.map(|phase| time_per_sample(batch, || phase(&mut step)));
-        let mut opt = Sgd::new(0.001);
-        let batched_ns = time_per_sample(batch, || {
-            BatchedStep::PHASES
-                .iter()
-                .for_each(|phase| phase(&mut step));
-            step.net.apply_grads(&mut opt, 1.0 / batch as f32);
+        let phases = BatchedStep::PHASES.map(|phase| {
+            let [ns] = time_per_sample(batch, [&mut || phase(&mut step)]);
+            ns
         });
+        let mut opt = Sgd::new(0.001);
+
+        // Per-sample reference: the pre-refactor loop shape — batched
+        // target inference, then one forward/backward per transition and
+        // the per-sample head pipeline.
+        let mut seq_net = proto.clone();
+        let mut seq_opt = Sgd::new(0.001);
+        let [seq_ns, batched_ns] = time_per_sample(
+            batch,
+            [
+                &mut || {
+                    let next_logits = target.infer_batch(&next_obs, batch);
+                    seq_net.zero_grad();
+                    let mut grad = Vec::new();
+                    for i in 0..batch {
+                        let next_row = &next_logits[i * out_dim..(i + 1) * out_dim];
+                        let next_best = head.best_action(next_row);
+                        let next_probs = head.action_distribution(next_row, next_best);
+                        let proj = head.project(rewards[i], gamma, &next_probs);
+                        let logits = seq_net.forward(&obs[i * OBS_LEN..(i + 1) * OBS_LEN]);
+                        let _ = head.loss_grad(&logits, actions[i], &proj, &mut grad);
+                        std::hint::black_box(seq_net.backward(&grad));
+                    }
+                    seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
+                },
+                &mut || {
+                    BatchedStep::PHASES
+                        .iter()
+                        .for_each(|phase| phase(&mut step));
+                    step.net.apply_grads(&mut opt, 1.0 / batch as f32);
+                },
+            ],
+        );
 
         let modeled_step_us = 2.0 * macs * ns_per_mac / 1_000.0;
         rows.push(TrainStepRow {
@@ -519,8 +546,8 @@ fn scalar_infer_batch(
 ///
 /// The modeled column is pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the
-/// retained scalar references and the tiled f32 kernels over identical
-/// seeded weights and inputs. The bench-crate
+/// retained scalar references and the tiled f32 kernels in turns over
+/// identical seeded weights and inputs. The bench-crate
 /// regression test uses the scalar/tiled pair to pin that tiling never
 /// regresses the decide path.
 pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelRow> {
@@ -537,13 +564,19 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
         let xs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
 
         let (mut cur, mut next) = (Vec::new(), Vec::new());
-        let scalar_ns = time_per_sample(batch, || {
-            scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
-            std::hint::black_box(&cur);
-        }) / macs;
-        let tiled_ns = time_per_sample(batch, || {
-            std::hint::black_box(net.infer_batch(&xs, batch));
-        }) / macs;
+        let [scalar_ns, tiled_ns] = time_per_sample(
+            batch,
+            [
+                &mut || {
+                    scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
+                    std::hint::black_box(&cur);
+                },
+                &mut || {
+                    std::hint::black_box(net.infer_batch(&xs, batch));
+                },
+            ],
+        )
+        .map(|ns| ns / macs);
 
         rows.push(InferKernelRow {
             batch,
@@ -831,7 +864,7 @@ impl<W: Write> Figure<W> {
     /// `name`, cell for cell.
     pub fn table(&mut self, name: &str, table: &Table) {
         self.emit(format_args!("{}\n", table.render()));
-        self.record_table(name, table);
+        self.tables.push((name.to_string(), table.clone()));
     }
 
     /// Prints `value` where the line the target is printing has got to —
@@ -844,18 +877,11 @@ impl<W: Write> Figure<W> {
         self.notes.push((key.to_string(), value));
     }
 
-    /// Prints a multi-line `text` (span trees, a rendered dashboard) and
+    /// Prints a multi-line `text` (tail dumps, a rendered dashboard) and
     /// records it verbatim under `name`.
     pub fn text(&mut self, name: &str, text: &str) {
         self.emit(format_args!("{text}\n"));
         self.record_text(name, text);
-    }
-
-    /// Records `table` without printing it: the structured form of
-    /// something the target prints in another layout. The artifact may
-    /// hold more than stdout, never less.
-    pub fn record_table(&mut self, name: &str, table: &Table) {
-        self.tables.push((name.to_string(), table.clone()));
     }
 
     /// Records `text` without printing it (exports too long to read on a
@@ -1454,7 +1480,7 @@ mod tests {
 
     /// The sec15_telemetry and sec16_xray acceptance pins: on the mix2
     /// reference workload at 4 shards × batch 16, fully-enabled telemetry
-    /// and 1/64-sampled span tracing each change zero placement decisions
+    /// and 1/64-sampled x-ray tracing each change zero placement decisions
     /// (always asserted, every profile) and — under release codegen, where
     /// the benches' measured numbers are produced — cost at most 3% and 5%
     /// of measured serving throughput. The bound is certified

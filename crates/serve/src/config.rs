@@ -121,7 +121,7 @@ pub struct ServeConfig {
     /// export. Overrides [`SibylConfig::telemetry`] per shard, the same
     /// way the per-shard seed overrides [`SibylConfig::seed`].
     pub telemetry: TelemetryConfig,
-    /// Per-request span tracing for the run. Default:
+    /// Per-request x-ray tracing for the run. Default:
     /// [`XrayConfig::Off`] — no tracer is constructed and the engine is
     /// pinned bit-identical to one without the subsystem.
     /// [`XrayConfig::Sampled(k)`](XrayConfig::Sampled) traces a
@@ -129,7 +129,7 @@ pub struct ServeConfig {
     /// is a stateless hash of `(base seed, lba, per-shard seq)`, so the
     /// traced set is identical across runs and thread schedules — and
     /// collects critical-path attribution, folded-stacks exports, and
-    /// tail forensics into [`crate::ServeReport::xray`]. Span durations
+    /// tail forensics into [`crate::ServeReport::xray`]. Sample durations
     /// are simulated time quantized to logical nanoseconds: tracing
     /// reads no wall clock and perturbs zero placement decisions.
     pub xray: XrayConfig,
@@ -194,7 +194,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-request span-tracing mode (see [`XrayConfig`]).
+    /// Sets the per-request x-ray tracing mode (see [`XrayConfig`]).
     pub fn with_xray(mut self, xray: XrayConfig) -> Self {
         self.xray = xray;
         self

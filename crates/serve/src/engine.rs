@@ -33,7 +33,7 @@ pub enum ServeError {
     InvalidTimeScale,
     /// `nn_ns_per_mac` is negative or not finite.
     InvalidNnCost,
-    /// The xray span-tracing configuration is degenerate.
+    /// The xray tracing configuration is degenerate.
     Xray(XrayConfigError),
     /// The cooperation configuration is degenerate.
     Coop(CoopConfigError),

@@ -97,7 +97,7 @@ pub use observe::ShardObserver;
 pub use report::{CurvePoint, ServeReport, ShardReport};
 
 // Re-exported so engine users can configure cooperation, background
-// migration, telemetry, and span tracing without direct
+// migration, telemetry, and x-ray tracing without direct
 // `sibyl-coop`/`sibyl-migrate`/`sibyl-telemetry`/`sibyl-xray`
 // dependencies.
 pub use sibyl_coop::{CoopConfig, CoopConfigError, CoopMode};

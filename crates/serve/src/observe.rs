@@ -99,20 +99,20 @@ impl ShardObserver {
                 });
             }
         }
-        let Some(summary) = self.xray.as_mut().and_then(|x| x.observe_request(obs)) else {
+        let Some(sample) = self.xray.as_mut().and_then(|x| x.observe_request(obs)) else {
             return;
         };
-        // Sampled spans double as `xray.*` histograms: the quantized
+        // Samples double as `xray.*` histograms: the quantized
         // decomposition is exact, so the registry sees the same logical
         // ns the x-ray report aggregates.
         if let Some(sink) = self.sink.as_mut().filter(|s| s.histograms()) {
             let registry = sink.registry_mut();
-            registry.histogram_record("xray.latency_ns", summary.latency_ns);
-            registry.histogram_record("xray.decide_ns", summary.decide_ns);
-            registry.histogram_record("xray.train_ns", summary.train_ns);
-            registry.histogram_record("xray.queue_ns", summary.queue_ns);
-            registry.histogram_record("xray.transfer_ns", summary.transfer_ns);
-            registry.histogram_record("xray.queue_wait_ns", summary.queue_wait_ns);
+            registry.histogram_record("xray.latency_ns", sample.latency_ns);
+            registry.histogram_record("xray.decide_ns", sample.decide_ns);
+            registry.histogram_record("xray.train_ns", sample.train_ns);
+            registry.histogram_record("xray.queue_ns", sample.queue_ns);
+            registry.histogram_record("xray.transfer_ns", sample.transfer_ns);
+            registry.histogram_record("xray.queue_wait_ns", sample.queue_wait_ns);
         }
     }
 

@@ -102,9 +102,9 @@ pub struct ServeReport {
     /// report's `PartialEq`, so two identically-seeded enabled runs still
     /// compare equal.
     pub telemetry: Option<TelemetryReport>,
-    /// Per-request span-tracing results (critical-path breakdown, folded
+    /// Per-request x-ray tracing results (critical-path breakdown, folded
     /// stacks, tail forensics), present only when
-    /// [`ServeConfig::xray`](crate::ServeConfig) samples. Spans live in
+    /// [`ServeConfig::xray`](crate::ServeConfig) samples. Samples live in
     /// logical (simulated) time, so this section is part of the
     /// deterministic result: two identically-seeded runs produce equal
     /// reports — tracing included.

@@ -41,17 +41,6 @@ impl TelemetryReport {
     /// the `measured.` namespace are excluded, so two runs of the same
     /// deterministic configuration export byte-identical text.
     pub fn export_jsonl(&self) -> String {
-        self.export(false)
-    }
-
-    /// Like [`TelemetryReport::export_jsonl`] but including `measured.*`
-    /// wall-clock metrics. Not byte-stable across runs — for human
-    /// inspection only.
-    pub fn export_jsonl_with_measured(&self) -> String {
-        self.export(true)
-    }
-
-    fn export(&self, with_measured: bool) -> String {
         let mut out = String::new();
         for shard in &self.shards {
             let id = shard.shard as i64;
@@ -65,14 +54,9 @@ impl TelemetryReport {
             for event in &shard.events {
                 write_event_line(&mut out, id, event);
             }
-            write_registry_lines(&mut out, id, &shard.registry, with_measured);
+            write_registry_lines(&mut out, id, &shard.registry);
         }
-        write_registry_lines(
-            &mut out,
-            MERGED_SHARD,
-            &self.merged_registry(),
-            with_measured,
-        );
+        write_registry_lines(&mut out, MERGED_SHARD, &self.merged_registry());
         out
     }
 
@@ -128,39 +112,6 @@ impl TelemetryReport {
                     h.p999(),
                     h.max().unwrap_or(0),
                 );
-            }
-        }
-
-        // When the run recorded `xray.*` span histograms, decompose the
-        // sampled latency into exact component shares: each histogram
-        // keeps the exact integer sum of its samples, and the xray
-        // tracer's integer-residual splits guarantee the component sums
-        // total the latency sum, so the shares printed here add to 100%.
-        if let Some(lat) = merged.histogram("xray.latency_ns") {
-            if lat.sum() > 0 {
-                let _ = writeln!(
-                    out,
-                    "latency breakdown ({} sampled spans, share of traced latency):",
-                    lat.count()
-                );
-                for (label, name) in [
-                    ("nn.decide", "xray.decide_ns"),
-                    ("stall.train", "xray.train_ns"),
-                    ("device.queue", "xray.queue_ns"),
-                    ("device.transfer", "xray.transfer_ns"),
-                ] {
-                    let sum = merged.histogram(name).map_or(0u128, |h| h.sum());
-                    let share = sum as f64 / lat.sum() as f64 * 100.0;
-                    let _ = writeln!(out, "  {label:<32} {share:>13.1}%");
-                }
-                if let Some(qw) = merged.histogram("xray.queue_wait_ns") {
-                    let _ = writeln!(
-                        out,
-                        "  {:<32} {:>11.1} µs",
-                        "shard.queue_wait (mean)",
-                        qw.mean() / 1_000.0
-                    );
-                }
             }
         }
 
@@ -242,10 +193,9 @@ fn write_event_line(out: &mut String, shard: i64, event: &SeqEvent) {
     out.push_str("}\n");
 }
 
-fn write_registry_lines(out: &mut String, shard: i64, registry: &Registry, with_measured: bool) {
-    let keep = |name: &str| with_measured || !is_measured(name);
+fn write_registry_lines(out: &mut String, shard: i64, registry: &Registry) {
     for (name, v) in registry.counters() {
-        if !keep(name) {
+        if is_measured(name) {
             continue;
         }
         let _ = write!(out, "{{\"shard\":{shard},\"kind\":\"counter\",\"name\":");
@@ -253,7 +203,7 @@ fn write_registry_lines(out: &mut String, shard: i64, registry: &Registry, with_
         let _ = writeln!(out, ",\"value\":{v}}}");
     }
     for (name, v) in registry.gauges() {
-        if !keep(name) {
+        if is_measured(name) {
             continue;
         }
         let _ = write!(out, "{{\"shard\":{shard},\"kind\":\"gauge\",\"name\":");
@@ -263,7 +213,7 @@ fn write_registry_lines(out: &mut String, shard: i64, registry: &Registry, with_
         out.push_str("}\n");
     }
     for (name, h) in registry.histograms() {
-        if !keep(name) {
+        if is_measured(name) {
             continue;
         }
         let _ = write!(out, "{{\"shard\":{shard},\"kind\":\"histogram\",\"name\":");
@@ -301,7 +251,7 @@ fn write_registry_lines(out: &mut String, shard: i64, registry: &Registry, with_
         out.push_str("]}\n");
     }
     for (name, points) in registry.all_series() {
-        if !keep(name) {
+        if is_measured(name) {
             continue;
         }
         let _ = write!(out, "{{\"shard\":{shard},\"kind\":\"series\",\"name\":");
@@ -372,9 +322,6 @@ mod tests {
             !jsonl.contains("measured."),
             "deterministic export must exclude measured.*"
         );
-        assert!(report
-            .export_jsonl_with_measured()
-            .contains("measured.shard_run_ns"));
     }
 
     #[test]
@@ -416,33 +363,6 @@ mod tests {
             TelemetryReport::new(vec![sink.finish(0)]).export_jsonl()
         };
         assert_eq!(jsonl, again);
-    }
-
-    #[test]
-    fn top_renders_xray_latency_breakdown_with_exact_shares() {
-        let mut sink = TelemetrySink::new(&TelemetryConfig::full()).unwrap();
-        let r = sink.registry_mut();
-        // Two sampled spans whose components sum exactly to latency.
-        for (lat, dec, train, queue, transfer) in [
-            (10_000u64, 1_000u64, 500u64, 2_500u64, 6_000u64),
-            (20_000, 2_000, 0, 8_000, 10_000),
-        ] {
-            r.histogram_record("xray.latency_ns", lat);
-            r.histogram_record("xray.decide_ns", dec);
-            r.histogram_record("xray.train_ns", train);
-            r.histogram_record("xray.queue_ns", queue);
-            r.histogram_record("xray.transfer_ns", transfer);
-            r.histogram_record("xray.queue_wait_ns", 3_000);
-        }
-        let top = TelemetryReport::new(vec![sink.finish(0)]).render_top();
-        assert!(top.contains("latency breakdown (2 sampled spans"));
-        assert!(top.contains("nn.decide"), "{top}");
-        assert!(top.contains("10.0%"), "decide share: {top}");
-        assert!(top.contains("35.0%"), "queue share: {top}");
-        assert!(top.contains("53.3%"), "transfer share: {top}");
-        assert!(top.contains("shard.queue_wait (mean)"));
-        // A run without xray histograms renders no breakdown section.
-        assert!(!sample_report().render_top().contains("latency breakdown"));
     }
 
     #[test]

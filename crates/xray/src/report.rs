@@ -1,9 +1,9 @@
-//! Run-level xray results: per-shard and merged breakdown, folded-stacks
+//! Run-level xray results: per-shard and merged totals, folded-stacks
 //! export, and the tail-forensics dump.
 
 use std::fmt::Write;
 
-use crate::span::{ComponentTotals, RequestTrace, Span};
+use crate::span::{ComponentTotals, Sample};
 use crate::tracer::ShardXray;
 
 /// Tracing results for a whole serving run: one section per shard.
@@ -46,26 +46,6 @@ impl XrayReport {
         merged
     }
 
-    /// The critical-path breakdown table: one row per shard plus a
-    /// merged row, with each component's share of sampled latency.
-    /// Shares in every row sum to 100% of that row's sampled latency —
-    /// the decomposition is exact, so nothing is left unattributed.
-    pub fn breakdown_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<8} {:>9} {:>12} {:>9} {:>9} {:>9} {:>9} {:>10}",
-            "shard", "sampled", "avg lat µs", "decide", "train", "queue", "transfer", "queue_wait"
-        );
-        out.push_str(&"-".repeat(82));
-        out.push('\n');
-        for s in &self.shards {
-            write_breakdown_row(&mut out, &s.shard.to_string(), &s.totals);
-        }
-        write_breakdown_row(&mut out, "merged", &self.merged_totals());
-        out
-    }
-
     /// Folded-stacks text export (`stack;frames weight`, one line per
     /// stack, weight in logical nanoseconds of sampled time) consumable
     /// by standard flamegraph tooling. Deterministic: stacks are emitted
@@ -98,8 +78,8 @@ impl XrayReport {
 
     /// The run's `k` slowest sampled requests across all shards, slowest
     /// first (deterministic tie-break on shard then sequence number).
-    pub fn tail(&self, k: usize) -> Vec<&RequestTrace> {
-        let mut all: Vec<&RequestTrace> = self.shards.iter().flat_map(|s| s.tail.iter()).collect();
+    pub fn tail(&self, k: usize) -> Vec<&Sample> {
+        let mut all: Vec<&Sample> = self.shards.iter().flat_map(|s| s.tail.iter()).collect();
         all.sort_by(|a, b| {
             b.latency_ns
                 .cmp(&a.latency_ns)
@@ -110,62 +90,68 @@ impl XrayReport {
         all
     }
 
-    /// Renders the `k` slowest sampled requests' full span trees as an
-    /// indented text dump — the postmortem view of where each tail
-    /// exemplar's latency went.
+    /// Renders the `k` slowest sampled requests as an indented text dump
+    /// — the postmortem view of where each tail exemplar's latency went.
+    /// Each request prints as the tree its components form: the request
+    /// (queue wait + latency), the router and batch markers, decide and
+    /// train, and the storage access split into device queue and
+    /// transfer. Zero-length decide, train, queue-wait and device-queue
+    /// lines are left out, and so are zero `promoted=` / `evicted=` tags.
     pub fn render_tail(&self, k: usize) -> String {
         let mut out = String::new();
-        for (i, trace) in self.tail(k).iter().enumerate() {
+        for (i, s) in self.tail(k).iter().enumerate() {
             let _ = writeln!(
                 out,
                 "#{} shard {} lba {} seq {} — {:.1} µs",
                 i + 1,
-                trace.shard,
-                trace.lba,
-                trace.seq,
-                trace.latency_ns as f64 / 1_000.0
+                s.shard,
+                s.lba,
+                s.seq,
+                s.latency_ns as f64 / 1_000.0
             );
-            render_span(&mut out, &trace.root, 1);
+            write_line(&mut out, 1, "request", s.queue_wait_ns + s.latency_ns, &[]);
+            write_line(&mut out, 2, "router.route", 0, &[("shard", s.shard as u64)]);
+            if s.queue_wait_ns > 0 {
+                write_line(&mut out, 2, "shard.queue_wait", s.queue_wait_ns, &[]);
+            }
+            write_line(&mut out, 2, "batch.form", 0, &[("batch", s.batch as u64)]);
+            if s.decide_ns > 0 {
+                write_line(&mut out, 2, "nn.decide", s.decide_ns, &[]);
+            }
+            if s.train_ns > 0 {
+                write_line(&mut out, 2, "stall.train", s.train_ns, &[]);
+            }
+            let mut tags = vec![("device", s.device as u64), ("target", s.target as u64)];
+            if s.promoted > 0 {
+                tags.push(("promoted", s.promoted));
+            }
+            if s.evicted > 0 {
+                tags.push(("evicted", s.evicted));
+            }
+            write_line(&mut out, 2, "hss.access", s.queue_ns + s.transfer_ns, &tags);
+            if s.queue_ns > 0 {
+                write_line(&mut out, 3, "device.queue", s.queue_ns, &[]);
+            }
+            write_line(&mut out, 3, "device.transfer", s.transfer_ns, &[]);
         }
         out
     }
 }
 
-fn write_breakdown_row(out: &mut String, label: &str, t: &ComponentTotals) {
-    let pct = |ns: u64| format!("{:.1}%", t.share(ns) * 100.0);
-    let _ = writeln!(
-        out,
-        "{:<8} {:>9} {:>12.1} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        label,
-        t.sampled,
-        t.mean_latency_us(),
-        pct(t.decide_ns),
-        pct(t.train_ns),
-        pct(t.queue_ns),
-        pct(t.transfer_ns),
-        format!(
-            "{:.1}µs",
-            t.queue_wait_ns as f64 / t.sampled.max(1) as f64 / 1_000.0
-        ),
-    );
-}
-
-fn render_span(out: &mut String, span: &Span, depth: usize) {
+/// One line of the tail dump: `name` indented by `depth` and padded so
+/// the durations align, then its `key=value` tags.
+fn write_line(out: &mut String, depth: usize, name: &str, ns: u64, tags: &[(&str, u64)]) {
     let _ = write!(
         out,
-        "{}{:<namew$} {:>10.1} µs",
+        "{}{name:<w$} {:>10.1} µs",
         "  ".repeat(depth),
-        span.kind.name(),
-        span.dur_ns as f64 / 1_000.0,
-        namew = 24usize.saturating_sub(2 * depth.min(8)),
+        ns as f64 / 1_000.0,
+        w = 24 - 2 * depth,
     );
-    for (k, v) in &span.tags {
+    for (k, v) in tags {
         let _ = write!(out, " {k}={v}");
     }
     out.push('\n');
-    for child in &span.children {
-        render_span(out, child, depth + 1);
-    }
 }
 
 #[cfg(test)]
@@ -205,23 +191,10 @@ mod tests {
         assert_eq!(report.sampled(), 50);
         let merged = report.merged_totals();
         assert_eq!(merged.sampled, 50);
-        let comp_sum: u64 = merged.components().iter().map(|(_, ns)| ns).sum();
         assert_eq!(
-            comp_sum, merged.latency_ns,
+            merged.components().iter().sum::<u64>(),
+            merged.latency_ns,
             "merged shares must sum to 100%"
-        );
-    }
-
-    #[test]
-    fn breakdown_table_has_per_shard_and_merged_rows() {
-        let report = XrayReport::new(vec![shard_xray(0, 20, 40.0), shard_xray(1, 30, 50.0)]);
-        let table = report.breakdown_table();
-        assert!(table.contains("decide"));
-        assert!(table.contains("merged"));
-        assert_eq!(
-            table.lines().count(),
-            2 + 2 + 1,
-            "header + rule + 2 shards + merged"
         );
     }
 
@@ -263,5 +236,60 @@ mod tests {
         assert!(dump.contains("#1 shard 1"));
         assert!(dump.contains("hss.access"));
         assert!(dump.contains("device="));
+    }
+
+    #[test]
+    fn tail_dump_layout_is_pinned() {
+        // One sample with every optional line and tag, one with none.
+        let full = Sample {
+            shard: 2,
+            lba: 4096,
+            seq: 17,
+            latency_ns: 25_000,
+            decide_ns: 2_300,
+            train_ns: 1_000,
+            queue_ns: 4_000,
+            transfer_ns: 17_700,
+            queue_wait_ns: 3_500,
+            batch: 16,
+            device: 1,
+            target: 0,
+            promoted: 2,
+            evicted: 3,
+        };
+        let bare = Sample {
+            lba: 7,
+            seq: 1,
+            latency_ns: 9_000,
+            transfer_ns: 9_000,
+            batch: 1,
+            target: 1,
+            ..Sample::default()
+        };
+        let shard = |shard, tail| ShardXray {
+            shard,
+            tail: vec![tail],
+            ..ShardXray::default()
+        };
+        let report = XrayReport::new(vec![shard(0, bare), shard(2, full)]);
+        let expected = concat!(
+            "#1 shard 2 lba 4096 seq 17 — 25.0 µs\n",
+            "  request                      28.5 µs\n",
+            "    router.route                0.0 µs shard=2\n",
+            "    shard.queue_wait            3.5 µs\n",
+            "    batch.form                  0.0 µs batch=16\n",
+            "    nn.decide                   2.3 µs\n",
+            "    stall.train                 1.0 µs\n",
+            "    hss.access                 21.7 µs device=1 target=0 promoted=2 evicted=3\n",
+            "      device.queue              4.0 µs\n",
+            "      device.transfer          17.7 µs\n",
+            "#2 shard 0 lba 7 seq 1 — 9.0 µs\n",
+            "  request                       9.0 µs\n",
+            "    router.route                0.0 µs shard=0\n",
+            "    batch.form                  0.0 µs batch=1\n",
+            "    hss.access                  9.0 µs device=0 target=1\n",
+            "      device.transfer           9.0 µs\n",
+        );
+        assert_eq!(report.render_tail(2), expected);
     }
 }

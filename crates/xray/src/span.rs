@@ -1,15 +1,14 @@
-//! Span trees in logical time and the critical-path decomposition.
+//! The sampled-request record and the exact latency decomposition.
 //!
-//! All span arithmetic is integer nanoseconds of *simulated* time
+//! All arithmetic is integer nanoseconds of *simulated* time
 //! (`round(µs × 1000)`): the engine's clocks are simulated `f64`
 //! microseconds, and quantizing once at the tracing boundary makes every
-//! downstream invariant exact — child durations can never exceed their
-//! parent by a rounding ulp, and the critical-path components of a
-//! request sum to its recorded latency *exactly*, because the last
-//! component of every split is defined as the integer residual.
+//! downstream invariant exact — the four components of a request sum to
+//! its recorded latency *exactly*, because the last component of every
+//! split is defined as the integer residual.
 
-/// Converts simulated microseconds to logical span nanoseconds
-/// (non-negative, rounded; non-finite inputs clamp to 0).
+/// Converts simulated microseconds to logical nanoseconds (non-negative,
+/// rounded; non-finite inputs clamp to 0).
 pub fn us_to_ns(us: f64) -> u64 {
     if us.is_finite() && us > 0.0 {
         (us * 1_000.0).round() as u64
@@ -18,117 +17,13 @@ pub fn us_to_ns(us: f64) -> u64 {
     }
 }
 
-/// The span taxonomy: every node a request's trace can contain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpanKind {
-    /// Root: one traced request, from its (scaled) trace timestamp to
-    /// device completion.
-    Request,
-    /// Router hash + channel hand-off. Logically instantaneous in the
-    /// simulation; recorded as a zero-duration marker carrying the shard
-    /// attribution.
-    RouterRoute,
-    /// Closed-loop backpressure: the gap between the request's trace
-    /// timestamp and its effective arrival when the system is saturated.
-    /// Not part of recorded latency (latency is measured from arrival).
-    ShardQueueWait,
-    /// Batch formation boundary — a zero-duration marker carrying the
-    /// inference batch size the request was decided in.
-    BatchForm,
-    /// The request's amortized share of the batch's NN decide bill.
-    NnDecide,
-    /// The request's share of the §10 synchronous-training bill carried
-    /// over from the previous batch.
-    StallTrain,
-    /// The hybrid-storage phase: device dispatch to completion.
-    HssAccess,
-    /// Within [`SpanKind::HssAccess`]: waiting for the critical device
-    /// (the one whose completion determined the request's) to become
-    /// free — including any migration or eviction I/O it is draining.
-    DeviceQueue,
-    /// Within [`SpanKind::HssAccess`]: the critical device's service
-    /// (command + transfer) time.
-    DeviceTransfer,
-    /// Shard-scope span: one background-migration tick's device I/O.
-    StallMigrate,
-    /// Within [`SpanKind::StallMigrate`]: bulk reads off the source
-    /// devices.
-    MigrateRead,
-    /// Within [`SpanKind::StallMigrate`]: append writes into the
-    /// destination devices.
-    MigrateWrite,
-}
-
-impl SpanKind {
-    /// The span's dotted name, as used in folded stacks and dumps.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpanKind::Request => "request",
-            SpanKind::RouterRoute => "router.route",
-            SpanKind::ShardQueueWait => "shard.queue_wait",
-            SpanKind::BatchForm => "batch.form",
-            SpanKind::NnDecide => "nn.decide",
-            SpanKind::StallTrain => "stall.train",
-            SpanKind::HssAccess => "hss.access",
-            SpanKind::DeviceQueue => "device.queue",
-            SpanKind::DeviceTransfer => "device.transfer",
-            SpanKind::StallMigrate => "stall.migrate",
-            SpanKind::MigrateRead => "migrate.read",
-            SpanKind::MigrateWrite => "migrate.write",
-        }
-    }
-}
-
-impl std::fmt::Display for SpanKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One node of a span tree: a kind, a start instant and duration in
-/// logical nanoseconds, attribution tags, and child spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// What this span represents.
-    pub kind: SpanKind,
-    /// Start instant in logical nanoseconds (simulated µs × 1000).
-    pub start_ns: u64,
-    /// Duration in logical nanoseconds.
-    pub dur_ns: u64,
-    /// Attribution tags (`("shard", 3)`, `("device", 1)`, …), in
-    /// insertion order.
-    pub tags: Vec<(&'static str, u64)>,
-    /// Child spans, in start order.
-    pub children: Vec<Span>,
-}
-
-impl Span {
-    /// A leaf span with no tags.
-    pub fn leaf(kind: SpanKind, start_ns: u64, dur_ns: u64) -> Self {
-        Span {
-            kind,
-            start_ns,
-            dur_ns,
-            tags: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// The span's end instant.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns.saturating_add(self.dur_ns)
-    }
-
-    /// The value of tag `key`, if present.
-    pub fn tag(&self, key: &str) -> Option<u64> {
-        self.tags.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-}
-
-/// The full trace of one sampled request: identity, recorded latency,
-/// and the span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestTrace {
+/// One sampled request: its identity, its recorded latency split into
+/// the four critical-path components (`nn.decide → stall.train →
+/// device.queue → device.transfer`, summing to `latency_ns` exactly),
+/// the closed-loop wait ahead of its arrival, and the attribution the
+/// tail dump prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sample {
     /// The shard that served the request.
     pub shard: usize,
     /// The request's starting logical page number.
@@ -136,75 +31,33 @@ pub struct RequestTrace {
     /// The request's per-shard sequence number (1-based arrival order on
     /// its shard — one input of the sampling hash).
     pub seq: u64,
-    /// Recorded end-to-end latency in logical nanoseconds — exactly the
-    /// sum of the critical-path components below the root.
+    /// Recorded end-to-end latency, logical ns.
     pub latency_ns: u64,
-    /// The span tree; `root.kind == SpanKind::Request`.
-    pub root: Span,
-}
-
-/// The four critical-path components every request's recorded latency
-/// decomposes into, in path order.
-pub const COMPONENTS: [SpanKind; 4] = [
-    SpanKind::NnDecide,
-    SpanKind::StallTrain,
-    SpanKind::DeviceQueue,
-    SpanKind::DeviceTransfer,
-];
-
-/// One request's latency decomposition: component durations in path
-/// order, summing exactly to the recorded latency.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalPath {
-    /// `(component, duration_ns)` in path order, one entry per
-    /// [`COMPONENTS`] element.
-    pub components: Vec<(SpanKind, u64)>,
-    /// The recorded end-to-end latency (logical ns).
-    pub total_ns: u64,
-}
-
-impl CriticalPath {
-    /// The duration attributed to `kind` (0 when absent).
-    pub fn component_ns(&self, kind: SpanKind) -> u64 {
-        self.components
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0)
-    }
-
-    /// `component / total` as a fraction (0 when the total is 0).
-    pub fn share(&self, kind: SpanKind) -> f64 {
-        if self.total_ns == 0 {
-            0.0
-        } else {
-            self.component_ns(kind) as f64 / self.total_ns as f64
-        }
-    }
-}
-
-/// Decomposes one traced request's recorded latency into its
-/// critical-path components by walking the span tree. Every component in
-/// [`COMPONENTS`] contributes one entry (0 when the request has no such
-/// span), and the entries sum to [`RequestTrace::latency_ns`] exactly —
-/// the trees are built with integer-residual splits, so this is an
-/// identity, not an approximation (and the span-tree proptests pin it).
-pub fn critical_path(trace: &RequestTrace) -> CriticalPath {
-    let mut components = Vec::with_capacity(COMPONENTS.len());
-    for kind in COMPONENTS {
-        components.push((kind, sum_kind(&trace.root, kind)));
-    }
-    CriticalPath {
-        components,
-        total_ns: trace.latency_ns,
-    }
-}
-
-fn sum_kind(span: &Span, kind: SpanKind) -> u64 {
-    let own = if span.kind == kind { span.dur_ns } else { 0 };
-    span.children
-        .iter()
-        .fold(own, |acc, c| acc.saturating_add(sum_kind(c, kind)))
+    /// The request's amortized share of the batch's NN decide bill.
+    pub decide_ns: u64,
+    /// The request's share of the §10 synchronous-training bill carried
+    /// over from the previous batch.
+    pub train_ns: u64,
+    /// Waiting for the critical device (the one whose completion
+    /// determined the request's) — including any migration or eviction
+    /// I/O it is draining.
+    pub queue_ns: u64,
+    /// The critical device's service (command + transfer) time: the
+    /// residual, so the four components sum to `latency_ns`.
+    pub transfer_ns: u64,
+    /// Closed-loop backpressure: the gap between the request's trace
+    /// timestamp and its effective arrival. Outside recorded latency.
+    pub queue_wait_ns: u64,
+    /// Inference batch size the request was decided in.
+    pub batch: usize,
+    /// The critical device.
+    pub device: usize,
+    /// The device the policy targeted.
+    pub target: usize,
+    /// Pages moved toward the target while serving.
+    pub promoted: u64,
+    /// Pages evicted by the capacity cascade the request triggered.
+    pub evicted: u64,
 }
 
 /// Running totals of the critical-path components over a set of sampled
@@ -216,28 +69,28 @@ pub struct ComponentTotals {
     pub sampled: u64,
     /// Σ recorded latency (logical ns).
     pub latency_ns: u64,
-    /// Σ [`SpanKind::NnDecide`] time.
+    /// Σ [`Sample::decide_ns`].
     pub decide_ns: u64,
-    /// Σ [`SpanKind::StallTrain`] time.
+    /// Σ [`Sample::train_ns`].
     pub train_ns: u64,
-    /// Σ [`SpanKind::DeviceQueue`] time.
+    /// Σ [`Sample::queue_ns`].
     pub queue_ns: u64,
-    /// Σ [`SpanKind::DeviceTransfer`] time.
+    /// Σ [`Sample::transfer_ns`].
     pub transfer_ns: u64,
-    /// Σ [`SpanKind::ShardQueueWait`] time (outside recorded latency).
+    /// Σ [`Sample::queue_wait_ns`] (outside recorded latency).
     pub queue_wait_ns: u64,
 }
 
 impl ComponentTotals {
-    /// Folds one request's decomposition into the totals.
-    pub fn add(&mut self, path: &CriticalPath, queue_wait_ns: u64) {
+    /// Folds one sampled request into the totals.
+    pub fn add(&mut self, s: &Sample) {
         self.sampled += 1;
-        self.latency_ns += path.total_ns;
-        self.decide_ns += path.component_ns(SpanKind::NnDecide);
-        self.train_ns += path.component_ns(SpanKind::StallTrain);
-        self.queue_ns += path.component_ns(SpanKind::DeviceQueue);
-        self.transfer_ns += path.component_ns(SpanKind::DeviceTransfer);
-        self.queue_wait_ns += queue_wait_ns;
+        self.latency_ns += s.latency_ns;
+        self.decide_ns += s.decide_ns;
+        self.train_ns += s.train_ns;
+        self.queue_ns += s.queue_ns;
+        self.transfer_ns += s.transfer_ns;
+        self.queue_wait_ns += s.queue_wait_ns;
     }
 
     /// Merges another shard's totals (exact integer addition).
@@ -251,13 +104,14 @@ impl ComponentTotals {
         self.queue_wait_ns += other.queue_wait_ns;
     }
 
-    /// `(component, Σns)` in path order.
-    pub fn components(&self) -> [(SpanKind, u64); 4] {
+    /// The four component sums in path order: decide, train, queue,
+    /// transfer.
+    pub fn components(&self) -> [u64; 4] {
         [
-            (SpanKind::NnDecide, self.decide_ns),
-            (SpanKind::StallTrain, self.train_ns),
-            (SpanKind::DeviceQueue, self.queue_ns),
-            (SpanKind::DeviceTransfer, self.transfer_ns),
+            self.decide_ns,
+            self.train_ns,
+            self.queue_ns,
+            self.transfer_ns,
         ]
     }
 
@@ -295,64 +149,26 @@ mod tests {
     }
 
     #[test]
-    fn span_tag_lookup() {
-        let mut s = Span::leaf(SpanKind::HssAccess, 10, 5);
-        s.tags.push(("device", 1));
-        assert_eq!(s.tag("device"), Some(1));
-        assert_eq!(s.tag("missing"), None);
-        assert_eq!(s.end_ns(), 15);
-        assert_eq!(s.kind.to_string(), "hss.access");
-    }
-
-    #[test]
-    fn critical_path_sums_nested_kinds() {
-        let mut root = Span::leaf(SpanKind::Request, 0, 100);
-        root.children.push(Span::leaf(SpanKind::NnDecide, 0, 30));
-        let mut hss = Span::leaf(SpanKind::HssAccess, 30, 70);
-        hss.children.push(Span::leaf(SpanKind::DeviceQueue, 30, 20));
-        hss.children
-            .push(Span::leaf(SpanKind::DeviceTransfer, 50, 50));
-        root.children.push(hss);
-        let trace = RequestTrace {
-            shard: 0,
-            lba: 7,
-            seq: 1,
-            latency_ns: 100,
-            root,
-        };
-        let path = critical_path(&trace);
-        assert_eq!(path.component_ns(SpanKind::NnDecide), 30);
-        assert_eq!(path.component_ns(SpanKind::StallTrain), 0);
-        assert_eq!(path.component_ns(SpanKind::DeviceQueue), 20);
-        assert_eq!(path.component_ns(SpanKind::DeviceTransfer), 50);
-        let sum: u64 = path.components.iter().map(|(_, ns)| ns).sum();
-        assert_eq!(sum, trace.latency_ns);
-        assert!((path.share(SpanKind::DeviceTransfer) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn totals_fold_and_merge_exactly() {
-        let path = CriticalPath {
-            components: vec![
-                (SpanKind::NnDecide, 10),
-                (SpanKind::StallTrain, 0),
-                (SpanKind::DeviceQueue, 5),
-                (SpanKind::DeviceTransfer, 85),
-            ],
-            total_ns: 100,
+        let sample = |queue_wait_ns| Sample {
+            latency_ns: 100,
+            decide_ns: 10,
+            queue_ns: 5,
+            transfer_ns: 85,
+            queue_wait_ns,
+            ..Sample::default()
         };
         let mut a = ComponentTotals::default();
-        a.add(&path, 3);
+        a.add(&sample(3));
         let mut b = ComponentTotals::default();
-        b.add(&path, 0);
-        b.add(&path, 1);
+        b.add(&sample(0));
+        b.add(&sample(1));
         a.merge(&b);
         assert_eq!(a.sampled, 3);
         assert_eq!(a.latency_ns, 300);
         assert_eq!(a.transfer_ns, 255);
         assert_eq!(a.queue_wait_ns, 4);
-        let comp_sum: u64 = a.components().iter().map(|(_, ns)| ns).sum();
-        assert_eq!(comp_sum, a.latency_ns);
+        assert_eq!(a.components().iter().sum::<u64>(), a.latency_ns);
         assert!((a.mean_latency_us() - 0.1).abs() < 1e-12);
     }
 }

@@ -1,19 +1,18 @@
-//! The per-shard tracer: sampling, span-tree construction, streaming
-//! aggregation, and the tail-forensics ring.
+//! The per-shard tracer: sampling, quantizing each sampled request into
+//! one [`Sample`], streaming aggregation, and the tail-forensics ring.
 
 use crate::config::{is_sampled, XrayConfig};
-use crate::span::{critical_path, us_to_ns, ComponentTotals, RequestTrace, Span, SpanKind};
+use crate::span::{us_to_ns, ComponentTotals, Sample};
 
-/// Slowest sampled requests whose full span trees each shard retains for
-/// postmortem dump. Everything else is folded into streaming aggregates
+/// Slowest sampled requests each shard retains for postmortem dump. Everything else is folded into streaming aggregates
 /// and dropped, which is what keeps tracing O(1) memory on 10M-request
 /// streams.
 pub const TAIL_K: usize = 8;
 
 /// Everything the engine knows about one served request, in the
 /// simulation's own quantities. The tracer quantizes these to logical
-/// nanoseconds once and builds the span tree with integer-residual
-/// splits (see [`crate::span`]).
+/// nanoseconds once and splits the latency with integer residuals (see
+/// [`crate::span`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestObservation {
     /// Starting logical page number (routing identity; sampling input).
@@ -43,28 +42,8 @@ pub struct RequestObservation {
     pub evicted: u64,
 }
 
-/// The quantized decomposition of one sampled request, returned to the
-/// engine so spans can feed `xray.*` telemetry histograms without
-/// re-walking the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleSummary {
-    /// Recorded latency, logical ns.
-    pub latency_ns: u64,
-    /// NN decide share, logical ns.
-    pub decide_ns: u64,
-    /// Training-stall share, logical ns.
-    pub train_ns: u64,
-    /// Critical-device queue wait, logical ns.
-    pub queue_ns: u64,
-    /// Critical-device transfer time, logical ns.
-    pub transfer_ns: u64,
-    /// Closed-loop queue wait ahead of arrival, logical ns.
-    pub queue_wait_ns: u64,
-}
-
 /// One shard's finished tracing results: streaming component totals,
-/// background-stall accounting, and the K slowest sampled requests'
-/// full span trees.
+/// background-stall accounting, and the K slowest sampled requests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardXray {
     /// The shard index.
@@ -73,7 +52,8 @@ pub struct ShardXray {
     pub sample_exponent: u32,
     /// Requests the shard served (sampled or not).
     pub requests_seen: u64,
-    /// Requests actually sampled and traced.
+    /// The sampled requests' component sums (`totals.sampled` counts
+    /// them).
     pub totals: ComponentTotals,
     /// Background-migration ticks observed.
     pub migrate_ticks: u64,
@@ -87,16 +67,17 @@ pub struct ShardXray {
     /// duration, counted for attribution).
     pub coop_syncs: u64,
     /// Times a sampled request's decide, train or device-queue share had
-    /// to be clamped into its parent span. The engine's own arithmetic
-    /// should make every child fit, so anything but 0 is the tracer
-    /// papering over a disagreement with the engine.
+    /// to be clamped into the latency the components before it left. The
+    /// engine's own arithmetic should make every component fit, so
+    /// anything but 0 is the tracer papering over a disagreement with the
+    /// engine.
     pub clamps: u64,
     /// The shard's K slowest sampled requests, slowest first (ties
     /// broken by sequence number, so the ring is deterministic).
-    pub tail: Vec<RequestTrace>,
+    pub tail: Vec<Sample>,
 }
 
-/// A deterministic per-shard span tracer.
+/// A deterministic per-shard request tracer.
 ///
 /// Construction follows the engine's off-is-absent discipline:
 /// [`XrayTracer::new`] returns `None` for [`XrayConfig::Off`], so a
@@ -128,10 +109,10 @@ impl XrayTracer {
 
     /// Observes one served request. Advances the shard-local sequence
     /// number, decides sampling with the stateless `(seed, lba, seq)`
-    /// hash, and — for the `1/2^k` sampled subset — builds the span
-    /// tree, folds its critical path into the streaming totals, offers
-    /// it to the tail ring, and returns the quantized summary.
-    pub fn observe_request(&mut self, obs: &RequestObservation) -> Option<SampleSummary> {
+    /// hash, and — for the `1/2^k` sampled subset — quantizes it into a
+    /// [`Sample`], folds that into the streaming totals, offers it to the
+    /// tail ring, and returns it.
+    pub fn observe_request(&mut self, obs: &RequestObservation) -> Option<Sample> {
         let out = &mut self.out;
         out.requests_seen += 1;
         let seq = out.requests_seen;
@@ -141,88 +122,42 @@ impl XrayTracer {
 
         // Quantize once; split by integer residuals so components sum to
         // the recorded latency exactly (last term of every split is the
-        // remainder). A child is clamped into the room its parent has
-        // left, and every clamp that bites is counted.
-        let mut contain = |child_us: f64, room_ns: u64| {
-            let child_ns = us_to_ns(child_us);
-            out.clamps += u64::from(child_ns > room_ns);
-            child_ns.min(room_ns)
+        // remainder). A component is clamped into the room the ones
+        // before it left, and every clamp that bites is counted.
+        let mut contain = |part_us: f64, room_ns: u64| {
+            let part_ns = us_to_ns(part_us);
+            out.clamps += u64::from(part_ns > room_ns);
+            part_ns.min(room_ns)
         };
-        let ts_ns = us_to_ns(obs.timestamp_us);
-        let queue_wait_ns = us_to_ns(obs.arrival_us - obs.timestamp_us);
         let latency_ns = us_to_ns(obs.latency_us);
         let decide_ns = contain(obs.decide_us, latency_ns);
         let train_ns = contain(obs.train_us, latency_ns - decide_ns);
         let hss_ns = latency_ns - decide_ns - train_ns;
         let queue_ns = contain(obs.queue_us, hss_ns);
-        let transfer_ns = hss_ns - queue_ns;
-        let arrival_ns = ts_ns + queue_wait_ns;
-
-        let mut root = Span::leaf(SpanKind::Request, ts_ns, queue_wait_ns + latency_ns);
-        let mut route = Span::leaf(SpanKind::RouterRoute, ts_ns, 0);
-        route.tags.push(("shard", out.shard as u64));
-        root.children.push(route);
-        if queue_wait_ns > 0 {
-            root.children
-                .push(Span::leaf(SpanKind::ShardQueueWait, ts_ns, queue_wait_ns));
-        }
-        let mut form = Span::leaf(SpanKind::BatchForm, arrival_ns, 0);
-        form.tags.push(("batch", obs.batch as u64));
-        root.children.push(form);
-        if decide_ns > 0 {
-            root.children
-                .push(Span::leaf(SpanKind::NnDecide, arrival_ns, decide_ns));
-        }
-        if train_ns > 0 {
-            root.children.push(Span::leaf(
-                SpanKind::StallTrain,
-                arrival_ns + decide_ns,
-                train_ns,
-            ));
-        }
-        let hss_start = arrival_ns + decide_ns + train_ns;
-        let mut hss = Span::leaf(SpanKind::HssAccess, hss_start, hss_ns);
-        hss.tags.push(("device", obs.device as u64));
-        hss.tags.push(("target", obs.target as u64));
-        if obs.promoted > 0 {
-            hss.tags.push(("promoted", obs.promoted));
-        }
-        if obs.evicted > 0 {
-            hss.tags.push(("evicted", obs.evicted));
-        }
-        if queue_ns > 0 {
-            hss.children
-                .push(Span::leaf(SpanKind::DeviceQueue, hss_start, queue_ns));
-        }
-        hss.children.push(Span::leaf(
-            SpanKind::DeviceTransfer,
-            hss_start + queue_ns,
-            transfer_ns,
-        ));
-        root.children.push(hss);
-
-        let trace = RequestTrace {
+        let sample = Sample {
             shard: out.shard,
             lba: obs.lba,
             seq,
             latency_ns,
-            root,
-        };
-        out.totals.add(&critical_path(&trace), queue_wait_ns);
-        self.offer_tail(trace);
-        Some(SampleSummary {
-            latency_ns,
             decide_ns,
             train_ns,
             queue_ns,
-            transfer_ns,
-            queue_wait_ns,
-        })
+            transfer_ns: hss_ns - queue_ns,
+            queue_wait_ns: us_to_ns(obs.arrival_us - obs.timestamp_us),
+            batch: obs.batch,
+            device: obs.device,
+            target: obs.target,
+            promoted: obs.promoted,
+            evicted: obs.evicted,
+        };
+        out.totals.add(&sample);
+        self.offer_tail(sample);
+        Some(sample)
     }
 
-    /// Observes one background-migration tick's device I/O (the
-    /// `stall.migrate` span, split into bulk reads and append writes by
-    /// the storage manager's sub-span hook).
+    /// Observes one background-migration tick's device I/O, split into
+    /// bulk reads and append writes by the storage manager (the
+    /// `stall.migrate;migrate.{read,write}` folded stacks).
     pub fn observe_migration_tick(&mut self, read_us: f64, write_us: f64, moved_pages: u64) {
         self.out.migrate_ticks += 1;
         self.out.migrate_read_ns += us_to_ns(read_us);
@@ -238,16 +173,16 @@ impl XrayTracer {
 
     /// Keeps the K slowest sampled requests, slowest first;
     /// deterministic tie-break on (shard, seq).
-    fn offer_tail(&mut self, trace: RequestTrace) {
+    fn offer_tail(&mut self, sample: Sample) {
         let tail = &mut self.out.tail;
         if tail.len() == TAIL_K {
             if let Some(floor) = tail.last() {
-                if trace.latency_ns <= floor.latency_ns {
+                if sample.latency_ns <= floor.latency_ns {
                     return;
                 }
             }
         }
-        tail.push(trace);
+        tail.push(sample);
         tail.sort_by(|a, b| {
             b.latency_ns
                 .cmp(&a.latency_ns)
@@ -266,7 +201,6 @@ impl XrayTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::COMPONENTS;
 
     fn obs(lba: u64, latency_us: f64) -> RequestObservation {
         RequestObservation {
@@ -300,12 +234,14 @@ mod tests {
             assert_eq!(sum, s.latency_ns, "components must sum to latency");
         }
         let shard = t.finish();
-        assert_eq!(shard.clamps, 0, "every child fit its parent");
+        assert_eq!(shard.clamps, 0, "every component fit");
         assert_eq!(shard.requests_seen, 50);
         assert_eq!(shard.totals.sampled, 50);
         assert_eq!(shard.shard, 3);
-        let comp_sum: u64 = shard.totals.components().iter().map(|(_, ns)| ns).sum();
-        assert_eq!(comp_sum, shard.totals.latency_ns);
+        assert_eq!(
+            shard.totals.components().iter().sum::<u64>(),
+            shard.totals.latency_ns
+        );
         assert_eq!(shard.tail.len(), TAIL_K);
         // Tail holds the slowest, in descending latency order.
         for w in shard.tail.windows(2) {
@@ -324,49 +260,6 @@ mod tests {
         assert_eq!(s.decide_ns, s.latency_ns);
         assert_eq!((s.train_ns, s.queue_ns, s.transfer_ns), (0, 0, 0));
         assert_eq!(t.finish().clamps, 3);
-    }
-
-    #[test]
-    fn span_tree_shape_matches_taxonomy() {
-        let mut t = XrayTracer::new(&XrayConfig::Sampled(0), 1, 7).unwrap();
-        t.observe_request(&obs(0, 25.0)).unwrap();
-        let shard = t.finish();
-        let trace = &shard.tail[0];
-        assert_eq!(trace.root.kind, SpanKind::Request);
-        let kinds: Vec<SpanKind> = trace.root.children.iter().map(|c| c.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                SpanKind::RouterRoute,
-                SpanKind::ShardQueueWait,
-                SpanKind::BatchForm,
-                SpanKind::NnDecide,
-                SpanKind::StallTrain,
-                SpanKind::HssAccess,
-            ]
-        );
-        let hss = trace.root.children.last().unwrap();
-        assert_eq!(hss.tag("device"), Some(1));
-        assert_eq!(hss.tag("promoted"), Some(2));
-        let hss_kinds: Vec<SpanKind> = hss.children.iter().map(|c| c.kind).collect();
-        assert_eq!(
-            hss_kinds,
-            vec![SpanKind::DeviceQueue, SpanKind::DeviceTransfer]
-        );
-        // Children never exceed their parent.
-        fn check(span: &Span) {
-            let child_sum: u64 = span.children.iter().map(|c| c.dur_ns).sum();
-            assert!(child_sum <= span.dur_ns + span.dur_ns.min(1), "{span:?}");
-            for c in &span.children {
-                assert!(c.dur_ns <= span.dur_ns);
-                assert!(c.start_ns >= span.start_ns && c.end_ns() <= span.end_ns());
-                check(c);
-            }
-        }
-        check(&trace.root);
-        // Every taxonomy component appears in the critical path.
-        let path = critical_path(trace);
-        assert_eq!(path.components.len(), COMPONENTS.len());
     }
 
     #[test]

@@ -11,10 +11,13 @@ use sibyl::sim::{report::Table, Experiment, PolicyKind};
 use sibyl::trace::{msrc, stats::TraceStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::var("SIBYL_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
+    let n: usize = match std::env::var("SIBYL_REQS") {
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("SIBYL_REQS={v:?} is not a non-negative integer; unset it for the default");
+            std::process::exit(2)
+        }),
+        Err(_) => 20_000,
+    };
     let hm = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
     let hl = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd());
 

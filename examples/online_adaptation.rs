@@ -12,10 +12,13 @@ use sibyl::hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
 use sibyl::trace::{mix, msrc};
 
 fn main() {
-    let n: usize = std::env::var("SIBYL_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
+    let n: usize = match std::env::var("SIBYL_REQS") {
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("SIBYL_REQS={v:?} is not a non-negative integer; unset it for the default");
+            std::process::exit(2)
+        }),
+        Err(_) => 20_000,
+    };
     // Phase 1: hot and random. Phase 2: cold and sequential.
     let hot = msrc::generate(msrc::Workload::Prxy0, n, 11);
     let mut cold = msrc::generate(msrc::Workload::Stg1, n, 12);

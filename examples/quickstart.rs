@@ -13,10 +13,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Synthesize an MSRC-like workload (rsrch_0: write-heavy, hot,
     // random) and build the paper's H&M configuration: Optane SSD fast
     // tier at 10 % of the working set, TLC SSD slow tier.
-    let n: usize = std::env::var("SIBYL_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30_000);
+    let n: usize = match std::env::var("SIBYL_REQS") {
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("SIBYL_REQS={v:?} is not a non-negative integer; unset it for the default");
+            std::process::exit(2)
+        }),
+        Err(_) => 30_000,
+    };
     let trace = msrc::generate(msrc::Workload::Rsrch0, n, 42);
     let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
 

@@ -12,10 +12,13 @@ use sibyl::sim::{report::Table, run_suite, PolicyKind};
 use sibyl::trace::msrc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::var("SIBYL_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30_000);
+    let n: usize = match std::env::var("SIBYL_REQS") {
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("SIBYL_REQS={v:?} is not a non-negative integer; unset it for the default");
+            std::process::exit(2)
+        }),
+        Err(_) => 30_000,
+    };
     let trace = msrc::generate(msrc::Workload::Prxy1, n, 7);
     // H capped at 5 % and M at 10 % of the working set, as in §8.7.
     let hss = HssConfig::tri(

@@ -30,7 +30,7 @@
 //! - [`telemetry`] — the deterministic observability substrate: metrics
 //!   registry with log2 histograms, bounded event traces, JSONL export,
 //!   and the `sibyl-top` summary renderer.
-//! - [`xray`] — deterministic per-request span tracing: sampled requests'
+//! - [`xray`] — deterministic per-request x-ray tracing: sampled requests'
 //!   latency split into critical-path components, folded-stack export.
 //!
 //! ## Quickstart
