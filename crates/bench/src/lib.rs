@@ -259,15 +259,17 @@ pub struct TrainStepRow {
     pub seq_ns_per_sample: f64,
     /// Measured wall-clock ns per sample through the batched path in the
     /// order `Learner::train_step` runs it: target `infer_batch`,
-    /// `forward_batch`, `Categorical::batch_grad`, `backward_batch`,
-    /// optimizer. At batch 128 this is the figure to read against the
+    /// `forward_batch`, `Categorical::batch_targets` then
+    /// `Categorical::batch_loss_grad`, `backward_batch`, optimizer. Every
+    /// row's target is computed — the learner's case when no target is
+    /// reused. At batch 128 this is the figure to read against the
     /// benchmark's in-situ `nn.train_us_per_sample` (which adds replay
     /// sampling and Adam's moments).
     pub batched_ns_per_sample: f64,
     /// The four kernel phases of that step, each timed on its own over
     /// the same reused buffers: `[target infer_batch, forward_batch,
-    /// Categorical::batch_grad, zero_grad + backward_batch]`, ns per
-    /// sample.
+    /// batch_targets + batch_loss_grad, zero_grad + backward_batch]`, ns
+    /// per sample.
     pub phase_ns_per_sample: [f64; 4],
 }
 
@@ -333,6 +335,7 @@ struct StepBuffers {
     pingpong: [Vec<f32>; 2],
     next_logits: Vec<f32>,
     logits: Vec<f32>,
+    targets: Vec<f32>,
     grads: Vec<f32>,
     losses: Vec<f32>,
     head: HeadScratch,
@@ -367,12 +370,18 @@ impl BatchedStep<'_> {
 
     fn head_grad(&mut self) {
         let b = &mut self.bufs;
-        self.head.batch_grad(
+        b.targets.clear();
+        self.head.batch_targets(
+            &b.next_logits,
+            self.rewards,
+            self.gamma,
+            &mut b.head,
+            &mut b.targets,
+        );
+        self.head.batch_loss_grad(
             &b.logits,
             self.actions,
-            self.rewards,
-            &b.next_logits,
-            self.gamma,
+            &b.targets,
             &mut b.head,
             &mut b.grads,
             &mut b.losses,

@@ -105,7 +105,7 @@ impl Categorical {
     /// Soft-maxes one action's logit block into `probs` and returns its
     /// expected value `Q(s, a) = Σ zᵢ pᵢ` — the building block shared by
     /// the decide path ([`Categorical::q_values`]) and the training head
-    /// ([`Categorical::batch_grad`]). Allocates nothing once `probs` has
+    /// ([`Categorical::batch_targets`]). Allocates nothing once `probs` has
     /// grown to `n_atoms`.
     ///
     /// # Panics
@@ -325,44 +325,6 @@ impl Categorical {
             losses.push(loss);
         }
     }
-
-    /// Batched training gradient: [`Categorical::batch_targets`] from the
-    /// *target* network's `next_logits`, then
-    /// [`Categorical::batch_loss_grad`] against the *training* network's
-    /// `logits` (both row-major, `batch` rows).
-    ///
-    /// Row `i` is the whole per-sample pipeline — greedy next action,
-    /// C51 projection of `rewards[i] + γ·z`, [`Categorical::loss_grad`] —
-    /// fused so each softmax is evaluated once: `n_actions + 1` per sample
-    /// where the sequential calls spend `n_actions + 3`, with every value
-    /// produced by the same expression on the same inputs, so a batched
-    /// backward pass fed from this matrix stays bit-exact against the
-    /// per-sample training loop. With `scratch`, `grads` and `losses`
-    /// reused across calls nothing is allocated after the first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts of `logits`, `next_logits`, `actions`,
-    /// and `rewards` disagree, or any action is out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_grad(
-        &self,
-        logits: &[f32],
-        actions: &[usize],
-        rewards: &[f32],
-        next_logits: &[f32],
-        gamma: f32,
-        scratch: &mut HeadScratch,
-        grads: &mut Vec<f32>,
-        losses: &mut Vec<f32>,
-    ) {
-        assert_eq!(rewards.len(), actions.len(), "reward count mismatch");
-        let mut targets = std::mem::take(&mut scratch.targets);
-        targets.clear();
-        self.batch_targets(next_logits, rewards, gamma, scratch, &mut targets);
-        self.batch_loss_grad(logits, actions, &targets, scratch, grads, losses);
-        scratch.targets = targets;
-    }
 }
 
 /// Reusable workspace of the batched training head; contents between
@@ -373,9 +335,6 @@ pub struct HeadScratch {
     row: Vec<f32>,
     /// The greedy next-state action's distribution.
     next_probs: Vec<f32>,
-    /// The target matrix between the two halves of
-    /// [`Categorical::batch_grad`].
-    targets: Vec<f32>,
 }
 
 #[cfg(test)]
@@ -464,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_grad_matches_sequential_pipeline() {
+    fn batched_head_matches_sequential_pipeline() {
         let c = head();
         let batch = 3;
         let width = c.n_outputs();
@@ -476,15 +435,14 @@ mod tests {
             .collect();
         let actions = [0usize, 1, 1];
         let rewards = [0.5f32, 3.0, -1.0];
-        let mut grads = Vec::new();
-        let mut losses = Vec::new();
-        c.batch_grad(
+        let mut scratch = HeadScratch::default();
+        let (mut targets, mut grads, mut losses) = (Vec::new(), Vec::new(), Vec::new());
+        c.batch_targets(&next_logits, &rewards, 0.9, &mut scratch, &mut targets);
+        c.batch_loss_grad(
             &logits,
             &actions,
-            &rewards,
-            &next_logits,
-            0.9,
-            &mut HeadScratch::default(),
+            &targets,
+            &mut scratch,
             &mut grads,
             &mut losses,
         );
@@ -512,16 +470,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "logit matrix shape mismatch")]
-    fn batch_grad_rejects_ragged_logits() {
+    fn batch_loss_grad_rejects_ragged_logits() {
         let c = head();
         let mut grads = Vec::new();
         let mut losses = Vec::new();
-        c.batch_grad(
+        c.batch_loss_grad(
             &[0.0; 10],
             &[0, 1],
-            &[0.0, 0.0],
-            &[0.0; 44],
-            0.9,
+            &[0.0; 22],
             &mut HeadScratch::default(),
             &mut grads,
             &mut losses,

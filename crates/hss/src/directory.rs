@@ -7,7 +7,7 @@
 
 use crate::device::DeviceId;
 use crate::victim::{LruVictim, VictimPolicy};
-use sibyl_trace::IoRequest;
+use sibyl_trace::{mix64, IoRequest};
 
 /// Where every logical page lives, with per-device LRU orderings.
 ///
@@ -91,13 +91,6 @@ struct PageEntry {
 }
 
 const _: () = assert!(std::mem::size_of::<PageEntry>() == 40);
-
-/// splitmix64 finalizer — the index's hash function.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One background page move requested by a migration policy: relocate
 /// `lpn` onto `to`. Executed in bulk by

@@ -55,7 +55,6 @@ mod device;
 mod directory;
 mod manager;
 mod metrics;
-mod page_set;
 mod policy;
 mod stats;
 mod victim;
@@ -65,7 +64,6 @@ pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service}
 pub use directory::{AccessTracker, PageDirectory, PageMove, PageRecord};
 pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager};
 pub use metrics::Metrics;
-pub use page_set::PageSet;
 pub use policy::PlacementPolicy;
 pub use stats::HssStats;
 pub use victim::{LruVictim, NextUseIndex, OracleVictim, VictimPolicy};

@@ -15,17 +15,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(w: &mut [f32], fan_in: usize, fan_out: us
     }
 }
 
-/// Fills `w` with He/Kaiming-uniform samples: `U(-√(6/in), +√(6/in))`.
-///
-/// Preferred for ReLU networks; provided for the baseline policies that use
-/// ReLU classifiers (e.g. Archivist).
-pub fn he_uniform<R: Rng + ?Sized>(w: &mut [f32], fan_in: usize, rng: &mut R) {
-    let limit = (6.0 / fan_in as f32).sqrt();
-    for v in w {
-        *v = rng.gen_range(-limit..=limit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,15 +30,6 @@ mod tests {
         // Not degenerate: some spread.
         let mean: f32 = w.iter().sum::<f32>() / w.len() as f32;
         assert!(mean.abs() < 0.05);
-    }
-
-    #[test]
-    fn he_respects_limit() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut w = vec![0.0; 500];
-        he_uniform(&mut w, 6, &mut rng);
-        let limit = 1.0f32;
-        assert!(w.iter().all(|v| v.abs() <= limit + f32::EPSILON));
     }
 
     #[test]

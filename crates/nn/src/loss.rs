@@ -2,36 +2,10 @@
 //!
 //! The C51 agent in `sibyl-core` minimizes the cross-entropy between a
 //! projected target distribution and the predicted categorical distribution
-//! (Bellemare et al., 2017); the supervised baselines use MSE and one-hot
-//! cross-entropy.
+//! (Bellemare et al., 2017); the supervised baselines (Archivist and the
+//! RNN-HSS classifier) use one-hot cross-entropy.
 
 use crate::softmax;
-
-/// Mean-squared error `mean((y - t)²)` over a prediction/target pair.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mse(y: &[f32], t: &[f32]) -> f32 {
-    assert_eq!(y.len(), t.len(), "mse: length mismatch");
-    assert!(!y.is_empty(), "mse: empty input");
-    y.iter().zip(t).map(|(a, b)| (a - b) * (a - b)).sum::<f32>() / y.len() as f32
-}
-
-/// Gradient of [`mse`] with respect to `y`: `2(y - t)/n`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mse_grad(y: &[f32], t: &[f32], out: &mut Vec<f32>) {
-    assert_eq!(y.len(), t.len(), "mse_grad: length mismatch");
-    assert!(!y.is_empty(), "mse_grad: empty input");
-    out.clear();
-    let n = y.len() as f32;
-    for (a, b) in y.iter().zip(t) {
-        out.push(2.0 * (a - b) / n);
-    }
-}
 
 /// Cross-entropy `−Σ tᵢ·log softmax(z)ᵢ` between logits `z` and a target
 /// probability vector `t` (which may be soft, as in the C51 projection).
@@ -72,41 +46,10 @@ pub fn cross_entropy_logits_grad(z: &[f32], t: &[f32], out: &mut Vec<f32>) {
     }
 }
 
-/// Kullback–Leibler divergence `KL(t ‖ p)` between two probability vectors.
-///
-/// Returns 0 for identical distributions; always non-negative up to
-/// floating-point error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn kl_divergence(t: &[f32], p: &[f32]) -> f32 {
-    assert_eq!(t.len(), p.len(), "kl_divergence: length mismatch");
-    assert!(!t.is_empty(), "kl_divergence: empty input");
-    let mut kl = 0.0f32;
-    for (&ti, &pi) in t.iter().zip(p) {
-        if ti > 0.0 {
-            kl += ti * (ti.max(1e-12) / pi.max(1e-12)).ln();
-        }
-    }
-    kl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn mse_zero_for_equal() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        // ((1-0)^2 + (0-2)^2) / 2 = 2.5
-        assert!((mse(&[1.0, 0.0], &[0.0, 2.0]) - 2.5).abs() < 1e-6);
-    }
 
     #[test]
     fn cross_entropy_minimized_at_target() {
@@ -115,12 +58,6 @@ mod tests {
         let bad = cross_entropy_logits(&[-10.0, 10.0], &[1.0, 0.0]);
         assert!(good < 1e-3);
         assert!(bad > 5.0);
-    }
-
-    #[test]
-    fn kl_zero_for_identical() {
-        let p = [0.25f32, 0.25, 0.5];
-        assert!(kl_divergence(&p, &p).abs() < 1e-6);
     }
 
     #[test]
@@ -146,17 +83,6 @@ mod tests {
     }
 
     proptest! {
-        /// KL divergence is non-negative for random distributions.
-        #[test]
-        fn kl_nonnegative(raw_t in proptest::collection::vec(0.01f32..1.0, 4),
-                          raw_p in proptest::collection::vec(0.01f32..1.0, 4)) {
-            let ts: f32 = raw_t.iter().sum();
-            let ps: f32 = raw_p.iter().sum();
-            let t: Vec<f32> = raw_t.iter().map(|x| x / ts).collect();
-            let p: Vec<f32> = raw_p.iter().map(|x| x / ps).collect();
-            prop_assert!(kl_divergence(&t, &p) >= -1e-5);
-        }
-
         /// Cross-entropy gradient sums to ~0 when the target sums to 1
         /// (softmax output also sums to 1).
         #[test]

@@ -73,8 +73,6 @@ impl Optimizer for Sgd {
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
     eps: f32,
     /// Per-parameter-group first/second moment buffers and step counts.
     state: HashMap<usize, AdamState>,
@@ -88,31 +86,23 @@ struct AdamState {
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with standard betas (0.9, 0.999).
+    /// First-moment decay rate β₁.
+    const BETA1: f32 = 0.9;
+    /// Second-moment decay rate β₂.
+    const BETA2: f32 = 0.999;
+
+    /// Creates an Adam optimizer with the standard betas (0.9, 0.999).
     ///
     /// # Panics
     ///
     /// Panics if `lr` is not finite and positive.
     pub fn new(lr: f32) -> Self {
-        Adam::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates an Adam optimizer with explicit betas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or betas are outside `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
         assert!(
             lr.is_finite() && lr > 0.0,
             "Adam: learning rate must be positive"
         );
-        assert!((0.0..1.0).contains(&beta1), "Adam: beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "Adam: beta2 must be in [0, 1)");
         Adam {
             lr,
-            beta1,
-            beta2,
             eps: 1e-8,
             state: HashMap::new(),
         }
@@ -133,11 +123,11 @@ impl Optimizer for Adam {
             "Adam::update: parameter group {param_id} changed size"
         );
         st.t += 1;
-        let b1t = 1.0 - self.beta1.powi(st.t as i32);
-        let b2t = 1.0 - self.beta2.powi(st.t as i32);
+        let b1t = 1.0 - Self::BETA1.powi(st.t as i32);
+        let b2t = 1.0 - Self::BETA2.powi(st.t as i32);
         for i in 0..params.len() {
-            st.m[i] = self.beta1 * st.m[i] + (1.0 - self.beta1) * grads[i];
-            st.v[i] = self.beta2 * st.v[i] + (1.0 - self.beta2) * grads[i] * grads[i];
+            st.m[i] = Self::BETA1 * st.m[i] + (1.0 - Self::BETA1) * grads[i];
+            st.v[i] = Self::BETA2 * st.v[i] + (1.0 - Self::BETA2) * grads[i] * grads[i];
             let m_hat = st.m[i] / b1t;
             let v_hat = st.v[i] / b2t;
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use sibyl_coop::{CoopConfigError, Coordinator};
 use sibyl_core::SibylAgent;
-use sibyl_hss::{AccessOutcome, PageSet, StorageManager};
+use sibyl_hss::{AccessOutcome, StorageManager};
 use sibyl_migrate::{MigrateConfig, MigrateConfigError, Migrator};
 use sibyl_telemetry::{ShardTelemetry, TelemetryReport};
-use sibyl_trace::{IoRequest, Trace};
+use sibyl_trace::{mix64, IoRequest, PageSet, Trace};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport};
 
 use crate::config::ServeConfig;
@@ -110,13 +110,9 @@ pub const REGION_BITS: u32 = 6;
 /// routing; cross-shard migration is an open ROADMAP item.
 pub fn shard_of(lpn: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    // splitmix64 finalizer — cheap, stateless, and avalanching, so
-    // adjacent regions spread evenly across shards.
-    let mut h = (lpn >> REGION_BITS).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    (h % shards as u64) as usize
+    // An avalanching hash, so adjacent regions spread evenly across
+    // shards.
+    (mix64((lpn >> REGION_BITS).wrapping_add(0x9E37_79B9_7F4A_7C15)) % shards as u64) as usize
 }
 
 /// The footprint pre-pass: how many distinct pages the requests routed

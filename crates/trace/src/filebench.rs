@@ -136,8 +136,9 @@ pub fn generate(workload: Unseen, n: usize, seed: u64) -> Trace {
     )
 }
 
-/// The streaming counterpart of [`generate`]: an infinite stream whose
-/// first `n` requests are bit-identical to `generate(workload, n, seed)`.
+/// The workload as an infinite stream at horizon `n`:
+/// `generate(workload, n, seed)` is its first `n` requests, and past them
+/// it continues with freshly seeded `n`-request chunks.
 ///
 /// # Panics
 ///

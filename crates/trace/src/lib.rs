@@ -12,14 +12,17 @@
 //! sequential runs, phase changes over time as in Fig. 4).
 //!
 //! - [`IoRequest`]/[`Trace`] — the trace model (4 KiB logical pages).
+//! - [`PageSet`] — the one way distinct pages are counted (footprints,
+//!   [`stats`], the serving engine's pre-pass), hashing with [`mix64`].
 //! - [`stats`] — measured per-trace statistics (regenerates Table 4).
 //! - [`msrc`] — the fourteen MSRC-like generators.
 //! - [`filebench`] — fileserver/varmail/oltp_rw/ntrx_rw/YCSB-C-like
 //!   generators used as *unseen* workloads (§8.2).
-//! - [`mix`] — the mixed-workload combiner (§8.3, Table 5).
-//! - [`stream`] — seeded, infinite `Iterator<Item = IoRequest> + Clone`
-//!   streams whose prefixes equal the materialized generators, for runs
-//!   too long to hold in memory.
+//! - [`mix`] — Table 5's workload mixes (§8.3).
+//! - [`stream`] — the generators themselves: seeded, infinite
+//!   `Iterator<Item = IoRequest> + Clone` streams. Each workload is
+//!   synthesized one way; a materialized [`Trace`] is a stream's first
+//!   `n` requests, collected.
 //! - [`zipf`] — an exact inverse-CDF Zipf sampler used by all generators.
 //!
 //! ## Example
@@ -40,6 +43,7 @@
 pub mod filebench;
 pub mod mix;
 pub mod msrc;
+mod page_set;
 mod request;
 pub mod stats;
 pub mod stream;
@@ -47,5 +51,6 @@ pub mod synth;
 mod trace;
 pub mod zipf;
 
+pub use page_set::{mix64, PageSet};
 pub use request::{IoOp, IoRequest, MAX_REQUEST_PAGES, PAGE_SIZE_BYTES};
 pub use trace::Trace;

@@ -5,61 +5,10 @@
 //! address regions — they share devices but not data. The mixes stress
 //! the agent with unpredictable interleavings and extra eviction pressure.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::filebench::{self, Unseen};
 use crate::msrc::{self, Workload};
-use crate::request::IoRequest;
+use crate::stream::{MixStream, SpecStream};
 use crate::trace::Trace;
-
-/// Combines traces into one interleaved trace.
-///
-/// Each component trace is shifted by a random start offset (up to half of
-/// the longest component's duration) and its addresses are remapped into a
-/// private region; the result is sorted by timestamp.
-///
-/// # Examples
-///
-/// ```
-/// use sibyl_trace::{msrc, mix};
-/// let a = msrc::generate(msrc::Workload::Prxy0, 1_000, 1);
-/// let b = msrc::generate(msrc::Workload::Rsrch0, 1_000, 1);
-/// let mixed = mix::combine("demo", &[a, b], 7);
-/// assert_eq!(mixed.len(), 2_000);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `components` is empty.
-pub fn combine(name: impl Into<String>, components: &[Trace], seed: u64) -> Trace {
-    assert!(
-        !components.is_empty(),
-        "mix::combine: need at least one component"
-    );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x4d49_5845_u64); // "MIXE"
-    let max_duration = components.iter().map(Trace::duration_us).max().unwrap_or(0);
-    let mut requests: Vec<IoRequest> = Vec::with_capacity(components.iter().map(Trace::len).sum());
-    let mut region_base: u64 = 0;
-    for c in components {
-        let offset = if max_duration > 0 {
-            rng.gen_range(0..=max_duration / 2)
-        } else {
-            0
-        };
-        for r in c.iter() {
-            requests.push(IoRequest {
-                timestamp_us: r.timestamp_us + offset,
-                lpn: r.lpn + region_base,
-                size_pages: r.size_pages,
-                op: r.op,
-            });
-        }
-        // Disjoint regions with headroom for each component's growth.
-        region_base += c.address_space_pages() + 1024;
-    }
-    Trace::from_requests(name, requests)
-}
 
 /// The six mixes of the paper's Table 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,38 +83,36 @@ impl Mix {
         }
     }
 
-    /// Generates the mix with `n_per_component` requests per component.
+    /// Generates the mix with `n_per_component` requests per component:
+    /// the first `components × n_per_component` requests of
+    /// [`Mix::stream`].
     ///
     /// # Panics
     ///
     /// Panics if `n_per_component == 0`.
     pub fn generate(self, n_per_component: usize, seed: u64) -> Trace {
-        let components: Vec<Trace> = self
-            .components()
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| c.generate(n_per_component, seed.wrapping_add(i as u64 * 101)))
-            .collect();
-        combine(self.name(), &components, seed)
+        let n = self.components().len() * n_per_component;
+        Trace::from_requests(
+            self.name(),
+            self.stream(n_per_component, seed).take(n).collect(),
+        )
     }
 
-    /// The streaming counterpart of [`Mix::generate`]: an infinite
-    /// [`MixStream`](crate::stream::MixStream) whose first
-    /// `components × n_per_component` requests are bit-identical to the
-    /// materialized mix (same per-component seed derivation, offset
-    /// draws, and region layout).
+    /// The mix as an infinite [`MixStream`] whose components each run at
+    /// horizon `n_per_component`, continuing past it generation by
+    /// generation.
     ///
     /// # Panics
     ///
     /// Panics if `n_per_component == 0`.
-    pub fn stream(self, n_per_component: usize, seed: u64) -> crate::stream::MixStream {
-        let components: Vec<crate::stream::SpecStream> = self
+    pub fn stream(self, n_per_component: usize, seed: u64) -> MixStream {
+        let components: Vec<SpecStream> = self
             .components()
             .into_iter()
             .enumerate()
             .map(|(i, c)| c.stream(n_per_component, seed.wrapping_add(i as u64 * 101)))
             .collect();
-        crate::stream::MixStream::new(components, seed)
+        MixStream::new(components, seed)
     }
 }
 
@@ -185,25 +132,8 @@ pub enum Component {
 }
 
 impl Component {
-    /// The component's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Component::Msrc(w) => w.name(),
-            Component::Unseen(u) => u.name(),
-        }
-    }
-
-    /// Generates this component's trace.
-    pub fn generate(self, n: usize, seed: u64) -> Trace {
-        match self {
-            Component::Msrc(w) => msrc::generate(w, n, seed),
-            Component::Unseen(u) => filebench::generate(u, n, seed),
-        }
-    }
-
-    /// The streaming counterpart of [`Component::generate`]: horizon-`n`
-    /// prefix bit-identical to the materialized component trace.
-    pub fn stream(self, n: usize, seed: u64) -> crate::stream::SpecStream {
+    /// This component's stream at horizon `n`.
+    pub fn stream(self, n: usize, seed: u64) -> SpecStream {
         match self {
             Component::Msrc(w) => msrc::stream(w, n, seed),
             Component::Unseen(u) => filebench::stream(u, n, seed),
@@ -227,10 +157,9 @@ mod tests {
 
     #[test]
     fn components_do_not_share_addresses() {
-        let a = msrc::generate(Workload::Prxy0, 1_000, 1);
-        let b = msrc::generate(Workload::Rsrch0, 1_000, 1);
-        let a_max = a.address_space_pages();
-        let mixed = combine("m", &[a, b], 3);
+        // Mix2's first component is rsrch_0, seeded with the mix's seed.
+        let a_max = msrc::generate(Workload::Rsrch0, 1_000, 3).address_space_pages();
+        let mixed = Mix::Mix2.generate(1_000, 3);
         // The second component's pages must start beyond the first's space.
         let mut beyond = 0usize;
         for r in mixed.iter() {
@@ -266,11 +195,5 @@ mod tests {
         assert_eq!(Mix::Mix5.components().len(), 3);
         assert_eq!(Mix::Mix6.components().len(), 3);
         assert_eq!(Mix::Mix1.components().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one component")]
-    fn combine_rejects_empty() {
-        let _ = combine("x", &[], 1);
     }
 }

@@ -160,16 +160,17 @@ pub fn generate(workload: Workload, n: usize, seed: u64) -> Trace {
     generate_spec(&workload.spec(), n, seed.wrapping_add(workload as u64))
 }
 
-/// The streaming counterpart of [`generate`]: an infinite stream whose
-/// first `n` requests are bit-identical to `generate(workload, n, seed)`.
+/// The workload as an infinite stream at horizon `n`:
+/// `generate(workload, n, seed)` is its first `n` requests, and past them
+/// it continues with freshly seeded `n`-request chunks.
 ///
 /// # Examples
 ///
 /// ```
 /// use sibyl_trace::msrc;
 /// let s = msrc::stream(msrc::Workload::Prxy0, 5_000, 1);
-/// let t = msrc::generate(msrc::Workload::Prxy0, 5_000, 1);
-/// assert!(s.take(5_000).eq(t.iter().copied()));
+/// let reqs: Vec<_> = s.take(15_000).collect();
+/// assert!(reqs.windows(2).all(|w| w[0].timestamp_us <= w[1].timestamp_us));
 /// ```
 ///
 /// # Panics

@@ -1,8 +1,16 @@
-//! An insert-only set of logical page numbers.
+//! An insert-only set of logical page numbers, and the hash it probes
+//! with.
 
 use std::ops::RangeInclusive;
 
-use crate::directory::mix64;
+/// The splitmix64 finalizer: a cheap, stateless, avalanching hash of a
+/// 64-bit key. [`PageSet`], the storage model's page-directory index and
+/// the serving engine's region router all hash with it.
+pub fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// Pages per region: one bitmap word.
 const REGION_BITS: u32 = 6;
@@ -19,14 +27,14 @@ struct Region {
 /// counted — what a footprint pass needs (how many distinct pages does
 /// this stream touch?) without a hash probe per page. Requests cover
 /// runs of consecutive pages, so the set keeps a 64-page bitmap per
-/// aligned region in an open-addressing table (the page directory's
-/// `mix64` hash of the region number, linear probing, doubling at 7/8
-/// load): a request costs one probe per region it overlaps — one or two
-/// — and 16 bytes per *region* touched. There is no iteration, so no
+/// aligned region in an open-addressing table ([`mix64`] of the region
+/// number, linear probing, doubling at 7/8 load): a request costs one
+/// probe per region it overlaps — one or two — and 16 bytes per *region*
+/// touched. There is no iteration, so no
 /// order for a result to depend on.
 ///
 /// ```
-/// let mut pages = sibyl_hss::PageSet::default();
+/// let mut pages = sibyl_trace::PageSet::default();
 /// pages.insert(60..=70);
 /// pages.insert(64..=64);
 /// assert_eq!(pages.len(), 11);

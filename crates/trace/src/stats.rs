@@ -1,8 +1,9 @@
 //! Measured trace statistics — the columns of the paper's Table 4 and the
 //! axes of its Fig. 3 (hotness vs randomness).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
+use crate::page_set::PageSet;
 use crate::trace::Trace;
 
 /// Per-trace statistics in the paper's vocabulary.
@@ -54,22 +55,19 @@ impl TraceStats {
     pub fn measure(trace: &Trace) -> Self {
         let total = trace.len();
         let mut writes = 0usize;
+        // Every page of every request is one page access.
         let mut size_pages_sum: u64 = 0;
-        let mut page_counts: HashMap<u64, u64> = HashMap::new();
-        let mut shapes: HashMap<(u64, u32, bool), ()> = HashMap::new();
+        let mut pages = PageSet::default();
+        let mut shapes: HashSet<(u64, u32, bool)> = HashSet::new();
         for r in trace.iter() {
             if r.op.is_write() {
                 writes += 1;
             }
             size_pages_sum += r.size_pages as u64;
-            for p in r.pages() {
-                *page_counts.entry(p).or_insert(0) += 1;
-            }
-            shapes.insert((r.lpn, r.size_pages, r.op.is_write()), ());
+            pages.insert(r.lpn..=r.last_lpn());
+            shapes.insert((r.lpn, r.size_pages, r.op.is_write()));
         }
-        let unique_pages = page_counts.len() as u64;
-        // sibyl-lint: allow(unordered-map-iteration) -- u64 sum over values: integer addition is commutative, order cannot matter
-        let total_page_accesses: u64 = page_counts.values().sum();
+        let unique_pages = pages.len();
         TraceStats {
             name: trace.name().to_string(),
             total_requests: total,
@@ -86,38 +84,12 @@ impl TraceStats {
             avg_access_count: if unique_pages == 0 {
                 0.0
             } else {
-                total_page_accesses as f64 / unique_pages as f64
+                size_pages_sum as f64 / unique_pages as f64
             },
             unique_requests: shapes.len(),
             unique_pages,
             duration_us: trace.duration_us(),
         }
-    }
-
-    /// Read fraction (`1 − write_fraction`).
-    pub fn read_fraction(&self) -> f64 {
-        1.0 - self.write_fraction
-    }
-
-    /// Renders one row of the paper's Table 4.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<12} {:>7.1}% {:>7.1}% {:>10.1} {:>10.1} {:>10}",
-            self.name,
-            self.write_fraction * 100.0,
-            self.read_fraction() * 100.0,
-            self.avg_request_size_kib,
-            self.avg_access_count,
-            self.unique_requests,
-        )
-    }
-
-    /// Header matching [`TraceStats::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<12} {:>8} {:>8} {:>10} {:>10} {:>10}",
-            "Workload", "Write%", "Read%", "AvgKiB", "AvgCount", "UniqReqs"
-        )
     }
 }
 
@@ -180,13 +152,5 @@ mod tests {
             IoRequest::new(9, 0, 1, IoOp::Write), // different op
         ]));
         assert_eq!(st.unique_requests, 2);
-    }
-
-    #[test]
-    fn table_row_is_nonempty_and_aligned() {
-        let st = TraceStats::measure(&t(vec![IoRequest::new(0, 0, 1, IoOp::Read)]));
-        let row = st.table_row();
-        assert!(row.starts_with("test"));
-        assert!(TraceStats::table_header().len() > 20);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every generator in this crate ([`crate::msrc`], [`crate::filebench`])
 //! describes a workload as a [`SyntheticSpec`] — the statistics the paper
-//! publishes in Table 4 plus a few shape knobs — and feeds it to
-//! [`generate_spec`], which synthesizes a trace whose *measured* statistics
-//! match the spec:
+//! publishes in Table 4 plus a few shape knobs — and synthesizes it with
+//! one request-by-request state machine, driven by [`SpecStream`];
+//! [`generate_spec`] is that stream's first `n` requests. The *measured*
+//! statistics match the spec:
 //!
 //! - **Popularity skew**: request start pages are drawn Zipf(θ) over fixed
 //!   address segments, giving the hot/cold structure every placement policy
@@ -25,8 +26,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::page_set::PageSet;
 use crate::request::{IoOp, IoRequest};
-use crate::stats::TraceStats;
+use crate::stream::SpecStream;
 use crate::trace::Trace;
 use crate::zipf::Zipf;
 
@@ -113,25 +115,23 @@ impl SyntheticSpec {
 }
 
 /// Synthesizes `n` requests from `spec`, deterministically for a given
-/// `seed`, with one footprint-calibration pass so the measured average
-/// access count tracks the target.
+/// `seed`: the first `n` requests of
+/// [`SpecStream::new`]`(spec, n, seed)`, whose footprint calibration
+/// makes the measured average access count track the target.
 ///
 /// # Panics
 ///
 /// Panics if the spec is invalid (see [`SyntheticSpec::validate`]) or
 /// `n == 0`.
 pub fn generate_spec(spec: &SyntheticSpec, n: usize, seed: u64) -> Trace {
-    spec.validate();
     assert!(n > 0, "generate_spec: n must be positive");
-    let footprint = calibrated_footprint(spec, n, seed);
-    generate_raw(spec, n, seed, footprint)
+    let stream = SpecStream::new(spec.clone(), n, seed);
+    Trace::from_requests(spec.name, stream.take(n).collect())
 }
 
-/// The footprint (in pages) that [`generate_spec`] synthesizes over:
-/// closed-form estimate plus one probe-and-rescale calibration pass. The
-/// streaming path ([`crate::stream::SpecStream`]) calls this once at
-/// construction so its chunks use the exact footprint the materializing
-/// path would.
+/// The footprint (in pages) a [`SpecStream`] with horizon `n`
+/// synthesizes over: closed-form estimate plus one probe-and-rescale
+/// calibration pass.
 pub(crate) fn calibrated_footprint(spec: &SyntheticSpec, n: usize, seed: u64) -> u64 {
     // Initial footprint estimate from the closed form
     //   avg_access_count = total page accesses / unique pages.
@@ -140,9 +140,19 @@ pub(crate) fn calibrated_footprint(spec: &SyntheticSpec, n: usize, seed: u64) ->
 
     // One calibration pass: the Zipf tail leaves pages untouched, so the
     // measured count comes out high; rescale the footprint accordingly.
+    // The measure is page accesses over distinct pages, which the op
+    // rebalance cannot change (it never moves a page), so the probe
+    // skips it.
     let probe_n = n.min(20_000);
-    let probe = generate_raw(spec, probe_n, seed, footprint as u64);
-    let measured = TraceStats::measure(&probe).avg_access_count;
+    let mut probe = RawGen::new(spec, probe_n, seed, footprint as u64);
+    let mut pages = PageSet::default();
+    let mut page_accesses = 0u64;
+    for _ in 0..probe_n {
+        let r = probe.next_request();
+        pages.insert(r.lpn..=r.last_lpn());
+        page_accesses += u64::from(r.size_pages);
+    }
+    let measured = page_accesses as f64 / pages.len() as f64;
     if measured > 0.0 {
         // Scale target for the probe length: a shorter probe revisits pages
         // proportionally fewer times.
@@ -153,9 +163,8 @@ pub(crate) fn calibrated_footprint(spec: &SyntheticSpec, n: usize, seed: u64) ->
     footprint.max(4.0 * SEGMENT_PAGES as f64) as u64
 }
 
-/// The request-by-request state machine behind [`generate_raw`]. The
-/// materializing and streaming paths both drive this one type, so their
-/// sampling sequences cannot drift apart.
+/// The request-by-request state machine behind [`SpecStream`] and the
+/// footprint-calibration probe.
 #[derive(Debug, Clone)]
 pub(crate) struct RawGen {
     rng: StdRng,
@@ -262,76 +271,6 @@ impl RawGen {
     }
 }
 
-/// Core generation loop over a fixed footprint.
-fn generate_raw(spec: &SyntheticSpec, n: usize, seed: u64, footprint_pages: u64) -> Trace {
-    let mut gen = RawGen::new(spec, n, seed, footprint_pages);
-    let mut requests = Vec::with_capacity(n);
-    for _ in 0..n {
-        requests.push(gen.next_request());
-    }
-
-    // The op-stickiness inside sequential runs skews the realized write
-    // fraction for highly sequential workloads; rebalance by flipping
-    // surplus ops on non-run requests (keeps addresses and sizes intact).
-    rebalance_ops(&mut requests, spec.write_fraction, gen.rng_mut());
-
-    Trace::from_requests(spec.name, requests)
-}
-
-/// Read/flip access to a sequence of request ops, so [`rebalance_ops_on`]
-/// runs identically over materialized requests and over the streaming
-/// path's packed op bits.
-pub(crate) trait OpAccess {
-    /// `true` when request `i` is a write.
-    fn is_write(&self, i: usize) -> bool;
-    /// Sets request `i`'s op.
-    fn set_write(&mut self, i: usize, write: bool);
-}
-
-impl OpAccess for [IoRequest] {
-    fn is_write(&self, i: usize) -> bool {
-        self[i].op.is_write()
-    }
-    fn set_write(&mut self, i: usize, write: bool) {
-        self[i].op = if write { IoOp::Write } else { IoOp::Read };
-    }
-}
-
-/// Flips request ops (never addresses/sizes) until the realized write
-/// fraction is within half a percentage point of the target.
-fn rebalance_ops(requests: &mut [IoRequest], target_wf: f64, rng: &mut StdRng) {
-    let n = requests.len();
-    rebalance_ops_on(requests, n, target_wf, rng);
-}
-
-/// The op-rebalancing pass over any [`OpAccess`] backing store. One RNG
-/// draw per loop iteration, independent of the backing representation —
-/// the invariant the stream/materialized equivalence proptests pin.
-pub(crate) fn rebalance_ops_on<A: OpAccess + ?Sized>(
-    ops: &mut A,
-    n: usize,
-    target_wf: f64,
-    rng: &mut StdRng,
-) {
-    if n == 0 {
-        return;
-    }
-    let target_writes = (target_wf * n as f64).round() as i64;
-    let mut writes: i64 = (0..n).filter(|&i| ops.is_write(i)).count() as i64;
-    let mut guard = 4 * n;
-    while (writes - target_writes).abs() > (n as i64 / 200).max(1) && guard > 0 {
-        guard -= 1;
-        let idx = rng.gen_range(0..n);
-        if writes > target_writes && ops.is_write(idx) {
-            ops.set_write(idx, false);
-            writes -= 1;
-        } else if writes < target_writes && !ops.is_write(idx) {
-            ops.set_write(idx, true);
-            writes += 1;
-        }
-    }
-}
-
 /// Hot regions per phase of the [`diurnal`] generator (64-page regions,
 /// matching the serving engine's routing granule).
 pub(crate) const DIURNAL_HOT_REGIONS: u64 = 16;
@@ -370,16 +309,17 @@ pub(crate) const DIURNAL_COLD_SPAN_PAGES: u64 = 1 << 17;
 /// Panics if `n == 0` or `phases == 0`.
 pub fn diurnal(n: usize, phases: usize, seed: u64) -> Trace {
     assert!(n > 0, "diurnal: n must be positive");
-    let mut stream = crate::stream::DiurnalStream::new(n, phases, seed);
-    let reqs = (0..n).map(|_| stream.next_request()).collect();
-    Trace::from_requests("diurnal", reqs)
+    let stream = crate::stream::DiurnalStream::new(n, phases, seed);
+    Trace::from_requests("diurnal", stream.take(n).collect())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::stats::TraceStats;
 
-    fn spec() -> SyntheticSpec {
+    /// A mid-range spec the generator tests share.
+    pub(crate) fn spec() -> SyntheticSpec {
         SyntheticSpec {
             name: "unit",
             write_fraction: 0.3,

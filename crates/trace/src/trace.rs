@@ -1,5 +1,6 @@
 //! The trace container.
 
+use crate::page_set::PageSet;
 use crate::request::IoRequest;
 
 /// A named sequence of [`IoRequest`]s ordered by timestamp.
@@ -66,10 +67,11 @@ impl Trace {
     /// paper sizes fast-device capacity against, §3: "10 % of the working
     /// set size").
     pub fn footprint_pages(&self) -> u64 {
-        let mut pages: Vec<u64> = self.requests.iter().flat_map(|r| r.pages()).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len() as u64
+        let mut pages = PageSet::default();
+        for r in &self.requests {
+            pages.insert(r.lpn..=r.last_lpn());
+        }
+        pages.len()
     }
 
     /// The largest logical page number referenced plus one (address-space

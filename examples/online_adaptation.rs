@@ -1,7 +1,8 @@
-//! Online-adaptation demo: splice two very different workloads together
-//! (hot/random prxy_0-like, then cold/sequential stg_1-like) and watch
-//! Sibyl's fast-device preference track the change — the adaptivity gap
-//! the paper's §3 identifies in static heuristics.
+//! Online-adaptation demo: run two very different workloads back to back
+//! (hot/random prxy_0-like, then cold/sequential stg_1-like, in its own
+//! address range) and watch Sibyl's fast-device preference track the
+//! change halfway through — the adaptivity gap the paper's §3 identifies
+//! in static heuristics.
 //!
 //! ```text
 //! cargo run --release --example online_adaptation
@@ -9,7 +10,7 @@
 
 use sibyl::core::{SibylAgent, SibylConfig};
 use sibyl::hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
-use sibyl::trace::{mix, msrc};
+use sibyl::trace::{msrc, IoRequest, Trace};
 
 fn main() {
     let n: usize = match std::env::var("SIBYL_REQS") {
@@ -21,20 +22,17 @@ fn main() {
     };
     // Phase 1: hot and random. Phase 2: cold and sequential.
     let hot = msrc::generate(msrc::Workload::Prxy0, n, 11);
-    let mut cold = msrc::generate(msrc::Workload::Stg1, n, 12);
-    // Shift the cold phase after the hot one in time and address space.
-    let shift = hot.duration_us() + 1;
-    let shifted: Vec<_> = cold
-        .requests()
-        .iter()
-        .map(|r| {
-            let mut r = *r;
-            r.timestamp_us += shift;
-            r
-        })
-        .collect();
-    cold = sibyl::trace::Trace::from_requests("stg_1-shifted", shifted);
-    let spliced = mix::combine("phase-shift", &[hot, cold], 3);
+    let cold = msrc::generate(msrc::Workload::Stg1, n, 12);
+    // Shift the cold phase after the hot one in time and above it in
+    // address space.
+    let end_us = hot.iter().last().map_or(0, |r| r.timestamp_us) + 1;
+    let base_lpn = hot.address_space_pages() + 1024;
+    let shifted = cold.iter().map(|r| IoRequest {
+        timestamp_us: r.timestamp_us + end_us,
+        lpn: r.lpn + base_lpn,
+        ..*r
+    });
+    let spliced = Trace::from_requests("phase-shift", hot.iter().copied().chain(shifted).collect());
 
     let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd())
         .resolved(spliced.footprint_pages());
