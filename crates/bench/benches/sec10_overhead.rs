@@ -76,8 +76,9 @@ fn training_benchmark(fig: &mut Figure) {
 /// (deterministic — two weight streams per replay batch, amortized over
 /// the batch) next to measured wall-clock numbers for the per-sample
 /// reference loop, the batched step that replaced it, and that step's
-/// four kernel phases. The batch-128 row is the in-situ shape: read its
-/// `batched ns/sample` against the benchmark's `nn.train_us_per_sample`.
+/// six phases in the learner's order. The batch-128 row is the in-situ
+/// shape: read its `batched ns/sample` against the benchmark's
+/// `nn.train_us_per_sample`.
 fn training_step_table(fig: &mut Figure) {
     const NS_PER_MAC: f64 = 20.0;
     println!("--- §10.1 training-step latency (default C51 net, {NS_PER_MAC} ns/MAC model) ---");
@@ -88,9 +89,11 @@ fn training_step_table(fig: &mut Figure) {
         "seq ns/sample",
         "batched ns/sample",
         "target infer",
+        "targets",
         "forward",
-        "head",
+        "loss_grad",
         "backward",
+        "optimizer",
     ]);
     for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32, 128], NS_PER_MAC) {
         let mut cells = vec![

@@ -51,7 +51,7 @@ use rand::{Rng, SeedableRng};
 
 use sibyl_core::{Categorical, HeadScratch, SibylAgent, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
-use sibyl_nn::{Activation, Mlp, Sgd};
+use sibyl_nn::{Activation, Adam, Mlp};
 use sibyl_serve::{
     CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig, ServeReport,
 };
@@ -256,21 +256,25 @@ pub struct TrainStepRow {
     /// Measured wall-clock ns per sample through the pre-refactor
     /// per-sample loop (batched target inference, then one
     /// `forward`/`backward` pass and one head pipeline per transition).
+    /// Both measured paths start every step from the same weights.
     pub seq_ns_per_sample: f64,
     /// Measured wall-clock ns per sample through the batched path in the
     /// order `Learner::train_step` runs it: target `infer_batch`,
-    /// `forward_batch`, `Categorical::batch_targets` then
-    /// `Categorical::batch_loss_grad`, `backward_batch`, optimizer. Every
-    /// row's target is computed — the learner's case when no target is
-    /// reused. At batch 128 this is the figure to read against the
-    /// benchmark's in-situ `nn.train_us_per_sample` (which adds replay
-    /// sampling and Adam's moments).
+    /// `Categorical::batch_targets`, `forward_batch_blocks` (the output
+    /// layer only in each sample's taken-action block),
+    /// `Categorical::batch_loss_grad` (gradient only, as with telemetry
+    /// off), `backward_batch`, Adam. Every row's target is computed — the
+    /// learner's case when no target is reused. At batch 128 this is the
+    /// figure to read against the benchmark's in-situ
+    /// `nn.train_us_per_sample` (which adds replay sampling and the
+    /// gather of reused targets).
     pub batched_ns_per_sample: f64,
-    /// The four kernel phases of that step, each timed on its own over
-    /// the same reused buffers: `[target infer_batch, forward_batch,
-    /// batch_targets + batch_loss_grad, zero_grad + backward_batch]`, ns
-    /// per sample.
-    pub phase_ns_per_sample: [f64; 4],
+    /// The six phases of that step, timed inside it, each the median over
+    /// every step run: `[target infer_batch, batch_targets,
+    /// forward_batch_blocks, batch_loss_grad, zero_grad + backward_batch,
+    /// Adam]`, ns per sample. They sum to about the step less its weight
+    /// restore and the timers.
+    pub phase_ns_per_sample: [f64; 6],
 }
 
 /// The crate's one stopwatch: calls `f` `reps` times untimed to warm up,
@@ -320,7 +324,10 @@ fn time_per_sample<const N: usize>(batch: usize, steps: [&mut dyn FnMut(); N]) -
 struct BatchedStep<'a> {
     head: &'a Categorical,
     target: &'a Mlp,
+    /// The weights every step starts from.
+    start: &'a Mlp,
     net: Mlp,
+    opt: Adam,
     gamma: f32,
     batch: usize,
     obs: &'a [f32],
@@ -328,6 +335,9 @@ struct BatchedStep<'a> {
     actions: &'a [usize],
     rewards: &'a [f32],
     bufs: StepBuffers,
+    /// Wall-clock ns of each of [`BatchedStep::PHASES`], one entry per
+    /// step run so far.
+    phase_ns: [Vec<u64>; 6],
 }
 
 #[derive(Default)]
@@ -337,18 +347,43 @@ struct StepBuffers {
     logits: Vec<f32>,
     targets: Vec<f32>,
     grads: Vec<f32>,
-    losses: Vec<f32>,
     head: HeadScratch,
 }
 
 impl BatchedStep<'_> {
-    /// Target inference, forward, head, backward — in step order.
-    const PHASES: [fn(&mut Self); 4] = [
+    /// The step's phases, in the order the learner runs them.
+    const PHASES: [fn(&mut Self); 6] = [
         Self::target_infer,
+        Self::targets,
         Self::forward,
-        Self::head_grad,
+        Self::loss_grad,
         Self::backward,
+        Self::optimizer,
     ];
+
+    /// One step from the starting weights, each phase timed. Adam moves
+    /// every weight by about the learning rate per step whatever the
+    /// gradient, so thousands of steps on one batch would drive the
+    /// network into saturated, subnormal-heavy arithmetic no learner
+    /// sees; the restore keeps every timed step at realistic weights.
+    fn run(&mut self) {
+        self.net.copy_weights_from(self.start);
+        for (i, phase) in Self::PHASES.iter().enumerate() {
+            let start = std::time::Instant::now();
+            phase(self);
+            self.phase_ns[i].push(start.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Median ns per sample of each phase over the steps run so far.
+    fn phase_ns_per_sample(&mut self) -> [f64; 6] {
+        let batch = self.batch as f64;
+        std::array::from_fn(|i| {
+            let ns = &mut self.phase_ns[i];
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64 / batch
+        })
+    }
 
     fn target_infer(&mut self) {
         let b = &mut self.bufs;
@@ -363,12 +398,18 @@ impl BatchedStep<'_> {
 
     fn forward(&mut self) {
         let b = &mut self.bufs;
-        self.net
-            .forward_batch_into(self.obs, self.batch, &mut b.pingpong[0], &mut b.logits);
+        self.net.forward_batch_blocks_into(
+            self.obs,
+            self.batch,
+            self.head.n_atoms(),
+            self.actions,
+            &mut b.pingpong[0],
+            &mut b.logits,
+        );
         std::hint::black_box(&b.logits);
     }
 
-    fn head_grad(&mut self) {
+    fn targets(&mut self) {
         let b = &mut self.bufs;
         b.targets.clear();
         self.head.batch_targets(
@@ -378,15 +419,20 @@ impl BatchedStep<'_> {
             &mut b.head,
             &mut b.targets,
         );
+        std::hint::black_box(&b.targets);
+    }
+
+    fn loss_grad(&mut self) {
+        let b = &mut self.bufs;
         self.head.batch_loss_grad(
             &b.logits,
             self.actions,
             &b.targets,
             &mut b.head,
             &mut b.grads,
-            &mut b.losses,
+            None,
         );
-        std::hint::black_box((&b.grads, &b.losses));
+        std::hint::black_box(&b.grads);
     }
 
     fn backward(&mut self) {
@@ -394,6 +440,11 @@ impl BatchedStep<'_> {
         self.net.zero_grad();
         self.net
             .accumulate_grads_batch(&b.grads, self.batch, &mut b.pingpong);
+        std::hint::black_box(&self.net);
+    }
+
+    fn optimizer(&mut self) {
+        self.net.apply_grads(&mut self.opt, 1.0 / self.batch as f32);
         std::hint::black_box(&self.net);
     }
 }
@@ -435,13 +486,14 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
         let actions: Vec<usize> = (0..batch).map(|i| i % N_ACTIONS).collect();
         let rewards: Vec<f32> = (0..batch).map(|i| (i % 5) as f32 * 0.25).collect();
 
-        // Batched path: each phase on its own, then the four as one step
-        // with the optimizer, timed in turns with the per-sample
-        // reference below.
+        // Batched path, timed in turns with the per-sample reference
+        // below; its phases are timed inside each step.
         let mut step = BatchedStep {
             head: &head,
             target: &target,
+            start: &proto,
             net: proto.clone(),
+            opt: Adam::new(config.learning_rate),
             gamma,
             batch,
             obs: &obs,
@@ -449,22 +501,19 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             actions: &actions,
             rewards: &rewards,
             bufs: Default::default(),
+            phase_ns: Default::default(),
         };
-        let phases = BatchedStep::PHASES.map(|phase| {
-            let [ns] = time_per_sample(batch, [&mut || phase(&mut step)]);
-            ns
-        });
-        let mut opt = Sgd::new(0.001);
 
         // Per-sample reference: the pre-refactor loop shape — batched
         // target inference, then one forward/backward per transition and
         // the per-sample head pipeline.
         let mut seq_net = proto.clone();
-        let mut seq_opt = Sgd::new(0.001);
+        let mut seq_opt = Adam::new(config.learning_rate);
         let [seq_ns, batched_ns] = time_per_sample(
             batch,
             [
                 &mut || {
+                    seq_net.copy_weights_from(&proto);
                     let next_logits = target.infer_batch(&next_obs, batch);
                     seq_net.zero_grad();
                     let mut grad = Vec::new();
@@ -479,12 +528,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
                     }
                     seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
                 },
-                &mut || {
-                    BatchedStep::PHASES
-                        .iter()
-                        .for_each(|phase| phase(&mut step));
-                    step.net.apply_grads(&mut opt, 1.0 / batch as f32);
-                },
+                &mut || step.run(),
             ],
         );
 
@@ -495,7 +539,7 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
             modeled_per_sample_us: modeled_step_us / batch as f64,
             seq_ns_per_sample: seq_ns,
             batched_ns_per_sample: batched_ns,
-            phase_ns_per_sample: phases,
+            phase_ns_per_sample: step.phase_ns_per_sample(),
         });
     }
     rows
@@ -1345,9 +1389,10 @@ mod tests {
 
     /// The sec10_overhead training-latency pins: the batched training
     /// step is no slower than the per-sample loop once batches amortize
-    /// (batch ≥ 8), and the table's modeled latency columns are
+    /// (batch ≥ 8), the table's modeled latency columns are
     /// bit-deterministic across runs and drop monotonically with batch
-    /// size — the acceptance shape of the batched-training refactor.
+    /// size — the acceptance shape of the batched-training refactor —
+    /// and every phase of the step is timed.
     #[test]
     fn batched_training_step_is_no_slower_and_table_is_deterministic() {
         let rows_a = train_step_latency_rows(&[1, 8, 32], 20.0);
@@ -1371,6 +1416,14 @@ mod tests {
                 "per-sample training latency must drop monotonically: {:?} -> {:?}",
                 w[0],
                 w[1]
+            );
+        }
+        for row in &rows_a {
+            assert!(
+                row.phase_ns_per_sample
+                    .iter()
+                    .all(|ns| ns.is_finite() && *ns > 0.0),
+                "every phase is timed: {row:?}"
             );
         }
         // The wall-clock pin only holds meaning under the optimized

@@ -263,19 +263,18 @@ impl SibylAgent {
         let rt = self.runtime.as_mut().expect("runtime initialized");
         let learner = &mut rt.learner;
         learner.push(exp);
-        if due {
-            if let Some(loss) = learner.train_step() {
-                self.stats.train_steps = learner.train_steps;
-                self.stats.train_ns = learner.train_ns;
-                self.stats.weight_syncs += 1;
-                if let Some(intro) = self.introspect.as_deref_mut() {
-                    intro.last_loss = Some(loss);
-                    intro.registry.series_push(
-                        "rl.train_loss",
-                        learner.train_steps,
-                        f64::from(loss),
-                    );
-                }
+        if due && learner.train_step() {
+            self.stats.train_steps = learner.train_steps;
+            self.stats.train_ns = learner.train_ns;
+            self.stats.weight_syncs += 1;
+            // The learner tracks its loss exactly when telemetry is
+            // enabled, which is when the introspection state exists.
+            if let (Some(intro), Some(loss)) = (self.introspect.as_deref_mut(), learner.last_loss())
+            {
+                intro.last_loss = Some(loss);
+                intro
+                    .registry
+                    .series_push("rl.train_loss", learner.train_steps, f64::from(loss));
             }
         }
     }
@@ -962,7 +961,10 @@ mod tests {
         let reqs = hot_cold_stream(700);
         let run = |reference: bool| {
             let mut mgr = manager(256);
-            let mut agent = SibylAgent::new(fast_test_config());
+            let mut agent = SibylAgent::new(SibylConfig {
+                telemetry: sibyl_telemetry::TelemetryConfig::full(),
+                ..fast_test_config()
+            });
             let mut decisions = Vec::with_capacity(reqs.len());
             for (i, req) in reqs.iter().enumerate() {
                 let target = agent.place(req, &mgr);
@@ -987,6 +989,7 @@ mod tests {
                 weights,
                 mgr.stats().avg_latency_us().to_bits(),
                 agent.stats().clone(),
+                agent.probe().last_loss.map(f32::to_bits),
             )
         };
         let batched = run(false);
@@ -1000,6 +1003,8 @@ mod tests {
         assert_eq!(batched.1, reference.1, "trained weights diverged");
         assert_eq!(batched.2, reference.2, "served latency diverged");
         assert_eq!(batched.3, reference.3, "logical stats diverged");
+        assert!(batched.4.is_some(), "telemetry tracks the loss");
+        assert_eq!(batched.4, reference.4, "loss diverged");
     }
 
     #[test]
@@ -1026,6 +1031,7 @@ mod tests {
             cfg.telemetry = telemetry;
             let mut agent = SibylAgent::new(cfg);
             let reqs = hot_cold_stream(600);
+            let mut decisions = Vec::with_capacity(reqs.len());
             for chunk in reqs.chunks(16) {
                 let targets = agent.place_batch(chunk, &mgr);
                 if sample {
@@ -1037,19 +1043,31 @@ mod tests {
                     .map(|(req, &t)| mgr.access(req, t))
                     .collect();
                 agent.feedback_batch(&outcomes);
+                decisions.extend(targets);
             }
+            let weights: Vec<u32> = agent
+                .export_weights()
+                .expect("a running agent exports")
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
             (
                 mgr.stats().avg_latency_us().to_bits(),
                 agent.stats().clone(),
                 agent.probe(),
                 agent.take_telemetry(),
+                decisions,
+                weights,
             )
         };
         let off = run(TelemetryConfig::off(), false);
         let full = run(TelemetryConfig::full(), true);
-        // The probes must be invisible to the decision path.
+        // The probes, and the training loss computed only for them, must
+        // be invisible to the decision path.
         assert_eq!(off.0, full.0, "telemetry changed served latency");
         assert_eq!(off.1, full.1, "telemetry changed agent stats");
+        assert_eq!(off.4, full.4, "telemetry changed a decision");
+        assert_eq!(off.5, full.5, "telemetry changed a weight");
         // Off: no registry, default probe fields.
         assert!(off.3.is_none());
         assert_eq!(off.2.last_loss, None);

@@ -164,22 +164,36 @@ impl Categorical {
 
     /// [`Categorical::project`] accumulating onto a caller-owned, zeroed
     /// `m` of `n_atoms` entries.
+    ///
+    /// The atom position `b` of a clamped target is never negative, so
+    /// its floor `l` is the truncating cast `b as usize`, and its ceiling
+    /// `u` is `l + 1` unless `b` sits exactly on an atom. That is the
+    /// `floor`/`ceil` pair bit for bit, without a libm call per atom
+    /// (baseline x86-64 has no rounding instruction) and without casting
+    /// `u` back to an index. A NaN reward makes `b` NaN, and its whole
+    /// mass lands on atom 0, where `NaN.floor()` and `NaN.ceil()`, both
+    /// cast to 0, put it.
     fn project_onto(&self, reward: f32, gamma: f32, next_probs: &[f32], m: &mut [f32]) {
         assert_eq!(
             next_probs.len(),
             self.n_atoms,
             "next distribution length mismatch"
         );
-        for (j, &p) in next_probs.iter().enumerate() {
+        let top = self.n_atoms - 1;
+        for (&p, &z) in next_probs.iter().zip(&self.support) {
             if p == 0.0 {
                 continue;
             }
-            let tz = (reward + gamma * self.support[j]).clamp(self.v_min, self.v_max);
+            let tz = (reward + gamma * z).clamp(self.v_min, self.v_max);
             let b = (tz - self.v_min) / self.dz;
-            let l = b.floor();
-            let u = b.ceil();
-            let li = l as usize;
-            let ui = (u as usize).min(self.n_atoms - 1);
+            let li = b as usize;
+            let l = li as f32;
+            // False for NaN, which keeps `u = l = 0`.
+            let (u, ui) = if b > l {
+                (l + 1.0, (li + 1).min(top))
+            } else {
+                (l, li)
+            };
             if li == ui {
                 m[li] += p;
             } else {
@@ -275,12 +289,14 @@ impl Categorical {
     /// Batched cross-entropy against precomputed `targets` (one
     /// `n_atoms`-wide row per sample, as [`Categorical::batch_targets`]
     /// lays them out): fills the row-major `(batch × n_outputs)`
-    /// `dL/dlogits` matrix and one loss per sample — the
-    /// training-network half of the pipeline, [`Categorical::loss_grad`]
-    /// per row with one softmax of the taken action's block feeding both
-    /// the gradient `p − target` and the loss `−Σ target·ln p`. Every
-    /// other block is left at exactly `+0.0` — the sparsity the backward
-    /// kernels skip.
+    /// `dL/dlogits` matrix — the training-network half of the pipeline,
+    /// [`Categorical::loss_grad`] per row with one softmax of the taken
+    /// action's block feeding the gradient `p − target`. Every other block
+    /// is left at exactly `+0.0` — the sparsity the backward kernels skip.
+    ///
+    /// The gradient does not need the loss `−Σ target·ln p`, so it is only
+    /// computed when `losses` is given, which it then refills with one
+    /// loss per sample.
     ///
     /// # Panics
     ///
@@ -293,7 +309,7 @@ impl Categorical {
         targets: &[f32],
         scratch: &mut HeadScratch,
         grads: &mut Vec<f32>,
-        losses: &mut Vec<f32>,
+        mut losses: Option<&mut Vec<f32>>,
     ) {
         let batch = actions.len();
         let width = self.n_outputs();
@@ -305,7 +321,9 @@ impl Categorical {
         );
         grads.clear();
         grads.resize(batch * width, 0.0);
-        losses.clear();
+        if let Some(losses) = losses.as_deref_mut() {
+            losses.clear();
+        }
         let probs = &mut scratch.row;
         let rows = logits
             .chunks_exact(width)
@@ -315,14 +333,18 @@ impl Categorical {
         {
             self.block_probs(row, action, probs);
             let block = &mut grad_row[action * self.n_atoms..][..self.n_atoms];
-            let mut loss = 0.0f32;
             for ((g, &p), &t) in block.iter_mut().zip(probs.iter()).zip(target) {
                 *g = p - t;
-                if t > 0.0 {
-                    loss -= t * p.max(1e-12).ln();
-                }
             }
-            losses.push(loss);
+            if let Some(losses) = losses.as_deref_mut() {
+                let mut loss = 0.0f32;
+                for (&p, &t) in probs.iter().zip(target) {
+                    if t > 0.0 {
+                        loss -= t * p.max(1e-12).ln();
+                    }
+                }
+                losses.push(loss);
+            }
         }
     }
 }
@@ -344,6 +366,72 @@ mod tests {
 
     fn head() -> Categorical {
         Categorical::new(2, 11, 0.0, 10.0)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`Categorical::project`] as written with libm's `floor` and `ceil`
+    /// — the formulation `project_onto`'s cast-based floor must equal bit
+    /// for bit.
+    fn project_reference(c: &Categorical, reward: f32, gamma: f32, next_probs: &[f32]) -> Vec<f32> {
+        let mut m = vec![0.0f32; c.n_atoms];
+        for (j, &p) in next_probs.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let tz = (reward + gamma * c.support[j]).clamp(c.v_min, c.v_max);
+            let b = (tz - c.v_min) / c.dz;
+            let l = b.floor();
+            let u = b.ceil();
+            let li = l as usize;
+            let ui = (u as usize).min(c.n_atoms - 1);
+            if li == ui {
+                m[li] += p;
+            } else {
+                m[li] += p * (u - b);
+                m[ui] += p * (b - l);
+            }
+        }
+        m
+    }
+
+    /// The in-situ head: 51 atoms over Sibyl's default support.
+    fn in_situ_head() -> Categorical {
+        let cfg = crate::SibylConfig::default();
+        Categorical::new(2, cfg.n_atoms, cfg.v_min, cfg.v_max)
+    }
+
+    /// `raw` scaled to sum to one (its zeros stay exact).
+    fn distribution(raw: &[f32]) -> Vec<f32> {
+        let s: f32 = raw.iter().sum();
+        raw.iter().map(|x| x / s).collect()
+    }
+
+    #[test]
+    fn projection_of_non_finite_rewards_matches_floor_ceil() {
+        for c in [head(), in_situ_head()] {
+            let raw: Vec<f32> = (0..c.n_atoms()).map(|i| (i % 4) as f32).collect();
+            let probs = distribution(&raw);
+            for reward in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for gamma in [0.0, 0.5, 0.9, 1.0] {
+                    assert_eq!(
+                        bits(&c.project(reward, gamma, &probs)),
+                        bits(&project_reference(&c, reward, gamma, &probs)),
+                        "reward {reward}, gamma {gamma}"
+                    );
+                }
+            }
+            // NaN puts every atom's mass on atom 0; ±∞ clamp to the ends.
+            let top = c.n_atoms() - 1;
+            for (reward, atom) in [(f32::NAN, 0), (f32::NEG_INFINITY, 0), (f32::INFINITY, top)] {
+                let m = c.project(reward, 0.9, &probs);
+                let (on, off): (Vec<_>, Vec<_>) = (0..=top).partition(|&i| i == atom);
+                assert!((m[on[0]] - 1.0).abs() < 1e-5, "{reward}: {m:?}");
+                assert!(off.iter().all(|&i| m[i] == 0.0), "{reward}: {m:?}");
+            }
+        }
     }
 
     #[test]
@@ -444,7 +532,21 @@ mod tests {
             &targets,
             &mut scratch,
             &mut grads,
-            &mut losses,
+            Some(&mut losses),
+        );
+        let mut lossless_grads = Vec::new();
+        c.batch_loss_grad(
+            &logits,
+            &actions,
+            &targets,
+            &mut scratch,
+            &mut lossless_grads,
+            None,
+        );
+        assert_eq!(
+            bits(&grads),
+            bits(&lossless_grads),
+            "the loss moved a gradient"
         );
         assert_eq!(grads.len(), batch * width);
         assert_eq!(losses.len(), batch);
@@ -458,11 +560,8 @@ mod tests {
             let loss = c.loss_grad(row, actions[i], &target, &mut row_grad);
             assert_eq!(loss.to_bits(), losses[i].to_bits(), "loss row {i}");
             assert_eq!(
-                grads[i * width..(i + 1) * width]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                row_grad.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&grads[i * width..(i + 1) * width]),
+                bits(&row_grad),
                 "gradient row {i}"
             );
         }
@@ -473,14 +572,13 @@ mod tests {
     fn batch_loss_grad_rejects_ragged_logits() {
         let c = head();
         let mut grads = Vec::new();
-        let mut losses = Vec::new();
         c.batch_loss_grad(
             &[0.0; 10],
             &[0, 1],
             &[0.0; 22],
             &mut HeadScratch::default(),
             &mut grads,
-            &mut losses,
+            None,
         );
     }
 
@@ -499,6 +597,42 @@ mod tests {
             let total: f32 = m.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-4, "mass {total}");
             prop_assert!(m.iter().all(|&p| p >= -1e-6));
+        }
+
+        /// The cast-based floor/ceil projects bit for bit like libm's:
+        /// rewards on and between atoms, rewards clamped at either end of
+        /// the support, and the discounts the agent can run with.
+        #[test]
+        fn projection_matches_floor_ceil_formulation(
+            kind in 0u8..4,
+            k in -60i32..60,
+            frac in -1.0f32..1.0,
+            wide in proptest::bool::ANY,
+            gamma_pick in 0usize..5,
+            gamma_free in 0.0f32..1.0,
+            raw in proptest::collection::vec(-0.5f32..1.0, 51),
+        ) {
+            let c = if wide { in_situ_head() } else { head() };
+            let gamma = [0.0, 0.5, 0.9, 1.0, gamma_free][gamma_pick];
+            // About a third of the atoms carry no mass.
+            let raw: Vec<f32> = raw[..c.n_atoms()].iter().map(|&x| x.max(0.0)).collect();
+            prop_assume!(raw.iter().any(|&x| x > 0.0));
+            let probs = distribution(&raw);
+            // `k` atom widths reach well past both ends of the support.
+            let reward = match kind {
+                // An atom's value: on an atom at γ = 0.
+                0 => c.support()[k.rem_euclid(c.n_atoms() as i32) as usize],
+                // Whole atom widths: the support shifted by `k` at γ = 1.
+                1 => k as f32 * c.dz,
+                // Between atoms.
+                2 => (k as f32 + frac) * c.dz,
+                // An end of the support, clamped onto at γ = 0.
+                _ => if k < 0 { c.v_min } else { c.v_max },
+            };
+            prop_assert_eq!(
+                bits(&c.project(reward, gamma, &probs)),
+                bits(&project_reference(&c, reward, gamma, &probs))
+            );
         }
 
         /// Q-values always lie within the support range.

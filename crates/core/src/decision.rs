@@ -425,7 +425,7 @@ mod tests {
             });
         }
         for _ in 0..200 {
-            learner.train_step().expect("buffer non-empty");
+            assert!(learner.train_step(), "buffer non-empty");
         }
         let fresh = DecisionCore::new(&cfg, 2, 9).act(learner.inference(), obs.clone())[0];
         assert_ne!(fresh, before, "training must flip the argmax");

@@ -54,10 +54,12 @@ struct TrainScratch {
     memo_row: Vec<u32>,
     /// The batch's targets, gathered from `memo` in sample order.
     targets: Vec<f32>,
-    /// Training-network outputs for `obs`.
+    /// Training-network outputs for `obs`: each sample's taken-action
+    /// block (the rest `0.0`).
     logits: Vec<f32>,
     /// `dL/dlogits`, one row per sample.
     grads: Vec<f32>,
+    /// Per-sample losses; filled only when the learner tracks its loss.
     losses: Vec<f32>,
     /// Intermediate activations/deltas of the three network passes (the
     /// forward passes need one buffer, the backward pass both).
@@ -92,6 +94,10 @@ pub struct Learner {
     batch_size: usize,
     batches_per_step: usize,
     pub(crate) train_steps: u64,
+    /// Whether a step computes its loss: only telemetry reads it.
+    track_loss: bool,
+    /// Mean loss of the most recent step, when `track_loss`.
+    last_loss: Option<f32>,
     /// Wall-clock nanoseconds spent inside [`Learner::train_step`]
     /// (telemetry; excluded from determinism comparisons — see
     /// [`AgentStats::train_ns`](crate::AgentStats::train_ns)).
@@ -138,6 +144,8 @@ impl Learner {
             batch_size: config.batch_size,
             batches_per_step: config.batches_per_step,
             train_steps: 0,
+            track_loss: config.telemetry.enabled(),
+            last_loss: None,
             train_ns: 0,
             #[cfg(test)]
             use_reference_train: false,
@@ -170,9 +178,15 @@ impl Learner {
     }
 
     /// One training step: `batches_per_step` batches of `batch_size`
-    /// replayed transitions, SGD with mean gradients, then a target-net
-    /// refresh. Returns the mean loss, or `None` when the buffer is
-    /// empty.
+    /// replayed transitions, Adam on mean gradients, then a target-net
+    /// refresh. Returns whether a step ran: `false`, changing nothing,
+    /// when the buffer is empty.
+    ///
+    /// The step's mean cross-entropy loss is computed only when the
+    /// configuration's [`SibylConfig::telemetry`] is enabled — the agent's
+    /// introspection is its one reader — and is then read through
+    /// [`Learner::last_loss`]. The gradients do not depend on the loss, so
+    /// whether it is computed changes no weight, target or decision.
     ///
     /// The step is batched end to end and does each piece of work once.
     /// Per replay batch, sampling borrows the selected experiences by
@@ -181,7 +195,9 @@ impl Learner {
     /// the target network plus `Categorical::batch_targets`, and is kept
     /// for the slot's later draws — the target network stands still for
     /// the whole step; the training network does one
-    /// [`Mlp::forward_batch_into`], `Categorical::batch_loss_grad` produces
+    /// [`Mlp::forward_batch_blocks_into`] (of the output layer, only each
+    /// sample's taken-action block, which is all its loss reads),
+    /// `Categorical::batch_loss_grad` produces
     /// the whole `dL/dlogits` matrix, and one
     /// [`Mlp::accumulate_grads_batch`] accumulates the gradients — every
     /// weight matrix streams once per *batch* instead of once per
@@ -198,13 +214,13 @@ impl Learner {
     /// transitions take the exact unscaled path, so a buffer holding only
     /// local experiences trains bit-identically to one predating the
     /// weighting mechanism.
-    pub fn train_step(&mut self) -> Option<f32> {
+    pub fn train_step(&mut self) -> bool {
         #[cfg(test)]
         if self.use_reference_train {
             return self.train_step_reference();
         }
         if self.buffer.is_empty() {
-            return None;
+            return false;
         }
         // sibyl-lint: allow(wallclock-in-logic) -- train_ns telemetry only: the duration is reported, never fed back into decisions
         let started = std::time::Instant::now();
@@ -261,15 +277,23 @@ impl Learner {
                     .extend_from_slice(&s.memo[row * tw..(row + 1) * tw]);
             }
             self.train_net.zero_grad();
-            self.train_net
-                .forward_batch_into(&s.obs, n, &mut s.pingpong[0], &mut s.logits);
+            // The loss reads only each sample's taken-action block, so the
+            // output layer computes only that block.
+            self.train_net.forward_batch_blocks_into(
+                &s.obs,
+                n,
+                tw,
+                &s.actions,
+                &mut s.pingpong[0],
+                &mut s.logits,
+            );
             self.head.batch_loss_grad(
                 &s.logits,
                 &s.actions,
                 &s.targets,
                 &mut s.head,
                 &mut s.grads,
-                &mut s.losses,
+                self.track_loss.then_some(&mut s.losses),
             );
             // Importance weighting: scale each down-weighted sample's
             // gradient row and loss. Weight-1.0 rows are left untouched
@@ -282,22 +306,32 @@ impl Learner {
                     for g in &mut s.grads[row * width..(row + 1) * width] {
                         *g *= w;
                     }
-                    s.losses[row] *= w;
+                    if self.track_loss {
+                        s.losses[row] *= w;
+                    }
                 }
             }
             // Sum per-sample losses in sample order so the running total
-            // accumulates exactly like the per-sample loop did.
+            // accumulates exactly like the per-sample loop did (`losses`
+            // stays empty when the loss is not tracked).
             for &loss in &s.losses {
                 total_loss += loss;
-                total_samples += 1;
             }
+            total_samples += n;
             self.train_net
                 .accumulate_grads_batch(&s.grads, n, &mut s.pingpong);
             self.train_net.apply_grads(&mut self.opt, 1.0 / n as f32);
         }
-        self.adopt_trained();
+        self.adopt_trained(total_loss / total_samples.max(1) as f32);
         self.train_ns += started.elapsed().as_nanos() as u64;
-        Some(total_loss / total_samples.max(1) as f32)
+        true
+    }
+
+    /// Mean loss of the most recent [`Learner::train_step`]: `Some` once a
+    /// step has run under an enabled [`SibylConfig::telemetry`], `None`
+    /// otherwise.
+    pub fn last_loss(&self) -> Option<f32> {
+        self.last_loss
     }
 
     /// The per-sample training step, kept as the golden reference the
@@ -310,9 +344,9 @@ impl Learner {
     /// `cfg(test)` keeps it compiled (it cannot rot) without shipping the
     /// slow path.
     #[cfg(test)]
-    pub(crate) fn train_step_reference(&mut self) -> Option<f32> {
+    pub(crate) fn train_step_reference(&mut self) -> bool {
         if self.buffer.is_empty() {
-            return None;
+            return false;
         }
         let mut total_loss = 0.0f32;
         let mut total_samples = 0usize;
@@ -345,13 +379,15 @@ impl Learner {
             self.train_net
                 .apply_grads(&mut self.opt, 1.0 / samples.len().max(1) as f32);
         }
-        self.adopt_trained();
-        Some(total_loss / total_samples.max(1) as f32)
+        self.adopt_trained(total_loss / total_samples.max(1) as f32);
+        true
     }
 
     /// The end of a training step: the inference network adopts the
-    /// just-trained weights (Algorithm 1 line 19), a new generation.
-    fn adopt_trained(&mut self) {
+    /// just-trained weights (Algorithm 1 line 19), a new generation, and
+    /// the step's `mean_loss` is kept if it is tracked.
+    fn adopt_trained(&mut self, mean_loss: f32) {
+        self.last_loss = self.track_loss.then_some(mean_loss);
         self.target_net.copy_weights_from(&self.train_net);
         self.generation += 1;
         self.train_steps += 1;
@@ -411,6 +447,7 @@ impl Learner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sibyl_telemetry::TelemetryConfig;
 
     fn config() -> SibylConfig {
         SibylConfig {
@@ -460,7 +497,7 @@ mod tests {
             l.push(exp(0.5 + (i as f32) * 1e-4, a, a as f32));
         }
         for _ in 0..200 {
-            l.train_step().expect("buffer non-empty");
+            assert!(l.train_step(), "buffer non-empty");
         }
         let q = q_values(&l, &[0.5; 6]);
         assert!(q[1] > q[0] + 0.3, "Q should prefer rewarded action: {q:?}");
@@ -469,17 +506,22 @@ mod tests {
     #[test]
     fn empty_buffer_skips_training() {
         let mut l = Learner::new(&config(), 2, 6);
-        assert!(l.train_step().is_none());
+        assert!(!l.train_step());
+        assert_eq!(l.last_loss(), None);
         assert_eq!(l.train_steps, 0);
         assert_eq!(l.train_ns, 0);
     }
 
     /// The tentpole pin at the learner level: the batched training step
     /// is bit-identical to the pre-refactor per-sample reference — same
-    /// losses every step, same weights after many steps.
+    /// losses every step (tracked, as telemetry is on), same weights after
+    /// many steps.
     #[test]
     fn batched_train_step_is_bit_identical_to_reference() {
-        let cfg = config();
+        let cfg = SibylConfig {
+            telemetry: TelemetryConfig::full(),
+            ..config()
+        };
         let mut batched = Learner::new(&cfg, 2, 6);
         let mut reference = Learner::new(&cfg, 2, 6);
         reference.use_reference_train = true;
@@ -489,8 +531,9 @@ mod tests {
             reference.push(e);
         }
         for step in 0..30 {
-            let a = batched.train_step().expect("buffer non-empty");
-            let b = reference.train_step().expect("buffer non-empty");
+            assert!(batched.train_step() && reference.train_step());
+            let a = batched.last_loss().expect("telemetry tracks the loss");
+            let b = reference.last_loss().expect("telemetry tracks the loss");
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -515,6 +558,7 @@ mod tests {
     fn in_situ_shape_trains_bit_identically_to_reference() {
         let cfg = SibylConfig {
             buffer_capacity: 300,
+            telemetry: TelemetryConfig::full(),
             ..Default::default()
         };
         assert_eq!((cfg.n_atoms, cfg.batch_size), (51, 128));
@@ -533,8 +577,9 @@ mod tests {
             reference.push_weighted(e, weight);
         }
         for step in 0..20 {
-            let a = batched.train_step().expect("buffer non-empty");
-            let b = reference.train_step().expect("buffer non-empty");
+            assert!(batched.train_step() && reference.train_step());
+            let a = batched.last_loss().expect("telemetry tracks the loss");
+            let b = reference.last_loss().expect("telemetry tracks the loss");
             assert_eq!(a.to_bits(), b.to_bits(), "loss diverged at step {step}");
         }
         let bits = |l: &Learner| {
@@ -553,7 +598,11 @@ mod tests {
     /// settling within the first few steps.)
     #[test]
     fn train_step_reuses_its_batch_buffers() {
-        let mut l = Learner::new(&config(), 2, 6);
+        let cfg = SibylConfig {
+            telemetry: TelemetryConfig::full(),
+            ..config()
+        };
+        let mut l = Learner::new(&cfg, 2, 6);
         for i in 0..64 {
             l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
         }
@@ -565,11 +614,11 @@ mod tests {
             ]
             .map(|v| (v.as_ptr(), v.capacity()))
         };
-        l.train_step().expect("buffer non-empty");
+        assert!(l.train_step());
         let after_first = blocks(&l);
         assert!(after_first.iter().all(|&(_, capacity)| capacity > 0));
         for _ in 0..5 {
-            l.train_step().expect("buffer non-empty");
+            assert!(l.train_step());
         }
         assert_eq!(blocks(&l), after_first);
     }
@@ -593,7 +642,7 @@ mod tests {
                 }
             }
             for _ in 0..20 {
-                l.train_step().expect("buffer non-empty");
+                assert!(l.train_step());
             }
             l.flat_params()
                 .iter()
@@ -626,21 +675,28 @@ mod tests {
         for i in 0..64 {
             l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
         }
-        l.train_step().unwrap();
+        assert!(l.train_step());
         assert!(l.train_ns > 0, "training time must be accounted");
     }
 
     #[test]
     fn training_reduces_loss_over_steps() {
-        let cfg = config();
+        let cfg = SibylConfig {
+            telemetry: TelemetryConfig::full(),
+            ..config()
+        };
         let mut l = Learner::new(&cfg, 2, 6);
         for i in 0..64 {
             l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
         }
-        let first = l.train_step().unwrap();
+        let mut step = || {
+            assert!(l.train_step());
+            l.last_loss().expect("telemetry tracks the loss")
+        };
+        let first = step();
         let mut last = first;
         for _ in 0..40 {
-            last = l.train_step().unwrap();
+            last = step();
         }
         assert!(last < first, "loss should fall: {first} -> {last}");
     }

@@ -159,7 +159,7 @@ impl MigrationPolicy for RlMigration {
         // Train on the tick schedule.
         if self.stats.decisions > 0
             && self.stats.decisions.is_multiple_of(TRAIN_TICKS)
-            && self.learner.train_step().is_some()
+            && self.learner.train_step()
         {
             self.stats.train_steps = self.learner.train_steps();
         }

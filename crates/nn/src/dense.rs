@@ -45,7 +45,16 @@ pub struct Dense {
     cache_dact: Vec<f32>,
     /// `dL/dz` scratch of the backward passes, reused across calls.
     dz: Vec<f32>,
+    /// Workspace of [`Dense::forward_batch_blocks_into`]: up to
+    /// [`BLOCK_CHUNK`] gathered input rows of one block, and their outputs.
+    block_x: Vec<f32>,
+    block_y: Vec<f32>,
 }
+
+/// Rows [`Dense::forward_batch_blocks_into`] gathers per kernel call: a
+/// multiple of the kernel's 8-row tile, so the chunks cost no extra
+/// remainder passes, and small enough that the workspace stays a few KiB.
+const BLOCK_CHUNK: usize = 4 * linalg::BATCH_TILE;
 
 impl Dense {
     /// Creates a layer with Xavier-uniform weights and zero biases.
@@ -76,6 +85,8 @@ impl Dense {
             cache_x: Vec::new(),
             cache_dact: Vec::new(),
             dz: Vec::new(),
+            block_x: Vec::new(),
+            block_y: Vec::new(),
         }
     }
 
@@ -175,6 +186,87 @@ impl Dense {
         self.cache_x.extend_from_slice(xs);
         linalg::matmul_bias(&self.w, &self.b, xs, self.out_dim, self.in_dim, batch, out);
         self.activate_and_cache(out);
+    }
+
+    /// [`Dense::forward_batch_into`] for a linear layer whose outputs are
+    /// read one `block`-wide slice per row: row `s` gets only outputs
+    /// `blocks[s] * block .. (blocks[s] + 1) * block`, each bit-identical
+    /// to the full pass, and every other output is `0.0`. The cache is what
+    /// the full pass leaves, so [`Dense::backward_batch`] with `dL/dy`
+    /// zero outside each row's block accumulates the same gradients. The
+    /// rows of one block go through [`linalg::matmul_bias`] together, in
+    /// chunks of [`BLOCK_CHUNK`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer is not linear, `block` does not divide
+    /// `out_dim`, `blocks` does not hold one block below `out_dim / block`
+    /// per row, or `xs.len() != batch * in_dim`.
+    pub(crate) fn forward_batch_blocks_into(
+        &mut self,
+        xs: &[f32],
+        batch: usize,
+        block: usize,
+        blocks: &[usize],
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(
+            self.act,
+            Activation::Linear,
+            "Dense::forward_batch_blocks: needs a linear layer"
+        );
+        assert!(
+            block > 0 && self.out_dim.is_multiple_of(block),
+            "Dense::forward_batch_blocks: block must divide out_dim"
+        );
+        assert_eq!(
+            blocks.len(),
+            batch,
+            "Dense::forward_batch_blocks: one block per row"
+        );
+        let n_blocks = self.out_dim / block;
+        assert!(
+            blocks.iter().all(|&k| k < n_blocks),
+            "Dense::forward_batch_blocks: block out of range"
+        );
+        assert_eq!(
+            xs.len(),
+            batch * self.in_dim,
+            "Dense::forward_batch_blocks: input shape mismatch"
+        );
+        self.cache_x.clear();
+        self.cache_x.extend_from_slice(xs);
+        self.cache_dact.clear();
+        out.clear();
+        out.resize(batch * self.out_dim, 0.0);
+        for k in 0..n_blocks {
+            let outs = k * block..(k + 1) * block;
+            let w = &self.w[outs.start * self.in_dim..outs.end * self.in_dim];
+            let mut members = (0..batch).filter(|&s| blocks[s] == k).peekable();
+            while members.peek().is_some() {
+                let mut rows = [0; BLOCK_CHUNK];
+                let mut n = 0;
+                self.block_x.clear();
+                for s in members.by_ref().take(BLOCK_CHUNK) {
+                    rows[n] = s;
+                    n += 1;
+                    self.block_x
+                        .extend_from_slice(&xs[s * self.in_dim..][..self.in_dim]);
+                }
+                linalg::matmul_bias(
+                    w,
+                    &self.b[outs.clone()],
+                    &self.block_x,
+                    block,
+                    self.in_dim,
+                    n,
+                    &mut self.block_y,
+                );
+                for (&s, y) in rows[..n].iter().zip(self.block_y.chunks_exact(block)) {
+                    out[s * self.out_dim + outs.start..][..block].copy_from_slice(y);
+                }
+            }
+        }
     }
 
     /// Cache-free forward pass for inference. Writes activations into `out`.

@@ -204,6 +204,50 @@ impl Mlp {
         });
     }
 
+    /// [`Mlp::forward_batch_into`] for a caller that reads one
+    /// `block`-wide slice of each output row — row `s`'s block
+    /// `blocks[s]`, as a C51 head's loss reads the taken action's atoms.
+    /// The output layer computes only those slices, each bit-identical to
+    /// the full pass, and leaves every other output `0.0`; the caches are
+    /// the full pass's, so a backward pass whose `dL/dy` is zero outside
+    /// each row's block accumulates the same gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`, `xs.len() != batch * self.in_dim()`, the
+    /// output layer is not linear, `block` does not divide the output
+    /// width, or `blocks` does not hold one in-range block per row.
+    pub fn forward_batch_blocks_into(
+        &mut self,
+        xs: &[f32],
+        batch: usize,
+        block: usize,
+        blocks: &[usize],
+        scratch: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) {
+        assert!(batch > 0, "Mlp::forward_batch: empty batch");
+        assert_eq!(
+            xs.len(),
+            batch * self.in_dim(),
+            "Mlp::forward_batch: input shape mismatch"
+        );
+        let last = self.layers.len() - 1;
+        chain(
+            self.layers.iter_mut().enumerate(),
+            xs,
+            scratch,
+            out,
+            |(i, layer), x, y| {
+                if i == last {
+                    layer.forward_batch_blocks_into(x, batch, block, blocks, y);
+                } else {
+                    layer.forward_batch_into(x, batch, y);
+                }
+            },
+        );
+    }
+
     /// Backward pass from `dL/dy`; accumulates gradients in every layer and
     /// returns `dL/dx`.
     ///

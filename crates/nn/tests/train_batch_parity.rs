@@ -119,6 +119,52 @@ proptest! {
         }
     }
 
+    /// The forward that computes only one block of each output row: those
+    /// blocks equal the full pass bit for bit, the rest are `0.0`, and a
+    /// backward pass whose deltas live in the same blocks accumulates the
+    /// full pass's gradients — across block widths and counts, and batch
+    /// widths on and off the kernels' 8-row tile and past one gathered
+    /// chunk of rows.
+    #[test]
+    fn block_forward_matches_the_full_pass(
+        seed in 0u64..300,
+        batch in 1usize..80,
+        hidden in 1usize..12,
+        block in 1usize..6,
+        n_blocks in 1usize..4,
+        act_idx in 0usize..ACTS.len(),
+    ) {
+        let mut r = rng(seed);
+        let out = block * n_blocks;
+        let dims = [4, hidden, out];
+        let mut full = Mlp::new(&dims, ACTS[act_idx], Activation::Linear, &mut r);
+        let mut blocked = full.clone();
+        full.zero_grad();
+        blocked.zero_grad();
+        let xs = random_vec(&mut r, batch * 4);
+        let live: Vec<usize> = (0..batch).map(|_| r.gen_range(0..n_blocks)).collect();
+        let mut dys = vec![0.0f32; batch * out];
+        for (row, &k) in dys.chunks_exact_mut(out).zip(&live) {
+            row[k * block..][..block].copy_from_slice(&random_vec(&mut r, block));
+        }
+
+        let ys = full.forward_batch(&xs, batch);
+        let (mut scratch, mut blocked_ys) = (Vec::new(), Vec::new());
+        blocked.forward_batch_blocks_into(&xs, batch, block, &live, &mut scratch, &mut blocked_ys);
+        for ((b, f), &k) in blocked_ys.chunks_exact(out).zip(ys.chunks_exact(out)).zip(&live) {
+            for (j, (bv, fv)) in b.iter().zip(f).enumerate() {
+                let want = if j / block == k { fv.to_bits() } else { 0 };
+                prop_assert_eq!(bv.to_bits(), want);
+            }
+        }
+        let _ = full.backward_batch(&dys, batch);
+        let _ = blocked.backward_batch(&dys, batch);
+        for (bl, fl) in blocked.layers().zip(full.layers()) {
+            prop_assert_eq!(bits(bl.grads().0), bits(fl.grads().0));
+            prop_assert_eq!(bits(bl.grads().1), bits(fl.grads().1));
+        }
+    }
+
     /// End-to-end through the optimizer: a mean-gradient SGD step taken
     /// from batched gradients lands on bit-identical parameters — the
     /// exact invariant `Learner::train_step` relies on.
@@ -163,8 +209,9 @@ proptest! {
 /// forward pass's cached swish derivatives, the skipped zero block and
 /// the four-row register tiles all engage at once; one batched round
 /// must equal 128 sequential `forward` + `backward` calls bit for bit,
-/// through the reusable-buffer entry points — and so must the
-/// gradients-only backward pass the learner calls.
+/// through the reusable-buffer entry points — and so must the learner's
+/// pass: a forward that computes only each row's live block, then the
+/// gradients-only backward pass.
 #[test]
 fn swish_batch_128_with_c51_deltas_is_bit_identical() {
     const BATCH: usize = 128;
@@ -175,9 +222,9 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
     let mut grads_only = batched.clone();
     let xs = random_vec(&mut r, BATCH * 6);
     let mut dys = random_vec(&mut r, BATCH * 102);
-    for (s, row) in dys.chunks_exact_mut(102).enumerate() {
-        let dead = if s % 3 == 0 { 0..51 } else { 51..102 };
-        row[dead].fill(0.0);
+    let live: Vec<usize> = (0..BATCH).map(|s| usize::from(s % 3 == 0)).collect();
+    for (row, &k) in dys.chunks_exact_mut(102).zip(&live) {
+        row[(1 - k) * 51..][..51].fill(0.0);
     }
 
     batched.zero_grad();
@@ -196,9 +243,22 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
             let dx = sequential.backward(&dys[s * 102..(s + 1) * 102]);
             assert_eq!(bits(&dxs[s * 6..(s + 1) * 6]), bits(&dx), "round {round}");
         }
-        // The learner's pass, which never computes `dxs`, accumulates
-        // the same gradients.
-        grads_only.forward_batch_into(&xs, BATCH, &mut scratch, &mut ys);
+        // The learner's pass, which computes only the live blocks and
+        // never `dxs`, accumulates the same gradients.
+        let mut live_ys = Vec::new();
+        grads_only.forward_batch_blocks_into(&xs, BATCH, 51, &live, &mut scratch, &mut live_ys);
+        for ((row, full), &k) in live_ys
+            .chunks_exact(102)
+            .zip(ys.chunks_exact(102))
+            .zip(&live)
+        {
+            assert_eq!(
+                bits(&row[k * 51..][..51]),
+                bits(&full[k * 51..][..51]),
+                "round {round}"
+            );
+            assert!(row[(1 - k) * 51..][..51].iter().all(|&v| v == 0.0));
+        }
         grads_only.accumulate_grads_batch(&dys, BATCH, &mut deltas);
         for ((bl, sl), gl) in batched
             .layers()
