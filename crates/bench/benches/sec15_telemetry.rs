@@ -3,15 +3,15 @@
 //!
 //! The same mix2 replay (4 shards × inference batch 16, the sec11
 //! reference point) runs at each [`TelemetryConfig`] level — `Off` (no
-//! sink allocated), `Events` (counters, gauges, series, and the bounded
-//! event ring), and `Full` (adds histograms and the per-`curve_every` RL
-//! introspection probe). The timing arms are interleaved round-robin and
-//! compared by median, so load drift on a busy machine hits every level
-//! equally instead of biasing one.
+//! sink allocated) and `Full` (counters, gauges, series, histograms, the
+//! bounded event ring and the per-`curve_every` RL introspection probe).
+//! The timing arms are interleaved round-robin and compared by median, so
+//! load drift on a busy machine hits both levels equally instead of
+//! biasing one.
 //!
 //! Two invariants hold by construction and are asserted here (and pinned
 //! by the bench-crate regression test and the serve-crate goldens):
-//! every level produces bit-identical per-shard reports — telemetry
+//! both levels produce bit-identical per-shard reports — telemetry
 //! observes, it never decides — and the deterministic JSONL export is
 //! byte-identical across runs. The companion wall-clock pin bounds the
 //! enabled-telemetry overhead at 3% of measured throughput in release
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fig = Figure::new(
         "sec15_telemetry",
         "§15 telemetry",
-        "Observability overhead by level: Off vs Events vs Full through the serving engine",
+        "Observability overhead by level: Off vs Full through the serving engine",
         n,
     );
     println!(
@@ -43,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let base = serving_config(4, 16).with_curve_every(8);
-    let levels: [(&str, TelemetryConfig); 3] = [
+    let levels: [(&str, TelemetryConfig); 2] = [
         ("off", TelemetryConfig::off()),
-        ("events", TelemetryConfig::events()),
         ("full", TelemetryConfig::full()),
     ];
     let configs: Vec<(&str, ServeConfig)> = levels

@@ -96,11 +96,11 @@ pub struct RlProbe {
     pub buffer_age: Log2Histogram,
     /// Mean (best − second-best) Q-value gap over the greedy rows of the
     /// most recent decided batch — how decisively the policy is choosing
-    /// (0 until a batch has been decided at `Full` telemetry).
+    /// (0 until a batch has been decided with telemetry on).
     pub q_spread: f64,
     /// Normalized entropy of the chosen-action distribution of the most
     /// recent decided batch, in `[0, 1]` (0 until a batch has been
-    /// decided at `Full` telemetry).
+    /// decided with telemetry on).
     pub argmax_entropy: f64,
     /// Training steps completed so far.
     pub train_steps: u64,
@@ -327,10 +327,8 @@ impl SibylAgent {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: the runtime was built at the top of this method
         let rt = self.runtime.as_mut().expect("runtime initialized");
         let actions = rt.core.act(rt.learner.inference(), rows);
-        if self.config.telemetry.histograms() {
-            if let Some(intro) = self.introspect.as_deref_mut() {
-                intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
-            }
+        if let Some(intro) = self.introspect.as_deref_mut() {
+            intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
         }
         let targets = actions.iter().map(|&action| DeviceId(action)).collect();
         self.stats.decisions = rt.core.decisions();

@@ -172,8 +172,8 @@ impl DecisionCore {
     }
 
     /// Mean (best − second-best) Q-value gap over the greedy rows of the
-    /// latest [`DecisionCore::act`] that had any; tracked only at `Full`
-    /// telemetry, 0 otherwise.
+    /// latest [`DecisionCore::act`] that had any; tracked only with
+    /// telemetry on, 0 otherwise.
     pub fn q_spread(&self) -> f64 {
         self.q_spread
     }
@@ -227,9 +227,9 @@ impl DecisionCore {
             self.memo.generation = generation;
             self.memo.actions.fill(EMPTY);
         }
-        // Full-level introspection, read off the Q-values the argmax
+        // Telemetry introspection, read off the Q-values the argmax
         // ranks: no RNG consumed, no decision changed.
-        let track = self.config.telemetry.histograms();
+        let track = self.config.telemetry.enabled();
         let n = rows.len() / obs_len;
         self.actions.clear();
         self.actions.reserve(n);

@@ -16,7 +16,7 @@ pub enum CapacityMode {
 }
 
 /// Configuration of a hybrid storage system: an ordered list of devices
-/// (fastest first) plus capacity limits and the replay queue depth.
+/// (fastest first) plus capacity limits.
 ///
 /// # Examples
 ///
@@ -36,10 +36,6 @@ pub struct HssConfig {
     pub devices: Vec<DeviceSpec>,
     /// Capacity limits.
     pub capacity: CapacityMode,
-    /// Maximum outstanding requests during trace replay (closed-loop
-    /// window bounding queue growth, like a real block layer's queue
-    /// depth).
-    pub queue_window: usize,
 }
 
 impl HssConfig {
@@ -53,7 +49,6 @@ impl HssConfig {
         HssConfig {
             devices: vec![fast, slow],
             capacity: CapacityMode::Fractions(vec![Some(Self::DEFAULT_FAST_FRACTION), None]),
-            queue_window: 16,
         }
     }
 
@@ -63,7 +58,6 @@ impl HssConfig {
         HssConfig {
             devices: vec![h, m, l],
             capacity: CapacityMode::Fractions(vec![Some(0.05), Some(0.10), None]),
-            queue_window: 16,
         }
     }
 
@@ -112,17 +106,6 @@ impl HssConfig {
         self
     }
 
-    /// Sets the closed-loop replay queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn with_queue_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "queue_window must be positive");
-        self.queue_window = window;
-        self
-    }
-
     /// Resolves capacity fractions against a workload footprint, producing
     /// a config in absolute-pages mode (what [`crate::StorageManager::new`]
     /// requires).
@@ -140,7 +123,6 @@ impl HssConfig {
         HssConfig {
             devices: self.devices.clone(),
             capacity: CapacityMode::Pages(pages),
-            queue_window: self.queue_window,
         }
     }
 

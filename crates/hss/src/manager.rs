@@ -22,6 +22,11 @@ use crate::stats::HssStats;
 use crate::victim::VictimPolicy;
 use sibyl_trace::{IoOp, IoRequest};
 
+/// Closed-loop replay depth: at most this many requests are outstanding,
+/// like a real block layer's queue depth. A request that would be the
+/// 17th arrives no earlier than the oldest outstanding one completes.
+const QUEUE_WINDOW: usize = 16;
+
 /// Accounting for one [`StorageManager::migrate_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MigrationOutcome {
@@ -125,6 +130,7 @@ pub struct StorageManager {
     res: Residency,
     stats: HssStats,
     completions: VecDeque<f64>,
+    /// [`QUEUE_WINDOW`]; a field only so the unit tests can sweep it.
     queue_window: usize,
     /// The request clock: requests accepted so far (1-based inside
     /// `access_after`). Stamps page accesses and `VictimPolicy::on_place`.
@@ -157,7 +163,7 @@ impl StorageManager {
             stats: HssStats::new(capacities.len()),
             res: Residency::new(capacities),
             completions: VecDeque::new(),
-            queue_window: config.queue_window,
+            queue_window: QUEUE_WINDOW,
             seq: 0,
             last_detail: AccessDetail::default(),
         }

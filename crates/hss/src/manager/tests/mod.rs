@@ -130,9 +130,9 @@ fn closed_loop_window_bounds_queueing() {
     // All requests arrive at t=0 targeting the HDD: without the
     // window, latency would grow linearly without bound.
     let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-        .with_capacity_pages(vec![10, u64::MAX])
-        .with_queue_window(4);
+        .with_capacity_pages(vec![10, u64::MAX]);
     let mut m = StorageManager::new(&cfg);
+    m.queue_window = 4;
     let mut latencies = Vec::new();
     for i in 0..200u64 {
         let out = m.access(&rd(0, i * 100, 1), DeviceId(1));
@@ -144,6 +144,21 @@ fn closed_loop_window_bounds_queueing() {
         tail_avg < 6.0 * hdd_random,
         "queueing unbounded: tail avg {tail_avg} µs"
     );
+}
+
+#[test]
+fn the_seventeenth_outstanding_request_waits_for_the_first_completion() {
+    // The production window: 16 requests issued at t=0 all arrive at
+    // once; the 17th arrives when the oldest completes, the 18th when
+    // the second does.
+    let mut m = dual_manager(10);
+    let outs: Vec<AccessOutcome> = (0..18u64)
+        .map(|i| m.access(&rd(0, i * 100, 1), DeviceId(1)))
+        .collect();
+    assert!(outs[..16].iter().all(|o| o.arrival_us == 0.0));
+    assert!(outs[0].completion_us > 0.0);
+    assert_eq!(outs[16].arrival_us, outs[0].completion_us);
+    assert_eq!(outs[17].arrival_us, outs[1].completion_us);
 }
 
 #[test]

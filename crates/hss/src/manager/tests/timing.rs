@@ -172,9 +172,9 @@ proptest! {
         let caps = [caps.0, caps.1, u64::MAX];
         let devices: Vec<DeviceSpec> = FLAT.iter().map(flat_spec).collect();
         let cfg = HssConfig::tri(devices[0].clone(), devices[1].clone(), devices[2].clone())
-            .with_capacity_pages(caps.to_vec())
-            .with_queue_window(depth);
+            .with_capacity_pages(caps.to_vec());
         let mut m = StorageManager::new(&cfg);
+        m.queue_window = depth;
         let mut model = ModelDirectory::new(3);
         let mut queue = QueueModel::new(depth);
         let mut expect = HssStats::new(3);
@@ -282,9 +282,9 @@ proptest! {
     ) {
         let caps = [caps.0, caps.1, u64::MAX];
         let cfg = HssConfig::tri(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(caps.to_vec())
-            .with_queue_window(depth);
+            .with_capacity_pages(caps.to_vec());
         let mut m = StorageManager::new(&cfg);
+        m.queue_window = depth;
         let mut clocks = [0.0f64; 3];
         let mut completions: Vec<f64> = Vec::new();
         let (mut sum_latency, mut sum_eviction) = (0.0f64, 0.0f64);

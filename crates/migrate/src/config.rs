@@ -162,12 +162,6 @@ impl MigrateConfig {
         self
     }
 
-    /// Sets the RL agent's seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validates the configuration for its policy.
     ///
     /// # Errors

@@ -22,10 +22,6 @@ pub enum Activation {
     Relu,
     /// Swish (a.k.a. SiLU): `f(x) = x · σ(x)`. The paper's choice.
     Swish,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid: `f(x) = 1 / (1 + e^-x)`.
-    Sigmoid,
 }
 
 #[inline]
@@ -47,7 +43,7 @@ impl Activation {
     }
 
     /// `(f(x), df/dx)` from one evaluation of the transcendental the two
-    /// share (swish and sigmoid: one `exp`; tanh: one `tanh`). This is the
+    /// share (swish: one `exp`). This is the
     /// single definition of every activation — [`Activation::apply`] and
     /// [`Activation::derivative`] are its two projections — so a training
     /// forward pass that caches the derivative hands the backward pass
@@ -61,14 +57,6 @@ impl Activation {
                 let s = sigmoid(x);
                 let y = x * s;
                 (y, s + y * (1.0 - s))
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                (t, 1.0 - t * t)
-            }
-            Activation::Sigmoid => {
-                let s = sigmoid(x);
-                (s, s * (1.0 - s))
             }
         }
     }
@@ -86,13 +74,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const ALL: [Activation; 5] = [
-        Activation::Linear,
-        Activation::Relu,
-        Activation::Swish,
-        Activation::Tanh,
-        Activation::Sigmoid,
-    ];
+    const ALL: [Activation; 3] = [Activation::Linear, Activation::Relu, Activation::Swish];
 
     #[test]
     fn swish_matches_reference_points() {
@@ -113,9 +95,9 @@ mod tests {
     #[test]
     fn apply_slice_matches_scalar() {
         let mut v = [-1.0f32, 0.0, 2.5];
-        Activation::Tanh.apply_slice(&mut v);
+        Activation::Swish.apply_slice(&mut v);
         assert_eq!(v[1], 0.0);
-        assert!((v[2] - 2.5f32.tanh()).abs() < 1e-6);
+        assert_eq!(v[2].to_bits(), Activation::Swish.apply(2.5).to_bits());
     }
 
     /// `apply_with_derivative` is the single definition `apply` and
@@ -128,7 +110,6 @@ mod tests {
         for i in -80..=80 {
             let x = i as f32 * 0.11;
             let s = 1.0 / (1.0 + (-x).exp());
-            let t = x.tanh();
             let expected = [
                 (Activation::Linear, x, 1.0),
                 (
@@ -137,8 +118,6 @@ mod tests {
                     if x > 0.0 { 1.0 } else { 0.0 },
                 ),
                 (Activation::Swish, x * s, s + x * s * (1.0 - s)),
-                (Activation::Tanh, t, 1.0 - t * t),
-                (Activation::Sigmoid, s, s * (1.0 - s)),
             ];
             for (act, y, dy) in expected {
                 let (fy, fdy) = act.apply_with_derivative(x);
@@ -169,11 +148,9 @@ mod tests {
             }
         }
 
-        /// Sigmoid output is a probability; swish is bounded below.
+        /// Swish is bounded below.
         #[test]
         fn ranges_hold(x in -50.0f32..50.0) {
-            let s = Activation::Sigmoid.apply(x);
-            prop_assert!((0.0..=1.0).contains(&s));
             prop_assert!(Activation::Swish.apply(x) >= -0.2785);
         }
     }

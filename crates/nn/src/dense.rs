@@ -40,7 +40,7 @@ pub struct Dense {
     /// `out_dim` values after [`Dense::forward`], `batch × out_dim` after
     /// [`Dense::forward_batch`], empty when nothing is cached. Filled by
     /// the same [`Activation::apply_with_derivative`] call that produces
-    /// the layer's output, so the activation's `exp`/`tanh` runs once per
+    /// the layer's output, so the activation's `exp` runs once per
     /// element per training pass, not once forward and once backward.
     cache_dact: Vec<f32>,
     /// `dL/dz` scratch of the backward passes, reused across calls.
@@ -433,16 +433,6 @@ impl Dense {
         self.w.copy_from_slice(&other.w);
         self.b.copy_from_slice(&other.b);
     }
-
-    /// Restores gradient/cache buffers after deserialization.
-    pub(crate) fn ensure_buffers(&mut self) {
-        if self.dw.len() != self.w.len() {
-            self.dw = vec![0.0; self.w.len()];
-        }
-        if self.db.len() != self.b.len() {
-            self.db = vec![0.0; self.b.len()];
-        }
-    }
 }
 
 /// `dL/dz = dy ⊙ act'(z)` from the derivatives the forward pass cached,
@@ -510,9 +500,9 @@ mod tests {
 
     #[test]
     fn copy_weights_makes_layers_identical() {
-        let mut a = Dense::new(3, 3, Activation::Tanh, &mut rng());
+        let mut a = Dense::new(3, 3, Activation::Relu, &mut rng());
         let mut src_rng = rand::rngs::StdRng::seed_from_u64(77);
-        let b = Dense::new(3, 3, Activation::Tanh, &mut src_rng);
+        let b = Dense::new(3, 3, Activation::Relu, &mut src_rng);
         a.copy_weights_from(&b);
         let x = [0.1, 0.2, 0.3];
         let mut ya = Vec::new();
@@ -570,7 +560,7 @@ mod tests {
         #[test]
         fn gradient_check_inputs(seed in 0u64..500) {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut layer = Dense::new(3, 2, Activation::Tanh, &mut r);
+            let mut layer = Dense::new(3, 2, Activation::Swish, &mut r);
             let x: Vec<f32> = (0..3).map(|_| {
                 use rand::Rng;
                 r.gen_range(-1.0f32..1.0)

@@ -421,13 +421,6 @@ impl Mlp {
             off += b.len();
         }
     }
-
-    /// Restores internal buffers after deserialization.
-    pub fn ensure_buffers(&mut self) {
-        for layer in &mut self.layers {
-            layer.ensure_buffers();
-        }
-    }
 }
 
 /// Threads `input` through `layers` with `step(layer, x, y)` writing each
@@ -548,7 +541,7 @@ mod tests {
     fn sgd_training_reduces_loss() {
         let mut net = Mlp::new(
             &[2, 16, 1],
-            Activation::Tanh,
+            Activation::Swish,
             Activation::Linear,
             &mut rng(4),
         );

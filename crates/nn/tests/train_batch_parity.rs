@@ -15,13 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use sibyl_nn::{Activation, Dense, Mlp, Sgd};
 
-const ACTS: [Activation; 5] = [
-    Activation::Linear,
-    Activation::Relu,
-    Activation::Swish,
-    Activation::Tanh,
-    Activation::Sigmoid,
-];
+const ACTS: [Activation; 3] = [Activation::Linear, Activation::Relu, Activation::Swish];
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)

@@ -41,24 +41,11 @@ pub struct ServeConfig {
     /// Maximum requests drained into one batched-inference decision.
     /// Default: 32. A shard blocks until its batch is full or the trace
     /// is exhausted, so batch boundaries — and therefore results — are
-    /// deterministic regardless of thread scheduling.
+    /// deterministic regardless of thread scheduling. Requests cross
+    /// from the router in fixed blocks of 512, so at most
+    /// `3 × 512 + max_batch` requests per shard are in flight (see
+    /// [`crate::serve_stream`]).
     pub max_batch: usize,
-    /// Backpressure between the router and each shard, in requests.
-    /// Default: 1024. Requests cross in blocks of
-    /// `max(1, queue_capacity / 2)`: the router fills one, one may be
-    /// queued, the shard cuts its batches out of a third, so at most
-    /// `3 * max(1, queue_capacity / 2) + max_batch` requests per shard
-    /// are in flight. It never moves a batch boundary — a partial batch
-    /// is carried from one block into the next — so reports are
-    /// identical for every value; it trades memory for how often a
-    /// parked router is woken (once per block). A cooperative
-    /// [`CoopConfig::mode`] keeps the bound except while a shard is
-    /// starved (blocked on an empty queue): a full queue may sit behind a
-    /// barrier-parked shard whose round needs that starved peer, so the
-    /// router then queues past the capacity until the peer is fed — the
-    /// excess is the routing imbalance between the shards, not the
-    /// stream.
-    pub queue_capacity: usize,
     /// Trace-replay time compression, as in the sim crate's
     /// `Experiment::with_time_scale`: every timestamp is divided by this
     /// factor, putting the system in the device-bound regime where
@@ -143,7 +130,6 @@ impl ServeConfig {
         ServeConfig {
             shards: 4,
             max_batch: 32,
-            queue_capacity: 1024,
             time_scale: 1.0,
             nn_ns_per_mac: 0.0,
             curve_every: 0,
@@ -169,13 +155,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-shard router backpressure
-    /// ([`ServeConfig::queue_capacity`]).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
     /// Sets the replay time compression (>1 compresses think time).
     pub fn with_time_scale(mut self, scale: f64) -> Self {
         self.time_scale = scale;
@@ -188,7 +167,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the telemetry recording level for every shard.
+    /// Sets the telemetry level (off or full) for every shard.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
@@ -261,9 +240,6 @@ impl ServeConfig {
         if self.max_batch == 0 {
             return Err(ServeError::ZeroMaxBatch);
         }
-        if self.queue_capacity == 0 {
-            return Err(ServeError::ZeroQueueCapacity);
-        }
         if !(self.time_scale.is_finite() && self.time_scale > 0.0) {
             return Err(ServeError::InvalidTimeScale);
         }
@@ -304,16 +280,14 @@ mod tests {
         let cfg = ServeConfig::new(hss())
             .with_shards(8)
             .with_max_batch(4)
-            .with_queue_capacity(64)
             .with_time_scale(40.0)
             .with_nn_ns_per_mac(2.0)
             .with_curve_every(16)
             .with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(4))
-            .with_telemetry(TelemetryConfig::events());
+            .with_telemetry(TelemetryConfig::full());
         assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.telemetry, TelemetryConfig::events());
+        assert_eq!(cfg.telemetry, TelemetryConfig::full());
         assert_eq!(cfg.max_batch, 4);
-        assert_eq!(cfg.queue_capacity, 64);
         assert_eq!(cfg.time_scale, 40.0);
         assert_eq!(cfg.nn_ns_per_mac, 2.0);
         assert_eq!(cfg.curve_every, 16);
@@ -337,10 +311,6 @@ mod tests {
         assert_eq!(
             ServeConfig::new(hss()).with_max_batch(0).validate(),
             Err(ServeError::ZeroMaxBatch)
-        );
-        assert_eq!(
-            ServeConfig::new(hss()).with_queue_capacity(0).validate(),
-            Err(ServeError::ZeroQueueCapacity)
         );
         assert_eq!(
             ServeConfig::new(hss()).with_time_scale(0.0).validate(),

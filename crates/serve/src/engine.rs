@@ -13,7 +13,7 @@ use sibyl_trace::{mix64, IoRequest, PageSet, Trace};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfigError, XrayReport};
 
 use crate::config::ServeConfig;
-use crate::handoff::{block_queues, BlockReceiver};
+use crate::handoff::{block_queues, BlockReceiver, QUEUE_CAPACITY};
 use crate::observe::ShardObserver;
 use crate::report::{CurvePoint, ServeReport, ShardReport};
 
@@ -27,8 +27,6 @@ pub enum ServeError {
     ZeroShards,
     /// `max_batch == 0`: a shard could never fill a batch.
     ZeroMaxBatch,
-    /// `queue_capacity == 0`: the router could never hand off a request.
-    ZeroQueueCapacity,
     /// `time_scale` is not positive and finite.
     InvalidTimeScale,
     /// `nn_ns_per_mac` is negative or not finite.
@@ -62,9 +60,6 @@ impl std::fmt::Display for ServeError {
             ServeError::EmptyTrace => write!(f, "trace contains no requests"),
             ServeError::ZeroShards => write!(f, "ServeConfig: shards must be positive"),
             ServeError::ZeroMaxBatch => write!(f, "ServeConfig: max_batch must be positive"),
-            ServeError::ZeroQueueCapacity => {
-                write!(f, "ServeConfig: queue_capacity must be positive")
-            }
             ServeError::InvalidTimeScale => {
                 write!(f, "ServeConfig: time_scale must be positive and finite")
             }
@@ -167,16 +162,16 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 ///
 /// **Memory.** The pre-pass page sets cost O(footprint) and are dropped
 /// before routing. Routing has backpressure: requests cross to a shard in
-/// blocks of `B = max(1, queue_capacity / 2)`; the router fills one, one
-/// may be queued, the shard cuts its batches out of a third. So at most
-/// `3 * max(1, queue_capacity / 2) + max_batch` requests per shard are in
-/// flight between the router and the serve stage, and peak memory is
+/// fixed blocks of 512; the router fills one, one may be queued, the
+/// shard cuts its batches out of a third. So at most `3 × 512 +
+/// max_batch` requests per shard are in flight between the router and
+/// the serve stage, and peak memory is
 /// bounded by the footprint plus that — never by the stream length,
 /// which is what makes 10M-request runs practical: a seeded generator
 /// stream costs O(footprint) where a materialized `Trace` costs 24 bytes
 /// per request. A *cooperative* run adds one term: while a shard is
 /// starved (blocked on an empty queue) the router queues past a full
-/// peer's capacity instead of waiting, so a lane can also hold the
+/// peer's lane instead of waiting, so a lane can also hold the
 /// routing imbalance that accumulated while a peer starved — under
 /// lock-step sync rounds the difference between the shards' shares of
 /// the stream (a few percent of it for a hash-balanced workload, all of
@@ -214,7 +209,7 @@ pub fn serve_trace(config: &ServeConfig, trace: &Trace) -> Result<ServeReport, S
 /// not stall the router while the barrier waits on a peer the router has
 /// yet to feed, so a cooperative run's router waits on a full queue only
 /// while no shard is starved; a starved shard makes it queue past the
-/// capacity until that shard is fed.
+/// bound until that shard is fed.
 ///
 /// When [`ServeConfig::migrate`] runs an active policy, every shard
 /// additionally ticks a private [`Migrator`] after each
@@ -258,6 +253,20 @@ pub fn serve_stream<S>(config: &ServeConfig, stream: S) -> Result<ServeReport, S
 where
     S: Iterator<Item = IoRequest> + Clone,
 {
+    route_and_serve(config, stream, QUEUE_CAPACITY)
+}
+
+/// [`serve_stream`] with the router→shard queue capacity as a parameter
+/// (blocks of `max(1, queue_capacity / 2)`), so this crate's tests can
+/// drive lanes far smaller than a run's.
+pub(crate) fn route_and_serve<S>(
+    config: &ServeConfig,
+    stream: S,
+    queue_capacity: usize,
+) -> Result<ServeReport, ServeError>
+where
+    S: Iterator<Item = IoRequest> + Clone,
+{
     config.validate()?;
 
     let (footprints, total_requests) = shard_footprints(stream.clone(), config.shards);
@@ -271,7 +280,7 @@ where
         .is_cooperative()
         .then(|| Coordinator::new(config.coop, config.shards));
 
-    let queues = block_queues(config.queue_capacity, config.shards, coordinator.is_some());
+    let queues = block_queues(queue_capacity, config.shards, coordinator.is_some());
     let mut senders = Vec::with_capacity(config.shards);
     let mut workers = Vec::with_capacity(config.shards);
     for ((shard, &footprint), (tx, rx)) in footprints.iter().enumerate().zip(queues) {
@@ -602,13 +611,140 @@ fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::within_timeout;
+    use crate::common::watchdog::within_timeout;
+    use crate::common::{config, mixed_trace};
     use proptest::prelude::*;
     use sibyl_coop::{CoopConfig, CoopMode};
     use sibyl_hss::{DeviceSpec, HssConfig};
     use sibyl_telemetry::TelemetryConfig;
     use sibyl_trace::IoOp;
     use sibyl_xray::XrayConfig;
+
+    // The engine tests below route through lanes of other capacities
+    // than `QUEUE_CAPACITY` (down to a single slot), which only this
+    // crate can set: the router blocks, yields and queues past its bound
+    // many times per run.
+
+    #[test]
+    fn cooperation_survives_tiny_queues_without_deadlock() {
+        // A barrier-parked shard must not wedge the router: it waits on a
+        // full queue only while no peer is starved, so even a 1-slot
+        // capacity and a short sync period finish.
+        let trace = mixed_trace(600);
+        let cfg = config(4, 8).with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(1));
+        let n = trace.len() as u64;
+        let report =
+            within_timeout(move || route_and_serve(&cfg, trace.iter().copied(), 1)).unwrap();
+        assert_eq!(report.total_requests(), n);
+    }
+
+    #[test]
+    fn a_totally_skewed_cooperative_run_finishes() {
+        // Every request routes to one shard of four. That shard parks at its
+        // first barrier until its three empty peers leave — which they do
+        // only at the end of the stream — so the router has to get the whole
+        // stream past a 1-slot queue: a hard cap here is a hang, which is
+        // why a full queue yields to a starved peer instead.
+        let trace = mixed_trace(600);
+        let busy = shard_of(trace.requests()[0].lpn, 4);
+        let skewed: Vec<_> = trace
+            .iter()
+            .copied()
+            .filter(|r| shard_of(r.lpn, 4) == busy)
+            .collect();
+        assert!(skewed.len() > 100);
+        let cfg = config(4, 8).with_coop(CoopConfig::new(CoopMode::Both).with_sync_period(1));
+        let n = skewed.len() as u64;
+        let report =
+            within_timeout(move || route_and_serve(&cfg, skewed.iter().copied(), 1)).unwrap();
+        for s in &report.shards {
+            let expected = if s.shard == busy { n } else { 0 };
+            assert_eq!(s.requests, expected, "shard {}", s.shard);
+        }
+        assert_eq!(report.shards[busy].batches, n.div_ceil(8));
+        assert_eq!(report.shards[busy].coop_syncs, n.div_ceil(8));
+    }
+
+    #[test]
+    fn dead_shard_surfaces_as_shard_down_error() {
+        // A capacity-limited slowest device makes StorageManager::new
+        // panic inside every worker thread; the router must fold that
+        // into ServeError::ShardDown instead of panicking on send/join —
+        // also when it is blocked on a full queue at the time (8 slots
+        // against 2 400 requests), in an independent run and in a
+        // cooperative one.
+        let independent = CoopConfig::new(CoopMode::Independent);
+        let cooperative = CoopConfig::new(CoopMode::Both).with_sync_period(1);
+        for (capacity, n, coop) in [
+            (1024, 200, independent),
+            (8, 1_200, independent),
+            (8, 1_200, cooperative),
+        ] {
+            let mut cfg = config(2, 8).with_coop(coop);
+            cfg.hss = cfg.hss.with_capacity_pages(vec![10, 10]);
+            let trace = mixed_trace(n);
+            match within_timeout(move || route_and_serve(&cfg, trace.iter().copied(), capacity)) {
+                Err(ServeError::ShardDown { shard }) => {
+                    assert!(shard < 2);
+                    assert!(ServeError::ShardDown { shard }
+                        .to_string()
+                        .contains(&format!("shard {shard}")));
+                }
+                other => panic!("expected ShardDown, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn backpressure_is_decision_neutral() {
+        // The queue capacity sizes the blocks requests cross to a shard
+        // in, never the batches cut from them: whatever the capacity —
+        // below `max_batch`, not a multiple of it, a single slot — every
+        // report equals the production-capacity (1024) one and every
+        // shard's batches are fixed `max_batch`-chunks of its subsequence.
+        // 773 is prime, so the single-shard runs end on a partial batch
+        // too. The same under every cooperative mode, where a full queue
+        // yields to a starved peer: how far the router gets ahead moves
+        // with the capacity and the thread schedule, the reports do not.
+        let mut cases = Vec::new();
+        for shards in [1, 2, 3] {
+            for max_batch in [1, 7, 16] {
+                cases.push((shards, max_batch, CoopConfig::default()));
+            }
+        }
+        for mode in [
+            CoopMode::SharedReplay,
+            CoopMode::WeightAverage,
+            CoopMode::Both,
+        ] {
+            for shards in [2, 3] {
+                for period in [1, 4] {
+                    cases.push((shards, 7, CoopConfig::new(mode).with_sync_period(period)));
+                }
+            }
+        }
+        let trace = mixed_trace(400);
+        within_timeout(move || {
+            let stream = || trace.iter().copied().take(773);
+            for (shards, max_batch, coop) in cases {
+                let base = config(shards, max_batch)
+                    .with_nn_ns_per_mac(20.0)
+                    .with_coop(coop);
+                let baseline = serve_stream(&base, stream()).unwrap();
+                assert_eq!(baseline.total_requests(), 773);
+                for s in &baseline.shards {
+                    assert_eq!(s.batches, s.requests.div_ceil(max_batch as u64));
+                }
+                for capacity in [1, 5, 16, 1024] {
+                    let report = route_and_serve(&base, stream(), capacity).unwrap();
+                    assert_eq!(
+                        report, baseline,
+                        "queue capacity {capacity} at {shards}x{max_batch}, {coop:?}"
+                    );
+                }
+            }
+        });
+    }
 
     #[test]
     fn a_shard_that_dies_in_its_constructors_releases_its_peers() {
@@ -620,7 +756,7 @@ mod tests {
         let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
         let coop = CoopConfig::new(CoopMode::WeightAverage).with_sync_period(1);
         let coordinator = Coordinator::new(coop, 2);
-        let mut queues = block_queues(1024, 2, true).into_iter();
+        let mut queues = block_queues(QUEUE_CAPACITY, 2, true).into_iter();
         let mut task = |shard: usize, hss: HssConfig| {
             let (tx, rx) = queues.next().unwrap();
             let task = ShardTask {

@@ -38,6 +38,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use sibyl_trace::IoRequest;
 
+/// The router→shard queue capacity of every run, in requests: blocks of
+/// `block_size(QUEUE_CAPACITY)` = 512 cross to a shard, and at most
+/// `3 × 512 + max_batch` requests per shard are in flight. Only this
+/// crate's tests drive other capacities.
+pub(crate) const QUEUE_CAPACITY: usize = 1024;
+
 /// Requests per block: half of `queue_capacity`.
 pub(crate) fn block_size(queue_capacity: usize) -> usize {
     (queue_capacity / 2).max(1)
@@ -303,12 +309,12 @@ impl Drop for BlockReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::within_timeout;
+    use crate::common::watchdog::within_timeout;
     use sibyl_trace::IoOp;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// The documented bound (`serve_stream`, `ServeConfig::queue_capacity`)
+    /// The documented bound (`serve_stream`, `QUEUE_CAPACITY`)
     /// on what a bounded queue holds between the router's `push` and the
     /// shard's serve stage: the block the router is filling (or is blocked
     /// handing over), the queued block, the block the shard is cutting,
@@ -413,39 +419,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_stalled_consumer_blocks_the_producer_within_the_bound() {
-        let (capacity, max_batch, n) = (8, 3, 101);
+    /// Stalls a consumer of `n` requests before every `fill` and checks
+    /// that the producer gets exactly as far as the queue has room for,
+    /// and no further than the documented bound. Returns the most
+    /// requests in flight at any stall.
+    fn stall_before_every_batch(capacity: usize, max_batch: usize, n: usize) -> usize {
         let block = block_size(capacity);
         let attempted = Arc::new(AtomicUsize::new(0));
         let (tx, mut rx) = block_queue(capacity, true);
         let producer = produce(tx, n, Arc::clone(&attempted));
-        within_timeout(move || {
+        let most = within_timeout(move || {
             let mut batch = Vec::new();
-            let mut consumed = 0usize;
+            let (mut consumed, mut most) = (0usize, 0usize);
             let mut open = true;
             while open {
                 // Stalled here, the consumer has taken the blocks its
                 // `consumed` requests came from; the producer queues one
                 // more and blocks handing over the next.
                 let stuck_at = n.min((consumed.div_ceil(block) + 2) * block);
-                while attempted.load(Ordering::SeqCst) < stuck_at {
-                    std::thread::yield_now();
-                }
-                // It must stay there: give it every chance to run on.
-                for _ in 0..200 {
-                    std::thread::yield_now();
-                }
-                let ahead = attempted.load(Ordering::SeqCst);
-                assert_eq!(ahead, stuck_at, "producer ran past a full queue");
-                let in_flight = ahead - consumed + batch.len();
+                assert_stuck_at(&attempted, stuck_at);
+                let in_flight = stuck_at - consumed + batch.len();
                 assert!(in_flight <= in_flight_bound(capacity, max_batch));
+                most = most.max(in_flight);
                 open = rx.fill(max_batch, &mut batch);
                 consumed += batch.len();
             }
             assert_eq!(consumed, n);
+            most
         });
         producer.join().unwrap().unwrap();
+        most
+    }
+
+    #[test]
+    fn a_stalled_consumer_blocks_the_producer_within_the_bound() {
+        stall_before_every_batch(8, 3, 101);
+    }
+
+    #[test]
+    fn a_stalled_shard_holds_the_router_to_three_blocks_of_512_and_a_batch() {
+        // The production lane. Batches of 100 straddle the 512-request
+        // blocks, so at some stall the shard holds a batch cut mostly
+        // from a block it has already released, and the bound's
+        // `max_batch` term is reached in part.
+        assert_eq!(block_size(QUEUE_CAPACITY), 512);
+        let most = stall_before_every_batch(QUEUE_CAPACITY, 100, 6_000);
+        assert!(most <= 3 * 512 + 100);
+        assert!(most > 3 * 512, "most in flight: {most}");
     }
 
     #[test]

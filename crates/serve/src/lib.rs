@@ -10,13 +10,12 @@
 //! and requests are routed to shards by a hash of their starting LBA's
 //! 64-page region ([`shard_of`]; requests straddling a region boundary
 //! follow their start region, see there for the modeling consequence),
-//! crossing to the shard's thread in blocks sized by
-//! [`ServeConfig::queue_capacity`]. Each shard cuts its blocks into
-//! batches of up to [`ServeConfig::max_batch`] requests and
-//! decides the whole batch with **one batched C51 inference pass**
-//! (`Mlp::infer_batch`): one matrix-matrix product per layer instead
-//! of a matrix-vector product per request, bit-identical to per-request
-//! inference.
+//! crossing to the shard's thread in fixed blocks of 512 requests. Each
+//! shard cuts its blocks into batches of up to [`ServeConfig::max_batch`]
+//! requests and decides the whole batch with **one batched C51 inference
+//! pass** (`Mlp::infer_batch`): one matrix-matrix product per layer
+//! instead of a matrix-vector product per request, bit-identical to
+//! per-request inference.
 //!
 //! Shard agents can **cooperate** through the `sibyl-coop` layer
 //! ([`ServeConfig::coop`]): under [`CoopMode::SharedReplay`] each shard
@@ -87,9 +86,13 @@ mod engine;
 mod handoff;
 mod observe;
 mod report;
+// The unit tests share the integration tests' fixture, which names this
+// crate `sibyl_serve`.
 #[cfg(test)]
-#[path = "../tests/common/watchdog.rs"]
-mod watchdog;
+extern crate self as sibyl_serve;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 pub use config::ServeConfig;
 pub use engine::{serve_stream, serve_trace, shard_of, ServeError, REGION_BITS};

@@ -4,9 +4,8 @@
 //! one [`ShardObserver`] what each stage did. Everything about *how* a
 //! run is observed lives here and nowhere else: the telemetry event
 //! taxonomy, the registry names (`serve.*`, `xray.*`, `curve.*`, `rl.*`,
-//! `dir.*`), the level checks, the x-ray → registry cross-feed and the
-//! teardown fold of the storage manager's, migrator's and coordinator's
-//! final state.
+//! `dir.*`), the x-ray → registry cross-feed and the teardown fold of the
+//! storage manager's, migrator's and coordinator's final state.
 //!
 //! Disabled subsystems are *absent*, not branched on per call site: with
 //! telemetry and x-ray off the observer holds two `None`s, constructs no
@@ -62,14 +61,11 @@ impl ShardObserver {
             requests: rows,
             decide_us,
         });
-        let histograms = sink.histograms();
         let registry = sink.registry_mut();
         registry.counter_add("serve.requests", rows as u64);
         registry.counter_add("serve.batches", 1);
-        if histograms {
-            registry.histogram_record("serve.batch_fill", rows as u64);
-            registry.histogram_record("serve.decide_ns", (decide_us * 1_000.0) as u64);
-        }
+        registry.histogram_record("serve.batch_fill", rows as u64);
+        registry.histogram_record("serve.decide_ns", (decide_us * 1_000.0) as u64);
     }
 
     /// Whether [`ShardObserver::request`] would record anything, so the
@@ -105,7 +101,7 @@ impl ShardObserver {
         // Samples double as `xray.*` histograms: the quantized
         // decomposition is exact, so the registry sees the same logical
         // ns the x-ray report aggregates.
-        if let Some(sink) = self.sink.as_mut().filter(|s| s.histograms()) {
+        if let Some(sink) = &mut self.sink {
             let registry = sink.registry_mut();
             registry.histogram_record("xray.latency_ns", sample.latency_ns);
             registry.histogram_record("xray.decide_ns", sample.decide_ns);
@@ -147,11 +143,10 @@ impl ShardObserver {
 
     /// Maintain stage: a learning-curve sample after `batches` batches.
     /// The curve doubles as registry series keyed on the shard's request
-    /// count; at the histogram level the same cadence samples the
-    /// agent's RL probe (pure: no RNG, no mutation).
+    /// count, and the same cadence samples the agent's RL probe (pure: no
+    /// RNG, no mutation).
     pub fn curve_point(&mut self, batches: u64, point: &CurvePoint, agent: &SibylAgent) {
         let Some(sink) = &mut self.sink else { return };
-        let histograms = sink.histograms();
         let registry = sink.registry_mut();
         registry.series_push("curve.avg_latency_us", point.requests, point.avg_latency_us);
         registry.series_push(
@@ -159,17 +154,15 @@ impl ShardObserver {
             point.requests,
             point.fast_placement_fraction,
         );
-        if histograms {
-            let probe = agent.probe();
-            registry.series_push("rl.epsilon", batches, probe.epsilon);
-            registry.series_push("rl.buffer_len", batches, probe.buffer_len as f64);
-            registry.series_push("rl.q_spread", batches, probe.q_spread);
-            registry.series_push("rl.argmax_entropy", batches, probe.argmax_entropy);
-            if let Some(loss) = probe.last_loss {
-                registry.series_push("rl.loss", batches, f64::from(loss));
-            }
-            registry.histogram_merge("rl.replay_age", &probe.buffer_age);
+        let probe = agent.probe();
+        registry.series_push("rl.epsilon", batches, probe.epsilon);
+        registry.series_push("rl.buffer_len", batches, probe.buffer_len as f64);
+        registry.series_push("rl.q_spread", batches, probe.q_spread);
+        registry.series_push("rl.argmax_entropy", batches, probe.argmax_entropy);
+        if let Some(loss) = probe.last_loss {
+            registry.series_push("rl.loss", batches, f64::from(loss));
         }
+        registry.histogram_merge("rl.replay_age", &probe.buffer_age);
     }
 
     /// Maintain stage: the shard's `round`-th cooperative sync returned.
@@ -198,12 +191,11 @@ impl ShardObserver {
         coop: Option<&CoopConfig>,
     ) -> (Option<ShardTelemetry>, Option<ShardXray>) {
         let telemetry = self.sink.map(|mut sink| {
-            let histograms = sink.histograms();
             let registry = sink.registry_mut();
             let latency = &manager.stats().histogram;
             // Guarded on non-empty so a shard that served nothing exports
             // no entry at all.
-            if histograms && latency.count() > 0 {
+            if latency.count() > 0 {
                 registry.histogram_merge("serve.latency_us", latency);
             }
             if let Some(agent_registry) = agent.take_telemetry() {

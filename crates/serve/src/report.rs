@@ -60,8 +60,9 @@ pub struct ShardReport {
     /// model (µs): each train step is billed `batches_per_step` batched
     /// forward+backward weight streams at
     /// [`ServeConfig::nn_ns_per_mac`](crate::ServeConfig), and the charge
-    /// delays the shard's next batch. 0 when the cost model is off or
-    /// training runs on a background thread (concurrent, not charged).
+    /// delays the shard's next batch. Training always runs inline on the
+    /// shard thread and is always charged; this is 0 only when the cost
+    /// model is off or no train step ran.
     pub train_busy_us: f64,
     /// Pages moved by the shard's background-migration ticks (promotions
     /// plus demotions; 0 when

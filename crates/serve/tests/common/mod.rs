@@ -1,6 +1,7 @@
 //! The one serving-test fixture: the fast-learning agent, the reference
 //! H&M configuration, the Mix2 reference trace and the three reference
-//! geometries every golden in this directory runs on.
+//! geometries every golden in this directory runs on. Shared (by path)
+//! with the crate's unit tests.
 #![allow(dead_code)] // each test crate uses its own subset
 
 pub mod watchdog;

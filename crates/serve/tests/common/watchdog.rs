@@ -1,6 +1,5 @@
 //! A deadline for tests of blocking code: a queue or barrier deadlock
-//! should fail the test, not hang CI. Shared (by path) between this
-//! directory's integration tests and the crate's unit tests.
+//! should fail the test, not hang CI.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;

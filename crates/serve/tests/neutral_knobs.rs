@@ -12,10 +12,9 @@
 
 mod common;
 
-use common::watchdog::within_timeout;
 use common::{config, mixed_trace, GEOMETRIES};
 use sibyl_serve::{
-    serve_stream, serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig,
+    serve_trace, CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig,
     TelemetryConfig, XrayConfig,
 };
 
@@ -35,8 +34,7 @@ fn neutral_variants(base: &ServeConfig) -> [(&'static str, ServeConfig); 4] {
                 MigrateConfig::new(MigratePolicyKind::None)
                     .with_scan_period(1)
                     .with_max_moves(1_000)
-                    .with_promote_min_heat(1)
-                    .with_seed(99),
+                    .with_promote_min_heat(1),
             ),
         ),
         (
@@ -66,56 +64,4 @@ fn neutral_knobs_are_bit_identical_to_the_default_config() {
             assert_eq!(report, baseline, "{knob} at {shards}x{max_batch}");
         }
     }
-}
-
-#[test]
-fn backpressure_is_decision_neutral() {
-    // `queue_capacity` sizes the blocks requests cross to a shard in,
-    // never the batches cut from them: whatever the capacity — below
-    // `max_batch`, not a multiple of it, a single slot — every report
-    // equals the default-capacity (1024) one and every shard's batches
-    // are fixed `max_batch`-chunks of its subsequence. 773 is prime, so
-    // the single-shard runs end on a partial batch too. The same under
-    // every cooperative mode, where a full queue yields to a starved
-    // peer: how far the router gets ahead moves with the capacity and
-    // the thread schedule, the reports do not.
-    let mut cases = Vec::new();
-    for shards in [1, 2, 3] {
-        for max_batch in [1, 7, 16] {
-            cases.push((shards, max_batch, CoopConfig::default()));
-        }
-    }
-    for mode in [
-        CoopMode::SharedReplay,
-        CoopMode::WeightAverage,
-        CoopMode::Both,
-    ] {
-        for shards in [2, 3] {
-            for period in [1, 4] {
-                cases.push((shards, 7, CoopConfig::new(mode).with_sync_period(period)));
-            }
-        }
-    }
-    let trace = mixed_trace(400);
-    within_timeout(move || {
-        let stream = || trace.iter().copied().take(773);
-        for (shards, max_batch, coop) in cases {
-            let base = config(shards, max_batch)
-                .with_nn_ns_per_mac(20.0)
-                .with_coop(coop);
-            let baseline = serve_stream(&base, stream()).unwrap();
-            assert_eq!(baseline.total_requests(), 773);
-            for s in &baseline.shards {
-                assert_eq!(s.batches, s.requests.div_ceil(max_batch as u64));
-            }
-            for capacity in [1, 5, 16, 1024] {
-                let report =
-                    serve_stream(&base.clone().with_queue_capacity(capacity), stream()).unwrap();
-                assert_eq!(
-                    report, baseline,
-                    "queue_capacity {capacity} at {shards}x{max_batch}, {coop:?}"
-                );
-            }
-        }
-    });
 }

@@ -47,14 +47,15 @@ fn enabling_telemetry_changes_zero_placement_decisions() {
     for (shards, max_batch, n) in GEOMETRIES {
         let trace = mixed_trace(n);
         let off = serve_trace(&config(shards, max_batch), &trace).unwrap();
-        for telemetry in [TelemetryConfig::events(), TelemetryConfig::full()] {
-            let on =
-                serve_trace(&config(shards, max_batch).with_telemetry(telemetry), &trace).unwrap();
-            assert_eq!(
-                on.shards, off.shards,
-                "{shards}x{max_batch} {telemetry:?}: placement or accounting drifted"
-            );
-        }
+        let on = serve_trace(
+            &config(shards, max_batch).with_telemetry(TelemetryConfig::full()),
+            &trace,
+        )
+        .unwrap();
+        assert_eq!(
+            on.shards, off.shards,
+            "{shards}x{max_batch}: placement or accounting drifted"
+        );
         // The runs exercised learning, so the pin is not vacuous.
         let trained: u64 = off.shards.iter().map(|s| s.agent.train_steps).sum();
         assert!(

@@ -15,7 +15,6 @@ pub(crate) const EVENT_CAPACITY: usize = 4096;
 /// site stays an `if let Some(sink)` that the optimizer can see through.
 #[derive(Debug)]
 pub struct TelemetrySink {
-    config: TelemetryConfig,
     registry: Registry,
     ring: EventRing,
 }
@@ -24,15 +23,9 @@ impl TelemetrySink {
     /// A sink for `config`, or `None` when telemetry is off.
     pub fn new(config: &TelemetryConfig) -> Option<Self> {
         config.enabled().then(|| TelemetrySink {
-            config: *config,
             registry: Registry::new(),
             ring: EventRing::new(EVENT_CAPACITY),
         })
-    }
-
-    /// True when per-request histograms (and RL probes) should be fed.
-    pub fn histograms(&self) -> bool {
-        self.config.histograms()
     }
 
     /// Records an event into the bounded trace.
@@ -91,8 +84,7 @@ mod tests {
 
     #[test]
     fn finish_carries_drop_accounting() {
-        let mut sink = TelemetrySink::new(&TelemetryConfig::events()).unwrap();
-        assert!(!sink.histograms());
+        let mut sink = TelemetrySink::new(&TelemetryConfig::full()).unwrap();
         let recorded = EVENT_CAPACITY as u64 + 3;
         for step in 0..recorded {
             sink.event(TraceEvent::TrainStep { step, loss: 0.1 });
