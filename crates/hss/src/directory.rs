@@ -6,14 +6,14 @@
 //! what the moves cost is the timing half's business (`manager.rs`).
 
 use crate::device::DeviceId;
-use crate::victim::{LruVictim, VictimPolicy};
+use crate::victim::Victim;
 use sibyl_trace::{mix64, IoRequest};
 
 /// Where every logical page lives, with per-device LRU orderings.
 ///
 /// Kept separate from [`StorageManager`](crate::StorageManager) so
-/// [`VictimPolicy`] implementations can inspect residency while the
-/// manager mutates other state.
+/// victim selection can inspect residency while the manager mutates
+/// other state.
 ///
 /// # Layout (the scale path)
 ///
@@ -116,7 +116,7 @@ pub(crate) struct Residency {
     pub(crate) dir: PageDirectory,
     /// Each device's capacity in pages (`u64::MAX` = unlimited).
     pub(crate) capacities: Vec<u64>,
-    pub(crate) victim: Box<dyn VictimPolicy + Send>,
+    pub(crate) victim: Victim,
     /// Arena indices of the current request's pages, in page order.
     pages: Vec<u32>,
     /// How many pages of the latest read each device held (before any
@@ -146,7 +146,7 @@ impl PageDirectory {
     /// Where `lpn` sits in the index: `Ok(entry)` when tracked, else
     /// `Err(slot)`, the free slot [`PageDirectory::insert`] would give
     /// it (unused while the index is still unallocated).
-    fn probe(&self, lpn: u64) -> Result<u32, usize> {
+    pub(crate) fn probe(&self, lpn: u64) -> Result<u32, usize> {
         if self.index.is_empty() {
             return Err(0);
         }
@@ -178,8 +178,14 @@ impl PageDirectory {
     }
 
     /// The device holding entry `i`.
-    fn device_of(&self, i: u32) -> usize {
+    pub(crate) fn device_of(&self, i: u32) -> usize {
         usize::from(self.entries[i as usize].device)
+    }
+
+    /// The page of entry `i`.
+    #[cfg(test)]
+    pub(crate) fn lpn_of(&self, i: u32) -> u64 {
+        self.entries[i as usize].lpn
     }
 
     /// Unlinks entry `i` from device `dev`'s LRU list.
@@ -225,14 +231,6 @@ impl PageDirectory {
     /// Pages resident on `device`.
     pub fn used_pages(&self, device: DeviceId) -> u64 {
         self.used[device.0]
-    }
-
-    /// The least-recently-used page on `device`.
-    pub fn lru_first(&self, device: DeviceId) -> Option<u64> {
-        match self.heads[device.0] {
-            NO_ENTRY => None,
-            i => Some(self.entries[i as usize].lpn),
-        }
     }
 
     /// Number of tracked pages.
@@ -391,7 +389,7 @@ impl Residency {
             dir: PageDirectory::new(capacities.len()),
             foreground: vec![0; capacities.len()],
             capacities,
-            victim: Box::new(LruVictim),
+            victim: Victim::Lru,
             pages: Vec::new(),
             transfers: Vec::new(),
         }
@@ -475,19 +473,20 @@ impl Residency {
 
     /// The *evict-overflow* transition: every device over its capacity
     /// sheds its overflow to the next slower one, fastest device first so
-    /// evictions cascade. Victims are picked one at a time (the policy
-    /// may be Belady; `None` or a page not on the device falls back to
-    /// LRU order) and moved immediately, so repeated selection sees the
-    /// update. Leaves the moves in `transfers`.
+    /// evictions cascade. Victims are picked one at a time (the head of
+    /// the device's LRU list, or Belady's pick when it has a valid one)
+    /// and moved immediately, so repeated selection sees the update.
+    /// Leaves the moves in `transfers`.
     pub(crate) fn evict_overflow(&mut self, seq: u64) {
         self.transfers.clear();
         for d in 0..self.capacities.len() - 1 {
-            let (dev, dst) = (DeviceId(d), DeviceId(d + 1));
+            let dst = DeviceId(d + 1);
             while self.dir.used[d] > self.capacities[d] {
-                let i = (self.victim.select_victim(dev, &self.dir))
-                    .and_then(|lpn| self.dir.probe(lpn).ok())
-                    .filter(|&i| self.dir.device_of(i) == d)
-                    .unwrap_or(self.dir.heads[d]);
+                let head = self.dir.heads[d];
+                let i = match &mut self.victim {
+                    Victim::Lru => head,
+                    Victim::Belady(belady) => belady.select(d, &self.dir).unwrap_or(head),
+                };
                 let lpn = self.dir.entries[i as usize].lpn;
                 self.dir.relocate(i, dst);
                 self.victim.on_place(lpn, dst, seq);
@@ -499,8 +498,8 @@ impl Residency {
 
     /// Counts one access, at request clock `seq`, to every page the
     /// latest [`Residency::read`] or [`Residency::write`] resolved. Runs
-    /// *after* the decision and the eviction: policies observe
-    /// pre-request state, and so does a victim policy that reads heat.
+    /// *after* the decision and the eviction: policies and victim
+    /// selection observe pre-request state.
     pub(crate) fn record_access(&mut self, seq: u64) {
         for &i in &self.pages {
             self.dir.record_access(i, seq as u32);

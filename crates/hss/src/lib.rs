@@ -26,11 +26,10 @@
 //!   with [`HssStats::merge`] first, so every run reports one type.
 //! - [`PlacementPolicy`] — the interface every placement mechanism
 //!   implements (baselines in `sibyl-policies`, the RL agent in
-//!   `sibyl-core`); its one offline hook,
-//!   [`PlacementPolicy::victim_policy`], sees the whole trace.
-//! - [`VictimPolicy`] — pluggable eviction-victim selection (LRU default;
-//!   [`OracleVictim`], Belady over the [`NextUseIndex`] it owns, for the
-//!   Oracle).
+//!   `sibyl-core`).
+//! - [`Victim`] — which page a full device evicts: LRU by default, or
+//!   Belady over the whole trace's future ([`Victim::belady`]) for the
+//!   Oracle.
 //!
 //! ## Example
 //!
@@ -66,4 +65,4 @@ pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager}
 pub use metrics::Metrics;
 pub use policy::PlacementPolicy;
 pub use stats::HssStats;
-pub use victim::{LruVictim, NextUseIndex, OracleVictim, VictimPolicy};
+pub use victim::Victim;

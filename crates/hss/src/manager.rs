@@ -19,7 +19,7 @@ use crate::config::HssConfig;
 use crate::device::{Device, DeviceId, Service};
 use crate::directory::{AccessTracker, PageDirectory, PageMove, Residency, Transfer};
 use crate::stats::HssStats;
-use crate::victim::VictimPolicy;
+use crate::victim::Victim;
 use sibyl_trace::{IoOp, IoRequest};
 
 /// Closed-loop replay depth: at most this many requests are outstanding,
@@ -133,7 +133,7 @@ pub struct StorageManager {
     /// [`QUEUE_WINDOW`]; a field only so the unit tests can sweep it.
     queue_window: usize,
     /// The request clock: requests accepted so far (1-based inside
-    /// `access_after`). Stamps page accesses and `VictimPolicy::on_place`.
+    /// `access_after`). Stamps page accesses and Belady's placements.
     pub(crate) seq: u64,
     last_detail: AccessDetail,
 }
@@ -169,9 +169,9 @@ impl StorageManager {
         }
     }
 
-    /// Replaces the eviction-victim policy (the Oracle baseline installs
-    /// Belady selection here).
-    pub fn set_victim_policy(&mut self, victim: Box<dyn VictimPolicy + Send>) {
+    /// Replaces the eviction-victim rule (the Oracle baseline runs with
+    /// [`Victim::belady`]).
+    pub fn set_victim(&mut self, victim: Victim) {
         self.res.victim = victim;
     }
 

@@ -2,7 +2,6 @@
 
 use super::*;
 use crate::device::DeviceSpec;
-use crate::victim::LruVictim;
 
 mod timing;
 
@@ -477,12 +476,9 @@ fn migration_io_delays_foreground_requests() {
 fn empty_device_edges_are_safe() {
     let mut m = dual_manager(10);
     let dir = m.directory();
-    assert_eq!(dir.lru_first(DeviceId(0)), None);
     assert_eq!(dir.iter_lru(DeviceId(0)).count(), 0);
     assert_eq!(dir.used_pages(DeviceId(0)), 0);
     assert!(dir.is_empty());
-    let mut lru = LruVictim;
-    assert_eq!(lru.select_victim(DeviceId(0), m.directory()), None);
     // Migrating nothing (and migrating unknown pages) is a no-op.
     assert_eq!(m.migrate_batch(&[], 0.0), MigrationOutcome::default());
     let out = m.migrate_batch(
@@ -506,8 +502,12 @@ fn single_page_device_evicts_and_stays_consistent() {
     assert_eq!(m.residency(2), Some(DeviceId(0)));
     assert_eq!(m.directory().used_pages(DeviceId(0)), 1);
     // The single resident page is both LRU-first and the only entry.
-    assert_eq!(m.directory().lru_first(DeviceId(0)), Some(2));
-    assert_eq!(m.directory().iter_lru(DeviceId(0)).count(), 1);
+    let fast: Vec<u64> = m
+        .directory()
+        .iter_lru(DeviceId(0))
+        .map(|(_, l)| l)
+        .collect();
+    assert_eq!(fast, vec![2]);
 }
 
 #[test]

@@ -20,7 +20,7 @@
 
 use crate::device::DeviceId;
 use crate::manager::{AccessOutcome, StorageManager};
-use sibyl_trace::{IoRequest, Trace};
+use sibyl_trace::IoRequest;
 
 /// A data-placement policy.
 pub trait PlacementPolicy: std::fmt::Debug {
@@ -37,19 +37,6 @@ pub trait PlacementPolicy: std::fmt::Debug {
     fn feedback(&mut self, outcome: &AccessOutcome) {
         let _ = outcome;
     }
-
-    /// The policy's one offline hook: called once before the run with the
-    /// number of devices and the full trace, it returns an eviction-victim
-    /// policy to install into the storage manager, or `None` to keep the
-    /// default LRU. The Oracle baseline returns its Belady selector here.
-    fn victim_policy(
-        &self,
-        num_devices: usize,
-        trace: &Trace,
-    ) -> Option<Box<dyn crate::VictimPolicy + Send>> {
-        let _ = (num_devices, trace);
-        None
-    }
 }
 
 #[cfg(test)]
@@ -57,7 +44,7 @@ mod tests {
     use super::*;
     use crate::config::HssConfig;
     use crate::device::DeviceSpec;
-    use sibyl_trace::IoOp;
+    use sibyl_trace::{IoOp, Trace};
 
     /// A minimal policy for exercising the trait's default methods.
     #[derive(Debug)]
@@ -80,7 +67,6 @@ mod tests {
         let mut mgr = StorageManager::new(&cfg);
         let mut p = AlwaysFast;
         let trace = Trace::from_requests("t", vec![IoRequest::new(0, 0, 1, IoOp::Write)]);
-        assert!(p.victim_policy(2, &trace).is_none());
         let req = trace.requests()[0];
         let target = p.place(&req, &mgr);
         assert_eq!(target, DeviceId(0));

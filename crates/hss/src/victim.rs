@@ -2,8 +2,8 @@
 //!
 //! When a placement overflows a device's capacity the manager must pick
 //! pages to demote. The default is LRU (what the paper's storage
-//! management layer does); the Oracle baseline plugs in a Belady
-//! farthest-future-use selector through the [`VictimPolicy`] trait.
+//! management layer does); the Oracle baseline runs Belady's
+//! farthest-future-use rule over the whole trace ([`Victim::belady`]).
 
 use std::collections::BinaryHeap;
 
@@ -11,29 +11,36 @@ use crate::device::DeviceId;
 use crate::directory::PageDirectory;
 use sibyl_trace::Trace;
 
-/// Chooses eviction victims for the storage manager.
-///
-/// Implementations may keep their own bookkeeping, fed by
-/// [`VictimPolicy::on_place`] notifications for every page placement.
-pub trait VictimPolicy: std::fmt::Debug {
-    /// Notifies the policy that `lpn` now resides on `device` as of
-    /// request sequence number `seq`.
-    fn on_place(&mut self, lpn: u64, device: DeviceId, seq: u64) {
-        let _ = (lpn, device, seq);
-    }
-
-    /// Picks one page to evict from `device`, or `None` to fall back to
-    /// LRU order.
-    fn select_victim(&mut self, device: DeviceId, dir: &PageDirectory) -> Option<u64>;
+/// How the storage manager picks the pages a full device evicts.
+#[derive(Debug, Default)]
+pub enum Victim {
+    /// The least recently used page first (the default).
+    #[default]
+    Lru,
+    /// The page used farthest in the future first (§7: the Oracle
+    /// "exploits complete knowledge of future I/O-access patterns ... to
+    /// select victim data blocks for eviction from the fast device").
+    /// Built by [`Victim::belady`].
+    Belady(Belady),
 }
 
-/// Least-recently-used victim selection (the default).
-#[derive(Debug, Clone, Default)]
-pub struct LruVictim;
+impl Victim {
+    /// Belady selection for `n_devices` devices over the future of
+    /// `trace`, the trace the run replays.
+    pub fn belady(n_devices: usize, trace: &Trace) -> Self {
+        Victim::Belady(Belady {
+            future: NextUseIndex::build(trace),
+            heaps: (1..n_devices).map(|_| BinaryHeap::new()).collect(),
+        })
+    }
 
-impl VictimPolicy for LruVictim {
-    fn select_victim(&mut self, device: DeviceId, dir: &PageDirectory) -> Option<u64> {
-        dir.lru_first(device)
+    /// Notes that `lpn` now resides on `device` as of the manager's
+    /// 1-based request clock `seq`. Nothing to note for LRU, whose order
+    /// the directory keeps.
+    pub(crate) fn on_place(&mut self, lpn: u64, device: DeviceId, seq: u64) {
+        if let Victim::Belady(belady) = self {
+            belady.on_place(lpn, device, seq);
+        }
     }
 }
 
@@ -41,31 +48,27 @@ impl VictimPolicy for LruVictim {
 /// request sequence numbers that touch it — kept as one sorted
 /// `(page, request)` array, so a lookup is a binary search and nothing
 /// about it depends on a hasher.
-///
-/// Built once from the full trace; [`OracleVictim`] owns it.
 #[derive(Debug, Default)]
-pub struct NextUseIndex {
+pub(crate) struct NextUseIndex {
     accesses: Vec<(u64, u64)>,
-    pages: usize,
 }
 
 impl NextUseIndex {
     /// Builds the index from a trace. Request `i` (0-based) touching pages
     /// `p..p+size` records sequence `i` for each page.
-    pub fn build(trace: &Trace) -> Self {
+    fn build(trace: &Trace) -> Self {
         let mut accesses: Vec<(u64, u64)> = trace
             .iter()
             .enumerate()
             .flat_map(|(i, r)| r.pages().map(move |p| (p, i as u64)))
             .collect();
         accesses.sort_unstable();
-        let pages = accesses.chunk_by(|a, b| a.0 == b.0).count();
-        NextUseIndex { accesses, pages }
+        NextUseIndex { accesses }
     }
 
     /// The sequence number of the first access to `lpn` strictly after
     /// `seq`, or `u64::MAX` if the page is never touched again.
-    pub fn next_use_after(&self, lpn: u64, seq: u64) -> u64 {
+    fn next_use_after(&self, lpn: u64, seq: u64) -> u64 {
         let idx = self
             .accesses
             .partition_point(|&access| access <= (lpn, seq));
@@ -74,47 +77,22 @@ impl NextUseIndex {
             _ => u64::MAX,
         }
     }
-
-    /// Number of pages indexed.
-    pub fn len(&self) -> usize {
-        self.pages
-    }
-
-    /// `true` when the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
-    }
 }
 
-/// Belady/farthest-next-use victim selection for the Oracle baseline
-/// (§7: the Oracle "exploits complete knowledge of future I/O-access
-/// patterns ... to select victim data blocks for eviction from the fast
-/// device").
-///
-/// Maintains a lazy max-heap per capacity-limited device keyed by each
-/// resident page's next future use; stale entries (pages that moved or
-/// were re-placed) are skipped during selection by re-validating against
-/// the [`PageDirectory`]. The slowest device never evicts, so it has no
-/// heap and placements onto it are not recorded.
+/// The state of [`Victim::Belady`]: the trace's future and a lazy
+/// max-heap per capacity-limited device keyed by each resident page's
+/// next use. Stale entries (pages that moved or were re-placed) are
+/// skipped during selection by re-validating against the
+/// [`PageDirectory`]. The slowest device never evicts, so it has no heap
+/// and placements onto it are not recorded.
 #[derive(Debug)]
-pub struct OracleVictim {
+pub struct Belady {
     future: NextUseIndex,
     /// Lazy max-heaps of devices `0..n_devices - 1`: (next_use_seq, lpn).
     heaps: Vec<BinaryHeap<(u64, u64)>>,
 }
 
-impl OracleVictim {
-    /// Creates a selector for `n_devices` devices over the trace's
-    /// future-knowledge index.
-    pub fn new(n_devices: usize, future: NextUseIndex) -> Self {
-        OracleVictim {
-            future,
-            heaps: (1..n_devices).map(|_| BinaryHeap::new()).collect(),
-        }
-    }
-}
-
-impl VictimPolicy for OracleVictim {
+impl Belady {
     /// `seq` is the manager's 1-based request counter; the placement
     /// happens *during* trace request `seq - 1`, so the relevant future
     /// starts strictly after that index.
@@ -124,11 +102,14 @@ impl VictimPolicy for OracleVictim {
         }
     }
 
-    fn select_victim(&mut self, device: DeviceId, dir: &PageDirectory) -> Option<u64> {
-        let heap = self.heaps.get_mut(device.0)?;
+    /// The arena index of the resident page of device `d` used farthest
+    /// in the future, or `None` when no entry is still valid.
+    pub(crate) fn select(&mut self, d: usize, dir: &PageDirectory) -> Option<u32> {
+        let heap = self.heaps.get_mut(d)?;
         while let Some((_next, lpn)) = heap.pop() {
-            if dir.residency(lpn) == Some(device) {
-                return Some(lpn);
+            match dir.probe(lpn) {
+                Ok(i) if dir.device_of(i) == d => return Some(i),
+                _ => {}
             }
         }
         None
@@ -160,18 +141,31 @@ mod tests {
         )
     }
 
+    fn belady(n_devices: usize, trace: &Trace) -> Belady {
+        match Victim::belady(n_devices, trace) {
+            Victim::Belady(b) => b,
+            Victim::Lru => unreachable!(),
+        }
+    }
+
+    /// The LPN of the victim `b` picks on device `d`.
+    fn select_lpn(b: &mut Belady, d: usize, mgr: &StorageManager) -> Option<u64> {
+        let dir = mgr.directory();
+        b.select(d, dir).map(|i| dir.lpn_of(i))
+    }
+
     #[test]
-    fn lru_selects_oldest_page() {
-        let mut mgr = manager_with_fast_capacity(100);
+    fn lru_evicts_the_least_recent_page() {
+        let mut mgr = manager_with_fast_capacity(3);
         let fast = DeviceId(0);
         for (i, lpn) in [10u64, 20, 30].iter().enumerate() {
-            let req = IoRequest::new(i as u64, *lpn, 1, IoOp::Write);
-            let _ = mgr.access(&req, fast);
+            let _ = mgr.access(&IoRequest::new(i as u64, *lpn, 1, IoOp::Write), fast);
         }
-        // Touch page 10 again so 20 becomes LRU.
+        // Touch page 10 again so 20 becomes LRU; a fourth page evicts it.
         let _ = mgr.access(&IoRequest::new(10, 10, 1, IoOp::Read), fast);
-        let mut lru = LruVictim;
-        assert_eq!(lru.select_victim(fast, mgr.directory()), Some(20));
+        let _ = mgr.access(&IoRequest::new(11, 40, 1, IoOp::Write), fast);
+        assert_eq!(mgr.residency(20), Some(DeviceId(1)));
+        assert_eq!(mgr.residency(10), Some(fast));
     }
 
     #[test]
@@ -182,34 +176,29 @@ mod tests {
         assert_eq!(idx.next_use_after(5, 4), u64::MAX);
         assert_eq!(idx.next_use_after(9, 1), 3);
         assert_eq!(idx.next_use_after(12345, 0), u64::MAX);
-        assert_eq!(idx.len(), 2);
     }
 
     #[test]
     fn oracle_selects_farthest_future_use() {
         // Pages 1, 2, 3 placed at seqs 0, 1, 2; next uses at 10, 500, 100.
         let trace = trace_of(&[(0, 1), (1, 2), (2, 3), (10, 1), (100, 3), (500, 2)]);
-        let mut full = Vec::new();
-        for (i, r) in trace.iter().enumerate() {
-            full.push((i as u64, r.lpn));
-        }
-        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
+        let mut oracle = belady(2, &trace);
         let mut mgr = manager_with_fast_capacity(100);
         let fast = DeviceId(0);
-        for (seq, (_, lpn)) in full.iter().take(3).enumerate() {
-            let req = IoRequest::new(seq as u64, *lpn, 1, IoOp::Write);
+        for (seq, r) in trace.iter().take(3).enumerate() {
+            let req = IoRequest::new(seq as u64, r.lpn, 1, IoOp::Write);
             let _ = mgr.access(&req, fast);
             // on_place takes the manager's 1-based sequence counter.
-            oracle.on_place(*lpn, fast, seq as u64 + 1);
+            oracle.on_place(r.lpn, fast, seq as u64 + 1);
         }
         // Page 2's next use (seq 5) is farthest.
-        assert_eq!(oracle.select_victim(fast, mgr.directory()), Some(2));
+        assert_eq!(select_lpn(&mut oracle, 0, &mgr), Some(2));
     }
 
     #[test]
     fn oracle_skips_stale_entries() {
         let trace = trace_of(&[(0, 7), (1, 7)]);
-        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
+        let mut oracle = belady(2, &trace);
         let mut mgr = manager_with_fast_capacity(100);
         let fast = DeviceId(0);
         let slow = DeviceId(1);
@@ -217,25 +206,25 @@ mod tests {
         oracle.on_place(7, fast, 1);
         // The page then moves to slow storage; the heap entry is stale.
         let _ = mgr.access(&IoRequest::new(1, 7, 1, IoOp::Write), slow);
-        assert_eq!(oracle.select_victim(fast, mgr.directory()), None);
+        assert_eq!(select_lpn(&mut oracle, 0, &mgr), None);
     }
 
     #[test]
     fn oracle_keeps_no_heap_for_the_slowest_device() {
         let trace = trace_of(&[(0, 7), (1, 7)]);
-        let mut oracle = OracleVictim::new(2, NextUseIndex::build(&trace));
+        let mut oracle = belady(2, &trace);
         let mut mgr = manager_with_fast_capacity(100);
         let slow = DeviceId(1);
         let _ = mgr.access(&IoRequest::new(0, 7, 1, IoOp::Read), slow);
         oracle.on_place(7, slow, 1);
         assert_eq!(oracle.heaps.len(), 1, "one heap per evicting device");
-        assert_eq!(oracle.select_victim(slow, mgr.directory()), None);
+        assert_eq!(select_lpn(&mut oracle, 1, &mgr), None);
     }
 
     #[test]
     fn oracle_empty_returns_none() {
-        let mut oracle = OracleVictim::new(2, NextUseIndex::default());
+        let mut oracle = belady(2, &Trace::from_requests("e", vec![]));
         let mgr = manager_with_fast_capacity(10);
-        assert_eq!(oracle.select_victim(DeviceId(0), mgr.directory()), None);
+        assert_eq!(select_lpn(&mut oracle, 0, &mgr), None);
     }
 }

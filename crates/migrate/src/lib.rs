@@ -14,18 +14,18 @@
 //! subsystem:
 //!
 //! - [`MigrateConfig`] / [`MigratePolicyKind`] — which policy runs, how
-//!   often it ticks, and its move budget.
-//! - [`MigrationPolicy`] — the per-tick planning interface over a shared
-//!   deterministic candidate scan ([`scan_candidates`]).
-//! - [`MigratePolicyKind::None`] — the baseline: [`Migrator::new`]
-//!   builds no driver for it, so the serving engine skips the subsystem
-//!   entirely and stays bit-identical to a migration-free engine.
-//! - [`HotColdThreshold`] — the heuristic: promote above a heat
-//!   threshold, demote LRU-cold fast pages under capacity pressure.
-//! - [`RlMigration`] — a tick-level C51 agent reusing `sibyl-core`'s
-//!   [`Learner`](sibyl_core::Learner)/replay machinery with its own
-//!   feature vector (page heat, fast fill, hit-rate delta) and a reward
-//!   built from the post-migration latency change.
+//!   often it ticks, and its move budget. The policies plan from one
+//!   shared deterministic scan of the page directory for candidates:
+//!   - [`MigratePolicyKind::None`] — the baseline: [`Migrator::new`]
+//!     builds no driver for it, so the serving engine skips the subsystem
+//!     entirely and stays bit-identical to a migration-free engine.
+//!   - [`MigratePolicyKind::HotCold`] — the heuristic: promote above a
+//!     heat threshold, demote LRU-cold fast pages under capacity
+//!     pressure.
+//!   - [`MigratePolicyKind::Rl`] — a tick-level C51 agent reusing
+//!     `sibyl-core`'s [`Learner`](sibyl_core::Learner)/replay machinery
+//!     with its own feature vector (page heat, fast fill, hit-rate delta)
+//!     and a reward built from the post-migration latency change.
 //! - [`Migrator`] — the tick driver: window accounting, policy feedback,
 //!   plan execution through the bandwidth-accounted
 //!   [`StorageManager::migrate_batch`](sibyl_hss::StorageManager::migrate_batch).
@@ -63,7 +63,3 @@ mod rl;
 
 pub use config::{MigrateConfig, MigrateConfigError, MigratePolicyKind};
 pub use migrator::{Migrator, MigratorStats, TickOutcome};
-pub use policy::{
-    scan_candidates, CandidateScan, HotColdThreshold, MigrationPolicy, TickFeedback, TickWindow,
-};
-pub use rl::{RlMigration, RlMigrationStats};

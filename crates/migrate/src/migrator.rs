@@ -5,7 +5,7 @@
 use sibyl_hss::{HssStats, StorageManager};
 
 use crate::config::{MigrateConfig, MigratePolicyKind};
-use crate::policy::{scan_candidates, HotColdThreshold, MigrationPolicy, TickFeedback, TickWindow};
+use crate::policy::{hot_cold_plan, scan_candidates, TickWindow};
 use crate::rl::RlMigration;
 
 /// Cumulative counters of one migrator's run.
@@ -68,10 +68,13 @@ pub struct TickOutcome {
 ///
 /// 1. closes the statistics *window* since the previous tick (requests,
 ///    mean latency, fast-placement fraction),
-/// 2. feeds the previous plan's outcome back to the policy (the RL
-///    policy shapes its reward from the latency change),
+/// 2. feeds the previous plan's outcome back to the RL policy, which
+///    shapes its reward from the latency change,
 /// 3. scans the page directory for promotion/demotion candidates,
-/// 4. asks the policy for a plan and executes it through
+/// 4. plans from them — the hot-cold policy always promotes and demotes
+///    once the fast device fills past
+///    [`MigrateConfig::demote_watermark`], the RL policy picks one of
+///    its three plan shapes — and executes the plan through
 ///    [`StorageManager::migrate_batch`] — bandwidth-accounted, so
 ///    foreground requests observe the contention.
 ///
@@ -99,14 +102,21 @@ pub struct TickOutcome {
 #[derive(Debug)]
 pub struct Migrator {
     cfg: MigrateConfig,
-    policy: Box<dyn MigrationPolicy>,
+    policy: Policy,
     stats: MigratorStats,
     prev_window: Option<TickWindow>,
     /// Snapshot of the manager stats at the previous tick:
-    /// (requests, sum latency µs, fast placements, last completion µs).
-    snapshot: (u64, f64, u64, f64),
+    /// (requests, sum latency µs, fast placements).
+    snapshot: (u64, f64, u64),
     last_moved: u64,
-    last_busy: f64,
+}
+
+/// The active policy a [`Migrator`] runs; the RL agent's state lives in
+/// its variant.
+#[derive(Debug)]
+enum Policy {
+    HotCold,
+    Rl(Box<RlMigration>),
 }
 
 impl Migrator {
@@ -122,25 +132,19 @@ impl Migrator {
     pub fn new(cfg: MigrateConfig) -> Option<Migrator> {
         // sibyl-lint: allow(unwrap-in-lib) -- documented panic: engines must surface validate() as an error before constructing
         cfg.validate().expect("invalid migration configuration");
-        let policy: Box<dyn MigrationPolicy> = match cfg.policy {
+        let policy = match cfg.policy {
             MigratePolicyKind::None => return None,
-            MigratePolicyKind::HotCold => Box::new(HotColdThreshold),
-            MigratePolicyKind::Rl => Box::new(RlMigration::new(&cfg)),
+            MigratePolicyKind::HotCold => Policy::HotCold,
+            MigratePolicyKind::Rl => Policy::Rl(Box::new(RlMigration::new(&cfg))),
         };
         Some(Migrator {
             cfg,
             policy,
             stats: MigratorStats::default(),
             prev_window: None,
-            snapshot: (0, 0.0, 0, 0.0),
+            snapshot: (0, 0.0, 0),
             last_moved: 0,
-            last_busy: 0.0,
         })
-    }
-
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
     }
 
     /// The configuration this driver runs.
@@ -155,7 +159,7 @@ impl Migrator {
 
     /// Closes the window since the last tick against `stats`.
     fn close_window(&mut self, stats: &HssStats) -> TickWindow {
-        let (req0, lat0, fast0, done0) = self.snapshot;
+        let (req0, lat0, fast0) = self.snapshot;
         let requests = stats.total_requests - req0;
         let fast = stats.placements.first().copied().unwrap_or(0);
         let window = TickWindow {
@@ -170,14 +174,8 @@ impl Migrator {
             } else {
                 (fast - fast0) as f64 / requests as f64
             },
-            span_us: stats.last_completion_us - done0,
         };
-        self.snapshot = (
-            stats.total_requests,
-            stats.sum_latency_us,
-            fast,
-            stats.last_completion_us,
-        );
+        self.snapshot = (stats.total_requests, stats.sum_latency_us, fast);
         window
     }
 
@@ -185,14 +183,17 @@ impl Migrator {
     /// phase breakdown).
     pub fn tick(&mut self, mgr: &mut StorageManager) -> TickOutcome {
         let window = self.close_window(mgr.stats());
-        self.policy.feedback(&TickFeedback {
-            window,
-            prev: self.prev_window,
-            moved_pages: self.last_moved,
-            busy_us: self.last_busy,
-        });
         let scan = scan_candidates(mgr, &self.cfg);
-        let mut moves = self.policy.plan(&scan, &window, &self.cfg);
+        let mut moves = match &mut self.policy {
+            Policy::HotCold => {
+                let demote = scan.fast_fill >= self.cfg.demote_watermark;
+                hot_cold_plan(&scan, &self.cfg, true, demote)
+            }
+            Policy::Rl(agent) => {
+                agent.feedback(&window, self.prev_window.as_ref(), self.last_moved);
+                agent.plan(&scan, &window, &self.cfg)
+            }
+        };
         moves.truncate(self.cfg.max_moves_per_tick);
         let now = mgr.stats().last_completion_us;
         let out = mgr.migrate_batch(&moves, now);
@@ -204,7 +205,6 @@ impl Migrator {
         self.stats.busy_us += out.busy_us;
         self.prev_window = Some(window);
         self.last_moved = out.moved_pages();
-        self.last_busy = out.busy_us;
         TickOutcome {
             moved_pages: out.moved_pages(),
             busy_us: out.busy_us,
@@ -267,7 +267,38 @@ mod tests {
         // A quiet second tick finds nothing new to move.
         let quiet = migrator.tick(&mut mgr);
         assert_eq!(quiet.moved_pages, 0);
-        assert_eq!(migrator.policy_name(), "hot-cold");
+    }
+
+    #[test]
+    fn hot_cold_demotes_only_above_the_watermark() {
+        let mut mgr = manager(4);
+        let mut cfg = MigrateConfig::new(MigratePolicyKind::HotCold);
+        cfg.demote_min_idle = 1; // every fast page is idle enough to demote
+        let mut migrator = Migrator::new(cfg).expect("active");
+        // Hot slow page `hot`, re-read past the heat threshold.
+        let heat_up = |mgr: &mut StorageManager, hot: u64| {
+            for t in 0..3 {
+                let _ = mgr.access(&rd(t, hot), DeviceId(1));
+            }
+        };
+        // Half full: the hot page is promoted, nothing demoted.
+        for lpn in [1, 2] {
+            let _ = mgr.access(&rd(0, lpn), DeviceId(0));
+        }
+        heat_up(&mut mgr, 50);
+        let _ = migrator.tick(&mut mgr);
+        assert_eq!(migrator.stats().promoted_pages, 1);
+        assert_eq!(
+            migrator.stats().demoted_pages,
+            0,
+            "no demotion at 50 % fill"
+        );
+        // Full: past the 0.85 watermark, cold fast pages make room.
+        let _ = mgr.access(&rd(0, 3), DeviceId(0));
+        heat_up(&mut mgr, 60);
+        let _ = migrator.tick(&mut mgr);
+        assert!(migrator.stats().demoted_pages > 0, "demotion at full fill");
+        assert_eq!(mgr.residency(60), Some(DeviceId(0)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The migration-policy interface, the candidate scan both policies
-//! share, and the two non-learning implementations.
+//! The candidate scan both migration policies share, and the hot/cold
+//! plan built from it.
 
 use sibyl_hss::{DeviceId, PageMove, StorageManager};
 
@@ -10,42 +10,28 @@ use crate::config::MigrateConfig;
 /// fast device's cold end, plus the summary features the RL agent
 /// observes. Built once per tick by [`scan_candidates`].
 #[derive(Debug, Clone)]
-pub struct CandidateScan {
+pub(crate) struct CandidateScan {
     /// Promotion candidates `(heat, lpn, current device)`, hottest first
     /// (ties broken by LPN so the order is deterministic), already capped
     /// at the per-tick move budget.
-    pub promote: Vec<(u64, u64, DeviceId)>,
+    pub(crate) promote: Vec<(u64, u64, DeviceId)>,
     /// Demotion candidates `(recency age, lpn)` on the fast device,
     /// oldest first — only pages idle for at least
     /// [`MigrateConfig::demote_min_idle`] recency ticks qualify.
-    pub demote: Vec<(u64, u64)>,
+    pub(crate) demote: Vec<(u64, u64)>,
     /// Fast-device fill fraction (`1 − remaining/capacity`).
-    pub fast_fill: f64,
+    pub(crate) fast_fill: f64,
     /// Free pages on the fast device.
-    pub free_fast: u64,
+    pub(crate) free_fast: u64,
     /// The fast device (promotion target).
-    pub fast: DeviceId,
+    pub(crate) fast: DeviceId,
     /// The device demotions land on (the next slower one).
-    pub demote_to: DeviceId,
-}
-
-impl Default for CandidateScan {
-    /// An empty scan over the conventional dual-HSS device ids.
-    fn default() -> Self {
-        CandidateScan {
-            promote: Vec::new(),
-            demote: Vec::new(),
-            fast_fill: 0.0,
-            free_fast: 0,
-            fast: DeviceId(0),
-            demote_to: DeviceId(1),
-        }
-    }
+    pub(crate) demote_to: DeviceId,
 }
 
 /// LRU entries examined per device per tick when scanning for candidates
 /// (bounds tick cost on huge directories).
-pub(crate) const SCAN_DEPTH: usize = 2048;
+const SCAN_DEPTH: usize = 2048;
 
 /// Scans the manager's page directory for migration candidates.
 ///
@@ -61,7 +47,7 @@ pub(crate) const SCAN_DEPTH: usize = 2048;
 /// decides who goes first). Demotion candidates come from
 /// the fast device's cold end, oldest first, stopping at the first page
 /// younger than [`MigrateConfig::demote_min_idle`] recency ticks.
-pub fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateScan {
+pub(crate) fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateScan {
     let fast = mgr.fastest();
     let dir = mgr.directory();
     let now = dir.current_token();
@@ -105,54 +91,13 @@ pub fn scan_candidates(mgr: &StorageManager, cfg: &MigrateConfig) -> CandidateSc
 /// Cumulative request statistics over the window between two migration
 /// ticks — the signal migration rewards are built from.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TickWindow {
+pub(crate) struct TickWindow {
     /// Requests the manager served during the window.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Mean request latency over the window (µs; 0 for an empty window).
-    pub avg_latency_us: f64,
+    pub(crate) avg_latency_us: f64,
     /// Fraction of the window's requests placed on the fast device.
-    pub fast_fraction: f64,
-    /// Simulated wall-clock span of the window (µs).
-    pub span_us: f64,
-}
-
-/// What a policy learns about its *previous* tick's plan once the next
-/// window has closed: the window that followed the plan, the window that
-/// preceded it, and what the plan actually did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TickFeedback {
-    /// The window that elapsed since the plan executed.
-    pub window: TickWindow,
-    /// The window before it (`None` on the first tick).
-    pub prev: Option<TickWindow>,
-    /// Pages the plan actually moved.
-    pub moved_pages: u64,
-    /// Device time the plan's I/O consumed (µs).
-    pub busy_us: f64,
-}
-
-/// A background-migration policy: plans page moves at each tick and
-/// (optionally) learns from the latency change its previous plan caused.
-pub trait MigrationPolicy: std::fmt::Debug + Send {
-    /// A short display name (used in result tables).
-    fn name(&self) -> &str;
-
-    /// Plans this tick's moves from the candidate scan. Implementations
-    /// should order demotions before promotions — the executor skips
-    /// promotions the fast device has no room for, and demotions free
-    /// room within the same batch.
-    fn plan(
-        &mut self,
-        scan: &CandidateScan,
-        window: &TickWindow,
-        cfg: &MigrateConfig,
-    ) -> Vec<PageMove>;
-
-    /// Receives the outcome of the previous tick's plan. Default: ignore
-    /// (heuristics don't learn).
-    fn feedback(&mut self, fb: &TickFeedback) {
-        let _ = fb;
-    }
+    pub(crate) fast_fraction: f64,
 }
 
 /// Pages per promotion cluster (the serving engine's 64-page routing
@@ -168,8 +113,10 @@ const CLUSTER_BITS: u32 = 6;
 /// budget. Promotion candidates are grouped into 64-page clusters ranked
 /// by total heat, so each tick moves a few hot *extents* rather than the
 /// globally hottest scattered pages — on positioning-dominated devices
-/// (HDD) this amortizes the seek across the whole run. Shared by
-/// [`HotColdThreshold`] and the RL policy's action arms.
+/// (HDD) this amortizes the seek across the whole run. The hot-cold
+/// policy demotes once the fast device fills past
+/// [`MigrateConfig::demote_watermark`]; the RL policy's action arms pick
+/// the two flags themselves.
 pub(crate) fn hot_cold_plan(
     scan: &CandidateScan,
     cfg: &MigrateConfig,
@@ -223,27 +170,6 @@ pub(crate) fn hot_cold_plan(
         }
     }
     moves
-}
-
-/// The heuristic: always promote pages above the heat threshold; demote
-/// LRU-cold fast pages once the fast device fills past the watermark.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HotColdThreshold;
-
-impl MigrationPolicy for HotColdThreshold {
-    fn name(&self) -> &str {
-        "hot-cold"
-    }
-
-    fn plan(
-        &mut self,
-        scan: &CandidateScan,
-        _window: &TickWindow,
-        cfg: &MigrateConfig,
-    ) -> Vec<PageMove> {
-        let do_demote = scan.fast_fill >= cfg.demote_watermark;
-        hot_cold_plan(scan, cfg, true, do_demote)
-    }
 }
 
 #[cfg(test)]
@@ -368,26 +294,5 @@ mod tests {
         // Promote-only keeps within free capacity alone.
         let promote_only = hot_cold_plan(&scan, &cfg, true, false);
         assert_eq!(promote_only.len(), 1);
-    }
-
-    #[test]
-    fn heuristic_demotes_only_above_watermark() {
-        let scan = CandidateScan {
-            promote: vec![(9, 50, DeviceId(1))],
-            demote: vec![(1_000, 7)],
-            fast_fill: 0.5,
-            free_fast: 8,
-            fast: DeviceId(0),
-            demote_to: DeviceId(1),
-        };
-        let cfg = MigrateConfig::new(crate::MigratePolicyKind::HotCold);
-        let mut policy = HotColdThreshold;
-        let calm = policy.plan(&scan, &TickWindow::default(), &cfg);
-        assert!(calm.iter().all(|m| m.to == DeviceId(0)), "no demotion yet");
-        let mut full = scan.clone();
-        full.fast_fill = 0.95;
-        let pressured = policy.plan(&full, &TickWindow::default(), &cfg);
-        assert!(pressured.iter().any(|m| m.to == DeviceId(1)));
-        assert_eq!(policy.name(), "hot-cold");
     }
 }

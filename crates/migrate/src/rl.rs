@@ -18,7 +18,7 @@ use sibyl_core::{DecisionCore, Learner, SibylConfig};
 use sibyl_hss::PageMove;
 
 use crate::config::MigrateConfig;
-use crate::policy::{hot_cold_plan, CandidateScan, MigrationPolicy, TickFeedback, TickWindow};
+use crate::policy::{hot_cold_plan, CandidateScan, TickWindow};
 
 /// Tick actions: nothing, promote-only, promote + demote.
 const N_ACTIONS: usize = 3;
@@ -32,20 +32,20 @@ const TRAIN_TICKS: u64 = 4;
 
 /// Counters describing the RL migration agent's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RlMigrationStats {
+pub(crate) struct RlMigrationStats {
     /// Ticks decided.
-    pub decisions: u64,
+    decisions: u64,
     /// Decisions taken by random exploration.
-    pub explorations: u64,
+    explorations: u64,
     /// Tick transitions pushed into the replay buffer.
-    pub experiences: u64,
+    experiences: u64,
     /// Training steps completed.
-    pub train_steps: u64,
+    train_steps: u64,
 }
 
 /// The tick-level RL migration policy.
 #[derive(Debug)]
-pub struct RlMigration {
+pub(crate) struct RlMigration {
     learner: Learner,
     core: DecisionCore,
     /// Fast-placement fraction of the previous window (hit-rate-delta
@@ -56,7 +56,7 @@ pub struct RlMigration {
 
 impl RlMigration {
     /// Builds the agent, seeded from the migration configuration.
-    pub fn new(cfg: &MigrateConfig) -> Self {
+    pub(crate) fn new(cfg: &MigrateConfig) -> Self {
         // The learner is sibyl-core's, configured for the tick-level MDP.
         // Smaller than the placement agent's everywhere — it decides once
         // per *tick*, not once per request, so its experience stream is two
@@ -95,7 +95,8 @@ impl RlMigration {
     }
 
     /// Activity counters.
-    pub fn stats(&self) -> &RlMigrationStats {
+    #[cfg(test)]
+    fn stats(&self) -> &RlMigrationStats {
         &self.stats
     }
 
@@ -116,34 +117,36 @@ impl RlMigration {
             hit_delta as f32,
         ]
     }
-}
-
-impl MigrationPolicy for RlMigration {
-    fn name(&self) -> &str {
-        "rl-migration"
-    }
 
     /// Shapes the previous plan's reward from the post-migration latency
-    /// change: the relative improvement of the window that followed the
-    /// plan over the window that preceded it (clamped to `[-1, 1]`),
-    /// minus a small cost proportional to how much was moved — so "move
-    /// everything every tick" only wins when moving actually pays.
-    fn feedback(&mut self, fb: &TickFeedback) {
+    /// change: the relative improvement of `window`, the one that followed
+    /// the plan, over `prev`, the one that preceded it (`None` on the
+    /// first tick), clamped to `[-1, 1]`, minus a small cost proportional
+    /// to the `moved_pages` the plan moved — so "move everything every
+    /// tick" only wins when moving actually pays.
+    pub(crate) fn feedback(
+        &mut self,
+        window: &TickWindow,
+        prev: Option<&TickWindow>,
+        moved_pages: u64,
+    ) {
         // A window that cannot be compared earns the plan no reward.
         self.core.set_reward(None);
-        let Some(prev) = fb.prev else {
+        let Some(prev) = prev else {
             return;
         };
-        if prev.requests == 0 || fb.window.requests == 0 || prev.avg_latency_us <= 0.0 {
+        if prev.requests == 0 || window.requests == 0 || prev.avg_latency_us <= 0.0 {
             return;
         }
-        let improvement = ((prev.avg_latency_us - fb.window.avg_latency_us) / prev.avg_latency_us)
-            .clamp(-1.0, 1.0);
-        let cost = 0.05 * (fb.moved_pages as f64 / 64.0).min(1.0);
+        let improvement =
+            ((prev.avg_latency_us - window.avg_latency_us) / prev.avg_latency_us).clamp(-1.0, 1.0);
+        let cost = 0.05 * (moved_pages as f64 / 64.0).min(1.0);
         self.core.set_reward(Some((improvement - cost) as f32));
     }
 
-    fn plan(
+    /// Plans this tick's moves: demotions before promotions, so the
+    /// executor can hand the room they free to the promotions.
+    pub(crate) fn plan(
         &mut self,
         scan: &CandidateScan,
         window: &TickWindow,
@@ -201,7 +204,6 @@ mod tests {
             requests: 100,
             avg_latency_us: avg,
             fast_fraction: 0.5,
-            span_us: 10_000.0,
         }
     }
 
@@ -217,12 +219,7 @@ mod tests {
                 1_000.0
             };
             let w = window(avg);
-            agent.feedback(&TickFeedback {
-                window: w,
-                prev,
-                moved_pages: moved,
-                busy_us: 0.0,
-            });
+            agent.feedback(&w, prev.as_ref(), moved);
             let moves = agent.plan(&scan(), &w, &c);
             moved = moves.len() as u64;
             prev = Some(w);
@@ -238,7 +235,6 @@ mod tests {
         assert!(st.experiences >= 50, "experiences: {}", st.experiences);
         assert!(st.train_steps > 0, "agent must train on the tick schedule");
         assert!(st.explorations > 0, "initial ε must explore");
-        assert_eq!(agent.name(), "rl-migration");
     }
 
     #[test]
@@ -250,12 +246,7 @@ mod tests {
             let mut prev: Option<TickWindow> = None;
             for i in 0..40u64 {
                 let w = window(500.0 + (i % 7) as f64 * 50.0);
-                agent.feedback(&TickFeedback {
-                    window: w,
-                    prev,
-                    moved_pages: i % 3,
-                    busy_us: 0.0,
-                });
+                agent.feedback(&w, prev.as_ref(), i % 3);
                 trail.push(agent.plan(&scan(), &w, &c));
                 prev = Some(w);
             }
@@ -277,21 +268,11 @@ mod tests {
     #[test]
     fn first_tick_has_no_reward_to_learn_from() {
         let mut agent = RlMigration::new(&cfg());
-        agent.feedback(&TickFeedback {
-            window: window(100.0),
-            prev: None,
-            moved_pages: 0,
-            busy_us: 0.0,
-        });
+        agent.feedback(&window(100.0), None, 0);
         let _ = agent.plan(&scan(), &window(100.0), &cfg());
         assert_eq!(agent.stats().experiences, 0);
         // Second tick closes the first window: now an experience exists.
-        agent.feedback(&TickFeedback {
-            window: window(90.0),
-            prev: Some(window(100.0)),
-            moved_pages: 2,
-            busy_us: 5.0,
-        });
+        agent.feedback(&window(90.0), Some(&window(100.0)), 2);
         let _ = agent.plan(&scan(), &window(90.0), &cfg());
         assert_eq!(agent.stats().experiences, 1);
     }
@@ -311,12 +292,7 @@ mod tests {
         let mut prev: Option<TickWindow> = None;
         for _ in 0..60 {
             let w = window(100.0);
-            agent.feedback(&TickFeedback {
-                window: w,
-                prev,
-                moved_pages: 0,
-                busy_us: 0.0,
-            });
+            agent.feedback(&w, prev.as_ref(), 0);
             let moves = agent.plan(&scan(), &w, &c);
             let demotes = moves.iter().filter(|m| m.to == DeviceId(1)).count();
             let promotes = moves.len() - demotes;

@@ -12,17 +12,17 @@
 //! fastest device, and a read targets the device that already holds its
 //! first page (the slowest for a page never seen), so it moves no data
 //! unless its pages straddle devices. What the future decides is *what
-//! stays* fast: eviction is the farthest-next-use selector
-//! ([`sibyl_hss::OracleVictim`]). The paper uses the Oracle as the ceiling
-//! every policy is measured against (Sibyl reaches ~80 % of it, §8.1).
+//! stays* fast: eviction is the farthest-next-use rule
+//! ([`sibyl_hss::Victim::belady`]), which the experiment runner installs
+//! for this policy. The paper uses the Oracle as the ceiling every policy
+//! is measured against (Sibyl reaches ~80 % of it, §8.1).
 
-use sibyl_hss::{
-    DeviceId, NextUseIndex, OracleVictim, PlacementPolicy, StorageManager, VictimPolicy,
-};
-use sibyl_trace::{IoRequest, Trace};
+use sibyl_hss::{DeviceId, PlacementPolicy, StorageManager};
+use sibyl_trace::IoRequest;
 
-/// The future-knowledge Oracle baseline: writes land fast, reads stay
-/// where they are, Belady picks the victim.
+/// The future-knowledge Oracle baseline's placement rule: writes land
+/// fast, reads stay where they are (Belady, which picks the victim, is
+/// the manager's).
 ///
 /// # Examples
 ///
@@ -37,17 +37,6 @@ pub struct Oracle;
 impl PlacementPolicy for Oracle {
     fn name(&self) -> &str {
         "Oracle"
-    }
-
-    fn victim_policy(
-        &self,
-        num_devices: usize,
-        trace: &Trace,
-    ) -> Option<Box<dyn VictimPolicy + Send>> {
-        Some(Box::new(OracleVictim::new(
-            num_devices,
-            NextUseIndex::build(trace),
-        )))
     }
 
     fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
@@ -101,16 +90,5 @@ mod tests {
         );
         assert_eq!(mgr.residency(5), Some(DeviceId(0)));
         assert_eq!(mgr.residency(7), Some(DeviceId(1)));
-    }
-
-    #[test]
-    fn provides_a_belady_victim_policy() {
-        let t = Trace::from_requests(
-            "o",
-            (0..3)
-                .map(|i| IoRequest::new(i, [1, 2, 1][i as usize], 1, IoOp::Read))
-                .collect(),
-        );
-        assert!(Oracle.victim_policy(2, &t).is_some());
     }
 }

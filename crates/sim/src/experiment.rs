@@ -99,8 +99,8 @@ impl Experiment {
 
     /// Runs one policy over the whole trace.
     ///
-    /// Fast-Only automatically gets unlimited capacities (§7). Policies
-    /// that provide a victim policy (Oracle) have it installed.
+    /// Fast-Only automatically gets unlimited capacities (§7), and the
+    /// Oracle evicts by Belady ([`PolicyKind::victim`]).
     ///
     /// # Errors
     ///
@@ -119,9 +119,7 @@ impl Experiment {
         };
         let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
         let mut manager = StorageManager::new(&config.resolved(footprint));
-        if let Some(victim) = policy.victim_policy(manager.num_devices(), &self.trace) {
-            manager.set_victim_policy(victim);
-        }
+        manager.set_victim(kind.victim(manager.num_devices(), &self.trace));
         for orig in self.trace.iter() {
             let mut req = *orig;
             if self.time_scale != 1.0 {
@@ -275,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_victim_policy_is_installed_and_runs() {
+    fn oracle_victim_is_installed_and_runs() {
         let trace = msrc::generate(msrc::Workload::Hm1, 2_000, 3);
         let exp = Experiment::new(hm(), trace);
         let oracle = exp.run(PolicyKind::Oracle).unwrap();

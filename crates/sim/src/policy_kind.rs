@@ -1,8 +1,9 @@
 //! Enumerated policy constructors for the experiment runner.
 
 use sibyl_core::{SibylAgent, SibylConfig};
-use sibyl_hss::PlacementPolicy;
+use sibyl_hss::{PlacementPolicy, Victim};
 use sibyl_policies::{Archivist, Cde, FastOnly, Hps, Oracle, RnnHss, SlowOnly, TriHybridHeuristic};
+use sibyl_trace::Trace;
 
 /// A buildable description of a placement policy — what the figures'
 /// legends enumerate.
@@ -64,6 +65,16 @@ impl PolicyKind {
     /// capacities (§7: all data resides in the fast storage).
     pub fn wants_unlimited_capacity(&self) -> bool {
         matches!(self, PolicyKind::FastOnly)
+    }
+
+    /// The eviction-victim rule a run of `trace` on `num_devices` devices
+    /// installs: Belady over the trace's future for the Oracle (§7), LRU
+    /// for every other policy.
+    pub fn victim(&self, num_devices: usize, trace: &Trace) -> Victim {
+        match self {
+            PolicyKind::Oracle => Victim::belady(num_devices, trace),
+            _ => Victim::Lru,
+        }
     }
 
     /// Instantiates the policy.
@@ -144,6 +155,17 @@ mod tests {
         assert!(PolicyKind::FastOnly.wants_unlimited_capacity());
         assert!(!PolicyKind::sibyl().wants_unlimited_capacity());
         assert!(!PolicyKind::Oracle.wants_unlimited_capacity());
+    }
+
+    #[test]
+    fn only_the_oracle_evicts_by_belady() {
+        let trace = Trace::from_requests("t", vec![]);
+        assert!(matches!(
+            PolicyKind::Oracle.victim(2, &trace),
+            Victim::Belady(_)
+        ));
+        assert!(matches!(PolicyKind::sibyl().victim(2, &trace), Victim::Lru));
+        assert!(matches!(PolicyKind::Cde.victim(2, &trace), Victim::Lru));
     }
 
     #[test]
