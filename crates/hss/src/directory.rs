@@ -438,6 +438,8 @@ impl Residency {
         for &i in &self.pages {
             if self.dir.entries[i as usize].lru_token <= moved_after {
                 self.dir.touch(i);
+                let (lpn, device) = (self.dir.entries[i as usize].lpn, self.dir.device_of(i));
+                self.victim.on_place(lpn, DeviceId(device), seq);
             }
         }
         migrated
@@ -453,6 +455,7 @@ impl Residency {
             let i = match self.dir.probe(p) {
                 Ok(i) if self.dir.device_of(i) == target.0 => {
                     self.dir.touch(i);
+                    self.victim.on_place(p, target, seq);
                     i
                 }
                 Ok(i) => {
@@ -485,7 +488,7 @@ impl Residency {
                 let head = self.dir.heads[d];
                 let i = match &mut self.victim {
                     Victim::Lru => head,
-                    Victim::Belady(belady) => belady.select(d, &self.dir).unwrap_or(head),
+                    Victim::Belady(belady) => belady.select(d, &self.dir, seq).unwrap_or(head),
                 };
                 let lpn = self.dir.entries[i as usize].lpn;
                 self.dir.relocate(i, dst);

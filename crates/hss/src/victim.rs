@@ -34,9 +34,9 @@ impl Victim {
         })
     }
 
-    /// Notes that `lpn` now resides on `device` as of the manager's
-    /// 1-based request clock `seq`. Nothing to note for LRU, whose order
-    /// the directory keeps.
+    /// Notes that `lpn` resides on `device` as of the manager's 1-based
+    /// request clock `seq` — placed there, or hit where it already lives.
+    /// Nothing to note for LRU, whose order the directory keeps.
     pub(crate) fn on_place(&mut self, lpn: u64, device: DeviceId, seq: u64) {
         if let Victim::Belady(belady) = self {
             belady.on_place(lpn, device, seq);
@@ -81,10 +81,12 @@ impl NextUseIndex {
 
 /// The state of [`Victim::Belady`]: the trace's future and a lazy
 /// max-heap per capacity-limited device keyed by each resident page's
-/// next use. Stale entries (pages that moved or were re-placed) are
-/// skipped during selection by re-validating against the
-/// [`PageDirectory`]. The slowest device never evicts, so it has no heap
-/// and placements onto it are not recorded.
+/// next use. A page is re-keyed whenever a request places or hits it, so
+/// an entry keyed at or before the current request has been superseded
+/// and is skipped during selection, as are entries of pages that have
+/// left the device (re-validated against the [`PageDirectory`]). The
+/// slowest device never evicts, so it has no heap and placements onto it
+/// are not recorded.
 #[derive(Debug)]
 pub struct Belady {
     future: NextUseIndex,
@@ -93,9 +95,9 @@ pub struct Belady {
 }
 
 impl Belady {
-    /// `seq` is the manager's 1-based request counter; the placement
-    /// happens *during* trace request `seq - 1`, so the relevant future
-    /// starts strictly after that index.
+    /// `seq` is the manager's 1-based request counter; the placement or
+    /// hit happens *during* trace request `seq - 1`, so the relevant
+    /// future starts strictly after that index.
     fn on_place(&mut self, lpn: u64, device: DeviceId, seq: u64) {
         if let Some(heap) = self.heaps.get_mut(device.0) {
             heap.push((self.future.next_use_after(lpn, seq.saturating_sub(1)), lpn));
@@ -103,10 +105,16 @@ impl Belady {
     }
 
     /// The arena index of the resident page of device `d` used farthest
-    /// in the future, or `None` when no entry is still valid.
-    pub(crate) fn select(&mut self, d: usize, dir: &PageDirectory) -> Option<u32> {
+    /// in the future, as of request clock `seq`, or `None` when no entry
+    /// is still valid.
+    pub(crate) fn select(&mut self, d: usize, dir: &PageDirectory, seq: u64) -> Option<u32> {
         let heap = self.heaps.get_mut(d)?;
-        while let Some((_next, lpn)) = heap.pop() {
+        while let Some((next, lpn)) = heap.pop() {
+            if next < seq {
+                // Keyed at or before trace request `seq - 1`: the page was
+                // touched since and re-keyed.
+                continue;
+            }
             match dir.probe(lpn) {
                 Ok(i) if dir.device_of(i) == d => return Some(i),
                 _ => {}
@@ -151,7 +159,7 @@ mod tests {
     /// The LPN of the victim `b` picks on device `d`.
     fn select_lpn(b: &mut Belady, d: usize, mgr: &StorageManager) -> Option<u64> {
         let dir = mgr.directory();
-        b.select(d, dir).map(|i| dir.lpn_of(i))
+        b.select(d, dir, mgr.seq).map(|i| dir.lpn_of(i))
     }
 
     #[test]
@@ -193,6 +201,33 @@ mod tests {
         }
         // Page 2's next use (seq 5) is farthest.
         assert_eq!(select_lpn(&mut oracle, 0, &mgr), Some(2));
+    }
+
+    #[test]
+    fn belady_rekeys_pages_hit_in_place() {
+        // W1 W2 R1 W3 R3 R2 on a two-page fast device, placed by the
+        // Oracle's rule (writes fast, reads where the page lives). Page 1
+        // is never used after R1, so W3 must evict it; keyed only at its
+        // placement (next use R1, long passed) it would keep its slot and
+        // page 2 would be evicted instead, sending R2 to the slow device.
+        let (w, r) = (IoOp::Write, IoOp::Read);
+        let requests: Vec<IoRequest> = [(1, w), (2, w), (1, r), (3, w), (3, r), (2, r)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(lpn, op))| IoRequest::new(i as u64 * 1_000, lpn, 1, op))
+            .collect();
+        let trace = Trace::from_requests("stale", requests.clone());
+        let mut mgr = manager_with_fast_capacity(2);
+        mgr.set_victim(Victim::belady(2, &trace));
+        for req in &requests {
+            let target = match req.op {
+                IoOp::Write => DeviceId(0),
+                IoOp::Read => mgr.residency(req.lpn).unwrap_or(DeviceId(1)),
+            };
+            let _ = mgr.access(req, target);
+        }
+        assert_eq!(mgr.residency(1), Some(DeviceId(1)), "page 1 is the victim");
+        assert_eq!(mgr.stats().placements, vec![6, 0]);
     }
 
     #[test]

@@ -68,13 +68,13 @@ pub struct TickOutcome {
 ///
 /// 1. closes the statistics *window* since the previous tick (requests,
 ///    mean latency, fast-placement fraction),
-/// 2. feeds the previous plan's outcome back to the RL policy, which
-///    shapes its reward from the latency change,
-/// 3. scans the page directory for promotion/demotion candidates,
-/// 4. plans from them — the hot-cold policy always promotes and demotes
+/// 2. scans the page directory for promotion/demotion candidates,
+/// 3. plans from them: the hot-cold policy always promotes, and demotes
 ///    once the fast device fills past
-///    [`MigrateConfig::demote_watermark`], the RL policy picks one of
-///    its three plan shapes — and executes the plan through
+///    [`MigrateConfig::demote_watermark`]; the RL policy first shapes
+///    its previous plan's reward from the latency change, then picks one
+///    of its three plan shapes,
+/// 4. executes the plan through
 ///    [`StorageManager::migrate_batch`] — bandwidth-accounted, so
 ///    foreground requests observe the contention.
 ///

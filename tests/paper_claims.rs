@@ -4,7 +4,8 @@
 //! test failures.
 
 use sibyl::core::{FeatureMask, OverheadReport, SibylConfig};
-use sibyl::hss::{DeviceSpec, HssConfig};
+use sibyl::hss::{DeviceSpec, HssConfig, Metrics, PlacementPolicy, StorageManager};
+use sibyl::policies::Oracle;
 use sibyl::sim::{run_suite, Experiment, PolicyKind};
 use sibyl::trace::{msrc, stats::TraceStats};
 
@@ -86,6 +87,44 @@ fn oracle_is_the_ceiling_of_the_suite_averages() {
                 avg(i)
             );
         }
+    }
+}
+
+#[test]
+fn oracle_beats_its_own_lru_ablation() {
+    // The Oracle's future knowledge is its victim rule (§7): on the
+    // traces of the ceiling claim above, the same placement rule under
+    // the storage manager's default LRU eviction must not reach a lower
+    // Fast-Only-normalized average on either device configuration.
+    let traces = [
+        msrc::Workload::Hm1,
+        msrc::Workload::Prxy0,
+        msrc::Workload::Stg1,
+        msrc::Workload::Usr0,
+    ]
+    .map(|wl| msrc::generate(wl, 3_000, 42));
+    for (config, hss) in [("H&M", hm()), ("H&L", hl())] {
+        let (mut belady, mut lru) = (0.0f64, 0.0f64);
+        for trace in &traces {
+            let suite = run_suite(&hss, trace, &[PolicyKind::Oracle]).unwrap();
+            belady += suite.normalized_latency(0).ln();
+            let mut manager = StorageManager::new(&hss.resolved(trace.footprint_pages()));
+            let mut policy = Oracle;
+            for req in trace.iter() {
+                let target = policy.place(req, &manager);
+                let outcome = manager.access(req, target);
+                policy.feedback(&outcome);
+            }
+            lru += Metrics::from_stats(manager.stats())
+                .normalized_latency(&suite.fast_only.metrics)
+                .ln();
+        }
+        let n = traces.len() as f64;
+        let (belady, lru) = ((belady / n).exp(), (lru / n).exp());
+        assert!(
+            belady <= lru,
+            "{config}: Oracle {belady:.2} is above its LRU ablation {lru:.2}"
+        );
     }
 }
 
