@@ -253,9 +253,10 @@ pub struct TrainStepRow {
     /// per-request training latency §10 charges; drops monotonically as
     /// the batch grows. Deterministic.
     pub modeled_per_sample_us: f64,
-    /// Measured wall-clock ns per sample through the pre-refactor
-    /// per-sample loop (batched target inference, then one
-    /// `forward`/`backward` pass and one head pipeline per transition).
+    /// Measured wall-clock ns per sample through the per-sample loop
+    /// (batched target inference, then one `forward`/`backward` pass and
+    /// one head pipeline per transition, each pass a one-row batched
+    /// call through the same tiled kernels).
     /// Both measured paths start every step from the same weights.
     pub seq_ns_per_sample: f64,
     /// Measured wall-clock ns per sample through the batched path in the

@@ -337,7 +337,8 @@ impl Learner {
     /// The per-sample training step, kept as the golden reference the
     /// batched [`Learner::train_step`] is pinned against: per sampled
     /// transition one target-network `infer`, one `forward`/`backward`
-    /// pass and one C51 projection and loss gradient, experiences cloned
+    /// pass (each a one-row batch through the same kernels as the batched
+    /// step) and one C51 projection and loss gradient, experiences cloned
     /// out of the buffer, nothing shared between samples. Importance weights
     /// scale a down-weighted sample's gradient and loss exactly as the
     /// batched step does (weight 1.0 is not multiplied). Living behind

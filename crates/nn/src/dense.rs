@@ -8,12 +8,13 @@ use crate::linalg;
 
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
-/// Weights are stored row-major as `(out_dim × in_dim)`. The layer caches
-/// its last input and the activation derivative at every pre-activation
-/// during [`Dense::forward`] / [`Dense::forward_batch`] so the backward
+/// Weights are stored row-major as `(out_dim × in_dim)`. Every pass takes
+/// a batch of inputs, row-major, and a single input is a batch of one.
+/// The layer caches its last inputs and the activation derivative at
+/// every pre-activation during [`Dense::forward_batch`] so the backward
 /// pass computes exact gradients without re-evaluating the activation;
-/// use [`Dense::infer`] for cache-free inference (the paper's inference
-/// network is never trained directly, §6.2.2).
+/// use [`Dense::infer_batch`] for cache-free inference (the paper's
+/// inference network is never trained directly, §6.2.2).
 ///
 /// # Examples
 ///
@@ -23,7 +24,7 @@ use crate::linalg;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
-/// let y = layer.forward(&[1.0, 0.0, -1.0]);
+/// let y = layer.forward_batch(&[1.0, 0.0, -1.0], 1);
 /// assert_eq!(y.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -37,11 +38,11 @@ pub struct Dense {
     db: Vec<f32>,
     cache_x: Vec<f32>,
     /// `act'(z)` for every pre-activation of the cached forward pass —
-    /// `out_dim` values after [`Dense::forward`], `batch × out_dim` after
-    /// [`Dense::forward_batch`], empty when nothing is cached. Filled by
-    /// the same [`Activation::apply_with_derivative`] call that produces
-    /// the layer's output, so the activation's `exp` runs once per
-    /// element per training pass, not once forward and once backward.
+    /// `batch × out_dim` values after [`Dense::forward_batch`], empty when
+    /// nothing is cached or the layer is linear. Filled by the same
+    /// [`Activation::apply_with_derivative`] call that produces the
+    /// layer's output, so the activation's `exp` runs once per element
+    /// per training pass, not once forward and once backward.
     cache_dact: Vec<f32>,
     /// `dL/dz` scratch of the backward passes, reused across calls.
     dz: Vec<f32>,
@@ -116,26 +117,6 @@ impl Dense {
         self.in_dim * self.out_dim
     }
 
-    /// Forward pass that caches `x` and the activation derivative for
-    /// [`Dense::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.in_dim,
-            "Dense::forward: input length mismatch"
-        );
-        self.cache_x.clear();
-        self.cache_x.extend_from_slice(x);
-        let mut y = Vec::new();
-        linalg::matvec_bias(&self.w, &self.b, x, self.out_dim, self.in_dim, &mut y);
-        self.activate_and_cache(&mut y);
-        y
-    }
-
     /// Turns freshly computed pre-activations into activations in place
     /// and caches `act'(z)` per element for the backward pass. A linear
     /// layer (the C51 logit layer) has nothing to apply and a derivative
@@ -153,15 +134,14 @@ impl Dense {
         }));
     }
 
-    /// Forward pass over a whole batch that caches the inputs and
-    /// activation derivatives for [`Dense::backward_batch`] — the training
-    /// twin of [`Dense::infer_batch`], just as [`Dense::forward`] is the
-    /// training twin of [`Dense::infer`].
+    /// Forward pass over a batch that caches the inputs and activation
+    /// derivatives for [`Dense::backward_batch`] — the training twin of
+    /// [`Dense::infer_batch`].
     ///
     /// `xs` is row-major `(batch × in_dim)`; the result is row-major
-    /// `(batch × out_dim)`, and each output row is bit-identical to
-    /// [`Dense::forward`] on the corresponding input (the batched kernel
-    /// keeps every dot product's accumulation order unchanged).
+    /// `(batch × out_dim)`, and each output row is bit-identical to a
+    /// batch of one on the corresponding input (the kernel keeps every
+    /// dot product's accumulation order, whatever the batch).
     ///
     /// # Panics
     ///
@@ -269,22 +249,10 @@ impl Dense {
         }
     }
 
-    /// Cache-free forward pass for inference. Writes activations into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    pub fn infer(&self, x: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.in_dim, "Dense::infer: input length mismatch");
-        linalg::matvec_bias(&self.w, &self.b, x, self.out_dim, self.in_dim, out);
-        self.act.apply_slice(out);
-    }
-
-    /// Cache-free forward pass over a whole batch. `xs` is row-major
+    /// Cache-free forward pass over a batch. `xs` is row-major
     /// `(batch × in_dim)`; `out` is refilled row-major
-    /// `(batch × out_dim)`. Each output row is bit-identical to what
-    /// [`Dense::infer`] produces for the corresponding input — the
-    /// batched path only restructures the loops for weight-row reuse.
+    /// `(batch × out_dim)`. Each output row is bit-identical to what a
+    /// batch of one produces for the corresponding input.
     ///
     /// # Panics
     ///
@@ -299,33 +267,6 @@ impl Dense {
         self.act.apply_slice(out);
     }
 
-    /// Backward pass: given `dL/dy`, accumulates `dL/dW` and `dL/db` into
-    /// the layer's gradient buffers and returns `dL/dx`.
-    ///
-    /// Must be preceded by a call to [`Dense::forward`] for the same input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dy.len() != out_dim` or no forward pass was cached.
-    pub fn backward(&mut self, dy: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            dy.len(),
-            self.out_dim,
-            "Dense::backward: delta length mismatch"
-        );
-        assert_eq!(
-            self.cache_x.len(),
-            self.in_dim,
-            "Dense::backward called without a cached forward pass"
-        );
-        let dz = pre_activation_delta(self.act, &self.cache_dact, dy, &mut self.dz);
-        linalg::outer_acc(&mut self.dw, dz, &self.cache_x);
-        linalg::add_assign(&mut self.db, dz);
-        let mut dx = Vec::new();
-        linalg::matvec_transpose(&self.w, dz, self.out_dim, self.in_dim, &mut dx);
-        dx
-    }
-
     /// Batched backward pass: given the row-major `(batch × out_dim)`
     /// upstream gradient `dy`, accumulates the whole batch's `dL/dW` and
     /// `dL/db` into the layer's gradient buffers and returns the
@@ -333,11 +274,11 @@ impl Dense {
     ///
     /// Must be preceded by a [`Dense::forward_batch`] call with the same
     /// `batch`. The accumulation order per gradient element is kept
-    /// identical to `batch` sequential [`Dense::forward`] +
-    /// [`Dense::backward`] calls in sample order — per weight row, each
-    /// sample's contribution lands in ascending sample order — so the
-    /// batched training path is bit-exact against the per-sample loop
-    /// (pinned by the `train_batch_parity` property suite). The kernels
+    /// identical to `batch` sequential one-row [`Dense::forward_batch`] +
+    /// [`Dense::backward_batch`] calls in sample order — per weight row,
+    /// each sample's contribution lands in ascending sample order — so a
+    /// batch is bit-exact against the one-row loop (pinned by the
+    /// `train_batch_parity` property suite). The kernels
     /// skip the exactly-zero margins of each delta row (see
     /// [`linalg::matmul_at_b_acc`] for why that is bit-neutral), which
     /// relies on the gradient buffers never holding `-0.0`:
@@ -436,8 +377,7 @@ impl Dense {
 }
 
 /// `dL/dz = dy ⊙ act'(z)` from the derivatives the forward pass cached,
-/// element-wise — the same product per element on the per-sample and the
-/// batched path. A linear layer's delta *is* `dy` (`d · 1.0` is `d` bit
+/// element-wise. A linear layer's delta *is* `dy` (`d · 1.0` is `d` bit
 /// for bit), so it is passed through and `dz` stays untouched.
 ///
 /// # Panics
@@ -472,10 +412,17 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(1234)
     }
 
+    /// Cache-free inference of one input.
+    fn infer(layer: &Dense, x: &[f32]) -> Vec<f32> {
+        let mut y = Vec::new();
+        layer.infer_batch(x, 1, &mut y);
+        y
+    }
+
     #[test]
     fn forward_shapes() {
         let mut layer = Dense::new(4, 3, Activation::Linear, &mut rng());
-        let y = layer.forward(&[1.0, 2.0, 3.0, 4.0]);
+        let y = layer.forward_batch(&[1.0, 2.0, 3.0, 4.0], 1);
         assert_eq!(y.len(), 3);
         assert_eq!(layer.num_params(), 4 * 3 + 3);
         assert_eq!(layer.mac_count(), 12);
@@ -485,17 +432,14 @@ mod tests {
     fn infer_matches_forward() {
         let mut layer = Dense::new(5, 2, Activation::Swish, &mut rng());
         let x = [0.3, -0.5, 0.9, 0.0, 2.0];
-        let y1 = layer.forward(&x);
-        let mut y2 = Vec::new();
-        layer.infer(&x, &mut y2);
-        assert_eq!(y1, y2);
+        assert_eq!(layer.forward_batch(&x, 1), infer(&layer, &x));
     }
 
     #[test]
-    #[should_panic(expected = "input length mismatch")]
+    #[should_panic(expected = "input shape mismatch")]
     fn forward_rejects_bad_input() {
         let mut layer = Dense::new(4, 3, Activation::Linear, &mut rng());
-        let _ = layer.forward(&[1.0]);
+        let _ = layer.forward_batch(&[1.0], 1);
     }
 
     #[test]
@@ -505,11 +449,7 @@ mod tests {
         let b = Dense::new(3, 3, Activation::Relu, &mut src_rng);
         a.copy_weights_from(&b);
         let x = [0.1, 0.2, 0.3];
-        let mut ya = Vec::new();
-        let mut yb = Vec::new();
-        a.infer(&x, &mut ya);
-        b.infer(&x, &mut yb);
-        assert_eq!(ya, yb);
+        assert_eq!(infer(&a, &x), infer(&b, &x));
     }
 
     /// Finite-difference gradient check: perturb each weight and compare
@@ -519,17 +459,14 @@ mod tests {
         let mut layer = Dense::new(4, 3, Activation::Swish, &mut rng());
         let x = [0.5, -0.2, 0.8, 0.1];
 
-        let loss = |layer: &Dense, x: &[f32]| -> f32 {
-            let mut y = Vec::new();
-            layer.infer(x, &mut y);
-            y.iter().map(|v| v * v).sum()
-        };
+        let loss =
+            |layer: &Dense, x: &[f32]| -> f32 { infer(layer, x).iter().map(|v| v * v).sum() };
 
         // Analytic gradient.
-        let y = layer.forward(&x);
+        let y = layer.forward_batch(&x, 1);
         let dy: Vec<f32> = y.iter().map(|v| 2.0 * v).collect();
         layer.zero_grad();
-        let _ = layer.backward(&dy);
+        let _ = layer.backward_batch(&dy, 1);
         let (dw, _db) = {
             let (dw, db) = layer.grads();
             (dw.to_vec(), db.to_vec())
@@ -566,15 +503,13 @@ mod tests {
                 r.gen_range(-1.0f32..1.0)
             }).collect();
 
-            let y = layer.forward(&x);
+            let y = layer.forward_batch(&x, 1);
             let dy: Vec<f32> = y.iter().map(|v| 2.0 * v).collect();
             layer.zero_grad();
-            let dx = layer.backward(&dy);
+            let dx = layer.backward_batch(&dy, 1);
 
             let loss = |layer: &Dense, x: &[f32]| -> f32 {
-                let mut y = Vec::new();
-                layer.infer(x, &mut y);
-                y.iter().map(|v| v * v).sum()
+                infer(layer, x).iter().map(|v| v * v).sum()
             };
 
             let h = 1e-3f32;

@@ -11,6 +11,10 @@
 //! - [`Dense`] fully-connected layers with configurable [`Activation`]
 //!   (including the paper's swish),
 //! - [`Mlp`] multi-layer perceptrons with exact backpropagation,
+//! - [`linalg`]'s tiled kernels, the one implementation of every layer
+//!   operation: each pass takes a row-major batch, and a single input is
+//!   a batch of one ([`Mlp::forward`] is [`Mlp::forward_batch`] at
+//!   `batch = 1`),
 //! - [`Rnn`] a small Elman recurrent network with truncated
 //!   backpropagation-through-time (used by the RNN-HSS baseline adapted
 //!   from Kleio),
@@ -33,17 +37,19 @@
 //! // The paper's network shape: 6 inputs, hidden 20 and 30, 2 outputs.
 //! let mut net = Mlp::new(&[6, 20, 30, 2], Activation::Swish, Activation::Linear, &mut rng);
 //! let mut sgd = Sgd::new(1e-2);
-//! // One supervised step towards a fixed target.
-//! let x = [0.1, 0.5, -0.3, 0.8, 0.0, 1.0];
-//! let target = [1.0, 0.0];
+//! // Supervised steps on a batch of two inputs, row-major.
+//! let xs = [0.1, 0.5, -0.3, 0.8, 0.0, 1.0, -0.4, 0.2, 0.9, -0.1, 0.3, 0.0];
+//! let targets = [1.0, 0.0, 0.0, 1.0];
 //! for _ in 0..500 {
-//!     let y = net.forward(&x);
-//!     let dl: Vec<f32> = y.iter().zip(&target).map(|(y, t)| 2.0 * (y - t)).collect();
+//!     let ys = net.forward_batch(&xs, 2);
+//!     let dl: Vec<f32> = ys.iter().zip(&targets).map(|(y, t)| 2.0 * (y - t)).collect();
 //!     net.zero_grad();
-//!     net.backward(&dl);
-//!     net.apply_grads(&mut sgd, 1.0);
+//!     net.backward_batch(&dl, 2);
+//!     net.apply_grads(&mut sgd, 0.5);
 //! }
-//! let y = net.forward(&x);
+//! // A single input is a batch of one, and its row does not depend on the batch.
+//! let y = net.infer(&xs[..6]);
+//! assert_eq!(y, net.infer_batch(&xs, 2)[..2]);
 //! assert!((y[0] - 1.0).abs() < 0.05 && y[1].abs() < 0.05);
 //! ```
 

@@ -159,8 +159,8 @@ pub mod scalar {
         }
     }
 
-    /// Reference batched bias gradient: one [`super::add_assign`] per
-    /// sample (the pre-tiling [`super::col_sum_acc`] body).
+    /// Reference batched bias gradient: one elementwise add per sample
+    /// (the pre-tiling [`super::col_sum_acc`] body).
     ///
     /// # Panics
     ///
@@ -169,7 +169,9 @@ pub mod scalar {
         let rows = db.len();
         assert_eq!(d.len(), batch * rows, "col_sum_acc: delta shape mismatch");
         for s in 0..batch {
-            super::add_assign(db, &d[s * rows..(s + 1) * rows]);
+            for (b, &dv) in db.iter_mut().zip(&d[s * rows..(s + 1) * rows]) {
+                *b += dv;
+            }
         }
     }
 }
@@ -184,26 +186,6 @@ pub mod scalar {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
-}
-
-/// Computes `out = W·x + b` where `w` is a row-major `(rows × cols)` matrix.
-///
-/// `out` is cleared and refilled with `rows` values.
-///
-/// # Panics
-///
-/// Panics if `w.len() != rows * cols` or `x.len() != cols` or
-/// `b.len() != rows`.
-pub fn matvec_bias(w: &[f32], b: &[f32], x: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
-    assert_eq!(w.len(), rows * cols, "matvec_bias: weight shape mismatch");
-    assert_eq!(x.len(), cols, "matvec_bias: input length mismatch");
-    assert_eq!(b.len(), rows, "matvec_bias: bias length mismatch");
-    out.clear();
-    out.reserve(rows);
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        out.push(dot(row, x) + b[r]);
-    }
 }
 
 /// One register tile of [`matmul_bias`]: `out[j][r] = w[r]·x[j] + b[r]` for
@@ -248,8 +230,8 @@ fn bias_tile<const LANES: usize>(
 
 /// Computes `out = X·Wᵀ + b` for a batch of inputs: `xs` is row-major
 /// `(batch × cols)` — one input per row — and `out` is refilled row-major
-/// `(batch × rows)`, so each output row is laid out exactly like a
-/// [`matvec_bias`] result for the corresponding input.
+/// `(batch × rows)`, one output row per input. A single input is a batch
+/// of one.
 ///
 /// Tiled for autovectorization: the batch is processed [`BATCH_TILE`]
 /// samples at a time, their inputs packed lane-interleaved so the hot
@@ -260,10 +242,9 @@ fn bias_tile<const LANES: usize>(
 /// at any batch width. Each output element accumulates its `cols`
 /// products in ascending-`k` order from `+0.0`, exactly the
 /// [`scalar::matmul_bias`] chain, whichever tile and lane it lands in:
-/// results are bit-identical to the reference and to the per-request
-/// [`matvec_bias`] path, and a row's result does not depend on where in
-/// which batch it sits (what lets the decision memo move rows between
-/// batches). Vectorization happens across independent outputs, never
+/// results are bit-identical to the reference, and a row's result does
+/// not depend on where in which batch it sits (what lets the decision
+/// memo move rows between batches). Vectorization happens across independent outputs, never
 /// within one dot product.
 ///
 /// # Panics
@@ -323,18 +304,16 @@ fn live_span(drow: &[f32]) -> std::ops::Range<usize> {
 
 /// Computes `out = D·W` for a batch of backpropagated deltas: `d` is
 /// row-major `(batch × rows)` — one delta per row — and `out` is refilled
-/// row-major `(batch × cols)`, so each output row is laid out exactly like
-/// a [`matvec_transpose`] result for the corresponding delta.
+/// row-major `(batch × cols)`, one output row per delta.
 ///
 /// This is the batched input-gradient pass of training. The nest runs
 /// sample-outer so each sample's output row stays hot while the weight
 /// rows are streamed over it; the innermost loop is a bounds-check-free
 /// broadcast-multiply-accumulate over the contiguous output row, which
 /// rustc autovectorizes. Each output element still accumulates its terms
-/// in ascending-`r` order — exactly the [`scalar::matmul_transpose`] and
-/// [`matvec_transpose`] chain — so the batched backward pass is
-/// bit-identical to the per-sample one, which the training parity
-/// property tests pin down.
+/// in ascending-`r` order — exactly the [`scalar::matmul_transpose`]
+/// chain — so a batch's backward pass is bit-identical to one-row calls
+/// in sequence, which the training parity property tests pin down.
 ///
 /// **Zero-skip.** Only the weight rows inside each delta row's
 /// `live_span` are streamed: a C51 head leaves every action block but
@@ -400,12 +379,11 @@ pub fn matmul_transpose(
 /// `d` is row-major `(batch × rows)` deltas, `xs` row-major
 /// `(batch × cols)` inputs.
 ///
-/// Equivalent to `batch` successive [`outer_acc`] calls in sample order —
-/// and bit-identical to them: for every gradient element the per-sample
+/// Equivalent to `batch` successive one-row calls in sample order — and
+/// bit-identical to them: for every gradient element the per-sample
 /// contributions are added in ascending sample order onto the existing
-/// value, exactly the floating-point accumulation sequence the sequential
-/// per-sample training loop (and the retained [`scalar::matmul_at_b_acc`]
-/// reference) produces. The nest runs sample-outer; the innermost loop is
+/// value, exactly the floating-point accumulation sequence of the
+/// retained [`scalar::matmul_at_b_acc`] reference. The nest runs sample-outer; the innermost loop is
 /// a bounds-check-free broadcast-multiply-accumulate over one contiguous
 /// gradient row, which rustc autovectorizes.
 ///
@@ -482,8 +460,8 @@ pub fn matmul_at_b_acc(
 /// Accumulates per-column sums of a row-major `(batch × rows)` delta
 /// matrix into `db` — the batched bias gradient, `db[r] += Σ_s d[s][r]`,
 /// with the per-element additions in ascending sample order so the result
-/// is bit-identical to `batch` successive [`add_assign`] calls (the
-/// retained [`scalar::col_sum_acc`] reference). `chunks_exact` keeps the
+/// is bit-identical to `batch` successive one-row calls (the retained
+/// [`scalar::col_sum_acc`] reference). `chunks_exact` keeps the
 /// elementwise inner loop free of bounds checks so it autovectorizes.
 ///
 /// # Panics
@@ -499,64 +477,6 @@ pub fn col_sum_acc(db: &mut [f32], d: &[f32], batch: usize) {
         for (b, &dv) in db.iter_mut().zip(drow) {
             *b += dv;
         }
-    }
-}
-
-/// Computes `out = Wᵀ·d` where `w` is row-major `(rows × cols)`:
-/// the gradient w.r.t. the layer input during backpropagation.
-///
-/// `out` is cleared and refilled with `cols` values.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn matvec_transpose(w: &[f32], d: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
-    assert_eq!(
-        w.len(),
-        rows * cols,
-        "matvec_transpose: weight shape mismatch"
-    );
-    assert_eq!(d.len(), rows, "matvec_transpose: delta length mismatch");
-    out.clear();
-    out.resize(cols, 0.0);
-    for r in 0..rows {
-        let row = &w[r * cols..(r + 1) * cols];
-        let dr = d[r];
-        for (o, &wv) in out.iter_mut().zip(row) {
-            *o += wv * dr;
-        }
-    }
-}
-
-/// Accumulates the outer product `dw += d ⊗ x` into a row-major
-/// `(rows × cols)` gradient buffer.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn outer_acc(dw: &mut [f32], d: &[f32], x: &[f32]) {
-    let rows = d.len();
-    let cols = x.len();
-    assert_eq!(dw.len(), rows * cols, "outer_acc: gradient shape mismatch");
-    for r in 0..rows {
-        let dr = d[r];
-        let row = &mut dw[r * cols..(r + 1) * cols];
-        for (w, &xv) in row.iter_mut().zip(x) {
-            *w += dr * xv;
-        }
-    }
-}
-
-/// Adds `src` element-wise into `dst`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn add_assign(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "add_assign: length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
     }
 }
 
@@ -596,51 +516,9 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn matvec_bias_identity() {
-        // 2x2 identity times [3, 4] plus bias [1, 1]
-        let w = [1.0, 0.0, 0.0, 1.0];
-        let b = [1.0, 1.0];
-        let mut out = Vec::new();
-        matvec_bias(&w, &b, &[3.0, 4.0], 2, 2, &mut out);
-        assert_eq!(out, vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn matvec_transpose_matches_manual() {
-        // W = [[1, 2], [3, 4]] (rows=2, cols=2); Wᵀ·[1, 1] = [4, 6]
-        let w = [1.0, 2.0, 3.0, 4.0];
-        let mut out = Vec::new();
-        matvec_transpose(&w, &[1.0, 1.0], 2, 2, &mut out);
-        assert_eq!(out, vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn outer_acc_accumulates() {
-        let mut dw = vec![0.0; 4];
-        outer_acc(&mut dw, &[1.0, 2.0], &[3.0, 4.0]);
-        outer_acc(&mut dw, &[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(dw, vec![6.0, 8.0, 12.0, 16.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn dot_rejects_mismatched_lengths() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn matmul_bias_rows_match_matvec() {
-        // W = [[1, 2], [3, 4]], b = [0.5, -0.5]; two stacked inputs.
-        let w = [1.0, 2.0, 3.0, 4.0];
-        let b = [0.5, -0.5];
-        let xs = [1.0, 0.0, 0.0, 1.0];
-        let mut batched = Vec::new();
-        matmul_bias(&w, &b, &xs, 2, 2, 2, &mut batched);
-        for s in 0..2 {
-            let mut single = Vec::new();
-            matvec_bias(&w, &b, &xs[s * 2..(s + 1) * 2], 2, 2, &mut single);
-            assert_eq!(&batched[s * 2..(s + 1) * 2], &single[..]);
-        }
     }
 
     #[test]
@@ -648,49 +526,6 @@ mod tests {
     fn matmul_bias_rejects_ragged_batch() {
         let mut out = Vec::new();
         matmul_bias(&[1.0, 2.0], &[0.0], &[1.0, 2.0, 3.0], 1, 2, 2, &mut out);
-    }
-
-    #[test]
-    fn matmul_transpose_rows_match_matvec_transpose() {
-        // W = [[1, 2, 3], [4, 5, 6]] (rows=2, cols=3); two stacked deltas.
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let d = [1.0, 0.5, -1.0, 2.0];
-        let mut batched = Vec::new();
-        matmul_transpose(&w, &d, 2, 3, 2, &mut batched);
-        for s in 0..2 {
-            let mut single = Vec::new();
-            matvec_transpose(&w, &d[s * 2..(s + 1) * 2], 2, 3, &mut single);
-            assert_eq!(&batched[s * 3..(s + 1) * 3], &single[..]);
-        }
-    }
-
-    #[test]
-    fn matmul_at_b_acc_matches_sequential_outer_acc() {
-        let d = [1.0, 2.0, -0.5, 3.0]; // batch=2, rows=2
-        let xs = [3.0, 4.0, 1.0, -2.0]; // batch=2, cols=2
-        let mut batched = vec![0.25; 4]; // pre-existing gradient
-        let mut sequential = vec![0.25; 4];
-        matmul_at_b_acc(&mut batched, &d, &xs, 2, 2, 2);
-        for s in 0..2 {
-            outer_acc(
-                &mut sequential,
-                &d[s * 2..(s + 1) * 2],
-                &xs[s * 2..(s + 1) * 2],
-            );
-        }
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn col_sum_acc_matches_sequential_add_assign() {
-        let d = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // batch=3, rows=2
-        let mut batched = vec![0.5, -0.5];
-        let mut sequential = vec![0.5, -0.5];
-        col_sum_acc(&mut batched, &d, 3);
-        for s in 0..3 {
-            add_assign(&mut sequential, &d[s * 2..(s + 1) * 2]);
-        }
-        assert_eq!(batched, sequential);
     }
 
     #[test]
@@ -716,8 +551,8 @@ mod tests {
     }
 
     proptest! {
-        /// matvec followed by transpose-matvec is consistent with the
-        /// scalar quadratic form dᵀ·W·x computed two ways.
+        /// `matmul_bias` and `matmul_transpose` are adjoint: the
+        /// quadratic form dᵀ·W·x comes out the same both ways.
         #[test]
         fn quadratic_form_consistency(
             w in proptest::collection::vec(-2.0f32..2.0, 6),
@@ -726,10 +561,10 @@ mod tests {
         ) {
             let b = vec![0.0; 2];
             let mut wx = Vec::new();
-            matvec_bias(&w, &b, &x, 2, 3, &mut wx);
+            matmul_bias(&w, &b, &x, 2, 3, 1, &mut wx);
             let lhs = dot(&d, &wx);
             let mut wtd = Vec::new();
-            matvec_transpose(&w, &d, 2, 3, &mut wtd);
+            matmul_transpose(&w, &d, 2, 3, 1, &mut wtd);
             let rhs = dot(&wtd, &x);
             prop_assert!((lhs - rhs).abs() < 1e-3);
         }

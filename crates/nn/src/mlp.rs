@@ -71,11 +71,6 @@ impl Mlp {
             .out_dim()
     }
 
-    /// The number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total trainable parameters.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Dense::num_params).sum()
@@ -87,45 +82,35 @@ impl Mlp {
         self.layers.iter().map(Dense::mac_count).sum()
     }
 
-    /// Forward pass that caches intermediate state for [`Mlp::backward`].
+    /// [`Mlp::forward_batch`] over a batch of one input `x`, caching it
+    /// for [`Mlp::backward`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        self.forward_batch(x, 1)
     }
 
-    /// Cache-free inference; cheaper and usable through a shared reference.
+    /// [`Mlp::infer_batch`] over a batch of one input `x`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn infer(&self, x: &[f32]) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        for layer in &self.layers {
-            layer.infer(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.infer_batch(x, 1)
     }
 
-    /// Cache-free batched inference: one matrix-matrix pass per layer
-    /// instead of one matrix-vector pass per request.
+    /// Cache-free batched inference: one matrix-matrix pass per layer.
     ///
     /// `xs` holds `batch` inputs row-major (`batch × in_dim`); the result
     /// is row-major `(batch × out_dim)`. Row `i` is bit-identical to
-    /// `self.infer(&xs[i*in_dim..(i+1)*in_dim])` — the batched kernels
-    /// keep every dot product's accumulation order unchanged — so batched
-    /// serving decisions match per-request decisions exactly. The win is
-    /// locality: each weight row is streamed once per *batch* rather than
-    /// once per *request*, which is what lets the serving engine amortize
-    /// C51 inference across a shard's queue.
+    /// `self.infer(&xs[i*in_dim..(i+1)*in_dim])`, a batch of one — the
+    /// kernels keep every dot product's accumulation order whatever the
+    /// batch — so batched serving decisions match per-request decisions
+    /// exactly. The win is locality: each weight row is streamed once per
+    /// *batch* rather than once per *request*, which is what lets the
+    /// serving engine amortize C51 inference across a shard's queue.
     ///
     /// # Panics
     ///
@@ -164,8 +149,7 @@ impl Mlp {
 
     /// Batched forward pass that caches every layer's inputs and
     /// activation derivatives for [`Mlp::backward_batch`] — the training
-    /// twin of [`Mlp::infer_batch`], just as [`Mlp::forward`] is the
-    /// training twin of [`Mlp::infer`].
+    /// twin of [`Mlp::infer_batch`].
     ///
     /// `xs` holds `batch` inputs row-major; row `i` of the result is
     /// bit-identical to `self.forward(&xs[i*in_dim..(i+1)*in_dim])`.
@@ -248,16 +232,12 @@ impl Mlp {
         );
     }
 
-    /// Backward pass from `dL/dy`; accumulates gradients in every layer and
-    /// returns `dL/dx`.
+    /// [`Mlp::backward_batch`] over a batch of one: accumulates gradients
+    /// in every layer from `dL/dy` and returns `dL/dx`.
     ///
     /// Must follow a [`Mlp::forward`] call.
     pub fn backward(&mut self, dy: &[f32]) -> Vec<f32> {
-        let mut d = dy.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            d = layer.backward(&d);
-        }
-        d
+        self.backward_batch(dy, 1)
     }
 
     /// Batched backward pass from the row-major `(batch × out_dim)`
@@ -269,13 +249,12 @@ impl Mlp {
     /// The bit-identity contract of the batched training path: calling
     /// `forward_batch` + `backward_batch` once leaves gradient buffers
     /// (and therefore the subsequent optimizer step) bit-identical to
-    /// `batch` sequential [`Mlp::forward`] + [`Mlp::backward`] calls in
-    /// sample order, because every per-element floating-point
-    /// accumulation happens in the same order — the batched kernels only
-    /// restructure the loops so each weight matrix streams once per
-    /// *batch* instead of once per *sample*. The `train_batch_parity`
-    /// property suite pins this across random shapes, batch sizes, and
-    /// activations.
+    /// `batch` sequential one-row [`Mlp::forward`] + [`Mlp::backward`]
+    /// calls in sample order, because every per-element floating-point
+    /// accumulation happens in the same order — each weight matrix just
+    /// streams once per *batch* instead of once per *sample*. The
+    /// `train_batch_parity` property suite pins this across random
+    /// shapes, batch sizes, and activations.
     ///
     /// # Panics
     ///
@@ -502,7 +481,6 @@ mod tests {
         assert_eq!(net.num_params(), 832);
         assert_eq!(net.in_dim(), 6);
         assert_eq!(net.out_dim(), 2);
-        assert_eq!(net.num_layers(), 3);
     }
 
     #[test]
@@ -682,18 +660,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mean_params_rejects_ragged() {
         let _ = mean_params(&[&[1.0, 2.0], &[1.0]]);
-    }
-
-    #[test]
-    fn infer_batch_of_one_matches_infer() {
-        let net = Mlp::new(
-            &[6, 20, 30, 4],
-            Activation::Swish,
-            Activation::Linear,
-            &mut rng(8),
-        );
-        let x = [0.3, -0.1, 0.9, 0.0, 0.5, -0.7];
-        assert_eq!(net.infer_batch(&x, 1), net.infer(&x));
     }
 
     #[test]

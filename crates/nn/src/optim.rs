@@ -19,7 +19,8 @@ pub trait Optimizer: std::fmt::Debug {
 }
 
 /// Plain stochastic gradient descent, the paper's optimizer (§6.1, line 18
-/// of Algorithm 1): `w ← w − α·∇w`.
+/// of Algorithm 1): `w ← w − α·∇w`. Its one user is the Archivist
+/// baseline's classifier; Sibyl's learner trains with [`Adam`].
 ///
 /// # Examples
 ///
@@ -65,9 +66,11 @@ impl Optimizer for Sgd {
 
 /// Adam optimizer (Kingma & Ba) with bias-corrected moment estimates.
 ///
-/// Not used by the paper's default configuration but provided as an
-/// extension point for the hyper-parameter studies (§8.5 explores the
-/// learning-rate axis; Adam makes the agent far less sensitive to it).
+/// Sibyl's learner always trains with it (`Learner::new` builds one), in
+/// place of Algorithm 1 line 18's plain SGD: on traces far shorter than
+/// the paper's week-long ones, C51's cross-entropy gradients are too
+/// small for SGD to contract the value estimates, and Adam is what
+/// TF-Agents configures for its categorical DQN.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,

@@ -96,12 +96,6 @@ impl Rnn {
         self.wxh.len() + self.whh.len() + self.bh.len() + self.why.len() + self.by.len()
     }
 
-    /// Multiply-accumulates per time step plus the read-out, for the
-    /// overhead comparison against Sibyl's feed-forward net (§10.1 / §12).
-    pub fn mac_count_per_step(&self) -> usize {
-        self.hidden_dim * self.in_dim + self.hidden_dim * self.hidden_dim
-    }
-
     /// Runs the sequence and returns the final-step output logits.
     ///
     /// An empty sequence yields the read-out of the zero hidden state.
@@ -114,12 +108,13 @@ impl Rnn {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: run() always yields the initial hidden state h_0
         let h_last = hs.last().expect("run always yields h_0");
         let mut y = Vec::new();
-        linalg::matvec_bias(
+        linalg::matmul_bias(
             &self.why,
             &self.by,
             h_last,
             self.out_dim,
             self.hidden_dim,
+            1,
             &mut y,
         );
         y
@@ -133,24 +128,26 @@ impl Rnn {
         hs.push(vec![0.0; self.hidden_dim]);
         let mut zx = Vec::new();
         let mut zh = Vec::new();
+        let zero_bias = vec![0.0; self.hidden_dim];
         for x in xs {
             assert_eq!(x.len(), self.in_dim, "Rnn: input length mismatch");
-            linalg::matvec_bias(
+            linalg::matmul_bias(
                 &self.wxh,
                 &self.bh,
                 x,
                 self.hidden_dim,
                 self.in_dim,
+                1,
                 &mut zx,
             );
-            let zero_bias = vec![0.0; self.hidden_dim];
-            linalg::matvec_bias(
+            linalg::matmul_bias(
                 &self.whh,
                 &zero_bias,
                 // sibyl-lint: allow(unwrap-in-lib) -- invariant: hs starts with h_0 and only grows
                 hs.last().expect("hs non-empty"),
                 self.hidden_dim,
                 self.hidden_dim,
+                1,
                 &mut zh,
             );
             let z: Vec<f32> = zx.iter().zip(&zh).map(|(a, b)| a + b).collect();
@@ -181,17 +178,21 @@ impl Rnn {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: run() always yields the initial hidden state h_0
         let h_last = hs.last().expect("hs non-empty");
         let mut y = Vec::new();
-        linalg::matvec_bias(
+        linalg::matmul_bias(
             &self.why,
             &self.by,
             h_last,
             self.out_dim,
             self.hidden_dim,
+            1,
             &mut y,
         );
         let loss_val = loss::cross_entropy_logits(&y, target);
 
-        // Gradient buffers.
+        // Gradient buffers, zeroed on every step. The backward kernels skip
+        // the exactly-zero margins of each delta, which is bit-neutral here:
+        // the buffers start at `+0.0` (so no accumulator is `-0.0`) and the
+        // weights, inputs and hidden states are finite.
         let mut d_wxh = vec![0.0; self.wxh.len()];
         let mut d_whh = vec![0.0; self.whh.len()];
         let mut d_bh = vec![0.0; self.bh.len()];
@@ -203,10 +204,11 @@ impl Rnn {
         loss::cross_entropy_logits_grad(&y, target, &mut dy);
 
         // Read-out gradients.
-        linalg::outer_acc(&mut d_why, &dy, h_last);
-        linalg::add_assign(&mut d_by, &dy);
+        let (out_dim, hidden_dim) = (self.out_dim, self.hidden_dim);
+        linalg::matmul_at_b_acc(&mut d_why, &dy, h_last, out_dim, hidden_dim, 1);
+        linalg::col_sum_acc(&mut d_by, &dy, 1);
         let mut dh = Vec::new();
-        linalg::matvec_transpose(&self.why, &dy, self.out_dim, self.hidden_dim, &mut dh);
+        linalg::matmul_transpose(&self.why, &dy, out_dim, hidden_dim, 1, &mut dh);
 
         // BPTT.
         for t in (0..xs.len()).rev() {
@@ -214,10 +216,10 @@ impl Rnn {
             let h_prev = &hs[t];
             // dz = dh ⊙ (1 - h²)   (tanh derivative via the activation value)
             let dz: Vec<f32> = dh.iter().zip(h_t).map(|(d, h)| d * (1.0 - h * h)).collect();
-            linalg::outer_acc(&mut d_wxh, &dz, &xs[t]);
-            linalg::outer_acc(&mut d_whh, &dz, h_prev);
-            linalg::add_assign(&mut d_bh, &dz);
-            linalg::matvec_transpose(&self.whh, &dz, self.hidden_dim, self.hidden_dim, &mut dh);
+            linalg::matmul_at_b_acc(&mut d_wxh, &dz, &xs[t], hidden_dim, self.in_dim, 1);
+            linalg::matmul_at_b_acc(&mut d_whh, &dz, h_prev, hidden_dim, hidden_dim, 1);
+            linalg::col_sum_acc(&mut d_bh, &dz, 1);
+            linalg::matmul_transpose(&self.whh, &dz, hidden_dim, hidden_dim, 1, &mut dh);
         }
 
         // Clip and apply.
@@ -303,9 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn mac_count_reflects_shapes() {
+    fn num_params_reflects_shapes() {
         let rnn = Rnn::new(4, 10, 2, &mut rng(4));
-        assert_eq!(rnn.mac_count_per_step(), 4 * 10 + 10 * 10);
         assert_eq!(rnn.num_params(), 40 + 100 + 10 + 20 + 2);
     }
 

@@ -129,8 +129,8 @@ proptest! {
 /// A row's `matmul_bias` result does not depend on the batch it rides in:
 /// at every batch width 1..=17 (full tiles, the 8- and 4-lane remainder
 /// tiles, the single-row scalar path and every mix of them) the tiled
-/// kernel equals the scalar reference and the per-row `matvec_bias` to the
-/// bit — on random data, on all-zero rows under all-negative weights with
+/// kernel equals the scalar reference and itself at a batch of one, row by
+/// row, to the bit — on random data, on all-zero rows under all-negative weights with
 /// `±0.0` biases (where a chain started at `-0.0` would keep the sign the
 /// tiles' `+0.0` start drops), and with NaNs among the inputs (equal as
 /// NaNs: their payload is the platform's business).
@@ -163,12 +163,12 @@ fn matmul_bias_rows_are_independent_of_the_batch_width() {
             scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
             assert_eq!(tiled.len(), batch * rows);
             for (s, x) in xs.chunks_exact(cols).enumerate() {
-                linalg::matvec_bias(&w, &b, x, rows, cols, &mut single);
+                linalg::matmul_bias(&w, &b, x, rows, cols, 1, &mut single);
                 for (i, &v) in single.iter().enumerate() {
                     let (t, f) = (tiled[s * rows + i], reference[s * rows + i]);
                     assert!(
                         same(t, v) && same(f, v),
-                        "batch {batch} case {case} row {s} out {i}: tiled {t:?} scalar {f:?} matvec {v:?}"
+                        "batch {batch} case {case} row {s} out {i}: tiled {t:?} scalar {f:?} one row {v:?}"
                     );
                 }
             }

@@ -1,14 +1,13 @@
 //! The batched-training bit-identity pin.
 //!
-//! The batched training path (`forward_batch` + `backward_batch`) exists
-//! purely for locality — each weight matrix streams once per *batch*
-//! instead of once per *sample* — so it must change nothing about the
-//! numbers: gradients, input deltas, and therefore every optimizer step
-//! downstream must be bit-for-bit identical to the per-sample
-//! `forward` + `backward` loop it replaces. These property tests pin that
-//! contract across random shapes, batch sizes, and activations, mirroring
-//! the `infer_batch` parity pin the serving engine's inference already
-//! rests on.
+//! Training one batch (`forward_batch` + `backward_batch` over B rows)
+//! exists purely for locality — each weight matrix streams once per
+//! *batch* instead of once per *sample* — so it must change nothing about
+//! the numbers: gradients, input deltas, and therefore every optimizer
+//! step downstream must be bit-for-bit identical to B one-row calls in
+//! sample order. These property tests pin that contract across random
+//! shapes, batch sizes, and activations, mirroring the `infer_batch`
+//! parity pin the serving engine's inference already rests on.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -32,9 +31,9 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 proptest! {
     /// One `Dense::forward_batch` + `Dense::backward_batch` round leaves
     /// the gradient buffers and input deltas bit-identical to `batch`
-    /// sequential `forward` + `backward` calls in sample order — even
-    /// when accumulating on top of non-zero gradients from an earlier
-    /// round (the sequential loop never zeroes between samples).
+    /// sequential one-row rounds in sample order — even when
+    /// accumulating on top of non-zero gradients from an earlier round
+    /// (the sequential loop never zeroes between samples).
     #[test]
     fn dense_backward_batch_is_bit_identical(
         seed in 0u64..300,
@@ -55,17 +54,17 @@ proptest! {
         let prior_x = random_vec(&mut r, in_dim);
         let prior_dy = random_vec(&mut r, out_dim);
         for layer in [&mut batched, &mut sequential] {
-            let _ = layer.forward(&prior_x);
-            let _ = layer.backward(&prior_dy);
+            let _ = layer.forward_batch(&prior_x, 1);
+            let _ = layer.backward_batch(&prior_dy, 1);
         }
 
         let ys = batched.forward_batch(&xs, batch);
         let dxs = batched.backward_batch(&dys, batch);
 
         for s in 0..batch {
-            let y = sequential.forward(&xs[s * in_dim..(s + 1) * in_dim]);
+            let y = sequential.forward_batch(&xs[s * in_dim..(s + 1) * in_dim], 1);
             prop_assert_eq!(bits(&ys[s * out_dim..(s + 1) * out_dim]), bits(&y));
-            let dx = sequential.backward(&dys[s * out_dim..(s + 1) * out_dim]);
+            let dx = sequential.backward_batch(&dys[s * out_dim..(s + 1) * out_dim], 1);
             prop_assert_eq!(bits(&dxs[s * in_dim..(s + 1) * in_dim]), bits(&dx));
         }
         let (bdw, bdb) = batched.grads();
@@ -76,7 +75,7 @@ proptest! {
 
     /// The whole-network contract: `Mlp::forward_batch` +
     /// `Mlp::backward_batch` accumulates every layer's gradients
-    /// bit-identically to the per-sample loop, across random hidden
+    /// bit-identically to the one-row loop, across random hidden
     /// shapes, batch sizes, and both the paper's activations and the
     /// rest of the palette.
     #[test]
@@ -272,9 +271,10 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
 /// picked up `-0.0` entries (a scaled negative gradient can underflow to
 /// it; here they are planted through `params_and_grads_mut`) is back to
 /// `+0.0` after `zero_grad`, so the next sparse batch accumulates
-/// bit-identically to the per-sample loop. If `zero_grad` ever stopped
+/// bit-identically to the one-row loop. If `zero_grad` ever stopped
 /// writing `+0.0` — or a caller accumulated without it — the skipped
-/// `+0.0` terms would leave `-0.0` where the reference has `+0.0`.
+/// `+0.0` terms would leave `-0.0` where multiplying through (the
+/// `linalg::scalar` reference) gives `+0.0`.
 #[test]
 fn zero_grad_restores_the_zero_skip_precondition() {
     let (in_dim, out_dim, batch) = (5, 8, 6);
@@ -295,8 +295,8 @@ fn zero_grad_restores_the_zero_skip_precondition() {
     let _ = batched.forward_batch(&xs, batch);
     let _ = batched.backward_batch(&dys, batch);
     for s in 0..batch {
-        let _ = sequential.forward(&xs[s * in_dim..(s + 1) * in_dim]);
-        let _ = sequential.backward(&dys[s * out_dim..(s + 1) * out_dim]);
+        let _ = sequential.forward_batch(&xs[s * in_dim..(s + 1) * in_dim], 1);
+        let _ = sequential.backward_batch(&dys[s * out_dim..(s + 1) * out_dim], 1);
     }
     let (bdw, bdb) = batched.grads();
     let (sdw, sdb) = sequential.grads();
