@@ -244,8 +244,8 @@ fn bias_tile<const LANES: usize>(
 /// [`scalar::matmul_bias`] chain, whichever tile and lane it lands in:
 /// results are bit-identical to the reference, and a row's result does
 /// not depend on where in which batch it sits (what lets the decision
-/// memo move rows between batches). Vectorization happens across independent outputs, never
-/// within one dot product.
+/// memo move rows between batches). Vectorization happens across
+/// independent outputs, never within one dot product.
 ///
 /// # Panics
 ///
@@ -383,9 +383,10 @@ pub fn matmul_transpose(
 /// bit-identical to them: for every gradient element the per-sample
 /// contributions are added in ascending sample order onto the existing
 /// value, exactly the floating-point accumulation sequence of the
-/// retained [`scalar::matmul_at_b_acc`] reference. The nest runs sample-outer; the innermost loop is
-/// a bounds-check-free broadcast-multiply-accumulate over one contiguous
-/// gradient row, which rustc autovectorizes.
+/// retained [`scalar::matmul_at_b_acc`] reference. The nest runs
+/// sample-outer; the innermost loop is a bounds-check-free
+/// broadcast-multiply-accumulate over one contiguous gradient row, which
+/// rustc autovectorizes.
 ///
 /// **Zero-skip contract.** Per sample, only the gradient rows inside the
 /// delta row's `live_span` are touched. A skipped term is `±0.0 · x`,
