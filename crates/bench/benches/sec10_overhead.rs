@@ -7,11 +7,12 @@
 //!
 //! Measured with the crate's own stopwatch ([`sibyl_bench::median_ns`])
 //! so the target builds offline with `harness = false` like every other
-//! figure bench.
+//! figure bench; the training step is timed by the learner's own phase
+//! accounts (`Learner::train_phase_ns`).
 
 use rand::SeedableRng;
 use sibyl_bench::{median_ns, seed, Figure};
-use sibyl_core::{Experience, ExperienceBuffer, OverheadReport, SibylConfig};
+use sibyl_core::{Experience, ExperienceBuffer, Learner, OverheadReport, SibylConfig};
 use sibyl_nn::{Activation, Mlp};
 use sibyl_sim::report::Table;
 
@@ -51,57 +52,26 @@ fn inference_benchmark(fig: &mut Figure) {
     });
 }
 
-fn training_benchmark(fig: &mut Figure) {
-    // One full training step (8 batches × 128) through the public agent
-    // machinery is exercised indirectly; here we measure the raw
-    // forward+backward cost the paper counts (1,597,440 MACs).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let mut net = Mlp::new(
-        &[6, 20, 30, 2],
-        Activation::Swish,
-        Activation::Linear,
-        &mut rng,
-    );
-    let obs = [0.3f32, 1.0, 0.4, 0.6, 0.9, 0.0];
-    bench_function(fig, "train_sample_forward_backward", || {
-        let y = net.forward(std::hint::black_box(&obs));
-        let grad: Vec<f32> = y.iter().map(|v| 2.0 * v).collect();
-        net.zero_grad();
-        std::hint::black_box(net.backward(&grad));
-    });
-}
-
 /// §10's training-step cost, swept over replay-batch sizes on the
 /// default serving network (6-20-30-102): the modeled per-sample latency
 /// (deterministic — two weight streams per replay batch, amortized over
-/// the batch) next to measured wall-clock numbers for the per-sample
-/// reference loop, the batched step that replaced it, and that step's
-/// six phases in the learner's order. The batch-128 row is the in-situ
-/// shape: read its `batched ns/sample` against the benchmark's
-/// `nn.train_us_per_sample`.
+/// the batch) next to `Learner::train_step`'s own wall-clock accounts of
+/// its median step, in total and by phase in the order the step runs
+/// them (`Learner::TRAIN_PHASES`, which sum to the total). The batch-128
+/// row is the in-situ step at `SibylConfig::default()`: read its
+/// `ns/sample` against the benchmark's `nn.train_us_per_sample`.
 fn training_step_table(fig: &mut Figure) {
     const NS_PER_MAC: f64 = 20.0;
     println!("--- §10.1 training-step latency (default C51 net, {NS_PER_MAC} ns/MAC model) ---");
-    let mut table = Table::new([
-        "batch",
-        "model step (us)",
-        "model/sample (us)",
-        "seq ns/sample",
-        "batched ns/sample",
-        "target infer",
-        "targets",
-        "forward",
-        "loss_grad",
-        "backward",
-        "optimizer",
-    ]);
+    let mut headers = vec!["batch", "model step (us)", "model/sample (us)", "ns/sample"];
+    headers.extend(Learner::TRAIN_PHASES);
+    let mut table = Table::new(headers);
     for row in sibyl_bench::train_step_latency_rows(&[1, 8, 32, 128], NS_PER_MAC) {
         let mut cells = vec![
             row.batch.to_string(),
             format!("{:.2}", row.modeled_step_us),
             format!("{:.3}", row.modeled_per_sample_us),
-            format!("{:.1}", row.seq_ns_per_sample),
-            format!("{:.1}", row.batched_ns_per_sample),
+            format!("{:.1}", row.ns_per_sample),
         ];
         cells.extend(row.phase_ns_per_sample.map(|ns| format!("{ns:.1}")));
         table.add_row(cells);
@@ -249,7 +219,6 @@ fn main() -> std::io::Result<()> {
     inference_kernel_table(&mut fig);
     decision_memo_table(&mut fig);
     hss_access_table(&mut fig);
-    training_benchmark(&mut fig);
     training_step_table(&mut fig);
     buffer_benchmark(&mut fig);
     fig.finish()

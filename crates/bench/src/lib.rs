@@ -12,7 +12,9 @@
 //! - [`Figure::grid`] / [`Figure::sweep`] — the two table shapes the
 //!   paper's figures have (HSS configurations × traces × policies, and
 //!   swept parameter × policies). A figure is one `grid`/`sweep` call.
-//! - [`median_ns`] — the one stopwatch behind every host-clock number.
+//! - [`median_ns`] — the one stopwatch behind every host-clock number
+//!   the harness takes itself; the training-step table reads the
+//!   learner's own phase accounts instead.
 //!
 //! Run a single figure with
 //! `cargo bench -p sibyl-bench --bench fig09_latency`, or everything with
@@ -49,9 +51,9 @@ use std::io::Write;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sibyl_core::{Categorical, HeadScratch, SibylAgent, SibylConfig};
+use sibyl_core::{Experience, Learner, SibylAgent, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
-use sibyl_nn::{Activation, Adam, Mlp};
+use sibyl_nn::{Activation, Mlp};
 use sibyl_serve::{
     CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig, ServeReport,
 };
@@ -239,7 +241,8 @@ pub fn best_challenger<L>(runs: &[(L, ServeReport)]) -> Option<&(L, ServeReport)
 
 /// One row of `sec10_overhead`'s training-step latency table: the C51
 /// training step at one replay-batch size, under both the deterministic
-/// §10 cost model and a wall-clock measurement of the real kernels.
+/// §10 cost model and the learner's own wall-clock accounts of the step
+/// that runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainStepRow {
     /// Replay-batch size.
@@ -253,29 +256,14 @@ pub struct TrainStepRow {
     /// per-request training latency §10 charges; drops monotonically as
     /// the batch grows. Deterministic.
     pub modeled_per_sample_us: f64,
-    /// Measured wall-clock ns per sample through the per-sample loop
-    /// (batched target inference, then one `forward`/`backward` pass and
-    /// one head pipeline per transition, each pass a one-row batched
-    /// call through the same tiled kernels).
-    /// Both measured paths start every step from the same weights.
-    pub seq_ns_per_sample: f64,
-    /// Measured wall-clock ns per sample through the batched path in the
-    /// order `Learner::train_step` runs it: target `infer_batch`,
-    /// `Categorical::batch_targets`, `forward_batch_blocks` (the output
-    /// layer only in each sample's taken-action block),
-    /// `Categorical::batch_loss_grad` (gradient only, as with telemetry
-    /// off), `backward_batch`, Adam. Every row's target is computed — the
-    /// learner's case when no target is reused. At batch 128 this is the
-    /// figure to read against the benchmark's in-situ
-    /// `nn.train_us_per_sample` (which adds replay sampling and the
-    /// gather of reused targets).
-    pub batched_ns_per_sample: f64,
-    /// The six phases of that step, timed inside it, each the median over
-    /// every step run: `[target infer_batch, batch_targets,
-    /// forward_batch_blocks, batch_loss_grad, zero_grad + backward_batch,
-    /// Adam]`, ns per sample. They sum to about the step less its weight
-    /// restore and the timers.
-    pub phase_ns_per_sample: [f64; 6],
+    /// Measured wall-clock ns per trained sample of `Learner::train_step`:
+    /// the median step's time over its `batches_per_step × batch` samples.
+    /// At batch 128 the step is the in-situ one, the benchmark's
+    /// `nn.train_us_per_sample`.
+    pub ns_per_sample: f64,
+    /// That step's time by `Learner::TRAIN_PHASES`, ns per sample, as the
+    /// learner accounts it; the phases sum to `ns_per_sample`.
+    pub phase_ns_per_sample: [f64; Learner::TRAIN_PHASES.len()],
 }
 
 /// The crate's one stopwatch: calls `f` `reps` times untimed to warm up,
@@ -312,235 +300,66 @@ fn median_ns_each<const N: usize>(
     })
 }
 
-/// Times `steps` (each one whole replay batch of `batch` samples) in
-/// turns and returns each one's median ns per *sample* over nine timed
-/// rounds.
-fn time_per_sample<const N: usize>(batch: usize, steps: [&mut dyn FnMut(); N]) -> [f64; N] {
-    median_ns_each((2048 / batch).max(8) as u32, 9, steps).map(|ns| ns / batch as f64)
-}
-
-/// One replay batch of the batched training step, in the calls
-/// `Learner::train_step` makes and over buffers reused across calls the
-/// way the learner holds them.
-struct BatchedStep<'a> {
-    head: &'a Categorical,
-    target: &'a Mlp,
-    /// The weights every step starts from.
-    start: &'a Mlp,
-    net: Mlp,
-    opt: Adam,
-    gamma: f32,
-    batch: usize,
-    obs: &'a [f32],
-    next_obs: &'a [f32],
-    actions: &'a [usize],
-    rewards: &'a [f32],
-    bufs: StepBuffers,
-    /// Wall-clock ns of each of [`BatchedStep::PHASES`], one entry per
-    /// step run so far.
-    phase_ns: [Vec<u64>; 6],
-}
-
-#[derive(Default)]
-struct StepBuffers {
-    pingpong: [Vec<f32>; 2],
-    next_logits: Vec<f32>,
-    logits: Vec<f32>,
-    targets: Vec<f32>,
-    grads: Vec<f32>,
-    head: HeadScratch,
-}
-
-impl BatchedStep<'_> {
-    /// The step's phases, in the order the learner runs them.
-    const PHASES: [fn(&mut Self); 6] = [
-        Self::target_infer,
-        Self::targets,
-        Self::forward,
-        Self::loss_grad,
-        Self::backward,
-        Self::optimizer,
-    ];
-
-    /// One step from the starting weights, each phase timed. Adam moves
-    /// every weight by about the learning rate per step whatever the
-    /// gradient, so thousands of steps on one batch would drive the
-    /// network into saturated, subnormal-heavy arithmetic no learner
-    /// sees; the restore keeps every timed step at realistic weights.
-    fn run(&mut self) {
-        self.net.copy_weights_from(self.start);
-        for (i, phase) in Self::PHASES.iter().enumerate() {
-            let start = std::time::Instant::now();
-            phase(self);
-            self.phase_ns[i].push(start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Median ns per sample of each phase over the steps run so far.
-    fn phase_ns_per_sample(&mut self) -> [f64; 6] {
-        let batch = self.batch as f64;
-        std::array::from_fn(|i| {
-            let ns = &mut self.phase_ns[i];
-            ns.sort_unstable();
-            ns[ns.len() / 2] as f64 / batch
-        })
-    }
-
-    fn target_infer(&mut self) {
-        let b = &mut self.bufs;
-        self.target.infer_batch_into(
-            self.next_obs,
-            self.batch,
-            &mut b.pingpong[0],
-            &mut b.next_logits,
-        );
-        std::hint::black_box(&b.next_logits);
-    }
-
-    fn forward(&mut self) {
-        let b = &mut self.bufs;
-        self.net.forward_batch_blocks_into(
-            self.obs,
-            self.batch,
-            self.head.n_atoms(),
-            self.actions,
-            &mut b.pingpong[0],
-            &mut b.logits,
-        );
-        std::hint::black_box(&b.logits);
-    }
-
-    fn targets(&mut self) {
-        let b = &mut self.bufs;
-        b.targets.clear();
-        self.head.batch_targets(
-            &b.next_logits,
-            self.rewards,
-            self.gamma,
-            &mut b.head,
-            &mut b.targets,
-        );
-        std::hint::black_box(&b.targets);
-    }
-
-    fn loss_grad(&mut self) {
-        let b = &mut self.bufs;
-        self.head.batch_loss_grad(
-            &b.logits,
-            self.actions,
-            &b.targets,
-            &mut b.head,
-            &mut b.grads,
-            None,
-        );
-        std::hint::black_box(&b.grads);
-    }
-
-    fn backward(&mut self) {
-        let b = &mut self.bufs;
-        self.net.zero_grad();
-        self.net
-            .accumulate_grads_batch(&b.grads, self.batch, &mut b.pingpong);
-        std::hint::black_box(&self.net);
-    }
-
-    fn optimizer(&mut self) {
-        self.net.apply_grads(&mut self.opt, 1.0 / self.batch as f32);
-        std::hint::black_box(&self.net);
-    }
-}
-
 /// Builds `sec10_overhead`'s training-step latency table: one
-/// [`TrainStepRow`] per requested replay-batch size, on the network and
-/// head [`SibylConfig::default`] serves with (6-20-30-102: two actions ×
-/// 51 atoms, 3780 MACs) and the paper's two-network layout.
+/// [`TrainStepRow`] per requested replay-batch size, timing the
+/// [`Learner`] the agent trains with — [`SibylConfig::default`] at that
+/// batch size, two actions (the 6-20-30-102 serving network, 3780 MACs)
+/// and a full buffer of seeded transitions.
 ///
 /// The modeled columns are pure arithmetic over `ns_per_mac` —
-/// bit-identical across runs — while the measured columns time the real
-/// sequential and batched training paths in turns over identical seeded
-/// data, which is what the bench-crate regression test uses to pin that the
-/// batched path is no slower than the per-sample loop it replaced.
+/// bit-identical across runs. The measured columns are the learner's own
+/// phase accounts of its steps, each step started from the same weights:
+/// Adam moves every weight by about the learning rate per step whatever
+/// the gradient, so thousands of steps on one buffer would drive the
+/// network into saturated, subnormal-heavy arithmetic no agent sees.
 pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainStepRow> {
     const N_ACTIONS: usize = 2;
     const OBS_LEN: usize = 6;
-    let config = SibylConfig::default();
-    // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the latency table must measure identical weights every run
+    // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the latency table must measure identical transitions every run
     let mut rng = StdRng::seed_from_u64(0x5EC1_0000);
-    let head = Categorical::new(N_ACTIONS, config.n_atoms, config.v_min, config.v_max);
-    let [h1, h2] = config.hidden_dims;
-    let dims = [OBS_LEN, h1, h2, head.n_outputs()];
-    let proto = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
-    let target = proto.clone();
-    let macs = proto.mac_count() as f64;
-    let out_dim = proto.out_dim();
-    let gamma = config.discount;
-
     let mut rows = Vec::with_capacity(batches.len());
     for &batch in batches {
         assert!(batch > 0, "train_step_latency_rows: zero batch");
-        let mut obs_matrix = || -> Vec<f32> {
-            (0..batch * OBS_LEN)
-                .map(|_| rng.gen_range(0.0f32..1.0))
-                .collect()
+        let config = SibylConfig {
+            batch_size: batch,
+            ..SibylConfig::default()
         };
-        let (obs, next_obs) = (obs_matrix(), obs_matrix());
-        let actions: Vec<usize> = (0..batch).map(|i| i % N_ACTIONS).collect();
-        let rewards: Vec<f32> = (0..batch).map(|i| (i % 5) as f32 * 0.25).collect();
+        let mut learner = Learner::new(&config, N_ACTIONS, OBS_LEN);
+        let mut observation =
+            || -> Vec<f32> { (0..OBS_LEN).map(|_| rng.gen_range(0.0f32..1.0)).collect() };
+        for i in 0..config.buffer_capacity {
+            learner.push(Experience {
+                obs: observation(),
+                action: i % N_ACTIONS,
+                reward: (i % 5) as f32 * 0.25,
+                next_obs: observation(),
+            });
+        }
+        let start = learner.flat_params();
+        let samples = (config.batches_per_step * batch) as f64;
+        // A few untimed steps warm the buffers up, then about 16k samples.
+        let steps = (16_384 / (config.batches_per_step * batch)).max(9);
+        let mut step_phases: Vec<[u64; Learner::TRAIN_PHASES.len()]> = Vec::with_capacity(steps);
+        for step in 0..steps + 3 {
+            learner.set_flat_params(&start);
+            let before = learner.train_phase_ns();
+            assert!(learner.train_step(), "the buffer is full");
+            let after = learner.train_phase_ns();
+            if step >= 3 {
+                step_phases.push(std::array::from_fn(|i| after[i] - before[i]));
+            }
+        }
+        step_phases.sort_by_key(|phases| phases.iter().sum::<u64>());
+        let median = step_phases[step_phases.len() / 2];
 
-        // Batched path, timed in turns with the per-sample reference
-        // below; its phases are timed inside each step.
-        let mut step = BatchedStep {
-            head: &head,
-            target: &target,
-            start: &proto,
-            net: proto.clone(),
-            opt: Adam::new(config.learning_rate),
-            gamma,
-            batch,
-            obs: &obs,
-            next_obs: &next_obs,
-            actions: &actions,
-            rewards: &rewards,
-            bufs: Default::default(),
-            phase_ns: Default::default(),
-        };
-
-        // Per-sample reference: the pre-refactor loop shape — batched
-        // target inference, then one forward/backward per transition and
-        // the per-sample head pipeline.
-        let mut seq_net = proto.clone();
-        let mut seq_opt = Adam::new(config.learning_rate);
-        let [seq_ns, batched_ns] = time_per_sample(
-            batch,
-            [
-                &mut || {
-                    seq_net.copy_weights_from(&proto);
-                    let next_logits = target.infer_batch(&next_obs, batch);
-                    seq_net.zero_grad();
-                    let mut grad = Vec::new();
-                    for i in 0..batch {
-                        let next_row = &next_logits[i * out_dim..(i + 1) * out_dim];
-                        let next_best = head.best_action(next_row);
-                        let next_probs = head.action_distribution(next_row, next_best);
-                        let proj = head.project(rewards[i], gamma, &next_probs);
-                        let logits = seq_net.forward(&obs[i * OBS_LEN..(i + 1) * OBS_LEN]);
-                        let _ = head.loss_grad(&logits, actions[i], &proj, &mut grad);
-                        std::hint::black_box(seq_net.backward(&grad));
-                    }
-                    seq_net.apply_grads(&mut seq_opt, 1.0 / batch as f32);
-                },
-                &mut || step.run(),
-            ],
-        );
-
+        let macs = learner.inference().net.mac_count() as f64;
         let modeled_step_us = 2.0 * macs * ns_per_mac / 1_000.0;
         rows.push(TrainStepRow {
             batch,
             modeled_step_us,
             modeled_per_sample_us: modeled_step_us / batch as f64,
-            seq_ns_per_sample: seq_ns,
-            batched_ns_per_sample: batched_ns,
-            phase_ns_per_sample: step.phase_ns_per_sample(),
+            ns_per_sample: median.iter().sum::<u64>() as f64 / samples,
+            phase_ns_per_sample: median.map(|ns| ns as f64 / samples),
         });
     }
     rows
@@ -607,8 +426,8 @@ fn scalar_infer_batch(
 pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelRow> {
     // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the kernel table must measure identical weights every run
     let mut rng = StdRng::seed_from_u64(0x5EC1_0001);
-    let head = Categorical::new(2, 11, 0.0, 10.0);
-    let dims = [6, 20, 30, head.n_outputs()];
+    // Two actions × 11 atoms.
+    let dims = [6, 20, 30, 22];
     let net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
     let macs = net.mac_count() as f64;
 
@@ -618,8 +437,10 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
         let xs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
 
         let (mut cur, mut next) = (Vec::new(), Vec::new());
-        let [scalar_ns, tiled_ns] = time_per_sample(
-            batch,
+        // Both passes in turns, nine timed rounds of about 2k rows each.
+        let [scalar_ns, tiled_ns] = median_ns_each(
+            (2048 / batch).max(8) as u32,
+            9,
             [
                 &mut || {
                     scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
@@ -630,7 +451,7 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
                 },
             ],
         )
-        .map(|ns| ns / macs);
+        .map(|ns| ns / batch as f64 / macs);
 
         rows.push(InferKernelRow {
             batch,
@@ -1388,14 +1209,14 @@ mod tests {
         );
     }
 
-    /// The sec10_overhead training-latency pins: the batched training
-    /// step is no slower than the per-sample loop once batches amortize
-    /// (batch ≥ 8), the table's modeled latency columns are
-    /// bit-deterministic across runs and drop monotonically with batch
-    /// size — the acceptance shape of the batched-training refactor —
-    /// and every phase of the step is timed.
+    /// The sec10_overhead training-latency pins: the table's modeled
+    /// latency columns are bit-deterministic across runs and drop
+    /// monotonically with batch size, every phase of the learner's step
+    /// is timed, and each row's phases add up to its ns/sample. (That
+    /// the batched step is no slower than the per-sample loop it replaced
+    /// is pinned beside both, in `sibyl-core`'s learner tests.)
     #[test]
-    fn batched_training_step_is_no_slower_and_table_is_deterministic() {
+    fn training_step_table_is_the_learners_own_account() {
         let rows_a = train_step_latency_rows(&[1, 8, 32], 20.0);
         let rows_b = train_step_latency_rows(&[1, 8, 32], 20.0);
         assert_eq!(rows_a.len(), 3);
@@ -1426,19 +1247,10 @@ mod tests {
                     .all(|ns| ns.is_finite() && *ns > 0.0),
                 "every phase is timed: {row:?}"
             );
-        }
-        // The wall-clock pin only holds meaning under the optimized
-        // codegen the benches actually run in (and debug timing noise on
-        // a loaded runner could flake the whole gate), so it is scoped to
-        // release builds — CI's `cargo test --release` pass exercises it.
-        #[cfg(not(debug_assertions))]
-        for row in rows_a.iter().filter(|r| r.batch >= 8) {
+            let sum: f64 = row.phase_ns_per_sample.iter().sum();
             assert!(
-                row.batched_ns_per_sample <= row.seq_ns_per_sample * 1.10,
-                "batch {}: batched {:.0} ns/sample vs sequential {:.0} ns/sample",
-                row.batch,
-                row.batched_ns_per_sample,
-                row.seq_ns_per_sample
+                (sum - row.ns_per_sample).abs() <= 1e-9 * row.ns_per_sample,
+                "the phases are the step: {row:?}"
             );
         }
     }

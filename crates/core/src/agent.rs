@@ -265,7 +265,7 @@ impl SibylAgent {
         learner.push(exp);
         if due && learner.train_step() {
             self.stats.train_steps = learner.train_steps;
-            self.stats.train_ns = learner.train_ns;
+            self.stats.train_ns = learner.train_ns();
             self.stats.weight_syncs += 1;
             // The learner tracks its loss exactly when telemetry is
             // enabled, which is when the introspection state exists.

@@ -13,21 +13,8 @@ use sibyl_nn::softmax;
 
 /// The categorical value head shared by the training and inference
 /// networks.
-///
-/// # Examples
-///
-/// ```
-/// use sibyl_core::Categorical;
-/// let c = Categorical::new(2, 11, 0.0, 10.0);
-/// assert_eq!(c.n_outputs(), 22);
-/// // Uniform logits -> Q equals the support's mean for both actions.
-/// let logits = vec![0.0; 22];
-/// let q = c.q_values(&logits);
-/// assert!((q[0] - 5.0).abs() < 1e-4);
-/// assert!((q[1] - 5.0).abs() < 1e-4);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
+pub(crate) struct Categorical {
     n_actions: usize,
     n_atoms: usize,
     v_min: f32,
@@ -43,7 +30,7 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics if `n_actions == 0`, `n_atoms < 2`, or `v_max <= v_min`.
-    pub fn new(n_actions: usize, n_atoms: usize, v_min: f32, v_max: f32) -> Self {
+    pub(crate) fn new(n_actions: usize, n_atoms: usize, v_min: f32, v_max: f32) -> Self {
         assert!(n_actions > 0, "Categorical: need at least one action");
         assert!(n_atoms >= 2, "Categorical: need at least two atoms");
         assert!(v_max > v_min, "Categorical: v_max must exceed v_min");
@@ -59,24 +46,14 @@ impl Categorical {
         }
     }
 
-    /// Number of actions.
-    pub fn n_actions(&self) -> usize {
-        self.n_actions
-    }
-
     /// Number of support atoms.
-    pub fn n_atoms(&self) -> usize {
+    pub(crate) fn n_atoms(&self) -> usize {
         self.n_atoms
     }
 
     /// Total network outputs required (`n_actions × n_atoms`).
-    pub fn n_outputs(&self) -> usize {
+    pub(crate) fn n_outputs(&self) -> usize {
         self.n_actions * self.n_atoms
-    }
-
-    /// The fixed value support.
-    pub fn support(&self) -> &[f32] {
-        &self.support
     }
 
     /// Softmax distribution of one action's logit block.
@@ -85,14 +62,15 @@ impl Categorical {
     ///
     /// Panics if `logits.len() != n_outputs()` or `action` is out of
     /// range.
-    pub fn action_distribution(&self, logits: &[f32], action: usize) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn action_distribution(&self, logits: &[f32], action: usize) -> Vec<f32> {
         let mut p = Vec::new();
         self.block_probs(logits, action, &mut p);
         p
     }
 
-    /// [`Categorical::action_distribution`] refilling a caller-owned
-    /// `probs` — the one place a logit block is soft-maxed.
+    /// One action's softmax distribution into a caller-owned `probs` —
+    /// the one place a logit block is soft-maxed.
     fn block_probs(&self, logits: &[f32], action: usize, probs: &mut Vec<f32>) {
         assert_eq!(logits.len(), self.n_outputs(), "logit length mismatch");
         assert!(action < self.n_actions, "action out of range");
@@ -104,9 +82,9 @@ impl Categorical {
 
     /// Soft-maxes one action's logit block into `probs` and returns its
     /// expected value `Q(s, a) = Σ zᵢ pᵢ` — the building block shared by
-    /// the decide path ([`Categorical::q_values`]) and the training head
-    /// ([`Categorical::batch_targets`]). Allocates nothing once `probs` has
-    /// grown to `n_atoms`.
+    /// the decide path ([`Categorical::q_values_into`]) and the training
+    /// head ([`Categorical::batch_targets`]). Allocates nothing once
+    /// `probs` has grown to `n_atoms`.
     ///
     /// # Panics
     ///
@@ -122,14 +100,16 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics if `logits.len() != n_outputs()`.
-    pub fn q_values(&self, logits: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn q_values(&self, logits: &[f32]) -> Vec<f32> {
         let (mut probs, mut q) = (Vec::new(), Vec::new());
         self.q_values_into(logits, &mut probs, &mut q);
         q
     }
 
-    /// [`Categorical::q_values`] into caller-owned buffers: `q` is
-    /// refilled with one value per action, `probs` is softmax workspace.
+    /// Expected value per action, `Q(s, a) = Σ zᵢ pᵢ`, into caller-owned
+    /// buffers: `q` is refilled with one value per action, `probs` is
+    /// softmax workspace.
     ///
     /// # Panics
     ///
@@ -144,7 +124,8 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics if `logits.len() != n_outputs()`.
-    pub fn best_action(&self, logits: &[f32]) -> usize {
+    #[cfg(test)]
+    pub(crate) fn best_action(&self, logits: &[f32]) -> usize {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: the support always has n_actions > 0 entries
         sibyl_nn::argmax(&self.q_values(logits)).expect("n_actions > 0")
     }
@@ -156,14 +137,17 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics if `next_probs.len() != n_atoms`.
-    pub fn project(&self, reward: f32, gamma: f32, next_probs: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn project(&self, reward: f32, gamma: f32, next_probs: &[f32]) -> Vec<f32> {
         let mut m = vec![0.0f32; self.n_atoms];
         self.project_onto(reward, gamma, next_probs, &mut m);
         m
     }
 
-    /// [`Categorical::project`] accumulating onto a caller-owned, zeroed
-    /// `m` of `n_atoms` entries.
+    /// Projects the Bellman-updated distribution `r + γ·z` (with
+    /// next-state distribution `next_probs`) onto the fixed support,
+    /// accumulating onto a caller-owned, zeroed `m` of `n_atoms` entries —
+    /// the C51 categorical projection.
     ///
     /// The atom position `b` of a clamped target is never negative, so
     /// its floor `l` is the truncating cast `b as usize`, and its ceiling
@@ -211,7 +195,8 @@ impl Categorical {
     /// # Panics
     ///
     /// Panics on any length/action mismatch.
-    pub fn loss_grad(
+    #[cfg(test)]
+    pub(crate) fn loss_grad(
         &self,
         logits: &[f32],
         action: usize,
@@ -246,7 +231,7 @@ impl Categorical {
     ///
     /// Panics if `next_logits` does not hold one `n_outputs()`-wide row
     /// per reward.
-    pub fn batch_targets(
+    pub(crate) fn batch_targets(
         &self,
         next_logits: &[f32],
         rewards: &[f32],
@@ -289,10 +274,10 @@ impl Categorical {
     /// Batched cross-entropy against precomputed `targets` (one
     /// `n_atoms`-wide row per sample, as [`Categorical::batch_targets`]
     /// lays them out): fills the row-major `(batch × n_outputs)`
-    /// `dL/dlogits` matrix — the training-network half of the pipeline,
-    /// [`Categorical::loss_grad`] per row with one softmax of the taken
-    /// action's block feeding the gradient `p − target`. Every other block
-    /// is left at exactly `+0.0` — the sparsity the backward kernels skip.
+    /// `dL/dlogits` matrix — the training-network half of the pipeline:
+    /// per row, one softmax of the taken action's block feeds the
+    /// cross-entropy gradient `p − target`. Every other block is left at
+    /// exactly `+0.0` — the sparsity the backward kernels skip.
     ///
     /// The gradient does not need the loss `−Σ target·ln p`, so it is only
     /// computed when `losses` is given, which it then refills with one
@@ -302,7 +287,7 @@ impl Categorical {
     ///
     /// Panics if the row counts of `logits`, `actions` and `targets`
     /// disagree, or any action is out of range.
-    pub fn batch_loss_grad(
+    pub(crate) fn batch_loss_grad(
         &self,
         logits: &[f32],
         actions: &[usize],
@@ -352,7 +337,7 @@ impl Categorical {
 /// Reusable workspace of the batched training head; contents between
 /// calls are unspecified.
 #[derive(Debug, Clone, Default)]
-pub struct HeadScratch {
+pub(crate) struct HeadScratch {
     /// The block being soft-maxed.
     row: Vec<f32>,
     /// The greedy next-state action's distribution.
@@ -437,10 +422,10 @@ mod tests {
     #[test]
     fn support_spans_range_evenly() {
         let c = head();
-        assert_eq!(c.support().len(), 11);
-        assert_eq!(c.support()[0], 0.0);
-        assert_eq!(c.support()[10], 10.0);
-        assert!((c.support()[1] - 1.0).abs() < 1e-6);
+        assert_eq!(c.support.len(), 11);
+        assert_eq!(c.support[0], 0.0);
+        assert_eq!(c.support[10], 10.0);
+        assert!((c.support[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -621,7 +606,7 @@ mod tests {
             // `k` atom widths reach well past both ends of the support.
             let reward = match kind {
                 // An atom's value: on an atom at γ = 0.
-                0 => c.support()[k.rem_euclid(c.n_atoms() as i32) as usize],
+                0 => c.support[k.rem_euclid(c.n_atoms() as i32) as usize],
                 // Whole atom widths: the support shifted by `k` at γ = 1.
                 1 => k as f32 * c.dz,
                 // Between atoms.

@@ -34,6 +34,42 @@ pub struct Inference<'a> {
 /// [`TrainScratch::memo_row`] of a slot the running step has not drawn.
 const UNSEEN: u32 = u32::MAX;
 
+/// How many phases [`Learner::train_step`] accounts its time to.
+const TRAIN_PHASE_COUNT: usize = 8;
+
+/// A phase of [`Learner::train_step`], indexing [`Learner::TRAIN_PHASES`].
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Replay,
+    TargetInfer,
+    Targets,
+    Forward,
+    LossGrad,
+    Backward,
+    Optimizer,
+    Adopt,
+}
+
+/// The learner's one wall clock. Only phase accounts read it: a duration
+/// is reported, never fed back into a decision or a weight.
+fn now() -> std::time::Instant {
+    // sibyl-lint: allow(wallclock-in-logic) -- train-phase telemetry only: durations are reported, never fed back into decisions
+    std::time::Instant::now()
+}
+
+/// One chain of clock reads through a training step: each lap charges
+/// the time since the previous read to one phase's account, so the
+/// accounts sum to the time from the first read to the last.
+struct PhaseClock(std::time::Instant);
+
+impl PhaseClock {
+    fn lap(&mut self, accounts: &mut [u64; TRAIN_PHASE_COUNT], phase: Phase) {
+        let t = now();
+        accounts[phase as usize] += t.duration_since(self.0).as_nanos() as u64;
+        self.0 = t;
+    }
+}
+
 /// The per-replay-batch buffers of [`Learner::train_step`], kept across
 /// batches and steps so a step allocates nothing once they have grown.
 #[derive(Debug, Default)]
@@ -98,10 +134,11 @@ pub struct Learner {
     track_loss: bool,
     /// Mean loss of the most recent step, when `track_loss`.
     last_loss: Option<f32>,
-    /// Wall-clock nanoseconds spent inside [`Learner::train_step`]
-    /// (telemetry; excluded from determinism comparisons — see
+    /// Wall-clock nanoseconds spent inside [`Learner::train_step`], one
+    /// account per [`Learner::TRAIN_PHASES`] entry (telemetry; excluded
+    /// from determinism comparisons — see
     /// [`AgentStats::train_ns`](crate::AgentStats::train_ns)).
-    pub(crate) train_ns: u64,
+    phase_ns: [u64; TRAIN_PHASE_COUNT],
     /// Test hook: route [`Learner::train_step`] through the pre-refactor
     /// per-sample reference implementation so golden tests can compare
     /// the two paths through identical public machinery.
@@ -110,6 +147,23 @@ pub struct Learner {
 }
 
 impl Learner {
+    /// The phases [`Learner::train_step`] accounts its wall time to, in
+    /// the order it runs them: replay sampling and the row gather, target
+    /// inference, the Bellman targets and their gather, the training
+    /// forward pass, the loss gradient (importance weighting included),
+    /// the backward pass, Adam, and the inference network's adoption of
+    /// the trained weights.
+    pub const TRAIN_PHASES: [&'static str; TRAIN_PHASE_COUNT] = [
+        "replay",
+        "target infer",
+        "targets",
+        "forward",
+        "loss_grad",
+        "backward",
+        "optimizer",
+        "adopt",
+    ];
+
     /// Creates a learner for `n_actions` actions over `obs_len`-feature
     /// observations, with networks, optimizer, replay buffer, and RNG
     /// derived from `config`.
@@ -146,7 +200,7 @@ impl Learner {
             train_steps: 0,
             track_loss: config.telemetry.enabled(),
             last_loss: None,
-            train_ns: 0,
+            phase_ns: [0; TRAIN_PHASE_COUNT],
             #[cfg(test)]
             use_reference_train: false,
         }
@@ -214,6 +268,9 @@ impl Learner {
     /// transitions take the exact unscaled path, so a buffer holding only
     /// local experiences trains bit-identically to one predating the
     /// weighting mechanism.
+    ///
+    /// A step that runs charges its wall time to
+    /// [`Learner::train_phase_ns`], phase by phase.
     pub fn train_step(&mut self) -> bool {
         #[cfg(test)]
         if self.use_reference_train {
@@ -222,8 +279,7 @@ impl Learner {
         if self.buffer.is_empty() {
             return false;
         }
-        // sibyl-lint: allow(wallclock-in-logic) -- train_ns telemetry only: the duration is reported, never fed back into decisions
-        let started = std::time::Instant::now();
+        let mut clock = PhaseClock(now());
         let mut total_loss = 0.0f32;
         let mut total_samples = 0usize;
         let s = &mut self.scratch;
@@ -255,6 +311,7 @@ impl Learner {
                     s.fresh_rewards.push(exp.reward);
                 }
             }
+            clock.lap(&mut self.phase_ns, Phase::Replay);
             if !s.fresh_rewards.is_empty() {
                 self.target_net.infer_batch_into(
                     &s.fresh_next_obs,
@@ -262,6 +319,7 @@ impl Learner {
                     &mut s.pingpong[0],
                     &mut s.next_logits,
                 );
+                clock.lap(&mut self.phase_ns, Phase::TargetInfer);
                 self.head.batch_targets(
                     &s.next_logits,
                     &s.fresh_rewards,
@@ -276,6 +334,7 @@ impl Learner {
                 s.targets
                     .extend_from_slice(&s.memo[row * tw..(row + 1) * tw]);
             }
+            clock.lap(&mut self.phase_ns, Phase::Targets);
             self.train_net.zero_grad();
             // The loss reads only each sample's taken-action block, so the
             // output layer computes only that block.
@@ -287,6 +346,7 @@ impl Learner {
                 &mut s.pingpong[0],
                 &mut s.logits,
             );
+            clock.lap(&mut self.phase_ns, Phase::Forward);
             self.head.batch_loss_grad(
                 &s.logits,
                 &s.actions,
@@ -318,12 +378,15 @@ impl Learner {
                 total_loss += loss;
             }
             total_samples += n;
+            clock.lap(&mut self.phase_ns, Phase::LossGrad);
             self.train_net
                 .accumulate_grads_batch(&s.grads, n, &mut s.pingpong);
+            clock.lap(&mut self.phase_ns, Phase::Backward);
             self.train_net.apply_grads(&mut self.opt, 1.0 / n as f32);
+            clock.lap(&mut self.phase_ns, Phase::Optimizer);
         }
         self.adopt_trained(total_loss / total_samples.max(1) as f32);
-        self.train_ns += started.elapsed().as_nanos() as u64;
+        clock.lap(&mut self.phase_ns, Phase::Adopt);
         true
     }
 
@@ -332,6 +395,21 @@ impl Learner {
     /// otherwise.
     pub fn last_loss(&self) -> Option<f32> {
         self.last_loss
+    }
+
+    /// Wall-clock nanoseconds [`Learner::train_step`] has spent so far in
+    /// each of [`Learner::TRAIN_PHASES`]. One chain of clock reads runs
+    /// through a step and each read closes one phase, so the accounts sum
+    /// to the whole time spent training. Telemetry only: no decision or
+    /// weight reads it.
+    pub fn train_phase_ns(&self) -> [u64; TRAIN_PHASE_COUNT] {
+        self.phase_ns
+    }
+
+    /// Wall-clock nanoseconds spent in [`Learner::train_step`] so far: the
+    /// sum of [`Learner::train_phase_ns`].
+    pub(crate) fn train_ns(&self) -> u64 {
+        self.phase_ns.iter().sum()
     }
 
     /// The per-sample training step, kept as the golden reference the
@@ -510,7 +588,7 @@ mod tests {
         assert!(!l.train_step());
         assert_eq!(l.last_loss(), None);
         assert_eq!(l.train_steps, 0);
-        assert_eq!(l.train_ns, 0);
+        assert_eq!(l.train_phase_ns(), [0; TRAIN_PHASE_COUNT]);
     }
 
     /// The tentpole pin at the learner level: the batched training step
@@ -670,14 +748,128 @@ mod tests {
         l.push_weighted(exp(0.1, 0, 0.0), 1.5);
     }
 
+    /// Every phase of a step is charged, the accounts add up to the
+    /// learner's training time exactly, and that time fits inside the
+    /// wall time around the steps: the phases are one chain of clock
+    /// reads, not separate stopwatches.
     #[test]
-    fn train_step_accumulates_train_ns() {
+    fn train_phases_account_the_whole_step() {
         let mut l = Learner::new(&config(), 2, 6);
         for i in 0..64 {
             l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
         }
-        assert!(l.train_step());
-        assert!(l.train_ns > 0, "training time must be accounted");
+        let started = now();
+        for _ in 0..5 {
+            assert!(l.train_step());
+        }
+        let outside = now().duration_since(started).as_nanos() as u64;
+        let phases = l.train_phase_ns();
+        assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
+        assert_eq!(phases.iter().sum::<u64>(), l.train_ns());
+        assert!(l.train_ns() <= outside, "{} > {outside}", l.train_ns());
+        assert_eq!(Learner::TRAIN_PHASES.len(), phases.len());
+    }
+
+    /// The learner learns, apart from any storage model: a two-armed
+    /// contextual bandit whose better arm is set by one of six binned
+    /// features, with noisy rewards of mean 0.4 on the better arm and 0.15
+    /// on the other, explored uniformly, 1 000 transitions per step. At
+    /// the default configuration the greedy action is the better arm on
+    /// every held-out observation within 25 training steps.
+    ///
+    /// It does not: at this seed the last wrong pick goes at step 52. An
+    /// arm that is better on every observation is learned in 2 steps, so
+    /// the learner learns, but slowly wherever the answer turns on the
+    /// context. Ignored until that is mended; run it with `--ignored`.
+    #[test]
+    #[ignore = "fails: the default learner needs 52 steps, not 25 (see CHANGES.md)"]
+    fn default_learner_solves_a_contextual_bandit() {
+        use rand::Rng;
+        const BINS: u32 = 8;
+        const HELD_OUT: usize = 2_000;
+        let mut rng = StdRng::seed_from_u64(0xBA4D17);
+        let observe = |rng: &mut StdRng| -> Vec<f32> {
+            (0..6)
+                .map(|_| rng.gen_range(0..BINS) as f32 / (BINS - 1) as f32)
+                .collect()
+        };
+        let better = |obs: &[f32]| usize::from(obs[2] >= 0.5);
+        let held_out: Vec<Vec<f32>> = (0..HELD_OUT).map(|_| observe(&mut rng)).collect();
+        let mut l = Learner::new(&SibylConfig::default(), 2, 6);
+        let mut next = observe(&mut rng);
+        let solved_at = (1..=25).find(|_| {
+            for _ in 0..1_000 {
+                let obs = std::mem::replace(&mut next, observe(&mut rng));
+                let action = rng.gen_range(0..2);
+                let mean = if action == better(&obs) { 0.4 } else { 0.15 };
+                let reward = mean + rng.gen_range(-0.2f32..0.2);
+                let next_obs = next.clone();
+                l.push(Experience {
+                    obs,
+                    action,
+                    reward,
+                    next_obs,
+                });
+            }
+            assert!(l.train_step());
+            held_out.iter().all(|obs| {
+                let q = q_values(&l, obs);
+                usize::from(q[1] > q[0]) == better(obs)
+            })
+        });
+        assert!(solved_at.is_some(), "not solved within 25 steps");
+    }
+
+    /// The batched step is no slower than the per-sample reference it
+    /// replaced once batches amortize (batch ≥ 8), raced on identical
+    /// learners at the default network (two actions × 51 atoms) and a
+    /// full default buffer, each step from the same weights. Wall-clock
+    /// only means something under the optimized codegen the agent runs
+    /// in, so the pin is scoped to release builds.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn batched_step_is_no_slower_than_reference() {
+        for batch_size in [8, 32] {
+            let cfg = SibylConfig {
+                batch_size,
+                ..Default::default()
+            };
+            let mut learners = [Learner::new(&cfg, 2, 6), Learner::new(&cfg, 2, 6)];
+            learners[1].use_reference_train = true;
+            for i in 0..cfg.buffer_capacity {
+                let e = exp(i as f32 / 1000.0, i % 2, (i % 5) as f32 * 0.25);
+                learners.iter_mut().for_each(|l| l.push(e.clone()));
+            }
+            let start = learners[0].flat_params();
+            let reps = (2048 / batch_size).max(8);
+            let mut ns = [vec![], vec![]];
+            // A warm-up round, then nine timed ones; within a round the
+            // two take turns, the first one alternating.
+            for round in 0..10 {
+                for k in 0..2 {
+                    let i = (round + k) % 2;
+                    let l = &mut learners[i];
+                    let mut spent = 0;
+                    for _ in 0..reps / cfg.batches_per_step {
+                        l.set_flat_params(&start);
+                        let t = now();
+                        assert!(l.train_step());
+                        spent += now().duration_since(t).as_nanos();
+                    }
+                    if round > 0 {
+                        ns[i].push(spent);
+                    }
+                }
+            }
+            let [batched, reference] = ns.map(|mut v| {
+                v.sort_unstable();
+                v[v.len() / 2] as f64
+            });
+            assert!(
+                batched <= reference * 1.10,
+                "batch {batch_size}: batched {batched:.0} ns vs reference {reference:.0} ns"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   `N ≥ 3` devices adds outputs and capacity features (§8.7).
 //! - **Reward** ([`RewardShaper`]): `1/L_t`, penalized by `0.001·L_e` on
 //!   eviction (Eq. 1), scaled to a stable support range.
-//! - **Learning** ([`Categorical`]): a C51 categorical DQN
+//! - **Learning** ([`Learner`]): a C51 categorical DQN
 //!   over a 6-20-30-|A| swish network, trained from a 1000-entry
 //!   deduplicated [`ExperienceBuffer`] — 8 batches of 128 every 1000
 //!   requests, with training→inference weight copies (Algorithm 1).
@@ -64,7 +64,6 @@ mod reward;
 
 pub use agent::{AgentStats, RlProbe, SibylAgent};
 pub use buffer::{Experience, ExperienceBuffer};
-pub use c51::{Categorical, HeadScratch};
 pub use config::{QuantMode, SibylConfig};
 pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};

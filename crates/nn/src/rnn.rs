@@ -81,11 +81,6 @@ impl Rnn {
         self.in_dim
     }
 
-    /// Hidden-state dimensionality.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.out_dim

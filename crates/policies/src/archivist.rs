@@ -7,6 +7,18 @@
 //! promotion or eviction of its own, and — crucially — receives no
 //! system-level feedback, so it often mispredicts and classifies the same
 //! share of requests hot regardless of the fast device's size.
+//!
+//! ## What its column measures
+//!
+//! Its classifier is almost constant on the MSRC traces. The first
+//! [`Archivist::EPOCH_REQUESTS`] (2 000) requests have nothing to train on
+//! and go to the slow device; after its first training it sends 3 998 of
+//! the next 4 000 `rsrch_0` requests and 3 973 of 4 000 `hm_1` requests to
+//! the fast device. At the committed figures' `SIBYL_REQS=5000` its
+//! column is therefore a 2 000-request Slow-Only prefix followed by a
+//! nearly all-fast placement, not a hot/cold split. Mending the
+//! classifier re-pins `figures/` and the `paper-suite` benchmark's
+//! `sim.fingerprint32`, so it is left for a later change.
 
 use std::collections::HashMap;
 

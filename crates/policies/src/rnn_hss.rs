@@ -10,6 +10,18 @@
 //! trained once on that profile, and the frozen model classifies pages
 //! hot/cold for the rest of the run — no system feedback, no retraining,
 //! which is exactly the adaptivity gap Sibyl exploits.
+//!
+//! ## What its column measures
+//!
+//! The profile is a fixed [`RnnHss::PROFILE_REQUESTS`] (4 000) requests,
+//! whatever the trace length, and every one of them is placed on the
+//! slow device. At the committed figures' `SIBYL_REQS=5000`, four fifths
+//! of each RNN-HSS run is that profiling phase, so its column is mostly a
+//! Slow-Only prefix with 1 000 requests of RNN placement after it. On a
+//! trace of 4 000 requests or fewer the network decides nothing (at
+//! exactly 4 000 it trains on the last request). Sizing the profile to
+//! the trace re-pins `figures/` and the `paper-suite` benchmark's
+//! `sim.fingerprint32`, so it is left for a later change.
 
 use std::collections::HashMap;
 
