@@ -107,13 +107,13 @@ fn inference_kernel_table(fig: &mut Figure) {
     // host-clock measurement — it is reported, never replayed into the
     // modeled clock, whose one cost model is `nn_ns_per_mac`. The fit
     // itself is exact least squares (deterministic given the points).
-    const MACS: f64 = 1380.0;
+    let macs = rows[0].macs as f64;
     let points: Vec<(usize, f64)> = rows
         .iter()
         .map(|r| {
             (
                 r.batch,
-                r.tiled_ns_per_mac * MACS * r.batch as f64 / 1_000.0,
+                r.tiled_ns_per_mac * macs * r.batch as f64 / 1_000.0,
             )
         })
         .collect();
@@ -124,7 +124,7 @@ fn inference_kernel_table(fig: &mut Figure) {
     fig.note("two_term_per_row_us", format_args!("{:.4}", fit.per_row_us));
     println!(
         " µs/row\n  equivalent single-rate at batch 32: {:.2} ns/MAC (model uses {NS_PER_MAC})",
-        fit.step_us(32) * 1_000.0 / (MACS * 32.0)
+        fit.step_us(32) * 1_000.0 / (macs * 32.0)
     );
 }
 

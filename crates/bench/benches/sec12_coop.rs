@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len()
     );
 
-    let mut four_shard = None;
     for shards in [1usize, 2, 4, 8] {
         let runs = CoopMode::ALL
             .into_iter()
@@ -106,39 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("learning curves, {shards} shards (cumulative): independent vs {best}");
             fig.table("curves_shards8", &curve);
         }
-        if shards == 4 {
-            four_shard = Some(runs);
-        }
     }
 
-    // Shared-replay importance weighting (ROADMAP item): absorbed foreign
-    // experiences enter the replay buffer on equal terms at
-    // foreign_weight 1.0 (bit-identical to the pre-knob engine); 0.5
-    // halves their loss/gradient contribution, damping stale
-    // off-partition transitions without changing what is shared or how
-    // sampling draws. Only SharedReplay depends on the weight, and the
-    // 4-shard sweep above already served the Independent baseline and the
-    // default-weight (1.0) point — reuse both and serve only 0.5 fresh.
-    println!("foreign-weight ablation (shared replay, 4 shards)");
-    let runs = four_shard.expect("4-shard sweep ran");
-    let baseline = runs[0].1.aggregate();
-    let mut cfg = coop_config(4, CoopMode::SharedReplay);
-    cfg.coop = cfg.coop.with_foreign_weight(0.5);
-    let halved = serve_trace(&cfg, &trace)?;
-    let mut ablation = Table::new(["foreign weight", "avg lat (us)", "norm lat", "shared exps"]);
-    let (_, default_weight) = runs
-        .iter()
-        .find(|(mode, _)| *mode == CoopMode::SharedReplay)
-        .expect("mode was swept");
-    for (weight, report) in [(1.0, default_weight), (0.5, &halved)] {
-        let latency = report.aggregate().avg_latency_us;
-        ablation.add_row(vec![
-            format!("{weight:.1}"),
-            format!("{latency:.1}"),
-            format!("{:.3}", latency / baseline.avg_latency_us),
-            shared_experiences(report).to_string(),
-        ]);
-    }
-    fig.table("foreign_weight_ablation", &ablation);
     Ok(fig.finish()?)
 }

@@ -373,6 +373,9 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
 pub struct InferKernelRow {
     /// Decide-batch size.
     pub batch: usize,
+    /// Multiply-accumulates per decided row: the measured network's
+    /// `mac_count`.
+    pub macs: usize,
     /// Modeled µs per request under the §10 cost model — one forward
     /// weight stream amortized over the batch
     /// (`macs × ns_per_mac / batch`). Deterministic.
@@ -415,7 +418,7 @@ fn scalar_infer_batch(
 
 /// Builds `sec10_overhead`'s inference-kernel table: one
 /// [`InferKernelRow`] per requested decide-batch size on the default C51
-/// network (6-20-30-22, 1380 MACs).
+/// network (6-20-30-102, 3 780 MACs), the one a default agent serves with.
 ///
 /// The modeled column is pure arithmetic over `ns_per_mac` —
 /// bit-identical across runs — while the measured columns time the
@@ -426,8 +429,14 @@ fn scalar_infer_batch(
 pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelRow> {
     // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the kernel table must measure identical weights every run
     let mut rng = StdRng::seed_from_u64(0x5EC1_0001);
-    // Two actions × 11 atoms.
-    let dims = [6, 20, 30, 22];
+    // Two actions × the default atom count.
+    let config = SibylConfig::default();
+    let dims = [
+        6,
+        config.hidden_dims[0],
+        config.hidden_dims[1],
+        2 * config.n_atoms,
+    ];
     let net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
     let macs = net.mac_count() as f64;
 
@@ -455,6 +464,7 @@ pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelR
 
         rows.push(InferKernelRow {
             batch,
+            macs: net.mac_count(),
             modeled_per_req_us: macs * ns_per_mac / 1_000.0 / batch as f64,
             scalar_ns_per_mac: scalar_ns,
             tiled_ns_per_mac: tiled_ns,

@@ -66,8 +66,8 @@ pub enum CoopConfigError {
     /// outside `(0, 1]` — nothing (or nonsense) would be published.
     InvalidShareFraction,
     /// An experience-sharing mode was configured with a `foreign_weight`
-    /// outside `[0, 1]` — absorbed experiences cannot be amplified above
-    /// local ones, and a negative or non-finite weight is nonsense.
+    /// other than 1.0 — absorbed experiences train on equal footing with
+    /// local ones.
     InvalidForeignWeight,
 }
 
@@ -81,7 +81,7 @@ impl std::fmt::Display for CoopConfigError {
                 write!(f, "experience sharing requires share_fraction in (0, 1]")
             }
             CoopConfigError::InvalidForeignWeight => {
-                write!(f, "experience sharing requires foreign_weight in [0, 1]")
+                write!(f, "experience sharing requires foreign_weight 1.0")
             }
         }
     }
@@ -113,13 +113,10 @@ pub struct CoopConfig {
     /// Fraction of each shard's experiences published to the shared
     /// replay pool (experience-sharing modes only). Default: 0.5.
     pub share_fraction: f64,
-    /// Importance weight applied to *absorbed* foreign experiences when
-    /// they are replayed: each sampled foreign transition's loss and
-    /// gradient contribution is scaled by this factor. At the default
-    /// 1.0, foreign experiences train on equal footing with local ones —
-    /// bit-identical to the behavior before this knob existed; lower
-    /// values damp stale or off-partition transitions without changing
-    /// what is published or how replay sampling draws.
+    /// Kept only for the frozen `benchmark/` harness, which reads it:
+    /// absorbed experiences train on equal footing with local ones, and
+    /// [`CoopConfig::validate`] accepts only the default 1.0 in the
+    /// experience-sharing modes.
     pub foreign_weight: f64,
 }
 
@@ -155,12 +152,6 @@ impl CoopConfig {
         self
     }
 
-    /// Sets the importance weight of absorbed foreign experiences.
-    pub fn with_foreign_weight(mut self, weight: f64) -> Self {
-        self.foreign_weight = weight;
-        self
-    }
-
     /// Records the cooperation settings into a telemetry registry under
     /// the `coop.` namespace. Deliberately *configuration*, not live
     /// [`Coordinator`](crate::Coordinator) state: the coordinator's
@@ -171,6 +162,8 @@ impl CoopConfig {
     pub fn record_registry(&self, registry: &mut sibyl_telemetry::Registry) {
         registry.gauge_set("coop.sync_period", self.sync_period as f64);
         registry.gauge_set("coop.share_fraction", self.share_fraction);
+        // Goes with the `foreign_weight` husk; until then the engine's
+        // pinned telemetry export keeps its line.
         registry.gauge_set("coop.foreign_weight", self.foreign_weight);
     }
 
@@ -191,7 +184,7 @@ impl CoopConfig {
             if !(self.share_fraction > 0.0 && self.share_fraction <= 1.0) {
                 return Err(CoopConfigError::InvalidShareFraction);
             }
-            if !(self.foreign_weight >= 0.0 && self.foreign_weight <= 1.0) {
+            if self.foreign_weight != 1.0 {
                 return Err(CoopConfigError::InvalidForeignWeight);
             }
         }
@@ -253,26 +246,26 @@ mod tests {
     }
 
     #[test]
-    fn foreign_weight_bounds_enforced_only_when_sharing() {
+    fn foreign_weight_other_than_one_rejected_only_when_sharing() {
         assert_eq!(CoopConfig::default().foreign_weight, 1.0);
-        for bad in [-0.1, 1.1, f64::NAN] {
-            let cfg = CoopConfig::new(CoopMode::Both).with_foreign_weight(bad);
+        for bad in [0.0, 0.5, 1.1, f64::NAN] {
+            let cfg = CoopConfig {
+                foreign_weight: bad,
+                ..CoopConfig::new(CoopMode::Both)
+            };
             assert_eq!(
                 cfg.validate(),
                 Err(CoopConfigError::InvalidForeignWeight),
                 "weight {bad} should be rejected"
             );
         }
-        // Zero is a legal (if extreme) damping; non-sharing modes ignore
-        // the knob entirely.
-        CoopConfig::new(CoopMode::SharedReplay)
-            .with_foreign_weight(0.0)
-            .validate()
-            .unwrap();
-        CoopConfig::new(CoopMode::WeightAverage)
-            .with_foreign_weight(9.0)
-            .validate()
-            .unwrap();
+        // Non-sharing modes ignore the field entirely.
+        CoopConfig {
+            foreign_weight: 9.0,
+            ..CoopConfig::new(CoopMode::WeightAverage)
+        }
+        .validate()
+        .unwrap();
         assert!(CoopConfigError::InvalidForeignWeight
             .to_string()
             .contains("foreign_weight"));

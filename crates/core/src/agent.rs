@@ -111,7 +111,6 @@ pub struct RlProbe {
 #[derive(Debug, Default)]
 struct Introspection {
     registry: Registry,
-    last_loss: Option<f32>,
     last_argmax_entropy: f64,
     /// `AgentStats::train_ns` as of the previous
     /// [`SibylAgent::take_telemetry`], so each drain reports its own share.
@@ -177,9 +176,6 @@ pub struct SibylAgent {
     /// Experiences selected by the tap since the last
     /// [`SibylAgent::take_published`].
     tapped: Vec<Experience>,
-    /// Importance weight applied to absorbed foreign experiences
-    /// (1.0 = equal footing with local ones).
-    foreign_weight: f32,
     /// RL introspection state; `None` when telemetry is off.
     introspect: Option<Box<Introspection>>,
 }
@@ -208,7 +204,6 @@ impl SibylAgent {
             tap_fraction: 0.0,
             tap_acc: 0.0,
             tapped: Vec::new(),
-            foreign_weight: 1.0,
             introspect,
         }
     }
@@ -271,7 +266,6 @@ impl SibylAgent {
             // enabled, which is when the introspection state exists.
             if let (Some(intro), Some(loss)) = (self.introspect.as_deref_mut(), learner.last_loss())
             {
-                intro.last_loss = Some(loss);
                 intro
                     .registry
                     .series_push("rl.train_loss", learner.train_steps, f64::from(loss));
@@ -394,35 +388,27 @@ impl SibylAgent {
     /// sampling candidates for future training steps but do **not**
     /// advance the training schedule — only locally collected experiences
     /// trigger training — and the buffer's deduplication applies as
-    /// usual. Each absorbed transition carries the weight configured via
-    /// [`SibylAgent::set_foreign_weight`], scaling its loss contribution
-    /// when sampled. No-op before the first decision (no runtime yet).
+    /// usual. No-op before the first decision (no runtime yet).
     pub fn absorb_experiences(&mut self, exps: &[Experience]) {
         let Some(rt) = self.runtime.as_mut() else {
             return;
         };
         for exp in exps {
-            rt.learner.push_weighted(exp.clone(), self.foreign_weight);
+            rt.learner.push(exp.clone());
         }
         self.stats.shared_absorbed += exps.len() as u64;
     }
 
-    /// Sets the importance weight future
-    /// [`SibylAgent::absorb_experiences`] calls attach to foreign
-    /// transitions. At the default 1.0, absorbed experiences train on
-    /// equal footing with local ones (bit-identical to the pre-weighting
-    /// behavior); lower values shrink their loss and gradient
-    /// contribution without touching the sampling distribution.
+    /// Kept only for the frozen `benchmark/` harness, which passes
+    /// `CoopConfig::foreign_weight` here: absorbed experiences train on
+    /// equal footing with local ones, so the one accepted weight is 1.0,
+    /// and nothing is stored.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is not in `[0, 1]`.
+    /// Panics if `weight` is not 1.0.
     pub fn set_foreign_weight(&mut self, weight: f64) {
-        assert!(
-            (0.0..=1.0).contains(&weight),
-            "set_foreign_weight: weight must be in [0, 1]"
-        );
-        self.foreign_weight = weight as f32;
+        assert!(weight == 1.0, "set_foreign_weight: weight must be 1.0");
     }
 
     /// The training network's flat parameters — this agent's contribution
@@ -468,22 +454,22 @@ impl SibylAgent {
     /// no RNG and mutates nothing, so callers may sample at any cadence
     /// without perturbing placement.
     pub fn probe(&self) -> RlProbe {
-        let (buffer_len, buffer_age) =
-            self.runtime
-                .as_ref()
-                .map_or((0, Log2Histogram::new()), |rt| {
-                    let buffer = &rt.learner.buffer;
-                    (buffer.len(), buffer.age_histogram())
-                });
-        let intro = self.introspect.as_deref();
+        let rt = self.runtime.as_ref();
+        let (buffer_len, buffer_age) = rt.map_or((0, Log2Histogram::new()), |rt| {
+            let buffer = &rt.learner.buffer;
+            (buffer.len(), buffer.age_histogram())
+        });
         RlProbe {
             epsilon: self.config.epsilon(self.stats.decisions),
-            last_loss: intro.and_then(|i| i.last_loss),
+            last_loss: rt.and_then(|rt| rt.learner.last_loss()),
             buffer_len,
             buffer_capacity: self.config.buffer_capacity,
             buffer_age,
-            q_spread: self.runtime.as_ref().map_or(0.0, |rt| rt.core.q_spread()),
-            argmax_entropy: intro.map_or(0.0, |i| i.last_argmax_entropy),
+            q_spread: rt.map_or(0.0, |rt| rt.core.q_spread()),
+            argmax_entropy: self
+                .introspect
+                .as_deref()
+                .map_or(0.0, |i| i.last_argmax_entropy),
             train_steps: self.stats.train_steps,
         }
     }
@@ -862,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn foreign_weight_changes_training_but_not_the_default_path() {
+    fn foreign_weight_one_leaves_training_bit_identical() {
         let run = |weight: Option<f64>| {
             let mut mgr = manager(256);
             let mut agent = SibylAgent::new(fast_test_config());
@@ -887,21 +873,18 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<u32>>()
         };
-        let default = run(None);
-        let explicit_one = run(Some(1.0));
-        let half = run(Some(0.5));
         assert_eq!(
-            default, explicit_one,
-            "weight 1.0 must match the pre-knob behavior bit for bit"
+            run(None),
+            run(Some(1.0)),
+            "weight 1.0 must leave training bit-identical"
         );
-        assert_ne!(default, half, "down-weighting must alter training");
     }
 
     #[test]
-    #[should_panic(expected = "weight must be in [0, 1]")]
-    fn foreign_weight_rejects_out_of_range() {
+    #[should_panic(expected = "weight must be 1.0")]
+    fn foreign_weight_other_than_one_panics() {
         let mut agent = SibylAgent::new(fast_test_config());
-        agent.set_foreign_weight(1.5);
+        agent.set_foreign_weight(0.5);
     }
 
     #[test]

@@ -62,10 +62,6 @@ impl Experience {
 #[derive(Debug)]
 pub struct ExperienceBuffer {
     entries: Vec<Experience>,
-    /// Per-slot importance weight, parallel to `entries` (1.0 for local
-    /// experiences; shared-replay absorption may down-weight foreign
-    /// ones).
-    weights: Vec<f32>,
     /// Per-slot insertion stamp, parallel to `entries`: the value of
     /// `pushes` when the slot was written (refreshed when a duplicate
     /// re-arrives). Pure accounting for the telemetry age distribution —
@@ -91,7 +87,6 @@ impl ExperienceBuffer {
         assert!(capacity > 0, "ExperienceBuffer: capacity must be positive");
         ExperienceBuffer {
             entries: Vec::with_capacity(capacity),
-            weights: Vec::with_capacity(capacity),
             stamps: Vec::with_capacity(capacity),
             capacity,
             cursor: 0,
@@ -116,12 +111,6 @@ impl ExperienceBuffer {
         self.capacity
     }
 
-    /// `true` when at capacity (the paper's training trigger, Algorithm 1
-    /// line 16).
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
-    }
-
     /// Total push attempts.
     pub fn pushes(&self) -> u64 {
         self.pushes
@@ -136,26 +125,10 @@ impl ExperienceBuffer {
     /// Once full, new unique experiences overwrite the oldest slot.
     /// Returns `true` if the experience was stored.
     pub fn push(&mut self, exp: Experience) -> bool {
-        self.push_weighted(exp, 1.0)
-    }
-
-    /// Inserts an experience with an importance `weight` that scales its
-    /// loss/gradient contribution when sampled (1.0 = a regular local
-    /// experience; shared-replay absorption uses `CoopConfig::foreign_weight`
-    /// to down-weight foreign transitions). Deduplication ignores the
-    /// weight for *storage* — a copy of an already-stored transition is
-    /// dropped like any other duplicate — but the stored slot's weight is
-    /// raised to the duplicate's when higher, so a locally re-collected
-    /// transition that first arrived as a down-weighted foreign copy
-    /// trains at full weight from then on.
-    pub fn push_weighted(&mut self, exp: Experience, weight: f32) -> bool {
         self.pushes += 1;
         let key = exp.dedup_key();
         if let Some(&slot) = self.index.get(&key) {
             self.duplicates += 1;
-            if weight > self.weights[slot] {
-                self.weights[slot] = weight;
-            }
             // A duplicate re-observation refreshes the slot's age: the
             // transition is still being collected, so for telemetry it is
             // as fresh as its latest arrival.
@@ -165,14 +138,12 @@ impl ExperienceBuffer {
         if self.entries.len() < self.capacity {
             self.index.insert(key, self.entries.len());
             self.entries.push(exp);
-            self.weights.push(weight);
             self.stamps.push(self.pushes);
         } else {
             let old_key = self.entries[self.cursor].dedup_key();
             self.index.remove(&old_key);
             self.index.insert(key, self.cursor);
             self.entries[self.cursor] = exp;
-            self.weights[self.cursor] = weight;
             self.stamps[self.cursor] = self.pushes;
             self.cursor = (self.cursor + 1) % self.capacity;
         }
@@ -189,15 +160,6 @@ impl ExperienceBuffer {
             h.record(self.pushes - stamp);
         }
         h
-    }
-
-    /// The importance weight stored for slot `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn weight(&self, idx: usize) -> f32 {
-        self.weights[idx]
     }
 
     /// Uniformly samples `batch_size` slot indices (with replacement when
@@ -278,7 +240,7 @@ mod tests {
         assert!(b.push(exp(0.1)));
         assert!(b.push(exp(0.2)));
         assert_eq!(b.len(), 2);
-        assert!(!b.is_full());
+        assert!(b.len() < b.capacity());
     }
 
     #[test]
@@ -307,7 +269,7 @@ mod tests {
         for i in 0..3 {
             assert!(b.push(exp(i as f32)));
         }
-        assert!(b.is_full());
+        assert_eq!(b.len(), b.capacity());
         assert!(b.push(exp(99.0)));
         assert_eq!(b.len(), 3);
         // exp(0.0) was overwritten; pushing it again must succeed.
@@ -398,25 +360,5 @@ mod tests {
         // Reading the histogram is pure: storage is untouched.
         assert_eq!(b.len(), 3);
         assert_eq!(b.pushes(), 4);
-    }
-
-    #[test]
-    fn weights_default_to_one_and_follow_ring_overwrites() {
-        let mut b = ExperienceBuffer::new(2);
-        assert!(b.push(exp(0.0)));
-        assert!(b.push_weighted(exp(1.0), 0.25));
-        assert_eq!(b.weight(0), 1.0);
-        assert_eq!(b.weight(1), 0.25);
-        // Ring overwrite replaces slot 0's entry *and* weight.
-        assert!(b.push_weighted(exp(2.0), 0.5));
-        assert_eq!(b.weight(0), 0.5);
-        assert_eq!(b.weight(1), 0.25);
-        // A duplicate is rejected for storage, but a higher-weight copy
-        // upgrades the stored slot (a local re-collection of a foreign
-        // transition must not stay down-weighted) — and never downgrades.
-        assert!(!b.push_weighted(exp(2.0), 1.0));
-        assert_eq!(b.weight(0), 1.0);
-        assert!(!b.push_weighted(exp(2.0), 0.1));
-        assert_eq!(b.weight(0), 1.0);
     }
 }

@@ -150,8 +150,7 @@ impl Learner {
     /// The phases [`Learner::train_step`] accounts its wall time to, in
     /// the order it runs them: replay sampling and the row gather, target
     /// inference, the Bellman targets and their gather, the training
-    /// forward pass, the loss gradient (importance weighting included),
-    /// the backward pass, Adam, and the inference network's adoption of
+    /// forward pass, the loss gradient, the backward pass, Adam, and the inference network's adoption of
     /// the trained weights.
     pub const TRAIN_PHASES: [&'static str; TRAIN_PHASE_COUNT] = [
         "replay",
@@ -211,21 +210,6 @@ impl Learner {
         self.buffer.push(exp);
     }
 
-    /// Stores one foreign transition with an importance `weight` in
-    /// `[0, 1]` that scales its loss and gradient contribution whenever
-    /// it is sampled (1.0 behaves exactly like [`Learner::push`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not in `[0, 1]`.
-    pub fn push_weighted(&mut self, exp: Experience, weight: f32) {
-        assert!(
-            (0.0..=1.0).contains(&weight),
-            "push_weighted: weight must be in [0, 1]"
-        );
-        self.buffer.push_weighted(exp, weight);
-    }
-
     /// Training steps completed so far.
     pub fn train_steps(&self) -> u64 {
         self.train_steps
@@ -261,13 +245,6 @@ impl Learner {
     /// under `cfg(test)` and pinned by golden tests): RNG draws, every
     /// target and gradient row, per-element gradient accumulation order,
     /// and the loss-sum order are all unchanged.
-    ///
-    /// Sampled transitions carrying an importance weight below 1.0
-    /// ([`Learner::push_weighted`]) have their loss and output-gradient
-    /// rows scaled by that weight before backpropagation; weight-1.0
-    /// transitions take the exact unscaled path, so a buffer holding only
-    /// local experiences trains bit-identically to one predating the
-    /// weighting mechanism.
     ///
     /// A step that runs charges its wall time to
     /// [`Learner::train_phase_ns`], phase by phase.
@@ -355,22 +332,6 @@ impl Learner {
                 &mut s.grads,
                 self.track_loss.then_some(&mut s.losses),
             );
-            // Importance weighting: scale each down-weighted sample's
-            // gradient row and loss. Weight-1.0 rows are left untouched
-            // (not multiplied), preserving bit-identity for buffers that
-            // hold only local experiences.
-            let width = s.grads.len() / n;
-            for (row, &idx) in s.indices.iter().enumerate() {
-                let w = self.buffer.weight(idx);
-                if w != 1.0 {
-                    for g in &mut s.grads[row * width..(row + 1) * width] {
-                        *g *= w;
-                    }
-                    if self.track_loss {
-                        s.losses[row] *= w;
-                    }
-                }
-            }
             // Sum per-sample losses in sample order so the running total
             // accumulates exactly like the per-sample loop did (`losses`
             // stays empty when the loss is not tracked).
@@ -417,9 +378,7 @@ impl Learner {
     /// transition one target-network `infer`, one `forward`/`backward`
     /// pass (each a one-row batch through the same kernels as the batched
     /// step) and one C51 projection and loss gradient, experiences cloned
-    /// out of the buffer, nothing shared between samples. Importance weights
-    /// scale a down-weighted sample's gradient and loss exactly as the
-    /// batched step does (weight 1.0 is not multiplied). Living behind
+    /// out of the buffer, nothing shared between samples. Living behind
     /// `cfg(test)` keeps it compiled (it cannot rot) without shipping the
     /// slow path.
     #[cfg(test)]
@@ -433,24 +392,20 @@ impl Learner {
         for _ in 0..self.batches_per_step {
             // Collect owned samples so the buffer borrow ends before the
             // mutable network passes.
-            let samples: Vec<(Experience, f32)> = self
+            let samples: Vec<Experience> = self
                 .buffer
                 .sample_indices(self.batch_size, &mut self.rng)
                 .into_iter()
-                .map(|idx| (self.buffer.get(idx).clone(), self.buffer.weight(idx)))
+                .map(|idx| self.buffer.get(idx).clone())
                 .collect();
             self.train_net.zero_grad();
-            for (exp, weight) in &samples {
+            for exp in &samples {
                 let next_logits = self.target_net.infer(&exp.next_obs);
                 let logits = self.train_net.forward(&exp.obs);
                 let next_best = self.head.best_action(&next_logits);
                 let next_probs = self.head.action_distribution(&next_logits, next_best);
                 let target = self.head.project(exp.reward, self.discount, &next_probs);
-                let mut loss = self.head.loss_grad(&logits, exp.action, &target, &mut grad);
-                if *weight != 1.0 {
-                    grad.iter_mut().for_each(|g| *g *= weight);
-                    loss *= weight;
-                }
+                let loss = self.head.loss_grad(&logits, exp.action, &target, &mut grad);
                 total_loss += loss;
                 total_samples += 1;
                 self.train_net.backward(&grad);
@@ -630,9 +585,8 @@ mod tests {
 
     /// The same pin at the in-situ shape, where every fast path of the
     /// batched step engages: three actions × 51 atoms (two dead blocks
-    /// per gradient row), replay batches of 128 from a buffer small
-    /// enough that most draws repeat a slot (the per-step target memo),
-    /// and a mix of weight-1.0 and weight-0.5 samples.
+    /// per gradient row), and replay batches of 128 from a buffer small
+    /// enough that most draws repeat a slot (the per-step target memo).
     #[test]
     fn in_situ_shape_trains_bit_identically_to_reference() {
         let cfg = SibylConfig {
@@ -651,9 +605,8 @@ mod tests {
                 reward: (i % 5) as f32 * 0.6 - 0.4,
                 next_obs: (0..6).map(|k| ((i * 5 + k) % 13) as f32 * 0.07).collect(),
             };
-            let weight = if i % 4 == 0 { 0.5 } else { 1.0 };
-            batched.push_weighted(e.clone(), weight);
-            reference.push_weighted(e, weight);
+            batched.push(e.clone());
+            reference.push(e);
         }
         for step in 0..20 {
             assert!(batched.train_step() && reference.train_step());
@@ -700,52 +653,6 @@ mod tests {
             assert!(l.train_step());
         }
         assert_eq!(blocks(&l), after_first);
-    }
-
-    /// The foreign-weight satellite's core pin: weight 1.0 is
-    /// bit-identical to the unweighted push path, and a lower weight
-    /// changes training.
-    #[test]
-    fn foreign_weight_one_is_bit_identical_and_half_is_not() {
-        let build = |weight: Option<f32>| {
-            let mut l = Learner::new(&config(), 2, 6);
-            for i in 0..32 {
-                l.push(exp(0.1 + i as f32 * 2e-3, i % 2, (i % 3) as f32 * 0.3));
-            }
-            // A batch of "foreign" transitions, distinct from the local ones.
-            for i in 0..16 {
-                let e = exp(0.7 + i as f32 * 2e-3, (i + 1) % 2, 0.9);
-                match weight {
-                    None => l.push(e),
-                    Some(w) => l.push_weighted(e, w),
-                }
-            }
-            for _ in 0..20 {
-                assert!(l.train_step());
-            }
-            l.flat_params()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<u32>>()
-        };
-        let unweighted = build(None);
-        let weight_one = build(Some(1.0));
-        let weight_half = build(Some(0.5));
-        assert_eq!(
-            unweighted, weight_one,
-            "weight 1.0 must be bit-identical to plain pushes"
-        );
-        assert_ne!(
-            unweighted, weight_half,
-            "down-weighting must change the training trajectory"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be in [0, 1]")]
-    fn push_weighted_rejects_out_of_range_weight() {
-        let mut l = Learner::new(&config(), 2, 6);
-        l.push_weighted(exp(0.1, 0, 0.0), 1.5);
     }
 
     /// Every phase of a step is charged, the accounts add up to the

@@ -336,5 +336,14 @@ mod tests {
                 .validate(),
             Err(ServeError::Coop(CoopConfigError::InvalidShareFraction))
         );
+        assert_eq!(
+            ServeConfig::new(hss())
+                .with_coop(CoopConfig {
+                    foreign_weight: 0.5,
+                    ..CoopConfig::new(CoopMode::SharedReplay)
+                })
+                .validate(),
+            Err(ServeError::Coop(CoopConfigError::InvalidForeignWeight))
+        );
     }
 }

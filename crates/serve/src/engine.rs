@@ -483,7 +483,6 @@ fn run_shard(
     if let Some(coord) = &task.coop {
         if coord.config().mode.shares_experiences() {
             agent.set_experience_tap(coord.config().share_fraction);
-            agent.set_foreign_weight(coord.config().foreign_weight);
         }
     }
     // `MigratePolicyKind::None` builds no migrator, so the baseline's

@@ -211,7 +211,9 @@ impl Iterator for SpecStream {
 /// set keeps rotating to a fresh disjoint span every
 /// `n.div_ceil(phases)` requests while the cold area stays fixed — so the
 /// touched-page footprint grows only with *phases passed*, not with
-/// requests served, which is what makes this the `sec14_scale` workload.
+/// requests served. `sec13_migration` and `sec16_xray` replay its first
+/// `n` requests through [`crate::synth::diurnal`]; `sec14_scale` streams
+/// Table 5's mix2 instead.
 #[derive(Debug, Clone)]
 pub struct DiurnalStream {
     rng: StdRng,
