@@ -9,6 +9,12 @@
 //! so the target builds offline with `harness = false` like every other
 //! figure bench; the training step is timed by the learner's own phase
 //! accounts (`Learner::train_phase_ns`).
+//!
+//! The batched decide kernels and the storage model are timed in place by
+//! the benchmark's per-layer ledger (`nn.infer_us_per_row`,
+//! `hss.access_ns_per_page`, `policies.fast_only_us_per_req`), and the
+//! race of the tiled kernels against their scalar references is
+//! `sibyl-nn`'s `kernel_parity` test.
 
 use rand::SeedableRng;
 use sibyl_bench::{median_ns, seed, Figure};
@@ -79,55 +85,6 @@ fn training_step_table(fig: &mut Figure) {
     fig.table("train_step", &table);
 }
 
-/// The decide-path kernel table: measured ns/MAC through the retained
-/// scalar references (the pre-tiling "before") and the tiled f32 kernels
-/// (the autovectorized "after"), next to the deterministic modeled
-/// per-request decide cost. The tiled ≤ scalar pin is asserted by the
-/// bench-crate regression test in release builds.
-fn inference_kernel_table(fig: &mut Figure) {
-    const NS_PER_MAC: f64 = 20.0;
-    // Off-tile widths too: the rows a decision memo leaves for the
-    // network are rarely a multiple of the 8-lane tile.
-    const BATCHES: [usize; 10] = [1, 2, 4, 5, 7, 8, 9, 15, 16, 32];
-    println!("--- §10.1 decide-path kernels (C51 net, {NS_PER_MAC} ns/MAC model) ---");
-    let mut table = Table::new(["batch", "model/req (us)", "scalar ns/MAC", "tiled ns/MAC"]);
-    let rows = sibyl_bench::infer_kernel_rows(&BATCHES, NS_PER_MAC);
-    for row in &rows {
-        table.add_row(vec![
-            row.batch.to_string(),
-            format!("{:.3}", row.modeled_per_req_us),
-            format!("{:.3}", row.scalar_ns_per_mac),
-            format!("{:.3}", row.tiled_ns_per_mac),
-        ]);
-    }
-    fig.table("infer_kernels", &table);
-
-    // Fit the tiled measurements to setup + per_row · batch: how this
-    // host's decide cost splits into per-call and per-row work. A
-    // host-clock measurement — it is reported, never replayed into the
-    // modeled clock, whose one cost model is `nn_ns_per_mac`. The fit
-    // itself is exact least squares (deterministic given the points).
-    let macs = rows[0].macs as f64;
-    let points: Vec<(usize, f64)> = rows
-        .iter()
-        .map(|r| {
-            (
-                r.batch,
-                r.tiled_ns_per_mac * macs * r.batch as f64 / 1_000.0,
-            )
-        })
-        .collect();
-    let fit = sibyl_bench::calibrate_two_term(&points);
-    print!("two-term decide fit (host clock, tiled kernels): ");
-    fig.note("two_term_setup_us", format_args!("{:.3}", fit.setup_us));
-    print!(" µs setup + ");
-    fig.note("two_term_per_row_us", format_args!("{:.4}", fit.per_row_us));
-    println!(
-        " µs/row\n  equivalent single-rate at batch 32: {:.2} ns/MAC (model uses {NS_PER_MAC})",
-        fit.step_us(32) * 1_000.0 / (macs * 32.0)
-    );
-}
-
 /// The decision memo on Table 5's mix2: how many greedy decisions each
 /// weight generation had already taken, and what a decision costs on the
 /// host with that many skipped passes. A short `train_interval` means
@@ -152,24 +109,6 @@ fn decision_memo_table(fig: &mut Figure) {
         ]);
     }
     fig.table("decision_memo", &table);
-}
-
-/// The storage model's own host cost — the floor under every policy —
-/// per page for the three shapes of access and per request for a policy
-/// that decides nothing.
-fn hss_access_table(fig: &mut Figure) {
-    println!("--- §10 storage-model host cost (H&M, no eviction) ---");
-    let cost = sibyl_bench::hss_access_cost(sibyl_bench::trace_len(20_000), seed());
-    let mut table = Table::new(["access", "cost", "unit"]);
-    for (access, cost, unit) in [
-        ("first-touch", cost.first_touch_ns_per_page, "ns/page"),
-        ("read-hit", cost.read_hit_ns_per_page, "ns/page"),
-        ("write-hit", cost.write_hit_ns_per_page, "ns/page"),
-        ("Fast-Only on hm_1", cost.fast_only_us_per_req, "us/request"),
-    ] {
-        table.add_row(vec![access.into(), format!("{cost:.3}"), unit.into()]);
-    }
-    fig.table("hss_access", &table);
 }
 
 fn buffer_benchmark(fig: &mut Figure) {
@@ -211,14 +150,12 @@ fn main() -> std::io::Result<()> {
     let mut fig = Figure::new(
         "sec10_overhead",
         "§10 overhead",
-        "Storage accounting, and the host cost of inference, training and the storage model",
+        "Storage accounting, and the host cost of inference, decisions and training",
         0,
     );
     print_storage_accounting();
     inference_benchmark(&mut fig);
-    inference_kernel_table(&mut fig);
     decision_memo_table(&mut fig);
-    hss_access_table(&mut fig);
     training_step_table(&mut fig);
     buffer_benchmark(&mut fig);
     fig.finish()

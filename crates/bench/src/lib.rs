@@ -12,9 +12,10 @@
 //! - [`Figure::grid`] / [`Figure::sweep`] — the two table shapes the
 //!   paper's figures have (HSS configurations × traces × policies, and
 //!   swept parameter × policies). A figure is one `grid`/`sweep` call.
-//! - [`median_ns`] — the one stopwatch behind every host-clock number
-//!   the harness takes itself; the training-step table reads the
-//!   learner's own phase accounts instead.
+//! - [`median_ns`] — the stopwatch behind `sec10_overhead`'s
+//!   microbenches and the observer-overhead pin; the decision-memo table
+//!   times `place_batch` net of the agent's own training account, and
+//!   the training-step table reads the learner's own phase accounts.
 //!
 //! Run a single figure with
 //! `cargo bench -p sibyl-bench --bench fig09_latency`, or everything with
@@ -53,14 +54,12 @@ use rand::{Rng, SeedableRng};
 
 use sibyl_core::{Experience, Learner, SibylAgent, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
-use sibyl_nn::{Activation, Mlp};
 use sibyl_serve::{
     CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig, ServeReport,
 };
 use sibyl_sim::report::Table;
 use sibyl_sim::{Experiment, PolicyKind, SimError};
 use sibyl_trace::mix::Mix;
-use sibyl_trace::msrc::Workload;
 use sibyl_trace::zipf::Zipf;
 use sibyl_trace::{IoOp, IoRequest, Trace};
 
@@ -270,34 +269,17 @@ pub struct TrainStepRow {
 /// then times `runs` rounds of `reps` calls each and returns the median
 /// round's nanoseconds per call (the upper middle when `runs` is even).
 pub fn median_ns(reps: u32, runs: usize, mut f: impl FnMut()) -> f64 {
-    let [ns] = median_ns_each(reps, runs, [&mut f]);
-    ns
-}
-
-/// [`median_ns`] for several closures at once, returning each one's
-/// median. Within a round the closures take turns, starting one further
-/// along each round, so a change in host load lands on all of them alike
-/// — which is what lets two paths' medians be compared.
-fn median_ns_each<const N: usize>(
-    reps: u32,
-    runs: usize,
-    mut fs: [&mut dyn FnMut(); N],
-) -> [f64; N] {
-    let round = |f: &mut dyn FnMut()| (0..reps).for_each(|_| f());
-    fs.iter_mut().for_each(|f| round(*f));
-    let mut per_call = [(); N].map(|()| Vec::with_capacity(runs));
-    for r in 0..runs {
-        for k in 0..N {
-            let i = (r + k) % N;
+    let mut round = || (0..reps).for_each(|_| f());
+    round();
+    let mut per_call: Vec<f64> = (0..runs)
+        .map(|_| {
             let start = std::time::Instant::now();
-            round(fs[i]);
-            per_call[i].push(start.elapsed().as_nanos() as f64 / f64::from(reps));
-        }
-    }
-    per_call.map(|mut ns| {
-        ns.sort_by(f64::total_cmp);
-        ns[runs / 2]
-    })
+            round();
+            start.elapsed().as_nanos() as f64 / f64::from(reps)
+        })
+        .collect();
+    per_call.sort_by(f64::total_cmp);
+    per_call[runs / 2]
 }
 
 /// Builds `sec10_overhead`'s training-step latency table: one
@@ -365,114 +347,6 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
     rows
 }
 
-/// One row of `sec10_overhead`'s inference-kernel table: the C51 decide
-/// pass at one batch size through the retained scalar reference kernels
-/// and the tiled f32 kernels — the before/after ns/MAC evidence for the
-/// SIMD-friendly restructuring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferKernelRow {
-    /// Decide-batch size.
-    pub batch: usize,
-    /// Multiply-accumulates per decided row: the measured network's
-    /// `mac_count`.
-    pub macs: usize,
-    /// Modeled µs per request under the §10 cost model — one forward
-    /// weight stream amortized over the batch
-    /// (`macs × ns_per_mac / batch`). Deterministic.
-    pub modeled_per_req_us: f64,
-    /// Measured wall-clock ns per MAC through the retained scalar
-    /// reference kernels (`linalg::scalar`) — the pre-tiling "before".
-    pub scalar_ns_per_mac: f64,
-    /// Measured wall-clock ns per MAC through the tiled f32 kernels
-    /// (`Mlp::infer_batch`) — the autovectorized "after".
-    pub tiled_ns_per_mac: f64,
-}
-
-/// Batched inference through the retained scalar reference kernels — the
-/// exact pre-tiling decide path, reassembled from `linalg::scalar` so the
-/// overhead bench can still measure the "before" side after the refactor.
-fn scalar_infer_batch(
-    net: &Mlp,
-    xs: &[f32],
-    batch: usize,
-    cur: &mut Vec<f32>,
-    next: &mut Vec<f32>,
-) {
-    cur.clear();
-    cur.extend_from_slice(xs);
-    for layer in net.layers() {
-        let (w, b) = layer.params();
-        sibyl_nn::linalg::scalar::matmul_bias(
-            w,
-            b,
-            cur,
-            layer.out_dim(),
-            layer.in_dim(),
-            batch,
-            next,
-        );
-        layer.activation().apply_slice(next);
-        std::mem::swap(cur, next);
-    }
-}
-
-/// Builds `sec10_overhead`'s inference-kernel table: one
-/// [`InferKernelRow`] per requested decide-batch size on the default C51
-/// network (6-20-30-102, 3 780 MACs), the one a default agent serves with.
-///
-/// The modeled column is pure arithmetic over `ns_per_mac` —
-/// bit-identical across runs — while the measured columns time the
-/// retained scalar references and the tiled f32 kernels in turns over
-/// identical seeded weights and inputs. The bench-crate
-/// regression test uses the scalar/tiled pair to pin that tiling never
-/// regresses the decide path.
-pub fn infer_kernel_rows(batches: &[usize], ns_per_mac: f64) -> Vec<InferKernelRow> {
-    // sibyl-lint: allow(entropy-rng) -- deliberate fixed harness seed: the kernel table must measure identical weights every run
-    let mut rng = StdRng::seed_from_u64(0x5EC1_0001);
-    // Two actions × the default atom count.
-    let config = SibylConfig::default();
-    let dims = [
-        6,
-        config.hidden_dims[0],
-        config.hidden_dims[1],
-        2 * config.n_atoms,
-    ];
-    let net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng);
-    let macs = net.mac_count() as f64;
-
-    let mut rows = Vec::with_capacity(batches.len());
-    for &batch in batches {
-        assert!(batch > 0, "infer_kernel_rows: zero batch");
-        let xs: Vec<f32> = (0..batch * 6).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-
-        let (mut cur, mut next) = (Vec::new(), Vec::new());
-        // Both passes in turns, nine timed rounds of about 2k rows each.
-        let [scalar_ns, tiled_ns] = median_ns_each(
-            (2048 / batch).max(8) as u32,
-            9,
-            [
-                &mut || {
-                    scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
-                    std::hint::black_box(&cur);
-                },
-                &mut || {
-                    std::hint::black_box(net.infer_batch(&xs, batch));
-                },
-            ],
-        )
-        .map(|ns| ns / batch as f64 / macs);
-
-        rows.push(InferKernelRow {
-            batch,
-            macs: net.mac_count(),
-            modeled_per_req_us: macs * ns_per_mac / 1_000.0 / batch as f64,
-            scalar_ns_per_mac: scalar_ns,
-            tiled_ns_per_mac: tiled_ns,
-        });
-    }
-    rows
-}
-
 /// One row of `sec10_overhead`'s decision-memo table: a placement agent
 /// served Table 5's mix2 in batches of 16 at one `train_interval` (which
 /// bounds a weight generation's length and so the memo's capacity).
@@ -526,131 +400,6 @@ pub fn decision_memo_rows(train_intervals: &[u64], n: usize, seed: u64) -> Vec<M
         });
     }
     rows
-}
-
-/// `sec10_overhead`'s storage-model table: what [`StorageManager`]
-/// itself costs on the host — the floor under every policy, learning or
-/// not. Host-clock medians; the streams they are taken on are fixed by
-/// the seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HssAccessCost {
-    /// ns per page of writes to pages the directory has never seen
-    /// (index insert, arena growth included).
-    pub first_touch_ns_per_page: f64,
-    /// ns per page of reads whose pages stay where they are.
-    pub read_hit_ns_per_page: f64,
-    /// ns per page of writes to pages already on the target.
-    pub write_hit_ns_per_page: f64,
-    /// µs per request of `Experiment::run(FastOnly)` on `hm_1`: a policy
-    /// that decides nothing, so all of it is the storage model.
-    pub fast_only_us_per_req: f64,
-}
-
-/// Measures [`HssAccessCost`] on an H&M manager: a first-touch pass
-/// writing a `4 × n`-page footprint in 4-page requests, then `n` seeded
-/// 1–8-page reads and `n` such writes over it, every request targeting
-/// the unlimited slow device so no page moves or is evicted; and
-/// Fast-Only over `n` requests of `hm_1`. Each figure is the median of
-/// five passes, each pass on a manager of its own — built before the clock
-/// starts, then filled, read and written in that order, so only `access`
-/// calls are timed and every hit pass is the first over its manager.
-pub fn hss_access_cost(n: usize, seed: u64) -> HssAccessCost {
-    const RUNS: usize = 5;
-    let n = n.max(1) as u64;
-    let slow = sibyl_hss::DeviceId(1);
-    let hss = hm_config().with_unlimited_capacities();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut hits = |op: IoOp| -> Vec<IoRequest> {
-        (0..n)
-            .map(|t| IoRequest::new(t, rng.gen_range(0..4 * n - 8), rng.gen_range(1..=8), op))
-            .collect()
-    };
-    let (reads, writes) = (hits(IoOp::Read), hits(IoOp::Write));
-    let fill: Vec<IoRequest> = (0..n)
-        .map(|t| IoRequest::new(t, 4 * t, 4, IoOp::Write))
-        .collect();
-    let serve = |manager: &mut StorageManager, reqs: &[IoRequest]| {
-        for req in reqs {
-            std::hint::black_box(manager.access(req, slow));
-        }
-    };
-    let per_page = |pass_ns: f64, reqs: &[IoRequest]| {
-        pass_ns / reqs.iter().map(|r| f64::from(r.size_pages)).sum::<f64>()
-    };
-    // One manager per round of the stopwatch, its warm-up round included.
-    let mut managers: Vec<StorageManager> = (0..=RUNS).map(|_| StorageManager::new(&hss)).collect();
-    let mut pass = |reqs: &[IoRequest]| {
-        let mut round = managers.iter_mut();
-        median_ns(1, RUNS, || {
-            serve(round.next().expect("RUNS + 1 rounds"), reqs)
-        })
-    };
-    let (first, read, write) = (pass(&fill), pass(&reads), pass(&writes));
-    let hm_1 = Experiment::new(
-        hm_config(),
-        sibyl_trace::msrc::generate(Workload::Hm1, n as usize, seed),
-    );
-    let fast_only = median_ns(1, RUNS, || {
-        std::hint::black_box(hm_1.run(PolicyKind::FastOnly)).expect("hm_1 is not empty");
-    });
-    HssAccessCost {
-        first_touch_ns_per_page: per_page(first, &fill),
-        read_hit_ns_per_page: per_page(read, &reads),
-        write_hit_ns_per_page: per_page(write, &writes),
-        fast_only_us_per_req: fast_only / 1_000.0 / n as f64,
-    }
-}
-
-/// A two-term fit of *measured* decide time: one batched decide costs
-/// `setup_us + per_row_us · batch` on this host, splitting the per-call
-/// fixed work (dispatch, bias setup, cache warm-up) from the per-sample
-/// streaming work. A host-clock quantity `sec10_overhead` reports; the
-/// modeled clock is billed by `ServeConfig::nn_ns_per_mac` alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoTermFit {
-    /// Fixed µs per batched decide call (the model's intercept).
-    pub setup_us: f64,
-    /// Incremental µs per batched sample (the model's slope).
-    pub per_row_us: f64,
-}
-
-impl TwoTermFit {
-    /// The modeled µs for one decide call over `batch` samples.
-    pub fn step_us(&self, batch: usize) -> f64 {
-        self.setup_us + self.per_row_us * batch as f64
-    }
-}
-
-/// Calibrates the two-term model from `(batch, step_us)` observations by
-/// exact least squares — closed-form slope/intercept, no iteration, so
-/// identical inputs produce a bit-identical fit.
-///
-/// # Panics
-///
-/// Panics with fewer than two points or when all batch sizes coincide
-/// (the slope would be undefined).
-pub fn calibrate_two_term(points: &[(usize, f64)]) -> TwoTermFit {
-    assert!(points.len() >= 2, "calibrate_two_term: need >= 2 points");
-    let n = points.len() as f64;
-    let (mut sx, mut sy, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0, 0.0);
-    for &(b, t) in points {
-        let x = b as f64;
-        sx += x;
-        sy += t;
-        sxx += x * x;
-        sxy += x * t;
-    }
-    let denom = n * sxx - sx * sx;
-    assert!(
-        denom.abs() > f64::EPSILON,
-        "calibrate_two_term: batch sizes must differ"
-    );
-    let per_row_us = (n * sxy - sx * sy) / denom;
-    let setup_us = (sy - per_row_us * sx) / n;
-    TwoTermFit {
-        setup_us,
-        per_row_us,
-    }
 }
 
 /// `s` as a JSON string literal, quoted and escaped.
@@ -1038,6 +787,7 @@ pub fn by_name(policies: Vec<PolicyKind>) -> Vec<(&'static str, PolicyKind)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sibyl_trace::msrc::Workload;
 
     /// The comparison finds Sibyl and the Oracle by policy and takes the
     /// best of the rest, on hand-checkable averages.
@@ -1265,104 +1015,6 @@ mod tests {
         }
     }
 
-    /// The sec10_overhead inference-kernel pins: the modeled decide
-    /// column is bit-deterministic across runs and drops monotonically
-    /// with batch size, and — under release codegen, where the
-    /// autovectorized loops actually exist — the tiled f32 path is no
-    /// slower than the retained scalar reference per MAC once batches
-    /// amortize (batch ≥ 8): the acceptance shape of the tiling
-    /// refactor.
-    #[test]
-    fn tiled_inference_is_no_slower_and_modeled_column_is_deterministic() {
-        let rows_a = infer_kernel_rows(&[1, 8, 32], 20.0);
-        let rows_b = infer_kernel_rows(&[1, 8, 32], 20.0);
-        assert_eq!(rows_a.len(), 3);
-        for (a, b) in rows_a.iter().zip(&rows_b) {
-            assert_eq!(
-                a.modeled_per_req_us.to_bits(),
-                b.modeled_per_req_us.to_bits(),
-                "modeled decide column must be deterministic"
-            );
-        }
-        for w in rows_a.windows(2) {
-            assert!(
-                w[1].modeled_per_req_us < w[0].modeled_per_req_us,
-                "per-request decide latency must drop monotonically: {:?} -> {:?}",
-                w[0],
-                w[1]
-            );
-        }
-        for row in &rows_a {
-            assert!(row.scalar_ns_per_mac > 0.0 && row.tiled_ns_per_mac > 0.0);
-        }
-        // The wall-clock pin is scoped to release builds, like the
-        // batched-training pin above: debug codegen defeats the
-        // autovectorization the pin certifies, and debug timing noise on
-        // a loaded runner could flake the gate.
-        #[cfg(not(debug_assertions))]
-        for row in rows_a.iter().filter(|r| r.batch >= 8) {
-            assert!(
-                row.tiled_ns_per_mac <= row.scalar_ns_per_mac * 1.00,
-                "batch {}: tiled {:.3} ns/MAC vs scalar {:.3} ns/MAC",
-                row.batch,
-                row.tiled_ns_per_mac,
-                row.scalar_ns_per_mac
-            );
-        }
-    }
-
-    /// The two-term calibration pin: the exact least-squares fit recovers
-    /// a synthetic (setup, per-row) pair to float precision, is
-    /// bit-deterministic across calls, and degrades gracefully to the
-    /// single-rate model when the data has no intercept.
-    #[test]
-    fn two_term_fit_recovers_synthetic_line_deterministically() {
-        let truth = TwoTermFit {
-            setup_us: 3.5,
-            per_row_us: 0.75,
-        };
-        let points: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16, 32]
-            .iter()
-            .map(|&b| (b, truth.step_us(b)))
-            .collect();
-        let fit_a = calibrate_two_term(&points);
-        let fit_b = calibrate_two_term(&points);
-        assert_eq!(
-            fit_a.setup_us.to_bits(),
-            fit_b.setup_us.to_bits(),
-            "fit must be bit-deterministic"
-        );
-        assert_eq!(fit_a.per_row_us.to_bits(), fit_b.per_row_us.to_bits());
-        assert!(
-            (fit_a.setup_us - truth.setup_us).abs() < 1e-9,
-            "setup {} vs {}",
-            fit_a.setup_us,
-            truth.setup_us
-        );
-        assert!((fit_a.per_row_us - truth.per_row_us).abs() < 1e-9);
-        // Pure per-row data (no intercept) fits setup ≈ 0: the two-term
-        // model contains the §10 single-rate model as its special case.
-        let flat: Vec<(usize, f64)> = [1usize, 4, 16]
-            .iter()
-            .map(|&b| (b, 2.0 * b as f64))
-            .collect();
-        let flat_fit = calibrate_two_term(&flat);
-        assert!(flat_fit.setup_us.abs() < 1e-9);
-        assert!((flat_fit.per_row_us - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "need >= 2 points")]
-    fn two_term_fit_rejects_single_point() {
-        let _ = calibrate_two_term(&[(4, 1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch sizes must differ")]
-    fn two_term_fit_rejects_degenerate_batches() {
-        let _ = calibrate_two_term(&[(4, 1.0), (4, 2.0)]);
-    }
-
     /// The sec15_telemetry and sec16_xray acceptance pins: on the mix2
     /// reference workload at 4 shards × batch 16, fully-enabled telemetry
     /// and 1/64-sampled x-ray tracing each change zero placement decisions
@@ -1401,10 +1053,10 @@ mod tests {
             assert_eq!(on_report.xray.is_some(), xray.enabled());
         }
 
-        // The wall-clock pins are scoped to release builds like the kernel
-        // pins above: debug codegen inflates the observers' relative cost
-        // past anything the benches report, and debug timing noise on a
-        // loaded runner could flake the gate.
+        // The wall-clock pins are scoped to release builds: debug codegen
+        // inflates the observers' relative cost past anything the benches
+        // report, and debug timing noise on a loaded runner could flake
+        // the gate.
         #[cfg(not(debug_assertions))]
         {
             use sibyl_serve::ShardObserver;

@@ -166,13 +166,9 @@ impl ExperienceBuffer {
     /// the buffer is smaller than the batch). Returns an empty vector for
     /// an empty buffer.
     ///
-    /// This is the allocation-light sampling primitive the batched
-    /// training step uses: the learner borrows each sampled
-    /// [`Experience`] through [`ExperienceBuffer::get`] instead of
-    /// cloning it out of the buffer. RNG consumption is exactly one
-    /// `gen_range` draw per sampled slot — identical to
-    /// [`ExperienceBuffer::sample`], so switching between the two never
-    /// perturbs the sampling sequence.
+    /// The learner reads each sampled [`Experience`] through
+    /// [`ExperienceBuffer::get`]. RNG consumption is exactly one
+    /// `gen_range` draw per sampled slot.
     pub fn sample_indices<R: Rng + ?Sized>(&self, batch_size: usize, rng: &mut R) -> Vec<usize> {
         let mut out = Vec::new();
         self.sample_indices_into(batch_size, rng, &mut out);
@@ -201,21 +197,6 @@ impl ExperienceBuffer {
     /// Panics if `idx` is out of range.
     pub fn get(&self, idx: usize) -> &Experience {
         &self.entries[idx]
-    }
-
-    /// Uniformly samples `batch_size` experiences (with replacement when
-    /// the buffer is smaller than the batch). Returns an empty vector for
-    /// an empty buffer. Draws the RNG exactly like
-    /// [`ExperienceBuffer::sample_indices`].
-    pub fn sample<'a, R: Rng + ?Sized>(
-        &'a self,
-        batch_size: usize,
-        rng: &mut R,
-    ) -> Vec<&'a Experience> {
-        self.sample_indices(batch_size, rng)
-            .into_iter()
-            .map(|i| &self.entries[i])
-            .collect()
     }
 }
 
@@ -283,39 +264,11 @@ mod tests {
             b.push(exp(i as f32));
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let batch = b.sample(256, &mut rng);
+        let batch = b.sample_indices(256, &mut rng);
         assert_eq!(batch.len(), 256);
         let distinct: std::collections::HashSet<u32> =
-            batch.iter().map(|e| e.reward.to_bits()).collect();
+            batch.iter().map(|&i| b.get(i).reward.to_bits()).collect();
         assert!(distinct.len() >= 6, "sampling should cover most slots");
-    }
-
-    #[test]
-    fn sample_indices_consumes_rng_identically_to_sample() {
-        // The borrow-based sampling path must not change the sampling
-        // sequence: same draws, same selected slots, same RNG state
-        // afterwards.
-        let mut b = ExperienceBuffer::new(16);
-        for i in 0..12 {
-            b.push(exp(i as f32));
-        }
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(99);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(99);
-        let by_ref: Vec<u32> = b
-            .sample(32, &mut rng_a)
-            .into_iter()
-            .map(|e| e.reward.to_bits())
-            .collect();
-        let by_idx: Vec<u32> = b
-            .sample_indices(32, &mut rng_b)
-            .into_iter()
-            .map(|i| b.get(i).reward.to_bits())
-            .collect();
-        assert_eq!(by_ref, by_idx, "selected slots must match");
-        // Both RNGs must have advanced by exactly the same number of
-        // draws: their next outputs agree.
-        use rand::Rng;
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]
@@ -326,13 +279,6 @@ mod tests {
         assert!(b.sample_indices(16, &mut rng_a).is_empty());
         use rand::Rng;
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "no draws consumed");
-    }
-
-    #[test]
-    fn sample_from_empty_is_empty() {
-        let b = ExperienceBuffer::new(4);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        assert!(b.sample(16, &mut rng).is_empty());
     }
 
     #[test]

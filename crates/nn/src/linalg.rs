@@ -47,8 +47,8 @@ fn tile_rows_mut(block: &mut [f32], cols: usize) -> [&mut [f32]; ROW_TILE] {
 /// These are the semantics the tiled kernels must reproduce bit for bit
 /// — kept as always-compiled public API (not `cfg(test)`) because the
 /// `kernel_parity` integration suite compares against them from outside
-/// the crate, and `sec10_overhead` measures them at runtime for its
-/// before/after ns/MAC columns.
+/// the crate, and races a pass assembled from them against
+/// `Mlp::infer_batch`.
 pub mod scalar {
     /// Reference `out = X·Wᵀ + b`: one [`super::dot`] per output element,
     /// r-outer / s-inner (the pre-tiling [`super::matmul_bias`] body).

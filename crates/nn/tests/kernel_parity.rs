@@ -9,11 +9,16 @@
 //! palette deliberately straddling every tile boundary
 //! (`BATCH_TILE` − 1 / exact / + 1, `ROW_TILE` likewise, 1, and odd
 //! primes) so remainder paths are exercised as hard as full tiles.
+//!
+//! Last, the tiled kernels must earn their place: on the default serving
+//! network, release builds race `Mlp::infer_batch` against the same pass
+//! assembled from the scalar references.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sibyl_nn::linalg::{self, scalar, BATCH_TILE, ROW_TILE};
+use sibyl_nn::{Activation, Mlp};
 
 /// Dimension palette straddling the tile boundaries: 1, ROW_TILE−1,
 /// ROW_TILE, ROW_TILE+1, BATCH_TILE−1, BATCH_TILE, BATCH_TILE+1, odd
@@ -341,4 +346,102 @@ fn negative_zero_accumulators_can_only_differ_in_the_sign_of_zero() {
     linalg::matmul_at_b_acc(&mut tiled, &d, &xs, rows, cols, batch);
     scalar::matmul_at_b_acc(&mut reference, &d, &xs, rows, cols, batch);
     assert_eq!(bits(&tiled), bits(&reference));
+}
+
+/// The batches the inference race runs at: where a decide batch amortizes
+/// each weight row over a full tile, and over four.
+const RACED_BATCHES: [usize; 2] = [8, 32];
+
+/// The network a default agent serves with: six features, hidden layers
+/// of 20 and 30, and a C51 head of two actions × 51 atoms (3 780 MACs per
+/// row).
+fn serving_net() -> Mlp {
+    let dims = [6, 20, 30, 2 * 51];
+    Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng(11))
+}
+
+/// `batch` raced input rows of six features in `[0, 1)`.
+fn raced_inputs(batch: usize) -> Vec<f32> {
+    let mut r = rng(batch as u64);
+    (0..batch * 6).map(|_| r.gen_range(0.0f32..1.0)).collect()
+}
+
+/// [`Mlp::infer_batch`] reassembled from the scalar references: per layer,
+/// `scalar::matmul_bias` and then the activation, leaving the result in
+/// `cur`.
+fn scalar_infer_batch(
+    net: &Mlp,
+    xs: &[f32],
+    batch: usize,
+    cur: &mut Vec<f32>,
+    next: &mut Vec<f32>,
+) {
+    cur.clear();
+    cur.extend_from_slice(xs);
+    for layer in net.layers() {
+        let (w, b) = layer.params();
+        scalar::matmul_bias(w, b, cur, layer.out_dim(), layer.in_dim(), batch, next);
+        layer.activation().apply_slice(next);
+        std::mem::swap(cur, next);
+    }
+}
+
+/// The race below times one computation two ways: on the raced network
+/// and inputs, the scalar reassembly equals `Mlp::infer_batch` bit for
+/// bit — activations included, which `matmul_bias`'s pins leave out.
+#[test]
+fn scalar_reassembly_is_infer_batch_on_the_raced_inputs() {
+    let net = serving_net();
+    let (mut cur, mut next) = (Vec::new(), Vec::new());
+    for batch in RACED_BATCHES {
+        let xs = raced_inputs(batch);
+        let tiled = net.infer_batch(&xs, batch);
+        scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
+        assert_eq!(bits(&cur), bits(&tiled), "batch {batch}");
+    }
+}
+
+/// Tiling never slows the decide path: at batch 8 and 32 the tiled
+/// `Mlp::infer_batch` costs at most 1.00× the scalar reassembly per MAC.
+/// The two take turns within each round, the first alternating, so a
+/// change in host load lands on both alike; a warm-up round, then nine
+/// timed rounds of about 2k rows each, compared by their medians. Release
+/// only: debug codegen lacks the autovectorized loops the race certifies.
+#[cfg(not(debug_assertions))]
+#[test]
+fn tiled_inference_is_no_slower_than_the_scalar_reassembly() {
+    let net = serving_net();
+    let macs = net.mac_count() as f64;
+    let (mut cur, mut next) = (Vec::new(), Vec::new());
+    for batch in RACED_BATCHES {
+        let xs = raced_inputs(batch);
+        let reps = (2048 / batch).max(8);
+        let mut ns = [Vec::new(), Vec::new()];
+        for round in 0..10 {
+            for k in 0..2 {
+                let path = (round + k) % 2;
+                // sibyl-lint: allow(wallclock-in-logic) -- the race's stopwatch: durations are compared, never fed into a computation
+                let start = std::time::Instant::now();
+                for _ in 0..reps {
+                    if path == 0 {
+                        scalar_infer_batch(&net, &xs, batch, &mut cur, &mut next);
+                        std::hint::black_box(&cur);
+                    } else {
+                        std::hint::black_box(net.infer_batch(&xs, batch));
+                    }
+                }
+                if round > 0 {
+                    ns[path].push(start.elapsed().as_nanos() as f64);
+                }
+            }
+        }
+        let [scalar, tiled] = ns.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2] / (reps * batch) as f64 / macs
+        });
+        assert!(
+            tiled <= scalar * 1.00,
+            "batch {batch}: tiled {tiled:.3} ns/MAC vs scalar {scalar:.3} ns/MAC"
+        );
+    }
 }

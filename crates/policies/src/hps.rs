@@ -39,11 +39,6 @@ impl Hps {
     /// set.
     pub const HOT_THRESHOLD: u64 = 2;
 
-    /// The number of pages currently considered hot.
-    pub fn hot_set_len(&self) -> usize {
-        self.hot_set.len()
-    }
-
     fn roll_epoch(&mut self) {
         self.hot_set = self
             // sibyl-lint: allow(unordered-map-iteration) -- drains into a HashSet: membership is order-insensitive, no ordered output is produced
@@ -120,7 +115,7 @@ mod tests {
             place(&mut p, &mgr, ts + 1, 100 + Hps::EPOCH_REQUESTS - 1),
             DeviceId(1)
         );
-        assert_eq!(p.hot_set_len(), 1);
+        assert_eq!(p.hot_set.len(), 1);
     }
 
     #[test]

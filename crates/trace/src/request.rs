@@ -106,11 +106,6 @@ impl IoRequest {
         self.size_pages as u64 * PAGE_SIZE_BYTES
     }
 
-    /// Request size in KiB (the unit of Table 4's "avg. request size").
-    pub fn size_kib(&self) -> f64 {
-        self.size_bytes() as f64 / 1024.0
-    }
-
     /// The last logical page number covered. Never wraps: construction
     /// guarantees `lpn + size_pages` fits in `u64` (so the address-space
     /// size `last_lpn() + 1` fits too).
@@ -132,7 +127,7 @@ mod tests {
     fn size_conversions() {
         let r = IoRequest::new(0, 100, 8, IoOp::Read);
         assert_eq!(r.size_bytes(), 32768);
-        assert!((r.size_kib() - 32.0).abs() < 1e-9);
+        assert_eq!(r.size_bytes() / 1024, 32, "32 KiB");
     }
 
     #[test]
