@@ -52,7 +52,7 @@ use std::io::Write;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sibyl_core::{Experience, Learner, SibylAgent, SibylConfig};
+use sibyl_core::{ExperienceRef, Learner, SibylAgent, SibylConfig};
 use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
 use sibyl_serve::{
     CoopConfig, CoopMode, MigrateConfig, MigratePolicyKind, ServeConfig, ServeReport,
@@ -310,11 +310,12 @@ pub fn train_step_latency_rows(batches: &[usize], ns_per_mac: f64) -> Vec<TrainS
         let mut observation =
             || -> Vec<f32> { (0..OBS_LEN).map(|_| rng.gen_range(0.0f32..1.0)).collect() };
         for i in 0..config.buffer_capacity {
-            learner.push(Experience {
-                obs: observation(),
+            let (obs, next_obs) = (observation(), observation());
+            learner.push(ExperienceRef {
+                obs: &obs,
                 action: i % N_ACTIONS,
                 reward: (i % 5) as f32 * 0.25,
-                next_obs: observation(),
+                next_obs: &next_obs,
             });
         }
         let start = learner.flat_params();

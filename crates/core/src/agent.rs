@@ -12,7 +12,7 @@ use sibyl_hss::{AccessOutcome, DeviceId, PlacementPolicy, StorageManager};
 use sibyl_telemetry::{Log2Histogram, Registry};
 use sibyl_trace::IoRequest;
 
-use crate::buffer::Experience;
+use crate::buffer::{Experience, ExperienceRef};
 use crate::config::SibylConfig;
 use crate::decision::DecisionCore;
 use crate::features::StateEncoder;
@@ -124,8 +124,12 @@ struct Runtime {
     core: DecisionCore,
     /// Trains inline on the decision path; decisions borrow its inference
     /// network.
-    learner: Box<Learner>,
+    learner: Learner,
     shaper: RewardShaper,
+    /// The latest batch's observation rows and rewards, in buffers reused
+    /// from batch to batch.
+    rows: Vec<f32>,
+    rewards: Vec<f32>,
 }
 
 impl Runtime {
@@ -142,8 +146,10 @@ impl Runtime {
         Runtime {
             encoder,
             core: DecisionCore::new(config, n_actions, config.seed),
-            learner: Box::new(Learner::new(config, n_actions, obs_len)),
+            learner: Learner::new(config, n_actions, obs_len),
             shaper,
+            rows: Vec::new(),
+            rewards: Vec::new(),
         }
     }
 }
@@ -161,7 +167,7 @@ impl Runtime {
 #[derive(Debug)]
 pub struct SibylAgent {
     config: SibylConfig,
-    runtime: Option<Runtime>,
+    runtime: Option<Box<Runtime>>,
     /// Decisions of the current [`SibylAgent::place_batch`] call still
     /// owed their outcomes through [`SibylAgent::feedback_batch`].
     outstanding: usize,
@@ -233,9 +239,11 @@ impl SibylAgent {
             .map_or((0, 0), |rt| (rt.core.memo_lookups(), rt.core.memo_hits()))
     }
 
-    /// Pushes a finalized experience into the learner and runs the
-    /// training step + weight sync it makes due.
-    fn push_experience(&mut self, exp: Experience) {
+    /// Pushes a finalized experience into `learner` and runs the training
+    /// step + weight sync it makes due. `learner` is the runtime's: callers
+    /// take the runtime out of `self` while `exp` borrows its decision
+    /// core's rows.
+    fn push_experience(&mut self, learner: &mut Learner, exp: ExperienceRef<'_>) {
         self.stats.experiences += 1;
         self.pushes_seen += 1;
         // Experience tap: deterministic stride selection — publish one
@@ -246,7 +254,7 @@ impl SibylAgent {
             self.tap_acc += self.tap_fraction;
             if self.tap_acc >= 1.0 {
                 self.tap_acc -= 1.0;
-                self.tapped.push(exp.clone());
+                self.tapped.push(exp.to_experience());
                 self.stats.shared_published += 1;
             }
         }
@@ -254,9 +262,6 @@ impl SibylAgent {
         if due {
             self.next_train_at += self.config.train_interval;
         }
-        // sibyl-lint: allow(unwrap-in-lib) -- invariant: experiences come from decisions, which build the runtime
-        let rt = self.runtime.as_mut().expect("runtime initialized");
-        let learner = &mut rt.learner;
         learner.push(exp);
         if due && learner.train_step() {
             self.stats.train_steps = learner.train_steps;
@@ -305,29 +310,36 @@ impl SibylAgent {
         if reqs.is_empty() {
             return Vec::new();
         }
-        let rt = self
+        let mut rt = self
             .runtime
-            .get_or_insert_with(|| Runtime::new(&self.config, manager));
-        let obs_len = rt.encoder.observation_len();
-        let mut rows = Vec::with_capacity(reqs.len() * obs_len);
+            .take()
+            .unwrap_or_else(|| Box::new(Runtime::new(&self.config, manager)));
+        let Runtime {
+            encoder,
+            core,
+            learner,
+            rows,
+            ..
+        } = &mut *rt;
+        let obs_len = encoder.observation_len();
+        rows.clear();
         for req in reqs {
-            rt.encoder.observe_into(req, manager, &mut rows);
+            encoder.observe_into(req, manager, rows);
         }
         // The previous call's last decision closes on its next state —
         // first, as the push can train the network this batch decides on.
-        if let Some(exp) = rt.core.close(&rows[..obs_len]) {
-            self.push_experience(exp);
+        if let Some(exp) = core.close(&rows[..obs_len]) {
+            self.push_experience(learner, exp);
         }
-        // sibyl-lint: allow(unwrap-in-lib) -- invariant: the runtime was built at the top of this method
-        let rt = self.runtime.as_mut().expect("runtime initialized");
-        let actions = rt.core.act(rt.learner.inference(), rows);
+        let actions = core.act(learner.inference(), rows);
         if let Some(intro) = self.introspect.as_deref_mut() {
             intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
         }
         let targets = actions.iter().map(|&action| DeviceId(action)).collect();
-        self.stats.decisions = rt.core.decisions();
-        self.stats.explorations = rt.core.explorations();
+        self.stats.decisions = core.decisions();
+        self.stats.explorations = core.explorations();
         self.outstanding = reqs.len();
+        self.runtime = Some(rt);
         targets
     }
 
@@ -349,14 +361,26 @@ impl SibylAgent {
         );
         // An empty round (paired with an empty place_batch) is a no-op; it
         // must not disturb the still-open decision of a previous batch.
-        let Some(rt) = self.runtime.as_mut().filter(|_| !outcomes.is_empty()) else {
+        if outcomes.is_empty() {
+            return;
+        }
+        let Some(mut rt) = self.runtime.take() else {
             return;
         };
         self.outstanding = 0;
-        let rewards: Vec<f32> = outcomes.iter().map(|o| rt.shaper.reward(o)).collect();
-        for exp in rt.core.settle(&rewards) {
-            self.push_experience(exp);
+        let Runtime {
+            core,
+            learner,
+            shaper,
+            rewards,
+            ..
+        } = &mut *rt;
+        rewards.clear();
+        rewards.extend(outcomes.iter().map(|o| shaper.reward(o)));
+        for exp in core.settle(rewards) {
+            self.push_experience(learner, exp);
         }
+        self.runtime = Some(rt);
     }
 
     /// Enables (or, with `0.0`, disables) the experience tap: the given
@@ -389,12 +413,17 @@ impl SibylAgent {
     /// advance the training schedule — only locally collected experiences
     /// trigger training — and the buffer's deduplication applies as
     /// usual. No-op before the first decision (no runtime yet).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an experience's observations are not as wide as this
+    /// agent's (see [`Learner::push`]).
     pub fn absorb_experiences(&mut self, exps: &[Experience]) {
         let Some(rt) = self.runtime.as_mut() else {
             return;
         };
         for exp in exps {
-            rt.learner.push(exp.clone());
+            rt.learner.push(exp.view());
         }
         self.stats.shared_absorbed += exps.len() as u64;
     }
@@ -885,6 +914,22 @@ mod tests {
     fn foreign_weight_other_than_one_panics() {
         let mut agent = SibylAgent::new(fast_test_config());
         agent.set_foreign_weight(0.5);
+    }
+
+    /// A foreign transition of another width is refused as it is
+    /// absorbed, not at this agent's next training step.
+    #[test]
+    #[should_panic(expected = "observation width 4 differs from the buffer's 6")]
+    fn absorbing_a_ragged_experience_fails_at_once() {
+        let mut mgr = manager(512);
+        let mut agent = SibylAgent::new(fast_test_config());
+        drive(&mut agent, &mut mgr, &hot_cold_stream(4));
+        agent.absorb_experiences(&[Experience {
+            obs: vec![0.5; 4],
+            action: 0,
+            reward: 1.0,
+            next_obs: vec![0.5; 4],
+        }]);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::buffer::Experience;
+use crate::buffer::ExperienceRef;
 use crate::c51::Categorical;
 use crate::config::SibylConfig;
 use crate::learner::{value_head, Inference};
 
-/// The latest decision. Its transition stays open until the next
-/// observation arrives, and becomes an experience only if a reward
-/// reached it first (`⟨O_t, a_t, r_t, O_{t+1}⟩`, §6 footnote 6).
+/// The latest decision, whose observation is the last of
+/// [`DecisionCore`]'s rows until the next `act`. Its transition stays
+/// open until the next observation arrives, and becomes an experience
+/// only if a reward reached it first (`⟨O_t, a_t, r_t, O_{t+1}⟩`, §6
+/// footnote 6).
 #[derive(Debug)]
 struct OpenTransition {
-    obs: Vec<f32>,
     action: usize,
     reward: Option<f32>,
 }
@@ -113,9 +114,11 @@ pub struct DecisionCore {
     rng: StdRng,
     decisions: u64,
     explorations: u64,
-    /// Observation rows (row-major) and actions of the latest `act`.
+    /// Observation rows (row-major) and actions of the latest `act`, and
+    /// how many of its decisions still await [`DecisionCore::settle`].
     rows: Vec<f32>,
     actions: Vec<usize>,
+    unsettled: usize,
     open: Option<OpenTransition>,
     q_spread: f64,
     memo: Memo,
@@ -145,6 +148,7 @@ impl DecisionCore {
             explorations: 0,
             rows: Vec::new(),
             actions: Vec::new(),
+            unsettled: 0,
             open: None,
             q_spread: 0.0,
             memo: Memo {
@@ -193,13 +197,14 @@ impl DecisionCore {
     /// Closes the open transition against `next_obs`, the observation
     /// that followed it: the finished experience, or `None` when nothing
     /// was open or no reward reached the decision (it is dropped).
-    pub fn close(&mut self, next_obs: &[f32]) -> Option<Experience> {
+    pub fn close<'a>(&'a mut self, next_obs: &'a [f32]) -> Option<ExperienceRef<'a>> {
         let open = self.open.take()?;
-        Some(Experience {
-            obs: open.obs,
+        let obs_len = self.rows.len() / self.actions.len();
+        Some(ExperienceRef {
+            obs: &self.rows[self.rows.len() - obs_len..],
             action: open.action,
             reward: open.reward?,
-            next_obs: next_obs.to_vec(),
+            next_obs,
         })
     }
 
@@ -211,12 +216,13 @@ impl DecisionCore {
     /// network in one batched pass, take the argmax of their Q-values —
     /// bit-identically to per-row inference — and are remembered. A new
     /// generation empties the memo first. The last decision becomes the
-    /// open transition.
+    /// open transition. The core keeps its own copy of `rows`, in a buffer
+    /// reused from call to call.
     ///
     /// # Panics
     ///
     /// Panics if `rows` is empty or not a whole number of observations.
-    pub fn act(&mut self, inference: Inference<'_>, rows: Vec<f32>) -> &[usize] {
+    pub fn act(&mut self, inference: Inference<'_>, rows: &[f32]) -> &[usize] {
         let Inference { net, generation } = inference;
         let obs_len = net.in_dim();
         assert!(
@@ -233,7 +239,8 @@ impl DecisionCore {
         let n = rows.len() / obs_len;
         self.actions.clear();
         self.actions.reserve(n);
-        self.rows = rows;
+        self.rows.clear();
+        self.rows.extend_from_slice(rows);
         self.misses.clear();
         self.miss_rows.clear();
         self.gaps.clear();
@@ -289,10 +296,10 @@ impl DecisionCore {
             self.q_spread = self.gaps.iter().fold(0.0, |sum, gap| sum + gap) / greedy as f64;
         }
         self.open = Some(OpenTransition {
-            obs: self.rows[self.rows.len() - obs_len..].to_vec(),
-            action: self.actions[self.actions.len() - 1],
+            action: self.actions[n - 1],
             reward: None,
         });
+        self.unsettled = n;
         &self.actions
     }
 
@@ -308,29 +315,32 @@ impl DecisionCore {
     /// [`DecisionCore::act`]: the last takes its reward and stays open for
     /// the next [`DecisionCore::close`]; every earlier one closes against
     /// its successor's observation, yielded in order by the returned
-    /// iterator (which owns what it reads, so the core stays usable).
+    /// iterator, which borrows the batch's rows from the core.
     ///
     /// # Panics
     ///
     /// Panics if `rewards.len()` is not the number of decisions the
     /// latest `act` made, or that `act` was settled before.
-    pub fn settle<'a>(&mut self, rewards: &'a [f32]) -> impl Iterator<Item = Experience> + 'a {
+    pub fn settle<'a>(
+        &'a mut self,
+        rewards: &'a [f32],
+    ) -> impl Iterator<Item = ExperienceRef<'a>> + 'a {
         assert_eq!(
             rewards.len(),
-            self.actions.len(),
+            self.unsettled,
             "DecisionCore::settle: one reward per decision of the latest act required"
         );
+        self.unsettled = 0;
         if let Some(&last) = rewards.last() {
             self.set_reward(Some(last));
         }
-        let rows = std::mem::take(&mut self.rows);
-        let actions = std::mem::take(&mut self.actions);
+        let (rows, actions) = (&self.rows, &self.actions);
         let obs_len = rows.len() / rewards.len().max(1);
-        (1..rewards.len()).map(move |i| Experience {
-            obs: rows[(i - 1) * obs_len..i * obs_len].to_vec(),
+        (1..rewards.len()).map(move |i| ExperienceRef {
+            obs: &rows[(i - 1) * obs_len..i * obs_len],
             action: actions[i - 1],
             reward: rewards[i - 1],
-            next_obs: rows[i * obs_len..(i + 1) * obs_len].to_vec(),
+            next_obs: &rows[i * obs_len..(i + 1) * obs_len],
         })
     }
 }
@@ -356,18 +366,18 @@ mod tests {
     fn a_transition_needs_a_reward_and_a_successor_to_close() {
         let (learner, mut core) = core(0.0, 3, 4);
         assert!(core.close(&[0.0; 4]).is_none(), "nothing open yet");
-        let first = core.act(learner.inference(), vec![0.1; 4])[0];
+        let first = core.act(learner.inference(), &[0.1; 4])[0];
         assert!(core.close(&[0.2; 4]).is_none(), "unrewarded: dropped");
-        let _ = core.act(learner.inference(), vec![0.1; 4]);
+        let _ = core.act(learner.inference(), &[0.1; 4]);
         core.set_reward(Some(0.7));
         core.set_reward(None);
         assert!(core.close(&[0.3; 4]).is_none(), "reward withdrawn");
-        let _ = core.act(learner.inference(), vec![0.1; 4]);
+        let _ = core.act(learner.inference(), &[0.1; 4]);
         core.set_reward(Some(0.7));
         let exp = core.close(&[0.3; 4]).expect("rewarded and succeeded");
         assert_eq!(
             (exp.obs, exp.action, exp.reward, exp.next_obs),
-            (vec![0.1; 4], first, 0.7, vec![0.3; 4])
+            (&[0.1; 4][..], first, 0.7, &[0.3; 4][..])
         );
         assert!(core.close(&[0.3; 4]).is_none(), "closed only once");
         assert_eq!((core.decisions(), core.explorations()), (3, 0));
@@ -377,19 +387,19 @@ mod tests {
     fn settle_chains_a_batch_and_leaves_its_last_decision_open() {
         let (learner, mut core) = core(1.0, 2, 2);
         let rows = [0.0, 0.1, 1.0, 1.1, 2.0, 2.1];
-        let actions = core.act(learner.inference(), rows.to_vec()).to_vec();
+        let actions = core.act(learner.inference(), &rows).to_vec();
         assert_eq!(core.explorations(), 3, "ε = 1 explores every row");
         let rewards = [0.5, 0.6, 0.7];
         let closed: Vec<_> = core.settle(&rewards).collect();
         assert_eq!(closed.len(), 2);
         for (i, exp) in closed.iter().enumerate() {
-            assert_eq!(exp.obs, rows[2 * i..2 * i + 2]);
-            assert_eq!(exp.next_obs, rows[2 * i + 2..2 * i + 4]);
+            assert_eq!(exp.obs, &rows[2 * i..2 * i + 2]);
+            assert_eq!(exp.next_obs, &rows[2 * i + 2..2 * i + 4]);
             assert_eq!((exp.action, exp.reward), (actions[i], rewards[i]));
         }
         assert_eq!(core.settle(&[]).count(), 0, "nothing left to settle");
         let last = core.close(&[3.0, 3.1]).expect("last decision rewarded");
-        assert_eq!((last.obs, last.reward), (vec![2.0, 2.1], 0.7));
+        assert_eq!((last.obs, last.reward), (&[2.0, 2.1][..], 0.7));
     }
 
     /// Adoption site 1 of 2, the end of a training step: a
@@ -411,25 +421,26 @@ mod tests {
         let mut learner = Learner::new(&cfg, 2, 4);
         let mut core = DecisionCore::new(&cfg, 2, 9);
         let obs = vec![0.25f32, 0.5, 0.75, 1.0];
-        let before = core.act(learner.inference(), obs.clone())[0];
-        assert_eq!(core.act(learner.inference(), obs.clone())[0], before);
+        let before = core.act(learner.inference(), &obs)[0];
+        assert_eq!(core.act(learner.inference(), &obs)[0], before);
         assert_eq!((core.memo_lookups(), core.memo_hits()), (2, 1));
         // Reward only the action the untrained network does not take.
         for i in 0..64 {
             let (action, jitter) = (i % 2, i as f32 * 1e-4);
-            learner.push(Experience {
-                obs: vec![0.25 + jitter, 0.5, 0.75, 1.0],
+            let obs = [0.25 + jitter, 0.5, 0.75, 1.0];
+            learner.push(ExperienceRef {
+                obs: &obs,
                 action,
                 reward: if action == before { 0.0 } else { 1.0 },
-                next_obs: vec![0.25 + jitter, 0.5, 0.75, 1.0],
+                next_obs: &obs,
             });
         }
         for _ in 0..200 {
             assert!(learner.train_step(), "buffer non-empty");
         }
-        let fresh = DecisionCore::new(&cfg, 2, 9).act(learner.inference(), obs.clone())[0];
+        let fresh = DecisionCore::new(&cfg, 2, 9).act(learner.inference(), &obs)[0];
         assert_ne!(fresh, before, "training must flip the argmax");
-        assert_eq!(core.act(learner.inference(), obs)[0], fresh, "stale memo");
+        assert_eq!(core.act(learner.inference(), &obs)[0], fresh, "stale memo");
         assert_eq!(core.memo_hits(), 1, "a new generation starts empty");
     }
 
@@ -486,8 +497,8 @@ mod tests {
                     .flat_map(|&p| alphabet[p * 5..(p + 1) * 5].iter().copied())
                     .collect();
                 prop_assert_eq!(memo.close(&rows[..5]), plain.close(&rows[..5]));
-                let actions = memo.act(inference, rows.clone()).to_vec();
-                prop_assert_eq!(&actions[..], plain.act(inference, rows));
+                let actions = memo.act(inference, &rows).to_vec();
+                prop_assert_eq!(&actions[..], plain.act(inference, &rows));
                 prop_assert_eq!(memo.q_spread().to_bits(), plain.q_spread().to_bits());
                 prop_assert_eq!(
                     (memo.decisions(), memo.explorations(), memo.rng.clone().gen::<u64>()),
@@ -520,13 +531,13 @@ mod tests {
         // over several times, so the second round cannot hit them all.
         for _ in 0..2 {
             for i in 0..32 {
-                let _ = core.act(learner.inference(), vec![i as f32, 0.5]);
+                let _ = core.act(learner.inference(), &[i as f32, 0.5]);
             }
         }
         assert!(core.memo_hits() < 32, "hits: {}", core.memo_hits());
         // ... while a row asked again at once is remembered.
         let hits = core.memo_hits();
-        let _ = core.act(learner.inference(), vec![31.0, 0.5, 31.0, 0.5]);
+        let _ = core.act(learner.inference(), &[31.0, 0.5, 31.0, 0.5]);
         assert!(core.memo_hits() > hits);
         assert_eq!(core.memo_lookups(), 66);
     }

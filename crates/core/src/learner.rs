@@ -8,7 +8,9 @@ use rand::SeedableRng;
 
 use sibyl_nn::{Activation, Adam, Mlp};
 
-use crate::buffer::{Experience, ExperienceBuffer};
+#[cfg(test)]
+use crate::buffer::Experience;
+use crate::buffer::{ExperienceBuffer, ExperienceRef};
 use crate::c51::{Categorical, HeadScratch};
 use crate::config::SibylConfig;
 
@@ -190,7 +192,7 @@ impl Learner {
             target_net,
             generation: 0,
             opt: Adam::new(config.learning_rate),
-            buffer: ExperienceBuffer::new(config.buffer_capacity),
+            buffer: ExperienceBuffer::with_width(config.buffer_capacity, obs_len),
             scratch: TrainScratch::default(),
             rng: StdRng::seed_from_u64(config.seed ^ 0x5A3B),
             discount: config.discount,
@@ -205,8 +207,14 @@ impl Learner {
         }
     }
 
-    /// Stores one transition.
-    pub fn push(&mut self, exp: Experience) {
+    /// Stores one transition in the replay buffer (see
+    /// [`ExperienceBuffer::push`]), copying its rows into the ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp.obs` or `exp.next_obs` is not the `obs_len` wide
+    /// observation the learner was built for.
+    pub fn push(&mut self, exp: ExperienceRef<'_>) {
         self.buffer.push(exp);
     }
 
@@ -227,8 +235,8 @@ impl Learner {
     /// whether it is computed changes no weight, target or decision.
     ///
     /// The step is batched end to end and does each piece of work once.
-    /// Per replay batch, sampling borrows the selected experiences by
-    /// index (no clones); the Bellman target of every slot the step has
+    /// Per replay batch, sampling borrows the selected experiences from
+    /// the replay ring by slot (no clones); the Bellman target of every slot the step has
     /// not drawn before comes from one [`Mlp::infer_batch_into`] pass of
     /// the target network plus `Categorical::batch_targets`, and is kept
     /// for the slot's later draws — the target network stands still for
@@ -280,11 +288,11 @@ impl Learner {
             let memo_rows = s.memo.len() / tw;
             for &idx in &s.indices {
                 let exp = self.buffer.get(idx);
-                s.obs.extend_from_slice(&exp.obs);
+                s.obs.extend_from_slice(exp.obs);
                 s.actions.push(exp.action);
                 if s.memo_row[idx] == UNSEEN {
                     s.memo_row[idx] = (memo_rows + s.fresh_rewards.len()) as u32;
-                    s.fresh_next_obs.extend_from_slice(&exp.next_obs);
+                    s.fresh_next_obs.extend_from_slice(exp.next_obs);
                     s.fresh_rewards.push(exp.reward);
                 }
             }
@@ -396,7 +404,7 @@ impl Learner {
                 .buffer
                 .sample_indices(self.batch_size, &mut self.rng)
                 .into_iter()
-                .map(|idx| self.buffer.get(idx).clone())
+                .map(|idx| self.buffer.get(idx).to_experience())
                 .collect();
             self.train_net.zero_grad();
             for exp in &samples {
@@ -528,13 +536,28 @@ mod tests {
         let mut l = Learner::new(&cfg, 2, 6);
         for i in 0..64 {
             let a = i % 2;
-            l.push(exp(0.5 + (i as f32) * 1e-4, a, a as f32));
+            l.push(exp(0.5 + (i as f32) * 1e-4, a, a as f32).view());
         }
         for _ in 0..200 {
             assert!(l.train_step(), "buffer non-empty");
         }
         let q = q_values(&l, &[0.5; 6]);
         assert!(q[1] > q[0] + 0.3, "Q should prefer rewarded action: {q:?}");
+    }
+
+    /// A transition whose width is not the network's input is refused at
+    /// the push — even the first one — instead of being stored and failing
+    /// inside the next training step's forward pass.
+    #[test]
+    #[should_panic(expected = "observation width 5 differs from the buffer's 6")]
+    fn a_ragged_transition_fails_at_the_push() {
+        let mut l = Learner::new(&config(), 2, 6);
+        l.push(ExperienceRef {
+            obs: &[0.5; 5],
+            action: 0,
+            reward: 1.0,
+            next_obs: &[0.5; 5],
+        });
     }
 
     #[test]
@@ -561,8 +584,8 @@ mod tests {
         reference.use_reference_train = true;
         for i in 0..64 {
             let e = exp(0.1 + i as f32 * 3e-3, i % 2, (i % 3) as f32 * 0.4);
-            batched.push(e.clone());
-            reference.push(e);
+            batched.push(e.view());
+            reference.push(e.view());
         }
         for step in 0..30 {
             assert!(batched.train_step() && reference.train_step());
@@ -605,8 +628,8 @@ mod tests {
                 reward: (i % 5) as f32 * 0.6 - 0.4,
                 next_obs: (0..6).map(|k| ((i * 5 + k) % 13) as f32 * 0.07).collect(),
             };
-            batched.push(e.clone());
-            reference.push(e);
+            batched.push(e.view());
+            reference.push(e.view());
         }
         for step in 0..20 {
             assert!(batched.train_step() && reference.train_step());
@@ -636,7 +659,7 @@ mod tests {
         };
         let mut l = Learner::new(&cfg, 2, 6);
         for i in 0..64 {
-            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
+            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32).view());
         }
         let blocks = |l: &Learner| {
             let s = &l.scratch;
@@ -663,7 +686,7 @@ mod tests {
     fn train_phases_account_the_whole_step() {
         let mut l = Learner::new(&config(), 2, 6);
         for i in 0..64 {
-            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
+            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32).view());
         }
         let started = now();
         for _ in 0..5 {
@@ -710,12 +733,11 @@ mod tests {
                 let action = rng.gen_range(0..2);
                 let mean = if action == better(&obs) { 0.4 } else { 0.15 };
                 let reward = mean + rng.gen_range(-0.2f32..0.2);
-                let next_obs = next.clone();
-                l.push(Experience {
-                    obs,
+                l.push(ExperienceRef {
+                    obs: &obs,
                     action,
                     reward,
-                    next_obs,
+                    next_obs: &next,
                 });
             }
             assert!(l.train_step());
@@ -745,7 +767,7 @@ mod tests {
             learners[1].use_reference_train = true;
             for i in 0..cfg.buffer_capacity {
                 let e = exp(i as f32 / 1000.0, i % 2, (i % 5) as f32 * 0.25);
-                learners.iter_mut().for_each(|l| l.push(e.clone()));
+                learners.iter_mut().for_each(|l| l.push(e.view()));
             }
             let start = learners[0].flat_params();
             let reps = (2048 / batch_size).max(8);
@@ -787,7 +809,7 @@ mod tests {
         };
         let mut l = Learner::new(&cfg, 2, 6);
         for i in 0..64 {
-            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32));
+            l.push(exp(i as f32 / 64.0, i % 2, (i % 2) as f32).view());
         }
         let mut step = || {
             assert!(l.train_step());

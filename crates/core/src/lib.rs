@@ -63,7 +63,7 @@ pub mod overhead;
 mod reward;
 
 pub use agent::{AgentStats, RlProbe, SibylAgent};
-pub use buffer::{Experience, ExperienceBuffer};
+pub use buffer::{Experience, ExperienceBuffer, ExperienceRef};
 pub use config::{QuantMode, SibylConfig};
 pub use decision::DecisionCore;
 pub use features::{FeatureMask, Observation, StateEncoder};

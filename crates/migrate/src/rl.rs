@@ -102,7 +102,12 @@ impl RlMigration {
 
     /// The observation for one tick: every feature normalized into
     /// `[0, 1]`.
-    fn observe(&self, scan: &CandidateScan, window: &TickWindow, cfg: &MigrateConfig) -> Vec<f32> {
+    fn observe(
+        &self,
+        scan: &CandidateScan,
+        window: &TickWindow,
+        cfg: &MigrateConfig,
+    ) -> [f32; OBS_LEN] {
         let mean_heat = if scan.promote.is_empty() {
             0.0
         } else {
@@ -110,7 +115,7 @@ impl RlMigration {
         };
         let avail = scan.promote.len() as f64 / cfg.max_moves_per_tick.max(1) as f64;
         let hit_delta = (window.fast_fraction - self.prev_fast_fraction).clamp(-0.5, 0.5) + 0.5;
-        vec![
+        [
             scan.fast_fill.clamp(0.0, 1.0) as f32,
             (mean_heat / (mean_heat + 8.0)) as f32,
             avail.clamp(0.0, 1.0) as f32,
@@ -166,7 +171,7 @@ impl RlMigration {
         {
             self.stats.train_steps = self.learner.train_steps();
         }
-        let action = self.core.act(self.learner.inference(), obs)[0];
+        let action = self.core.act(self.learner.inference(), &obs)[0];
         self.stats.decisions = self.core.decisions();
         self.stats.explorations = self.core.explorations();
         self.prev_fast_fraction = window.fast_fraction;

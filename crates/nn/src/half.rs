@@ -19,54 +19,41 @@
 /// assert_eq!(f16_bits_to_f32(bits), 1.0);
 /// ```
 pub fn f32_to_f16_bits(x: f32) -> u16 {
+    // All three cases are computed and one is selected by magnitude, so
+    // the compiler can pick with conditional moves instead of a branch
+    // per class of input: the replay buffer encodes a dozen binned
+    // feature values a push, where zeros and normals alternate and such a
+    // branch mispredicts.
+    const F32_INFINITY: u32 = 0xFF << 23;
+    /// 2¹⁶: at and above it a value overflows to the binary16 infinity.
+    const F16_OVERFLOW: u32 = (127 + 16) << 23;
+    /// 2⁻¹⁴, the least binary16 normal.
+    const F16_MIN_NORMAL: u32 = (127 - 14) << 23;
     let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let frac = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf or NaN
-        return if frac == 0 {
-            sign | 0x7C00
-        } else {
-            sign | 0x7E00 // quiet NaN
-        };
-    }
-
-    // Re-bias exponent from 127 to 15.
-    let unbiased = exp - 127;
-    let new_exp = unbiased + 15;
-
-    if new_exp >= 0x1F {
-        // Overflow -> infinity.
-        return sign | 0x7C00;
-    }
-    if new_exp <= 0 {
-        // Subnormal or zero in f16.
-        if new_exp < -10 {
-            return sign; // underflows to zero
-        }
-        // Add implicit leading 1 and shift into subnormal position.
-        let mant = frac | 0x0080_0000;
-        let shift = (14 - new_exp) as u32;
-        let sub = mant >> shift;
-        // Round to nearest even.
-        let round_bit = 1u32 << (shift - 1);
-        let lower = mant & (round_bit | (round_bit - 1));
-        let mut half = sub as u16;
-        if lower > round_bit || (lower == round_bit && (sub & 1) == 1) {
-            half += 1;
-        }
-        return sign | half;
-    }
-
-    // Normal number: keep top 10 fraction bits with round-to-nearest-even.
-    let mut half = (new_exp as u16) << 10 | (frac >> 13) as u16;
-    let round_bits = frac & 0x1FFF;
-    if round_bits > 0x1000 || (round_bits == 0x1000 && (half & 1) == 1) {
-        half = half.wrapping_add(1); // may carry into the exponent, which is correct
-    }
-    sign | half
+    let sign = (bits >> 16) as u16 & 0x8000;
+    let abs = bits & 0x7FFF_FFFF;
+    // Inf or NaN (a quiet NaN whatever the payload), or overflow.
+    let special = if abs > F32_INFINITY { 0x7E00 } else { 0x7C00 };
+    // Subnormal or zero: adding 0.5, whose ulp is 2⁻²⁴ — the binary16
+    // subnormal step — rounds to nearest even in the FPU and leaves the
+    // value's subnormal bits at the bottom of the sum's fraction.
+    let half = 0.5f32.to_bits();
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits().wrapping_sub(half);
+    // Normal: re-bias the exponent from 127 to 15 and keep the top 10
+    // fraction bits, rounding to nearest even by adding 0xFFF plus the
+    // kept part's lowest bit (a carry into the exponent is correct).
+    let normal = abs
+        .wrapping_sub((127 - 15) << 23)
+        .wrapping_add(0xFFF + (abs >> 13 & 1))
+        >> 13;
+    let magnitude = if abs >= F16_OVERFLOW {
+        special
+    } else if abs < F16_MIN_NORMAL {
+        subnormal
+    } else {
+        normal
+    };
+    sign | magnitude as u16
 }
 
 /// Converts an IEEE 754 binary16 bit pattern back to `f32`.
@@ -116,6 +103,93 @@ pub fn quantize(x: f32) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The encoder as it was written first, one branch per class of
+    /// input: the reference the branch-free encoder is pinned to.
+    fn f32_to_f16_bits_reference(x: f32) -> u16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let frac = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Inf or NaN
+            return if frac == 0 {
+                sign | 0x7C00
+            } else {
+                sign | 0x7E00 // quiet NaN
+            };
+        }
+
+        // Re-bias exponent from 127 to 15.
+        let unbiased = exp - 127;
+        let new_exp = unbiased + 15;
+
+        if new_exp >= 0x1F {
+            // Overflow -> infinity.
+            return sign | 0x7C00;
+        }
+        if new_exp <= 0 {
+            // Subnormal or zero in f16.
+            if new_exp < -10 {
+                return sign; // underflows to zero
+            }
+            // Add implicit leading 1 and shift into subnormal position.
+            let mant = frac | 0x0080_0000;
+            let shift = (14 - new_exp) as u32;
+            let sub = mant >> shift;
+            // Round to nearest even.
+            let round_bit = 1u32 << (shift - 1);
+            let lower = mant & (round_bit | (round_bit - 1));
+            let mut half = sub as u16;
+            if lower > round_bit || (lower == round_bit && (sub & 1) == 1) {
+                half += 1;
+            }
+            return sign | half;
+        }
+
+        // Normal number: keep top 10 fraction bits with round-to-nearest-even.
+        let mut half = (new_exp as u16) << 10 | (frac >> 13) as u16;
+        let round_bits = frac & 0x1FFF;
+        if round_bits > 0x1000 || (round_bits == 0x1000 && (half & 1) == 1) {
+            half = half.wrapping_add(1); // may carry into the exponent, which is correct
+        }
+        sign | half
+    }
+
+    /// The branch-free encoder is the reference bit for bit. Both signs,
+    /// every exponent, and per exponent every pattern of the 13 fraction
+    /// bits a normal rounds away under kept parts that are even, odd and
+    /// all ones (a carry into the exponent); across the exponents whose
+    /// values land in or next to the binary16 subnormals, where the
+    /// rounding position moves, every fraction (a stride of 3 in debug
+    /// builds).
+    #[test]
+    fn branch_free_encoder_is_the_reference() {
+        let check = |bits: u32| {
+            let x = f32::from_bits(bits);
+            assert_eq!(
+                f32_to_f16_bits(x),
+                f32_to_f16_bits_reference(x),
+                "{bits:#010x}"
+            );
+        };
+        let stride = if cfg!(debug_assertions) { 3 } else { 1 };
+        for sign in [0, 1u32 << 31] {
+            for exp in 0..=0xFFu32 {
+                for kept in [0, 1, 0x155, 0x2AA, 0x3FF] {
+                    for low in 0..1u32 << 13 {
+                        check(sign | exp << 23 | kept << 13 | low);
+                    }
+                }
+            }
+            for exp in 100..=114u32 {
+                for frac in (0..1u32 << 23).step_by(stride) {
+                    check(sign | exp << 23 | frac);
+                }
+            }
+        }
+    }
 
     #[test]
     fn known_constants() {
