@@ -16,20 +16,23 @@
 //! race of the tiled kernels against their scalar references is
 //! `sibyl-nn`'s `kernel_parity` test.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sibyl_bench::{median_ns, seed, Figure};
 use sibyl_core::{ExperienceBuffer, ExperienceRef, Learner, OverheadReport, SibylConfig};
 use sibyl_nn::{Activation, Mlp};
 use sibyl_sim::report::Table;
 
-/// Times `f` and notes the median ns/iter under `name`.
+/// Calls per timed run of [`bench_function`], and timed runs.
+const BATCH: u32 = 10_000;
+const RUNS: usize = 31;
+
+/// Times `f`, notes the median ns/iter under `name` and prints it on a
+/// line it leaves open for the caller to end.
 fn bench_function(fig: &mut Figure, name: &str, f: impl FnMut()) {
-    const BATCH: u32 = 10_000;
-    const RUNS: usize = 31;
     let ns = format!("{:.1}", median_ns(BATCH, RUNS, f));
     print!("{name:<40} {:>1$}", "", 10usize.saturating_sub(ns.len()));
     fig.note(name, ns);
-    println!(" ns/iter (median of {RUNS} x {BATCH})");
+    print!(" ns/iter (median of {RUNS} x {BATCH})");
 }
 
 fn inference_benchmark(fig: &mut Figure) {
@@ -45,6 +48,7 @@ fn inference_benchmark(fig: &mut Figure) {
     bench_function(fig, "inference_paper_network_780_macs", || {
         std::hint::black_box(paper_net.infer(std::hint::black_box(&obs)));
     });
+    println!();
 
     // Our default C51 head (6-20-30-102).
     let c51_net = Mlp::new(
@@ -56,6 +60,31 @@ fn inference_benchmark(fig: &mut Figure) {
     bench_function(fig, "inference_c51_network", || {
         std::hint::black_box(c51_net.infer(std::hint::black_box(&obs)));
     });
+    println!();
+    inference_batch_width_table(fig, &c51_net, &mut rng);
+}
+
+/// The C51 network's inference cost per row at the batch widths a
+/// decision arrives in: one `Mlp::infer_batch_into` over caller-owned
+/// buffers per call, as `DecisionCore::act` runs a batch's memo misses
+/// and `Experiment::run` its one-at-a-time decisions. The inference
+/// kernel gives each output its own SIMD lane, so a row fills whole
+/// tiles at any width.
+fn inference_batch_width_table(fig: &mut Figure, net: &Mlp, rng: &mut rand::rngs::StdRng) {
+    println!("--- §10.1 inference batch-width sweep (default C51 net) ---");
+    let mut table = Table::new(["batch", "ns/row"]);
+    let (mut scratch, mut out) = (Vec::new(), Vec::new());
+    for batch in [1usize, 2, 4, 8, 16] {
+        let xs: Vec<f32> = (0..batch * net.in_dim())
+            .map(|_| rng.gen_range(0.0f32..1.0))
+            .collect();
+        let ns = median_ns(BATCH / batch as u32, RUNS, || {
+            net.infer_batch_into(std::hint::black_box(&xs), batch, &mut scratch, &mut out);
+            std::hint::black_box(&out);
+        });
+        table.add_row(vec![batch.to_string(), format!("{:.1}", ns / batch as f64)]);
+    }
+    fig.table("inference_batch_width", &table);
 }
 
 /// §10's training-step cost, swept over replay-batch sizes on the
@@ -113,22 +142,37 @@ fn decision_memo_table(fig: &mut Figure) {
 
 /// One push into the default 1 000-entry replay ring, from rows the
 /// caller owns (as `DecisionCore::settle` lends them): no heap block is
-/// built inside the timed closure.
+/// built inside the timed closure. The features are a push counter's
+/// base-1024 digits, integers half precision holds exactly, so the rows
+/// stay distinct at the f16 resolution the buffer deduplicates at and the
+/// pushes take the overwrite path a serving stream takes (where 0.19 % of
+/// pushes are duplicates). The measured duplicate share is printed beside
+/// the cost.
 fn buffer_benchmark(fig: &mut Figure) {
     let mut buf = ExperienceBuffer::new(1000);
     let (mut obs, mut next_obs) = ([0.0f32; 6], [0.0f32; 6]);
-    let mut i = 0u32;
+    let mut i = 0u64;
     bench_function(fig, "experience_buffer_push", || {
-        i = i.wrapping_add(1);
-        obs.fill(i as f32 * 1e-3);
-        next_obs.fill(i as f32 * 1e-3 + 0.5);
+        i += 1;
+        for (k, (o, n)) in obs.iter_mut().zip(&mut next_obs).enumerate() {
+            let digit = (i >> (10 * k)) & 1023;
+            *o = digit as f32;
+            *n = (1023 - digit) as f32;
+        }
         buf.push(ExperienceRef {
             obs: &obs,
             action: (i % 2) as usize,
-            reward: i as f32 * 1e-4,
+            reward: (i % 1024) as f32,
             next_obs: &next_obs,
         });
     });
+    let share = buf.duplicates() as f64 / buf.pushes().max(1) as f64;
+    print!(", duplicate share ");
+    fig.note(
+        "experience_buffer_push_duplicate_share",
+        format!("{share:.4}"),
+    );
+    println!();
 }
 
 fn print_storage_accounting() {

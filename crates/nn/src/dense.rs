@@ -1,5 +1,7 @@
 //! Fully-connected layer with cached forward state for backpropagation.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::activation::Activation;
@@ -50,6 +52,11 @@ pub struct Dense {
     /// [`BLOCK_CHUNK`] gathered input rows of one block, and their outputs.
     block_x: Vec<f32>,
     block_y: Vec<f32>,
+    /// `w` packed for [`linalg::matmul_bias_panels`], built by the first
+    /// [`Dense::infer_batch`] after the weights last changed. Every
+    /// `&mut self` method that can write `w` clears it, except
+    /// [`Dense::copy_weights_from`], which repacks it in place.
+    panels: OnceLock<Vec<f32>>,
 }
 
 /// Rows [`Dense::forward_batch_blocks_into`] gathers per kernel call: a
@@ -88,6 +95,7 @@ impl Dense {
             dz: Vec::new(),
             block_x: Vec::new(),
             block_y: Vec::new(),
+            panels: OnceLock::new(),
         }
     }
 
@@ -252,7 +260,12 @@ impl Dense {
     /// Cache-free forward pass over a batch. `xs` is row-major
     /// `(batch × in_dim)`; `out` is refilled row-major
     /// `(batch × out_dim)`. Each output row is bit-identical to what a
-    /// batch of one produces for the corresponding input.
+    /// batch of one produces for the corresponding input, and to
+    /// [`Dense::forward_batch`]'s row.
+    ///
+    /// Runs [`linalg::matmul_bias_panels`] over the layer's packed
+    /// weights, one SIMD lane per output, so a row costs the same at any
+    /// batch width. The first call after the weights change packs them.
     ///
     /// # Panics
     ///
@@ -263,7 +276,12 @@ impl Dense {
             batch * self.in_dim,
             "Dense::infer_batch: input shape mismatch"
         );
-        linalg::matmul_bias(&self.w, &self.b, xs, self.out_dim, self.in_dim, batch, out);
+        let panels = self.panels.get_or_init(|| {
+            let mut panels = Vec::new();
+            linalg::pack_panels(&self.w, self.out_dim, self.in_dim, &mut panels);
+            panels
+        });
+        linalg::matmul_bias_panels(panels, &self.b, xs, self.out_dim, self.in_dim, batch, out);
         self.act.apply_slice(out);
     }
 
@@ -341,8 +359,10 @@ impl Dense {
         (&self.w, &self.b)
     }
 
-    /// Mutable views of `(weights, biases)`.
+    /// Mutable views of `(weights, biases)`. Drops the packed inference
+    /// copy of the weights; the next [`Dense::infer_batch`] repacks them.
     pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        self.panels.take();
         (&mut self.w, &mut self.b)
     }
 
@@ -352,8 +372,10 @@ impl Dense {
     }
 
     /// Mutable parameter and gradient views, in the order
-    /// `(w, dw, b, db)`, for optimizer updates.
+    /// `(w, dw, b, db)`, for optimizer updates. Drops the packed inference
+    /// copy of the weights, as [`Dense::params_mut`] does.
     pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
+        self.panels.take();
         (&mut self.w, &mut self.dw, &mut self.b, &mut self.db)
     }
 
@@ -373,6 +395,12 @@ impl Dense {
         );
         self.w.copy_from_slice(&other.w);
         self.b.copy_from_slice(&other.b);
+        // Repacked in place rather than dropped: an inference network
+        // adopts new weights at every training step, and keeping the
+        // panels' allocation keeps adoption allocation-free.
+        if let Some(panels) = self.panels.get_mut() {
+            linalg::pack_panels(&self.w, self.out_dim, self.in_dim, panels);
+        }
     }
 }
 
@@ -473,21 +501,20 @@ mod tests {
         };
 
         let h = 1e-3f32;
-        // Indexes both the mutated weights and the saved gradient, so an
-        // iterator over either alone doesn't fit.
-        #[allow(clippy::needless_range_loop)]
-        for idx in 0..layer.w.len() {
-            let orig = layer.w[idx];
-            layer.w[idx] = orig + h;
+        // The weights are written through `params_mut`, as every caller
+        // writes them, so the packed inference copy follows each
+        // perturbation.
+        for (idx, &analytic) in dw.iter().enumerate() {
+            let orig = layer.params().0[idx];
+            layer.params_mut().0[idx] = orig + h;
             let lp = loss(&layer, &x);
-            layer.w[idx] = orig - h;
+            layer.params_mut().0[idx] = orig - h;
             let lm = loss(&layer, &x);
-            layer.w[idx] = orig;
+            layer.params_mut().0[idx] = orig;
             let numeric = (lp - lm) / (2.0 * h);
             assert!(
-                (numeric - dw[idx]).abs() < 2e-2,
-                "weight {idx}: numeric {numeric} vs analytic {}",
-                dw[idx]
+                (numeric - analytic).abs() < 2e-2,
+                "weight {idx}: numeric {numeric} vs analytic {analytic}"
             );
         }
     }

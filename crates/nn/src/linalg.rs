@@ -1,23 +1,34 @@
 //! Small dense linear-algebra helpers shared by the layer implementations.
 //!
-//! The batched kernels (`matmul_bias`, `matmul_transpose`,
-//! `matmul_at_b_acc`, `col_sum_acc`) are tiled so their inner loops are
-//! bounds-check-free and rustc autovectorizes them, under one hard
-//! constraint: every output element's floating-point accumulation chain
-//! runs in *exactly* the order of the retained [`scalar`] references.
-//! f32 addition is not associative, so a kernel may never vectorize
-//! *within* one dot product's chain — instead the tiled kernels
-//! vectorize *across* independent outputs (one SIMD lane per batch
-//! sample), which reorders nothing. Every chain — [`dot`], the [`scalar`]
-//! references and each tile accumulator — starts from `+0.0` (not the
-//! `-0.0` `Iterator::sum` starts from), so a result does not depend, even
-//! in the sign of a zero, on which kernel or which lane produced it. The
-//! `kernel_parity` property suite pins bit-for-bit equality against
-//! [`scalar`] across random shapes, including every tile-remainder size.
+//! The batched kernels (`matmul_bias`, `matmul_bias_panels`,
+//! `matmul_transpose`, `matmul_at_b_acc`, `col_sum_acc`) are tiled so
+//! their inner loops are bounds-check-free and rustc autovectorizes them,
+//! under one hard constraint: every output element's floating-point
+//! accumulation chain runs in *exactly* the order of the retained
+//! [`scalar`] references. f32 addition is not associative, so a kernel may
+//! never vectorize *within* one dot product's chain — instead the tiled
+//! kernels vectorize *across* independent outputs, which reorders
+//! nothing. Inference ([`matmul_bias_panels`]) gives one SIMD lane to each
+//! *output*, over weights packed k-major in panels of [`PANEL`] output
+//! rows ([`pack_panels`]), so every input row fills a whole tile on its
+//! own and a row costs the same at any batch width. Training's forward
+//! pass ([`matmul_bias`]) gives one lane to each *sample*, over the
+//! row-major weights the optimizer writes, so no packed copy has to follow
+//! every step. Every chain — [`dot`], the [`scalar`] references and each
+//! tile accumulator — starts from `+0.0` (not the `-0.0` `Iterator::sum`
+//! starts from), so a result does not depend, even in the sign of a zero,
+//! on which kernel or which lane produced it. The `kernel_parity`
+//! property suite pins bit-for-bit equality against [`scalar`] across
+//! random shapes, including every tile-remainder size.
 
 /// Batch samples processed per full register tile by [`matmul_bias`]: one
 /// output accumulator lane per sample, sized to a 256-bit f32 vector.
 pub const BATCH_TILE: usize = 8;
+
+/// Output rows per weight panel of [`matmul_bias_panels`]: one
+/// accumulator lane per output, sized to a 512-bit f32 vector (two 256-bit
+/// or four 128-bit registers).
+pub const PANEL: usize = 16;
 
 /// Weight/gradient rows processed per register tile by
 /// [`matmul_at_b_acc`] and [`matmul_transpose`]: within one sample's live
@@ -231,21 +242,21 @@ fn bias_tile<const LANES: usize>(
 /// Computes `out = X·Wᵀ + b` for a batch of inputs: `xs` is row-major
 /// `(batch × cols)` — one input per row — and `out` is refilled row-major
 /// `(batch × rows)`, one output row per input. A single input is a batch
-/// of one.
+/// of one. This is the training forward pass's kernel, over the row-major
+/// `w` the optimizer writes; inference runs [`matmul_bias_panels`].
 ///
 /// Tiled for autovectorization: the batch is processed [`BATCH_TILE`]
 /// samples at a time, their inputs packed lane-interleaved so the hot
 /// loop is a broadcast weight times one contiguous vector load — one SIMD
 /// lane per *sample*. The `batch % BATCH_TILE` remainder goes through the
 /// same tile, zero-padded: 8 lanes wide for 5–7 rows, 4 for 2–4, and the
-/// scalar [`dot`] only for a single row — so a row costs about the same
-/// at any batch width. Each output element accumulates its `cols`
-/// products in ascending-`k` order from `+0.0`, exactly the
-/// [`scalar::matmul_bias`] chain, whichever tile and lane it lands in:
-/// results are bit-identical to the reference, and a row's result does
-/// not depend on where in which batch it sits (what lets the decision
-/// memo move rows between batches). Vectorization happens across
-/// independent outputs, never within one dot product.
+/// scalar [`dot`] only for a single row, so a short batch leaves most of
+/// a tile empty. Each output element accumulates its `cols` products in
+/// ascending-`k` order from `+0.0`, exactly the [`scalar::matmul_bias`]
+/// chain, whichever tile and lane it lands in: results are bit-identical
+/// to the reference, and a row's result does not depend on where in which
+/// batch it sits. Vectorization happens across independent outputs, never
+/// within one dot product.
 ///
 /// # Panics
 ///
@@ -289,6 +300,91 @@ pub fn matmul_bias(
         n => bias_tile::<BATCH_TILE>(w, b, tile, n, xt, o),
     }
     out.truncate(batch * rows);
+}
+
+/// Packs a row-major `(rows × cols)` weight matrix for
+/// [`matmul_bias_panels`], refilling `panels`: k-major in panels of
+/// [`PANEL`] output rows, `panels[(p·cols + k)·PANEL + j] = w[(p·PANEL +
+/// j)·cols + k]`, the lanes past the last row zero;
+/// `rows.div_ceil(PANEL) · cols · PANEL` long. Allocates nothing once
+/// `panels` has reached that size.
+///
+/// # Panics
+///
+/// Panics if `w.len() != rows * cols`.
+pub fn pack_panels(w: &[f32], rows: usize, cols: usize, panels: &mut Vec<f32>) {
+    assert_eq!(w.len(), rows * cols, "pack_panels: weight shape mismatch");
+    panels.clear();
+    panels.resize(rows.div_ceil(PANEL) * cols * PANEL, 0.0);
+    if cols == 0 {
+        return;
+    }
+    for (r, row) in w.chunks_exact(cols).enumerate() {
+        let panel = &mut panels[(r / PANEL) * cols * PANEL..];
+        for (k, &wv) in row.iter().enumerate() {
+            panel[k * PANEL + r % PANEL] = wv;
+        }
+    }
+}
+
+/// [`matmul_bias`] over weights packed by [`pack_panels`]: the inference
+/// kernel. Same shapes and the same result, bit for bit.
+///
+/// One SIMD lane per *output*: per input row and panel, a [`PANEL`]-lane
+/// accumulator takes one broadcast input feature times one contiguous
+/// panel row per `k`, so every input row fills whole tiles on its own and
+/// a row costs the same at any batch width — a batch of one included,
+/// where [`matmul_bias`] would fall back to a single-chain [`dot`] per
+/// output. Each lane carries one output's products in ascending-`k` order
+/// from `+0.0` and then adds the bias: exactly the [`scalar::matmul_bias`]
+/// chain, so a row's result does not depend on the batch it rides in
+/// (what lets the decision memo move rows between batches). The padded
+/// lanes of a last, partial panel are computed and discarded.
+///
+/// # Panics
+///
+/// Panics if `panels` is not `rows × cols` packed, `xs.len() != batch *
+/// cols`, or `b.len() != rows`.
+pub fn matmul_bias_panels(
+    panels: &[f32],
+    b: &[f32],
+    xs: &[f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+    out: &mut Vec<f32>,
+) {
+    assert_eq!(
+        panels.len(),
+        rows.div_ceil(PANEL) * cols * PANEL,
+        "matmul_bias_panels: panel shape mismatch"
+    );
+    assert_eq!(
+        xs.len(),
+        batch * cols,
+        "matmul_bias_panels: input shape mismatch"
+    );
+    assert_eq!(b.len(), rows, "matmul_bias_panels: bias length mismatch");
+    assert!(rows > 0 && cols > 0, "matmul_bias_panels: empty dimension");
+    out.clear();
+    out.resize(batch * rows, 0.0);
+    for (x, orow) in xs.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
+        for ((panel, bp), op) in panels
+            .chunks_exact(cols * PANEL)
+            .zip(b.chunks(PANEL))
+            .zip(orow.chunks_mut(PANEL))
+        {
+            let mut acc = [0.0f32; PANEL];
+            for (lanes, &xv) in panel.chunks_exact(PANEL).zip(x) {
+                for (a, &wv) in acc.iter_mut().zip(lanes) {
+                    *a += wv * xv;
+                }
+            }
+            for ((o, &a), &bv) in op.iter_mut().zip(&acc).zip(bp) {
+                *o = a + bv;
+            }
+        }
+    }
 }
 
 /// The span of one delta row outside which every entry is exactly zero

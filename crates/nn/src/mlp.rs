@@ -105,12 +105,13 @@ impl Mlp {
     ///
     /// `xs` holds `batch` inputs row-major (`batch × in_dim`); the result
     /// is row-major `(batch × out_dim)`. Row `i` is bit-identical to
-    /// `self.infer(&xs[i*in_dim..(i+1)*in_dim])`, a batch of one — the
-    /// kernels keep every dot product's accumulation order whatever the
-    /// batch — so batched serving decisions match per-request decisions
-    /// exactly. The win is locality: each weight row is streamed once per
-    /// *batch* rather than once per *request*, which is what lets the
-    /// serving engine amortize C51 inference across a shard's queue.
+    /// `self.infer(&xs[i*in_dim..(i+1)*in_dim])`, a batch of one, and to
+    /// row `i` of [`Mlp::forward_batch`] — the kernels keep every dot
+    /// product's accumulation order whatever the batch — so batched
+    /// serving decisions match per-request decisions exactly. Each layer
+    /// runs [`crate::linalg::matmul_bias_panels`] over its packed weights,
+    /// one SIMD lane per output, so a row costs the same at any batch
+    /// width and a batch saves only the per-call overhead.
     ///
     /// # Panics
     ///
@@ -623,6 +624,49 @@ mod tests {
         dst.set_flat_params(&src.flat_params());
         assert_eq!(src.infer(&x), dst.infer(&x));
         assert_eq!(src.flat_params(), dst.flat_params());
+    }
+
+    /// The packed inference copy of the weights never goes stale: with
+    /// every layer's panels built by an inference, each way of writing
+    /// weights — `Dense::params_mut`, `apply_grads`, `copy_weights_from`
+    /// and `set_flat_params` — changes the outputs, and `infer` then
+    /// equals, bit for bit, a network freshly built from the same
+    /// `flat_params`.
+    #[test]
+    fn weight_writes_never_leave_stale_panels() {
+        let dims = [6, 20, 30, 102];
+        let new = |seed| Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut rng(seed));
+        let xs: Vec<f32> = (0..3 * 6).map(|i| (i as f32 * 0.7).sin()).collect();
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let mut net = new(40);
+        let mut seen = bits(net.infer_batch(&xs, 3));
+        let mut check = |net: &Mlp, path: &str| {
+            let got = bits(net.infer_batch(&xs, 3));
+            assert_ne!(got, seen, "{path} changed no output");
+            let mut fresh = new(0);
+            fresh.set_flat_params(&net.flat_params());
+            assert_eq!(got, bits(fresh.infer_batch(&xs, 3)), "{path}: stale panels");
+            seen = got;
+        };
+
+        for layer in &mut net.layers {
+            let (w, b) = layer.params_mut();
+            w.iter_mut().for_each(|v| *v *= -0.5);
+            b.iter_mut().for_each(|v| *v += 0.25);
+        }
+        check(&net, "params_mut");
+
+        let _ = net.forward_batch(&xs, 3);
+        net.zero_grad();
+        let _ = net.backward_batch(&[1.0; 3 * 102], 3);
+        net.apply_grads(&mut Sgd::new(0.1), 1.0);
+        check(&net, "apply_grads");
+
+        net.copy_weights_from(&new(41));
+        check(&net, "copy_weights_from");
+
+        net.set_flat_params(&new(42).flat_params());
+        check(&net, "set_flat_params");
     }
 
     #[test]

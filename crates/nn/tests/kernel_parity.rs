@@ -10,14 +10,22 @@
 //! (`BATCH_TILE` − 1 / exact / + 1, `ROW_TILE` likewise, 1, and odd
 //! primes) so remainder paths are exercised as hard as full tiles.
 //!
+//!
+//! The inference kernel, `matmul_bias_panels` over `pack_panels`'s
+//! k-major weight panels, is pinned the same way against
+//! `scalar::matmul_bias`, at every `rows % PANEL` remainder and every
+//! batch width 1..=17, with signed zeros, NaNs and infinities among the
+//! inputs; and `Mlp::infer_batch`, which runs it, equals
+//! `Mlp::forward_batch`, which runs `matmul_bias`, row by row.
+//!
 //! Last, the tiled kernels must earn their place: on the default serving
 //! network, release builds race `Mlp::infer_batch` against the same pass
-//! assembled from the scalar references.
+//! assembled from the scalar references, at batch widths 1, 2, 8 and 32.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use sibyl_nn::linalg::{self, scalar, BATCH_TILE, ROW_TILE};
+use sibyl_nn::linalg::{self, scalar, BATCH_TILE, PANEL, ROW_TILE};
 use sibyl_nn::{Activation, Mlp};
 
 /// Dimension palette straddling the tile boundaries: 1, ROW_TILE−1,
@@ -141,7 +149,6 @@ proptest! {
 /// NaNs: their payload is the platform's business).
 #[test]
 fn matmul_bias_rows_are_independent_of_the_batch_width() {
-    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
     let (rows, cols) = (5, 6);
     let mut r = rng(77);
     for batch in 1..=17usize {
@@ -178,6 +185,104 @@ fn matmul_bias_rows_are_independent_of_the_batch_width() {
                 }
             }
         }
+    }
+}
+
+/// Equal to the bit, or both NaN: a NaN's payload is the platform's
+/// business.
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Inputs for the panel kernel's pins: random values (case 0), or random
+/// values with `+0.0`, `-0.0`, NaN, `+∞` and `-∞` sprinkled in, all-zero
+/// rows under all-negative weights, and biases of `±0.0` (case 1).
+fn panel_case(
+    r: &mut rand::rngs::StdRng,
+    (rows, cols, batch): (usize, usize, usize),
+    special: bool,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let mut w = random_vec(r, rows * cols);
+    let mut b = random_vec(r, rows);
+    let mut xs = random_vec(r, batch * cols);
+    if special {
+        const ODD: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        w.iter_mut().for_each(|v| *v = -v.abs() - 0.5);
+        b.iter_mut()
+            .for_each(|v| *v = if r.gen::<bool>() { 0.0 } else { -0.0 });
+        for (s, row) in xs.chunks_exact_mut(cols).enumerate() {
+            if s % 3 == 0 {
+                row.fill(if s % 2 == 0 { 0.0 } else { -0.0 });
+            } else {
+                for v in row.iter_mut() {
+                    if r.gen_range(0..4) == 0 {
+                        *v = ODD[r.gen_range(0..ODD.len())];
+                    }
+                }
+            }
+        }
+    }
+    (w, b, xs)
+}
+
+/// The inference kernel over packed panels is bit-identical to the scalar
+/// reference, and each row to itself at a batch of one, over every output
+/// count 1..=2·PANEL+1 (every `rows % PANEL` remainder, at one panel and
+/// at several) × every batch width 1..=17 × every column count in the
+/// palette: on random inputs, and on signed zeros, NaNs and infinities
+/// under `±0.0` biases. The decision memo's invisibility property rests
+/// on this: a row's result does not depend on the batch it rides in.
+#[test]
+fn matmul_bias_panels_matches_scalar_at_every_remainder_and_width() {
+    let mut r = rng(47);
+    let (mut packed, mut reference, mut single) = (Vec::new(), Vec::new(), Vec::new());
+    for rows in 1..=2 * PANEL + 1 {
+        for batch in 1..=17usize {
+            for cols in DIMS {
+                for special in [false, true] {
+                    let (w, b, xs) = panel_case(&mut r, (rows, cols, batch), special);
+                    let mut panels = Vec::new();
+                    linalg::pack_panels(&w, rows, cols, &mut panels);
+                    linalg::matmul_bias_panels(&panels, &b, &xs, rows, cols, batch, &mut packed);
+                    scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
+                    assert_eq!(packed.len(), batch * rows);
+                    for (s, x) in xs.chunks_exact(cols).enumerate() {
+                        linalg::matmul_bias_panels(&panels, &b, x, rows, cols, 1, &mut single);
+                        for (i, &v) in single.iter().enumerate() {
+                            let (p, f) = (packed[s * rows + i], reference[s * rows + i]);
+                            assert!(
+                                same(p, f) && same(p, v),
+                                "rows {rows} cols {cols} batch {batch} special {special} row {s} \
+                                 out {i}: panels {p:?} scalar {f:?} one row {v:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// `Mlp::infer_batch` (the panel kernel) equals `Mlp::forward_batch`
+    /// (the lanes-per-sample tile) row by row, bit for bit, on networks
+    /// whose layer widths straddle the panel boundary, with random weights
+    /// and non-zero biases, at every batch width 1..=17.
+    #[test]
+    fn infer_batch_is_forward_batch(
+        seed in 0u64..200,
+        hidden in (1usize..=2 * PANEL + 1, 1usize..=2 * PANEL + 1),
+        out_dim in 1usize..=2 * PANEL + 1,
+        batch in 1usize..=17,
+    ) {
+        let mut r = rng(seed);
+        let dims = [6, hidden.0, hidden.1, out_dim];
+        let mut net = Mlp::new(&dims, Activation::Swish, Activation::Linear, &mut r);
+        net.set_flat_params(&random_vec(&mut r, net.num_params()));
+        let xs = random_vec(&mut r, batch * 6);
+        let inferred = net.infer_batch(&xs, batch);
+        let forward = net.forward_batch(&xs, batch);
+        prop_assert_eq!(bits(&inferred), bits(&forward));
     }
 }
 
@@ -348,9 +453,10 @@ fn negative_zero_accumulators_can_only_differ_in_the_sign_of_zero() {
     assert_eq!(bits(&tiled), bits(&reference));
 }
 
-/// The batches the inference race runs at: where a decide batch amortizes
-/// each weight row over a full tile, and over four.
-const RACED_BATCHES: [usize; 2] = [8, 32];
+/// The batches the inference race runs at: one and two rows, the widths a
+/// memo's misses and `Experiment::run`'s one-at-a-time decisions arrive
+/// in, then a full 8-row batch and four of them.
+const RACED_BATCHES: [usize; 4] = [1, 2, 8, 32];
 
 /// The network a default agent serves with: six features, hidden layers
 /// of 20 and 30, and a C51 head of two actions × 51 atoms (3 780 MACs per
@@ -401,7 +507,7 @@ fn scalar_reassembly_is_infer_batch_on_the_raced_inputs() {
     }
 }
 
-/// Tiling never slows the decide path: at batch 8 and 32 the tiled
+/// Tiling never slows the decide path: at batch 1, 2, 8 and 32 the tiled
 /// `Mlp::infer_batch` costs at most 1.00× the scalar reassembly per MAC.
 /// The two take turns within each round, the first alternating, so a
 /// change in host load lands on both alike; a warm-up round, then nine
