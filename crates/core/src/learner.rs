@@ -152,8 +152,9 @@ impl Learner {
     /// The phases [`Learner::train_step`] accounts its wall time to, in
     /// the order it runs them: replay sampling and the row gather, target
     /// inference, the Bellman targets and their gather, the training
-    /// forward pass, the loss gradient, the backward pass, Adam, and the inference network's adoption of
-    /// the trained weights.
+    /// forward pass, the loss gradient, the backward pass, Adam with the
+    /// repack of the trained network's weight panels, and the inference
+    /// network's adoption of the trained weights.
     pub const TRAIN_PHASES: [&'static str; TRAIN_PHASE_COUNT] = [
         "replay",
         "target infer",

@@ -1,17 +1,18 @@
 //! Fully-connected layer with cached forward state for backpropagation.
 
-use std::sync::OnceLock;
-
 use rand::Rng;
 
 use crate::activation::Activation;
 use crate::init::xavier_uniform;
 use crate::linalg;
+use crate::optim::Optimizer;
 
 /// A fully-connected layer `y = act(W·x + b)`.
 ///
-/// Weights are stored row-major as `(out_dim × in_dim)`. Every pass takes
-/// a batch of inputs, row-major, and a single input is a batch of one.
+/// Weights are stored row-major as `(out_dim × in_dim)`, and mirrored in
+/// weight panels packed for [`linalg::matmul_bias_panels`], the kernel
+/// every forward pass runs. Every pass takes a batch of inputs, row-major,
+/// and a single input is a batch of one.
 /// The layer caches its last inputs and the activation derivative at
 /// every pre-activation during [`Dense::forward_batch`] so the backward
 /// pass computes exact gradients without re-evaluating the activation;
@@ -48,21 +49,11 @@ pub struct Dense {
     cache_dact: Vec<f32>,
     /// `dL/dz` scratch of the backward passes, reused across calls.
     dz: Vec<f32>,
-    /// Workspace of [`Dense::forward_batch_blocks_into`]: up to
-    /// [`BLOCK_CHUNK`] gathered input rows of one block, and their outputs.
-    block_x: Vec<f32>,
-    block_y: Vec<f32>,
-    /// `w` packed for [`linalg::matmul_bias_panels`], built by the first
-    /// [`Dense::infer_batch`] after the weights last changed. Every
-    /// `&mut self` method that can write `w` clears it, except
-    /// [`Dense::copy_weights_from`], which repacks it in place.
-    panels: OnceLock<Vec<f32>>,
+    /// `w` packed by [`linalg::pack_panels`] for
+    /// [`linalg::matmul_bias_panels`]. Always current: `w` is private, and
+    /// every method that writes it repacks this in place.
+    panels: Vec<f32>,
 }
-
-/// Rows [`Dense::forward_batch_blocks_into`] gathers per kernel call: a
-/// multiple of the kernel's 8-row tile, so the chunks cost no extra
-/// remainder passes, and small enough that the workspace stays a few KiB.
-const BLOCK_CHUNK: usize = 4 * linalg::BATCH_TILE;
 
 impl Dense {
     /// Creates a layer with Xavier-uniform weights and zero biases.
@@ -82,6 +73,8 @@ impl Dense {
         );
         let mut w = vec![0.0; in_dim * out_dim];
         xavier_uniform(&mut w, in_dim, out_dim, rng);
+        let mut panels = Vec::new();
+        linalg::pack_panels(&w, out_dim, in_dim, &mut panels);
         Dense {
             in_dim,
             out_dim,
@@ -93,9 +86,7 @@ impl Dense {
             cache_x: Vec::new(),
             cache_dact: Vec::new(),
             dz: Vec::new(),
-            block_x: Vec::new(),
-            block_y: Vec::new(),
-            panels: OnceLock::new(),
+            panels,
         }
     }
 
@@ -149,7 +140,8 @@ impl Dense {
     /// `xs` is row-major `(batch × in_dim)`; the result is row-major
     /// `(batch × out_dim)`, and each output row is bit-identical to a
     /// batch of one on the corresponding input (the kernel keeps every
-    /// dot product's accumulation order, whatever the batch).
+    /// dot product's accumulation order, whatever the batch) and to
+    /// [`Dense::infer_batch`]'s row.
     ///
     /// # Panics
     ///
@@ -172,7 +164,15 @@ impl Dense {
         );
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
-        linalg::matmul_bias(&self.w, &self.b, xs, self.out_dim, self.in_dim, batch, out);
+        linalg::matmul_bias_panels(
+            &self.panels,
+            &self.b,
+            xs,
+            self.out_dim,
+            self.in_dim,
+            batch,
+            out,
+        );
         self.activate_and_cache(out);
     }
 
@@ -181,9 +181,12 @@ impl Dense {
     /// `blocks[s] * block .. (blocks[s] + 1) * block`, each bit-identical
     /// to the full pass, and every other output is `0.0`. The cache is what
     /// the full pass leaves, so [`Dense::backward_batch`] with `dL/dy`
-    /// zero outside each row's block accumulates the same gradients. The
-    /// rows of one block go through [`linalg::matmul_bias`] together, in
-    /// chunks of [`BLOCK_CHUNK`].
+    /// zero outside each row's block accumulates the same gradients. Each
+    /// row runs the panel kernel over only the panels that cover its block
+    /// (four panels of 16 for a 51-wide C51 block of a two- or
+    /// three-action head), straight into
+    /// its output row, and the panels' outputs outside the block are then
+    /// reset to `0.0`.
     ///
     /// # Panics
     ///
@@ -227,33 +230,25 @@ impl Dense {
         self.cache_dact.clear();
         out.clear();
         out.resize(batch * self.out_dim, 0.0);
-        for k in 0..n_blocks {
+        let cols = self.in_dim;
+        for ((x, orow), &k) in xs
+            .chunks_exact(cols)
+            .zip(out.chunks_exact_mut(self.out_dim))
+            .zip(blocks)
+        {
             let outs = k * block..(k + 1) * block;
-            let w = &self.w[outs.start * self.in_dim..outs.end * self.in_dim];
-            let mut members = (0..batch).filter(|&s| blocks[s] == k).peekable();
-            while members.peek().is_some() {
-                let mut rows = [0; BLOCK_CHUNK];
-                let mut n = 0;
-                self.block_x.clear();
-                for s in members.by_ref().take(BLOCK_CHUNK) {
-                    rows[n] = s;
-                    n += 1;
-                    self.block_x
-                        .extend_from_slice(&xs[s * self.in_dim..][..self.in_dim]);
-                }
-                linalg::matmul_bias(
-                    w,
-                    &self.b[outs.clone()],
-                    &self.block_x,
-                    block,
-                    self.in_dim,
-                    n,
-                    &mut self.block_y,
-                );
-                for (&s, y) in rows[..n].iter().zip(self.block_y.chunks_exact(block)) {
-                    out[s * self.out_dim + outs.start..][..block].copy_from_slice(y);
-                }
-            }
+            // The whole panels covering the block, and the outputs they hold.
+            let p0 = outs.start / linalg::PANEL;
+            let p1 = outs.end.div_ceil(linalg::PANEL);
+            let span = p0 * linalg::PANEL..(p1 * linalg::PANEL).min(self.out_dim);
+            linalg::panels_row(
+                &self.panels[p0 * cols * linalg::PANEL..p1 * cols * linalg::PANEL],
+                &self.b[span.clone()],
+                x,
+                &mut orow[span.clone()],
+            );
+            orow[span.start..outs.start].fill(0.0);
+            orow[outs.end..span.end].fill(0.0);
         }
     }
 
@@ -265,7 +260,7 @@ impl Dense {
     ///
     /// Runs [`linalg::matmul_bias_panels`] over the layer's packed
     /// weights, one SIMD lane per output, so a row costs the same at any
-    /// batch width. The first call after the weights change packs them.
+    /// batch width.
     ///
     /// # Panics
     ///
@@ -276,12 +271,15 @@ impl Dense {
             batch * self.in_dim,
             "Dense::infer_batch: input shape mismatch"
         );
-        let panels = self.panels.get_or_init(|| {
-            let mut panels = Vec::new();
-            linalg::pack_panels(&self.w, self.out_dim, self.in_dim, &mut panels);
-            panels
-        });
-        linalg::matmul_bias_panels(panels, &self.b, xs, self.out_dim, self.in_dim, batch, out);
+        linalg::matmul_bias_panels(
+            &self.panels,
+            &self.b,
+            xs,
+            self.out_dim,
+            self.in_dim,
+            batch,
+            out,
+        );
         self.act.apply_slice(out);
     }
 
@@ -359,11 +357,16 @@ impl Dense {
         (&self.w, &self.b)
     }
 
-    /// Mutable views of `(weights, biases)`. Drops the packed inference
-    /// copy of the weights; the next [`Dense::infer_batch`] repacks them.
-    pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        self.panels.take();
-        (&mut self.w, &mut self.b)
+    /// Overwrites the weights (row-major `out_dim × in_dim`) and biases,
+    /// and repacks the panels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` or `b` has the wrong length.
+    pub(crate) fn set_params(&mut self, w: &[f32], b: &[f32]) {
+        self.w.copy_from_slice(w);
+        self.b.copy_from_slice(b);
+        self.repack();
     }
 
     /// Immutable views of `(weight grads, bias grads)`.
@@ -371,12 +374,31 @@ impl Dense {
         (&self.dw, &self.db)
     }
 
-    /// Mutable parameter and gradient views, in the order
-    /// `(w, dw, b, db)`, for optimizer updates. Drops the packed inference
-    /// copy of the weights, as [`Dense::params_mut`] does.
-    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32], &mut [f32], &mut [f32]) {
-        self.panels.take();
-        (&mut self.w, &mut self.dw, &mut self.b, &mut self.db)
+    /// Mutable views of `(weight grads, bias grads)`, for a caller that
+    /// rewrites gradients in place. A rewrite can leave `-0.0` behind, so
+    /// call [`Dense::zero_grad`] before accumulating again (the
+    /// backward kernels' zero-skip contract, [`linalg::matmul_at_b_acc`]).
+    pub fn grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.dw, &mut self.db)
+    }
+
+    /// One optimizer step from the accumulated gradients, scaled by
+    /// `scale` first: `opt` updates the weights as parameter group
+    /// `param_id` and the biases as `param_id + 1`, then the panels are
+    /// repacked.
+    pub(crate) fn apply_grads<O: Optimizer + ?Sized>(
+        &mut self,
+        opt: &mut O,
+        param_id: usize,
+        scale: f32,
+    ) {
+        if scale != 1.0 {
+            linalg::scale(&mut self.dw, scale);
+            linalg::scale(&mut self.db, scale);
+        }
+        opt.update(param_id, &mut self.w, &self.dw);
+        opt.update(param_id + 1, &mut self.b, &self.db);
+        self.repack();
     }
 
     /// Copies weights and biases from another layer of identical shape.
@@ -395,12 +417,15 @@ impl Dense {
         );
         self.w.copy_from_slice(&other.w);
         self.b.copy_from_slice(&other.b);
-        // Repacked in place rather than dropped: an inference network
-        // adopts new weights at every training step, and keeping the
-        // panels' allocation keeps adoption allocation-free.
-        if let Some(panels) = self.panels.get_mut() {
-            linalg::pack_panels(&self.w, self.out_dim, self.in_dim, panels);
-        }
+        // `other`'s panels mirror `other.w`, so they are copied, not
+        // repacked.
+        self.panels.copy_from_slice(&other.panels);
+    }
+
+    /// Repacks the panels from `w`, in place: what every write of `w`
+    /// ends with.
+    fn repack(&mut self) {
+        linalg::pack_panels(&self.w, self.out_dim, self.in_dim, &mut self.panels);
     }
 }
 
@@ -501,16 +526,17 @@ mod tests {
         };
 
         let h = 1e-3f32;
-        // The weights are written through `params_mut`, as every caller
-        // writes them, so the packed inference copy follows each
-        // perturbation.
+        // The weights are written through `set_params`, which repacks the
+        // panels the loss's inference reads.
+        let (w, b) = (layer.params().0.to_vec(), layer.params().1.to_vec());
         for (idx, &analytic) in dw.iter().enumerate() {
-            let orig = layer.params().0[idx];
-            layer.params_mut().0[idx] = orig + h;
+            let mut perturbed = w.clone();
+            perturbed[idx] = w[idx] + h;
+            layer.set_params(&perturbed, &b);
             let lp = loss(&layer, &x);
-            layer.params_mut().0[idx] = orig - h;
+            perturbed[idx] = w[idx] - h;
+            layer.set_params(&perturbed, &b);
             let lm = loss(&layer, &x);
-            layer.params_mut().0[idx] = orig;
             let numeric = (lp - lm) / (2.0 * h);
             assert!(
                 (numeric - analytic).abs() < 2e-2,

@@ -1,29 +1,23 @@
 //! Small dense linear-algebra helpers shared by the layer implementations.
 //!
-//! The batched kernels (`matmul_bias`, `matmul_bias_panels`,
-//! `matmul_transpose`, `matmul_at_b_acc`, `col_sum_acc`) are tiled so
-//! their inner loops are bounds-check-free and rustc autovectorizes them,
-//! under one hard constraint: every output element's floating-point
-//! accumulation chain runs in *exactly* the order of the retained
-//! [`scalar`] references. f32 addition is not associative, so a kernel may
-//! never vectorize *within* one dot product's chain — instead the tiled
-//! kernels vectorize *across* independent outputs, which reorders
-//! nothing. Inference ([`matmul_bias_panels`]) gives one SIMD lane to each
-//! *output*, over weights packed k-major in panels of [`PANEL`] output
-//! rows ([`pack_panels`]), so every input row fills a whole tile on its
-//! own and a row costs the same at any batch width. Training's forward
-//! pass ([`matmul_bias`]) gives one lane to each *sample*, over the
-//! row-major weights the optimizer writes, so no packed copy has to follow
-//! every step. Every chain — [`dot`], the [`scalar`] references and each
-//! tile accumulator — starts from `+0.0` (not the `-0.0` `Iterator::sum`
-//! starts from), so a result does not depend, even in the sign of a zero,
-//! on which kernel or which lane produced it. The `kernel_parity`
-//! property suite pins bit-for-bit equality against [`scalar`] across
-//! random shapes, including every tile-remainder size.
-
-/// Batch samples processed per full register tile by [`matmul_bias`]: one
-/// output accumulator lane per sample, sized to a 256-bit f32 vector.
-pub const BATCH_TILE: usize = 8;
+//! The batched kernels (`matmul_bias_panels`, `matmul_transpose`,
+//! `matmul_at_b_acc`, `col_sum_acc`) are tiled so their inner loops are
+//! bounds-check-free and rustc autovectorizes them, under one hard
+//! constraint: every output element's floating-point accumulation chain
+//! runs in *exactly* the order of the retained [`scalar`] references. f32
+//! addition is not associative, so a kernel may never vectorize *within*
+//! one dot product's chain — instead the tiled kernels vectorize *across*
+//! independent outputs, which reorders nothing. Every forward pass, for
+//! inference and training alike, runs [`matmul_bias_panels`]: one SIMD lane
+//! to each *output*, over weights packed k-major in panels of [`PANEL`]
+//! output rows ([`pack_panels`]), so every input row fills a whole tile on
+//! its own and a row costs the same at any batch width. Every chain —
+//! [`dot`], the [`scalar`] references and each tile accumulator — starts
+//! from `+0.0` (not the `-0.0` `Iterator::sum` starts from), so a result
+//! does not depend, even in the sign of a zero, on which kernel or which
+//! lane produced it. The `kernel_parity` property suite pins bit-for-bit
+//! equality against [`scalar`] across random shapes, including every
+//! tile-remainder size.
 
 /// Output rows per weight panel of [`matmul_bias_panels`]: one
 /// accumulator lane per output, sized to a 512-bit f32 vector (two 256-bit
@@ -59,10 +53,13 @@ fn tile_rows_mut(block: &mut [f32], cols: usize) -> [&mut [f32]; ROW_TILE] {
 /// — kept as always-compiled public API (not `cfg(test)`) because the
 /// `kernel_parity` integration suite compares against them from outside
 /// the crate, and races a pass assembled from them against
-/// `Mlp::infer_batch`.
+/// `Mlp::infer_batch`. Its `matmul_bias` is also the `Rnn`'s kernel: the
+/// RNN's products are all batches of one, where it is one `dot` per
+/// output.
 pub mod scalar {
     /// Reference `out = X·Wᵀ + b`: one [`super::dot`] per output element,
-    /// r-outer / s-inner (the pre-tiling [`super::matmul_bias`] body).
+    /// r-outer / s-inner — the chain [`super::matmul_bias_panels`]
+    /// reproduces in every lane.
     ///
     /// # Panics
     ///
@@ -199,109 +196,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
 }
 
-/// One register tile of [`matmul_bias`]: `out[j][r] = w[r]·x[j] + b[r]` for
-/// the `n ≤ LANES` samples of `xs` (row-major `n × cols`), one accumulator
-/// lane per sample, the lanes past `n` zero-padded and discarded. `xt` is
-/// the lane-interleaved pack buffer (`xt[k·LANES + j]` = feature `k` of
-/// sample `j`), at least `cols · LANES` long. Inlined so that a full
-/// tile's `n` is a constant at its call site.
-#[inline(always)]
-fn bias_tile<const LANES: usize>(
-    w: &[f32],
-    b: &[f32],
-    xs: &[f32],
-    n: usize,
-    xt: &mut [f32],
-    out: &mut [f32],
-) {
-    let (rows, cols) = (b.len(), xs.len() / n);
-    let xt = &mut xt[..cols * LANES];
-    if n < LANES {
-        xt.fill(0.0);
-    }
-    for (j, x) in xs.chunks_exact(cols).enumerate() {
-        for (k, &xv) in x.iter().enumerate() {
-            xt[k * LANES + j] = xv;
-        }
-    }
-    for (r, (row, &br)) in w.chunks_exact(cols).zip(b).enumerate() {
-        // `chunks_exact` keeps the inner loop free of bounds checks so it
-        // compiles to a broadcast-multiply + vector add per feature.
-        let mut acc = [0.0f32; LANES];
-        for (lanes, &wv) in xt.chunks_exact(LANES).zip(row) {
-            for (a, &xv) in acc.iter_mut().zip(lanes) {
-                *a += wv * xv;
-            }
-        }
-        for (j, &a) in acc[..n].iter().enumerate() {
-            out[j * rows + r] = a + br;
-        }
-    }
-}
-
-/// Computes `out = X·Wᵀ + b` for a batch of inputs: `xs` is row-major
-/// `(batch × cols)` — one input per row — and `out` is refilled row-major
-/// `(batch × rows)`, one output row per input. A single input is a batch
-/// of one. This is the training forward pass's kernel, over the row-major
-/// `w` the optimizer writes; inference runs [`matmul_bias_panels`].
-///
-/// Tiled for autovectorization: the batch is processed [`BATCH_TILE`]
-/// samples at a time, their inputs packed lane-interleaved so the hot
-/// loop is a broadcast weight times one contiguous vector load — one SIMD
-/// lane per *sample*. The `batch % BATCH_TILE` remainder goes through the
-/// same tile, zero-padded: 8 lanes wide for 5–7 rows, 4 for 2–4, and the
-/// scalar [`dot`] only for a single row, so a short batch leaves most of
-/// a tile empty. Each output element accumulates its `cols` products in
-/// ascending-`k` order from `+0.0`, exactly the [`scalar::matmul_bias`]
-/// chain, whichever tile and lane it lands in: results are bit-identical
-/// to the reference, and a row's result does not depend on where in which
-/// batch it sits. Vectorization happens across independent outputs, never
-/// within one dot product.
-///
-/// # Panics
-///
-/// Panics if `w.len() != rows * cols`, `xs.len() != batch * cols`, or
-/// `b.len() != rows`.
-pub fn matmul_bias(
-    w: &[f32],
-    b: &[f32],
-    xs: &[f32],
-    rows: usize,
-    cols: usize,
-    batch: usize,
-    out: &mut Vec<f32>,
-) {
-    assert_eq!(w.len(), rows * cols, "matmul_bias: weight shape mismatch");
-    assert_eq!(xs.len(), batch * cols, "matmul_bias: input shape mismatch");
-    assert_eq!(b.len(), rows, "matmul_bias: bias length mismatch");
-    assert!(rows > 0 && cols > 0, "matmul_bias: empty dimension");
-    // Lane-interleaved pack buffer, reused across the tiles of one call:
-    // packing costs O(cols · TILE) once per tile and is repaid across all
-    // `rows` weight rows. It rides in `out`'s tail (truncated away below)
-    // so a caller that reuses `out` makes the whole call allocation-free.
-    let pack = if batch > 1 { cols * BATCH_TILE } else { 0 };
-    out.clear();
-    out.resize(batch * rows + pack, 0.0);
-    let (res, xt) = out.split_at_mut(batch * rows);
-    let mut tiles = xs.chunks_exact(BATCH_TILE * cols);
-    let mut outs = res.chunks_exact_mut(BATCH_TILE * rows);
-    for (tile, o) in (&mut tiles).zip(&mut outs) {
-        bias_tile::<BATCH_TILE>(w, b, tile, BATCH_TILE, xt, o);
-    }
-    let (tile, o) = (tiles.remainder(), outs.into_remainder());
-    match tile.len() / cols {
-        0 => {}
-        1 => {
-            for ((row, &br), y) in w.chunks_exact(cols).zip(b).zip(o) {
-                *y = dot(row, tile) + br;
-            }
-        }
-        n @ 2..=4 => bias_tile::<4>(w, b, tile, n, xt, o),
-        n => bias_tile::<BATCH_TILE>(w, b, tile, n, xt, o),
-    }
-    out.truncate(batch * rows);
-}
-
 /// Packs a row-major `(rows × cols)` weight matrix for
 /// [`matmul_bias_panels`], refilling `panels`: k-major in panels of
 /// [`PANEL`] output rows, `panels[(p·cols + k)·PANEL + j] = w[(p·PANEL +
@@ -327,19 +221,20 @@ pub fn pack_panels(w: &[f32], rows: usize, cols: usize, panels: &mut Vec<f32>) {
     }
 }
 
-/// [`matmul_bias`] over weights packed by [`pack_panels`]: the inference
-/// kernel. Same shapes and the same result, bit for bit.
+/// Computes `out = X·Wᵀ + b` over weights packed by [`pack_panels`]: `xs`
+/// is row-major `(batch × cols)` — one input per row — and `out` is
+/// refilled row-major `(batch × rows)`, one output row per input. A single
+/// input is a batch of one. Every `Dense` forward pass runs it.
 ///
 /// One SIMD lane per *output*: per input row and panel, a [`PANEL`]-lane
 /// accumulator takes one broadcast input feature times one contiguous
 /// panel row per `k`, so every input row fills whole tiles on its own and
-/// a row costs the same at any batch width — a batch of one included,
-/// where [`matmul_bias`] would fall back to a single-chain [`dot`] per
-/// output. Each lane carries one output's products in ascending-`k` order
-/// from `+0.0` and then adds the bias: exactly the [`scalar::matmul_bias`]
-/// chain, so a row's result does not depend on the batch it rides in
-/// (what lets the decision memo move rows between batches). The padded
-/// lanes of a last, partial panel are computed and discarded.
+/// a row costs the same at any batch width. Each lane carries one output's
+/// products in ascending-`k` order from `+0.0` and then adds the bias:
+/// exactly the [`scalar::matmul_bias`] chain, so a row's result does not
+/// depend on the batch it rides in (what lets the decision memo move rows
+/// between batches). The padded lanes of a last, partial panel are
+/// computed and discarded.
 ///
 /// # Panics
 ///
@@ -369,20 +264,32 @@ pub fn matmul_bias_panels(
     out.clear();
     out.resize(batch * rows, 0.0);
     for (x, orow) in xs.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-        for ((panel, bp), op) in panels
-            .chunks_exact(cols * PANEL)
-            .zip(b.chunks(PANEL))
-            .zip(orow.chunks_mut(PANEL))
-        {
-            let mut acc = [0.0f32; PANEL];
-            for (lanes, &xv) in panel.chunks_exact(PANEL).zip(x) {
-                for (a, &wv) in acc.iter_mut().zip(lanes) {
-                    *a += wv * xv;
-                }
+        panels_row(panels, b, x, orow);
+    }
+}
+
+/// One input row `x` of [`matmul_bias_panels`]: `out[r] = w[r]·x + b[r]`
+/// for the `b.len()` outputs whose panels `panels` holds, `out` as long as
+/// `b`. `panels` may be a run of whole panels cut from a larger packing,
+/// with `b` and `out` the matching outputs — how a pass that reads only
+/// some outputs of a row computes just their panels.
+#[inline]
+pub(crate) fn panels_row(panels: &[f32], b: &[f32], x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(panels.len(), b.len().div_ceil(PANEL) * x.len() * PANEL);
+    debug_assert_eq!(out.len(), b.len());
+    for ((panel, bp), op) in panels
+        .chunks_exact(x.len() * PANEL)
+        .zip(b.chunks(PANEL))
+        .zip(out.chunks_mut(PANEL))
+    {
+        let mut acc = [0.0f32; PANEL];
+        for (lanes, &xv) in panel.chunks_exact(PANEL).zip(x) {
+            for (a, &wv) in acc.iter_mut().zip(lanes) {
+                *a += wv * xv;
             }
-            for ((o, &a), &bv) in op.iter_mut().zip(&acc).zip(bp) {
-                *o = a + bv;
-            }
+        }
+        for ((o, &a), &bv) in op.iter_mut().zip(&acc).zip(bp) {
+            *o = a + bv;
         }
     }
 }
@@ -620,9 +527,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "input shape mismatch")]
-    fn matmul_bias_rejects_ragged_batch() {
+    fn matmul_bias_panels_rejects_ragged_batch() {
+        let mut panels = Vec::new();
+        pack_panels(&[1.0, 2.0], 1, 2, &mut panels);
         let mut out = Vec::new();
-        matmul_bias(&[1.0, 2.0], &[0.0], &[1.0, 2.0, 3.0], 1, 2, 2, &mut out);
+        matmul_bias_panels(&panels, &[0.0], &[1.0, 2.0, 3.0], 1, 2, 2, &mut out);
     }
 
     #[test]
@@ -648,7 +557,7 @@ mod tests {
     }
 
     proptest! {
-        /// `matmul_bias` and `matmul_transpose` are adjoint: the
+        /// `scalar::matmul_bias` and `matmul_transpose` are adjoint: the
         /// quadratic form dᵀ·W·x comes out the same both ways.
         #[test]
         fn quadratic_form_consistency(
@@ -658,7 +567,7 @@ mod tests {
         ) {
             let b = vec![0.0; 2];
             let mut wx = Vec::new();
-            matmul_bias(&w, &b, &x, 2, 3, 1, &mut wx);
+            scalar::matmul_bias(&w, &b, &x, 2, 3, 1, &mut wx);
             let lhs = dot(&d, &wx);
             let mut wtd = Vec::new();
             matmul_transpose(&w, &d, 2, 3, 1, &mut wtd);

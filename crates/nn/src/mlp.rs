@@ -110,8 +110,9 @@ impl Mlp {
     /// product's accumulation order whatever the batch — so batched
     /// serving decisions match per-request decisions exactly. Each layer
     /// runs [`crate::linalg::matmul_bias_panels`] over its packed weights,
-    /// one SIMD lane per output, so a row costs the same at any batch
-    /// width and a batch saves only the per-call overhead.
+    /// one SIMD lane per output, as every forward pass does, so a row
+    /// costs the same at any batch width and a batch saves only the
+    /// per-call overhead.
     ///
     /// # Panics
     ///
@@ -192,8 +193,9 @@ impl Mlp {
     /// [`Mlp::forward_batch_into`] for a caller that reads one
     /// `block`-wide slice of each output row — row `s`'s block
     /// `blocks[s]`, as a C51 head's loss reads the taken action's atoms.
-    /// The output layer computes only those slices, each bit-identical to
-    /// the full pass, and leaves every other output `0.0`; the caches are
+    /// The output layer computes only the weight panels that cover each
+    /// row's slice, each output bit-identical to the full pass, and leaves
+    /// every other output `0.0`; the caches are
     /// the full pass's, so a backward pass whose `dL/dy` is zero outside
     /// each row's block accumulates the same gradients.
     ///
@@ -324,20 +326,13 @@ impl Mlp {
     }
 
     /// Applies accumulated gradients through `opt`, scaling them by
-    /// `scale` first (use `1.0 / batch_size` for mean-gradient training).
-    /// Accepts `&mut dyn Optimizer` as well as concrete optimizers.
+    /// `scale` first (use `1.0 / batch_size` for mean-gradient training),
+    /// and repacks every layer's weight panels. Layer `i`'s weights are
+    /// `opt`'s parameter group `2i` and its biases `2i + 1`. Accepts
+    /// `&mut dyn Optimizer` as well as concrete optimizers.
     pub fn apply_grads<O: Optimizer + ?Sized>(&mut self, opt: &mut O, scale: f32) {
-        let mut param_index = 0;
-        for layer in &mut self.layers {
-            let (w, dw, b, db) = layer.params_and_grads_mut();
-            if scale != 1.0 {
-                crate::linalg::scale(dw, scale);
-                crate::linalg::scale(db, scale);
-            }
-            opt.update(param_index, w, dw);
-            param_index += 1;
-            opt.update(param_index, b, db);
-            param_index += 1;
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            layer.apply_grads(opt, 2 * i, scale);
         }
     }
 
@@ -394,11 +389,9 @@ impl Mlp {
         );
         let mut off = 0;
         for layer in &mut self.layers {
-            let (w, b) = layer.params_mut();
-            w.copy_from_slice(&flat[off..off + w.len()]);
-            off += w.len();
-            b.copy_from_slice(&flat[off..off + b.len()]);
-            off += b.len();
+            let (nw, nb) = (layer.params().0.len(), layer.params().1.len());
+            layer.set_params(&flat[off..off + nw], &flat[off + nw..off + nw + nb]);
+            off += nw + nb;
         }
     }
 }
@@ -626,12 +619,11 @@ mod tests {
         assert_eq!(src.flat_params(), dst.flat_params());
     }
 
-    /// The packed inference copy of the weights never goes stale: with
-    /// every layer's panels built by an inference, each way of writing
-    /// weights — `Dense::params_mut`, `apply_grads`, `copy_weights_from`
-    /// and `set_flat_params` — changes the outputs, and `infer` then
-    /// equals, bit for bit, a network freshly built from the same
-    /// `flat_params`.
+    /// The weight panels never go stale: each way of writing weights —
+    /// `Dense::set_params`, `apply_grads`, `copy_weights_from` and
+    /// `set_flat_params` — changes the outputs, and then both forward
+    /// passes, `infer_batch` and `forward_batch`, equal, bit for bit, a
+    /// network freshly built from the same `flat_params`.
     #[test]
     fn weight_writes_never_leave_stale_panels() {
         let dims = [6, 20, 30, 102];
@@ -640,33 +632,39 @@ mod tests {
         let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         let mut net = new(40);
         let mut seen = bits(net.infer_batch(&xs, 3));
-        let mut check = |net: &Mlp, path: &str| {
+        let mut check = |net: &mut Mlp, path: &str| {
             let got = bits(net.infer_batch(&xs, 3));
             assert_ne!(got, seen, "{path} changed no output");
             let mut fresh = new(0);
             fresh.set_flat_params(&net.flat_params());
             assert_eq!(got, bits(fresh.infer_batch(&xs, 3)), "{path}: stale panels");
+            assert_eq!(
+                bits(net.forward_batch(&xs, 3)),
+                bits(fresh.forward_batch(&xs, 3)),
+                "{path}: forward_batch read stale panels"
+            );
             seen = got;
         };
 
         for layer in &mut net.layers {
-            let (w, b) = layer.params_mut();
-            w.iter_mut().for_each(|v| *v *= -0.5);
-            b.iter_mut().for_each(|v| *v += 0.25);
+            let (w, b) = layer.params();
+            let w: Vec<f32> = w.iter().map(|v| v * -0.5).collect();
+            let b: Vec<f32> = b.iter().map(|v| v + 0.25).collect();
+            layer.set_params(&w, &b);
         }
-        check(&net, "params_mut");
+        check(&mut net, "set_params");
 
         let _ = net.forward_batch(&xs, 3);
         net.zero_grad();
         let _ = net.backward_batch(&[1.0; 3 * 102], 3);
         net.apply_grads(&mut Sgd::new(0.1), 1.0);
-        check(&net, "apply_grads");
+        check(&mut net, "apply_grads");
 
         net.copy_weights_from(&new(41));
-        check(&net, "copy_weights_from");
+        check(&mut net, "copy_weights_from");
 
         net.set_flat_params(&new(42).flat_params());
-        check(&net, "set_flat_params");
+        check(&mut net, "set_flat_params");
     }
 
     #[test]

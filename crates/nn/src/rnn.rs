@@ -103,7 +103,7 @@ impl Rnn {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: run() always yields the initial hidden state h_0
         let h_last = hs.last().expect("run always yields h_0");
         let mut y = Vec::new();
-        linalg::matmul_bias(
+        linalg::scalar::matmul_bias(
             &self.why,
             &self.by,
             h_last,
@@ -126,7 +126,7 @@ impl Rnn {
         let zero_bias = vec![0.0; self.hidden_dim];
         for x in xs {
             assert_eq!(x.len(), self.in_dim, "Rnn: input length mismatch");
-            linalg::matmul_bias(
+            linalg::scalar::matmul_bias(
                 &self.wxh,
                 &self.bh,
                 x,
@@ -135,7 +135,7 @@ impl Rnn {
                 1,
                 &mut zx,
             );
-            linalg::matmul_bias(
+            linalg::scalar::matmul_bias(
                 &self.whh,
                 &zero_bias,
                 // sibyl-lint: allow(unwrap-in-lib) -- invariant: hs starts with h_0 and only grows
@@ -173,7 +173,7 @@ impl Rnn {
         // sibyl-lint: allow(unwrap-in-lib) -- invariant: run() always yields the initial hidden state h_0
         let h_last = hs.last().expect("hs non-empty");
         let mut y = Vec::new();
-        linalg::matmul_bias(
+        linalg::scalar::matmul_bias(
             &self.why,
             &self.by,
             h_last,

@@ -6,17 +6,16 @@
 //! accumulation chain runs in exactly the order of the retained
 //! [`linalg::scalar`] references, making results bit-for-bit identical.
 //! These property tests pin that across random shapes, with the dimension
-//! palette deliberately straddling every tile boundary
-//! (`BATCH_TILE` − 1 / exact / + 1, `ROW_TILE` likewise, 1, and odd
-//! primes) so remainder paths are exercised as hard as full tiles.
+//! palette deliberately straddling the tile boundaries (`ROW_TILE` − 1 /
+//! exact / + 1, 7, 8, 9 and 16, 1, and odd primes) so remainder paths are
+//! exercised as hard as full tiles.
 //!
-//!
-//! The inference kernel, `matmul_bias_panels` over `pack_panels`'s
-//! k-major weight panels, is pinned the same way against
-//! `scalar::matmul_bias`, at every `rows % PANEL` remainder and every
-//! batch width 1..=17, with signed zeros, NaNs and infinities among the
-//! inputs; and `Mlp::infer_batch`, which runs it, equals
-//! `Mlp::forward_batch`, which runs `matmul_bias`, row by row.
+//! The forward kernel, `matmul_bias_panels` over `pack_panels`'s k-major
+//! weight panels, is pinned the same way against `scalar::matmul_bias`,
+//! at every `rows % PANEL` remainder and every batch width 1..=17, with
+//! signed zeros, NaNs and infinities among the inputs; and
+//! `Mlp::infer_batch` equals `Mlp::forward_batch`, which caches for the
+//! backward pass, row by row.
 //!
 //! Last, the tiled kernels must earn their place: on the default serving
 //! network, release builds race `Mlp::infer_batch` against the same pass
@@ -25,24 +24,24 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use sibyl_nn::linalg::{self, scalar, BATCH_TILE, PANEL, ROW_TILE};
+use sibyl_nn::linalg::{self, scalar, PANEL, ROW_TILE};
 use sibyl_nn::{Activation, Mlp};
 
 /// Dimension palette straddling the tile boundaries: 1, ROW_TILE−1,
-/// ROW_TILE, ROW_TILE+1, BATCH_TILE−1, BATCH_TILE, BATCH_TILE+1, odd
-/// primes, and a two-tile size.
+/// ROW_TILE, ROW_TILE+1, 7, 8 and 9 around a 256-bit vector of f32, odd
+/// primes, and 16, one `PANEL`.
 const DIMS: [usize; 11] = [
     1,
     ROW_TILE - 1,
     ROW_TILE,
     ROW_TILE + 1,
-    BATCH_TILE - 1,
-    BATCH_TILE,
-    BATCH_TILE + 1,
+    7,
+    8,
+    9,
     11,
     13,
     17,
-    2 * BATCH_TILE,
+    16,
 ];
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -58,27 +57,6 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 }
 
 proptest! {
-    /// Tiled `matmul_bias` is bit-identical to the scalar reference for
-    /// every shape in the palette — full tiles, remainders, and the
-    /// degenerate single-row/column cases alike.
-    #[test]
-    fn matmul_bias_matches_scalar(
-        seed in 0u64..400,
-        ri in 0usize..DIMS.len(),
-        ci in 0usize..DIMS.len(),
-        bi in 0usize..DIMS.len(),
-    ) {
-        let (rows, cols, batch) = (DIMS[ri], DIMS[ci], DIMS[bi]);
-        let mut r = rng(seed);
-        let w = random_vec(&mut r, rows * cols);
-        let b = random_vec(&mut r, rows);
-        let xs = random_vec(&mut r, batch * cols);
-        let (mut tiled, mut reference) = (Vec::new(), Vec::new());
-        linalg::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut tiled);
-        scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
-        prop_assert_eq!(bits(&tiled), bits(&reference));
-    }
-
     /// Tiled `matmul_transpose` is bit-identical to the scalar reference.
     #[test]
     fn matmul_transpose_matches_scalar(
@@ -139,55 +117,6 @@ proptest! {
     }
 }
 
-/// A row's `matmul_bias` result does not depend on the batch it rides in:
-/// at every batch width 1..=17 (full tiles, the 8- and 4-lane remainder
-/// tiles, the single-row scalar path and every mix of them) the tiled
-/// kernel equals the scalar reference and itself at a batch of one, row by
-/// row, to the bit — on random data, on all-zero rows under all-negative weights with
-/// `±0.0` biases (where a chain started at `-0.0` would keep the sign the
-/// tiles' `+0.0` start drops), and with NaNs among the inputs (equal as
-/// NaNs: their payload is the platform's business).
-#[test]
-fn matmul_bias_rows_are_independent_of_the_batch_width() {
-    let (rows, cols) = (5, 6);
-    let mut r = rng(77);
-    for batch in 1..=17usize {
-        for case in 0..3 {
-            let mut w = random_vec(&mut r, rows * cols);
-            let mut b = random_vec(&mut r, rows);
-            let mut xs = random_vec(&mut r, batch * cols);
-            match case {
-                0 => {}
-                1 => {
-                    w.iter_mut().for_each(|v| *v = -v.abs() - 0.5);
-                    b.iter_mut()
-                        .enumerate()
-                        .for_each(|(i, v)| *v = if i % 2 == 0 { 0.0 } else { -0.0 });
-                    // Every other row all-zero, the rest random.
-                    for row in xs.chunks_exact_mut(cols).step_by(2) {
-                        row.fill(0.0);
-                    }
-                }
-                _ => xs.iter_mut().step_by(5).for_each(|v| *v = f32::NAN),
-            }
-            let (mut tiled, mut reference, mut single) = (Vec::new(), Vec::new(), Vec::new());
-            linalg::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut tiled);
-            scalar::matmul_bias(&w, &b, &xs, rows, cols, batch, &mut reference);
-            assert_eq!(tiled.len(), batch * rows);
-            for (s, x) in xs.chunks_exact(cols).enumerate() {
-                linalg::matmul_bias(&w, &b, x, rows, cols, 1, &mut single);
-                for (i, &v) in single.iter().enumerate() {
-                    let (t, f) = (tiled[s * rows + i], reference[s * rows + i]);
-                    assert!(
-                        same(t, v) && same(f, v),
-                        "batch {batch} case {case} row {s} out {i}: tiled {t:?} scalar {f:?} one row {v:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Equal to the bit, or both NaN: a NaN's payload is the platform's
 /// business.
 fn same(a: f32, b: f32) -> bool {
@@ -225,7 +154,7 @@ fn panel_case(
     (w, b, xs)
 }
 
-/// The inference kernel over packed panels is bit-identical to the scalar
+/// The forward kernel over packed panels is bit-identical to the scalar
 /// reference, and each row to itself at a batch of one, over every output
 /// count 1..=2·PANEL+1 (every `rows % PANEL` remainder, at one panel and
 /// at several) × every batch width 1..=17 × every column count in the
@@ -264,8 +193,8 @@ fn matmul_bias_panels_matches_scalar_at_every_remainder_and_width() {
 }
 
 proptest! {
-    /// `Mlp::infer_batch` (the panel kernel) equals `Mlp::forward_batch`
-    /// (the lanes-per-sample tile) row by row, bit for bit, on networks
+    /// `Mlp::infer_batch` equals `Mlp::forward_batch`, which also caches
+    /// for the backward pass, row by row, bit for bit, on networks
     /// whose layer widths straddle the panel boundary, with random weights
     /// and non-zero biases, at every batch width 1..=17.
     #[test]
@@ -494,7 +423,7 @@ fn scalar_infer_batch(
 
 /// The race below times one computation two ways: on the raced network
 /// and inputs, the scalar reassembly equals `Mlp::infer_batch` bit for
-/// bit — activations included, which `matmul_bias`'s pins leave out.
+/// bit — activations included, which the kernel pins leave out.
 #[test]
 fn scalar_reassembly_is_infer_batch_on_the_raced_inputs() {
     let net = serving_net();

@@ -115,46 +115,20 @@ proptest! {
     /// The forward that computes only one block of each output row: those
     /// blocks equal the full pass bit for bit, the rest are `0.0`, and a
     /// backward pass whose deltas live in the same blocks accumulates the
-    /// full pass's gradients — across block widths and counts, and batch
-    /// widths on and off the kernels' 8-row tile and past one gathered
-    /// chunk of rows.
+    /// full pass's gradients — across block widths 1..40 and counts 1..4,
+    /// so blocks start and end mid-panel and straddle the 16-row panel
+    /// boundaries, and at the same draw for a two-action C51 head's 2 × 51.
     #[test]
     fn block_forward_matches_the_full_pass(
         seed in 0u64..300,
         batch in 1usize..80,
         hidden in 1usize..12,
-        block in 1usize..6,
+        block in 1usize..40,
         n_blocks in 1usize..4,
         act_idx in 0usize..ACTS.len(),
     ) {
-        let mut r = rng(seed);
-        let out = block * n_blocks;
-        let dims = [4, hidden, out];
-        let mut full = Mlp::new(&dims, ACTS[act_idx], Activation::Linear, &mut r);
-        let mut blocked = full.clone();
-        full.zero_grad();
-        blocked.zero_grad();
-        let xs = random_vec(&mut r, batch * 4);
-        let live: Vec<usize> = (0..batch).map(|_| r.gen_range(0..n_blocks)).collect();
-        let mut dys = vec![0.0f32; batch * out];
-        for (row, &k) in dys.chunks_exact_mut(out).zip(&live) {
-            row[k * block..][..block].copy_from_slice(&random_vec(&mut r, block));
-        }
-
-        let ys = full.forward_batch(&xs, batch);
-        let (mut scratch, mut blocked_ys) = (Vec::new(), Vec::new());
-        blocked.forward_batch_blocks_into(&xs, batch, block, &live, &mut scratch, &mut blocked_ys);
-        for ((b, f), &k) in blocked_ys.chunks_exact(out).zip(ys.chunks_exact(out)).zip(&live) {
-            for (j, (bv, fv)) in b.iter().zip(f).enumerate() {
-                let want = if j / block == k { fv.to_bits() } else { 0 };
-                prop_assert_eq!(bv.to_bits(), want);
-            }
-        }
-        let _ = full.backward_batch(&dys, batch);
-        let _ = blocked.backward_batch(&dys, batch);
-        for (bl, fl) in blocked.layers().zip(full.layers()) {
-            prop_assert_eq!(bits(bl.grads().0), bits(fl.grads().0));
-            prop_assert_eq!(bits(bl.grads().1), bits(fl.grads().1));
+        for (block, n_blocks) in [(block, n_blocks), (51, 2)] {
+            block_forward_case(&mut rng(seed), batch, hidden, block, n_blocks, ACTS[act_idx])?;
         }
     }
 
@@ -193,6 +167,51 @@ proptest! {
 
         prop_assert_eq!(bits(&batched.flat_params()), bits(&sequential.flat_params()));
     }
+}
+
+/// One case of `block_forward_matches_the_full_pass`: a `4-hidden-out`
+/// network with `out = block · n_blocks`, one random live block per row.
+fn block_forward_case(
+    r: &mut rand::rngs::StdRng,
+    batch: usize,
+    hidden: usize,
+    block: usize,
+    n_blocks: usize,
+    act: Activation,
+) -> Result<(), TestCaseError> {
+    let out = block * n_blocks;
+    let dims = [4, hidden, out];
+    let mut full = Mlp::new(&dims, act, Activation::Linear, r);
+    let mut blocked = full.clone();
+    full.zero_grad();
+    blocked.zero_grad();
+    let xs = random_vec(r, batch * 4);
+    let live: Vec<usize> = (0..batch).map(|_| r.gen_range(0..n_blocks)).collect();
+    let mut dys = vec![0.0f32; batch * out];
+    for (row, &k) in dys.chunks_exact_mut(out).zip(&live) {
+        row[k * block..][..block].copy_from_slice(&random_vec(r, block));
+    }
+
+    let ys = full.forward_batch(&xs, batch);
+    let (mut scratch, mut blocked_ys) = (Vec::new(), Vec::new());
+    blocked.forward_batch_blocks_into(&xs, batch, block, &live, &mut scratch, &mut blocked_ys);
+    for ((b, f), &k) in blocked_ys
+        .chunks_exact(out)
+        .zip(ys.chunks_exact(out))
+        .zip(&live)
+    {
+        for (j, (bv, fv)) in b.iter().zip(f).enumerate() {
+            let want = if j / block == k { fv.to_bits() } else { 0 };
+            prop_assert_eq!(bv.to_bits(), want);
+        }
+    }
+    let _ = full.backward_batch(&dys, batch);
+    let _ = blocked.backward_batch(&dys, batch);
+    for (bl, fl) in blocked.layers().zip(full.layers()) {
+        prop_assert_eq!(bits(bl.grads().0), bits(fl.grads().0));
+        prop_assert_eq!(bits(bl.grads().1), bits(fl.grads().1));
+    }
+    Ok(())
 }
 
 /// The in-situ shape, deterministically: the serving network
@@ -269,7 +288,7 @@ fn swish_batch_128_with_c51_deltas_is_bit_identical() {
 /// The accumulator half of the kernels' zero-skip contract, held at the
 /// only place gradients are exposed for in-place rewriting: a buffer that
 /// picked up `-0.0` entries (a scaled negative gradient can underflow to
-/// it; here they are planted through `params_and_grads_mut`) is back to
+/// it; here they are planted through `grads_mut`) is back to
 /// `+0.0` after `zero_grad`, so the next sparse batch accumulates
 /// bit-identically to the one-row loop. If `zero_grad` ever stopped
 /// writing `+0.0` — or a caller accumulated without it — the skipped
@@ -287,7 +306,7 @@ fn zero_grad_restores_the_zero_skip_precondition() {
         row[..out_dim / 2].fill(0.0);
     }
     for layer in [&mut batched, &mut sequential] {
-        let (_, dw, _, db) = layer.params_and_grads_mut();
+        let (dw, db) = layer.grads_mut();
         dw.fill(-0.0);
         db.fill(-0.0);
         layer.zero_grad();
