@@ -283,8 +283,10 @@ impl SibylAgent {
     /// already taken under the current weights (see [`DecisionCore`]) run
     /// through one [`sibyl_nn::Mlp::infer_batch`] matrix-matrix pass
     /// instead of one matrix-vector pass per request. This is the
-    /// decision path of the `sibyl-serve` sharded serving engine, and — as
-    /// a batch of one — of the sequential [`PlacementPolicy::place`].
+    /// decision path of the `sibyl-serve` sharded serving engine; the
+    /// sequential [`PlacementPolicy::place`] and
+    /// [`PlacementPolicy::feedback`] are this pair at a width of one, so
+    /// they hold to the same pairing.
     ///
     /// Observations are encoded against the manager state *before* any
     /// request of the batch is served — the staleness-for-throughput
@@ -548,25 +550,21 @@ impl PlacementPolicy for SibylAgent {
         "Sibyl"
     }
 
+    /// [`SibylAgent::place_batch`] of one request.
     fn place(&mut self, req: &IoRequest, manager: &StorageManager) -> DeviceId {
-        let target = self.place_batch(std::slice::from_ref(req), manager)[0];
-        // A lone decision is owed nothing: its reward arrives through
-        // `feedback`, and if none does the next decision drops it.
-        self.outstanding = 0;
-        target
+        self.place_batch(std::slice::from_ref(req), manager)[0]
     }
 
+    /// [`SibylAgent::feedback_batch`] of one outcome.
     fn feedback(&mut self, outcome: &AccessOutcome) {
-        if let Some(rt) = self.runtime.as_mut() {
-            rt.core.set_reward(Some(rt.shaper.reward(outcome)));
-        }
+        self.feedback_batch(std::slice::from_ref(outcome));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use sibyl_hss::{replay, DeviceSpec, HssConfig};
     use sibyl_trace::IoOp;
 
     fn manager(fast_pages: u64) -> StorageManager {
@@ -593,11 +591,7 @@ mod tests {
     /// Drives the agent through a request stream against a real manager,
     /// one `place`/`feedback` pair per request.
     fn drive(agent: &mut SibylAgent, mgr: &mut StorageManager, reqs: &[IoRequest]) {
-        for req in reqs {
-            let target = agent.place(req, mgr);
-            let outcome = mgr.access(req, target);
-            agent.feedback(&outcome);
-        }
+        replay(agent, mgr, reqs.iter().copied(), |_, _| {});
     }
 
     fn hot_cold_stream(n: usize) -> Vec<IoRequest> {
@@ -613,29 +607,16 @@ mod tests {
             .collect()
     }
 
-    /// Every way of driving the agent: `place`/`feedback` per request,
-    /// and `place_batch`/`feedback_batch` at sizes that do and do not
-    /// divide the stream.
-    const DRIVES: [Option<usize>; 5] = [None, Some(1), Some(7), Some(16), Some(32)];
-
-    fn drive_by(
-        batch: Option<usize>,
-        agent: &mut SibylAgent,
-        mgr: &mut StorageManager,
-        reqs: &[IoRequest],
-    ) {
-        match batch {
-            None => drive(agent, mgr, reqs),
-            Some(batch) => drive_batched(agent, mgr, reqs, batch),
-        }
-    }
+    /// The batch widths the agent is driven at, dividing the stream and
+    /// not. Width 1 is also what `place`/`feedback` (and so `drive`) run.
+    const DRIVES: [usize; 4] = [1, 7, 16, 32];
 
     #[test]
     fn agent_runs_and_collects_experiences() {
         for batch in DRIVES {
             let mut mgr = manager(512);
             let mut agent = SibylAgent::new(fast_test_config());
-            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(600));
+            drive_batched(&mut agent, &mut mgr, &hot_cold_stream(600), batch);
             let st = agent.stats();
             assert_eq!(st.decisions, 600, "{batch:?}");
             assert!(st.experiences >= 590, "{batch:?}: {}", st.experiences);
@@ -686,7 +667,7 @@ mod tests {
         let run = |batch| {
             let mut mgr = manager(256);
             let mut agent = SibylAgent::new(fast_test_config());
-            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(500));
+            drive_batched(&mut agent, &mut mgr, &hot_cold_stream(500), batch);
             (mgr.stats().avg_latency_us(), agent.stats().clone())
         };
         for batch in DRIVES {
@@ -696,8 +677,6 @@ mod tests {
                 "{batch:?}: a seeded agent must be deterministic"
             );
         }
-        // No observation is stale in a batch of one.
-        assert_eq!(run(None), run(Some(1)), "place is place_batch of one");
     }
 
     #[test]
@@ -713,7 +692,7 @@ mod tests {
         for batch in DRIVES {
             let mut mgr = manager(64);
             let mut agent = SibylAgent::new(fast_test_config());
-            drive_by(batch, &mut agent, &mut mgr, &hot_cold_stream(4_000));
+            drive_batched(&mut agent, &mut mgr, &hot_cold_stream(4_000), batch);
             let sibyl_lat = mgr.stats().avg_latency_us();
             assert!(
                 sibyl_lat < slow_lat,
@@ -777,17 +756,10 @@ mod tests {
     fn empty_batch_round_is_a_noop() {
         let mut mgr = manager(64);
         let mut agent = SibylAgent::new(fast_test_config());
-        let reqs = hot_cold_stream(8);
         // A real batch, then an empty round: the empty round must not
         // drop the batch's last decision, so the follow-up batch still
         // finalizes it into an experience.
-        let targets = agent.place_batch(&reqs, &mgr);
-        let outcomes: Vec<AccessOutcome> = reqs
-            .iter()
-            .zip(&targets)
-            .map(|(r, &t)| mgr.access(r, t))
-            .collect();
-        agent.feedback_batch(&outcomes);
+        drive_batched(&mut agent, &mut mgr, &hot_cold_stream(8), 8);
         assert_eq!(agent.place_batch(&[], &mgr), Vec::new());
         agent.feedback_batch(&[]);
         drive_batched(&mut agent, &mut mgr, &hot_cold_stream(8), 8);
@@ -796,14 +768,27 @@ mod tests {
         assert_eq!(agent.stats().experiences, 15);
     }
 
+    /// A `place` after an unanswered batch, or after an unanswered
+    /// `place` (a batch of one), is a caller bug.
     #[test]
-    #[should_panic(expected = "still awaits feedback_batch")]
     fn sequential_place_rejects_outstanding_batch() {
-        let mgr = manager(64);
-        let mut agent = SibylAgent::new(fast_test_config());
-        let reqs = hot_cold_stream(4);
-        let _ = agent.place_batch(&reqs, &mgr);
-        let _ = agent.place(&reqs[0], &mgr);
+        for lone in [false, true] {
+            let panic = std::panic::catch_unwind(|| {
+                let (mgr, reqs) = (manager(64), hot_cold_stream(4));
+                let mut agent = SibylAgent::new(fast_test_config());
+                let _ = match lone {
+                    true => agent.place(&reqs[0], &mgr),
+                    false => agent.place_batch(&reqs, &mgr)[0],
+                };
+                agent.place(&reqs[1], &mgr)
+            });
+            let msg = panic.expect_err("a place owed feedback must panic");
+            let msg = msg.downcast_ref::<&str>().expect("a literal message");
+            assert!(
+                msg.contains("still awaits feedback_batch"),
+                "lone {lone}: {msg}"
+            );
+        }
     }
 
     #[test]
@@ -992,18 +977,15 @@ mod tests {
                 ..fast_test_config()
             });
             let mut decisions = Vec::with_capacity(reqs.len());
-            for (i, req) in reqs.iter().enumerate() {
-                let target = agent.place(req, &mgr);
-                if i == 0 && reference {
-                    // The runtime exists now and no training has run yet
-                    // (train_interval > 1), so the whole training history
-                    // goes through the reference path.
-                    agent.force_reference_training();
-                }
-                decisions.push(target);
-                let outcome = mgr.access(req, target);
-                agent.feedback(&outcome);
+            let mut record = |_: &IoRequest, o: &AccessOutcome| decisions.push(o.target);
+            replay(&mut agent, &mut mgr, reqs[..1].iter().copied(), &mut record);
+            if reference {
+                // The runtime exists now and no training has run yet
+                // (train_interval > 1), so the whole training history
+                // goes through the reference path.
+                agent.force_reference_training();
             }
+            replay(&mut agent, &mut mgr, reqs[1..].iter().copied(), &mut record);
             let weights: Vec<u32> = agent
                 .export_weights()
                 .expect("a running agent exports")
@@ -1160,7 +1142,7 @@ mod tests {
     /// another inside one commit, so a refactor that shifts both sides
     /// passes them all; these FNV-1a digests of (action sequence, logical
     /// stats) hold a commit to its *parent's* decisions, for an agent
-    /// driven one request at a time — through `place`, and through
+    /// driven one request at a time — through [`replay`], and through
     /// `place_batch` of one. Both drivers match one digest. A digest may
     /// change only with a behaviour change that CHANGES.md explains.
     #[test]
@@ -1173,19 +1155,16 @@ mod tests {
             let mut mgr = if tri { tri_manager() } else { manager(128) };
             let mut agent = SibylAgent::new(fast_test_config());
             let mut actions = Vec::new();
-            for req in &hot_cold_stream(700) {
-                let target = if batched {
-                    agent.place_batch(std::slice::from_ref(req), &mgr)[0]
-                } else {
-                    agent.place(req, &mgr)
-                };
-                let outcome = mgr.access(req, target);
-                if batched {
+            let reqs = hot_cold_stream(700);
+            if batched {
+                for req in &reqs {
+                    let target = agent.place_batch(std::slice::from_ref(req), &mgr)[0];
+                    let outcome = mgr.access(req, target);
                     agent.feedback_batch(std::slice::from_ref(&outcome));
-                } else {
-                    agent.feedback(&outcome);
+                    actions.push(target.0);
                 }
-                actions.push(target.0);
+            } else {
+                replay(&mut agent, &mut mgr, reqs, |_, o| actions.push(o.target.0));
             }
             let mut stats = agent.stats().clone();
             stats.train_ns = 0;
@@ -1218,9 +1197,16 @@ mod tests {
             exploration_initial: 0.0,
             ..fast_test_config()
         });
-        // Nothing is served in between, so every `place` sees one state.
+        // Nothing is served in between, so every `place` sees one state;
+        // each is answered with one fixed outcome (served on a manager of
+        // its own), and at `train_interval` 128 no step trains.
         let req = IoRequest::new(0, 5, 1, IoOp::Read);
-        let place = |agent: &mut SibylAgent| agent.place(&req, &mgr);
+        let outcome = manager(64).access(&req, DeviceId(0));
+        let place = |agent: &mut SibylAgent| {
+            let target = agent.place(&req, &mgr);
+            agent.feedback(&outcome);
+            target
+        };
         let before = place(&mut agent);
         assert_eq!(place(&mut agent), before);
         assert_eq!(agent.decision_memo(), (2, 1), "the repeat is a memo hit");
@@ -1247,25 +1233,5 @@ mod tests {
             "a differing import is a miss"
         );
         assert_eq!(agent.stats().weight_syncs, 2);
-    }
-
-    /// The one thing only the sequential protocol allows: a decision whose
-    /// reward never arrives is dropped when the next one is made, where an
-    /// unanswered `place_batch` is a caller bug.
-    #[test]
-    fn an_unrewarded_place_is_dropped_by_the_next_one() {
-        let mut mgr = manager(64);
-        let mut agent = SibylAgent::new(fast_test_config());
-        let reqs = hot_cold_stream(3);
-        let place =
-            |agent: &mut SibylAgent, mgr: &StorageManager, i: usize| agent.place(&reqs[i], mgr);
-        let _ = place(&mut agent, &mgr, 0);
-        let target = place(&mut agent, &mgr, 1);
-        assert_eq!(agent.stats().decisions, 2);
-        assert_eq!(agent.stats().experiences, 0, "decision 0 had no reward");
-        let outcome = mgr.access(&reqs[1], target);
-        agent.feedback(&outcome);
-        let _ = place(&mut agent, &mgr, 2);
-        assert_eq!(agent.stats().experiences, 1, "decision 1 closes normally");
     }
 }

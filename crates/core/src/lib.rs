@@ -28,13 +28,13 @@
 //!   not carry that, so that two identical runs are bit-identical.
 //!
 //! [`SibylAgent`] implements [`sibyl_hss::PlacementPolicy`], so it drops
-//! into the same driver loop as every baseline.
+//! into the same driver loop, [`sibyl_hss::replay`], as every baseline.
 //!
 //! ## Example
 //!
 //! ```rust
 //! use sibyl_core::{SibylAgent, SibylConfig};
-//! use sibyl_hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
+//! use sibyl_hss::{replay, DeviceSpec, HssConfig, StorageManager};
 //! use sibyl_trace::{IoOp, IoRequest};
 //!
 //! let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
@@ -42,10 +42,11 @@
 //! let mut hss = StorageManager::new(&cfg);
 //! let mut sibyl = SibylAgent::new(SibylConfig::default());
 //!
-//! let req = IoRequest::new(0, 42, 4, IoOp::Write);
-//! let target = sibyl.place(&req, &hss);
-//! let outcome = hss.access(&req, target);
-//! sibyl.feedback(&outcome);
+//! let requests = (0..8).map(|i| IoRequest::new(i * 100, 42 + i, 4, IoOp::Write));
+//! replay(&mut sibyl, &mut hss, requests, |_, outcome| {
+//!     assert!(outcome.latency_us > 0.0);
+//! });
+//! assert_eq!(sibyl.stats().decisions, 8);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -26,7 +26,8 @@
 //!   with [`HssStats::merge`] first, so every run reports one type.
 //! - [`PlacementPolicy`] — the interface every placement mechanism
 //!   implements (baselines in `sibyl-policies`, the RL agent in
-//!   `sibyl-core`).
+//!   `sibyl-core`), and [`replay`], the `place → access → feedback`
+//!   loop that drives one over a request stream.
 //! - [`Victim`] — which page a full device evicts: LRU by default, or
 //!   Belady over the whole trace's future ([`Victim::belady`]) for the
 //!   Oracle.
@@ -63,6 +64,6 @@ pub use device::{Device, DeviceId, DeviceKind, DeviceSpec, DeviceStats, Service}
 pub use directory::{AccessTracker, PageDirectory, PageMove, PageRecord};
 pub use manager::{AccessDetail, AccessOutcome, MigrationOutcome, StorageManager};
 pub use metrics::Metrics;
-pub use policy::PlacementPolicy;
+pub use policy::{replay, PlacementPolicy};
 pub use stats::HssStats;
 pub use victim::Victim;

@@ -186,14 +186,8 @@ impl PlacementPolicy for Archivist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn manager() -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![1024, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     fn run_one(p: &mut Archivist, mgr: &mut StorageManager, req: IoRequest) -> DeviceId {
         let target = p.place(&req, mgr);
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn untrained_epoch_defaults_to_slow() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Archivist::default();
         let d = run_one(&mut p, &mut mgr, IoRequest::new(0, 1, 1, IoOp::Read));
         assert_eq!(d, DeviceId(1));
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn target_is_pinned_within_epoch() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Archivist::default();
         let first = run_one(&mut p, &mut mgr, IoRequest::new(0, 42, 1, IoOp::Read));
         for i in 1..Archivist::EPOCH_REQUESTS {
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn learns_to_separate_hot_from_cold_after_epochs() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Archivist::default();
         // Two epochs of strongly bimodal traffic: pages 0..4 hammered with
         // small writes, pages 1000+ streamed once with large reads.

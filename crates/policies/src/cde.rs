@@ -55,18 +55,12 @@ impl PlacementPolicy for Cde {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn manager() -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![1024, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     #[test]
     fn small_random_write_goes_fast() {
-        let mgr = manager();
+        let mgr = manager(1024);
         let mut p = Cde;
         let req = IoRequest::new(0, 100, 1, IoOp::Write);
         assert_eq!(p.place(&req, &mgr), DeviceId(0));
@@ -74,7 +68,7 @@ mod tests {
 
     #[test]
     fn large_cold_write_goes_slow() {
-        let mgr = manager();
+        let mgr = manager(1024);
         let mut p = Cde;
         let req = IoRequest::new(0, 100, 32, IoOp::Write);
         assert_eq!(p.place(&req, &mgr), DeviceId(1));
@@ -82,7 +76,7 @@ mod tests {
 
     #[test]
     fn hot_large_write_goes_fast() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Cde;
         // Touch page 100 enough times to cross the hot threshold.
         for i in 0..Cde::HOT_ACCESS_COUNT {
@@ -94,7 +88,7 @@ mod tests {
 
     #[test]
     fn reads_are_served_in_place() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Cde;
         let _ = mgr.access(&IoRequest::new(0, 7, 1, IoOp::Write), DeviceId(0));
         let read = IoRequest::new(1, 7, 1, IoOp::Read);
@@ -105,7 +99,7 @@ mod tests {
 
     #[test]
     fn thresholds_are_inclusive() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = Cde;
         let size = Cde::RANDOM_MAX_PAGES;
         assert_eq!(

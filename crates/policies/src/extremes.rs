@@ -47,18 +47,12 @@ impl PlacementPolicy for FastOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn ctx_manager() -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![16, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     #[test]
     fn slow_only_targets_last_device() {
-        let mgr = ctx_manager();
+        let mgr = manager(16);
         let mut p = SlowOnly;
         let req = IoRequest::new(0, 0, 1, IoOp::Write);
         assert_eq!(p.place(&req, &mgr), DeviceId(1));
@@ -66,7 +60,7 @@ mod tests {
 
     #[test]
     fn fast_only_targets_first_device() {
-        let mgr = ctx_manager();
+        let mgr = manager(16);
         let mut p = FastOnly;
         let req = IoRequest::new(0, 0, 1, IoOp::Read);
         assert_eq!(p.place(&req, &mgr), DeviceId(0));

@@ -75,14 +75,8 @@ impl PlacementPolicy for Hps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn manager() -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![1024, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     /// Places one single-page read of `lpn` at time `ts`.
     fn place(p: &mut Hps, mgr: &StorageManager, ts: u64, lpn: u64) -> DeviceId {
@@ -91,7 +85,7 @@ mod tests {
 
     #[test]
     fn first_epoch_places_everything_slow() {
-        let mgr = manager();
+        let mgr = manager(1024);
         let mut p = Hps::default();
         for i in 0..Hps::EPOCH_REQUESTS {
             assert_eq!(place(&mut p, &mgr, i, 5), DeviceId(1));
@@ -100,7 +94,7 @@ mod tests {
 
     #[test]
     fn hot_pages_promote_after_epoch_boundary() {
-        let mgr = manager();
+        let mgr = manager(1024);
         let mut p = Hps::default();
         // Epoch 1: page 7 reaches the threshold, every other page is
         // touched once.
@@ -120,7 +114,7 @@ mod tests {
 
     #[test]
     fn hot_set_expires_when_page_cools() {
-        let mgr = manager();
+        let mgr = manager(1024);
         let mut p = Hps::default();
         let epoch = Hps::EPOCH_REQUESTS;
         // Epoch 1: page 7 hot.

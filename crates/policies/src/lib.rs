@@ -46,6 +46,15 @@ pub use tri_hybrid::TriHybridHeuristic;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sibyl_hss::{DeviceSpec, HssConfig, StorageManager};
+
+    /// The dual Optane/HDD system the baselines' unit tests run on:
+    /// `fast_pages` of Optane over an unbounded HDD.
+    pub(crate) fn manager(fast_pages: u64) -> StorageManager {
+        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
+            .with_capacity_pages(vec![fast_pages, u64::MAX]);
+        StorageManager::new(&cfg)
+    }
 
     /// Where a baseline's fixed value comes from, as the tree records it.
     const ILLUSTRATIVE: &str = "illustrative: the tree records no source";

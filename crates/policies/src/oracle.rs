@@ -50,14 +50,8 @@ impl PlacementPolicy for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn manager(fast_pages: u64) -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![fast_pages, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     /// Places `req` with the Oracle and serves it.
     fn serve(mgr: &mut StorageManager, req: IoRequest) -> (DeviceId, u64) {

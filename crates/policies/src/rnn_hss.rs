@@ -236,14 +236,8 @@ impl PlacementPolicy for RnnHss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sibyl_hss::{DeviceSpec, HssConfig};
+    use crate::tests::manager;
     use sibyl_trace::IoOp;
-
-    fn manager() -> StorageManager {
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![1024, u64::MAX]);
-        StorageManager::new(&cfg)
-    }
 
     fn run_one(p: &mut RnnHss, mgr: &mut StorageManager, req: IoRequest) -> DeviceId {
         let target = p.place(&req, mgr);
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn profiling_phase_places_slow() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = RnnHss::default();
         for i in 0..RnnHss::PROFILE_REQUESTS - 1 {
             let d = run_one(&mut p, &mut mgr, IoRequest::new(i, i % 3, 1, IoOp::Read));
@@ -264,7 +258,7 @@ mod tests {
 
     #[test]
     fn trains_after_profile_and_separates_hot_cold() {
-        let mut mgr = manager();
+        let mut mgr = manager(1024);
         let mut p = RnnHss::default();
         // Profile: pages 0..3 hot every window; pages 1000+ touched once.
         let mut ts = 0u64;

@@ -115,9 +115,7 @@ mod tests {
     #[test]
     fn degrades_gracefully_on_dual_hss() {
         // On a 2-device system the frozen tier clamps to the slow device.
-        let cfg = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::hdd())
-            .with_capacity_pages(vec![64, u64::MAX]);
-        let mgr = StorageManager::new(&cfg);
+        let mgr = crate::tests::manager(64);
         let mut p = TriHybridHeuristic;
         let req = IoRequest::new(0, 500, 8, IoOp::Read);
         assert_eq!(p.place(&req, &mgr), DeviceId(1));

@@ -1,16 +1,15 @@
 //! Pins the two neural-network baselines' runs as digests.
 //!
 //! Archivist and RNN-HSS each drive a default [`StorageManager`] through
-//! the `place → access → feedback` loop `Experiment::run` uses, on two
-//! MSRC workloads under both of the paper's dual configurations, for long
-//! enough that each network trains and then decides. Each
-//! digest is 64-bit FNV-1a over every request's target device and the
+//! [`replay`], the loop `Experiment::run` uses, on two MSRC workloads
+//! under both of the paper's dual configurations, for long enough that
+//! each network trains and then decides. Each digest is 64-bit FNV-1a over every request's target device and the
 //! bits of its `latency_us`, so a change to the networks' arithmetic that
 //! flips one decision, or moves one latency by an ulp, changes a digest.
 //! The constants are data: a change that is meant to alter these
 //! baselines updates them and says why.
 
-use sibyl_hss::{AccessOutcome, DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
+use sibyl_hss::{replay, DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
 use sibyl_policies::{Archivist, RnnHss};
 use sibyl_trace::msrc::{self, Workload};
 
@@ -21,27 +20,6 @@ const SEED: u64 = 42;
 
 const _: () = assert!(REQUESTS as u64 > RnnHss::PROFILE_REQUESTS + 1_000);
 const _: () = assert!(REQUESTS > 2 * Archivist::EPOCH_REQUESTS as usize);
-
-/// 64-bit FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn outcome(&mut self, o: &AccessOutcome) {
-        self.word(o.target.0 as u64);
-        self.word(o.latency_us.to_bits());
-    }
-}
 
 /// The paper's performance-oriented (H&M) and cost-oriented (H&L)
 /// configurations, named for the assertion message.
@@ -62,14 +40,15 @@ fn configs() -> [(&'static str, HssConfig); 2] {
 fn run(mut policy: impl PlacementPolicy, workload: Workload, config: &HssConfig) -> u64 {
     let trace = msrc::generate(workload, REQUESTS, SEED);
     let mut manager = StorageManager::new(&config.resolved(trace.footprint_pages()));
-    let mut h = Fnv::new();
-    for req in trace.iter() {
-        let target = policy.place(req, &manager);
-        let outcome = manager.access(req, target);
-        policy.feedback(&outcome);
-        h.outcome(&outcome);
-    }
-    h.0
+    // 64-bit FNV-1a over the little-endian bytes of each outcome's words.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    replay(&mut policy, &mut manager, trace.iter().copied(), |_, o| {
+        let words = [o.target.0 as u64, o.latency_us.to_bits()];
+        for b in words.into_iter().flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    });
+    h
 }
 
 /// Runs `policy()` on every (workload, configuration) cell in the order

@@ -334,10 +334,7 @@ where
     // as an error rather than panicking the router.
     let mut dead_shard: Option<usize> = None;
     for req in stream {
-        let mut routed = req;
-        if config.time_scale != 1.0 {
-            routed.timestamp_us = (req.timestamp_us as f64 / config.time_scale) as u64;
-        }
+        let routed = req.time_scaled(config.time_scale);
         let s = shard_of(routed.lpn, config.shards);
         if senders[s].push(routed).is_err() {
             dead_shard = Some(s);

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use sibyl_hss::{HssConfig, Metrics, StorageManager};
+use sibyl_hss::{replay, HssConfig, Metrics, StorageManager};
 use sibyl_trace::Trace;
 
 use crate::policy_kind::PolicyKind;
@@ -81,9 +81,10 @@ impl Experiment {
     }
 
     /// Accelerates trace replay by dividing every timestamp by `scale`
-    /// (>1 compresses think time). Throughput comparisons (the paper's
-    /// Fig. 10) replay under load so device capacity, not arrival rate,
-    /// bounds IOPS.
+    /// (>1 compresses think time; see
+    /// [`IoRequest::time_scaled`](sibyl_trace::IoRequest::time_scaled)).
+    /// Throughput comparisons (the paper's Fig. 10) replay under load so
+    /// device capacity, not arrival rate, bounds IOPS.
     ///
     /// # Panics
     ///
@@ -120,15 +121,8 @@ impl Experiment {
         let footprint = *self.footprint.get_or_init(|| self.trace.footprint_pages());
         let mut manager = StorageManager::new(&config.resolved(footprint));
         manager.set_victim(kind.victim(manager.num_devices(), &self.trace));
-        for orig in self.trace.iter() {
-            let mut req = *orig;
-            if self.time_scale != 1.0 {
-                req.timestamp_us = (orig.timestamp_us as f64 / self.time_scale) as u64;
-            }
-            let target = policy.place(&req, &manager);
-            let outcome = manager.access(&req, target);
-            policy.feedback(&outcome);
-        }
+        let requests = self.trace.iter().map(|r| r.time_scaled(self.time_scale));
+        replay(&mut *policy, &mut manager, requests, |_, _| {});
         Ok(Outcome {
             policy: policy.name().to_string(),
             metrics: Metrics::from_stats(manager.stats()),

@@ -113,6 +113,21 @@ impl IoRequest {
         self.lpn + self.size_pages as u64 - 1
     }
 
+    /// The request replayed `scale` times faster: its timestamp divided by
+    /// `scale` (>1 compresses think time) and truncated to whole µs. At
+    /// `scale == 1.0` the request is returned as is — a timestamp above
+    /// 2^53 would not survive the round trip through `f64`.
+    #[inline]
+    pub fn time_scaled(self, scale: f64) -> IoRequest {
+        if scale == 1.0 {
+            return self;
+        }
+        IoRequest {
+            timestamp_us: (self.timestamp_us as f64 / scale) as u64,
+            ..self
+        }
+    }
+
     /// Iterates over every logical page number the request touches.
     pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.lpn..=self.last_lpn()
@@ -178,6 +193,14 @@ mod tests {
             IoRequest::checked(7, 9, MAX_REQUEST_PAGES, IoOp::Read),
             Some(max)
         );
+    }
+
+    #[test]
+    fn time_scaled_divides_the_timestamp_and_keeps_it_exact_at_one() {
+        let big = IoRequest::new((1 << 53) + 1, 3, 2, IoOp::Read);
+        assert_eq!(big.time_scaled(1.0), big, "2^53 + 1 is not an f64");
+        let r = IoRequest::new(4_000, 3, 2, IoOp::Write);
+        assert_eq!(r.time_scaled(40.0), IoRequest::new(100, 3, 2, IoOp::Write));
     }
 
     #[test]

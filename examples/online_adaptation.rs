@@ -9,7 +9,7 @@
 //! ```
 
 use sibyl::core::{SibylAgent, SibylConfig};
-use sibyl::hss::{DeviceSpec, HssConfig, PlacementPolicy, StorageManager};
+use sibyl::hss::{replay, DeviceSpec, HssConfig, StorageManager};
 use sibyl::trace::{msrc, IoRequest, Trace};
 
 fn main() {
@@ -41,19 +41,16 @@ fn main() {
 
     println!("phase 1: hot/random writes | phase 2: cold/sequential streams");
     println!("{:>8} {:>10} {:>12}", "window", "fast pref", "avg lat (us)");
-    let window = spliced.len() / 10;
-    let mut fast = 0u64;
-    let mut lat = 0.0f64;
-    for (seq, req) in spliced.iter().enumerate() {
-        let target = agent.place(req, &mgr);
-        let out = mgr.access(req, target);
-        agent.feedback(&out);
-        if target.0 == 0 {
+    let window = (spliced.len() / 10).max(1);
+    let (mut seen, mut fast, mut lat) = (0usize, 0u64, 0.0f64);
+    replay(&mut agent, &mut mgr, spliced.iter().copied(), |_, out| {
+        seen += 1;
+        if out.target.0 == 0 {
             fast += 1;
         }
         lat += out.latency_us;
-        if (seq + 1) % window == 0 {
-            let w = (seq + 1) / window;
+        if seen % window == 0 {
+            let w = seen / window;
             let marker = if w == 6 {
                 "  <- phase change region"
             } else {
@@ -68,7 +65,7 @@ fn main() {
             fast = 0;
             lat = 0.0;
         }
-    }
+    });
     println!(
         "\nSibyl's fast-device preference shifts with the workload — no retuning, no redeploy."
     );

@@ -4,7 +4,7 @@
 //! test failures.
 
 use sibyl::core::{FeatureMask, OverheadReport, SibylConfig};
-use sibyl::hss::{DeviceSpec, HssConfig, Metrics, PlacementPolicy, StorageManager};
+use sibyl::hss::{replay, DeviceSpec, HssConfig, Metrics, StorageManager};
 use sibyl::policies::Oracle;
 use sibyl::sim::{run_suite, Experiment, PolicyKind};
 use sibyl::trace::{msrc, stats::TraceStats};
@@ -109,12 +109,7 @@ fn oracle_beats_its_own_lru_ablation() {
             let suite = run_suite(&hss, trace, &[PolicyKind::Oracle]).unwrap();
             belady += suite.normalized_latency(0).ln();
             let mut manager = StorageManager::new(&hss.resolved(trace.footprint_pages()));
-            let mut policy = Oracle;
-            for req in trace.iter() {
-                let target = policy.place(req, &manager);
-                let outcome = manager.access(req, target);
-                policy.feedback(&outcome);
-            }
+            replay(&mut Oracle, &mut manager, trace.iter().copied(), |_, _| {});
             lru += Metrics::from_stats(manager.stats())
                 .normalized_latency(&suite.fast_only.metrics)
                 .ln();
