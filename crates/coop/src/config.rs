@@ -152,21 +152,6 @@ impl CoopConfig {
         self
     }
 
-    /// Records the cooperation settings into a telemetry registry under
-    /// the `coop.` namespace. Deliberately *configuration*, not live
-    /// [`Coordinator`](crate::Coordinator) state: the coordinator's
-    /// global round counter keeps advancing while other shards drain, so
-    /// reading it at one shard's teardown would make the export depend
-    /// on thread timing. Per-shard sync counts are the host engine's to
-    /// record (it owns the deterministic `coop.syncs` counter).
-    pub fn record_registry(&self, registry: &mut sibyl_telemetry::Registry) {
-        registry.gauge_set("coop.sync_period", self.sync_period as f64);
-        registry.gauge_set("coop.share_fraction", self.share_fraction);
-        // Goes with the `foreign_weight` husk; until then the engine's
-        // pinned telemetry export keeps its line.
-        registry.gauge_set("coop.foreign_weight", self.foreign_weight);
-    }
-
     /// Validates the configuration for its mode.
     ///
     /// # Errors

@@ -9,7 +9,7 @@
 //! weight adoption every `train_interval` requests (Algorithm 1).
 
 use sibyl_hss::{AccessOutcome, DeviceId, PlacementPolicy, StorageManager};
-use sibyl_telemetry::{Log2Histogram, Registry};
+use sibyl_telemetry::Log2Histogram;
 use sibyl_trace::IoRequest;
 
 use crate::buffer::{Experience, ExperienceRef};
@@ -77,10 +77,10 @@ impl PartialEq for AgentStats {
 impl Eq for AgentStats {}
 
 /// Point-in-time snapshot of the agent's learning state — the RL
-/// introspection probe the serving engine samples every `curve_every`
-/// batches into the telemetry registry. Reading a probe is pure: it
-/// consumes no RNG and touches no training state, so sampling it can
-/// never perturb placement.
+/// introspection probe the serving engine's observer samples every
+/// `curve_every` batches into its telemetry registry; the agent writes
+/// none. Reading a probe is pure: it consumes no RNG and touches no
+/// training state, so sampling it can never perturb placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlProbe {
     /// Current ε of the exploration anneal.
@@ -104,17 +104,6 @@ pub struct RlProbe {
     pub argmax_entropy: f64,
     /// Training steps completed so far.
     pub train_steps: u64,
-}
-
-/// Introspection state, allocated only when telemetry is enabled so the
-/// disabled path stays a null-pointer check.
-#[derive(Debug, Default)]
-struct Introspection {
-    registry: Registry,
-    last_argmax_entropy: f64,
-    /// `AgentStats::train_ns` as of the previous
-    /// [`SibylAgent::take_telemetry`], so each drain reports its own share.
-    drained_train_ns: u64,
 }
 
 /// Lazily-built runtime state (needs the storage manager's shape).
@@ -182,8 +171,6 @@ pub struct SibylAgent {
     /// Experiences selected by the tap since the last
     /// [`SibylAgent::take_published`].
     tapped: Vec<Experience>,
-    /// RL introspection state; `None` when telemetry is off.
-    introspect: Option<Box<Introspection>>,
 }
 
 impl SibylAgent {
@@ -196,10 +183,6 @@ impl SibylAgent {
     pub fn new(config: SibylConfig) -> Self {
         config.validate();
         let next_train_at = config.train_interval;
-        let introspect = config
-            .telemetry
-            .enabled()
-            .then(|| Box::new(Introspection::default()));
         SibylAgent {
             config,
             runtime: None,
@@ -210,7 +193,6 @@ impl SibylAgent {
             tap_fraction: 0.0,
             tap_acc: 0.0,
             tapped: Vec::new(),
-            introspect,
         }
     }
 
@@ -267,14 +249,6 @@ impl SibylAgent {
             self.stats.train_steps = learner.train_steps;
             self.stats.train_ns = learner.train_ns();
             self.stats.weight_syncs += 1;
-            // The learner tracks its loss exactly when telemetry is
-            // enabled, which is when the introspection state exists.
-            if let (Some(intro), Some(loss)) = (self.introspect.as_deref_mut(), learner.last_loss())
-            {
-                intro
-                    .registry
-                    .series_push("rl.train_loss", learner.train_steps, f64::from(loss));
-            }
         }
     }
 
@@ -334,9 +308,6 @@ impl SibylAgent {
             self.push_experience(learner, exp);
         }
         let actions = core.act(learner.inference(), rows);
-        if let Some(intro) = self.introspect.as_deref_mut() {
-            intro.last_argmax_entropy = argmax_entropy(actions, manager.num_devices());
-        }
         let targets = actions.iter().map(|&action| DeviceId(action)).collect();
         self.stats.decisions = core.decisions();
         self.stats.explorations = core.explorations();
@@ -497,52 +468,10 @@ impl SibylAgent {
             buffer_capacity: self.config.buffer_capacity,
             buffer_age,
             q_spread: rt.map_or(0.0, |rt| rt.core.q_spread()),
-            argmax_entropy: self
-                .introspect
-                .as_deref()
-                .map_or(0.0, |i| i.last_argmax_entropy),
+            argmax_entropy: rt.map_or(0.0, |rt| rt.core.argmax_entropy()),
             train_steps: self.stats.train_steps,
         }
     }
-
-    /// Drains the agent's internal telemetry registry (the `rl.*` loss
-    /// series plus the `measured.train_ns` wall-clock total), for the
-    /// serving engine to fold into its shard sink at teardown. `None`
-    /// when telemetry is off. The registry restarts empty and the
-    /// training time counts from the previous call, so calling this
-    /// mid-run partitions both rather than duplicating them.
-    pub fn take_telemetry(&mut self) -> Option<Registry> {
-        let intro = self.introspect.as_deref_mut()?;
-        let mut registry = std::mem::take(&mut intro.registry);
-        registry.counter_add(
-            "measured.train_ns",
-            self.stats.train_ns - intro.drained_train_ns,
-        );
-        intro.drained_train_ns = self.stats.train_ns;
-        Some(registry)
-    }
-}
-
-/// Normalized entropy (in `[0, 1]`) of the action distribution a decided
-/// batch produced: 0 when every request went to one device, 1 when
-/// placements split evenly across all `n_actions`.
-fn argmax_entropy(actions: &[usize], n_actions: usize) -> f64 {
-    if actions.is_empty() || n_actions < 2 {
-        return 0.0;
-    }
-    let mut counts = vec![0u64; n_actions];
-    for &a in actions {
-        counts[a] += 1;
-    }
-    let total = actions.len() as f64;
-    let mut h = 0.0f64;
-    for &c in &counts {
-        if c > 0 {
-            let p = c as f64 / total;
-            h -= p * p.ln();
-        }
-    }
-    h / (n_actions as f64).ln()
 }
 
 impl PlacementPolicy for SibylAgent {
@@ -1063,7 +992,6 @@ mod tests {
                 mgr.stats().avg_latency_us().to_bits(),
                 agent.stats().clone(),
                 agent.probe(),
-                agent.take_telemetry(),
                 decisions,
                 weights,
             )
@@ -1074,12 +1002,12 @@ mod tests {
         // be invisible to the decision path.
         assert_eq!(off.0, full.0, "telemetry changed served latency");
         assert_eq!(off.1, full.1, "telemetry changed agent stats");
-        assert_eq!(off.4, full.4, "telemetry changed a decision");
-        assert_eq!(off.5, full.5, "telemetry changed a weight");
-        // Off: no registry, default probe fields.
-        assert!(off.3.is_none());
+        assert_eq!(off.3, full.3, "telemetry changed a decision");
+        assert_eq!(off.4, full.4, "telemetry changed a weight");
+        // Off: default probe fields.
         assert_eq!(off.2.last_loss, None);
         assert_eq!(off.2.q_spread, 0.0);
+        assert_eq!(off.2.argmax_entropy, 0.0);
         // Full: probes carry real learning state.
         let probe = &full.2;
         assert!(probe.last_loss.is_some(), "loss should be captured");
@@ -1090,41 +1018,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&probe.argmax_entropy));
         assert!(probe.train_steps >= 3);
         assert!((0.0..1.0).contains(&probe.epsilon));
-        let registry = full.3.expect("full telemetry has a registry");
-        let loss_series = registry.series("rl.train_loss").expect("loss series");
-        assert_eq!(loss_series.len(), probe.train_steps as usize);
-        assert!(registry.counter("measured.train_ns") > 0);
-    }
-
-    #[test]
-    fn two_telemetry_drains_partition_what_one_would_report() {
-        let mut mgr = manager(256);
-        let mut cfg = fast_test_config();
-        cfg.telemetry = sibyl_telemetry::TelemetryConfig::full();
-        let mut agent = SibylAgent::new(cfg);
-        let mut drained = (0, 0);
-        for _ in 0..2 {
-            drive(&mut agent, &mut mgr, &hot_cold_stream(300));
-            let registry = agent.take_telemetry().expect("telemetry is on");
-            assert!(registry.counter("measured.train_ns") > 0);
-            drained.0 += registry.counter("measured.train_ns");
-            drained.1 += registry.series("rl.train_loss").map_or(0, <[_]>::len);
-        }
-        let stats = agent.stats();
-        assert_eq!(drained, (stats.train_ns, stats.train_steps as usize));
-    }
-
-    #[test]
-    fn argmax_entropy_spans_unit_interval() {
-        assert_eq!(argmax_entropy(&[], 2), 0.0);
-        assert_eq!(argmax_entropy(&[0, 0, 0], 2), 0.0);
-        assert_eq!(argmax_entropy(&[1, 1], 1), 0.0);
-        let even = argmax_entropy(&[0, 1, 0, 1], 2);
-        assert!((even - 1.0).abs() < 1e-12, "even split entropy {even}");
-        let tri = argmax_entropy(&[0, 1, 2], 3);
-        assert!((tri - 1.0).abs() < 1e-12);
-        let skew = argmax_entropy(&[0, 0, 0, 1], 2);
-        assert!(skew > 0.0 && skew < 1.0);
     }
 
     #[test]

@@ -87,10 +87,10 @@ pub struct SibylConfig {
     pub feature_mask: FeatureMask,
     /// Read by nothing; kept for the frozen harness (see [`QuantMode`]).
     pub quant_mode: QuantMode,
-    /// Telemetry recording level for the agent's RL introspection probes
-    /// (loss curves, Q-value spread, replay-buffer age). `Off` by
-    /// default — no registry is allocated and the decision path is
-    /// bit-identical to a build without telemetry.
+    /// Whether the agent tracks the training loss, Q-value spread and
+    /// argmax entropy its RL probe reports, for the serving engine's
+    /// observer to record. `Off` by default; the decision path is
+    /// bit-identical either way.
     pub telemetry: TelemetryConfig,
     /// RNG seed for initialization, exploration, and replay sampling.
     pub seed: u64,

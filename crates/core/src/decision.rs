@@ -106,6 +106,9 @@ impl Memo {
 /// does so ahead of the decision it can affect), [`DecisionCore::act`], and
 /// either [`DecisionCore::settle`] (a reward per decision of the `act`) or
 /// [`DecisionCore::set_reward`] (the latest decision only).
+/// With telemetry on, `act` also keeps [`DecisionCore::q_spread`] and
+/// [`DecisionCore::argmax_entropy`] of its latest call for the agent's
+/// probe, drawing on no RNG and changing no decision.
 #[derive(Debug)]
 pub struct DecisionCore {
     config: SibylConfig,
@@ -121,6 +124,7 @@ pub struct DecisionCore {
     unsettled: usize,
     open: Option<OpenTransition>,
     q_spread: f64,
+    argmax_entropy: f64,
     memo: Memo,
     /// Workspace of [`DecisionCore::act`], kept so a call allocates
     /// nothing once it has grown: the positions and rows the memo missed,
@@ -151,6 +155,7 @@ impl DecisionCore {
             unsettled: 0,
             open: None,
             q_spread: 0.0,
+            argmax_entropy: 0.0,
             memo: Memo {
                 capacity: config.train_interval.min(4096).next_power_of_two() as usize,
                 ..Memo::default()
@@ -180,6 +185,13 @@ impl DecisionCore {
     /// telemetry on, 0 otherwise.
     pub fn q_spread(&self) -> f64 {
         self.q_spread
+    }
+
+    /// Normalized entropy, in `[0, 1]`, of the actions the latest
+    /// [`DecisionCore::act`] chose; tracked only with telemetry on, 0
+    /// otherwise.
+    pub fn argmax_entropy(&self) -> f64 {
+        self.argmax_entropy
     }
 
     /// Greedy rows looked up in the decision memo so far — a host-side
@@ -295,6 +307,9 @@ impl DecisionCore {
         if track && greedy > 0 {
             self.q_spread = self.gaps.iter().fold(0.0, |sum, gap| sum + gap) / greedy as f64;
         }
+        if track {
+            self.argmax_entropy = argmax_entropy(&self.actions, self.n_actions);
+        }
         self.open = Some(OpenTransition {
             action: self.actions[n - 1],
             reward: None,
@@ -345,6 +360,28 @@ impl DecisionCore {
     }
 }
 
+/// Normalized entropy (in `[0, 1]`) of the action distribution a decided
+/// batch produced: 0 when every request went to one device, 1 when
+/// placements split evenly across all `n_actions`.
+fn argmax_entropy(actions: &[usize], n_actions: usize) -> f64 {
+    if actions.is_empty() || n_actions < 2 {
+        return 0.0;
+    }
+    let mut counts = vec![0u64; n_actions];
+    for &a in actions {
+        counts[a] += 1;
+    }
+    let total = actions.len() as f64;
+    let mut h = 0.0f64;
+    for &c in &counts {
+        if c > 0 {
+            let p = c as f64 / total;
+            h -= p * p.ln();
+        }
+    }
+    h / (n_actions as f64).ln()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +426,7 @@ mod tests {
         let rows = [0.0, 0.1, 1.0, 1.1, 2.0, 2.1];
         let actions = core.act(learner.inference(), &rows).to_vec();
         assert_eq!(core.explorations(), 3, "ε = 1 explores every row");
+        assert_eq!(core.argmax_entropy(), 0.0, "tracked only with telemetry on");
         let rewards = [0.5, 0.6, 0.7];
         let closed: Vec<_> = core.settle(&rewards).collect();
         assert_eq!(closed.len(), 2);
@@ -400,6 +438,19 @@ mod tests {
         assert_eq!(core.settle(&[]).count(), 0, "nothing left to settle");
         let last = core.close(&[3.0, 3.1]).expect("last decision rewarded");
         assert_eq!((last.obs, last.reward), (&[2.0, 2.1][..], 0.7));
+    }
+
+    #[test]
+    fn argmax_entropy_spans_unit_interval() {
+        assert_eq!(argmax_entropy(&[], 2), 0.0);
+        assert_eq!(argmax_entropy(&[0, 0, 0], 2), 0.0);
+        assert_eq!(argmax_entropy(&[1, 1], 1), 0.0);
+        let even = argmax_entropy(&[0, 1, 0, 1], 2);
+        assert!((even - 1.0).abs() < 1e-12, "even split entropy {even}");
+        let tri = argmax_entropy(&[0, 1, 2], 3);
+        assert!((tri - 1.0).abs() < 1e-12);
+        let skew = argmax_entropy(&[0, 0, 0, 1], 2);
+        assert!(skew > 0.0 && skew < 1.0);
     }
 
     /// Adoption site 1 of 2, the end of a training step: a
@@ -458,9 +509,10 @@ mod tests {
         /// The memo is invisible: a core with an 8-slot table (12 distinct
         /// rows, so hits, conflicts and overwrites all happen) and one
         /// whose table holds nothing agree at every step on the actions,
-        /// the counters, the RNG position, `q_spread` to the bit and the
-        /// experiences `close` and `settle` yield — across weight changes,
-        /// with exploration on, at `Full` telemetry.
+        /// the counters, the RNG position, `q_spread` and the actions'
+        /// entropy to the bit and the experiences `close` and `settle`
+        /// yield — across weight changes, with exploration on, at `Full`
+        /// telemetry.
         #[test]
         fn the_memo_changes_nothing_but_the_work(
             seed in 0u64..1_000,
@@ -500,6 +552,9 @@ mod tests {
                 let actions = memo.act(inference, &rows).to_vec();
                 prop_assert_eq!(&actions[..], plain.act(inference, &rows));
                 prop_assert_eq!(memo.q_spread().to_bits(), plain.q_spread().to_bits());
+                let entropy = argmax_entropy(&actions, 3).to_bits();
+                prop_assert_eq!(memo.argmax_entropy().to_bits(), entropy);
+                prop_assert_eq!(plain.argmax_entropy().to_bits(), entropy);
                 prop_assert_eq!(
                     (memo.decisions(), memo.explorations(), memo.rng.clone().gen::<u64>()),
                     (plain.decisions(), plain.explorations(), plain.rng.clone().gen::<u64>())

@@ -231,7 +231,7 @@ impl Learner {
     ///
     /// The step's mean cross-entropy loss is computed only when the
     /// configuration's [`SibylConfig::telemetry`] is enabled — the agent's
-    /// introspection is its one reader — and is then read through
+    /// RL probe is its one reader — and is then read through
     /// [`Learner::last_loss`]. The gradients do not depend on the loss, so
     /// whether it is computed changes no weight, target or decision.
     ///

@@ -97,30 +97,6 @@ impl HssStats {
         self.histogram.merge(&other.histogram);
     }
 
-    /// Folds the run's storage accounting into a telemetry registry
-    /// under the `hss.` namespace: request/eviction/migration counters
-    /// plus latency and throughput gauges. Every value is derived from
-    /// simulated time and logical counts — no wall clock — so recording
-    /// is deterministic.
-    pub fn record_registry(&self, registry: &mut sibyl_telemetry::Registry) {
-        registry.counter_add("hss.requests", self.total_requests);
-        registry.counter_add("hss.reads", self.reads);
-        registry.counter_add("hss.writes", self.writes);
-        registry.counter_add("hss.eviction_events", self.eviction_events);
-        registry.counter_add("hss.evicted_pages", self.evicted_pages);
-        registry.counter_add("hss.migrated_pages", self.migrated_pages);
-        registry.counter_add("hss.bg_migration_events", self.bg_migration_events);
-        registry.counter_add("hss.bg_promoted_pages", self.bg_promoted_pages);
-        registry.counter_add("hss.bg_demoted_pages", self.bg_demoted_pages);
-        registry.gauge_set("hss.avg_latency_us", self.avg_latency_us());
-        registry.gauge_set("hss.max_latency_us", self.max_latency_us);
-        registry.gauge_set("hss.iops", self.iops());
-        registry.gauge_set("hss.eviction_fraction", self.eviction_fraction());
-        for (device, &count) in self.placements.iter().enumerate() {
-            registry.counter_add(&format!("hss.placements.device{device}"), count);
-        }
-    }
-
     /// Average request latency in microseconds (the paper's primary
     /// metric).
     pub fn avg_latency_us(&self) -> f64 {

@@ -30,19 +30,6 @@ impl MigratorStats {
     pub fn moved_pages(&self) -> u64 {
         self.promoted_pages + self.demoted_pages
     }
-
-    /// Folds the migrator's cumulative counters into a telemetry
-    /// registry under the `migrate.` namespace. All counts are logical
-    /// (ticks, pages) and `busy_us` is simulated device time, so
-    /// recording is deterministic.
-    pub fn record_registry(&self, registry: &mut sibyl_telemetry::Registry) {
-        registry.counter_add("migrate.ticks", self.ticks);
-        registry.counter_add("migrate.planned_moves", self.planned_moves);
-        registry.counter_add("migrate.promoted_pages", self.promoted_pages);
-        registry.counter_add("migrate.demoted_pages", self.demoted_pages);
-        registry.counter_add("migrate.skipped_moves", self.skipped_moves);
-        registry.gauge_set("migrate.busy_us", self.busy_us);
-    }
 }
 
 /// What one tick did — the host engine folds this into its per-shard

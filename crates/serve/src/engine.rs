@@ -580,7 +580,7 @@ fn run_shard(
     }
     let observed = observer.finish(
         &manager,
-        &mut agent,
+        &agent,
         migrator.as_ref(),
         task.coop.as_deref().map(Coordinator::config),
     );

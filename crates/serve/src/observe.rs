@@ -3,9 +3,22 @@
 //! [`run_shard`](crate::engine) serves requests in five stages and tells
 //! one [`ShardObserver`] what each stage did. Everything about *how* a
 //! run is observed lives here and nowhere else: the telemetry event
-//! taxonomy, the registry names (`serve.*`, `xray.*`, `curve.*`, `rl.*`,
-//! `dir.*`), the x-ray → registry cross-feed and the teardown fold of the
-//! storage manager's, migrator's and coordinator's final state.
+//! taxonomy, every registry name and the x-ray → registry cross-feed. No
+//! other crate writes a registry; the agent, the storage manager, the
+//! migrator and the cooperation config only expose state, which this
+//! module reads:
+//!
+//! - during the run: `serve.*`, `xray.*`, `curve.*`, `rl.*` (with
+//!   `rl.train_loss` per train step) and `coop.syncs`;
+//! - at teardown: `serve.latency_us`, `dir.{bytes,pages}`, the counters
+//!   `hss.{requests,reads,writes,eviction_events,evicted_pages,
+//!   migrated_pages,bg_migration_events,bg_promoted_pages,
+//!   bg_demoted_pages,placements.device<i>}` and
+//!   `migrate.{ticks,planned_moves,promoted_pages,demoted_pages,
+//!   skipped_moves}`, the gauges `hss.{avg_latency_us,max_latency_us,
+//!   iops,eviction_fraction}`, `migrate.busy_us` and
+//!   `coop.{sync_period,share_fraction,foreign_weight}`, and the
+//!   wall-clock `measured.{train_ns,shard_run_ns}`.
 //!
 //! Disabled subsystems are *absent*, not branched on per call site: with
 //! telemetry and x-ray off the observer holds two `None`s, constructs no
@@ -13,9 +26,11 @@
 
 use sibyl_coop::CoopConfig;
 use sibyl_core::SibylAgent;
-use sibyl_hss::StorageManager;
-use sibyl_migrate::{Migrator, TickOutcome};
-use sibyl_telemetry::{measured, ShardTelemetry, TelemetryConfig, TelemetrySink, TraceEvent};
+use sibyl_hss::{HssStats, StorageManager};
+use sibyl_migrate::{Migrator, MigratorStats, TickOutcome};
+use sibyl_telemetry::{
+    measured, Registry, ShardTelemetry, TelemetryConfig, TelemetrySink, TraceEvent,
+};
 use sibyl_xray::{RequestObservation, ShardXray, XrayConfig, XrayTracer};
 
 use crate::report::CurvePoint;
@@ -112,18 +127,24 @@ impl ShardObserver {
         }
     }
 
-    /// Learn stage: feeding the batch back ran `new_steps` (> 0)
-    /// synchronous train steps. The loss comes from the agent's
-    /// introspection probe, which is on whenever a sink exists.
+    /// Learn stage: the round ran `new_steps` (> 0) synchronous train
+    /// steps, each recorded as a `TrainStep` event and an `rl.train_loss`
+    /// point at `(step + 1, loss)`. The loss is the agent's latest (the
+    /// agent tracks it whenever a sink exists), so a round of several
+    /// steps (`train_interval` below the batch width) repeats its last.
     pub fn learned(&mut self, agent: &SibylAgent, new_steps: u64) {
         let Some(sink) = &mut self.sink else { return };
         let steps = agent.stats().train_steps;
-        let loss = agent.probe().last_loss.map_or(f64::NAN, f64::from);
+        let loss = agent.probe().last_loss.map(f64::from);
         for step in steps - new_steps..steps {
             sink.event(TraceEvent::TrainStep {
                 step: step + 1,
-                loss,
+                loss: loss.unwrap_or(f64::NAN),
             });
+            if let Some(loss) = loss {
+                sink.registry_mut()
+                    .series_push("rl.train_loss", step + 1, loss);
+            }
         }
     }
 
@@ -177,16 +198,17 @@ impl ShardObserver {
     }
 
     /// Teardown: folds the run's terminal state into the registry — the
-    /// served-latency histogram, the agent's internal `rl.*` series and
-    /// `measured.train_ns`, the directory footprint, the `hss.*`,
-    /// `migrate.*` and `coop.*` accounting — and yields the two report
-    /// sections. Shard-local state only: global coordinator counters keep
-    /// advancing while other shards drain, so reading them here would
-    /// make the export depend on teardown timing.
+    /// served-latency histogram, the agent's `measured.train_ns`, the
+    /// directory footprint, the `hss.*`, `migrate.*` and `coop.*`
+    /// accounting — and yields the two report sections. Shard-local state
+    /// only: global coordinator counters keep advancing while other
+    /// shards drain, so reading them here would make the export depend
+    /// on teardown timing. That is why `coop.*` is the *configuration*;
+    /// the per-shard sync count is `coop.syncs`.
     pub fn finish(
         self,
         manager: &StorageManager,
-        agent: &mut SibylAgent,
+        agent: &SibylAgent,
         migrator: Option<&Migrator>,
         coop: Option<&CoopConfig>,
     ) -> (Option<ShardTelemetry>, Option<ShardXray>) {
@@ -198,21 +220,19 @@ impl ShardObserver {
             if latency.count() > 0 {
                 registry.histogram_merge("serve.latency_us", latency);
             }
-            if let Some(agent_registry) = agent.take_telemetry() {
-                registry.absorb(agent_registry);
-            }
+            registry.counter_add("measured.train_ns", agent.stats().train_ns);
             // The compact directory is append-only, so its final size is
             // the run's peak. Gauges merge by max: the cross-shard report
             // shows the largest shard's directory.
             let directory = manager.directory();
             registry.gauge_set("dir.bytes", directory.directory_bytes() as f64);
             registry.gauge_set("dir.pages", directory.len() as f64);
-            manager.stats().record_registry(registry);
+            record_hss(registry, manager.stats());
             if let Some(m) = migrator {
-                m.stats().record_registry(registry);
+                record_migrate(registry, m.stats());
             }
             if let Some(coop) = coop {
-                coop.record_registry(registry);
+                record_coop(registry, coop);
             }
             if let Some(stopwatch) = self.stopwatch {
                 stopwatch.stop_into(registry, "measured.shard_run_ns");
@@ -221,6 +241,45 @@ impl ShardObserver {
         });
         (telemetry, self.xray.map(XrayTracer::finish))
     }
+}
+
+/// The storage accounting: simulated time and logical counts only.
+fn record_hss(registry: &mut Registry, stats: &HssStats) {
+    registry.counter_add("hss.requests", stats.total_requests);
+    registry.counter_add("hss.reads", stats.reads);
+    registry.counter_add("hss.writes", stats.writes);
+    registry.counter_add("hss.eviction_events", stats.eviction_events);
+    registry.counter_add("hss.evicted_pages", stats.evicted_pages);
+    registry.counter_add("hss.migrated_pages", stats.migrated_pages);
+    registry.counter_add("hss.bg_migration_events", stats.bg_migration_events);
+    registry.counter_add("hss.bg_promoted_pages", stats.bg_promoted_pages);
+    registry.counter_add("hss.bg_demoted_pages", stats.bg_demoted_pages);
+    registry.gauge_set("hss.avg_latency_us", stats.avg_latency_us());
+    registry.gauge_set("hss.max_latency_us", stats.max_latency_us);
+    registry.gauge_set("hss.iops", stats.iops());
+    registry.gauge_set("hss.eviction_fraction", stats.eviction_fraction());
+    for (device, &count) in stats.placements.iter().enumerate() {
+        registry.counter_add(&format!("hss.placements.device{device}"), count);
+    }
+}
+
+/// The migrator's cumulative totals: logical counts and device time.
+fn record_migrate(registry: &mut Registry, stats: &MigratorStats) {
+    registry.counter_add("migrate.ticks", stats.ticks);
+    registry.counter_add("migrate.planned_moves", stats.planned_moves);
+    registry.counter_add("migrate.promoted_pages", stats.promoted_pages);
+    registry.counter_add("migrate.demoted_pages", stats.demoted_pages);
+    registry.counter_add("migrate.skipped_moves", stats.skipped_moves);
+    registry.gauge_set("migrate.busy_us", stats.busy_us);
+}
+
+/// The cooperation settings under `coop.`.
+fn record_coop(registry: &mut Registry, coop: &CoopConfig) {
+    registry.gauge_set("coop.sync_period", coop.sync_period as f64);
+    registry.gauge_set("coop.share_fraction", coop.share_fraction);
+    // Goes with the `foreign_weight` husk; until then the pinned
+    // telemetry export keeps its line.
+    registry.gauge_set("coop.foreign_weight", coop.foreign_weight);
 }
 
 #[cfg(test)]
@@ -247,8 +306,8 @@ mod tests {
     fn teardown(observer: ShardObserver) -> (Option<ShardTelemetry>, Option<ShardXray>) {
         let hss = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
         let manager = StorageManager::new(&hss.resolved(64));
-        let mut agent = SibylAgent::new(SibylConfig::default());
-        observer.finish(&manager, &mut agent, None, None)
+        let agent = SibylAgent::new(SibylConfig::default());
+        observer.finish(&manager, &agent, None, None)
     }
 
     #[test]
@@ -297,6 +356,82 @@ mod tests {
         let xray = xray.expect("tracer enabled");
         assert_eq!((xray.shard, xray.requests_seen), (3, 3));
         assert_eq!((xray.migrate_ticks, xray.coop_syncs), (1, 1));
+    }
+
+    /// The `hss.*`, `migrate.*` and `coop.*` counters and gauges of
+    /// `registry`, one `name=value` per line, in name order.
+    fn accounting(registry: &Registry) -> String {
+        let counters = registry.counters().map(|(n, v)| format!("{n}={v}\n"));
+        let gauges = registry.gauges().map(|(n, v)| format!("{n}={v}\n"));
+        let ours = ["hss.", "migrate.", "coop."];
+        counters
+            .chain(gauges)
+            .filter(|l| ours.iter().any(|p| l.starts_with(p)))
+            .collect()
+    }
+
+    /// Every entry the teardown writes from the storage, migration and
+    /// cooperation state, by name and value, from hand-built state; and
+    /// `finish` writes exactly those of the live state it is handed.
+    #[test]
+    fn teardown_accounting_names_and_values() {
+        let hss = HssStats {
+            total_requests: 8,
+            reads: 5,
+            writes: 3,
+            sum_latency_us: 400.0,
+            max_latency_us: 120.0,
+            first_arrival_us: 1.0,
+            last_completion_us: 3.0,
+            eviction_events: 2,
+            evicted_pages: 7,
+            migrated_pages: 3,
+            bg_migration_events: 1,
+            bg_promoted_pages: 5,
+            bg_demoted_pages: 4,
+            placements: vec![6, 2],
+            ..Default::default()
+        };
+        let migrate = MigratorStats {
+            ticks: 3,
+            planned_moves: 9,
+            promoted_pages: 5,
+            demoted_pages: 2,
+            skipped_moves: 2,
+            busy_us: 37.5,
+        };
+        let coop = CoopConfig::new(sibyl_coop::CoopMode::SharedReplay)
+            .with_sync_period(6)
+            .with_share_fraction(0.25);
+        let mut registry = Registry::new();
+        record_hss(&mut registry, &hss);
+        record_migrate(&mut registry, &migrate);
+        record_coop(&mut registry, &coop);
+        assert_eq!(
+            accounting(&registry),
+            "hss.bg_demoted_pages=4\nhss.bg_migration_events=1\nhss.bg_promoted_pages=5\n\
+             hss.evicted_pages=7\nhss.eviction_events=2\nhss.migrated_pages=3\n\
+             hss.placements.device0=6\nhss.placements.device1=2\n\
+             hss.reads=5\nhss.requests=8\nhss.writes=3\n\
+             migrate.demoted_pages=2\nmigrate.planned_moves=9\nmigrate.promoted_pages=5\n\
+             migrate.skipped_moves=2\nmigrate.ticks=3\n\
+             coop.foreign_weight=1\ncoop.share_fraction=0.25\ncoop.sync_period=6\n\
+             hss.avg_latency_us=50\nhss.eviction_fraction=0.25\nhss.iops=4000000\n\
+             hss.max_latency_us=120\nmigrate.busy_us=37.5\n"
+        );
+
+        let hss_config = HssConfig::dual(DeviceSpec::optane_ssd(), DeviceSpec::tlc_ssd());
+        let manager = StorageManager::new(&hss_config.resolved(64));
+        let policy = sibyl_migrate::MigratePolicyKind::HotCold;
+        let migrator = Migrator::new(sibyl_migrate::MigrateConfig::new(policy)).unwrap();
+        let agent = SibylAgent::new(SibylConfig::default());
+        let o = ShardObserver::new(&TelemetryConfig::full(), &XrayConfig::Off, 0, 42);
+        let (telemetry, _) = o.finish(&manager, &agent, Some(&migrator), Some(&coop));
+        let mut live = Registry::new();
+        record_hss(&mut live, manager.stats());
+        record_migrate(&mut live, migrator.stats());
+        record_coop(&mut live, &coop);
+        assert_eq!(accounting(&telemetry.unwrap().registry), accounting(&live));
     }
 
     #[test]

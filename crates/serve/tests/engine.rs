@@ -321,16 +321,19 @@ fn telemetry_observes_without_perturbing_placement() {
             report.migrations
         );
         // Telemetry samples the RL probe at the curve cadence and
-        // drains the agent's internal loss series.
+        // records one loss point per train step.
         assert!(shard.registry.series("rl.epsilon").is_some());
-        assert!(shard.registry.series("rl.train_loss").is_some());
+        let loss = shard.registry.series("rl.train_loss").expect("loss series");
+        assert_eq!(loss.len() as u64, report.agent.train_steps);
         assert!(shard.registry.histogram("rl.replay_age").is_some());
         assert_eq!(
             shard.registry.series("curve.avg_latency_us").unwrap().len(),
             report.curve.len()
         );
-        // The wall-clock total lives in the measured namespace only.
+        // The wall-clock totals live in the measured namespace only.
         assert!(shard.registry.counter("measured.shard_run_ns") > 0);
+        let train_ns = shard.registry.counter("measured.train_ns");
+        assert_eq!(train_ns, report.agent.train_ns);
     }
 }
 

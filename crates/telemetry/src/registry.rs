@@ -166,31 +166,6 @@ impl Registry {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
     }
-
-    /// Consumes `other`, moving every metric — including time series —
-    /// into `self`. Used to fold a sub-component's private registry
-    /// (e.g. the agent's RL probes) into its shard's sink; callers keep
-    /// namespaces distinct so entries cannot collide.
-    pub fn absorb(&mut self, other: Registry) {
-        let Registry {
-            counters,
-            gauges,
-            histograms,
-            series,
-        } = other;
-        for (name, v) in counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in gauges {
-            self.gauges.insert(name, v);
-        }
-        for (name, h) in histograms {
-            self.histograms.entry(name).or_default().merge(&h);
-        }
-        for (name, points) in series {
-            self.series.entry(name).or_default().extend(points);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,18 +197,6 @@ mod tests {
         assert_eq!(a.gauge("g"), Some(2.0));
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert!(a.series("s").is_none(), "merge must not move series");
-    }
-
-    #[test]
-    fn absorb_moves_series_too() {
-        let mut a = Registry::new();
-        a.series_push("s", 0, 1.0);
-        let mut b = Registry::new();
-        b.series_push("s", 1, 2.0);
-        b.counter_add("c", 7);
-        a.absorb(b);
-        assert_eq!(a.series("s"), Some(&[(0, 1.0), (1, 2.0)][..]));
-        assert_eq!(a.counter("c"), 7);
     }
 
     #[test]

@@ -42,6 +42,8 @@ fn main() {
     println!("phase 1: hot/random writes | phase 2: cold/sequential streams");
     println!("{:>8} {:>10} {:>12}", "window", "fast pref", "avg lat (us)");
     let window = (spliced.len() / 10).max(1);
+    // The first cold request, at index `hot.len()`, falls in this window.
+    let change = hot.len() / window + 1;
     let (mut seen, mut fast, mut lat) = (0usize, 0u64, 0.0f64);
     replay(&mut agent, &mut mgr, spliced.iter().copied(), |_, out| {
         seen += 1;
@@ -51,7 +53,7 @@ fn main() {
         lat += out.latency_us;
         if seen % window == 0 {
             let w = seen / window;
-            let marker = if w == 6 {
+            let marker = if w == change {
                 "  <- phase change region"
             } else {
                 ""
